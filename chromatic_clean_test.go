@@ -50,23 +50,6 @@ func TestCleanIntraWorkersEquivalent(t *testing.T) {
 	}
 }
 
-// TestCleanFastSweepsEndToEnd: fast mode surrenders reproducibility, not
-// correctness — the pipeline completes and repairs the same dataset shape.
-func TestCleanFastSweepsEndToEnd(t *testing.T) {
-	g := datagen.Skew(datagen.SkewConfig{Tuples: 900, Seed: 5, HotFrac: 0.7})
-	opts := skewOptions()
-	opts.Workers = 2
-	opts.IntraWorkers = 4
-	opts.FastSweeps = true
-	res, err := New(opts).Clean(g.Dirty, g.Constraints)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Repairs) == 0 {
-		t.Fatal("fast-sweep run proposed no repairs on a dataset with injected errors")
-	}
-}
-
 // TestCleanSplitDampingCloseMarginals is the boundary-damping property
 // test: splitting the giant component with damped boundary factors must
 // stay close to the exact unsplit inference — same MAP repair for the

@@ -63,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		outliers  = fs.Bool("outliers", false, "add outlier-based error detection")
 		workers   = fs.Int("workers", 0, "shard worker pool size (0 = all CPUs); results are identical for any value")
 		intra     = fs.Int("intra-workers", 0, "goroutines sampling within one large correlated shard (0 = 1); results are identical for any value")
-		fastSw    = fs.Bool("fast-sweeps", false, "trade bit-reproducibility for sampler throughput on large correlated shards")
 		maxComp   = fs.Int("max-component-cells", 0, "split conflict components larger than this many cells into damped sub-shards (0 = never split)")
 		showStats = fs.Bool("stats", false, "print the component-size histogram and skew gauge to stderr")
 		deltaPath = fs.String("delta", "", "CSV of tuple changes (op,row,<schema...>) applied after the initial clean; re-repairs incrementally via a Session")
@@ -111,7 +110,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	opts.OutlierDetection = *outliers
 	opts.Workers = *workers
 	opts.IntraWorkers = *intra
-	opts.FastSweeps = *fastSw
 	opts.MaxComponentCells = *maxComp
 	switch *variant {
 	case "feats":

@@ -20,15 +20,12 @@
 //	                 shard (default 1); a job's peak parallelism is
 //	                 workers × intra-workers, and the fair-share default
 //	                 for -workers accounts for it
-//	-idle-timeout D  evict sessions idle for D to snapshots (0 disables)
+//	-idle-timeout D  evict sessions idle for D to a checkpoint (0
+//	                 disables)
 //	-store-dir P     durable session store under P: per-session
 //	                 write-ahead logs, fsync'd before any mutating
 //	                 request is acknowledged, recovered in full on boot
-//	                 (supersedes -snapshot-dir)
 //	-checkpoint-every N  ops between checkpoint records (default 16)
-//	-snapshot-dir P  deprecated: eviction snapshots only, no operation
-//	                 log — a crash loses everything since the last
-//	                 eviction; use -store-dir
 //	-pprof ADDR      serve net/http/pprof on a separate listener, e.g.
 //	                 -pprof 127.0.0.1:6060 (off by default; never exposed
 //	                 on the main service address)
@@ -106,7 +103,6 @@ func main() {
 		idleTimeout = flag.Duration("idle-timeout", 15*time.Minute, "evict sessions idle this long (0 = never)")
 		storeDir    = flag.String("store-dir", "", "durable session store: per-session write-ahead logs with crash recovery (empty = no durability)")
 		ckptEvery   = flag.Int("checkpoint-every", 16, "ops between checkpoint records in the store")
-		snapshotDir = flag.String("snapshot-dir", "", "deprecated: eviction-snapshot directory without an operation log; use -store-dir")
 		maxUpload   = flag.Int64("max-upload", 32<<20, "max request body bytes")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on SIGTERM/SIGINT")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
@@ -132,16 +128,6 @@ func main() {
 		}()
 	}
 
-	if *snapshotDir != "" {
-		if *storeDir != "" {
-			log.Printf("holocleand: -snapshot-dir is ignored when -store-dir is set (the store subsumes it)")
-		} else {
-			log.Printf("holocleand: -snapshot-dir is deprecated: snapshots only persist at eviction, a crash loses everything since; use -store-dir")
-			if err := os.MkdirAll(*snapshotDir, 0o755); err != nil {
-				log.Fatalf("holocleand: creating snapshot dir: %v", err)
-			}
-		}
-	}
 	var peerList []string
 	if *peers != "" {
 		for _, p := range strings.Split(*peers, ",") {
@@ -160,7 +146,6 @@ func main() {
 		MaxConcurrentJobs: *maxJobs,
 		QueueDepth:        *queueDepth,
 		IdleTimeout:       *idleTimeout,
-		SnapshotDir:       *snapshotDir,
 		StoreDir:          *storeDir,
 		CheckpointEvery:   *ckptEvery,
 		MaxUploadBytes:    *maxUpload,

@@ -227,13 +227,6 @@ type Options struct {
 	// 0 means 1 (sequential within a shard); total goroutines are
 	// bounded by Workers × IntraWorkers.
 	IntraWorkers int
-	// FastSweeps trades the chromatic sampler's bit-reproducibility for
-	// throughput: per-worker RNG streams and dynamic load balancing
-	// replace the per-variable streams. Statistically equivalent — the
-	// chromatic schedule is unchanged, only which worker draws for which
-	// variable — but NOT reproducible across runs or worker counts. Has
-	// no effect on shards below the chromatic threshold.
-	FastSweeps bool
 	// MaxComponentCells, when positive, splits conflict components whose
 	// cell count exceeds it into tuple-aligned sub-shards, bounding the
 	// largest grounding and sampling unit (and therefore per-shard memory
@@ -694,9 +687,7 @@ func (cl *Cleaner) clean(ds *Dataset, constraints []*Constraint, inc *incrementa
 		if lr == 0 {
 			lr = 0.1
 		}
-		spLearn := o.Tracer.Start("learn")
 		learn.Learn(learnG.Graph, learn.Config{Epochs: epochs, LearningRate: lr, L2: o.L2, Seed: o.Seed})
-		spLearn.End()
 		res.Stats.LearnTime = time.Since(tLearn)
 		learned = learnedWeights(learnG.Graph)
 		learnKeys = learnG.Graph.Weights.Keys
@@ -767,6 +758,9 @@ func (cl *Cleaner) clean(ds *Dataset, constraints []*Constraint, inc *incrementa
 	if tr := o.Tracer; tr != nil {
 		tr.Observe("detect", res.Stats.DetectTime)
 		tr.Observe("ground", runner.groundTime)
+		if injected == nil { // a run that reused weights has no learn stage to report
+			tr.Observe("learn", res.Stats.LearnTime)
+		}
 		tr.Observe("infer", runner.inferTime)
 		tr.Observe("total", res.Stats.TotalTime)
 	}

@@ -30,10 +30,10 @@ func coupledChain(n int) *factor.Graph {
 	return g
 }
 
-func chromaticMarginals(t *testing.T, n, workers int, fast bool, sc *Scratch) [][]float64 {
+func chromaticMarginals(t *testing.T, n, workers int, sc *Scratch) [][]float64 {
 	t.Helper()
 	g := coupledChain(n)
-	cfg := Config{BurnIn: 5, Samples: 40, Seed: 42, IntraWorkers: workers, Fast: fast, Scratch: sc}
+	cfg := Config{BurnIn: 5, Samples: 40, Seed: 42, IntraWorkers: workers, Scratch: sc}
 	cfg.Colors = partition.ColorGraph(g)
 	m := Run(g, cfg)
 	out := make([][]float64, len(m.P))
@@ -48,9 +48,9 @@ func chromaticMarginals(t *testing.T, n, workers int, fast bool, sc *Scratch) []
 // same schedule swept sequentially (IntraWorkers = 1).
 func TestChromaticWorkerEquivalence(t *testing.T) {
 	const n = 301
-	ref := chromaticMarginals(t, n, 1, false, nil)
+	ref := chromaticMarginals(t, n, 1, nil)
 	for _, workers := range []int{2, 3, 4, 16} {
-		got := chromaticMarginals(t, n, workers, false, nil)
+		got := chromaticMarginals(t, n, workers, nil)
 		for v := range ref {
 			for d := range ref[v] {
 				if got[v][d] != ref[v][d] {
@@ -65,10 +65,10 @@ func TestChromaticWorkerEquivalence(t *testing.T) {
 // TestChromaticScratchEquivalence: a pooled, warm scratch must not change
 // results.
 func TestChromaticScratchEquivalence(t *testing.T) {
-	ref := chromaticMarginals(t, 64, 4, false, nil)
+	ref := chromaticMarginals(t, 64, 4, nil)
 	sc := new(Scratch)
-	chromaticMarginals(t, 200, 2, false, sc) // warm it on a different size
-	got := chromaticMarginals(t, 64, 4, false, sc)
+	chromaticMarginals(t, 200, 2, sc) // warm it on a different size
+	got := chromaticMarginals(t, 64, 4, sc)
 	for v := range ref {
 		for d := range ref[v] {
 			if got[v][d] != ref[v][d] {
@@ -128,27 +128,6 @@ func TestChromaticVarSeedStability(t *testing.T) {
 			if a[v][d] != b[v][d] {
 				t.Fatalf("same seeds, different marginals at [%d][%d]", v, d)
 			}
-		}
-	}
-}
-
-// TestChromaticFastMode: fast sweeps must produce normalized marginals of
-// the same quality class; only reproducibility is surrendered.
-func TestChromaticFastMode(t *testing.T) {
-	g := coupledChain(128)
-	cfg := Config{BurnIn: 10, Samples: 200, Seed: 3, IntraWorkers: 4, Fast: true}
-	cfg.Colors = partition.ColorGraph(g)
-	m := Run(g, cfg)
-	for v := range m.P {
-		sum := 0.0
-		for _, p := range m.P[v] {
-			if p < 0 || p > 1 {
-				t.Fatalf("marginal[%d] out of range: %v", v, m.P[v])
-			}
-			sum += p
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("marginal[%d] not normalized: sum %v", v, sum)
 		}
 	}
 }

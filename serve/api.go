@@ -23,7 +23,7 @@ type SessionInfo struct {
 	// Confirmed is the number of accumulated feedback confirmations.
 	Confirmed int `json:"confirmed"`
 	// Evicted reports whether the session currently lives only as a
-	// snapshot; the next operation that needs it restores it transparently.
+	// checkpoint; the next operation that needs it restores it transparently.
 	Evicted bool `json:"evicted"`
 	// Stats describes the session's most recent pipeline run. Absent on
 	// evicted sessions (the result cache is released with the session).

@@ -180,22 +180,9 @@ func (sv *Server) startShippers() {
 // costs warmth — the durable copy is correct, and the cold path below
 // rebuilds from it on the next round or read.
 func (sv *Server) replicaApply(id string, frames []store.Frame, reset bool) error {
-	t := sv.lookup(id)
-	if t == nil {
-		l, err := sv.store.Log(id)
-		if err != nil {
-			return err
-		}
-		t = &tenant{id: id, created: time.Now(), log: l}
-		t.replica.Store(true)
-		t.touch(time.Now())
-		sv.mu.Lock()
-		if exist := sv.sessions[id]; exist != nil {
-			t = exist
-		} else {
-			sv.sessions[id] = t
-		}
-		sv.mu.Unlock()
+	t, err := sv.mirrorOf(id)
+	if err != nil {
+		return err
 	}
 	if !t.replica.Load() {
 		return nil // promoted out from under the shipment; the filter stops it next round
@@ -205,26 +192,15 @@ func (sv *Server) replicaApply(id string, frames []store.Frame, reset bool) erro
 	if reset {
 		// The local copy was replaced wholesale (leader compacted past us
 		// or we diverged); warm state derived from the old bytes is void.
-		t.session = nil
-		t.applied, t.appliedOrder = nil, nil
-		t.walSeq = 0
-		t.resMu.Lock()
-		t.last, t.csv = nil, nil
-		t.resMu.Unlock()
+		t.dropLive()
 	}
 	if t.session == nil {
 		// Cold: rebuild the warm session from the local log — exactly the
 		// crash-recovery path, which is the point: promotion later finds a
 		// session recovery already proved bit-identical.
-		rec, err := t.log.Recover()
-		if err != nil {
+		if err := sv.revive(t); err != nil {
 			return err
 		}
-		t.applied, t.appliedOrder = nil, nil
-		if err := sv.replayTenant(t, rec); err != nil {
-			return err
-		}
-		t.walSeq = t.log.Stats().Seq
 		t.touch(time.Now())
 		return nil
 	}
@@ -249,6 +225,29 @@ func (sv *Server) replicaApply(id string, frames []store.Frame, reset bool) erro
 	}
 	t.touch(time.Now())
 	return nil
+}
+
+// mirrorOf returns the tenant registered for id, registering a
+// session-less mirror around the id's local log when this node has none
+// yet.
+func (sv *Server) mirrorOf(id string) (*tenant, error) {
+	if t := sv.lookup(id); t != nil {
+		return t, nil
+	}
+	l, err := sv.store.Log(id)
+	if err != nil {
+		return nil, err
+	}
+	t := &tenant{id: id, created: time.Now(), log: l}
+	t.replica.Store(true)
+	t.touch(time.Now())
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	if exist := sv.sessions[id]; exist != nil {
+		return exist, nil
+	}
+	sv.sessions[id] = t
+	return t, nil
 }
 
 // removeReplica is the shipper's Remove hook: the leader no longer has
@@ -324,14 +323,8 @@ func (sv *Server) handleReplicateLogs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "replication requires a durable store")
 		return
 	}
-	sv.mu.Lock()
-	tenants := make([]*tenant, 0, len(sv.sessions))
-	for _, t := range sv.sessions {
-		tenants = append(tenants, t)
-	}
-	sv.mu.Unlock()
 	infos := []cluster.LogInfo{}
-	for _, t := range tenants {
+	for _, t := range sv.tenants() {
 		if t.log == nil || t.replica.Load() || !sv.isLeader(t.id) {
 			continue
 		}
@@ -464,42 +457,24 @@ func (sv *Server) handleReplicateAccept(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	defer release()
-	l, err := sv.store.Log(id)
+	t, err := sv.mirrorOf(id)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	t := sv.lookup(id)
-	if t == nil {
-		t = &tenant{id: id, created: time.Now(), log: l}
-		sv.mu.Lock()
-		if exist := sv.sessions[id]; exist != nil {
-			t = exist
-		} else {
-			sv.sessions[id] = t
-		}
-		sv.mu.Unlock()
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := l.ResetFrames(frames); err != nil {
+	if err := t.log.ResetFrames(frames); err != nil {
 		writeError(w, http.StatusInternalServerError, "adopting migrated log: %v", err)
 		return
 	}
 	sv.setRoute(id, sv.cfg.Self)
 	t.replica.Store(false)
-	t.session = nil
-	t.applied, t.appliedOrder = nil, nil
-	t.walSeq = 0
-	rec, err := t.log.Recover()
-	if err == nil {
-		err = sv.replayTenant(t, rec)
-	}
-	if err != nil {
+	t.dropLive() // state derived from the replaced bytes is void
+	if err := sv.revive(t); err != nil {
 		writeError(w, http.StatusInternalServerError, "restoring migrated session: %v", err)
 		return
 	}
-	t.walSeq = t.log.Stats().Seq
 	t.touch(time.Now())
 	sv.logf("serve: accepted migrated session %s (%d frames)", id, len(frames))
 	writeJSON(w, http.StatusOK, sv.sessionInfo(t))
@@ -533,29 +508,19 @@ func (sv *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	defer t.mu.Unlock()
 	sv.setRoute(id, sv.cfg.Self)
 	t.replica.Store(false)
-	if t.session != nil && t.walSeq != t.log.Stats().Seq {
-		// The warm session trails the durable log (a warm-apply round
-		// failed); rebuild from the log rather than promote stale state.
-		t.session = nil
-	}
-	if t.session == nil {
-		t.applied, t.appliedOrder = nil, nil
-		rec, err := t.log.Recover()
-		if err == nil {
-			err = sv.replayTenant(t, rec)
-		}
-		if err != nil {
+	if t.session == nil || t.walSeq != t.log.Stats().Seq {
+		// Cold, or the warm session trails the durable log (a warm-apply
+		// round failed): rebuild from the log rather than promote stale
+		// state.
+		if err := sv.revive(t); err != nil {
 			writeError(w, http.StatusInternalServerError, "promoting %s: %v", id, err)
 			return
 		}
-		t.walSeq = t.log.Stats().Seq
 	}
-	// Leader duty resumes: cut a checkpoint so the mirrored history
-	// converges, then compact the prefix.
-	if err := sv.checkpointLocked(t); err != nil {
+	// Leader duty resumes: the mirrored history converges to a fresh
+	// checkpoint.
+	if err := sv.converge(t); err != nil {
 		sv.logf("serve: post-promotion checkpoint of %s: %v", id, err)
-	} else if _, err := t.log.Compact(); err != nil {
-		sv.logf("serve: post-promotion compaction of %s: %v", id, err)
 	}
 	t.touch(time.Now())
 	sv.logf("serve: promoted to leader of %s", id)
@@ -617,12 +582,9 @@ func (sv *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Evict: a fresh checkpoint makes the log self-sufficient and small.
-	if err := sv.checkpointLocked(t); err != nil {
+	if err := sv.converge(t); err != nil {
 		writeError(w, http.StatusConflict, "checkpointing %s for migration: %v", id, err)
 		return
-	}
-	if _, err := t.log.Compact(); err != nil {
-		sv.logf("serve: compacting %s for migration: %v", id, err)
 	}
 	frames, _, err := t.log.FramesSince(0)
 	if err != nil {

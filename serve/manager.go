@@ -6,10 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,10 +48,10 @@ type overrides struct {
 	RelearnEvery int      `json:"relearn_every,omitempty"`
 }
 
-// serverSnapshot is the on-disk/in-memory eviction envelope: the
+// serverSnapshot is the session envelope a checkpoint carries: the
 // library's session snapshot plus the server-side metadata needed to
 // restore it with identical options, and the listing summary so a
-// rebooted daemon can report snapshot-only sessions truthfully without
+// rebooted daemon can report evicted sessions truthfully without
 // parsing (or restoring) the session blob.
 type serverSnapshot struct {
 	Name      string          `json:"name,omitempty"`
@@ -80,11 +77,10 @@ type tenant struct {
 
 	mu      sync.Mutex
 	session *holoclean.Session
-	// snapshot holds the serialized session while evicted (nil when the
-	// session is live, or when it lives in snapshotPath on disk instead).
-	// Unused in store mode: the log's checkpoint record is the snapshot.
-	snapshot     []byte
-	snapshotPath string
+	// checkpoint holds an evicted session's walCheckpoint payload when
+	// the server runs without a store; with one, the same bytes are the
+	// latest checkpoint record of log.
+	checkpoint []byte
 	// applied is the duplicate-detection window of op ids (guarded by
 	// mu; appliedOrder retires them FIFO at maxAppliedOps).
 	applied      map[string]bool
@@ -126,6 +122,16 @@ type tenantSummary struct {
 }
 
 func (t *tenant) touch(now time.Time) { t.lastUsed.Store(now.UnixNano()) }
+
+// dropLive releases the session and the read view derived from it; the
+// tenant lives on in its durable form until revive. Call with t.mu held.
+func (t *tenant) dropLive() {
+	t.session = nil
+	t.walSeq = 0
+	t.resMu.Lock()
+	t.last, t.csv = nil, nil
+	t.resMu.Unlock()
+}
 
 // setResult publishes a finished run to the read view. Call with t.mu held.
 func (t *tenant) setResult(res *holoclean.Result) error {
@@ -238,6 +244,17 @@ func (sv *Server) register(t *tenant) {
 	sv.mu.Unlock()
 }
 
+// tenants returns the registered tenants in no particular order.
+func (sv *Server) tenants() []*tenant {
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	out := make([]*tenant, 0, len(sv.sessions))
+	for _, t := range sv.sessions {
+		out = append(out, t)
+	}
+	return out
+}
+
 // nextID mints a session id. Ids are dense and deterministic ("s1",
 // "s2", …) so transcripts and tests are reproducible. In cluster mode
 // only ids the ring places on this node are minted — creates never
@@ -252,13 +269,12 @@ func (sv *Server) nextID() string {
 	}
 }
 
-// remove deletes a tenant and its on-disk state (WAL segment or
-// eviction snapshot). Deleting the durable state is part of the
-// operation, not a best-effort afterthought: on failure the tenant
-// stays registered and the error is returned for the API response —
-// silently dropping the entry while the file survives would resurrect
-// "deleted" data at the next restart. The tombstone (store mode) makes
-// a retry safe.
+// remove deletes a tenant and its log. Deleting the durable state is
+// part of the operation, not a best-effort afterthought: on failure the
+// tenant stays registered and the error is returned for the API
+// response — silently dropping the entry while the file survives would
+// resurrect "deleted" data at the next restart. The tombstone makes a
+// retry safe.
 func (sv *Server) remove(id string) (found bool, err error) {
 	t := sv.lookup(id)
 	if t == nil {
@@ -273,27 +289,18 @@ func (sv *Server) remove(id string) (found bool, err error) {
 		if err := sv.store.Remove(id); err != nil {
 			return true, err
 		}
-	} else if t.snapshotPath != "" {
-		if err := os.Remove(t.snapshotPath); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return true, fmt.Errorf("serve: removing snapshot of %s: %w", id, err)
-		}
 	}
 	sv.mu.Lock()
 	delete(sv.sessions, id)
 	sv.mu.Unlock()
 	t.session = nil
-	t.snapshot = nil
+	t.checkpoint = nil
 	return true, nil
 }
 
 // list returns session infos sorted by id.
 func (sv *Server) list() []SessionInfo {
-	sv.mu.Lock()
-	tenants := make([]*tenant, 0, len(sv.sessions))
-	for _, t := range sv.sessions {
-		tenants = append(tenants, t)
-	}
-	sv.mu.Unlock()
+	tenants := sv.tenants()
 	out := make([]SessionInfo, 0, len(tenants))
 	for _, t := range tenants {
 		out = append(out, sv.sessionInfo(t))
@@ -317,79 +324,21 @@ func (sv *Server) list() []SessionInfo {
 	return out
 }
 
-// ensureLive restores t's session from its snapshot if it was evicted.
-// Call with a job slot acquired and t.mu held, in that order (a restore
-// replays the pipeline once).
+// ensureLive revives t's session if it was evicted. Call with a job
+// slot acquired and t.mu held, in that order.
 func (sv *Server) ensureLive(t *tenant) error {
 	if t.session != nil {
 		return nil
 	}
-	if t.log != nil {
-		// Store mode: the log's latest checkpoint is the snapshot. An
-		// evicted log normally has an empty tail; replayTenant handles a
-		// nonempty one identically (ops appended after the checkpoint),
-		// so restore and crash recovery are one code path.
-		rec, err := t.log.Recover()
-		if err != nil {
-			return fmt.Errorf("serve: recovering %s: %w", t.id, err)
-		}
-		t.applied = nil
-		t.appliedOrder = nil
-		if err := sv.replayTenant(t, rec); err != nil {
-			return fmt.Errorf("serve: restoring %s: %w", t.id, err)
-		}
-		sv.logf("serve: restored session %s from store (%d tuples)", t.id, t.session.NumTuples())
-		return nil
-	}
-	data := t.snapshot
-	if data == nil && t.snapshotPath != "" {
-		b, err := os.ReadFile(t.snapshotPath)
-		if err != nil {
-			return fmt.Errorf("serve: reading snapshot of %s: %w", t.id, err)
-		}
-		data = b
-	}
-	if data == nil {
-		return fmt.Errorf("serve: session %s has neither live state nor a snapshot", t.id)
-	}
-	var env serverSnapshot
-	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("serve: decoding snapshot envelope of %s: %w", t.id, err)
-	}
-	// name is read by info()/list() under resMu alone; publish the
-	// envelope's copy under the same lock. ov is only ever accessed
-	// under t.mu (held here).
-	t.resMu.Lock()
-	t.name = env.Name
-	t.resMu.Unlock()
-	t.ov = env.Overrides
-	s, res, err := holoclean.RestoreSession(bytes.NewReader(env.Session), sv.optionsFor(t.ov))
-	if err != nil {
-		return fmt.Errorf("serve: restoring %s: %w", t.id, err)
-	}
-	t.session = s
-	t.snapshot = nil
-	if res != nil {
-		if err := t.setResult(res); err != nil {
-			return err
-		}
-	}
-	sv.logf("serve: restored session %s (%d tuples)", t.id, s.NumTuples())
-	return nil
+	return sv.revive(t)
 }
 
-// evictIdle snapshots and releases every session idle since before
+// evictIdle checkpoints and releases every session idle since before
 // cutoff. Sessions whose lock is held (an operation is running) are
 // skipped — they are not idle. Returns the number evicted.
 func (sv *Server) evictIdle(cutoff time.Time) int {
-	sv.mu.Lock()
-	tenants := make([]*tenant, 0, len(sv.sessions))
-	for _, t := range sv.sessions {
-		tenants = append(tenants, t)
-	}
-	sv.mu.Unlock()
 	evicted := 0
-	for _, t := range tenants {
+	for _, t := range sv.tenants() {
 		if t.lastUsed.Load() >= cutoff.UnixNano() {
 			continue
 		}
@@ -411,55 +360,20 @@ func (sv *Server) evictIdle(cutoff time.Time) int {
 	return evicted
 }
 
-// evictLocked serializes t's session and drops the heavy state. Call
-// with t.mu held. The snapshot is deterministic, so re-evicting an
-// untouched restored session writes identical bytes.
+// evictLocked converges t to a checkpoint and drops the heavy state.
+// Call with t.mu held. The session snapshot is deterministic, so
+// re-evicting an untouched restored session checkpoints identical
+// session bytes.
 func (sv *Server) evictLocked(t *tenant) error {
-	if t.session.PendingMutations() > 0 {
-		// A failed reclean left staged ops: snapshotting now would fold
-		// them into the restore pass and desynchronize the envelope
-		// summary from the blob. Keep the session resident until a
-		// successful reclean returns it to a steady state.
-		return fmt.Errorf("session has %d tuples with staged mutations", t.session.PendingMutations())
-	}
-	if t.replica.Load() {
-		// A mirror's durable truth is the shipped log; checkpointing or
-		// compacting it here would diverge from the leader's layout. Just
-		// release the warm state — reads restore from the log.
-	} else if t.log != nil {
-		// Store mode: the snapshot is a checkpoint record; compaction
-		// immediately drops the now-redundant history before it.
-		if err := sv.checkpointLocked(t); err != nil {
+	// A mirror's durable truth is the shipped log; checkpointing or
+	// compacting it here would diverge from the leader's layout. It just
+	// releases the warm state — reads restore from the log.
+	if !t.replica.Load() {
+		if err := sv.converge(t); err != nil {
 			return err
-		}
-		if _, err := t.log.Compact(); err != nil {
-			sv.logf("serve: compacting %s after eviction: %v", t.id, err)
-		}
-	} else {
-		env, err := sv.buildEnvelope(t)
-		if err != nil {
-			return err
-		}
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(env); err != nil {
-			return err
-		}
-		if sv.cfg.SnapshotDir != "" {
-			path := filepath.Join(sv.cfg.SnapshotDir, t.id+".snapshot.json")
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				return err
-			}
-			t.snapshotPath = path
-			t.snapshot = nil
-		} else {
-			t.snapshot = buf.Bytes()
 		}
 	}
-	t.session = nil
-	t.resMu.Lock()
-	t.last = nil
-	t.csv = nil
-	t.resMu.Unlock()
+	t.dropLive()
 	sv.logf("serve: evicted idle session %s", t.id)
 	return nil
 }
@@ -481,60 +395,6 @@ func (sv *Server) janitor(stop <-chan struct{}) {
 			return
 		case now := <-tick.C:
 			sv.evictIdle(now.Add(-sv.cfg.IdleTimeout))
-		}
-	}
-}
-
-// loadSnapshots registers evicted tenants for every snapshot file found
-// in SnapshotDir, so sessions survive a server restart. They stay
-// evicted until first touched.
-func (sv *Server) loadSnapshots() {
-	entries, err := os.ReadDir(sv.cfg.SnapshotDir)
-	if err != nil {
-		sv.logf("serve: reading snapshot dir: %v", err)
-		return
-	}
-	maxSeq := int64(0)
-	for _, e := range entries {
-		id, ok := strings.CutSuffix(e.Name(), ".snapshot.json")
-		if e.IsDir() || !ok || id == "" {
-			continue
-		}
-		path := filepath.Join(sv.cfg.SnapshotDir, e.Name())
-		t := &tenant{
-			id:           id,
-			created:      time.Now(),
-			snapshotPath: path,
-		}
-		// Read the envelope header so listings stay truthful across a
-		// restart; an unreadable envelope still registers (the error
-		// will surface, with detail, on first restore).
-		if data, err := os.ReadFile(path); err == nil {
-			var env serverSnapshot
-			if json.Unmarshal(data, &env) == nil {
-				t.name, t.ov = env.Name, env.Overrides
-				t.sum = tenantSummary{
-					tuples:    env.Tuples,
-					attrs:     env.Attrs,
-					repairs:   env.Repairs,
-					recleans:  env.Recleans,
-					confirmed: env.Confirmed,
-				}
-			}
-		}
-		t.touch(time.Now())
-		sv.register(t)
-		var seq int64
-		if n, _ := fmt.Sscanf(id, "s%d", &seq); n == 1 && seq > maxSeq {
-			maxSeq = seq
-		}
-		sv.logf("serve: loaded snapshot for session %s", id)
-	}
-	// Never mint an id that collides with a loaded snapshot.
-	for {
-		cur := sv.idSeq.Load()
-		if cur >= maxSeq || sv.idSeq.CompareAndSwap(cur, maxSeq) {
-			return
 		}
 	}
 }

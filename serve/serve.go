@@ -14,8 +14,8 @@
 // execute at once and at most QueueDepth more may wait, so N tenants
 // share the machine fairly; past that the server answers 429 with a
 // Retry-After estimate instead of queueing unboundedly. Idle sessions
-// are evicted to deterministic snapshots and restored transparently on
-// next use.
+// are evicted to deterministic checkpoints and restored transparently
+// on next use.
 //
 // Endpoints:
 //
@@ -23,7 +23,7 @@
 //	POST   /sessions                      create (JSON or multipart: data, dcs)
 //	GET    /sessions                      list
 //	GET    /sessions/{id}                 status + last run stats
-//	DELETE /sessions/{id}                 drop session (and snapshot)
+//	DELETE /sessions/{id}                 drop session (and its log)
 //	GET    /sessions/{id}/repairs         paginated repairs, (tuple, attr) order
 //	GET    /sessions/{id}/dataset         repaired relation as CSV
 //	POST   /sessions/{id}/deltas          upsert/delete batch → one Reclean
@@ -79,16 +79,12 @@ type Config struct {
 	// all — every job beyond MaxConcurrentJobs is refused immediately
 	// (cmd/holocleand defaults its flag to 8).
 	QueueDepth int
-	// IdleTimeout evicts sessions untouched for this long to snapshots
-	// (0 disables eviction).
+	// IdleTimeout evicts sessions untouched for this long to a
+	// checkpoint — a record in the session's log, or held in memory
+	// without a store (0 disables eviction).
 	IdleTimeout time.Duration
 	// SweepEvery is the janitor period (default IdleTimeout/2).
 	SweepEvery time.Duration
-	// SnapshotDir persists eviction snapshots on disk (and reloads them
-	// on startup); empty keeps snapshots in memory. Superseded by
-	// StoreDir, which covers eviction durability and crash recovery;
-	// when both are set the store wins and SnapshotDir is ignored.
-	SnapshotDir string
 	// StoreDir enables the durable session store: one append-only
 	// write-ahead log per session under this directory, fsync'd (group
 	// commit) before any mutating request is acknowledged, with
@@ -163,9 +159,9 @@ type Server struct {
 }
 
 // New builds a Server from cfg, recovers the durable store (when
-// StoreDir is set; otherwise loads any on-disk snapshots), and starts
-// the eviction janitor and log compactor. Call Close to stop the
-// background goroutines, or Shutdown for a graceful drain.
+// StoreDir is set), and starts the eviction janitor and log compactor.
+// Call Close to stop the background goroutines, or Shutdown for a
+// graceful drain.
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxConcurrentJobs <= 0 {
 		cfg.MaxConcurrentJobs = 2
@@ -222,8 +218,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		sv.loadStore()
 		go sv.compactor(sv.stop)
-	} else if cfg.SnapshotDir != "" {
-		sv.loadSnapshots()
 	}
 	if sv.ring != nil {
 		sv.startShippers()
@@ -274,22 +268,14 @@ func (sv *Server) Shutdown(ctx context.Context) error {
 	if sv.store == nil {
 		return nil
 	}
-	sv.mu.Lock()
-	tenants := make([]*tenant, 0, len(sv.sessions))
-	for _, t := range sv.sessions {
-		tenants = append(tenants, t)
-	}
-	sv.mu.Unlock()
-	for _, t := range tenants {
+	for _, t := range sv.tenants() {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		t.mu.Lock()
 		if t.session != nil && t.log != nil && !t.replica.Load() {
-			if err := sv.checkpointLocked(t); err != nil {
+			if err := sv.converge(t); err != nil {
 				sv.logf("serve: shutdown checkpoint of %s: %v", t.id, err)
-			} else if _, err := t.log.Compact(); err != nil {
-				sv.logf("serve: shutdown compaction of %s: %v", t.id, err)
 			}
 		}
 		t.mu.Unlock()
@@ -397,6 +383,17 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// opStatus maps an openSession/applyOp failure to its HTTP status: 400
+// when the request's content is at fault, 422 when the pipeline failed
+// on well-formed input.
+func opStatus(err error) int {
+	var bad invalidOp
+	if errors.As(err, &bad) || errors.Is(err, holoclean.ErrInvalidFeedback) {
+		return http.StatusBadRequest
+	}
+	return http.StatusUnprocessableEntity
+}
+
 // writeBusy is the backpressure response: the bounded job queue is full.
 func (sv *Server) writeBusy(w http.ResponseWriter) {
 	sv.tel.rejected()
@@ -438,14 +435,8 @@ func (sv *Server) tenantOr404(w http.ResponseWriter, r *http.Request) *tenant {
 // --- handlers ---
 
 func (sv *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	sv.mu.Lock()
-	n := len(sv.sessions)
-	tenants := make([]*tenant, 0, n)
-	for _, t := range sv.sessions {
-		tenants = append(tenants, t)
-	}
-	sv.mu.Unlock()
-	resp := HealthResponse{OK: true, Sessions: n, Queued: int(sv.queued.Load()), Draining: sv.draining.Load()}
+	tenants := sv.tenants()
+	resp := HealthResponse{OK: true, Sessions: len(tenants), Queued: int(sv.queued.Load()), Draining: sv.draining.Load()}
 	resp.RecleanP50MS = sv.tel.recleanQuantileMS(0.50)
 	resp.RecleanP99MS = sv.tel.recleanQuantileMS(0.99)
 	resp.Cluster = sv.clusterHealth(tenants)
@@ -565,35 +556,22 @@ func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing dataset CSV (field \"data\" / \"csv\")")
 		return
 	}
-	ds, err := holoclean.ReadCSV(strings.NewReader(req.CSV), req.SourceColumn)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading CSV: %v", err)
-		return
+	cr := &walCreate{
+		Name: req.Name, CSV: req.CSV, Constraints: req.Constraints, SourceColumn: req.SourceColumn,
+		Overrides: overrides{Seed: req.Seed, Tau: req.Tau, RelearnEvery: req.RelearnEvery},
 	}
-	constraints, err := holoclean.ParseConstraints(strings.NewReader(req.Constraints))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "parsing constraints: %v", err)
-		return
-	}
-	ov := overrides{Seed: req.Seed, Tau: req.Tau, RelearnEvery: req.RelearnEvery}
-	session, err := holoclean.NewSession(ds, constraints, sv.optionsFor(ov))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
 	release, ok := sv.acquireOr(w, r)
 	if !ok {
 		return
 	}
 	defer release()
-	res, err := session.Clean()
+	session, res, err := sv.openSession(cr)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "initial clean: %v", err)
+		writeError(w, opStatus(err), "%v", err)
 		return
 	}
 
-	t := &tenant{id: sv.nextID(), name: req.Name, ov: ov, created: time.Now(), session: session}
+	t := &tenant{id: sv.nextID(), name: cr.Name, ov: cr.Overrides, created: time.Now(), session: session}
 	t.touch(time.Now())
 	if err := t.setResult(res); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
@@ -607,10 +585,7 @@ func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		l, err := sv.store.Log(t.id)
 		if err == nil {
 			t.log = l
-			err = l.Append(store.OpCreate, &walCreate{
-				Name: req.Name, CSV: req.CSV, Constraints: req.Constraints,
-				SourceColumn: req.SourceColumn, Overrides: ov,
-			})
+			err = l.Append(store.OpCreate, cr)
 		}
 		if err != nil {
 			sv.store.Remove(t.id) // no orphan genesis logs
@@ -624,7 +599,7 @@ func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sv.register(t)
-	sv.logf("serve: created session %s (%d tuples, %d repairs)", t.id, ds.NumTuples(), len(res.Repairs))
+	sv.logf("serve: created session %s (%d tuples, %d repairs)", t.id, session.NumTuples(), len(res.Repairs))
 	writeJSON(w, http.StatusCreated, sv.sessionInfo(t))
 }
 
@@ -633,15 +608,9 @@ func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 // durable log, so it is dropped — the next touch restores from the log,
 // which is the state the client was actually told about (the failed op
 // was answered 500, never acked). Call with t.mu held.
-func (sv *Server) walFail(t *tenant, op string, err error) {
-	sv.logf("serve: %s of %s failed to log, dropping live state for re-restore: %v", op, t.id, err)
-	t.session = nil
-	t.applied = nil
-	t.appliedOrder = nil
-	t.resMu.Lock()
-	t.last = nil
-	t.csv = nil
-	t.resMu.Unlock()
+func (sv *Server) walFail(t *tenant, op store.Op, err error) {
+	sv.logf("serve: %s batch of %s failed to log, dropping live state for re-restore: %v", op, t.id, err)
+	t.dropLive()
 }
 
 // pageParams parses offset/limit query parameters.
@@ -834,6 +803,34 @@ func validateDeltaOps(ops []DeltaOp, tuples, attrs int) error {
 }
 
 func (sv *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
+	sv.mutate(w, r, store.OpDeltas, func() (walOp, error) {
+		ops, opID, err := parseDeltaOps(r)
+		if err == nil && len(ops) == 0 {
+			err = errors.New("empty delta batch")
+		}
+		return &walDeltas{OpID: opID, Ops: ops}, err
+	})
+}
+
+func (sv *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
+	sv.mutate(w, r, store.OpFeedback, func() (walOp, error) {
+		var req FeedbackRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			return nil, fmt.Errorf("decoding JSON body: %w", err)
+		}
+		if len(req.Items) == 0 {
+			return nil, errors.New("empty feedback batch")
+		}
+		if req.OpID == "" {
+			req.OpID = r.Header.Get("Idempotency-Key")
+		}
+		return &walFeedback{OpID: req.OpID, Items: req.Items}, nil
+	})
+}
+
+// mutate is the one mutating-request path; the two endpoints differ
+// only in how decode reads the body into a replayable op.
+func (sv *Server) mutate(w http.ResponseWriter, r *http.Request, op store.Op, decode func() (walOp, error)) {
 	if sv.redirectWrite(w, r, r.PathValue("id")) {
 		return
 	}
@@ -841,13 +838,9 @@ func (sv *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	ops, opID, err := parseDeltaOps(r)
+	p, err := decode()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if len(ops) == 0 {
-		writeError(w, http.StatusBadRequest, "empty delta batch")
 		return
 	}
 
@@ -865,45 +858,24 @@ func (sv *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	if t.isApplied(opID) {
+	if t.isApplied(p.id()) {
 		// A retry of an op that is already applied and durable — a
 		// client re-sending after an ambiguous failure. Acknowledge
 		// without re-applying: a second Delete would remove a second
-		// row, and even idempotent upserts would advance the relearn
-		// clock and diverge from the logged history.
-		t.resMu.RLock()
-		sum := t.sum
-		t.resMu.RUnlock()
-		writeJSON(w, http.StatusOK, DeltaResponse{
-			Duplicate: true,
-			Tuples:    sum.tuples,
-			Repairs:   sum.repairs,
-		})
-		return
-	}
-	s := t.session
-	if err := validateDeltaOps(ops, s.NumTuples(), len(s.Attrs())); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		// row, a second confirmation would be refused, and even
+		// idempotent upserts would advance the relearn clock and diverge
+		// from the logged history. (t.mu excludes every writer of t.sum,
+		// so it is read without resMu here and below.)
+		writeJSON(w, http.StatusOK, p.ack(t.sum, nil))
 		return
 	}
 	relearned := sv.relearnDue(t)
-	for _, op := range ops {
-		switch op.Op {
-		case "upsert":
-			_, err = s.Upsert(op.Row, op.Values)
-		case "delete":
-			err = s.Delete(op.Row)
-		}
-		if err != nil {
-			// Unreachable given validation; surface it loudly if not.
-			writeError(w, http.StatusInternalServerError, "applying op: %v", err)
-			return
-		}
-	}
 	tRun := time.Now()
-	res, err := s.Reclean()
+	res, err := sv.applyOp(t, p)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "reclean: %v", err)
+		// Nothing reached the WAL: only validated, applied ops are
+		// logged, so recovery replay cannot fail validation.
+		writeError(w, opStatus(err), "%v", err)
 		return
 	}
 	sv.tel.observeReclean(t.id, time.Since(tRun), res.Stats.ShardsReused)
@@ -911,102 +883,11 @@ func (sv *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	t.markApplied(opID)
-	if err := sv.appendOp(t, store.OpDeltas, &walDeltas{OpID: opID, Ops: ops}, relearned); err != nil {
-		sv.walFail(t, "delta batch", err)
-		writeError(w, http.StatusInternalServerError, "logging delta batch: %v", err)
+	if err := sv.appendOp(t, op, p, relearned); err != nil {
+		sv.walFail(t, op, err)
+		writeError(w, http.StatusInternalServerError, "logging %s batch: %v", op, err)
 		return
 	}
 	t.touch(time.Now())
-	writeJSON(w, http.StatusOK, DeltaResponse{
-		Applied: len(ops),
-		Tuples:  s.NumTuples(),
-		Repairs: len(res.Repairs),
-		Stats:   runStatsInfo(res.Stats),
-	})
-}
-
-func (sv *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	if sv.redirectWrite(w, r, r.PathValue("id")) {
-		return
-	}
-	t := sv.tenantOr404(w, r)
-	if t == nil {
-		return
-	}
-	var req FeedbackRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding JSON body: %v", err)
-		return
-	}
-	if len(req.Items) == 0 {
-		writeError(w, http.StatusBadRequest, "empty feedback batch")
-		return
-	}
-
-	release, ok := sv.acquireOr(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := sv.ensureLive(t); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	opID := req.OpID
-	if opID == "" {
-		opID = r.Header.Get("Idempotency-Key")
-	}
-	if t.isApplied(opID) {
-		t.resMu.RLock()
-		sum := t.sum
-		t.resMu.RUnlock()
-		writeJSON(w, http.StatusOK, FeedbackResponse{
-			Duplicate: true,
-			Confirmed: sum.confirmed,
-			Repairs:   sum.repairs,
-		})
-		return
-	}
-
-	fb, err := t.feedbackBatch(req.Items)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	relearned := sv.relearnDue(t)
-	tRun := time.Now()
-	res, err := t.session.Feedback(fb)
-	if err != nil {
-		// Validation failures (out of range, empty value, duplicate
-		// confirmation) reject the batch without touching the session;
-		// anything else is a pipeline failure, not a client error.
-		// Either way nothing reached the WAL: only validated, applied
-		// batches are logged, so recovery replay cannot fail validation.
-		if errors.Is(err, holoclean.ErrInvalidFeedback) {
-			writeError(w, http.StatusBadRequest, "%v", err)
-		} else {
-			writeError(w, http.StatusUnprocessableEntity, "feedback reclean: %v", err)
-		}
-		return
-	}
-	sv.tel.observeReclean(t.id, time.Since(tRun), res.Stats.ShardsReused)
-	if err := t.setResult(res); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	t.markApplied(opID)
-	if err := sv.appendOp(t, store.OpFeedback, &walFeedback{OpID: opID, Items: req.Items}, relearned); err != nil {
-		sv.walFail(t, "feedback batch", err)
-		writeError(w, http.StatusInternalServerError, "logging feedback batch: %v", err)
-		return
-	}
-	t.touch(time.Now())
-	writeJSON(w, http.StatusOK, FeedbackResponse{
-		Confirmed: t.session.ConfirmedCount(),
-		Repairs:   len(res.Repairs),
-		Stats:     runStatsInfo(res.Stats),
-	})
+	writeJSON(w, http.StatusOK, p.ack(t.sum, res))
 }

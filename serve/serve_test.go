@@ -8,8 +8,6 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -755,51 +753,6 @@ func TestServeEvictionRestore(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("post-evict repair %d differs: %+v vs %+v", i, got[i], want[i])
 		}
-	}
-}
-
-// TestServeSnapshotDirSurvivesRestart: with SnapshotDir set, snapshots
-// land on disk and a fresh server over the same directory serves the
-// old sessions.
-func TestServeSnapshotDirSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	sv1, tc1 := newTestServer(t, Config{Workers: 1, SnapshotDir: dir, IdleTimeout: time.Hour, SweepEvery: time.Hour})
-	info := tc1.create("durable", fixtureCSV("du", 6), 5, 0)
-	before := tc1.allRepairs(info.ID)
-	if n := sv1.evictIdle(time.Now().Add(time.Minute)); n != 1 {
-		t.Fatalf("evicted %d, want 1", n)
-	}
-
-	// "Restart": a second server over the same snapshot directory. A
-	// stray short-named .json file must be ignored, not crash the boot
-	// scan.
-	if err := os.WriteFile(filepath.Join(dir, "a.json"), []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, tc2 := newTestServer(t, Config{Workers: 1, SnapshotDir: dir})
-	var listed []SessionInfo
-	tc2.mustJSON("GET", "/sessions", nil, &listed)
-	if len(listed) != 1 || listed[0].ID != info.ID || !listed[0].Evicted {
-		t.Fatalf("restarted listing: %+v", listed)
-	}
-	// The listing must stay truthful across the restart without
-	// restoring: name and summary come from the snapshot envelope.
-	if listed[0].Name != "durable" || listed[0].Tuples != 30 || listed[0].Repairs != len(before) {
-		t.Fatalf("restarted listing lost metadata: %+v", listed[0])
-	}
-	after := tc2.allRepairs(info.ID)
-	if len(after) != len(before) {
-		t.Fatalf("restart restored %d repairs, want %d", len(after), len(before))
-	}
-	for i := range before {
-		if after[i] != before[i] {
-			t.Fatalf("restart repair %d differs", i)
-		}
-	}
-	// A fresh create must not collide with the reloaded id space.
-	fresh := tc2.create("younger", fixtureCSV("du2", 4), 1, 0)
-	if fresh.ID == info.ID {
-		t.Fatalf("fresh session reused id %s", fresh.ID)
 	}
 }
 

@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -271,6 +274,77 @@ func TestServeCrashBeforeFirstCheckpoint(t *testing.T) {
 	}
 }
 
+// TestServeGoldenStoreRecovers is the cross-version test behind the
+// "WAL format untouched" claim. testdata/golden_store/s1.wal was written
+// by the commit before the serve tier's apply and persistence paths
+// were unified (create, checkpoint, deltas op-0, feedback op-1, relearn,
+// deltas op-2, checkpoint carrying the op-0..2 window, deltas op-3,
+// relearn — crashScript("gd")[:4] at CheckpointEvery 3, hard-stopped),
+// with the repairs and CSV that server was serving recorded beside it.
+// Today's code must recover the log to exactly those bytes, recognize
+// retries from both the replayed tail and the checkpointed window, and
+// — after converging the log itself — boot it again evicted, with a
+// truthful listing and an id space that does not collide.
+func TestServeGoldenStoreRecovers(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_store", "s1.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCSV, err := os.ReadFile(filepath.Join("testdata", "golden_store", "want.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawRepairs, err := os.ReadFile(filepath.Join("testdata", "golden_store", "want_repairs.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantRepairs []RepairInfo
+	if err := json.Unmarshal(rawRepairs, &wantRepairs); err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, tc *testClient, stage string) {
+		t.Helper()
+		gotRepairs, gotCSV := finalState(t, tc, "s1")
+		if !slices.Equal(gotRepairs, wantRepairs) {
+			t.Fatalf("%s: repairs differ from the recorded ones:\ngot  %+v\nwant %+v", stage, gotRepairs, wantRepairs)
+		}
+		if !bytes.Equal(gotCSV, wantCSV) {
+			t.Fatalf("%s: repaired CSV differs from the recorded one", stage)
+		}
+	}
+	script := crashScript("gd")
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "s1.wal"), golden, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			sv1, tc1 := newTestServer(t, Config{Workers: workers, StoreDir: dir})
+			check(t, tc1, "tail replay")
+			for _, i := range []int{3, 0} { // op-3 rode in the tail, op-0 only in the checkpoint
+				if !runStep(t, tc1, "s1", i, script[i]) {
+					t.Fatalf("retry of op-%d was re-applied, not deduplicated", i)
+				}
+			}
+			if err := sv1.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+
+			_, tc2 := newTestServer(t, Config{Workers: workers, StoreDir: dir})
+			var listed []SessionInfo
+			tc2.mustJSON("GET", "/sessions", nil, &listed)
+			if len(listed) != 1 || !listed[0].Evicted || listed[0].Name != "golden" ||
+				listed[0].Tuples != 50 || listed[0].Repairs != len(wantRepairs) || listed[0].Confirmed != 1 {
+				t.Fatalf("listing after converge + reboot: %+v", listed)
+			}
+			check(t, tc2, "checkpoint restore")
+			if fresh := tc2.create("younger", fixtureCSV("g2", 4), 1, 0); fresh.ID == "s1" {
+				t.Fatal("fresh session reused the recovered id")
+			}
+		})
+	}
+}
+
 // TestServeShutdownDuringReclean pins the graceful-drain contract: a
 // SIGTERM-equivalent Shutdown racing an in-flight delta reclean lets
 // the reclean finish (its WAL append lands before the ack), refuses new
@@ -353,9 +427,20 @@ func TestServeShutdownDuringReclean(t *testing.T) {
 
 // TestServeIdempotentRetry pins the duplicate-detection contract on the
 // live path (no crash involved): the same op_id acks without
-// re-applying, for deltas and feedback alike.
+// re-applying, for deltas and feedback alike — also when the session
+// was evicted between the send and the retry, with and without a store:
+// the dedup window rides in the checkpoint payload either way.
 func TestServeIdempotentRetry(t *testing.T) {
-	_, tc := newTestServer(t, storeConfig(t.TempDir(), 1))
+	for name, cfg := range map[string]Config{
+		"store":  storeConfig(t.TempDir(), 1),
+		"memory": {Workers: 1},
+	} {
+		t.Run(name, func(t *testing.T) { testIdempotentRetry(t, cfg) })
+	}
+}
+
+func testIdempotentRetry(t *testing.T, cfg Config) {
+	sv, tc := newTestServer(t, cfg)
 	info := tc.create("idem", fixtureCSV("id", 8), 3, 0)
 
 	req := DeltaRequest{Ops: []DeltaOp{
@@ -365,6 +450,9 @@ func TestServeIdempotentRetry(t *testing.T) {
 	tc.mustJSON("POST", "/sessions/"+info.ID+"/deltas", req, &first)
 	if first.Duplicate || first.Tuples != 39 {
 		t.Fatalf("first apply: %+v", first)
+	}
+	if n := sv.evictIdle(time.Now().Add(time.Minute)); n != 1 {
+		t.Fatalf("evicted %d, want 1", n)
 	}
 	tc.mustJSON("POST", "/sessions/"+info.ID+"/deltas", req, &second)
 	if !second.Duplicate {
@@ -397,71 +485,44 @@ func TestServeIdempotentRetry(t *testing.T) {
 // TestServeRemoveSurfacesError is the regression test for the silent
 // os.Remove in tenant removal: when the on-disk state cannot be
 // deleted, DELETE must fail (500) and keep the session registered —
-// in both snapshot mode and store (WAL) mode — and succeed once the
-// obstacle is gone.
+// and succeed once the obstacle is gone.
 func TestServeRemoveSurfacesError(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  func(dir string) Config
-		path func(dir, id string) string
-	}{
-		{
-			name: "snapshot",
-			cfg: func(dir string) Config {
-				return Config{Workers: 1, SnapshotDir: dir, IdleTimeout: time.Hour, SweepEvery: time.Hour}
-			},
-			path: func(dir, id string) string { return filepath.Join(dir, id+".snapshot.json") },
-		},
-		{
-			name: "wal",
-			cfg: func(dir string) Config {
-				c := storeConfig(dir, 1)
-				c.IdleTimeout, c.SweepEvery = time.Hour, time.Hour
-				return c
-			},
-			path: func(dir, id string) string { return filepath.Join(dir, id+".wal") },
-		},
+	dir := t.TempDir()
+	cfg := storeConfig(dir, 1)
+	cfg.IdleTimeout, cfg.SweepEvery = time.Hour, time.Hour
+	sv, tc := newTestServer(t, cfg)
+	info := tc.create("doomed", fixtureCSV("rm", 6), 1, 0)
+	// Evict so the tenant holds no live session.
+	if n := sv.evictIdle(time.Now().Add(time.Minute)); n != 1 {
+		t.Fatalf("evicted %d, want 1", n)
 	}
-	for _, cse := range cases {
-		t.Run(cse.name, func(t *testing.T) {
-			dir := t.TempDir()
-			sv, tc := newTestServer(t, cse.cfg(dir))
-			info := tc.create("doomed", fixtureCSV("rm", 6), 1, 0)
-			// Evict so the on-disk artifact exists and the tenant holds
-			// no live session.
-			if n := sv.evictIdle(time.Now().Add(time.Minute)); n != 1 {
-				t.Fatalf("evicted %d, want 1", n)
-			}
-			// Make the file undeletable: replace it with a non-empty
-			// directory (robust even when tests run as root, unlike
-			// permission bits).
-			p := cse.path(dir, info.ID)
-			if err := os.Remove(p); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.MkdirAll(filepath.Join(p, "x"), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			status, raw := tc.do("DELETE", "/sessions/"+info.ID, "", nil)
-			if status != http.StatusInternalServerError {
-				t.Fatalf("DELETE with undeletable file: status %d: %s", status, raw)
-			}
-			// The tenant must still exist: reporting it gone while its
-			// durable state survives would resurrect it after a restart.
-			if status, _ := tc.do("GET", "/sessions/"+info.ID, "", nil); status != http.StatusOK {
-				t.Fatalf("session vanished despite failed delete: status %d", status)
-			}
-			// Clear the obstacle; the retry completes the removal.
-			if err := os.RemoveAll(p); err != nil {
-				t.Fatal(err)
-			}
-			if status, raw := tc.do("DELETE", "/sessions/"+info.ID, "", nil); status != http.StatusNoContent {
-				t.Fatalf("retry DELETE: status %d: %s", status, raw)
-			}
-			if status, _ := tc.do("GET", "/sessions/"+info.ID, "", nil); status != http.StatusNotFound {
-				t.Fatalf("session survived successful delete: status %d", status)
-			}
-		})
+	// Make the log undeletable: replace it with a non-empty directory
+	// (robust even when tests run as root, unlike permission bits).
+	p := filepath.Join(dir, info.ID+".wal")
+	if err := os.Remove(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(p, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	status, raw := tc.do("DELETE", "/sessions/"+info.ID, "", nil)
+	if status != http.StatusInternalServerError {
+		t.Fatalf("DELETE with undeletable file: status %d: %s", status, raw)
+	}
+	// The tenant must still exist: reporting it gone while its durable
+	// state survives would resurrect it after a restart.
+	if status, _ := tc.do("GET", "/sessions/"+info.ID, "", nil); status != http.StatusOK {
+		t.Fatalf("session vanished despite failed delete: status %d", status)
+	}
+	// Clear the obstacle; the retry completes the removal.
+	if err := os.RemoveAll(p); err != nil {
+		t.Fatal(err)
+	}
+	if status, raw := tc.do("DELETE", "/sessions/"+info.ID, "", nil); status != http.StatusNoContent {
+		t.Fatalf("retry DELETE: status %d: %s", status, raw)
+	}
+	if status, _ := tc.do("GET", "/sessions/"+info.ID, "", nil); status != http.StatusNotFound {
+		t.Fatalf("session survived successful delete: status %d", status)
 	}
 }
 

@@ -86,12 +86,7 @@ func newServerMetrics(reg *telemetry.Registry, sv *Server) *serverMetrics {
 		m.jobsQueued.Set(float64(sv.queued.Load()))
 		m.jobsRunning.Set(float64(len(sv.sem)))
 		m.jobEWMA.Set(time.Duration(sv.jobEWMA.Load()).Seconds())
-		sv.mu.Lock()
-		tenants := make([]*tenant, 0, len(sv.sessions))
-		for _, t := range sv.sessions {
-			tenants = append(tenants, t)
-		}
-		sv.mu.Unlock()
+		tenants := sv.tenants()
 		m.sessions.Set(float64(len(tenants)))
 		var walBytes int64
 		var walOps int

@@ -8,6 +8,13 @@ package serve
 // same repairs, bit for bit) is what makes a logical log a sufficient
 // durability primitive.
 //
+// One state machine. A tenant is a deterministic function of its log,
+// and every transition exists once: openSession runs a create record,
+// applyOp a deltas or feedback record, replayTenant loads a checkpoint
+// record. The live handlers decode client bytes into those payloads and
+// call the same functions crash replay and the replica warm-apply path
+// reach through applyRecord.
+//
 // Ordering. Operations are validated, applied, appended, then acked:
 //
 //	validate → apply (reclean) → WAL append + fsync → ack
@@ -61,16 +68,47 @@ type walFeedback struct {
 	Items []FeedbackItem `json:"items"`
 }
 
+// walOp is a replayable mutation: the payload of a deltas or feedback
+// record, which is also what a live request decodes into.
+type walOp interface {
+	// id is the client's idempotency key ("" when it sent none).
+	id() string
+	// ack renders the response from the tenant's published summary; res
+	// is the run the op caused, nil when it was a deduplicated retry.
+	ack(sum tenantSummary, res *holoclean.Result) any
+}
+
+func (p *walDeltas) id() string   { return p.OpID }
+func (p *walFeedback) id() string { return p.OpID }
+
+func (p *walDeltas) ack(sum tenantSummary, res *holoclean.Result) any {
+	if res == nil {
+		return DeltaResponse{Duplicate: true, Tuples: sum.tuples, Repairs: sum.repairs}
+	}
+	return DeltaResponse{Applied: len(p.Ops), Tuples: sum.tuples, Repairs: sum.repairs, Stats: runStatsInfo(res.Stats)}
+}
+
+func (p *walFeedback) ack(sum tenantSummary, res *holoclean.Result) any {
+	if res == nil {
+		return FeedbackResponse{Duplicate: true, Confirmed: sum.confirmed, Repairs: sum.repairs}
+	}
+	return FeedbackResponse{Confirmed: sum.confirmed, Repairs: sum.repairs, Stats: runStatsInfo(res.Stats)}
+}
+
+// invalidOp marks an apply failure caused by the operation's own
+// content — bytes a client or peer chose — rather than by the pipeline.
+type invalidOp struct{ error }
+
 // walRelearn is the OpRelearn marker payload — informational only,
 // replay re-derives relearning from the reclean counter.
 type walRelearn struct {
 	Round int `json:"round"`
 }
 
-// walCheckpoint is the OpCheckpoint payload: the same eviction envelope
-// the snapshot path uses, plus the applied-op-id window (so duplicate
-// detection survives compaction) and the wall-clock stamp operators see
-// as last_checkpoint_at.
+// walCheckpoint is the OpCheckpoint payload and the one form an evicted
+// session takes: the session envelope, the applied-op-id window (so
+// duplicate detection survives compaction and eviction) and the
+// wall-clock stamp operators see as last_checkpoint_at.
 type walCheckpoint struct {
 	At         time.Time       `json:"at"`
 	AppliedOps []string        `json:"applied_ops,omitempty"`
@@ -125,9 +163,11 @@ func (t *tenant) storeStats() *SessionStoreInfo {
 	return out
 }
 
-// buildEnvelope serializes t's live session into the eviction/checkpoint
-// envelope. Call with t.mu held and the session quiescent (no pending
-// mutations).
+// buildEnvelope serializes t's live session into the checkpoint
+// envelope. Call with t.mu held; a session with staged mutations (a
+// failed reclean left them) is refused — folding them into the restore
+// pass would desynchronize the envelope summary from the blob, so the
+// session stays resident until a successful reclean settles it.
 func (sv *Server) buildEnvelope(t *tenant) (*serverSnapshot, error) {
 	if t.session == nil {
 		return nil, fmt.Errorf("serve: session %s is not live", t.id)
@@ -154,8 +194,9 @@ func (sv *Server) buildEnvelope(t *tenant) (*serverSnapshot, error) {
 	}, nil
 }
 
-// checkpointLocked appends a checkpoint record for t's live session.
-// Call with t.mu held and the session quiescent.
+// checkpointLocked cuts a checkpoint of t's live session: a record
+// appended to its log or, without a store, the same payload bytes held
+// on the tenant. Call with t.mu held and the session quiescent.
 func (sv *Server) checkpointLocked(t *tenant) error {
 	sp := sv.tel.span("checkpoint")
 	defer sp.End()
@@ -163,11 +204,33 @@ func (sv *Server) checkpointLocked(t *tenant) error {
 	if err != nil {
 		return err
 	}
-	return t.log.Append(store.OpCheckpoint, &walCheckpoint{
+	ck := &walCheckpoint{
 		At:         time.Now().UTC(),
 		AppliedOps: append([]string(nil), t.appliedOrder...),
 		Envelope:   env,
-	})
+	}
+	if t.log != nil {
+		return t.log.Append(store.OpCheckpoint, ck)
+	}
+	t.checkpoint, err = json.Marshal(ck)
+	return err
+}
+
+// converge reduces t's durable form to one checkpoint and an empty
+// tail: cut a checkpoint of the live session, then compact away the
+// history before it. Returns the checkpoint error; a failed compaction
+// only costs disk until the next sweep and is logged. Call with t.mu
+// held.
+func (sv *Server) converge(t *tenant) error {
+	if err := sv.checkpointLocked(t); err != nil {
+		return err
+	}
+	if t.log != nil {
+		if _, err := t.log.Compact(); err != nil {
+			sv.logf("serve: compacting %s: %v", t.id, err)
+		}
+	}
+	return nil
 }
 
 // maybeCheckpoint appends a checkpoint when the tail has outgrown the
@@ -304,14 +367,12 @@ func (sv *Server) recoverTenant(id string) (*tenant, error) {
 	}
 	t.walSeq = t.log.Stats().Seq
 	if !replica {
-		// Converge the log: the replayed tail becomes a fresh checkpoint
-		// and the pre-crash garbage is compacted away, so repeated crash
-		// loops cannot grow recovery time. Mirrors skip this — their log
-		// layout is the leader's to manage.
-		if err := sv.checkpointLocked(t); err != nil {
+		// The replayed tail becomes a fresh checkpoint and the pre-crash
+		// garbage is compacted away, so repeated crash loops cannot grow
+		// recovery time. Mirrors skip this — their log layout is the
+		// leader's to manage.
+		if err := sv.converge(t); err != nil {
 			sv.logf("serve: post-recovery checkpoint of %s: %v", id, err)
-		} else if _, err := t.log.Compact(); err != nil {
-			sv.logf("serve: post-recovery compaction of %s: %v", id, err)
 		}
 	}
 	sv.logf("serve: recovered session %s (replayed %d tail ops)", id, len(rec.Tail))
@@ -341,15 +402,86 @@ func (sv *Server) primeFromEnvelope(t *tenant, ck walCheckpoint) {
 	}
 }
 
-// replayTenant restores t from rec's checkpoint (or genesis create
-// record) and re-applies the tail operations through the exact code
-// paths the live handlers use; determinism makes the result
-// bit-identical to the pre-crash state. On success t holds a live
-// session with its last result published.
+// openSession runs a create operation: parse the relation and the
+// constraints, start the session, run the initial clean. The create
+// handler and genesis replay both start sessions here.
+func (sv *Server) openSession(cr *walCreate) (*holoclean.Session, *holoclean.Result, error) {
+	ds, err := holoclean.ReadCSV(strings.NewReader(cr.CSV), cr.SourceColumn)
+	if err != nil {
+		return nil, nil, invalidOp{fmt.Errorf("reading CSV: %w", err)}
+	}
+	constraints, err := holoclean.ParseConstraints(strings.NewReader(cr.Constraints))
+	if err != nil {
+		return nil, nil, invalidOp{fmt.Errorf("parsing constraints: %w", err)}
+	}
+	s, err := holoclean.NewSession(ds, constraints, sv.optionsFor(cr.Overrides))
+	if err != nil {
+		return nil, nil, invalidOp{err}
+	}
+	res, err := s.Clean()
+	if err != nil {
+		return nil, nil, fmt.Errorf("initial clean: %w", err)
+	}
+	return s, res, nil
+}
+
+// applyOp applies one mutation to t's live session and records its op
+// id in the duplicate window: a delta batch is validated whole, staged
+// and recleaned; a feedback batch is confirmed and recleaned. It is the
+// only place a session is mutated — live requests, crash replay and the
+// replica warm-apply path all land here, so their states agree by the
+// pipeline's determinism. A batch that fails validation stages nothing.
+// Call with t.mu held and t.session live.
+func (sv *Server) applyOp(t *tenant, p walOp) (*holoclean.Result, error) {
+	s := t.session
+	var res *holoclean.Result
+	var err error
+	switch p := p.(type) {
+	case *walDeltas:
+		if err = validateDeltaOps(p.Ops, s.NumTuples(), len(s.Attrs())); err != nil {
+			return nil, invalidOp{err}
+		}
+		for _, op := range p.Ops {
+			if op.Op == "upsert" {
+				_, err = s.Upsert(op.Row, op.Values)
+			} else {
+				err = s.Delete(op.Row)
+			}
+			if err != nil {
+				// Unreachable given validation; surface it loudly if not.
+				return nil, fmt.Errorf("applying op: %w", err)
+			}
+		}
+		if res, err = s.Reclean(); err != nil {
+			return nil, fmt.Errorf("reclean: %w", err)
+		}
+	case *walFeedback:
+		var fb []holoclean.Feedback
+		if fb, err = t.feedbackBatch(p.Items); err != nil {
+			return nil, err
+		}
+		// Validation failures (out of range, empty value, duplicate
+		// confirmation) reject the batch without touching the session.
+		if res, err = s.Feedback(fb); err != nil {
+			return nil, err
+		}
+	}
+	t.markApplied(p.id())
+	return res, nil
+}
+
+// replayTenant rebuilds t's live session from a recovery: load the
+// checkpoint (or run the genesis create record), then re-apply the tail
+// through applyRecord. It is the one restore path — eviction, boot
+// recovery, replica cold start, promotion and migration all come back
+// through here; determinism makes the result bit-identical to the state
+// that was checkpointed and logged. On success t holds a live session
+// with its last result published.
 func (sv *Server) replayTenant(t *tenant, rec *store.Recovery) error {
 	tail := rec.Tail
 	var res *holoclean.Result
-	if rec.Checkpoint != nil {
+	switch {
+	case rec.Checkpoint != nil:
 		var ck walCheckpoint
 		if err := json.Unmarshal(rec.Checkpoint, &ck); err != nil || ck.Envelope == nil {
 			return fmt.Errorf("decoding checkpoint of %s: %v", t.id, err)
@@ -360,20 +492,12 @@ func (sv *Server) replayTenant(t *tenant, rec *store.Recovery) error {
 			return fmt.Errorf("restoring checkpoint of %s: %w", t.id, err)
 		}
 		t.session, res = s, r
-	} else {
-		// Genesis replay: the first record must be the create request.
-		if tail[0].Op != store.OpCreate {
-			return fmt.Errorf("log of %s starts with %s, want create or checkpoint", t.id, tail[0].Op)
-		}
+	case len(tail) > 0 && tail[0].Op == store.OpCreate:
 		var cr walCreate
 		if err := json.Unmarshal(tail[0].Payload, &cr); err != nil {
 			return fmt.Errorf("decoding create record of %s: %w", t.id, err)
 		}
-		ds, err := holoclean.ReadCSV(strings.NewReader(cr.CSV), cr.SourceColumn)
-		if err != nil {
-			return fmt.Errorf("replaying create of %s: %w", t.id, err)
-		}
-		constraints, err := holoclean.ParseConstraints(strings.NewReader(cr.Constraints))
+		s, r, err := sv.openSession(&cr)
 		if err != nil {
 			return fmt.Errorf("replaying create of %s: %w", t.id, err)
 		}
@@ -381,15 +505,10 @@ func (sv *Server) replayTenant(t *tenant, rec *store.Recovery) error {
 		t.resMu.Lock()
 		t.name = cr.Name
 		t.resMu.Unlock()
-		s, err := holoclean.NewSession(ds, constraints, sv.optionsFor(cr.Overrides))
-		if err != nil {
-			return fmt.Errorf("replaying create of %s: %w", t.id, err)
-		}
-		if res, err = s.Clean(); err != nil {
-			return fmt.Errorf("replaying initial clean of %s: %w", t.id, err)
-		}
-		t.session = s
+		t.session, res = s, r
 		tail = tail[1:]
+	default:
+		return fmt.Errorf("session %s has neither a checkpoint nor a create record to restore from", t.id)
 	}
 	for _, r := range tail {
 		rr, err := sv.applyRecord(t, r)
@@ -406,54 +525,41 @@ func (sv *Server) replayTenant(t *tenant, rec *store.Recovery) error {
 	return t.setResult(res)
 }
 
-// applyRecord applies one logged operation to t's live session through
-// the exact code paths the live handlers use — shared by crash-recovery
-// replay and the replica warm-apply path, so a standby's state is
-// bit-identical to the leader's by the pipeline's determinism. Returns
-// the run result for records that reclean (deltas, feedback), nil for
-// markers. Call with t.mu held and t.session live.
+// revive rebuilds t's live session from its durable form — the log, or
+// without a store the checkpoint payload eviction left on the tenant.
+// Call with a job slot acquired and t.mu held, in that order (a revive
+// replays the pipeline).
+func (sv *Server) revive(t *tenant) error {
+	rec := &store.Recovery{Checkpoint: t.checkpoint}
+	if t.log != nil {
+		var err error
+		if rec, err = t.log.Recover(); err != nil {
+			return fmt.Errorf("serve: recovering %s: %w", t.id, err)
+		}
+	}
+	t.applied, t.appliedOrder = nil, nil
+	if err := sv.replayTenant(t, rec); err != nil {
+		return fmt.Errorf("serve: restoring %s: %w", t.id, err)
+	}
+	t.checkpoint = nil
+	if t.log != nil {
+		t.walSeq = t.log.Stats().Seq
+	}
+	sv.logf("serve: restored session %s (%d tuples)", t.id, t.session.NumTuples())
+	return nil
+}
+
+// applyRecord applies one logged record to t's live session: decode,
+// then the same applyOp the live handlers call. Returns the run result
+// for records that reclean (deltas, feedback), nil for the rest. Call
+// with t.mu held and t.session live.
 func (sv *Server) applyRecord(t *tenant, r store.Record) (*holoclean.Result, error) {
+	var p walOp
 	switch r.Op {
 	case store.OpDeltas:
-		var p walDeltas
-		if err := json.Unmarshal(r.Payload, &p); err != nil {
-			return nil, fmt.Errorf("decoding deltas record %d of %s: %w", r.Seq, t.id, err)
-		}
-		for _, op := range p.Ops {
-			var err error
-			switch op.Op {
-			case "upsert":
-				_, err = t.session.Upsert(op.Row, op.Values)
-			case "delete":
-				err = t.session.Delete(op.Row)
-			default:
-				err = fmt.Errorf("unknown op %q", op.Op)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("replaying deltas record %d of %s: %w", r.Seq, t.id, err)
-			}
-		}
-		res, err := t.session.Reclean()
-		if err != nil {
-			return nil, fmt.Errorf("replaying reclean of record %d of %s: %w", r.Seq, t.id, err)
-		}
-		t.markApplied(p.OpID)
-		return res, nil
+		p = new(walDeltas)
 	case store.OpFeedback:
-		var p walFeedback
-		if err := json.Unmarshal(r.Payload, &p); err != nil {
-			return nil, fmt.Errorf("decoding feedback record %d of %s: %w", r.Seq, t.id, err)
-		}
-		fb, err := t.feedbackBatch(p.Items)
-		if err != nil {
-			return nil, fmt.Errorf("replaying feedback record %d of %s: %w", r.Seq, t.id, err)
-		}
-		res, err := t.session.Feedback(fb)
-		if err != nil {
-			return nil, fmt.Errorf("replaying feedback record %d of %s: %w", r.Seq, t.id, err)
-		}
-		t.markApplied(p.OpID)
-		return res, nil
+		p = new(walFeedback)
 	case store.OpOptions:
 		// Reserved (no mutating-options endpoint yet): adopt the
 		// recorded overrides so future logs replay faithfully.
@@ -476,8 +582,17 @@ func (sv *Server) applyRecord(t *tenant, r store.Record) (*holoclean.Result, err
 		return nil, nil
 	case store.OpCreate:
 		return nil, fmt.Errorf("unexpected mid-log create record %d of %s", r.Seq, t.id)
+	default:
+		return nil, nil
 	}
-	return nil, nil
+	if err := json.Unmarshal(r.Payload, p); err != nil {
+		return nil, fmt.Errorf("decoding %s record %d of %s: %w", r.Op, r.Seq, t.id, err)
+	}
+	res, err := sv.applyOp(t, p)
+	if err != nil {
+		return nil, fmt.Errorf("replaying %s record %d of %s: %w", r.Op, r.Seq, t.id, err)
+	}
+	return res, nil
 }
 
 // feedbackBatch maps wire feedback items (attributes by name) to
@@ -494,7 +609,7 @@ func (t *tenant) feedbackBatch(items []FeedbackItem) ([]holoclean.Feedback, erro
 			}
 		}
 		if attr < 0 {
-			return nil, fmt.Errorf("item %d: unknown attribute %q", i, item.Attr)
+			return nil, fmt.Errorf("%w: item %d: unknown attribute %q", holoclean.ErrInvalidFeedback, i, item.Attr)
 		}
 		fb = append(fb, holoclean.Feedback{
 			Cell:  holoclean.Cell{Tuple: item.Tuple, Attr: attr},
@@ -528,13 +643,7 @@ func (sv *Server) compactor(stop <-chan struct{}) {
 
 // compactSweep runs one pass of the compactor policy over all tenants.
 func (sv *Server) compactSweep() {
-	sv.mu.Lock()
-	tenants := make([]*tenant, 0, len(sv.sessions))
-	for _, t := range sv.sessions {
-		tenants = append(tenants, t)
-	}
-	sv.mu.Unlock()
-	for _, t := range tenants {
+	for _, t := range sv.tenants() {
 		if t.log == nil || t.replica.Load() {
 			// A mirror's log layout belongs to its leader; local
 			// checkpoints or compaction would fork the byte-identical

@@ -492,7 +492,6 @@ func (r *shardRunner) runOne(sh shard) error {
 		if hasNary && g.Stats.QueryVars >= chromaticMinVars {
 			cfg.Colors = partition.ColorGraph(g.Graph)
 			cfg.IntraWorkers = defaultIntraWorkers(o.IntraWorkers)
-			cfg.Fast = o.FastSweeps
 			cfg.VarSeed = parallelVarSeeds(g, o.Seed, numAttrs)
 		}
 		m = gibbs.Run(g.Graph, cfg)
