@@ -84,9 +84,6 @@ func validateFeedback(ds *Dataset, fb []Feedback, confirmed map[Cell]bool) error
 // an empty confirmed value or two confirmations for the same cell is an
 // error.
 func (cl *Cleaner) CleanWithFeedback(ds *Dataset, constraints []*Constraint, feedback []Feedback) (*Result, error) {
-	if len(feedback) == 0 {
-		return cl.Clean(ds, constraints)
-	}
 	if err := validateFeedback(ds, feedback, nil); err != nil {
 		return nil, err
 	}
@@ -96,9 +93,7 @@ func (cl *Cleaner) CleanWithFeedback(ds *Dataset, constraints []*Constraint, fee
 		work.SetString(f.Cell.Tuple, f.Cell.Attr, f.Value)
 		trusted = append(trusted, f.Cell)
 	}
-	sub := *cl
-	sub.trusted = trusted
-	return sub.Clean(work, constraints)
+	return newPass(cl.opts, work, constraints, trusted).run(nil)
 }
 
 // Feedback applies user confirmations to the session — the serving-side
@@ -121,7 +116,7 @@ func (s *Session) Feedback(fb []Feedback) (*Result, error) {
 	if len(fb) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrInvalidFeedback)
 	}
-	if !s.cleaned {
+	if s.prev == nil {
 		if _, err := s.Clean(); err != nil {
 			return nil, err
 		}
@@ -135,8 +130,7 @@ func (s *Session) Feedback(fb []Feedback) (*Result, error) {
 		s.confirmed = append(s.confirmed, f)
 	}
 	s.recleans++
-	relearn := s.opts.RelearnEvery > 0 && s.recleans%s.opts.RelearnEvery == 0
-	return s.runFull(relearn)
+	return s.run(nil, s.relearnDue())
 }
 
 // Confirmed returns the session's accumulated feedback in confirmation

@@ -31,7 +31,9 @@ package holoclean
 import (
 	"fmt"
 	"io"
+	"maps"
 	"runtime/metrics"
+	"slices"
 	"sort"
 	"time"
 
@@ -45,6 +47,7 @@ import (
 	"holoclean/internal/factor"
 	"holoclean/internal/learn"
 	"holoclean/internal/partition"
+	"holoclean/internal/pruning"
 	"holoclean/internal/stats"
 	"holoclean/internal/telemetry"
 	"holoclean/internal/violation"
@@ -185,10 +188,6 @@ type Options struct {
 	// back to the default 50 (zero samples would leave marginals
 	// undefined).
 	GibbsSamples int
-	// ExactInference replaces Gibbs with the closed-form posterior when
-	// the model has independent query variables (Section 5.2 regime).
-	// With correlation factors present it falls back to Gibbs.
-	ExactInference bool
 	// ParallelInference samples independent query variables across all
 	// CPUs (the DimmWitted [41] regime); deterministic per seed. It has
 	// no effect on models with correlation factors.
@@ -200,10 +199,10 @@ type Options struct {
 	// (tying key → weight, e.g. a previous run's Result.LearnedWeights)
 	// is broadcast to every shard exactly as freshly learned weights
 	// would be, and evidence sampling, learning-graph grounding, and SGD
-	// are all skipped. Session.Reclean uses this to reuse a session's
-	// weights across incremental recleans; it is also the reference
-	// configuration for verifying that an incremental reclean matches a
-	// from-scratch Clean bit for bit.
+	// are all skipped — what a Session does with its own weights on every
+	// pass that does not relearn. It is the reference configuration for
+	// verifying that an incremental reclean matches a from-scratch Clean
+	// bit for bit.
 	InitialWeights map[string]float64
 	// RelearnEvery makes a Session relearn weights on every Nth Reclean
 	// (N = 1 relearns every time). Zero — the default — never relearns
@@ -247,10 +246,11 @@ type Options struct {
 	BoundaryDamp float64
 	// Seed drives every stochastic component.
 	Seed int64
-	// Tracer, when non-nil, receives per-stage durations (detect,
-	// ground, learn, infer, total) from every pipeline run; the serve
-	// tier points it at the /metrics histograms. A nil tracer is free:
-	// span calls are allocation-free no-ops, so the zero-alloc
+	// Tracer, when non-nil, receives the duration of every stage of every
+	// pipeline pass (diff, detect, stats, prepare, invalidate, plan,
+	// learn, ground, infer, total) — the same values RunStats reports;
+	// the serve tier points it at the /metrics histograms. A nil tracer
+	// is free: span calls are allocation-free no-ops, so the zero-alloc
 	// warmed-sweep guarantee is unaffected. Tracing never influences
 	// the computation — results stay byte-identical per seed.
 	Tracer *telemetry.Tracer
@@ -299,9 +299,11 @@ type Repair struct {
 //
 // Factor and variable counts describe the union of the per-shard models
 // plus the shared learning graph, which for independent-variable models
-// coincides with the monolithic grounding. CompileTime and InferTime sum
-// per-shard grounding and inference durations, so with Workers > 1 they
-// are CPU-style totals that can exceed the wall-clock TotalTime.
+// coincides with the monolithic grounding. DetectTime covers change
+// diffing and detection; CompileTime statistics, pruning, invalidation,
+// planning and all grounding; TotalTime the whole pass. CompileTime and
+// InferTime sum per-shard grounding and inference durations, so with
+// Workers > 1 they are CPU-style totals that can exceed TotalTime.
 type RunStats struct {
 	NoisyCells   int
 	Variables    int
@@ -337,7 +339,7 @@ type RunStats struct {
 	ShardsReused int
 
 	// AllocBytes and AllocObjects are the cumulative heap bytes and
-	// objects allocated while the run executed, measured as deltas of the
+	// objects allocated while the pass executed, measured as deltas of the
 	// pause-free runtime/metrics allocation counters (no stop-the-world
 	// sampling on the request path). The counters are process-wide: when
 	// several cleaning jobs run concurrently (the serve layer's job
@@ -442,97 +444,17 @@ func (r *Result) MarginalOf(c Cell) []ValueProb { return r.Marginals[c] }
 // a per-tenant mutex and publishes dictionary-free read views.
 type Cleaner struct {
 	opts Options
-	// trusted carries user-confirmed cells from CleanWithFeedback.
-	trusted []dataset.Cell
 }
 
 // New returns a Cleaner.
 func New(opts Options) *Cleaner { return &Cleaner{opts: opts} }
 
-// incrementalInputs carries the precomputed state Session.Reclean threads
-// into the pipeline: scoped detection results, delta-maintained
-// statistics, reusable weights, a rebound shared index, and the dirty
-// tuple set together with the previous run's caches.
-type incrementalInputs struct {
-	// prep, when non-nil, is the compilation state the session already
-	// prepared (it needs the refreshed domains to compute the dirty set
-	// before the pipeline runs); clean skips its own Prepare call.
-	prep       *compile.Prepared
-	detection  *errordetect.Result
-	hypergraph *violation.Hypergraph
-	st         *stats.Stats
-	masked     *stats.Stats
-	// weights, when non-nil, are broadcast instead of learned.
-	weights map[string]float64
-	shared  *ddlog.SharedIndex
-	// interner, when non-nil, carries the session's canonical tying-key
-	// store across recleans so repeat groundings allocate no key strings.
-	interner *factor.KeyInterner
-	// dirty is the invalidated tuple set; nil executes every shard.
-	dirty    map[int]bool
-	prevSigs map[string]bool
-	outcomes map[Cell]cellOutcome
-	// detectTime is the scoped-detection wall clock spent by the caller.
-	detectTime time.Duration
-}
-
-// cleanArtifacts exposes the pipeline state a Session caches for its next
-// incremental reclean.
-type cleanArtifacts struct {
-	prep     *compile.Prepared
-	shared   *ddlog.SharedIndex
-	interner *factor.KeyInterner
-	runner   *shardRunner
-	// plan is the full shard plan, including shards that were reused.
-	plan []shard
-}
-
-// compileOptions maps the cleaner's options onto the compiler's.
-func (cl *Cleaner) compileOptions() compile.Options {
-	o := cl.opts
-	return compile.Options{
-		Tau:                    o.Tau,
-		MaxCandidates:          o.MaxCandidates,
-		FullDomain:             o.FullDomain,
-		Variant:                o.Variant,
-		MinimalityWeight:       o.MinimalityWeight,
-		DCWeight:               o.DCWeight,
-		MaxEvidence:            o.EvidenceSample,
-		Seed:                   o.Seed,
-		Dictionaries:           o.Dictionaries,
-		MatchDeps:              o.MatchDependencies,
-		DictionaryPrior:        o.DictionaryPrior,
-		RelaxedDCPrior:         o.RelaxedDCPrior,
-		DisableCooccurFeatures: o.DisableCooccurFeatures,
-		DisableSourceFeatures:  o.DisableSourceFeatures,
-		MaxScanCounterparts:    o.MaxScanCounterparts,
-		Trusted:                cl.trusted,
-		SkipEvidence:           o.InitialWeights != nil,
+// requireSignals rejects a task that has nothing to repair by.
+func requireSignals(constraints []*Constraint, o Options) error {
+	if len(constraints) == 0 && len(o.MatchDependencies) == 0 {
+		return fmt.Errorf("holoclean: no repair signals (need constraints or match dependencies)")
 	}
-}
-
-// detectors assembles the error-detection stack of Figure 2's module 1.
-// viol, when non-nil, replaces the default constraint-violation detector
-// (sessions substitute a delta-scoped one).
-func (cl *Cleaner) detectors(ds *Dataset, constraints []*Constraint, viol *errordetect.Violations) ([]errordetect.Detector, error) {
-	var out []errordetect.Detector
-	if len(constraints) > 0 {
-		if viol == nil {
-			viol = &errordetect.Violations{Constraints: constraints}
-		}
-		out = append(out, viol)
-	}
-	if cl.opts.OutlierDetection {
-		out = append(out, &errordetect.Outliers{}, &errordetect.CondOutliers{})
-	}
-	if len(cl.opts.MatchDependencies) > 0 {
-		matcher, err := extdict.NewMatcher(ds, cl.opts.Dictionaries, cl.opts.MatchDependencies)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, &errordetect.Dictionary{Matcher: matcher})
-	}
-	return out, nil
+	return nil
 }
 
 // Clean repairs the dataset under the given denial constraints. The input
@@ -551,200 +473,386 @@ func (cl *Cleaner) detectors(ds *Dataset, constraints []*Constraint, viol *error
 // For a stream of small changes to one dataset, NewSession's Reclean
 // re-repairs only the affected scope instead of re-running Clean.
 func (cl *Cleaner) Clean(ds *Dataset, constraints []*Constraint) (*Result, error) {
-	res, _, err := cl.clean(ds, constraints, nil)
-	return res, err
+	return newPass(cl.opts, ds, constraints, nil).run(nil)
 }
 
-// clean is the shared pipeline behind Clean and Session.Reclean. With nil
-// incremental inputs it behaves exactly like a from-scratch run.
-func (cl *Cleaner) clean(ds *Dataset, constraints []*Constraint, inc *incrementalInputs) (*Result, *cleanArtifacts, error) {
-	if len(constraints) == 0 && len(cl.opts.MatchDependencies) == 0 {
-		return nil, nil, fmt.Errorf("holoclean: no repair signals (need constraints or match dependencies)")
+// A pass is one run of the pipeline of Figure 2, as the stages
+//
+//	diff → detect → stats → prepare → invalidate → plan → learn → infer
+//
+// each of which fills in its artifact below and is clocked once (see
+// stage). Full clean or incremental reclean is a property of a pass's
+// input, not of its driver: with no previous pass, diff and invalidate
+// have nothing to do and every later stage computes from scratch; with
+// one, each stage recomputes only what the delta invalidated. Every
+// entry point — Cleaner.Clean, CleanWithFeedback, Session.Clean, Reclean,
+// Feedback, RestoreSession — runs exactly this.
+type pass struct {
+	opts        Options
+	ds          *Dataset
+	constraints []*Constraint
+	// trusted are user-confirmed cells: clean by fiat, labeled evidence
+	// whenever weights are learned.
+	trusted []dataset.Cell
+	// weights are broadcast to every shard by tying key. Nil on entry: the
+	// learn stage fills them in; non-nil: evidence sampling, learning-graph
+	// grounding and SGD are all skipped.
+	weights map[string]float64
+
+	// The artifacts a Session's next pass diffs against or carries forward
+	// — all that Session.adopt retains of a finished pass.
+	viol       []violation.Violation   // detect: carried forward by scoped detection
+	noisyAttrs map[int]map[int]bool    // detect: tuple → attributes flagged noisy
+	st, masked *stats.Stats            // stats: raw and clean-cell (nil when cooc features are off); delta-maintained in place
+	domains    *pruning.Domains        // prepare: pruned candidate sets
+	matches    map[int][]extdict.Match // prepare: dictionary matches by tuple
+	shared     *ddlog.SharedIndex      // plan (invalidate rebinds a previous pass's)
+	interner   *factor.KeyInterner     // canonical tying-key store of every grounding
+	plan       []shard                 // plan: the full shard plan, reused shards included
+	outcomes   map[Cell]cellOutcome    // infer: per-cell marginal, MAP label and probability
+
+	*working
+}
+
+// working is the state that dies with a pass: the link to the previous
+// one, the delta sets, compilation state, the Result under construction.
+type working struct {
+	prev     *pass             // nil: everything is invalid
+	prevRows [][]dataset.Value // the rows prev cleaned
+	touched  map[int]bool      // tuple slots mutated since prev
+	res      *Result
+
+	changed, changedAttrs map[int]bool          // diff: tuples / attributes whose content differs from prevRows
+	detection             *errordetect.Result   // detect
+	hyper                 *violation.Hypergraph // detect
+	maskChanged           map[int]bool          // stats: unchanged tuples whose noisy mask moved
+	prevQuasi             []bool                // stats: quasi-key classification before the delta
+	stDelta, maskedDelta  *stats.Delta          // stats: counters the delta touched
+	prep                  *compile.Prepared     // prepare
+	dirty                 map[int]bool          // invalidate: tuples that must re-execute; nil executes every shard
+	exec                  []shard               // plan: the shards that run
+	reused                []int                 // plan: cell indices whose cached outcome carries forward
+	learnGround           time.Duration         // learn: learning-graph grounding, booked with the shards'
+	weightKeys            map[string]bool       // learn, infer: every tying key the pass's graphs named (RunStats.Weights)
+}
+
+// newPass starts a full pass over ds: no previous pass, weights learned
+// unless Options.InitialWeights injects them.
+func newPass(o Options, ds *Dataset, constraints []*Constraint, trusted []dataset.Cell) *pass {
+	return &pass{
+		opts:        o,
+		ds:          ds,
+		constraints: constraints,
+		trusted:     trusted,
+		weights:     o.InitialWeights,
+		// The learning graph, every shard graph and compilation's
+		// feature-name tables share it (recleans share the previous pass's),
+		// so a distinct key's string is allocated once.
+		interner: factor.NewKeyInterner(),
+		working: &working{
+			res:        &Result{Marginals: make(map[Cell][]ValueProb)},
+			weightKeys: make(map[string]bool),
+		},
 	}
+}
+
+// timed runs fn on the pipeline's one wall clock.
+func timed(fn func() error) (time.Duration, error) {
 	start := time.Now()
-	mem := beginMemProbe()
-	o := cl.opts
+	err := fn()
+	return time.Since(start), err
+}
 
-	// One canonical tying-key store per run (per session lifetime for
-	// recleans): every graph grounded below — the learning graph and all
-	// shards — shares it, so a distinct key's string is allocated once.
-	// Compilation's precomputed feature-name tables draw from it too.
-	interner := factor.NewKeyInterner()
-	if inc != nil && inc.interner != nil {
-		interner = inc.interner
-	}
+// observe books a stage duration into both places that report it: the
+// RunStats field it belongs to and the tracer span of the stage's name.
+func (p *pass) observe(name string, into *time.Duration, d time.Duration) {
+	*into += d
+	p.opts.Tracer.Observe(name, d)
+}
 
-	copts := cl.compileOptions()
-	copts.Interner = interner
-	if inc != nil {
-		copts.Detection = inc.detection
-		copts.Hypergraph = inc.hypergraph
-		copts.Stats = inc.st
-		copts.MaskedStats = inc.masked
-		if inc.weights != nil {
-			copts.SkipEvidence = true
-		}
-	} else {
-		detectors, err := cl.detectors(ds, constraints, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		copts.Detectors = detectors
-	}
-	var prep *compile.Prepared
-	if inc != nil && inc.prep != nil {
-		prep = inc.prep
-	} else {
-		var err error
-		prep, err = compile.Prepare(ds, constraints, copts)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
+// stage runs one pipeline stage and books its wall time.
+func (p *pass) stage(name string, into *time.Duration, fn func() error) error {
+	d, err := timed(fn)
+	p.observe(name, into, d)
+	return err
+}
 
-	res := &Result{Marginals: make(map[Cell][]ValueProb)}
-	res.Stats.NoisyCells = prep.Detection.NumNoisy()
-	res.Stats.DetectTime = prep.Timings.Detect
-	if inc != nil {
-		res.Stats.DetectTime += inc.detectTime
+// run executes the pass. adopt, when non-nil, receives the finished pass
+// inside the total clock — a Session keeps it there; Cleaner drops it.
+//
+// RunStats.DetectTime is diff + detect; CompileTime is stats + prepare +
+// invalidate + plan + every grounding (learning graph and shards), so with
+// one worker the four phase times never exceed TotalTime.
+func (p *pass) run(adopt func(*pass)) (*Result, error) {
+	if err := requireSignals(p.constraints, p.opts); err != nil {
+		return nil, err
 	}
-
-	workers := defaultWorkers(o.Workers)
-	plan := planShards(prep, o.Variant.DCFactors, o.MaxComponentCells)
-	execPlan := plan
-	var reusedCells []int
-	if inc != nil && inc.dirty != nil {
-		// Dirty-set mode: only shards invalidated by the delta run; in
-		// the independent-variable fast-path regime the dirty cells are
-		// re-batched so clean cells in mixed batches are reused too.
-		rebatch := !o.Variant.DCFactors && (o.ParallelInference || o.ExactInference)
-		execPlan, reusedCells = splitPlan(plan, prep.Domains.Cells, inc.dirty, rebatch, inc.prevSigs)
-	}
-	res.Stats.Shards = len(execPlan)
-	if r := len(plan) - len(execPlan); r > 0 {
-		res.Stats.ShardsReused = r
-	}
-	for _, sh := range execPlan {
-		if sh.split {
-			res.Stats.SplitShards++
-		}
-	}
-	if prep.Hypergraph != nil {
-		comps := partition.Components(prep.Hypergraph)
-		res.Stats.ComponentSizeHist = partition.SizeHistogram(comps)
-		res.Stats.LargestComponentFrac = partition.LargestFrac(comps)
-	}
-
-	// Shared-index construction is part of compilation (it replaces the
-	// per-shard index builds), so the compile clock starts before it.
-	tg := time.Now()
-	shared := ddlog.NewSharedIndex(prep.DS, prep.Domains)
-	if inc != nil && inc.shared != nil {
-		shared = inc.shared // rebound across the delta by the session
-	}
-
-	injected := o.InitialWeights
-	if inc != nil && inc.weights != nil {
-		injected = inc.weights
-	}
-	var learned map[string]float64
-	var learnKeys []string
-	if injected != nil {
-		// Weight reuse: broadcast the supplied weights instead of
-		// learning; the model-size stats come straight from the domains
-		// (one query variable per noisy cell with a non-empty candidate
-		// set, no evidence variables).
-		learned = injected
-		qv := 0
-		for _, cands := range prep.Domains.Candidates {
-			if len(cands) > 0 {
-				qv++
+	res := p.res
+	st := &res.Stats
+	total, err := timed(func() error {
+		mem := beginMemProbe()
+		for _, s := range []struct {
+			name string
+			into *time.Duration
+			fn   func() error
+		}{
+			{"diff", &st.DetectTime, p.diffRows},
+			{"detect", &st.DetectTime, p.detectErrors},
+			{"stats", &st.CompileTime, p.collectStats},
+			{"prepare", &st.CompileTime, p.prepareModel},
+			{"invalidate", &st.CompileTime, p.invalidateTuples},
+			{"plan", &st.CompileTime, p.planExecution},
+		} {
+			if err := p.stage(s.name, s.into, s.fn); err != nil {
+				return err
 			}
 		}
-		res.Stats.Variables, res.Stats.QueryVars = qv, qv
-		res.Stats.CompileTime = prep.Timings.Compile + time.Since(tg)
-	} else {
-		// --- Learning (Section 2.2: ERM over the likelihood via SGD), on
-		// the union of all shards' evidence cells so weights stay
-		// globally tied ---
-		learnG, err := groundLearning(prep, shared, interner, o.MaxScanCounterparts)
+		if p.weights == nil {
+			if err := p.learnWeights(); err != nil {
+				return err
+			}
+		} else {
+			// Weight reuse: no learning graph to size the model by, so the
+			// counts come straight from the domains (one query variable per
+			// noisy cell with a non-empty candidate set, no evidence).
+			for _, cands := range p.domains.Candidates {
+				if len(cands) > 0 {
+					st.QueryVars++
+				}
+			}
+			st.Variables = st.QueryVars
+		}
+		mem.sample() // phase boundary: compilation + learning done
+		if err := p.inferRepairs(); err != nil {
+			return err
+		}
+		mem.finish(st)
+		if adopt != nil {
+			adopt(p)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	p.observe("total", &st.TotalTime, total)
+	return res, nil
+}
+
+// detectErrors is Figure 2's module 1. Constraint violations are scoped
+// to the changed tuples when there is a previous pass (violations among
+// untouched tuples carry forward) and detected in full otherwise.
+func (p *pass) detectErrors() error {
+	o := p.opts
+	var detectors []errordetect.Detector
+	var viol *errordetect.Violations
+	if len(p.constraints) > 0 {
+		viol = &errordetect.Violations{Constraints: p.constraints, Changed: p.changed}
+		if p.prev != nil {
+			viol.Prev = p.prev.viol
+		}
+		detectors = append(detectors, viol)
+	}
+	if o.OutlierDetection {
+		detectors = append(detectors, &errordetect.Outliers{}, &errordetect.CondOutliers{})
+	}
+	if len(o.MatchDependencies) > 0 {
+		matcher, err := extdict.NewMatcher(p.ds, o.Dictionaries, o.MatchDependencies)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		res.Stats.CompileTime = prep.Timings.Compile + time.Since(tg)
-		res.Stats.Variables = learnG.Stats.Variables
-		res.Stats.QueryVars = learnG.Stats.QueryVars
-		res.Stats.EvidenceVars = learnG.Stats.EvidenceVars
-		res.Stats.Factors = learnG.Graph.NumFactors()
-		res.Stats.PaperFactors = learnG.Stats.PaperFactors
+		detectors = append(detectors, &errordetect.Dictionary{Matcher: matcher})
+	}
+	var err error
+	if p.detection, err = errordetect.Run(p.ds, detectors...); err != nil {
+		return err
+	}
+	if viol != nil {
+		p.hyper = viol.LastHypergraph
+		p.viol = p.hyper.Violations
+	}
+	// The noisy mask mirrors raw detection, not the trusted-filtered
+	// domain cells: masked statistics discount by detection flags alone,
+	// so the next pass's delta maintenance must diff against the same
+	// mask even when confirmed cells are excluded from the query domains.
+	p.noisyAttrs = make(map[int]map[int]bool)
+	for _, c := range p.detection.Noisy {
+		if p.noisyAttrs[c.Tuple] == nil {
+			p.noisyAttrs[c.Tuple] = make(map[int]bool)
+		}
+		p.noisyAttrs[c.Tuple][c.Attr] = true
+	}
+	return nil
+}
 
-		tLearn := time.Now()
-		epochs := o.LearningEpochs
-		if epochs <= 0 {
-			epochs = 10
+// compileOptions maps the pass's options and injected state onto the
+// compiler's.
+func (p *pass) compileOptions() compile.Options {
+	o := p.opts
+	return compile.Options{
+		Tau:                    o.Tau,
+		MaxCandidates:          o.MaxCandidates,
+		FullDomain:             o.FullDomain,
+		Variant:                o.Variant,
+		MinimalityWeight:       o.MinimalityWeight,
+		DCWeight:               o.DCWeight,
+		MaxEvidence:            o.EvidenceSample,
+		Seed:                   o.Seed,
+		Dictionaries:           o.Dictionaries,
+		MatchDeps:              o.MatchDependencies,
+		DictionaryPrior:        o.DictionaryPrior,
+		RelaxedDCPrior:         o.RelaxedDCPrior,
+		DisableCooccurFeatures: o.DisableCooccurFeatures,
+		DisableSourceFeatures:  o.DisableSourceFeatures,
+		MaxScanCounterparts:    o.MaxScanCounterparts,
+		Trusted:                p.trusted,
+		Detection:              p.detection,
+		Hypergraph:             p.hyper,
+		Stats:                  p.st,
+		MaskedStats:            p.masked,
+		Interner:               p.interner,
+		// Evidence cells exist to be learned from.
+		SkipEvidence: p.weights != nil,
+	}
+}
+
+// prepareModel is Figure 2's module 2 short of grounding: full domain
+// pruning over the noisy set, dictionary matching, evidence sampling when
+// weights will be learned, and the rule program — over the detection
+// result and statistics the earlier stages produced.
+func (p *pass) prepareModel() error {
+	prep, err := compile.Prepare(p.ds, p.constraints, p.compileOptions())
+	if err != nil {
+		return err
+	}
+	p.prep, p.domains = prep, prep.Domains
+	p.matches = make(map[int][]extdict.Match)
+	for _, m := range prep.Matches {
+		p.matches[m.Cell.Tuple] = append(p.matches[m.Cell.Tuple], m)
+	}
+	p.res.Stats.NoisyCells = p.detection.NumNoisy()
+	return nil
+}
+
+// planExecution assigns every noisy cell to a shard and, when the
+// invalidate stage produced a dirty set, keeps only the shards it
+// invalidated: in the independent-variable regime the dirty cells are
+// re-batched so clean cells in mixed batches are reused too.
+func (p *pass) planExecution() error {
+	o, st := p.opts, &p.res.Stats
+	var comps [][]int
+	if h := p.prep.Hypergraph; h != nil {
+		comps = partition.Components(h)
+		st.ComponentSizeHist = partition.SizeHistogram(comps)
+		st.LargestComponentFrac = partition.LargestFrac(comps)
+	}
+	p.plan = planShards(p.prep, comps, o.Variant.DCFactors, o.MaxComponentCells)
+	p.exec = p.plan
+	if p.dirty != nil {
+		rebatch := !o.Variant.DCFactors && o.ParallelInference
+		var prevSigs map[string]bool
+		if !rebatch {
+			prevSigs = make(map[string]bool, len(p.prev.plan))
+			for _, sh := range p.prev.plan {
+				prevSigs[sh.fingerprint(p.prev.domains.Cells)] = true
+			}
 		}
-		lr := o.LearningRate
-		if lr == 0 {
-			lr = 0.1
+		p.exec, p.reused = splitPlan(p.plan, p.domains.Cells, p.dirty, rebatch, prevSigs)
+	}
+	st.Shards = len(p.exec)
+	if r := len(p.plan) - len(p.exec); r > 0 {
+		st.ShardsReused = r
+	}
+	for _, sh := range p.exec {
+		if sh.split {
+			st.SplitShards++
 		}
+	}
+	// The index fills lazily while graphs ground, replacing per-shard index
+	// builds; a previous pass's was rebound by invalidate. Every grounding
+	// of the pass copies the database wired here.
+	if p.shared == nil {
+		p.shared = ddlog.NewSharedIndex(p.ds, p.domains)
+	}
+	p.prep.DB.Shared, p.prep.DB.Interner = p.shared, p.interner
+	return nil
+}
+
+// learnWeights is Section 2.2's ERM over the likelihood via SGD, on the
+// union of all shards' evidence cells so weights stay globally tied.
+// Grounding the learning graph is booked with the shards' grounding; the
+// learn stage proper is the SGD.
+func (p *pass) learnWeights() error {
+	o, st := p.opts, &p.res.Stats
+	var learnG *ddlog.Grounded
+	var err error
+	p.learnGround, err = timed(func() error {
+		learnG, err = groundLearning(p.prep, o.MaxScanCounterparts)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	st.Variables = learnG.Stats.Variables
+	st.QueryVars = learnG.Stats.QueryVars
+	st.EvidenceVars = learnG.Stats.EvidenceVars
+	st.Factors = learnG.Graph.NumFactors()
+	st.PaperFactors = learnG.Stats.PaperFactors
+
+	epochs := o.LearningEpochs
+	if epochs <= 0 {
+		epochs = 10
+	}
+	lr := o.LearningRate
+	if lr == 0 {
+		lr = 0.1
+	}
+	for _, k := range learnG.Graph.Weights.Keys {
+		p.weightKeys[k] = true
+	}
+	return p.stage("learn", &st.LearnTime, func() error {
 		learn.Learn(learnG.Graph, learn.Config{Epochs: epochs, LearningRate: lr, L2: o.L2, Seed: o.Seed})
-		res.Stats.LearnTime = time.Since(tLearn)
-		learned = learnedWeights(learnG.Graph)
-		learnKeys = learnG.Graph.Weights.Keys
-	}
-	mem.sample() // phase boundary: compilation + learning done
+		p.weights = learnedWeights(learnG.Graph)
+		return nil
+	})
+}
 
-	// --- Per-shard grounding and inference on the worker pool ---
-	repaired := ds.Clone()
-	runner := newShardRunner(prep, o, shared, interner, learned, res, repaired)
-	for _, k := range learnKeys {
-		runner.weightKeys[k] = true
-	}
-	if injected != nil {
-		// The injected map is part of the model even when reused shards
-		// never re-ground its keys; count it so Stats.Weights agrees
-		// between an incremental reclean and the equivalent full run.
-		for k := range injected {
-			runner.weightKeys[k] = true
-		}
+// inferRepairs grounds and infers the executing shards on the worker
+// pool, carries the cached outcomes of reused cells forward, and
+// assembles the Result.
+func (p *pass) inferRepairs() error {
+	res := p.res
+	res.Repaired = p.ds.Clone()
+	p.outcomes = make(map[Cell]cellOutcome)
+	// The broadcast map is part of the model even when reused shards never
+	// re-ground its keys; count it so Stats.Weights agrees between an
+	// incremental pass and the equivalent full one.
+	for k := range p.weights {
+		p.weightKeys[k] = true
 	}
 	// Carry cached results forward for the cells the delta never touched:
 	// their model is provably identical (same row, same candidates, same
 	// statistics contexts, same counterpart joins, same weights, same
 	// chain seed), so their marginals and MAP repair are too. Cells whose
-	// candidate set is empty had no variable in either run and need no
+	// candidate set is empty had no variable in either pass and need no
 	// cache entry.
-	for _, i := range reusedCells {
-		c := prep.Domains.Cells[i]
-		out, ok := inc.outcomes[c]
-		if !ok {
-			continue
-		}
-		dist := append([]ValueProb(nil), out.dist...)
-		res.Marginals[c] = dist
-		runner.outcomes[c] = cellOutcome{dist: dist, mapVal: out.mapVal, prob: out.prob}
-		if out.mapVal != ds.Get(c.Tuple, c.Attr) {
-			repaired.Set(c.Tuple, c.Attr, out.mapVal)
-			res.Repairs = append(res.Repairs, Repair{
-				Cell:        c,
-				Attr:        ds.AttrName(c.Attr),
-				Tuple:       c.Tuple,
-				Old:         ds.GetString(c.Tuple, c.Attr),
-				New:         ds.Dict().String(out.mapVal),
-				Probability: out.prob,
-			})
+	for _, i := range p.reused {
+		c := p.domains.Cells[i]
+		if out, ok := p.prev.outcomes[c]; ok {
+			out.dist = slices.Clone(out.dist)
+			p.emit(c, out)
 		}
 	}
-	if err := runner.runAll(execPlan, workers); err != nil {
-		return nil, nil, err
+	runner := newShardRunner(p)
+	if err := runner.runAll(p.exec, defaultWorkers(p.opts.Workers)); err != nil {
+		return err
 	}
-	res.Stats.CompileTime += runner.groundTime
-	res.Stats.InferTime = runner.inferTime
-	res.Stats.Weights = len(runner.weightKeys)
-	res.LearnedWeights = make(map[string]float64, len(learned))
-	for k, v := range learned {
-		res.LearnedWeights[k] = v
-	}
+	// Per-shard clocks are summed across workers, so with Workers > 1
+	// these two are CPU-style totals that can exceed the wall clock.
+	p.observe("ground", &res.Stats.CompileTime, p.learnGround+runner.groundTime)
+	p.observe("infer", &res.Stats.InferTime, runner.inferTime)
+	res.Stats.Weights = len(p.weightKeys)
+	res.LearnedWeights = maps.Clone(p.weights)
 
 	sort.Slice(res.Repairs, func(i, j int) bool {
 		if res.Repairs[i].Tuple != res.Repairs[j].Tuple {
@@ -752,17 +860,5 @@ func (cl *Cleaner) clean(ds *Dataset, constraints []*Constraint, inc *incrementa
 		}
 		return res.Repairs[i].Cell.Attr < res.Repairs[j].Cell.Attr
 	})
-	res.Repaired = repaired
-	mem.finish(&res.Stats)
-	res.Stats.TotalTime = time.Since(start)
-	if tr := o.Tracer; tr != nil {
-		tr.Observe("detect", res.Stats.DetectTime)
-		tr.Observe("ground", runner.groundTime)
-		if injected == nil { // a run that reused weights has no learn stage to report
-			tr.Observe("learn", res.Stats.LearnTime)
-		}
-		tr.Observe("infer", runner.inferTime)
-		tr.Observe("total", res.Stats.TotalTime)
-	}
-	return res, &cleanArtifacts{prep: prep, shared: shared, interner: interner, runner: runner, plan: plan}, nil
+	return nil
 }

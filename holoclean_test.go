@@ -83,25 +83,6 @@ func TestMarginalsWellFormed(t *testing.T) {
 	}
 }
 
-func TestExactInferenceMatchesGibbsDirection(t *testing.T) {
-	ds, cs := smallDirty()
-	gibbsOpts := DefaultOptions()
-	gibbsOpts.GibbsSamples = 500
-	exactOpts := DefaultOptions()
-	exactOpts.ExactInference = true
-	rg, err := New(gibbsOpts).Clean(ds, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, err := New(exactOpts).Clean(ds, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rg.Repaired.Equal(re.Repaired) {
-		t.Errorf("exact and Gibbs inference disagree on MAP repairs")
-	}
-}
-
 func TestRunStatsPopulated(t *testing.T) {
 	ds, cs := smallDirty()
 	res, err := New(DefaultOptions()).Clean(ds, cs)

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"time"
 
 	"holoclean/internal/dataset"
 	"holoclean/internal/dc"
@@ -86,9 +85,6 @@ type Options struct {
 	MaxEvidence int
 	// Seed drives evidence sampling.
 	Seed int64
-	// Detectors to run; defaults to denial-constraint violations, the
-	// configuration of every paper experiment.
-	Detectors []errordetect.Detector
 	// Dictionaries and MatchDeps supply the external-data signal.
 	Dictionaries []*extdict.Dictionary
 	MatchDeps    []*extdict.MatchDependency
@@ -110,10 +106,12 @@ type Options struct {
 	// and force-included as evidence, so learning treats them as labels.
 	Trusted []dataset.Cell
 
-	// Detection, when non-nil, supplies a precomputed detection result
-	// and skips running Detectors; Hypergraph carries the matching
-	// conflict hypergraph. Incremental sessions run scoped detection
-	// themselves and hand the result in.
+	// Detection, when non-nil, supplies a precomputed detection result;
+	// Hypergraph carries the matching conflict hypergraph. The cleaning
+	// pipeline runs its detector stack (scoped to a delta in sessions)
+	// itself and hands the result in. With nil Detection, Prepare detects
+	// denial-constraint violations — the configuration of every paper
+	// experiment.
 	Detection  *errordetect.Result
 	Hypergraph *violation.Hypergraph
 	// Stats and MaskedStats, when non-nil, replace the full statistics
@@ -148,12 +146,6 @@ func DefaultOptions() Options {
 	}
 }
 
-// Timings records the phase durations reported in Table 4 and Figure 4.
-type Timings struct {
-	Detect  time.Duration
-	Compile time.Duration // statistics + pruning + matching + grounding
-}
-
 // Compiled is the output of compilation: a grounded probabilistic model
 // plus all intermediate artifacts.
 type Compiled struct {
@@ -166,7 +158,6 @@ type Compiled struct {
 	Groups    []partition.Group
 	Program   *ddlog.Program
 	Grounded  *ddlog.Grounded
-	Timings   Timings
 }
 
 // Prepared is the compilation state just before grounding: every
@@ -193,8 +184,7 @@ type Prepared struct {
 	Program     *ddlog.Program
 	// DB is the fully wired database for a monolithic grounding; shard
 	// runners copy it and narrow Domains/Evidence/Matches per shard.
-	DB      *ddlog.Database
-	Timings Timings
+	DB *ddlog.Database
 }
 
 // Compile runs the full compilation pipeline of Figure 2's modules 1–2:
@@ -205,7 +195,6 @@ func Compile(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 	if err != nil {
 		return nil, err
 	}
-	t := time.Now()
 	grounded, err := ddlog.Ground(p.DB, p.Program, ddlog.Config{MaxScanCounterparts: opts.MaxScanCounterparts})
 	if err != nil {
 		return nil, err
@@ -220,10 +209,6 @@ func Compile(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 		Groups:    p.Groups,
 		Program:   p.Program,
 		Grounded:  grounded,
-		Timings: Timings{
-			Detect:  p.Timings.Detect,
-			Compile: p.Timings.Compile + time.Since(t),
-		},
 	}, nil
 }
 
@@ -255,33 +240,16 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 	out := &Prepared{DS: ds, Bounds: bounds}
 
 	// --- Error detection (Figure 2, module 1) ---
-	t0 := time.Now()
-	detectors := opts.Detectors
-	var violDet *errordetect.Violations
-	if len(detectors) == 0 {
-		violDet = &errordetect.Violations{Constraints: constraints}
-		detectors = []errordetect.Detector{violDet}
-	} else {
-		for _, d := range detectors {
-			if vd, ok := d.(*errordetect.Violations); ok {
-				violDet = vd
-			}
-		}
-	}
 	detection := opts.Detection
+	out.Hypergraph = opts.Hypergraph
 	if detection == nil {
-		var err error
-		detection, err = errordetect.Run(ds, detectors...)
-		if err != nil {
+		violDet := &errordetect.Violations{Constraints: constraints}
+		if detection, err = errordetect.Run(ds, violDet); err != nil {
 			return nil, err
 		}
-	}
-	out.Detection = detection
-	out.Timings.Detect = time.Since(t0)
-	out.Hypergraph = opts.Hypergraph
-	if out.Hypergraph == nil && violDet != nil {
 		out.Hypergraph = violDet.LastHypergraph
 	}
+	out.Detection = detection
 
 	// User-confirmed cells are clean by fiat.
 	noisy := detection.Noisy
@@ -300,7 +268,6 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 	}
 
 	// --- Compilation (Figure 2, module 2) ---
-	t1 := time.Now()
 	st := opts.Stats
 	if st == nil {
 		st = stats.Collect(ds)
@@ -329,13 +296,11 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 
 	// Partitioning (Algorithm 3) needs the conflict hypergraph.
 	if opts.Variant.Partition {
-		h := out.Hypergraph
-		if h == nil {
-			h = violationHypergraph(ds, constraints, violDet)
-			out.Hypergraph = h
+		if out.Hypergraph == nil {
+			out.Hypergraph = violationHypergraph(ds, constraints)
 		}
-		if h != nil {
-			out.Groups = partition.Groups(h)
+		if out.Hypergraph != nil {
+			out.Groups = partition.Groups(out.Hypergraph)
 		}
 	}
 
@@ -404,16 +369,12 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 
 	out.Program = buildProgram(bounds, opts)
 	out.DB = db
-	out.Timings.Compile = time.Since(t1)
 	return out, nil
 }
 
-// violationHypergraph reuses the detector's hypergraph when available,
-// otherwise runs violation detection once.
-func violationHypergraph(ds *dataset.Dataset, constraints []*dc.Constraint, violDet *errordetect.Violations) *violation.Hypergraph {
-	if violDet != nil && violDet.LastHypergraph != nil {
-		return violDet.LastHypergraph
-	}
+// violationHypergraph runs violation detection for a caller that injected
+// a detection result without its hypergraph.
+func violationHypergraph(ds *dataset.Dataset, constraints []*dc.Constraint) *violation.Hypergraph {
 	det, err := violation.NewDetector(ds, constraints)
 	if err != nil {
 		return nil

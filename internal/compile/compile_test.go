@@ -37,9 +37,6 @@ func TestCompilePipeline(t *testing.T) {
 	if comp.Grounded.Graph.NumFactors() == 0 {
 		t.Errorf("no factors grounded")
 	}
-	if comp.Timings.Detect <= 0 || comp.Timings.Compile <= 0 {
-		t.Errorf("timings not recorded: %+v", comp.Timings)
-	}
 	// DC Feats (default): no correlation factors on query variables.
 	if comp.Grounded.Graph.HasNaryOnQuery() {
 		t.Errorf("DC Feats variant must be an independent-variable model")

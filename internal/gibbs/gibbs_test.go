@@ -62,6 +62,12 @@ func TestGibbsConvergesToExactIndependent(t *testing.T) {
 	exact := Exact(g)
 	m := Run(g, Config{BurnIn: 100, Samples: 4000, Seed: 42})
 	for v := 0; v < 2; v++ {
+		// The repair is the MAP label, so the sampler must also pick the
+		// closed-form posterior's.
+		got, _ := m.MAP(int32(v))
+		if want, _ := exact.MAP(int32(v)); got != want {
+			t.Errorf("var %d: gibbs MAP %d, exact MAP %d", v, got, want)
+		}
 		for d := range g.Vars[v].Domain {
 			diff := math.Abs(m.Prob(int32(v), d) - exact.Prob(int32(v), d))
 			if diff > 0.03 {

@@ -46,7 +46,7 @@ func newServerMetrics(reg *telemetry.Registry, sv *Server) *serverMetrics {
 	m := &serverMetrics{
 		reg: reg,
 		tr: telemetry.NewTracer(reg, "holoclean_pipeline_stage_seconds",
-			"Per-stage pipeline durations (detect, stats, ground, learn, infer, checkpoint, total)."),
+			"Per-stage pipeline durations (diff, detect, stats, prepare, invalidate, plan, learn, ground, infer, total; checkpoint)."),
 		httpSeconds: reg.HistogramVec("holoclean_http_request_seconds",
 			"HTTP request latency by route pattern.", telemetry.LatencyBuckets, "endpoint"),
 		httpTotal: reg.CounterVec("holoclean_http_requests_total",

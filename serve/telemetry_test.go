@@ -45,7 +45,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`holoclean_pipeline_stage_seconds_count{stage="detect"} 2`,
 		`holoclean_pipeline_stage_seconds_count{stage="learn"} 1`,
 		`holoclean_pipeline_stage_seconds_count{stage="infer"} 2`,
-		`holoclean_pipeline_stage_seconds_count{stage="stats"} 1`,
+		`holoclean_pipeline_stage_seconds_count{stage="stats"} 2`,
 		`holoclean_pipeline_stage_seconds_count{stage="checkpoint"} 1`,
 		"holoclean_reclean_seconds_count 1",
 		`holoclean_tenant_reclean_seconds_count{tenant="` + info.ID + `"} 1`,

@@ -5,17 +5,10 @@ import (
 	"maps"
 	"reflect"
 	"slices"
-	"time"
 
-	"holoclean/internal/compile"
 	"holoclean/internal/dataset"
 	"holoclean/internal/dc"
-	"holoclean/internal/ddlog"
-	"holoclean/internal/errordetect"
-	"holoclean/internal/extdict"
-	"holoclean/internal/factor"
 	"holoclean/internal/stats"
-	"holoclean/internal/violation"
 )
 
 // Session wraps one dataset under continuous cleaning: after an initial
@@ -37,7 +30,6 @@ type Session struct {
 	constraints []*Constraint
 	ds          *Dataset
 
-	cleaned  bool
 	recleans int
 
 	// confirmed accumulates user feedback (see Session.Feedback) in
@@ -45,40 +37,26 @@ type Session struct {
 	// labeled evidence on every relearn.
 	confirmed []Feedback
 
-	// touched tracks the tuple indexes mutated since the last clean.
+	// touched tracks the tuple indexes mutated since the last pass.
 	touched map[int]bool
 
-	// Caches from the last clean.
-	weights  map[string]float64
-	prevRows [][]dataset.Value
-	prevN    int
-	prevViol []violation.Violation
-	st       *stats.Stats // delta-maintained, unmasked
-	masked   *stats.Stats // delta-maintained, clean-cell (nil when cooc features are off)
-	domains  *prevDomains
-	outcomes map[Cell]cellOutcome
-	prevSigs map[string]bool
-	matches  map[int][]extdict.Match
-	shared   *ddlog.SharedIndex
-	// interner is the canonical tying-key store shared by every grounding
-	// of the session's lifetime, so recleans allocate no key strings for
-	// signal families the initial Clean already named.
-	interner *factor.KeyInterner
-}
+	// weights are the last learned (or restored) weights by tying key.
+	weights map[string]float64
 
-// prevDomains is the cached noisy-cell domain map of the previous run.
-type prevDomains struct {
-	cells map[Cell][]dataset.Value
-	// noisyAttrs maps tuple → set of attributes flagged noisy.
-	noisyAttrs map[int]map[int]bool
+	// prev is the last finished pass — the statistics, domains, shard plan
+	// and per-cell outcomes the next Reclean diffs against and carries
+	// forward; nil until the first Clean. prevRows are the rows it
+	// cleaned: a copy, because Upsert mutates rows in place.
+	prev     *pass
+	prevRows [][]dataset.Value
 }
 
 // NewSession starts a cleaning session over a copy of ds (later mutations
 // through Upsert and Delete never touch the caller's dataset). The same
 // validation as Clean applies: at least one repair signal is required.
 func NewSession(ds *Dataset, constraints []*Constraint, opts Options) (*Session, error) {
-	if len(constraints) == 0 && len(opts.MatchDependencies) == 0 {
-		return nil, fmt.Errorf("holoclean: no repair signals (need constraints or match dependencies)")
+	if err := requireSignals(constraints, opts); err != nil {
+		return nil, err
 	}
 	return &Session{
 		opts:        opts,
@@ -90,17 +68,6 @@ func NewSession(ds *Dataset, constraints []*Constraint, opts Options) (*Session,
 
 // Dataset returns a snapshot of the session's current (dirty) dataset.
 func (s *Session) Dataset() *Dataset { return s.ds.Clone() }
-
-// newCleaner builds the session's pipeline runner, carrying the
-// confirmed cells as trusted so they stay out of the noisy set on every
-// run, full or incremental.
-func (s *Session) newCleaner() *Cleaner {
-	cl := &Cleaner{opts: s.opts}
-	for _, f := range s.confirmed {
-		cl.trusted = append(cl.trusted, f.Cell)
-	}
-	return cl
-}
 
 // NumTuples reports the current relation size.
 func (s *Session) NumTuples() int { return s.ds.NumTuples() }
@@ -183,33 +150,59 @@ func (s *Session) Delete(t int) error {
 
 // Clean runs the full pipeline — detection, statistics, pruning, weight
 // learning, grounding, inference — over the session's current dataset and
-// primes the caches Reclean builds on. The first Reclean of a fresh
+// keeps the pass for Reclean to build on. The first Reclean of a fresh
 // session calls it implicitly.
 func (s *Session) Clean() (*Result, error) {
-	return s.runFull(true)
+	return s.run(nil, true)
 }
 
-// runFull executes the full pipeline over the session's current dataset
-// — learning weights when relearn is true (or none are cached yet),
-// reusing them by tying key otherwise — and adopts the run's caches.
-// Clean, Feedback, and RestoreSession all funnel through here so weight
-// adoption and cache refresh cannot drift apart between paths.
-func (s *Session) runFull(relearn bool) (*Result, error) {
-	cl := s.newCleaner()
+// relearnDue reports whether Options.RelearnEvery schedules a relearn for
+// the current round.
+func (s *Session) relearnDue() bool {
+	return s.opts.RelearnEvery > 0 && s.recleans%s.opts.RelearnEvery == 0
+}
+
+// run executes one pass over the session's current dataset — against
+// prev when non-nil, with everything invalid otherwise; learning weights
+// when relearn is true (or none are cached yet), reusing them by tying
+// key otherwise — and keeps it. Clean, Reclean, Feedback and
+// RestoreSession all funnel through here.
+func (s *Session) run(prev *pass, relearn bool) (*Result, error) {
+	trusted := make([]dataset.Cell, len(s.confirmed))
+	for i, f := range s.confirmed {
+		trusted[i] = f.Cell
+	}
+	p := newPass(s.opts, s.ds, s.constraints, trusted)
 	if !relearn && s.weights != nil {
-		cl.opts.InitialWeights = s.weights
+		p.weights = s.weights
+	} else {
+		p.weights = maps.Clone(p.weights) // adopt keeps them; the caller owns Options.InitialWeights
 	}
-	res, art, err := cl.clean(s.ds, s.constraints, nil)
-	if err != nil {
-		return nil, err
+	if prev != nil {
+		p.prev, p.prevRows, p.touched = prev, s.prevRows, s.touched
+		p.shared, p.interner = prev.shared, prev.interner
 	}
-	s.weights = make(map[string]float64, len(res.LearnedWeights))
-	for k, v := range res.LearnedWeights {
-		s.weights[k] = v
+	return p.run(s.adopt)
+}
+
+// adopt keeps a finished pass as the base of the next Reclean: snapshot
+// the rows it cleaned, take its weights, and let go of everything the
+// next pass never reads (the Result with its Repaired clone, compilation
+// state with its evidence domains, the delta sets, the pass before it).
+func (s *Session) adopt(p *pass) {
+	s.prevRows = make([][]dataset.Value, s.ds.NumTuples())
+	for t := range s.prevRows {
+		s.prevRows[t] = slices.Clone(s.ds.Row(t))
 	}
-	s.adopt(res, art)
-	s.cleaned = true
-	return res, nil
+	// The Result shares its marginal slices with the outcomes; the caller
+	// owns the Result, so the retained outcomes get their own.
+	for c, o := range p.outcomes {
+		o.dist = slices.Clone(o.dist)
+		p.outcomes[c] = o
+	}
+	p.working = nil
+	s.prev, s.weights = p, p.weights
+	s.touched = make(map[int]bool)
 }
 
 // Reclean re-repairs the dataset after the pending Upsert/Delete batch.
@@ -219,232 +212,102 @@ func (s *Session) runFull(relearn bool) (*Result, error) {
 // dataset, but only shards whose inputs the delta invalidated execute
 // (Result.Stats.ShardsReused counts the carried-forward remainder).
 func (s *Session) Reclean() (*Result, error) {
-	if !s.cleaned {
+	if s.prev == nil {
 		return s.Clean()
 	}
 	s.recleans++
-	if s.opts.RelearnEvery > 0 && s.recleans%s.opts.RelearnEvery == 0 {
-		// Scheduled relearn: run the full pipeline and refresh every
-		// cache, exactly like the initial Clean.
+	if s.relearnDue() {
+		// Scheduled relearn: a full pass, exactly like the initial Clean.
 		return s.Clean()
 	}
+	return s.run(s.prev, false)
+}
 
-	start := time.Now()
-	ds, n := s.ds, s.ds.NumTuples()
-	cl := s.newCleaner()
-	resized := n != s.prevN
-
-	// --- Changed tuples: touched slots whose content actually differs
-	// from the last-clean snapshot, plus appended slots. ---
-	changed := make(map[int]bool)
-	changedAttrs := make(map[int]bool) // attributes with any value change
-	for t := range s.touched {
+// diffRows finds the changed tuples: touched slots whose content actually
+// differs from the rows the previous pass cleaned, plus appended slots.
+// With no previous pass there is nothing to diff and changed stays nil,
+// which every later stage reads as "everything".
+func (p *pass) diffRows() error {
+	if p.prev == nil {
+		return nil
+	}
+	ds, n, prevN := p.ds, p.ds.NumTuples(), len(p.prevRows)
+	p.changed = make(map[int]bool)
+	p.changedAttrs = make(map[int]bool) // attributes with any value change
+	for t := range p.touched {
 		if t >= n {
 			continue
 		}
-		if t >= s.prevN {
-			changed[t] = true
+		if t >= prevN {
+			p.changed[t] = true
 			continue
 		}
-		diff := false
 		for a := 0; a < ds.NumAttrs(); a++ {
-			if ds.Get(t, a) != s.prevRows[t][a] {
-				changedAttrs[a] = true
-				diff = true
-			}
-		}
-		if diff {
-			changed[t] = true
-		}
-	}
-	for t := s.prevN; t < n; t++ {
-		changed[t] = true
-	}
-
-	// --- Scoped error detection: re-detect only pairs touching changed
-	// tuples; violations among untouched tuples carry forward. ---
-	tDetect := time.Now()
-	violDet := &errordetect.Violations{
-		Constraints: s.constraints,
-		Prev:        s.prevViol,
-		Changed:     changed,
-	}
-	detectors, err := cl.detectors(ds, s.constraints, violDet)
-	if err != nil {
-		return nil, err
-	}
-	detection, err := errordetect.Run(ds, detectors...)
-	if err != nil {
-		return nil, err
-	}
-	hyper := violDet.LastHypergraph
-	detectTime := time.Since(tDetect)
-
-	// --- Noisy-mask diff: tuples whose flagged attribute set changed
-	// re-enter the masked statistics and are dirty (their cells gained or
-	// lost variables, and sibling-domain discounts may shift). ---
-	newNoisy := make(map[int]map[int]bool)
-	for _, c := range detection.Noisy {
-		if newNoisy[c.Tuple] == nil {
-			newNoisy[c.Tuple] = make(map[int]bool)
-		}
-		newNoisy[c.Tuple][c.Attr] = true
-	}
-	maskChanged := make(map[int]bool)
-	for t, attrs := range newNoisy {
-		if changed[t] {
-			continue
-		}
-		if !attrSetEqual(attrs, s.domains.noisyAttrs[t]) {
-			maskChanged[t] = true
-		}
-	}
-	for t, attrs := range s.domains.noisyAttrs {
-		if t < n && !changed[t] && !maskChanged[t] && !attrSetEqual(attrs, newNoisy[t]) {
-			maskChanged[t] = true
-		}
-	}
-
-	// --- Delta statistics: reapply exactly the tuple views whose
-	// contribution changed. prevQuasi is taken before the unmasked apply
-	// so quasi-key flips are observable. ---
-	prevQuasi := make([]bool, ds.NumAttrs())
-	for a := range prevQuasi {
-		prevQuasi[a] = s.st.DistinctValues(a)*4 > s.prevN
-	}
-	spStats := cl.opts.Tracer.Start("stats")
-	stDelta, maskedDelta := s.applyStatDeltas(changed, maskChanged, newNoisy)
-	spStats.End()
-
-	// --- Compile: full pruning over the new noisy set, statistics and
-	// detection injected, no evidence sampling (weights are reused). ---
-	copts := cl.compileOptions()
-	copts.Interner = s.interner
-	copts.Detection = detection
-	copts.Hypergraph = hyper
-	copts.Stats = s.st
-	copts.MaskedStats = s.masked
-	copts.SkipEvidence = true
-	prep, err := compile.Prepare(ds, s.constraints, copts)
-	if err != nil {
-		return nil, err
-	}
-
-	// --- Candidate diff: cells whose pruned domain changed invalidate
-	// their tuple (and, through the join buckets, their counterparts).
-	// Every candidate change also shifts the shared candidate-label
-	// buckets of its attribute — including changes on tuples that are
-	// already dirty for other reasons — so the attribute's cached index
-	// must be rebuilt either way. ---
-	candChanged := make(map[int]bool)
-	newCells := make(map[Cell]bool, len(prep.Domains.Cells))
-	for i, c := range prep.Domains.Cells {
-		newCells[c] = true
-		if !valsEqual(prep.Domains.Candidates[i], s.domains.cells[c]) {
-			changedAttrs[c.Attr] = true
-			if !changed[c.Tuple] && !maskChanged[c.Tuple] {
-				candChanged[c.Tuple] = true
+			if ds.Get(t, a) != p.prevRows[t][a] {
+				p.changedAttrs[a] = true
+				p.changed[t] = true
 			}
 		}
 	}
-	for c := range s.domains.cells {
-		if !newCells[c] {
-			// The cell left the noisy set: its candidate-set contribution
-			// to the attribute's label buckets collapses to its initial
-			// value.
-			changedAttrs[c.Attr] = true
-		}
+	for t := prevN; t < n; t++ {
+		p.changed[t] = true
 	}
-
-	// --- Shared-index refresh: keep per-attribute indexes untouched by
-	// the delta, drop the rest, rebind to the mutated dataset. ---
-	dirtyAttrs := make(map[int]bool)
-	if resized {
-		for a := 0; a < ds.NumAttrs(); a++ {
-			dirtyAttrs[a] = true
-		}
-	} else {
-		for a := range changedAttrs {
-			dirtyAttrs[a] = true
-		}
-	}
-	s.shared.Rebind(ds, prep.Domains, dirtyAttrs)
-
-	// --- Dictionary matches: recomputed in full by Prepare; tuples whose
-	// match list changed are dirty. ---
-	matchChanged := s.diffMatches(prep.Matches)
-
-	// --- Dirty closure: changed tuples, mask/candidate/match diffs, and
-	// one join hop outward — any tuple whose candidate labels intersect a
-	// source tuple's old or new labels on a constraint equality join may
-	// gain or lose grounded counterparts. Statistics-context dirt is
-	// added per cell. ---
-	globalDirty := ds.HasSources() // source-fusion features are global
-	for _, b := range prep.Bounds {
-		if b.TupleVars == 2 && len(crossEqPreds(b)) == 0 {
-			globalDirty = true // scan-grounded constraint: no index to scope by
-		}
-	}
-
-	dirty := make(map[int]bool)
-	for t := range changed {
-		dirty[t] = true
-	}
-	for t := range maskChanged {
-		dirty[t] = true
-	}
-	for t := range candChanged {
-		dirty[t] = true
-	}
-	for t := range matchChanged {
-		dirty[t] = true
-	}
-	if !globalDirty {
-		s.propagateJoins(prep, changed, maskChanged, candChanged, dirty)
-		s.markStatDirty(prep, stDelta, maskedDelta, prevQuasi, dirty)
-	}
-
-	inc := &incrementalInputs{
-		prep:       prep,
-		detection:  detection,
-		hypergraph: hyper,
-		st:         s.st,
-		masked:     s.masked,
-		weights:    s.weights,
-		shared:     s.shared,
-		interner:   s.interner,
-		prevSigs:   s.prevSigs,
-		outcomes:   s.outcomes,
-		detectTime: detectTime,
-	}
-	if !globalDirty {
-		inc.dirty = dirty
-	}
-	res, art, err := cl.clean(ds, s.constraints, inc)
-	if err != nil {
-		return nil, err
-	}
-	s.adopt(res, art)
-	res.Stats.TotalTime = time.Since(start) // include the delta pre-work
-	return res, nil
+	return nil
 }
 
-// applyStatDeltas reapplies the changed tuples' contributions to the
-// unmasked and masked statistics and returns both change summaries.
-func (s *Session) applyStatDeltas(changed, maskChanged map[int]bool, newNoisy map[int]map[int]bool) (stDelta, maskedDelta *stats.Delta) {
-	ds, n := s.ds, s.ds.NumTuples()
+// collectStats produces the raw and clean-cell statistics: collected in
+// full, or — taking over the previous pass's — reapplied over exactly the
+// tuple views whose contribution changed: changed tuples, deleted tail
+// slots, and tuples whose noisy mask moved.
+func (p *pass) collectStats() error {
+	ds, n, prev, prevN := p.ds, p.ds.NumTuples(), p.prev, len(p.prevRows)
+	if prev == nil {
+		p.st = stats.Collect(ds)
+		if !p.opts.DisableCooccurFeatures {
+			// Co-occurrences where either cell was flagged noisy are
+			// discounted.
+			p.masked = stats.CollectFiltered(ds, func(t, a int) bool {
+				return p.detection.IsNoisy(dataset.Cell{Tuple: t, Attr: a})
+			})
+		}
+		return nil
+	}
+	p.st, p.masked = prev.st, prev.masked
+
+	// Noisy-mask diff: tuples whose flagged attribute set changed re-enter
+	// the masked statistics and are dirty (their cells gained or lost
+	// variables, and sibling-domain discounts may shift).
+	p.maskChanged = make(map[int]bool)
+	for t, attrs := range p.noisyAttrs {
+		if !p.changed[t] && !maps.Equal(attrs, prev.noisyAttrs[t]) {
+			p.maskChanged[t] = true
+		}
+	}
+	for t, attrs := range prev.noisyAttrs {
+		if t < n && !p.changed[t] && !maps.Equal(attrs, p.noisyAttrs[t]) {
+			p.maskChanged[t] = true
+		}
+	}
+
+	// prevQuasi is taken before the unmasked apply so quasi-key flips are
+	// observable.
+	p.prevQuasi = make([]bool, ds.NumAttrs())
+	for a := range p.prevQuasi {
+		p.prevQuasi[a] = p.st.DistinctValues(a)*4 > prevN
+	}
+
 	var remSt, addSt, remM, addM []stats.TupleView
 	oldMaskView := func(t int) stats.TupleView {
-		attrs := s.domains.noisyAttrs[t]
-		return stats.View(s.prevRows[t], func(a int) bool { return !attrs[a] })
+		attrs := prev.noisyAttrs[t]
+		return stats.View(p.prevRows[t], func(a int) bool { return !attrs[a] })
 	}
 	newMaskView := func(t int) stats.TupleView {
-		attrs := newNoisy[t]
+		attrs := p.noisyAttrs[t]
 		return stats.View(ds.Row(t), func(a int) bool { return !attrs[a] })
 	}
-	for t := range changed {
-		if t < s.prevN {
-			remSt = append(remSt, stats.View(s.prevRows[t], nil))
+	for t := range p.changed {
+		if t < prevN {
+			remSt = append(remSt, stats.View(p.prevRows[t], nil))
 			remM = append(remM, oldMaskView(t))
 		}
 		if t < n {
@@ -452,21 +315,90 @@ func (s *Session) applyStatDeltas(changed, maskChanged map[int]bool, newNoisy ma
 			addM = append(addM, newMaskView(t))
 		}
 	}
-	for t := n; t < s.prevN; t++ { // deleted tail slots
-		remSt = append(remSt, stats.View(s.prevRows[t], nil))
+	for t := n; t < prevN; t++ { // deleted tail slots
+		remSt = append(remSt, stats.View(p.prevRows[t], nil))
 		remM = append(remM, oldMaskView(t))
 	}
-	for t := range maskChanged { // content unchanged, flags moved
+	for t := range p.maskChanged { // content unchanged, flags moved
 		remM = append(remM, oldMaskView(t))
 		addM = append(addM, newMaskView(t))
 	}
-	stDelta = s.st.Apply(remSt, addSt)
-	if s.masked != nil {
-		maskedDelta = s.masked.Apply(remM, addM)
+	p.stDelta = p.st.Apply(remSt, addSt)
+	if p.masked != nil {
+		p.maskedDelta = p.masked.Apply(remM, addM)
 	} else {
-		maskedDelta = stats.NewDelta()
+		p.maskedDelta = stats.NewDelta()
 	}
-	return stDelta, maskedDelta
+	return nil
+}
+
+// invalidateTuples computes the dirty set of a pass with a previous one:
+// the tuples whose shards must re-execute. It leaves dirty nil — every
+// shard executes — when there is no previous pass or the delta cannot be
+// scoped.
+func (p *pass) invalidateTuples() error {
+	if p.prev == nil {
+		return nil
+	}
+	ds, prev := p.ds, p.prev
+
+	// Candidate diff: cells whose pruned domain changed invalidate their
+	// tuple (and, through the join buckets, their counterparts). Every
+	// candidate change also shifts the shared candidate-label buckets of
+	// its attribute — including changes on tuples that are already dirty
+	// for other reasons — so the attribute's cached index must be rebuilt
+	// either way.
+	candChanged := make(map[int]bool)
+	for i, c := range p.domains.Cells {
+		if !slices.Equal(p.domains.Candidates[i], prev.domains.Of(c)) {
+			p.changedAttrs[c.Attr] = true
+			if !p.changed[c.Tuple] && !p.maskChanged[c.Tuple] {
+				candChanged[c.Tuple] = true
+			}
+		}
+	}
+	for _, c := range prev.domains.Cells {
+		if p.domains.Index(c) < 0 {
+			// The cell left the noisy set: its candidate-set contribution
+			// to the attribute's label buckets collapses to its initial
+			// value.
+			p.changedAttrs[c.Attr] = true
+		}
+	}
+
+	// Shared-index refresh: keep per-attribute indexes untouched by the
+	// delta, drop the rest, rebind to the mutated dataset.
+	dirtyAttrs := p.changedAttrs
+	if ds.NumTuples() != len(p.prevRows) {
+		dirtyAttrs = make(map[int]bool)
+		for a := 0; a < ds.NumAttrs(); a++ {
+			dirtyAttrs[a] = true
+		}
+	}
+	p.shared.Rebind(ds, p.domains, dirtyAttrs)
+
+	// Dirty closure: changed tuples, mask/candidate/match diffs, and one
+	// join hop outward — any tuple whose candidate labels intersect a
+	// source tuple's old or new labels on a constraint equality join may
+	// gain or lose grounded counterparts. Statistics-context dirt is
+	// added per cell.
+	if ds.HasSources() {
+		return nil // source-fusion features are global
+	}
+	for _, b := range p.prep.Bounds {
+		if b.TupleVars == 2 && len(crossEqPreds(b)) == 0 {
+			return nil // scan-grounded constraint: no index to scope by
+		}
+	}
+	p.dirty = make(map[int]bool)
+	for _, set := range []map[int]bool{p.changed, p.maskChanged, candChanged, p.matchChanged()} {
+		for t := range set {
+			p.dirty[t] = true
+		}
+	}
+	p.propagateJoins(candChanged)
+	p.markStatDirty()
+	return nil
 }
 
 // crossEqPreds returns the indexes of equality predicates joining the two
@@ -496,9 +428,8 @@ func crossEqPreds(b *dc.Bound) []int {
 // correlation-factor variants, candidate-set and noisy-mask changes on
 // referenced attributes count too, since DC grounding joins through
 // candidate-label buckets and scopes pairs by the query-attribute map.
-func (s *Session) propagateJoins(prep *compile.Prepared, changed, maskChanged, candChanged, dirty map[int]bool) {
-	ds, n := s.ds, s.ds.NumTuples()
-	coupled := s.opts.Variant.DCFactors
+func (p *pass) propagateJoins(candChanged map[int]bool) {
+	ds, n, prevN, prev := p.ds, p.ds.NumTuples(), len(p.prevRows), p.prev
 
 	// sourceAttrs maps each source tuple to the attribute set its delta
 	// touched (nil means every attribute: appended or deleted tuples).
@@ -513,34 +444,34 @@ func (s *Session) propagateJoins(prep *compile.Prepared, changed, maskChanged, c
 			}
 		}
 	}
-	for t := range changed {
-		if t >= s.prevN || t >= n {
+	for t := range p.changed {
+		if t >= prevN || t >= n {
 			all(t)
 			continue
 		}
 		for a := 0; a < ds.NumAttrs(); a++ {
-			if ds.Get(t, a) != s.prevRows[t][a] {
+			if ds.Get(t, a) != p.prevRows[t][a] {
 				add(t, a)
 			}
 		}
 	}
-	for t := n; t < s.prevN; t++ {
+	for t := n; t < prevN; t++ {
 		all(t) // deleted slots vacate every join bucket
 	}
-	if coupled {
+	if p.opts.Variant.DCFactors {
 		candMaskAttrs := func(t int) {
 			for a := 0; a < ds.NumAttrs(); a++ {
 				c := Cell{Tuple: t, Attr: a}
 				var cur []dataset.Value
 				if t < n {
-					cur = prep.Domains.Of(c)
+					cur = p.domains.Of(c)
 				}
-				if !valsEqual(cur, s.domains.cells[c]) {
+				if !slices.Equal(cur, prev.domains.Of(c)) {
 					add(t, a)
 				}
 			}
 		}
-		for t := range maskChanged {
+		for t := range p.maskChanged {
 			candMaskAttrs(t)
 		}
 		for t := range candChanged {
@@ -552,17 +483,17 @@ func (s *Session) propagateJoins(prep *compile.Prepared, changed, maskChanged, c
 	// initial values plus noisy-cell candidate sets, before and after.
 	srcLabels := func(m, attr int) []dataset.Value {
 		var out []dataset.Value
-		if m < s.prevN {
-			if v := s.prevRows[m][attr]; v != dataset.Null {
+		if m < prevN {
+			if v := p.prevRows[m][attr]; v != dataset.Null {
 				out = append(out, v)
 			}
-			out = append(out, s.domains.cells[Cell{Tuple: m, Attr: attr}]...)
+			out = append(out, prev.domains.Of(Cell{Tuple: m, Attr: attr})...)
 		}
 		if m < n {
 			if v := ds.Get(m, attr); v != dataset.Null {
 				out = append(out, v)
 			}
-			out = append(out, prep.Domains.Of(Cell{Tuple: m, Attr: attr})...)
+			out = append(out, p.domains.Of(Cell{Tuple: m, Attr: attr})...)
 		}
 		return out
 	}
@@ -570,14 +501,14 @@ func (s *Session) propagateJoins(prep *compile.Prepared, changed, maskChanged, c
 		if len(vals) == 0 {
 			return
 		}
-		buckets := s.shared.Candidates(attr)
+		buckets := p.shared.Candidates(attr)
 		for _, v := range vals {
 			for _, t := range buckets[int32(v)] {
-				dirty[t] = true
+				p.dirty[t] = true
 			}
 		}
 	}
-	for _, b := range prep.Bounds {
+	for _, b := range p.prep.Bounds {
 		if b.TupleVars != 2 {
 			continue
 		}
@@ -595,9 +526,9 @@ func (s *Session) propagateJoins(prep *compile.Prepared, changed, maskChanged, c
 				continue
 			}
 			for _, pi := range eqs {
-				p := &b.Preds[pi]
-				mark(p.LeftAttr, srcLabels(m, p.RightAttr))
-				mark(p.RightAttr, srcLabels(m, p.LeftAttr))
+				pr := &b.Preds[pi]
+				mark(pr.LeftAttr, srcLabels(m, pr.RightAttr))
+				mark(pr.RightAttr, srcLabels(m, pr.LeftAttr))
 			}
 		}
 	}
@@ -621,16 +552,16 @@ func referencedAttrs(b *dc.Bound) map[int]bool {
 // prior, co-occurrence features, or quasi-key classification read a
 // counter the delta touched must re-ground and re-infer (its whole tuple
 // does, to keep sibling-domain discounts shard-local).
-func (s *Session) markStatDirty(prep *compile.Prepared, stDelta, maskedDelta *stats.Delta, prevQuasi []bool, dirty map[int]bool) {
-	if s.opts.DisableCooccurFeatures {
+func (p *pass) markStatDirty() {
+	if p.opts.DisableCooccurFeatures {
 		return // no statistics-backed features in the model
 	}
-	ds := s.ds
+	ds, dirty, stDelta, maskedDelta := p.ds, p.dirty, p.stDelta, p.maskedDelta
 	quasiFlip := make([]bool, ds.NumAttrs())
 	for a := range quasiFlip {
-		quasiFlip[a] = prevQuasi[a] != (s.st.DistinctValues(a)*4 > ds.NumTuples())
+		quasiFlip[a] = p.prevQuasi[a] != (p.st.DistinctValues(a)*4 > ds.NumTuples())
 	}
-	for i, c := range prep.Domains.Cells {
+	for i, c := range p.domains.Cells {
 		if dirty[c.Tuple] {
 			continue
 		}
@@ -639,7 +570,7 @@ func (s *Session) markStatDirty(prep *compile.Prepared, stDelta, maskedDelta *st
 			continue
 		}
 		// Frequency prior: masked counts of the candidate labels.
-		for _, l := range prep.Domains.Candidates[i] {
+		for _, l := range p.domains.Candidates[i] {
 			if maskedDelta.TouchedFreq(c.Attr, l) {
 				dirty[c.Tuple] = true
 				break
@@ -665,7 +596,7 @@ func (s *Session) markStatDirty(prep *compile.Prepared, stDelta, maskedDelta *st
 				dirty[c.Tuple] = true
 				break
 			}
-			for _, d := range prep.Domains.Candidates[i] {
+			for _, d := range p.domains.Candidates[i] {
 				if stDelta.TouchedCond(c.Attr, d, g, vg) || maskedDelta.TouchedCond(c.Attr, d, g, vg) {
 					dirty[c.Tuple] = true
 					break
@@ -675,89 +606,20 @@ func (s *Session) markStatDirty(prep *compile.Prepared, stDelta, maskedDelta *st
 	}
 }
 
-// diffMatches compares the new per-tuple dictionary matches against the
-// cached ones and returns the tuples whose suggestions changed. Without
-// matching dependencies it is a no-op.
-func (s *Session) diffMatches(matches []extdict.Match) map[int]bool {
+// matchChanged returns the tuples whose dictionary matches (recomputed in
+// full by the prepare stage) differ from the previous pass's. Without
+// matching dependencies both sides are empty.
+func (p *pass) matchChanged() map[int]bool {
 	out := make(map[int]bool)
-	if len(s.opts.MatchDependencies) == 0 {
-		return out
-	}
-	byTuple := matchesByTuple(matches)
-	for t, ms := range byTuple {
-		if !reflect.DeepEqual(ms, s.matches[t]) {
+	for t, ms := range p.matches {
+		if !reflect.DeepEqual(ms, p.prev.matches[t]) {
 			out[t] = true
 		}
 	}
-	for t := range s.matches {
-		if t < s.ds.NumTuples() && byTuple[t] == nil {
+	for t := range p.prev.matches {
+		if t < p.ds.NumTuples() && p.matches[t] == nil {
 			out[t] = true
 		}
 	}
 	return out
 }
-
-func matchesByTuple(matches []extdict.Match) map[int][]extdict.Match {
-	out := make(map[int][]extdict.Match)
-	for _, m := range matches {
-		out[m.Cell.Tuple] = append(out[m.Cell.Tuple], m)
-	}
-	return out
-}
-
-// adopt replaces the session caches with the state of a finished run.
-func (s *Session) adopt(res *Result, art *cleanArtifacts) {
-	prep := art.prep
-	s.prevN = s.ds.NumTuples()
-	s.prevRows = make([][]dataset.Value, s.prevN)
-	for t := 0; t < s.prevN; t++ {
-		s.prevRows[t] = append([]dataset.Value(nil), s.ds.Row(t)...)
-	}
-	if h := prep.Hypergraph; h != nil {
-		s.prevViol = h.Violations
-	} else {
-		s.prevViol = nil
-	}
-	s.st = prep.Stats
-	s.masked = prep.MaskedStats
-	s.domains = &prevDomains{
-		cells:      make(map[Cell][]dataset.Value, len(prep.Domains.Cells)),
-		noisyAttrs: make(map[int]map[int]bool),
-	}
-	for i, c := range prep.Domains.Cells {
-		s.domains.cells[c] = prep.Domains.Candidates[i]
-	}
-	// The noisy mask mirrors raw detection, not the trusted-filtered
-	// domain cells: masked statistics discount by detection flags alone
-	// (compile.CollectFiltered), so the session's delta maintenance must
-	// diff against the same mask even when confirmed cells are excluded
-	// from the query domains.
-	for _, c := range prep.Detection.Noisy {
-		if s.domains.noisyAttrs[c.Tuple] == nil {
-			s.domains.noisyAttrs[c.Tuple] = make(map[int]bool)
-		}
-		s.domains.noisyAttrs[c.Tuple][c.Attr] = true
-	}
-	s.outcomes = make(map[Cell]cellOutcome, len(art.runner.outcomes))
-	for c, o := range art.runner.outcomes {
-		s.outcomes[c] = cellOutcome{
-			dist:   append([]ValueProb(nil), o.dist...),
-			mapVal: o.mapVal,
-			prob:   o.prob,
-		}
-	}
-	s.prevSigs = make(map[string]bool, len(art.plan))
-	for _, sh := range art.plan {
-		s.prevSigs[sh.fingerprint(prep.Domains.Cells)] = true
-	}
-	s.matches = matchesByTuple(prep.Matches)
-	s.shared = art.shared
-	s.interner = art.interner
-	s.touched = make(map[int]bool)
-}
-
-// attrSetEqual compares two attribute sets (nil counts as empty).
-func attrSetEqual(a, b map[int]bool) bool { return maps.Equal(a, b) }
-
-// valsEqual compares two candidate slices.
-func valsEqual(a, b []dataset.Value) bool { return slices.Equal(a, b) }

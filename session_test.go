@@ -2,7 +2,10 @@ package holoclean
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"holoclean/internal/datagen"
@@ -10,6 +13,7 @@ import (
 	"holoclean/internal/ddlog"
 	"holoclean/internal/gibbs"
 	"holoclean/internal/pruning"
+	"holoclean/internal/telemetry"
 )
 
 // requireIdenticalResults asserts byte-identical repairs and marginals —
@@ -235,6 +239,20 @@ func TestSessionNoopReclean(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdenticalResults(t, "noop", again, first)
+	// Cleaner.Clean and a fresh Session.Clean are the same full pass.
+	batch, err := New(DefaultOptions()).Clean(ds, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdenticalResults(t, "Cleaner.Clean vs Session.Clean", first, batch)
+	sizes := func(s RunStats) RunStats { // everything but clocks and allocator counters
+		s.AllocBytes, s.AllocObjects, s.PeakHeapBytes = 0, 0, 0
+		s.DetectTime, s.CompileTime, s.LearnTime, s.InferTime, s.TotalTime = 0, 0, 0, 0, 0
+		return s
+	}
+	if !reflect.DeepEqual(sizes(first.Stats), sizes(batch.Stats)) {
+		t.Errorf("model sizes differ: session %+v, cleaner %+v", first.Stats, batch.Stats)
+	}
 	if again.Stats.Shards != 0 {
 		t.Errorf("noop reclean executed %d shards, want 0", again.Stats.Shards)
 	}
@@ -402,5 +420,49 @@ func TestPhaseTimesWithinTotal(t *testing.T) {
 	}
 	if s.CompileTime <= 0 {
 		t.Errorf("CompileTime not populated")
+	}
+}
+
+// TestStageTelemetryAgreesAcrossPasses pins the one-clock contract: a full
+// and an incremental pass emit the same stage set (learn only when
+// weights were learned), and the total span is the very duration
+// RunStats.TotalTime reports — delta pre-work and session adoption
+// included.
+func TestStageTelemetryAgreesAcrossPasses(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	ds, cs := sessionFixture(10)
+	opts := DefaultOptions()
+	opts.Tracer = telemetry.NewTracer(reg, "stage_seconds", "per-stage durations")
+	s, err := NewSession(ds, cs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Clean()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Upsert(3, []string{"k001", "bad-y"})
+	second, err := s.Reclean()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scrape strings.Builder
+	if err := reg.WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	for stage, want := range map[string]int{"detect": 2, "stats": 2, "ground": 2, "infer": 2, "total": 2, "learn": 1} {
+		if line := fmt.Sprintf("stage_seconds_count{stage=%q} %d\n", stage, want); !strings.Contains(scrape.String(), line) {
+			t.Errorf("scrape lacks %q", line)
+		}
+	}
+	var sum float64
+	if _, rest, ok := strings.Cut(scrape.String(), `stage_seconds_sum{stage="total"} `); !ok {
+		t.Fatalf("no total sum in scrape:\n%s", scrape.String())
+	} else if _, err := fmt.Sscan(rest, &sum); err != nil {
+		t.Fatal(err)
+	}
+	want := first.Stats.TotalTime.Seconds() + second.Stats.TotalTime.Seconds()
+	if math.Abs(sum-want) > 1e-9*want {
+		t.Errorf("total span sum %v s, RunStats.TotalTime sum %v s", sum, want)
 	}
 }

@@ -79,7 +79,9 @@ const cellBatch = 256
 // case violation components bound the shards; otherwise cells are batched
 // into fixed-size chunks for the worker pool. The plan is deterministic
 // and depends only on the dataset and constraints — never on scheduling
-// or the worker count.
+// or the worker count. comps are the conflict hypergraph's connected
+// components (nil when there is no hypergraph), computed once by the
+// plan stage.
 //
 // maxComponentCells, when positive, splits conflict components holding
 // more cells than the cap into tuple-aligned sub-shards (Options.
@@ -87,7 +89,7 @@ const cellBatch = 256
 // for independent cells, so it too depends only on the plan inputs;
 // severed cross-sub-shard correlations are partially restored at
 // inference time by boundary-factor damping (see Scope.Boundary).
-func planShards(prep *compile.Prepared, coupled bool, maxComponentCells int) []shard {
+func planShards(prep *compile.Prepared, comps [][]int, coupled bool, maxComponentCells int) []shard {
 	dom := prep.Domains
 	n := len(dom.Cells)
 	if n == 0 {
@@ -106,7 +108,6 @@ func planShards(prep *compile.Prepared, coupled bool, maxComponentCells int) []s
 	if !coupled {
 		return batchByTuple(dom.Cells, all, cellBatch)
 	}
-	comps := partition.Components(prep.Hypergraph)
 	compOf := make(map[int]int)
 	for ci, tuples := range comps {
 		for _, t := range tuples {
@@ -145,8 +146,8 @@ func planShards(prep *compile.Prepared, coupled bool, maxComponentCells int) []s
 // indices whose cached results can be carried forward.
 //
 // When rebatch is true (the independent-variable regime with per-variable
-// chains or closed-form inference, where a cell's marginal does not
-// depend on which batch it lands in), the dirty cells are re-packed into
+// chains, where a cell's marginal does not depend on which batch it lands
+// in), the dirty cells are re-packed into
 // fresh tuple-aligned batches and every clean cell is reused — the
 // sharpest possible invalidation. Otherwise shards are reused wholesale,
 // and only when their composition matches a fingerprint of the previous
@@ -209,14 +210,11 @@ func batchByTuple(cells []dataset.Cell, idx []int, target int) []shard {
 // ARCHITECTURE.md): one SGD pass over the global evidence set produces a
 // single weight vector that every shard shares, instead of averaging
 // independently learned per-shard weights.
-func groundLearning(prep *compile.Prepared, shared *ddlog.SharedIndex, interner *factor.KeyInterner, maxScan int) (*ddlog.Grounded, error) {
+func groundLearning(prep *compile.Prepared, maxScan int) (*ddlog.Grounded, error) {
 	evid := make(map[dataset.Cell]bool, len(prep.DB.Evidence))
 	for _, c := range prep.DB.Evidence {
 		evid[c] = true
 	}
-	db := *prep.DB
-	db.Shared = shared
-	db.Interner = interner
 	prog := &ddlog.Program{}
 	for _, r := range prep.Program.Rules {
 		// Correlation factors never touch evidence variables (clean and
@@ -227,7 +225,7 @@ func groundLearning(prep *compile.Prepared, shared *ddlog.SharedIndex, interner 
 		}
 		prog.Add(r)
 	}
-	return ddlog.Ground(&db, prog, ddlog.Config{
+	return ddlog.Ground(prep.DB, prog, ddlog.Config{
 		MaxScanCounterparts: maxScan,
 		FactorCells:         func(c dataset.Cell) bool { return evid[c] },
 	})
@@ -302,52 +300,31 @@ func parallelVarSeeds(g *ddlog.Grounded, base int64, numAttrs int) []int64 {
 }
 
 // shardRunner executes the per-shard ground → tie weights → infer →
-// extract pipeline over a bounded worker pool and merges the results.
+// extract pipeline of one pass over a bounded worker pool and merges the
+// results into the pass's Result and outcomes.
 type shardRunner struct {
-	prep     *compile.Prepared
-	opts     Options
-	shared   *ddlog.SharedIndex
-	interner *factor.KeyInterner
-	learned  map[string]float64
-
-	queryAttrs   map[int]map[int]bool
-	matchByTuple map[int][]extdict.Match
+	*pass
+	queryAttrs map[int]map[int]bool
 
 	mu         sync.Mutex
-	res        *Result
-	repaired   *Dataset
-	weightKeys map[string]bool
-	outcomes   map[dataset.Cell]cellOutcome
 	groundTime time.Duration
 	inferTime  time.Duration
 }
 
-func newShardRunner(prep *compile.Prepared, opts Options, shared *ddlog.SharedIndex, interner *factor.KeyInterner, learned map[string]float64, res *Result, repaired *Dataset) *shardRunner {
+func newShardRunner(p *pass) *shardRunner {
 	r := &shardRunner{
-		prep:         prep,
-		opts:         opts,
-		shared:       shared,
-		interner:     interner,
-		learned:      learned,
-		queryAttrs:   make(map[int]map[int]bool),
-		matchByTuple: make(map[int][]extdict.Match),
-		res:          res,
-		repaired:     repaired,
-		weightKeys:   make(map[string]bool),
-		outcomes:     make(map[dataset.Cell]cellOutcome),
+		pass:       p,
+		queryAttrs: make(map[int]map[int]bool),
 	}
-	for i, cands := range prep.Domains.Candidates {
+	for i, cands := range p.domains.Candidates {
 		if len(cands) == 0 {
 			continue
 		}
-		c := prep.Domains.Cells[i]
+		c := p.domains.Cells[i]
 		if r.queryAttrs[c.Tuple] == nil {
 			r.queryAttrs[c.Tuple] = make(map[int]bool)
 		}
 		r.queryAttrs[c.Tuple][c.Attr] = true
-	}
-	for _, m := range prep.Matches {
-		r.matchByTuple[m.Cell.Tuple] = append(r.matchByTuple[m.Cell.Tuple], m)
 	}
 	return r
 }
@@ -415,15 +392,13 @@ func (r *shardRunner) runOne(sh shard) error {
 		cands = append(cands, prep.Domains.Candidates[i])
 		if !inShard[c.Tuple] {
 			inShard[c.Tuple] = true
-			matches = append(matches, r.matchByTuple[c.Tuple]...)
+			matches = append(matches, r.matches[c.Tuple]...)
 		}
 	}
 	db := *prep.DB
 	db.Domains = &pruning.Domains{Cells: cells, Candidates: cands}
 	db.Evidence, db.EvidenceDomains = nil, nil
 	db.Matches = matches
-	db.Shared = r.shared
-	db.Interner = r.interner
 	db.Scope = &ddlog.Scope{InShard: inShard, QueryAttrs: r.queryAttrs}
 	if sh.split && o.BoundaryDamp > 0 {
 		// Only split sub-shards damp their boundary: ordinary component
@@ -450,7 +425,7 @@ func (r *shardRunner) runOne(sh shard) error {
 	// their initial value matches monolithic behavior exactly.
 	w := g.Graph.Weights
 	for i, k := range w.Keys {
-		if v, ok := r.learned[k]; ok && !w.Fixed[i] {
+		if v, ok := r.weights[k]; ok && !w.Fixed[i] {
 			w.W[i] = v
 		}
 	}
@@ -468,7 +443,7 @@ func (r *shardRunner) runOne(sh shard) error {
 	singleton := g.Stats.QueryVars == 1
 	var m *factor.Marginals
 	var scratch *gibbs.Scratch
-	if !hasNary && (o.ExactInference || (singleton && sh.component)) {
+	if !hasNary && singleton && sh.component {
 		m = gibbs.Exact(g.Graph)
 	} else {
 		burn, samp := resolveGibbs(o)
@@ -498,9 +473,8 @@ func (r *shardRunner) runOne(sh shard) error {
 	}
 	inferDur := time.Since(ti)
 
-	// Extract repairs and marginals (MAP per query variable) and merge.
-	ds := prep.DS
-	dict := ds.Dict()
+	// Extract marginals and MAP repairs per query variable and merge.
+	dict := r.ds.Dict()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.groundTime += groundDur
@@ -529,24 +503,30 @@ func (r *shardRunner) runOne(sh shard) error {
 			}
 			return 0
 		})
-		r.res.Marginals[c] = dist
-
 		mapIdx, p := m.MAP(v)
-		newLabel := dataset.Value(dom[mapIdx])
-		r.outcomes[c] = cellOutcome{dist: dist, mapVal: newLabel, prob: p}
-		if newLabel != ds.Get(c.Tuple, c.Attr) {
-			r.repaired.Set(c.Tuple, c.Attr, newLabel)
-			r.res.Repairs = append(r.res.Repairs, Repair{
-				Cell:        c,
-				Attr:        ds.AttrName(c.Attr),
-				Tuple:       c.Tuple,
-				Old:         ds.GetString(c.Tuple, c.Attr),
-				New:         dict.String(newLabel),
-				Probability: p,
-			})
-		}
+		r.emit(c, cellOutcome{dist: dist, mapVal: dataset.Value(dom[mapIdx]), prob: p})
 	}
 	return nil
+}
+
+// emit publishes one noisy cell's inference outcome: its marginal, and a
+// repair when the MAP label differs from the observed value. Shard
+// workers call it under the runner's mutex.
+func (p *pass) emit(c Cell, out cellOutcome) {
+	ds, res := p.ds, p.res
+	res.Marginals[c] = out.dist
+	p.outcomes[c] = out
+	if out.mapVal != ds.Get(c.Tuple, c.Attr) {
+		res.Repaired.Set(c.Tuple, c.Attr, out.mapVal)
+		res.Repairs = append(res.Repairs, Repair{
+			Cell:        c,
+			Attr:        ds.AttrName(c.Attr),
+			Tuple:       c.Tuple,
+			Old:         ds.GetString(c.Tuple, c.Attr),
+			New:         ds.Dict().String(out.mapVal),
+			Probability: out.prob,
+		})
+	}
 }
 
 // defaultWorkers resolves Options.Workers.

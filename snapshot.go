@@ -63,7 +63,7 @@ func (s *Session) Snapshot(w io.Writer) error {
 		Attrs:    append([]string(nil), ds.Attrs()...),
 		Rows:     make([][]string, ds.NumTuples()),
 		Recleans: s.recleans,
-		Cleaned:  s.cleaned,
+		Cleaned:  s.prev != nil,
 		Weights:  s.weights,
 	}
 	for v := 1; v < ds.Dict().Size(); v++ {
@@ -144,14 +144,14 @@ func RestoreSession(r io.Reader, opts Options) (*Session, *Result, error) {
 	if err := validateFeedback(ds, s.confirmed, nil); err != nil {
 		return nil, nil, fmt.Errorf("holoclean: snapshot confirmed cells invalid: %w", err)
 	}
-	if len(constraints) == 0 && len(opts.MatchDependencies) == 0 {
-		return nil, nil, fmt.Errorf("holoclean: no repair signals (need constraints or match dependencies)")
+	if err := requireSignals(constraints, opts); err != nil {
+		return nil, nil, err
 	}
 	if !snap.Cleaned {
 		return s, nil, nil
 	}
 	s.weights = snap.Weights
-	res, err := s.runFull(false)
+	res, err := s.run(nil, false)
 	if err != nil {
 		return nil, nil, fmt.Errorf("holoclean: rebuilding restored session: %w", err)
 	}
