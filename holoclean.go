@@ -5,9 +5,10 @@
 // external dictionaries matched through matching dependencies, and
 // quantitative statistics of the dirty dataset itself — by compiling them
 // into a single probabilistic program. Grounding that program yields a
-// factor graph; weight learning and Gibbs sampling over the graph produce
-// a marginal distribution per noisy cell, and repairs are the maximum a
-// posteriori values.
+// factor graph; weight learning and inference over the graph — closed-form
+// where cells are independent, Gibbs sampling where they are correlated —
+// produce a marginal distribution per noisy cell, and repairs are the
+// maximum a posteriori values.
 //
 // Basic usage:
 //
@@ -25,7 +26,8 @@
 // scalability optimizations of Section 5 (domain pruning via Algorithm 2,
 // tuple partitioning via Algorithm 3, and relaxation of hard constraints
 // to features per Section 5.2); (3) repair runs SGD weight learning on
-// clean-cell evidence and Gibbs sampling for marginals.
+// clean-cell evidence and infers marginals (closed-form under that
+// relaxation, which leaves cells independent; Gibbs sampling otherwise).
 package holoclean
 
 import (
@@ -182,15 +184,19 @@ type Options struct {
 	// GibbsBurnIn is the number of sweeps the sampler discards before
 	// collecting marginal statistics. Zero means zero sweeps — an explicit
 	// no-burn-in run — and negative values clamp to zero; start from
-	// DefaultOptions for the paper's budget of 10.
+	// DefaultOptions for the paper's budget of 10. Like GibbsSamples it
+	// applies to correlated shards only: a shard whose query variables are
+	// independent (every shard of the DC Feats variants) is solved in
+	// closed form and never sampled.
 	GibbsBurnIn int
-	// GibbsSamples is the number of collected sweeps; values <= 0 fall
-	// back to the default 50 (zero samples would leave marginals
-	// undefined).
+	// GibbsSamples is the number of collected sweeps on correlated shards;
+	// values <= 0 fall back to the default 50 (zero samples would leave
+	// marginals undefined).
 	GibbsSamples int
-	// ParallelInference samples independent query variables across all
-	// CPUs (the DimmWitted [41] regime); deterministic per seed. It has
-	// no effect on models with correlation factors.
+	// ParallelInference has no effect.
+	//
+	// Deprecated: independent query variables, the only regime it applied
+	// to, are no longer sampled.
 	ParallelInference bool
 	// MaxScanCounterparts caps DC grounding when no equality predicate
 	// can index the join (0 = unlimited).
@@ -260,21 +266,20 @@ type Options struct {
 // variant, and modest learning/sampling budgets.
 func DefaultOptions() Options {
 	return Options{
-		Tau:               0.5,
-		Variant:           VariantDCFeats,
-		MinimalityWeight:  0.5,
-		DCWeight:          4.0,
-		EvidenceSample:    2000,
-		DictionaryPrior:   2.0,
-		RelaxedDCPrior:    1.5,
-		LearningEpochs:    10,
-		LearningRate:      0.1,
-		L2:                1e-4,
-		GibbsBurnIn:       10,
-		GibbsSamples:      50,
-		ParallelInference: true,
-		BoundaryDamp:      0.5,
-		Seed:              1,
+		Tau:              0.5,
+		Variant:          VariantDCFeats,
+		MinimalityWeight: 0.5,
+		DCWeight:         4.0,
+		EvidenceSample:   2000,
+		DictionaryPrior:  2.0,
+		RelaxedDCPrior:   1.5,
+		LearningEpochs:   10,
+		LearningRate:     0.1,
+		L2:               1e-4,
+		GibbsBurnIn:      10,
+		GibbsSamples:     50,
+		BoundaryDamp:     0.5,
+		Seed:             1,
 	}
 }
 
@@ -314,10 +319,10 @@ type RunStats struct {
 	Weights      int
 
 	// Shards is the number of independent shards the pipeline executed;
-	// SingletonShards of them were conflict components holding a single
-	// uncorrelated variable and took the closed-form inference fast path.
-	Shards          int
-	SingletonShards int
+	// ExactShards of them had no query-side correlation and were inferred
+	// in closed form rather than sampled.
+	Shards      int
+	ExactShards int
 	// SplitShards counts the sub-shards cut out of oversized conflict
 	// components by Options.MaxComponentCells (zero when nothing exceeded
 	// the cap or splitting is off).
@@ -749,7 +754,7 @@ func (p *pass) planExecution() error {
 	p.plan = planShards(p.prep, comps, o.Variant.DCFactors, o.MaxComponentCells)
 	p.exec = p.plan
 	if p.dirty != nil {
-		rebatch := !o.Variant.DCFactors && o.ParallelInference
+		rebatch := !o.Variant.DCFactors
 		var prevSigs map[string]bool
 		if !rebatch {
 			prevSigs = make(map[string]bool, len(p.prev.plan))

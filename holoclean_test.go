@@ -251,8 +251,7 @@ func TestCleanWorkersEquivalent(t *testing.T) {
 
 // TestCleanWorkersEquivalentMultiShard repeats the determinism check on
 // a dataset large enough to split into many shards (hundreds of noisy
-// cells across independent conflict groups), with both the per-variable
-// parallel sampler and the sequential sweep sampler.
+// cells across independent conflict groups).
 func TestCleanWorkersEquivalentMultiShard(t *testing.T) {
 	build := func() (*Dataset, []*Constraint) {
 		ds := NewDataset([]string{"Key", "Val", "Tag"})
@@ -266,39 +265,34 @@ func TestCleanWorkersEquivalentMultiShard(t *testing.T) {
 		}
 		return ds, FD("fd", []string{"Key"}, []string{"Val"})
 	}
-	for _, parallel := range []bool{true, false} {
-		var base *Result
-		for _, w := range []int{1, 7} {
-			ds, cs := build()
-			opts := DefaultOptions()
-			opts.Workers = w
-			opts.ParallelInference = parallel
-			res, err := New(opts).Clean(ds, cs)
-			if err != nil {
-				t.Fatal(err)
+	var base *Result
+	for _, w := range []int{1, 7} {
+		ds, cs := build()
+		opts := DefaultOptions()
+		opts.Workers = w
+		res, err := New(opts).Clean(ds, cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w == 1 {
+			base = res
+			if res.Stats.Shards < 2 {
+				t.Fatalf("shards = %d, want >= 2", res.Stats.Shards)
 			}
-			if w == 1 {
-				base = res
-				if res.Stats.Shards < 2 {
-					t.Fatalf("parallel=%v: shards = %d, want >= 2", parallel, res.Stats.Shards)
-				}
-				continue
-			}
-			if res.Stats.Shards != base.Stats.Shards {
-				t.Errorf("parallel=%v: shard plan depends on Workers: %d vs %d",
-					parallel, res.Stats.Shards, base.Stats.Shards)
-			}
-			if !base.Repaired.Equal(res.Repaired) {
-				t.Errorf("parallel=%v: Workers=7 repairs differ from Workers=1", parallel)
-			}
-			if len(base.Repairs) != len(res.Repairs) {
-				t.Fatalf("parallel=%v: repair counts differ", parallel)
-			}
-			for i := range base.Repairs {
-				if base.Repairs[i] != res.Repairs[i] {
-					t.Errorf("parallel=%v: repair %d differs: %+v vs %+v",
-						parallel, i, base.Repairs[i], res.Repairs[i])
-				}
+			continue
+		}
+		if res.Stats.Shards != base.Stats.Shards {
+			t.Errorf("shard plan depends on Workers: %d vs %d", res.Stats.Shards, base.Stats.Shards)
+		}
+		if !base.Repaired.Equal(res.Repaired) {
+			t.Errorf("Workers=7 repairs differ from Workers=1")
+		}
+		if len(base.Repairs) != len(res.Repairs) {
+			t.Fatalf("repair counts differ")
+		}
+		for i := range base.Repairs {
+			if base.Repairs[i] != res.Repairs[i] {
+				t.Errorf("repair %d differs: %+v vs %+v", i, base.Repairs[i], res.Repairs[i])
 			}
 		}
 	}

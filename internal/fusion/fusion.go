@@ -11,6 +11,7 @@ package fusion
 
 import (
 	"math"
+	"slices"
 
 	"holoclean/internal/dataset"
 	"holoclean/internal/dc"
@@ -89,7 +90,9 @@ func FDShape(b *dc.Bound) (key []int, value int, ok bool) {
 	return key, value, true
 }
 
-// groupsFor buckets tuples by their key-attribute values.
+// groupsFor buckets tuples by their key-attribute values. Groups come back
+// ordered by first tuple: Estimate accumulates floats across them, and a
+// map-ordered sum would differ in the last ulp from run to run.
 func groupsFor(ds *dataset.Dataset, key []int, value int) []Group {
 	buckets := make(map[string][]int)
 	var kb []byte
@@ -115,6 +118,7 @@ func groupsFor(ds *dataset.Dataset, key []int, value int) []Group {
 			out = append(out, Group{ValueAttr: value, Tuples: tuples})
 		}
 	}
+	slices.SortFunc(out, func(a, b Group) int { return a.Tuples[0] - b.Tuples[0] })
 	return out
 }
 
@@ -149,6 +153,7 @@ func Estimate(ds *dataset.Dataset, bounds []*dc.Bound, iterations int) *Votes {
 		}
 	}
 	groupShare := make([]map[dataset.Value]float64, len(groups))
+	var vals []dataset.Value
 	for it := 0; it < iterations; it++ {
 		// E-step: Dawid–Skene style posterior per group. Treating each
 		// report as an independent observation of the latent true value,
@@ -158,19 +163,21 @@ func Estimate(ds *dataset.Dataset, bounds []*dc.Bound, iterations int) *Votes {
 		// beyond a raw vote share, which is what lets a minority of
 		// accurate sources outvote correlated unreliable ones.
 		for gi, g := range groups {
-			distinct := make(map[dataset.Value]struct{})
+			// The distinct reported values, sorted: the normaliser below is
+			// a float sum and must accumulate in a fixed order.
+			vals = vals[:0]
 			for _, t := range g.Tuples {
 				if v := ds.Get(t, g.ValueAttr); v != dataset.Null {
-					distinct[v] = struct{}{}
+					vals = append(vals, v)
 				}
 			}
-			k := float64(len(distinct))
-			votes := make(map[dataset.Value]float64, len(distinct))
-			if k == 0 {
-				groupShare[gi] = votes
-				continue
-			}
-			for v := range distinct {
+			slices.Sort(vals)
+			vals = slices.Compact(vals)
+			k := float64(len(vals))
+			votes := make(map[dataset.Value]float64, len(vals))
+			groupShare[gi] = votes
+			maxLog := math.Inf(-1)
+			for _, v := range vals {
 				logp := 0.0
 				for _, t := range g.Tuples {
 					r := ds.Get(t, g.ValueAttr)
@@ -185,23 +192,17 @@ func Estimate(ds *dataset.Dataset, bounds []*dc.Bound, iterations int) *Votes {
 					}
 				}
 				votes[v] = logp
+				maxLog = max(maxLog, logp)
 			}
 			// Softmax in place.
-			maxLog := math.Inf(-1)
-			for _, lp := range votes {
-				if lp > maxLog {
-					maxLog = lp
-				}
-			}
 			var z float64
-			for v, lp := range votes {
-				votes[v] = math.Exp(lp - maxLog)
+			for _, v := range vals {
+				votes[v] = math.Exp(votes[v] - maxLog)
 				z += votes[v]
 			}
-			for v := range votes {
+			for _, v := range vals {
 				votes[v] /= z
 			}
-			groupShare[gi] = votes
 		}
 		// M-step: source accuracy = mean posterior of its reports.
 		sum := make(map[string]float64)

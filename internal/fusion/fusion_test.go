@@ -74,6 +74,37 @@ func TestEstimateSeparatesSources(t *testing.T) {
 	}
 }
 
+// TestEstimateRepeatable pins that the fixpoint is a pure function of its
+// input: repeated runs agree to the last bit, which requires every float
+// accumulation (the M-step's per-source sums across groups, the E-step's
+// normaliser across values) to run in a fixed rather than map order.
+func TestEstimateRepeatable(t *testing.T) {
+	ds, _ := buildReports(60, 16, []float64{0.95, 0.8, 0.6, 0.3}, 4)
+	bounds, err := dc.BindAll(dc.FD("f", []string{"Flight"}, []string{"Dep"}), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep := ds.AttrIndex("Dep")
+	want := Estimate(ds, bounds, 5)
+	for rep := 0; rep < 8; rep++ {
+		got := Estimate(ds, bounds, 5)
+		for s, a := range want.Accuracy {
+			if got.Accuracy[s] != a {
+				t.Fatalf("run %d: accuracy of %s = %v, first run %v", rep, s, got.Accuracy[s], a)
+			}
+		}
+		for tu := 0; tu < ds.NumTuples(); tu++ {
+			c := dataset.Cell{Tuple: tu, Attr: dep}
+			for _, val := range ds.ActiveDomain(dep) {
+				a, _ := want.Share(c, val)
+				if b, _ := got.Share(c, val); a != b {
+					t.Fatalf("run %d: share of %v for %v = %v, first run %v", rep, val, c, b, a)
+				}
+			}
+		}
+	}
+}
+
 func TestEstimateSharesFavorTruth(t *testing.T) {
 	acc := []float64{0.9, 0.9, 0.9, 0.4}
 	ds, truth := buildReports(40, 12, acc, 2)

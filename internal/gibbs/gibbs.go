@@ -1,22 +1,23 @@
-// Package gibbs implements the approximate-inference engine HoloClean runs
-// over its grounded factor graph (Section 2.2): single-site Gibbs sampling
-// with burn-in, marginal estimation, and MAP extraction. For the relaxed
-// models of Section 5.2 the graph has only independent query variables,
-// where Gibbs is guaranteed to mix in O(n log n) steps [21, 36]; the
-// sampler also exposes that closed form directly (Exact), which tests use
-// to validate the sampler and callers can use as a fast path.
+// Package gibbs implements the inference engine HoloClean runs over its
+// grounded factor graph (Section 2.2): marginal estimation and MAP
+// extraction, with one rule per graph shape. The relaxed models of Section
+// 5.2 leave every query variable independent, so its posterior is the
+// softmax of its local scores and Run returns that closed form; only
+// graphs with query-side correlations are sampled — single-site Gibbs with
+// burn-in, sequentially or on the chromatic schedule of Config.Colors.
 package gibbs
 
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 
 	"holoclean/internal/factor"
 )
 
-// Config controls the sampler.
+// Config controls the sampler. Every field but Scratch applies to graphs
+// with query-side correlations only: an independent-variable graph is
+// solved in closed form, with no sweeps and no randomness.
 type Config struct {
 	// BurnIn is the number of full sweeps discarded before collecting
 	// marginal statistics.
@@ -26,20 +27,16 @@ type Config struct {
 	Samples int
 	// Seed makes runs reproducible.
 	Seed int64
-	// Parallel samples independent query variables across all CPUs, the
-	// way DimmWitted [41] parallelizes inference. It applies only when no
-	// correlation factor touches a query variable (the Section 5.2
-	// regime) — each variable's conditional then depends only on clamped
-	// evidence, so per-variable chains are exact and race-free. Graphs
-	// with query-side correlations fall back to sequential sweeps.
+	// Parallel has no effect.
+	//
+	// Deprecated: independent query variables, the only regime it applied
+	// to, are no longer sampled.
 	Parallel bool
-	// VarSeed, when non-nil, supplies the full per-variable chain seed for
-	// the Parallel regime (len == number of variables). The sharded
-	// pipeline uses it to seed each variable's chain by its global
-	// identity rather than its index in the shard-local graph, so
-	// per-shard inference reproduces monolithic inference bit for bit.
-	// Nil falls back to Seed + v·1e6+3 per variable. Sequential sweeps
-	// ignore it.
+	// VarSeed, when non-nil, supplies the per-variable stream seed of the
+	// chromatic schedule (len == number of variables). The sharded
+	// pipeline uses it to seed each variable's stream by its global
+	// identity rather than its index in the shard-local graph. Nil falls
+	// back to Seed + v·1e6+3 per variable. Sequential sweeps ignore it.
 	VarSeed []int64
 	// Colors, when non-nil, selects the chromatic sweep schedule for
 	// graphs with query-side correlations: each entry is one color class —
@@ -61,8 +58,8 @@ type Config struct {
 	// reference schedule parallel runs must reproduce bit for bit.
 	IntraWorkers int
 	// Scratch, when non-nil, supplies every working buffer of the run —
-	// marginal-count arenas, score buffers, sweep order, RNG state — so a
-	// warmed scratch makes steady-state sweeps allocation-free. The
+	// marginal arenas, score buffers, sweep order, RNG state — so a warmed
+	// scratch makes steady-state runs allocation-free. The
 	// returned Marginals borrow the scratch's arenas and stay valid only
 	// until the scratch's next Run; callers must extract what they need
 	// before reusing or releasing it. Nil allocates fresh buffers, the
@@ -70,58 +67,41 @@ type Config struct {
 	Scratch *Scratch
 }
 
-// Scratch is the reusable working memory of one sampler run: a flat
-// marginal-count arena with per-variable views, the score buffer, sweep
-// ordering, and re-seedable RNG state (per-worker for the parallel
-// regime). The sharded pipeline pools scratches across its worker pool
-// and across Session recleans via AcquireScratch/ReleaseScratch, so
-// steady-state serving recleans approach zero sampler allocations.
+// Scratch is the reusable working memory of one run: a flat marginal
+// arena with per-variable views, score buffers (one per chromatic
+// worker), sweep ordering, and re-seedable RNG state. The sharded pipeline
+// pools scratches across its worker pool and across Session recleans via
+// AcquireScratch/ReleaseScratch, so steady-state serving recleans approach
+// zero inference allocations.
 type Scratch struct {
-	counts []float64   // flat arena backing all marginal counts
+	counts []float64   // flat arena backing all marginals
 	p      [][]float64 // per-variable views into counts
 	buf    []float64
+	wbuf   [][]float64 // per-worker score buffers (parallel chromatic classes)
 	order  []int32
 	query  []int32
 	pstate []uint64 // per-variable splitmix64 states (chromatic schedule)
 	m      factor.Marginals
 	src    rand.Source
 	rng    *rand.Rand
-	wk     []workerScratch
 }
 
-// workerScratch is one parallel worker's private buffer and RNG.
-type workerScratch struct {
-	buf []float64
-	src rand.Source
-	rng *rand.Rand
-}
-
-// seededRng returns *rng re-seeded to seed, creating source and RNG on
-// first use. Re-seeding an existing source produces exactly the stream
-// rand.New(rand.NewSource(seed)) would, without the two per-call
-// allocations.
-func seededRng(src *rand.Source, rng **rand.Rand, seed int64) *rand.Rand {
-	if *rng == nil {
-		*src = rand.NewSource(seed)
-		*rng = rand.New(*src)
-	} else {
-		(*src).Seed(seed)
-	}
-	return *rng
-}
-
-// seeded returns the worker's RNG re-seeded to seed.
-func (w *workerScratch) seeded(seed int64) *rand.Rand {
-	return seededRng(&w.src, &w.rng, seed)
-}
-
-// seeded returns the scratch's sequential-sweep RNG re-seeded to seed.
+// seeded returns the scratch's sequential-sweep RNG re-seeded to seed,
+// creating source and RNG on first use. Re-seeding an existing source
+// produces exactly the stream rand.New(rand.NewSource(seed)) would,
+// without the two per-call allocations.
 func (s *Scratch) seeded(seed int64) *rand.Rand {
-	return seededRng(&s.src, &s.rng, seed)
+	if s.rng == nil {
+		s.src = rand.NewSource(seed)
+		s.rng = rand.New(s.src)
+	} else {
+		s.src.Seed(seed)
+	}
+	return s.rng
 }
 
-// marginals resizes the count arena for g (one float64 per variable per
-// domain value), zeroes it, and rebuilds the per-variable views.
+// marginals resizes the arena for g (one float64 per variable per domain
+// value), zeroes it, and rebuilds the per-variable views.
 func (s *Scratch) marginals(g *factor.Graph) [][]float64 {
 	total := 0
 	for i := range g.Vars {
@@ -188,20 +168,23 @@ func ReleaseScratch(s *Scratch) { scratchPool.Put(s) }
 // use once mixing is fast (Section 5.2).
 func DefaultConfig() Config { return Config{BurnIn: 10, Samples: 50, Seed: 1} }
 
-// Run performs Gibbs sampling over the query variables of g and returns
-// estimated marginals. Evidence variables stay clamped at their observed
-// values and have point-mass marginals.
+// Run returns the marginals of g's query variables by the rule its shape
+// calls for: the closed form when no n-ary factor touches a query variable
+// (bit-identical to Exact, whatever the sampling budget and seed), Gibbs
+// sampling otherwise — the chromatic schedule when cfg.Colors is set,
+// shuffled sequential sweeps when not. Evidence variables stay clamped at
+// their observed values and have point-mass marginals.
 func Run(g *factor.Graph, cfg Config) *factor.Marginals {
 	g.Freeze()
 	sc := cfg.Scratch
 	if sc == nil {
 		sc = new(Scratch)
 	}
+	if !g.HasNaryOnQuery() {
+		return closedForm(g, sc)
+	}
 	if len(cfg.Colors) > 0 {
 		return runChromatic(g, cfg, sc)
-	}
-	if cfg.Parallel && !g.HasNaryOnQuery() {
-		return runParallel(g, cfg, sc)
 	}
 	rng := sc.seeded(cfg.Seed)
 	query := sc.query[:0]
@@ -370,15 +353,17 @@ func runChromatic(g *factor.Graph, cfg Config, sc *Scratch) *factor.Marginals {
 	if workers < 1 {
 		workers = 1
 	}
-	if cap(sc.wk) >= workers {
-		sc.wk = sc.wk[:workers]
-	} else {
-		sc.wk = make([]workerScratch, workers)
-	}
-	for w := range sc.wk {
-		sc.wk[w].buf = growF(sc.wk[w].buf, maxDom)
-	}
 	sc.buf = growF(sc.buf, maxDom)
+	if workers > 1 {
+		if cap(sc.wbuf) >= workers {
+			sc.wbuf = sc.wbuf[:workers]
+		} else {
+			sc.wbuf = make([][]float64, workers)
+		}
+		for w := range sc.wbuf {
+			sc.wbuf[w] = growF(sc.wbuf[w], maxDom)
+		}
+	}
 
 	sweeps := cfg.BurnIn + cfg.Samples
 	for sweep := 0; sweep < sweeps; sweep++ {
@@ -430,7 +415,7 @@ func chromaticClassParallel(g *factor.Graph, sc *Scratch, counts [][]float64, cl
 			for _, v := range part {
 				chromaticSampleVar(g, sc.pstate, counts, v, buf, collect)
 			}
-		}(sc.wk[w].buf, class[lo:hi])
+		}(sc.wbuf[w], class[lo:hi])
 	}
 	wg.Wait()
 }
@@ -452,97 +437,6 @@ func chromaticSampleVar(g *factor.Graph, pstate []uint64, counts [][]float64, v 
 	}
 }
 
-// runParallel runs per-variable chains concurrently. Only valid when no
-// n-ary factor touches a query variable: every conditional is then
-// independent of other query variables and each variable's chain can be
-// sampled in isolation. Each variable's chain is seeded individually (a
-// per-worker RNG is re-seeded per variable rather than freshly
-// allocated), so results are deterministic regardless of scheduling and
-// worker count.
-func runParallel(g *factor.Graph, cfg Config, sc *Scratch) *factor.Marginals {
-	query := sc.query[:0]
-	maxDom := 1
-	for i := range g.Vars {
-		v := &g.Vars[i]
-		if v.Evidence {
-			v.Assign = v.Obs
-			continue
-		}
-		query = append(query, int32(i))
-		if len(v.Domain) > maxDom {
-			maxDom = len(v.Domain)
-		}
-	}
-	sc.query = query
-	counts := sc.marginals(g)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(query) {
-		workers = len(query)
-	}
-	if cap(sc.wk) >= workers {
-		sc.wk = sc.wk[:workers]
-	} else {
-		sc.wk = make([]workerScratch, workers)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws := &sc.wk[w]
-			// One score buffer per worker, sized once for the graph's
-			// largest domain (the old per-variable regrow churned
-			// allocations on every domain-size increase).
-			ws.buf = growF(ws.buf, maxDom)
-			for qi := w; qi < len(query); qi += workers {
-				v := query[qi]
-				vr := &g.Vars[v]
-				seed := cfg.Seed + int64(v)*1_000_003
-				if cfg.VarSeed != nil {
-					seed = cfg.VarSeed[v]
-				}
-				rng := ws.seeded(seed)
-				dom := len(vr.Domain)
-				scores := ws.buf[:dom]
-				// The conditional never changes (no query-side deps):
-				// compute once, then draw BurnIn+Samples times.
-				if vr.Obs >= 0 {
-					vr.Assign = vr.Obs
-				} else {
-					vr.Assign = int32(rng.Intn(dom))
-				}
-				g.LocalScores(v, scores)
-				for s := 0; s < cfg.BurnIn; s++ {
-					sampleSoftmax(rng, scores)
-				}
-				for s := 0; s < cfg.Samples; s++ {
-					counts[v][sampleSoftmax(rng, scores)]++
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	m := &sc.m
-	m.P = counts
-	n := float64(cfg.Samples)
-	for _, v := range query {
-		best := 0
-		for d := range m.P[v] {
-			m.P[v][d] /= n
-			if m.P[v][d] > m.P[v][best] {
-				best = d
-			}
-		}
-		g.Vars[v].Assign = int32(best)
-	}
-	for i := range g.Vars {
-		if g.Vars[i].Evidence {
-			m.P[i][g.Vars[i].Obs] = 1
-		}
-	}
-	return m
-}
-
 // Exact computes marginals in closed form for graphs whose query variables
 // are independent given the evidence (no n-ary factor touches a query
 // variable): each variable's posterior is the softmax of its local scores.
@@ -552,21 +446,25 @@ func Exact(g *factor.Graph) *factor.Marginals {
 	if g.HasNaryOnQuery() {
 		panic("gibbs: Exact requires an independent-variable graph (Section 5.2 relaxation)")
 	}
-	for i := range g.Vars {
-		if g.Vars[i].Evidence {
-			g.Vars[i].Assign = g.Vars[i].Obs
-		}
-	}
-	m := &factor.Marginals{P: make([][]float64, len(g.Vars))}
+	return closedForm(g, new(Scratch))
+}
+
+// closedForm writes every query variable's softmax posterior into sc's
+// arena and leaves the variable assigned to its MAP label.
+func closedForm(g *factor.Graph, sc *Scratch) *factor.Marginals {
+	m := &sc.m
+	m.P = sc.marginals(g)
 	for i := range g.Vars {
 		v := &g.Vars[i]
-		m.P[i] = make([]float64, len(v.Domain))
 		if v.Evidence {
+			v.Assign = v.Obs
 			m.P[i][v.Obs] = 1
 			continue
 		}
 		g.LocalScores(int32(i), m.P[i])
 		softmaxInPlace(m.P[i])
+		best, _ := m.MAP(int32(i))
+		v.Assign = int32(best)
 	}
 	return m
 }

@@ -1,41 +1,10 @@
 package gibbs
 
 import (
-	"math/rand"
 	"testing"
 
 	"holoclean/internal/factor"
 )
-
-// benchGraph builds n independent query variables with feature factors —
-// the Section 5.2 regime where Gibbs mixes in O(n log n).
-func benchGraph(n int) *factor.Graph {
-	rng := rand.New(rand.NewSource(1))
-	g := factor.NewGraph()
-	for i := 0; i < n; i++ {
-		v := g.AddVariable([]int32{1, 2, 3, 4}, false, 0)
-		w := g.Weights.ID("w", 0.8, false)
-		g.AddUnary(v, int32(rng.Intn(4)), w, false, 1)
-		g.AddSoft(v, g.Weights.ID("s", 1.2, false), []float64{0.4, 0.3, 0.2, 0.1})
-	}
-	return g
-}
-
-func BenchmarkGibbsIndependent(b *testing.B) {
-	g := benchGraph(2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Run(g, Config{BurnIn: 5, Samples: 20, Seed: int64(i)})
-	}
-}
-
-func BenchmarkExactIndependent(b *testing.B) {
-	g := benchGraph(2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Exact(g)
-	}
-}
 
 // BenchmarkGibbsCorrelated exercises the n-ary conditional path.
 func BenchmarkGibbsCorrelated(b *testing.B) {

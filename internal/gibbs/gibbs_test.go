@@ -57,27 +57,6 @@ func TestExactPanicsOnCorrelated(t *testing.T) {
 	Exact(correlatedGraph())
 }
 
-func TestGibbsConvergesToExactIndependent(t *testing.T) {
-	g := independentGraph()
-	exact := Exact(g)
-	m := Run(g, Config{BurnIn: 100, Samples: 4000, Seed: 42})
-	for v := 0; v < 2; v++ {
-		// The repair is the MAP label, so the sampler must also pick the
-		// closed-form posterior's.
-		got, _ := m.MAP(int32(v))
-		if want, _ := exact.MAP(int32(v)); got != want {
-			t.Errorf("var %d: gibbs MAP %d, exact MAP %d", v, got, want)
-		}
-		for d := range g.Vars[v].Domain {
-			diff := math.Abs(m.Prob(int32(v), d) - exact.Prob(int32(v), d))
-			if diff > 0.03 {
-				t.Errorf("var %d val %d: gibbs %v vs exact %v", v, d,
-					m.Prob(int32(v), d), exact.Prob(int32(v), d))
-			}
-		}
-	}
-}
-
 func TestGibbsConvergesToEnumerationCorrelated(t *testing.T) {
 	g := correlatedGraph()
 	want, err := factor.ExactMarginals(g, 100)
@@ -154,54 +133,5 @@ func TestGibbsInitialAssignment(t *testing.T) {
 	sum := m.Prob(0, 0) + m.Prob(0, 1) + m.Prob(0, 2)
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("marginals sum = %v", sum)
-	}
-}
-
-func TestParallelMatchesSequential(t *testing.T) {
-	// Same independent graph: parallel and sequential sampling must agree
-	// with the exact posterior within Monte-Carlo error.
-	g1 := independentGraph()
-	g2 := independentGraph()
-	exact := Exact(independentGraph())
-	seq := Run(g1, Config{BurnIn: 50, Samples: 4000, Seed: 3})
-	par := Run(g2, Config{BurnIn: 50, Samples: 4000, Seed: 3, Parallel: true})
-	for v := 0; v < 2; v++ {
-		for d := range g1.Vars[v].Domain {
-			if diff := math.Abs(par.Prob(int32(v), d) - exact.Prob(int32(v), d)); diff > 0.03 {
-				t.Errorf("parallel var %d val %d off exact by %v", v, d, diff)
-			}
-			if diff := math.Abs(par.Prob(int32(v), d) - seq.Prob(int32(v), d)); diff > 0.05 {
-				t.Errorf("parallel and sequential disagree at var %d val %d by %v", v, d, diff)
-			}
-		}
-	}
-}
-
-func TestParallelDeterministic(t *testing.T) {
-	m1 := Run(independentGraph(), Config{BurnIn: 5, Samples: 200, Seed: 9, Parallel: true})
-	m2 := Run(independentGraph(), Config{BurnIn: 5, Samples: 200, Seed: 9, Parallel: true})
-	for v := 0; v < 2; v++ {
-		for d := 0; d < len(m1.P[v]); d++ {
-			if m1.Prob(int32(v), d) != m2.Prob(int32(v), d) {
-				t.Fatalf("parallel sampling not deterministic")
-			}
-		}
-	}
-}
-
-func TestParallelFallsBackOnCorrelated(t *testing.T) {
-	// Correlated graphs must take the sequential path and still converge.
-	g := correlatedGraph()
-	want, err := factor.ExactMarginals(correlatedGraph(), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Run(g, Config{BurnIn: 200, Samples: 8000, Seed: 7, Parallel: true})
-	for v := 0; v < 2; v++ {
-		for d := range g.Vars[v].Domain {
-			if diff := math.Abs(m.Prob(int32(v), d) - want.Prob(int32(v), d)); diff > 0.03 {
-				t.Errorf("correlated fallback off by %v at var %d val %d", diff, v, d)
-			}
-		}
 	}
 }

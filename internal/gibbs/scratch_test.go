@@ -2,6 +2,7 @@ package gibbs
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"holoclean/internal/factor"
@@ -26,31 +27,22 @@ func chainGraph(n int) *factor.Graph {
 }
 
 // TestScratchMatchesFreshBuffers pins that supplying a Scratch changes
-// nothing about the sampled marginals, on both the sequential and the
-// parallel path.
+// nothing about the sampled marginals (TestRunNaryFreeIsExact covers the
+// closed form).
 func TestScratchMatchesFreshBuffers(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		var build func(int) *factor.Graph
-		if parallel {
-			build = func(n int) *factor.Graph { return benchGraph(n) }
-		} else {
-			build = chainGraph
-		}
-		base := Run(build(40), Config{BurnIn: 5, Samples: 30, Seed: 7, Parallel: parallel})
-		sc := AcquireScratch()
-		// Run twice with the same scratch: the second run exercises the
-		// warmed-arena path.
-		Run(build(40), Config{BurnIn: 5, Samples: 30, Seed: 7, Parallel: parallel, Scratch: sc})
-		got := Run(build(40), Config{BurnIn: 5, Samples: 30, Seed: 7, Parallel: parallel, Scratch: sc})
-		for v := range base.P {
-			for d := range base.P[v] {
-				if base.P[v][d] != got.P[v][d] {
-					t.Fatalf("parallel=%v: marginal P[%d][%d] differs with scratch: %v vs %v",
-						parallel, v, d, got.P[v][d], base.P[v][d])
-				}
+	base := Run(chainGraph(40), Config{BurnIn: 5, Samples: 30, Seed: 7})
+	sc := AcquireScratch()
+	defer ReleaseScratch(sc)
+	// Run twice with the same scratch: the second run exercises the
+	// warmed-arena path.
+	Run(chainGraph(40), Config{BurnIn: 5, Samples: 30, Seed: 7, Scratch: sc})
+	got := Run(chainGraph(40), Config{BurnIn: 5, Samples: 30, Seed: 7, Scratch: sc})
+	for v := range base.P {
+		for d := range base.P[v] {
+			if base.P[v][d] != got.P[v][d] {
+				t.Fatalf("marginal P[%d][%d] differs with scratch: %v vs %v", v, d, got.P[v][d], base.P[v][d])
 			}
 		}
-		ReleaseScratch(sc)
 	}
 }
 
@@ -72,5 +64,54 @@ func TestSequentialSweepsZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state sequential Run allocated %v objects per run, want 0", allocs)
+	}
+}
+
+// independentVars builds n independent query variables with feature
+// factors — the Section 5.2 regime — plus one evidence variable.
+func independentVars(n int) *factor.Graph {
+	rng := rand.New(rand.NewSource(1))
+	g := factor.NewGraph()
+	g.AddVariable([]int32{1, 2}, true, 1)
+	for i := 0; i < n; i++ {
+		v := g.AddVariable([]int32{1, 2, 3, 4}, false, int32(i%5)-1)
+		w := g.Weights.ID("w", 0.8, false)
+		g.AddUnary(v, int32(rng.Intn(4)), w, false, 1)
+		g.AddSoft(v, g.Weights.ID("s", 1.2, false), []float64{0.4, 0.3, 0.2, rng.Float64()})
+	}
+	return g
+}
+
+// TestRunNaryFreeIsExact pins the rule for independent query variables:
+// Run returns Exact's closed form bit for bit whatever the sampling
+// budget, seed and scratch history, leaves every variable at its MAP
+// label, and with a warmed scratch allocates nothing.
+func TestRunNaryFreeIsExact(t *testing.T) {
+	g := independentVars(60)
+	want := Exact(independentVars(60))
+	warm := new(Scratch)
+	Run(chainGraph(90), Config{BurnIn: 2, Samples: 5, Seed: 1, Scratch: warm}) // stale counts, another shape
+	for _, cfg := range []Config{
+		{},
+		{BurnIn: 10, Samples: 50, Seed: 1},
+		{BurnIn: 0, Samples: 1, Seed: -7, IntraWorkers: 4},
+		{BurnIn: 3, Samples: 20, Seed: 99, Scratch: warm},
+		{BurnIn: 100, Samples: 4000, Seed: 42, Scratch: warm},
+	} {
+		got := Run(g, cfg)
+		for v := range want.P {
+			for d := range want.P[v] {
+				if got.P[v][d] != want.P[v][d] {
+					t.Fatalf("%+v: P[%d][%d] = %v, Exact %v", cfg, v, d, got.P[v][d], want.P[v][d])
+				}
+			}
+			if best, _ := want.MAP(int32(v)); !g.Vars[v].Evidence && g.Vars[v].Assign != int32(best) {
+				t.Fatalf("%+v: var %d assigned %d, MAP %d", cfg, v, g.Vars[v].Assign, best)
+			}
+		}
+	}
+	cfg := Config{BurnIn: 10, Samples: 50, Seed: 1, Scratch: warm}
+	if allocs := testing.AllocsPerRun(20, func() { Run(g, cfg) }); allocs != 0 {
+		t.Fatalf("warmed closed-form Run allocated %v objects per run, want 0", allocs)
 	}
 }

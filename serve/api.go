@@ -72,10 +72,10 @@ type RunStatsInfo struct {
 	// the figure comparable to the paper's model sizes.
 	PaperFactors int64 `json:"paper_factors"`
 	// Weights is the number of distinct learned weights in the model.
-	Weights         int `json:"weights"`
-	Shards          int `json:"shards"`
-	SingletonShards int `json:"singleton_shards"`
-	ShardsReused    int `json:"shards_reused"`
+	Weights      int `json:"weights"`
+	Shards       int `json:"shards"`
+	ExactShards  int `json:"exact_shards"`
+	ShardsReused int `json:"shards_reused"`
 	// SplitShards counts sub-shards cut from oversized conflict
 	// components (Options.MaxComponentCells).
 	SplitShards int `json:"split_shards,omitempty"`
@@ -111,7 +111,7 @@ func runStatsInfo(s holoclean.RunStats) *RunStatsInfo {
 		PaperFactors:         s.PaperFactors,
 		Weights:              s.Weights,
 		Shards:               s.Shards,
-		SingletonShards:      s.SingletonShards,
+		ExactShards:          s.ExactShards,
 		ShardsReused:         s.ShardsReused,
 		SplitShards:          s.SplitShards,
 		ComponentSizeHist:    s.ComponentSizeHist,

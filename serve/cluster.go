@@ -147,7 +147,7 @@ func (sv *Server) startCluster() error {
 // so the first catalog sweep sees recovered logs in place.
 func (sv *Server) startShippers() {
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() { <-sv.stop; cancel() }()
+	sv.background(func() { <-sv.stop; cancel() })
 	for _, peer := range sv.ring.Peers() {
 		if peer == sv.cfg.Self {
 			continue
@@ -170,7 +170,7 @@ func (sv *Server) startShippers() {
 			continue
 		}
 		sv.shippers = append(sv.shippers, sh)
-		go sh.Run(ctx)
+		sv.background(func() { sh.Run(ctx) }) // Run returns after its followers
 	}
 }
 

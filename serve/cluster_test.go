@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -263,6 +267,57 @@ func TestServeClusterDemoteKeepsStreaming(t *testing.T) {
 	}
 	leader.tc.mustJSON("POST", "/sessions/"+info.ID+"/deltas",
 		DeltaRequest{Ops: []DeltaOp{{Op: "delete", Row: 3}}, OpID: "post-resume"}, nil)
+}
+
+// TestServeClusterCloseQuiesces pins Close's contract in cluster mode: when
+// it returns, the janitor, the compactor and every shipper with its
+// followers have exited, so nothing touches the store directory any more.
+// Each round closes the nodes right after a write, while the standby is
+// still shipping it; a follower outliving Close used to reopen the tenant
+// log under the closed store (seen as a TempDir cleanup failure).
+func TestServeClusterCloseQuiesces(t *testing.T) {
+	dirState := func(dir string) string {
+		var b strings.Builder
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			info, err := d.Info()
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(&b, "%s %d %d\n", path, info.Size(), info.ModTime().UnixNano())
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	atClose := make(map[string]string) // store directory → its state when Close returned
+	for round := 0; round < 8; round++ {
+		nodes := newCluster(t, 2, 1)
+		leader, standby := nodes[0], nodes[1]
+		info := leader.tc.create("closing", fixtureCSV("cq", 6), int64(round+1), 0)
+		waitDurableCatchUp(t, standby, info.ID, leaderSeq(t, leader, info.ID))
+		leader.tc.mustJSON("POST", "/sessions/"+info.ID+"/deltas",
+			DeltaRequest{Ops: []DeltaOp{{Op: "delete", Row: 2}}, OpID: "last-write"}, nil)
+		leader.kill()
+		standby.kill()
+		stacks := make([]byte, 1<<20)
+		stacks = stacks[:runtime.Stack(stacks, true)]
+		for _, fn := range []string{"(*Server).janitor", "(*Server).compactor", "(*Shipper).Run", "(*Shipper).follow"} {
+			if bytes.Contains(stacks, []byte(fn)) {
+				t.Fatalf("round %d: %s still running after Close:\n%s", round, fn, stacks)
+			}
+		}
+		atClose[leader.dir], atClose[standby.dir] = dirState(leader.dir), dirState(standby.dir)
+	}
+	for dir, want := range atClose {
+		if got := dirState(dir); got != want {
+			t.Errorf("store %s written after Close:\nat close\n%snow\n%s", dir, want, got)
+		}
+	}
 }
 
 // TestServeClusterMigrate pins checkpoint-handoff movement: after

@@ -145,6 +145,7 @@ type Server struct {
 	draining atomic.Bool
 	stop     chan struct{}
 	stopOnce sync.Once
+	bg       sync.WaitGroup // janitor, compactor, shippers: what Close waits for
 	tel      *serverMetrics // nil when Config.Telemetry is unset
 
 	// Cluster mode (nil/empty outside it): the placement ring, one WAL
@@ -217,24 +218,37 @@ func New(cfg Config) (*Server, error) {
 			st.SetMetrics(sv.tel.storeMetrics())
 		}
 		sv.loadStore()
-		go sv.compactor(sv.stop)
+		sv.background(func() { sv.compactor(sv.stop) })
 	}
 	if sv.ring != nil {
 		sv.startShippers()
 	}
 	if cfg.IdleTimeout > 0 {
-		go sv.janitor(sv.stop)
+		sv.background(func() { sv.janitor(sv.stop) })
 	}
 	return sv, nil
 }
 
-// Close stops the background goroutines (janitor, compactor) and
-// releases the store's file handles. In-flight requests finish
-// normally; nothing acknowledged needs flushing — appends are durable
-// before their ack. For a graceful drain that also checkpoints every
-// live session, use Shutdown.
+// background runs fn on a goroutine that Close waits for; fn must return
+// once sv.stop is closed.
+func (sv *Server) background(fn func()) {
+	sv.bg.Add(1)
+	go func() {
+		defer sv.bg.Done()
+		fn()
+	}()
+}
+
+// Close stops the background goroutines (janitor, compactor, shippers
+// with their followers), waits for them to exit — a follower can be
+// inside the store appending shipped frames — and only then releases the
+// store's file handles. In-flight requests finish normally; nothing
+// acknowledged needs flushing — appends are durable before their ack.
+// For a graceful drain that also checkpoints every live session, use
+// Shutdown.
 func (sv *Server) Close() {
 	sv.stopOnce.Do(func() { close(sv.stop) })
+	sv.bg.Wait()
 	if sv.store != nil {
 		sv.store.Close()
 	}

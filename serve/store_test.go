@@ -280,7 +280,10 @@ func TestServeCrashBeforeFirstCheckpoint(t *testing.T) {
 // were unified (create, checkpoint, deltas op-0, feedback op-1, relearn,
 // deltas op-2, checkpoint carrying the op-0..2 window, deltas op-3,
 // relearn — crashScript("gd")[:4] at CheckpointEvery 3, hard-stopped),
-// with the repairs and CSV that server was serving recorded beside it.
+// with the repairs and CSV that server was serving recorded beside it
+// (the repair probabilities were re-recorded when independent shards
+// moved from sampled to closed-form marginals; the log, the repair set
+// and the CSV are the original ones).
 // Today's code must recover the log to exactly those bytes, recognize
 // retries from both the replayed tail and the checkpointed window, and
 // — after converging the log itself — boot it again evicted, with a

@@ -33,35 +33,25 @@ import (
 // shards are just load-balanced, tuple-aligned batches.
 type shard struct {
 	cells []int // indices into Domains.Cells, ascending
-	// component marks shards cut along a conflict-hypergraph component
-	// (as opposed to load-balanced batches of independent cells). Only
-	// component shards may take the closed-form singleton fast path:
-	// batch boundaries are a scheduling artifact, so a cell's inference
-	// path — and with it its marginal — must not depend on them, which is
-	// what lets incremental re-cleaning re-batch only the dirty cells.
-	component bool
 	// split marks sub-shards cut out of an oversized conflict component
 	// by Options.MaxComponentCells. Split shards are not exact components:
 	// their cut severs real correlations, which boundary-factor damping
-	// (Scope.Boundary) partially restores. They never take the singleton
-	// fast path and fingerprint under their own kind so a re-split plan is
-	// never confused with a component plan.
+	// (Scope.Boundary) partially restores. They fingerprint under their own
+	// kind so a re-split plan is never confused with a whole-shard plan.
 	split bool
 }
 
 // fingerprint identifies the shard's composition (cells plus cut kind)
-// for cross-run reuse checks.
+// for cross-run reuse checks. Whole components and batches share a kind:
+// both ground exactly their cells, so equal cells mean an equal model.
 func (sh shard) fingerprint(cells []dataset.Cell) string {
 	sc := make([]dataset.Cell, len(sh.cells))
 	for k, i := range sh.cells {
 		sc[k] = cells[i]
 	}
-	kind := "b|"
-	switch {
-	case sh.split:
+	kind := "w|"
+	if sh.split {
 		kind = "s|"
-	case sh.component:
-		kind = "c|"
 	}
 	return kind + partition.Fingerprint(sc)
 }
@@ -70,8 +60,8 @@ func (sh shard) fingerprint(cells []dataset.Cell) string {
 // load-balanced shards of the independent regime and the shards of noisy
 // cells whose tuples appear in no violation (e.g. cells flagged by
 // outlier detection). It is a fixed constant — never derived from the
-// worker count — so the shard plan, and with it every seeding and
-// fast-path decision, is identical for every Options.Workers value.
+// worker count — so the shard plan, and with it every grounded graph and
+// chain seed, is identical for every Options.Workers value.
 const cellBatch = 256
 
 // planShards assigns every noisy cell to a shard. coupled says whether
@@ -103,7 +93,7 @@ func planShards(prep *compile.Prepared, comps [][]int, coupled bool, maxComponen
 		// Correlation factors with no observed violations to partition
 		// by: keep one shard so the grounded model matches the monolithic
 		// one instead of dropping hypothetical cross-batch pairs.
-		return []shard{{cells: all, component: true}}
+		return []shard{{cells: all}}
 	}
 	if !coupled {
 		return batchByTuple(dom.Cells, all, cellBatch)
@@ -133,7 +123,7 @@ func planShards(prep *compile.Prepared, comps [][]int, coupled bool, maxComponen
 				out = append(out, sub)
 			}
 		default:
-			out = append(out, shard{cells: cells, component: true})
+			out = append(out, shard{cells: cells})
 		}
 	}
 	out = append(out, batchByTuple(dom.Cells, stray, cellBatch)...)
@@ -145,14 +135,14 @@ func planShards(prep *compile.Prepared, comps [][]int, coupled bool, maxComponen
 // delta, it returns the shards that must actually run plus the cell
 // indices whose cached results can be carried forward.
 //
-// When rebatch is true (the independent-variable regime with per-variable
-// chains, where a cell's marginal does not depend on which batch it lands
-// in), the dirty cells are re-packed into
+// When rebatch is true (the independent-variable regime, where a cell's
+// closed-form marginal is a function of its own factors and the weights,
+// never of which batch it lands in), the dirty cells are re-packed into
 // fresh tuple-aligned batches and every clean cell is reused — the
 // sharpest possible invalidation. Otherwise shards are reused wholesale,
 // and only when their composition matches a fingerprint of the previous
-// plan (prevSigs): sequential Gibbs sweeps and component grounding depend
-// on the shard's full membership, so a component that merged, split, or
+// plan (prevSigs): Gibbs sweeps and component grounding depend on the
+// shard's full membership, so a component that merged, split, or
 // re-batched must re-run even if its own tuples never changed.
 func splitPlan(plan []shard, cells []dataset.Cell, dirty map[int]bool, rebatch bool, prevSigs map[string]bool) (exec []shard, reused []int) {
 	if rebatch {
@@ -252,19 +242,15 @@ type cellOutcome struct {
 	prob   float64
 }
 
-// chainSeed derives the Gibbs chain seed of a cell from its identity
-// (tuple, attribute) rather than its rank among the query variables.
-// Rank-based seeding had two defects: it indexed the per-variable seed
-// slice by graph-variable id while ranks counted query variables only
-// (mis-seeding or panicking on graphs that also hold evidence variables),
-// and a single inserted or removed noisy cell shifted every later rank —
-// re-seeding, and therefore re-sampling, the entire tail of the dataset
-// on any delta. Identity seeds are stable under both.
+// chainSeed derives a cell's chromatic stream seed from its identity
+// (tuple, attribute) rather than its rank among the query variables, so
+// an inserted or removed noisy cell never re-seeds the cells after it.
 func chainSeed(base int64, c dataset.Cell, numAttrs int) int64 {
 	return base + (int64(c.Tuple)*int64(numAttrs)+int64(c.Attr)+1)*1_000_003
 }
 
-// resolveGibbs resolves the sampling budget. GibbsSamples <= 0 falls back
+// resolveGibbs resolves the sampling budget of correlated shards.
+// GibbsSamples <= 0 falls back
 // to the default 50 (zero samples would make marginals undefined), while
 // GibbsBurnIn is taken literally: zero means zero sweeps discarded, and
 // only negative values clamp to zero. Earlier versions silently coerced
@@ -281,13 +267,11 @@ func resolveGibbs(o Options) (burnIn, samples int) {
 	return burnIn, samples
 }
 
-// parallelVarSeeds builds the per-variable chain seeds of a grounded
-// graph, indexed by graph variable id. Evidence variables (present on
-// graphs that ground dictionary-match or learning evidence) run no chain
-// and keep a zero entry; query variables are seeded by the identity of
-// the cell they repair. An earlier version indexed a query-rank array by
-// variable id, which panicked or mis-seeded as soon as a graph held
-// evidence variables — the regression test grounds such a mixed graph.
+// parallelVarSeeds builds the chromatic schedule's per-variable stream
+// seeds of a grounded graph, indexed by graph variable id. Evidence
+// variables (present on graphs that ground dictionary-match or learning
+// evidence) draw nothing and keep a zero entry; query variables are seeded
+// by the identity of the cell they repair.
 func parallelVarSeeds(g *ddlog.Grounded, base int64, numAttrs int) []int64 {
 	vs := make([]int64, len(g.Graph.Vars))
 	for vi := range g.Graph.Vars {
@@ -431,46 +415,32 @@ func (r *shardRunner) runOne(sh shard) error {
 	}
 	groundDur := time.Since(tg)
 
-	// Inference: singleton nary-free component shards take the
-	// closed-form fast path; independent-regime shards sample
-	// per-variable chains seeded by cell identity, so a cell's marginal
-	// never depends on which batch it lands in; correlated shards run
+	// Inference, by graph shape (gibbs.Run): a shard with no query-side
+	// correlation is solved in closed form; a correlated one runs
 	// sequential Gibbs seeded by the shard's first cell, stable across
-	// pools and deltas.
+	// pools and deltas, or — from chromaticMinVars query variables — the
+	// chromatic schedule: color classes swept with IntraWorkers
+	// goroutines, bit-identical for any worker count. The threshold depends
+	// only on the grounded graph, never on worker counts, so the inference
+	// path of every variable is a pure function of the plan inputs. Buffers
+	// come from the scratch pool; the marginals borrow them, so the scratch
+	// is released only after extraction below.
 	ti := time.Now()
 	numAttrs := prep.DS.NumAttrs()
 	hasNary := g.Graph.HasNaryOnQuery()
-	singleton := g.Stats.QueryVars == 1
-	var m *factor.Marginals
-	var scratch *gibbs.Scratch
-	if !hasNary && singleton && sh.component {
-		m = gibbs.Exact(g.Graph)
-	} else {
-		burn, samp := resolveGibbs(o)
-		// Sampler buffers come from the scratch pool; the marginals borrow
-		// them, so the scratch is released only after extraction below.
-		scratch = gibbs.AcquireScratch()
-		defer gibbs.ReleaseScratch(scratch)
-		cfg := gibbs.Config{BurnIn: burn, Samples: samp, Seed: o.Seed, Parallel: o.ParallelInference, Scratch: scratch}
-		if len(cells) > 0 {
-			cfg.Seed = o.Seed + (int64(cells[0].Tuple)*int64(numAttrs)+int64(cells[0].Attr)+1)*7919
-		}
-		if !hasNary && o.ParallelInference {
-			cfg.VarSeed = parallelVarSeeds(g, o.Seed, numAttrs)
-		}
-		// Large correlated shards switch to the chromatic schedule: color
-		// classes swept with IntraWorkers goroutines, bit-identical for any
-		// worker count. The threshold depends only on the grounded graph —
-		// never on worker counts — so the inference path of every variable
-		// is a pure function of the plan inputs, and small shards keep the
-		// legacy sequential schedule existing results are pinned to.
-		if hasNary && g.Stats.QueryVars >= chromaticMinVars {
-			cfg.Colors = partition.ColorGraph(g.Graph)
-			cfg.IntraWorkers = defaultIntraWorkers(o.IntraWorkers)
-			cfg.VarSeed = parallelVarSeeds(g, o.Seed, numAttrs)
-		}
-		m = gibbs.Run(g.Graph, cfg)
+	burn, samp := resolveGibbs(o)
+	scratch := gibbs.AcquireScratch()
+	defer gibbs.ReleaseScratch(scratch)
+	cfg := gibbs.Config{BurnIn: burn, Samples: samp, Seed: o.Seed, Scratch: scratch}
+	if len(cells) > 0 {
+		cfg.Seed = o.Seed + (int64(cells[0].Tuple)*int64(numAttrs)+int64(cells[0].Attr)+1)*7919
 	}
+	if hasNary && g.Stats.QueryVars >= chromaticMinVars {
+		cfg.Colors = partition.ColorGraph(g.Graph)
+		cfg.IntraWorkers = defaultIntraWorkers(o.IntraWorkers)
+		cfg.VarSeed = parallelVarSeeds(g, o.Seed, numAttrs)
+	}
+	m := gibbs.Run(g.Graph, cfg)
 	inferDur := time.Since(ti)
 
 	// Extract marginals and MAP repairs per query variable and merge.
@@ -481,8 +451,8 @@ func (r *shardRunner) runOne(sh shard) error {
 	r.inferTime += inferDur
 	r.res.Stats.Factors += g.Graph.NumFactors()
 	r.res.Stats.PaperFactors += g.Stats.PaperFactors
-	if singleton && !hasNary && sh.component {
-		r.res.Stats.SingletonShards++
+	if !hasNary {
+		r.res.Stats.ExactShards++
 	}
 	for _, k := range w.Keys {
 		r.weightKeys[k] = true
@@ -538,8 +508,7 @@ func defaultWorkers(w int) int {
 }
 
 // chromaticMinVars is the query-variable count at which a correlated
-// shard switches from the legacy sequential Gibbs schedule to the
-// chromatic one. It is a fixed constant — never derived from worker
+// shard switches from the sequential Gibbs schedule to the chromatic one. It is a fixed constant — never derived from worker
 // counts or load — so which schedule a shard runs, and therefore its
 // exact draw sequence, depends only on the grounded graph.
 const chromaticMinVars = 512

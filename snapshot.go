@@ -150,7 +150,13 @@ func RestoreSession(r io.Reader, opts Options) (*Session, *Result, error) {
 	if !snap.Cleaned {
 		return s, nil, nil
 	}
+	// A cleaned session has learned, even when it learned no weight: an
+	// empty map is omitted from the envelope and must not restore as nil,
+	// which a pass reads as "learn".
 	s.weights = snap.Weights
+	if s.weights == nil {
+		s.weights = map[string]float64{}
+	}
 	res, err := s.run(nil, false)
 	if err != nil {
 		return nil, nil, fmt.Errorf("holoclean: rebuilding restored session: %w", err)

@@ -2,7 +2,10 @@ package holoclean
 
 import (
 	"bytes"
+	"strings"
 	"testing"
+
+	"holoclean/internal/telemetry"
 )
 
 // TestSessionSnapshotRestore pins the eviction contract of the serving
@@ -113,6 +116,47 @@ func TestSessionSnapshotBeforeClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdenticalResults(t, "first clean after restore", b, a)
+}
+
+// TestRestoreSessionEmptyWeights: a session whose model has no learnable
+// weight (fixed-weight correlation factors only) learns an empty map,
+// which the envelope omits. Its restore must still reuse — run no learn
+// stage — and reproduce the live result.
+func TestRestoreSessionEmptyWeights(t *testing.T) {
+	ds, cs := sessionFixture(8)
+	opts := DefaultOptions()
+	opts.Variant = VariantDCFactors
+	opts.DisableCooccurFeatures = true
+	live, err := NewSession(ds, cs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveRes, err := live.Clean()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(liveRes.Repairs) == 0 || len(liveRes.LearnedWeights) != 0 {
+		t.Fatalf("fixture: %d repairs, %d learned weights; want some repairs and no weights",
+			len(liveRes.Repairs), len(liveRes.LearnedWeights))
+	}
+	var buf bytes.Buffer
+	if err := live.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	opts.Tracer = telemetry.NewTracer(reg, "stage_seconds", "per-stage durations")
+	_, res, err := RestoreSession(&buf, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdenticalResults(t, "restore", res, liveRes)
+	var scrape strings.Builder
+	if err := reg.WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(scrape.String(), `stage="infer"`) || strings.Contains(scrape.String(), `stage="learn"`) {
+		t.Errorf("restore pass spans: want infer and no learn, got\n%s", scrape.String())
+	}
 }
 
 // TestRestoreSessionRejectsBadSnapshots exercises envelope validation.
