@@ -19,12 +19,12 @@ func skewOptions() Options {
 
 // TestCleanIntraWorkersEquivalent extends the pipeline's determinism
 // contract to intra-shard parallelism: on a dataset whose hot region is
-// one giant conflict component above the chromatic threshold, every
+// one giant conflict component, every
 // (Workers, IntraWorkers) combination produces byte-identical repairs
 // and marginals to the fully sequential run.
 func TestCleanIntraWorkersEquivalent(t *testing.T) {
-	// 70% of 900 tuples in the hot region: well above the 512-query-var
-	// chromatic threshold, so IntraWorkers actually engages.
+	// 70% of 900 tuples in the hot region: color classes large enough
+	// that IntraWorkers actually fans out.
 	gen := func() *datagen.Generated {
 		return datagen.Skew(datagen.SkewConfig{Tuples: 900, Seed: 5, HotFrac: 0.7})
 	}

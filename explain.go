@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"holoclean/internal/compile"
+	"holoclean/internal/ddlog"
 )
 
 // Explanation describes the probabilistic program HoloClean compiles for
@@ -38,46 +38,33 @@ type Explanation struct {
 	PartitionGroups int
 }
 
-// Explain compiles the cleaning task and reports the generated program
-// and model sizes. The input dataset is not modified.
+// Explain compiles the cleaning task — the same stages, over the same
+// detectors, statistics and options, that Clean runs before learning — and
+// grounds the whole relation once to report the generated program and
+// model sizes. The input dataset is not modified.
 func (cl *Cleaner) Explain(ds *Dataset, constraints []*Constraint) (*Explanation, error) {
-	if len(constraints) == 0 && len(cl.opts.MatchDependencies) == 0 {
-		return nil, fmt.Errorf("holoclean: no repair signals (need constraints or match dependencies)")
+	p := newPass(cl.opts, ds, constraints, nil)
+	if err := p.compile(); err != nil {
+		return nil, err
 	}
-	o := cl.opts
-	comp, err := compile.Compile(ds, constraints, compile.Options{
-		Tau:                    o.Tau,
-		MaxCandidates:          o.MaxCandidates,
-		FullDomain:             o.FullDomain,
-		Variant:                o.Variant,
-		MinimalityWeight:       o.MinimalityWeight,
-		DCWeight:               o.DCWeight,
-		MaxEvidence:            o.EvidenceSample,
-		Seed:                   o.Seed,
-		Dictionaries:           o.Dictionaries,
-		MatchDeps:              o.MatchDependencies,
-		DisableCooccurFeatures: o.DisableCooccurFeatures,
-		DisableSourceFeatures:  o.DisableSourceFeatures,
-		DictionaryPrior:        o.DictionaryPrior,
-		RelaxedDCPrior:         o.RelaxedDCPrior,
-		MaxScanCounterparts:    o.MaxScanCounterparts,
-	})
+	prep := p.prep
+	g, err := ddlog.Ground(prep.DB, prep.Program, ddlog.Config{MaxScanCounterparts: cl.opts.MaxScanCounterparts})
 	if err != nil {
 		return nil, err
 	}
 	return &Explanation{
-		Program:           comp.Program.Render(comp.Bounds),
-		NoisyCells:        comp.Detection.NumNoisy(),
-		Variables:         comp.Grounded.Stats.Variables,
-		QueryVariables:    comp.Grounded.Stats.QueryVars,
-		EvidenceVariables: comp.Grounded.Stats.EvidenceVars,
-		Factors:           comp.Grounded.Graph.NumFactors(),
-		PaperFactors:      comp.Grounded.Stats.PaperFactors,
-		Weights:           comp.Grounded.Graph.Weights.Len(),
-		TotalCandidates:   comp.Domains.TotalCandidates(),
-		MaxDomain:         comp.Domains.MaxDomain(),
-		Matches:           len(comp.Matches),
-		PartitionGroups:   len(comp.Groups),
+		Program:           prep.Program.Render(prep.Bounds),
+		NoisyCells:        p.res.Stats.NoisyCells,
+		Variables:         g.Stats.Variables,
+		QueryVariables:    g.Stats.QueryVars,
+		EvidenceVariables: g.Stats.EvidenceVars,
+		Factors:           g.Graph.NumFactors(),
+		PaperFactors:      g.Stats.PaperFactors,
+		Weights:           g.Graph.Weights.Len(),
+		TotalCandidates:   prep.Domains.TotalCandidates(),
+		MaxDomain:         prep.Domains.MaxDomain(),
+		Matches:           len(prep.Matches),
+		PartitionGroups:   len(prep.Groups),
 	}, nil
 }
 

@@ -3,6 +3,8 @@ package holoclean
 import (
 	"strings"
 	"testing"
+
+	"holoclean/internal/datagen"
 )
 
 func TestExplain(t *testing.T) {
@@ -46,6 +48,36 @@ func TestExplainVariantChangesProgram(t *testing.T) {
 	}
 	if e1.Program == e2.Program {
 		t.Errorf("variants should compile different programs")
+	}
+}
+
+// TestExplainMatchesClean: Explain runs the pass's own stages, so with
+// every detector on — outliers and the dictionary detector flag cells no
+// constraint does — it sizes the model Clean builds, not a private one.
+func TestExplainMatchesClean(t *testing.T) {
+	g := datagen.Food(datagen.Config{Tuples: 150, Seed: 3})
+	opts := DefaultOptions()
+	opts.OutlierDetection = true
+	opts.Dictionaries, opts.MatchDependencies = g.Dictionaries, g.MatchDeps
+	if len(opts.MatchDependencies) == 0 {
+		t.Fatal("fixture carries no dictionary")
+	}
+	ex, err := New(opts).Explain(g.Dirty, g.Constraints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := New(opts).Clean(g.Dirty, g.Constraints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.NoisyCells != res.Stats.NoisyCells {
+		t.Errorf("Explain NoisyCells = %d, Clean flagged %d", ex.NoisyCells, res.Stats.NoisyCells)
+	}
+	if ex.QueryVariables != res.Stats.QueryVars {
+		t.Errorf("Explain QueryVariables = %d, Clean inferred %d", ex.QueryVariables, res.Stats.QueryVars)
+	}
+	if ex.EvidenceVariables != res.Stats.EvidenceVars {
+		t.Errorf("Explain EvidenceVariables = %d, Clean learned from %d", ex.EvidenceVariables, res.Stats.EvidenceVars)
 	}
 }
 

@@ -143,9 +143,13 @@ func NewDictionary(name string, attrs []string) *Dictionary {
 }
 
 // Options configures the cleaner. The zero value is not usable; start
-// from DefaultOptions.
+// from DefaultOptions, the only source of defaults: every field is taken
+// literally, so a zero weight, prior, threshold or budget means zero — an
+// ablation that zeroes a field measures exactly that.
 type Options struct {
-	// Tau is the domain-pruning threshold τ of Algorithm 2.
+	// Tau is the domain-pruning threshold τ of Algorithm 2. Zero prunes
+	// nothing by co-occurrence: every value that co-occurs with any of the
+	// tuple's other values stays a candidate.
 	Tau float64
 	// MaxCandidates caps each noisy cell's candidate set (0 = uncapped).
 	MaxCandidates int
@@ -154,11 +158,15 @@ type Options struct {
 	FullDomain bool
 	// Variant selects the denial-constraint encoding.
 	Variant Variant
-	// MinimalityWeight is the fixed prior toward keeping initial values.
+	// MinimalityWeight is the fixed prior toward keeping initial values;
+	// zero grounds the minimality factors with no pull (the no-minimality
+	// ablation).
 	MinimalityWeight float64
-	// DCWeight is the fixed soft weight of Algorithm 1 factors.
+	// DCWeight is the fixed soft weight of Algorithm 1 factors; zero makes
+	// them inert.
 	DCWeight float64
-	// EvidenceSample bounds the clean cells used as labeled examples.
+	// EvidenceSample bounds the clean cells sampled as labeled examples;
+	// zero samples none (confirmed feedback cells are evidence regardless).
 	EvidenceSample int
 	// OutlierDetection adds the categorical-outlier error detector on
 	// top of constraint-violation detection.
@@ -167,10 +175,11 @@ type Options struct {
 	Dictionaries      []*Dictionary
 	MatchDependencies []*MatchDependency
 	// DictionaryPrior is the initial (learnable) reliability weight w(k)
-	// of dictionary match factors.
+	// of dictionary match factors; learning starts from zero when it is
+	// zero.
 	DictionaryPrior float64
 	// RelaxedDCPrior is the initial (learnable) weight of relaxed
-	// denial-constraint features.
+	// denial-constraint features; likewise literal.
 	RelaxedDCPrior float64
 	// DisableCooccurFeatures turns off the quantitative-statistics signal
 	// (for ablations).
@@ -178,6 +187,7 @@ type Options struct {
 	// DisableSourceFeatures turns off provenance features.
 	DisableSourceFeatures bool
 	// LearningEpochs, LearningRate, L2 configure SGD (Section 2.2's ERM).
+	// Zero epochs, or a zero rate, leave every weight at its prior.
 	LearningEpochs int
 	LearningRate   float64
 	L2             float64
@@ -223,33 +233,23 @@ type Options struct {
 	// Results are deterministic for a given Seed regardless of Workers.
 	Workers int
 	// IntraWorkers bounds the goroutines sampling WITHIN one correlated
-	// shard. Large conflict components (>= 512 query variables) run a
-	// chromatic Gibbs schedule: the factor graph is greedily colored, and
-	// each color class — mutually non-adjacent variables — is swept by
-	// IntraWorkers goroutines in parallel. Per-variable counter-based RNG
-	// streams make the draw sequence a function of variable identity
-	// alone, so results are bit-identical for every IntraWorkers value.
-	// 0 means 1 (sequential within a shard); total goroutines are
-	// bounded by Workers × IntraWorkers.
+	// shard. Correlated shards run a chromatic Gibbs schedule: the factor
+	// graph is greedily colored, and each color class — mutually
+	// non-adjacent variables — is swept by IntraWorkers goroutines in
+	// parallel. Per-variable counter-based RNG streams make the draw
+	// sequence a function of variable identity alone, so results are
+	// bit-identical for every IntraWorkers value. 0 means 1 (sequential
+	// within a shard); total goroutines are bounded by
+	// Workers × IntraWorkers.
 	IntraWorkers int
 	// MaxComponentCells, when positive, splits conflict components whose
 	// cell count exceeds it into tuple-aligned sub-shards, bounding the
 	// largest grounding and sampling unit (and therefore per-shard memory
 	// and the pipeline's critical path) on skewed datasets where one
 	// giant component dominates. Cut correlations are partially restored
-	// by boundary-factor damping (BoundaryDamp). 0 — the default — never
-	// splits: every component is inferred whole and exactly.
+	// by boundary-factor damping (see boundaryDamp). 0 — the default —
+	// never splits: every component is inferred whole and exactly.
 	MaxComponentCells int
-	// BoundaryDamp is the weight coefficient of boundary factors on split
-	// sub-shards: a denial-constraint pair severed by a MaxComponentCells
-	// cut is grounded on each side with the other side folded to its
-	// observed value and the factor's weight scaled by BoundaryDamp — a
-	// cavity-style damped pull toward the neighbor's observation instead
-	// of Algorithm 3's hard cut. Both sub-shards ground their half, so
-	// the default 0.5 restores about one factor's worth of energy per cut
-	// pair. 0 disables damping (pure scope cut). Irrelevant unless
-	// MaxComponentCells splits something.
-	BoundaryDamp float64
 	// Seed drives every stochastic component.
 	Seed int64
 	// Tracer, when non-nil, receives the duration of every stage of every
@@ -278,7 +278,6 @@ func DefaultOptions() Options {
 		L2:               1e-4,
 		GibbsBurnIn:      10,
 		GibbsSamples:     50,
-		BoundaryDamp:     0.5,
 		Seed:             1,
 	}
 }
@@ -582,35 +581,45 @@ func (p *pass) stage(name string, into *time.Duration, fn func() error) error {
 	return err
 }
 
-// run executes the pass. adopt, when non-nil, receives the finished pass
-// inside the total clock — a Session keeps it there; Cleaner drops it.
+// compile runs the stages diff … plan: everything a pass does before
+// weights enter — the model Clean infers with and Explain reports.
 //
 // RunStats.DetectTime is diff + detect; CompileTime is stats + prepare +
 // invalidate + plan + every grounding (learning graph and shards), so with
 // one worker the four phase times never exceed TotalTime.
-func (p *pass) run(adopt func(*pass)) (*Result, error) {
+func (p *pass) compile() error {
 	if err := requireSignals(p.constraints, p.opts); err != nil {
-		return nil, err
+		return err
 	}
+	st := &p.res.Stats
+	for _, s := range []struct {
+		name string
+		into *time.Duration
+		fn   func() error
+	}{
+		{"diff", &st.DetectTime, p.diffRows},
+		{"detect", &st.DetectTime, p.detectErrors},
+		{"stats", &st.CompileTime, p.collectStats},
+		{"prepare", &st.CompileTime, p.prepareModel},
+		{"invalidate", &st.CompileTime, p.invalidateTuples},
+		{"plan", &st.CompileTime, p.planExecution},
+	} {
+		if err := p.stage(s.name, s.into, s.fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// run executes the pass. adopt, when non-nil, receives the finished pass
+// inside the total clock — a Session keeps it there; Cleaner drops it.
+func (p *pass) run(adopt func(*pass)) (*Result, error) {
 	res := p.res
 	st := &res.Stats
 	total, err := timed(func() error {
 		mem := beginMemProbe()
-		for _, s := range []struct {
-			name string
-			into *time.Duration
-			fn   func() error
-		}{
-			{"diff", &st.DetectTime, p.diffRows},
-			{"detect", &st.DetectTime, p.detectErrors},
-			{"stats", &st.CompileTime, p.collectStats},
-			{"prepare", &st.CompileTime, p.prepareModel},
-			{"invalidate", &st.CompileTime, p.invalidateTuples},
-			{"plan", &st.CompileTime, p.planExecution},
-		} {
-			if err := p.stage(s.name, s.into, s.fn); err != nil {
-				return err
-			}
+		if err := p.compile(); err != nil {
+			return err
 		}
 		if p.weights == nil {
 			if err := p.learnWeights(); err != nil {
@@ -723,8 +732,8 @@ func (p *pass) compileOptions() compile.Options {
 
 // prepareModel is Figure 2's module 2 short of grounding: full domain
 // pruning over the noisy set, dictionary matching, evidence sampling when
-// weights will be learned, and the rule program — over the detection
-// result and statistics the earlier stages produced.
+// weights will be learned, and the rule program — a pure function of the
+// detection result and statistics the earlier stages produced.
 func (p *pass) prepareModel() error {
 	prep, err := compile.Prepare(p.ds, p.constraints, p.compileOptions())
 	if err != nil {
@@ -746,12 +755,12 @@ func (p *pass) prepareModel() error {
 func (p *pass) planExecution() error {
 	o, st := p.opts, &p.res.Stats
 	var comps [][]int
-	if h := p.prep.Hypergraph; h != nil {
-		comps = partition.Components(h)
+	if p.hyper != nil {
+		comps = partition.Components(p.hyper)
 		st.ComponentSizeHist = partition.SizeHistogram(comps)
 		st.LargestComponentFrac = partition.LargestFrac(comps)
 	}
-	p.plan = planShards(p.prep, comps, o.Variant.DCFactors, o.MaxComponentCells)
+	p.plan = planShards(p.domains, comps, o.Variant.DCFactors, o.MaxComponentCells)
 	p.exec = p.plan
 	if p.dirty != nil {
 		rebatch := !o.Variant.DCFactors
@@ -804,19 +813,11 @@ func (p *pass) learnWeights() error {
 	st.Factors = learnG.Graph.NumFactors()
 	st.PaperFactors = learnG.Stats.PaperFactors
 
-	epochs := o.LearningEpochs
-	if epochs <= 0 {
-		epochs = 10
-	}
-	lr := o.LearningRate
-	if lr == 0 {
-		lr = 0.1
-	}
 	for _, k := range learnG.Graph.Weights.Keys {
 		p.weightKeys[k] = true
 	}
 	return p.stage("learn", &st.LearnTime, func() error {
-		learn.Learn(learnG.Graph, learn.Config{Epochs: epochs, LearningRate: lr, L2: o.L2, Seed: o.Seed})
+		learn.Learn(learnG.Graph, learn.Config{Epochs: o.LearningEpochs, LearningRate: o.LearningRate, L2: o.L2, Seed: o.Seed})
 		p.weights = learnedWeights(learnG.Graph)
 		return nil
 	})

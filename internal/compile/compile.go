@@ -1,9 +1,9 @@
 // Package compile implements HoloClean's compilation module (Section 4):
 // given the dirty dataset, repairing constraints Σ, and optional external
 // dictionaries, it materializes the DDlog relations of Section 4.1,
-// translates every repair signal into inference rules (Section 4.2,
-// Algorithm 1, and the Section 5.2 relaxation), and grounds the resulting
-// probabilistic program into a factor graph.
+// and translates every repair signal into inference rules (Section 4.2,
+// Algorithm 1, and the Section 5.2 relaxation) — the probabilistic program
+// and database that ddlog.Ground turns into factor graphs.
 package compile
 
 import (
@@ -64,7 +64,9 @@ func (v Variant) Name() string {
 	return fmt.Sprintf("custom(factors=%v feats=%v part=%v)", v.DCFactors, v.DCFeatures, v.Partition)
 }
 
-// Options configures compilation.
+// Options configures compilation. Every value is taken as given — zero
+// means zero, never "use the default"; the cleaner's DefaultOptions is the
+// only source of defaults.
 type Options struct {
 	// Tau is Algorithm 2's pruning threshold; the paper sweeps
 	// {0.3, 0.5, 0.7, 0.9}.
@@ -92,10 +94,10 @@ type Options struct {
 	// (HasFeature co-occurrence features). Enabled by default.
 	DisableCooccurFeatures bool
 	// DictionaryPrior is the initial reliability weight of dictionary
-	// match factors (still adjusted by learning). Defaults to 1.
+	// match factors (still adjusted by learning).
 	DictionaryPrior float64
 	// RelaxedDCPrior is the initial weight of relaxed denial-constraint
-	// features (still adjusted by learning). Defaults to 1.
+	// features (still adjusted by learning).
 	RelaxedDCPrior float64
 	// SourceFeatures adds provenance features when the dataset has them.
 	DisableSourceFeatures bool
@@ -106,18 +108,19 @@ type Options struct {
 	// and force-included as evidence, so learning treats them as labels.
 	Trusted []dataset.Cell
 
-	// Detection, when non-nil, supplies a precomputed detection result;
-	// Hypergraph carries the matching conflict hypergraph. The cleaning
-	// pipeline runs its detector stack (scoped to a delta in sessions)
-	// itself and hands the result in. With nil Detection, Prepare detects
-	// denial-constraint violations — the configuration of every paper
-	// experiment.
+	// Detection is the error-detection result (Figure 2, module 1) the
+	// model is compiled over — required; Hypergraph is the matching
+	// conflict hypergraph, nil when the detector stack held no
+	// denial-constraint detector. Compilation never detects: the cleaning
+	// pipeline runs its detector stack (scoped to a delta in sessions) and
+	// hands the result in.
 	Detection  *errordetect.Result
 	Hypergraph *violation.Hypergraph
-	// Stats and MaskedStats, when non-nil, replace the full statistics
-	// passes (Collect and the clean-cell CollectFiltered): incremental
-	// sessions delta-maintain both with stats.Apply. MaskedStats is only
-	// consulted when co-occurrence features are enabled.
+	// Stats are the dataset's statistics (required) and MaskedStats the
+	// clean-cell statistics, which discount co-occurrences where either
+	// cell was flagged noisy (required unless DisableCooccurFeatures).
+	// Compilation never collects them: the pipeline does, once, and
+	// incremental sessions delta-maintain both with stats.Apply.
 	Stats       *stats.Stats
 	MaskedStats *stats.Stats
 	// SkipEvidence skips clean-cell evidence sampling. Safe only when no
@@ -131,99 +134,36 @@ type Options struct {
 	Interner *factor.KeyInterner
 }
 
-// DefaultOptions returns the paper's defaults: τ=0.5, relaxed constraints,
-// minimality prior and soft-constraint weights at moderate strength.
-func DefaultOptions() Options {
-	return Options{
-		Tau:              0.5,
-		Variant:          DCFeats,
-		MinimalityWeight: 0.5,
-		DCWeight:         4.0,
-		MaxEvidence:      2000,
-		DictionaryPrior:  2.0,
-		RelaxedDCPrior:   1.5,
-		Seed:             1,
-	}
-}
-
-// Compiled is the output of compilation: a grounded probabilistic model
-// plus all intermediate artifacts.
-type Compiled struct {
-	DS        *dataset.Dataset
-	Bounds    []*dc.Bound
-	Detection *errordetect.Result
-	Stats     *stats.Stats
-	Domains   *pruning.Domains
-	Matches   []extdict.Match
-	Groups    []partition.Group
-	Program   *ddlog.Program
-	Grounded  *ddlog.Grounded
-}
-
 // Prepared is the compilation state just before grounding: every
 // materialized relation of Section 4.1 plus the generated program, but no
 // factor graph yet. The sharded pipeline prepares once and then grounds
 // the program many times — once per connected-component shard and once
 // for the learning graph — against narrowed copies of DB.
 type Prepared struct {
-	DS        *dataset.Dataset
-	Bounds    []*dc.Bound
-	Detection *errordetect.Result
-	// Hypergraph is the conflict hypergraph of the violation detector
-	// (nil when no denial-constraint violations were detected); its
-	// connected components define the pipeline shards.
-	Hypergraph *violation.Hypergraph
-	Stats      *stats.Stats
-	// MaskedStats are the clean-cell statistics feeding the soft
-	// co-occurrence features (nil when those are disabled). Incremental
-	// sessions cache them and delta-maintain them across recleans.
-	MaskedStats *stats.Stats
-	Domains     *pruning.Domains
-	Matches     []extdict.Match
-	Groups      []partition.Group
-	Program     *ddlog.Program
-	// DB is the fully wired database for a monolithic grounding; shard
+	DS      *dataset.Dataset
+	Bounds  []*dc.Bound
+	Domains *pruning.Domains
+	Matches []extdict.Match
+	Groups  []partition.Group
+	Program *ddlog.Program
+	// DB is the fully wired database for a whole-relation grounding; shard
 	// runners copy it and narrow Domains/Evidence/Matches per shard.
 	DB *ddlog.Database
 }
 
-// Compile runs the full compilation pipeline of Figure 2's modules 1–2:
-// error detection, statistics, domain pruning, matching, rule generation,
-// and grounding.
-func Compile(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*Compiled, error) {
-	p, err := Prepare(ds, constraints, opts)
-	if err != nil {
-		return nil, err
-	}
-	grounded, err := ddlog.Ground(p.DB, p.Program, ddlog.Config{MaxScanCounterparts: opts.MaxScanCounterparts})
-	if err != nil {
-		return nil, err
-	}
-	return &Compiled{
-		DS:        p.DS,
-		Bounds:    p.Bounds,
-		Detection: p.Detection,
-		Stats:     p.Stats,
-		Domains:   p.Domains,
-		Matches:   p.Matches,
-		Groups:    p.Groups,
-		Program:   p.Program,
-		Grounded:  grounded,
-	}, nil
-}
-
-// Prepare runs detection, statistics, domain pruning, matching, evidence
-// sampling, and rule generation — everything Compile does short of
-// grounding the program into a factor graph.
+// Prepare compiles the model short of grounding it: domain pruning,
+// dictionary matching, partitioning, evidence sampling and rule generation
+// — a pure function of the dataset, the constraints, and the detection
+// result and statistics in opts, which it requires rather than derives.
 func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*Prepared, error) {
-	if opts.MinimalityWeight == 0 {
-		opts.MinimalityWeight = 0.5
-	}
-	if opts.DCWeight == 0 {
-		opts.DCWeight = 4.0
-	}
-	if opts.Tau == 0 && !opts.FullDomain {
-		opts.Tau = 0.5
+	detection, st, masked := opts.Detection, opts.Stats, opts.MaskedStats
+	switch {
+	case detection == nil:
+		return nil, fmt.Errorf("compile: Options.Detection is required")
+	case st == nil:
+		return nil, fmt.Errorf("compile: Options.Stats is required")
+	case masked == nil && !opts.DisableCooccurFeatures:
+		return nil, fmt.Errorf("compile: Options.MaskedStats is required by co-occurrence features")
 	}
 	// Intern constraint constants so bound predicates compare labels.
 	for _, c := range constraints {
@@ -238,18 +178,6 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 		return nil, err
 	}
 	out := &Prepared{DS: ds, Bounds: bounds}
-
-	// --- Error detection (Figure 2, module 1) ---
-	detection := opts.Detection
-	out.Hypergraph = opts.Hypergraph
-	if detection == nil {
-		violDet := &errordetect.Violations{Constraints: constraints}
-		if detection, err = errordetect.Run(ds, violDet); err != nil {
-			return nil, err
-		}
-		out.Hypergraph = violDet.LastHypergraph
-	}
-	out.Detection = detection
 
 	// User-confirmed cells are clean by fiat.
 	noisy := detection.Noisy
@@ -266,13 +194,6 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 		}
 		noisy = kept
 	}
-
-	// --- Compilation (Figure 2, module 2) ---
-	st := opts.Stats
-	if st == nil {
-		st = stats.Collect(ds)
-	}
-	out.Stats = st
 
 	domains := pruning.Compute(ds, st, noisy, pruning.Config{
 		Tau:           opts.Tau,
@@ -294,30 +215,17 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 		}
 	}
 
-	// Partitioning (Algorithm 3) needs the conflict hypergraph.
-	if opts.Variant.Partition {
-		if out.Hypergraph == nil {
-			out.Hypergraph = violationHypergraph(ds, constraints)
-		}
-		if out.Hypergraph != nil {
-			out.Groups = partition.Groups(out.Hypergraph)
-		}
+	// Partitioning (Algorithm 3) follows the conflict hypergraph.
+	if opts.Variant.Partition && opts.Hypergraph != nil {
+		out.Groups = partition.Groups(opts.Hypergraph)
 	}
 
 	var evidence []dataset.Cell
 	var evidenceDomains [][]dataset.Value
 	if !opts.SkipEvidence {
-		evidence, evidenceDomains = sampleEvidence(ds, st, detection, noisy, opts)
+		evidence, evidenceDomains = sampleEvidence(ds, st, noisy, opts)
 	}
 
-	dictPrior := opts.DictionaryPrior
-	if dictPrior == 0 {
-		dictPrior = 1.0
-	}
-	rdcPrior := opts.RelaxedDCPrior
-	if rdcPrior == 0 {
-		rdcPrior = 1.0
-	}
 	db := &ddlog.Database{
 		DS:              ds,
 		Bounds:          bounds,
@@ -325,9 +233,8 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 		Evidence:        evidence,
 		EvidenceDomains: evidenceDomains,
 		Matches:         out.Matches,
-		Groups:          out.Groups,
-		DictPrior:       dictPrior,
-		RelaxedDCPrior:  rdcPrior,
+		DictPrior:       opts.DictionaryPrior,
+		RelaxedDCPrior:  opts.RelaxedDCPrior,
 	}
 	if len(out.Groups) > 0 {
 		// Densify the Algorithm 3 groups once; every shard grounder of
@@ -339,16 +246,6 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 	}
 	var softs []func(dataset.Cell, []int32) []ddlog.SoftFeature
 	if !opts.DisableCooccurFeatures {
-		// Clean-cell statistics: co-occurrences where either cell was
-		// flagged noisy are discounted, so self-consistent systematic
-		// errors cannot vouch for themselves.
-		masked := opts.MaskedStats
-		if masked == nil {
-			masked = stats.CollectFiltered(ds, func(t, a int) bool {
-				return detection.IsNoisy(dataset.Cell{Tuple: t, Attr: a})
-			})
-		}
-		out.MaskedStats = masked
 		softs = append(softs, softFeatureFunc(ds, st, masked))
 	}
 	if !opts.DisableSourceFeatures && ds.HasSources() {
@@ -370,16 +267,6 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 	out.Program = buildProgram(bounds, opts)
 	out.DB = db
 	return out, nil
-}
-
-// violationHypergraph runs violation detection for a caller that injected
-// a detection result without its hypergraph.
-func violationHypergraph(ds *dataset.Dataset, constraints []*dc.Constraint) *violation.Hypergraph {
-	det, err := violation.NewDetector(ds, constraints)
-	if err != nil {
-		return nil
-	}
-	return violation.BuildHypergraph(det, det.Detect())
 }
 
 // buildProgram emits the inference rules of Section 4.2 for the selected
@@ -631,11 +518,7 @@ func fusionFeatureFunc(votes *fusion.Votes, numAttrs int) func(dataset.Cell, []i
 // no tied weights with any query variable), and computes their candidate
 // domains with the same Algorithm 2 configuration. Cells whose pruned
 // domain is a singleton carry no training signal and are skipped.
-func sampleEvidence(ds *dataset.Dataset, st *stats.Stats, det *errordetect.Result, noisy []dataset.Cell, opts Options) ([]dataset.Cell, [][]dataset.Value) {
-	maxEvidence := opts.MaxEvidence
-	if maxEvidence == 0 {
-		maxEvidence = 2000
-	}
+func sampleEvidence(ds *dataset.Dataset, st *stats.Stats, noisy []dataset.Cell, opts Options) ([]dataset.Cell, [][]dataset.Value) {
 	stillNoisy := make(map[dataset.Cell]bool, len(noisy))
 	noisyAttrs := make(map[int]bool)
 	for _, c := range noisy {
@@ -654,8 +537,8 @@ func sampleEvidence(ds *dataset.Dataset, st *stats.Stats, det *errordetect.Resul
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-	if len(pool) > maxEvidence {
-		pool = pool[:maxEvidence]
+	if len(pool) > opts.MaxEvidence {
+		pool = pool[:opts.MaxEvidence]
 	}
 	// User-confirmed cells are always evidence, ahead of the sample.
 	for _, c := range opts.Trusted {

@@ -263,9 +263,6 @@ func (ds *Dataset) Equal(other *Dataset) bool {
 	return true
 }
 
-// CellValue returns the value of cell c.
-func (ds *Dataset) CellValue(c Cell) Value { return ds.rows[c.Tuple][c.Attr] }
-
 // Diff returns the cells at which ds and other disagree. Schemas must match.
 func (ds *Dataset) Diff(other *Dataset) []Cell {
 	var out []Cell

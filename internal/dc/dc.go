@@ -49,27 +49,6 @@ func (o Op) Code() string { return opCodes[o] }
 // String returns the mathematical symbol for the operator.
 func (o Op) String() string { return opSymbols[o] }
 
-// Negate returns the operator o̅ with x o̅ y ⇔ ¬(x o y), used by repair
-// algorithms that resolve violations. Sim has no exact negation and
-// negates to itself paired with a caller-side NOT.
-func (o Op) Negate() Op {
-	switch o {
-	case Eq:
-		return Neq
-	case Neq:
-		return Eq
-	case Lt:
-		return Geq
-	case Gt:
-		return Leq
-	case Leq:
-		return Gt
-	case Geq:
-		return Lt
-	}
-	return o
-}
-
 // Operand is one side of a predicate: either a tuple-attribute reference
 // (Tuple ∈ {0,1} for t1/t2) or a constant.
 type Operand struct {

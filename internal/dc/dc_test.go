@@ -217,15 +217,6 @@ func TestEqualityJoinAttrs(t *testing.T) {
 	}
 }
 
-func TestOpNegate(t *testing.T) {
-	pairs := map[Op]Op{Eq: Neq, Neq: Eq, Lt: Geq, Geq: Lt, Gt: Leq, Leq: Gt}
-	for op, want := range pairs {
-		if got := op.Negate(); got != want {
-			t.Errorf("%v.Negate() = %v, want %v", op, got, want)
-		}
-	}
-}
-
 func TestCompareNumericVsLex(t *testing.T) {
 	if !Compare(Lt, "5", "10") {
 		t.Errorf("5 < 10 numerically")

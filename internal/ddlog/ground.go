@@ -46,17 +46,14 @@ type Database struct {
 	RelaxedDCPrior float64
 	// Matches is the Matched(t,a,d,k) relation.
 	Matches []extdict.Match
-	// Groups are the Algorithm 3 tuple groups; nil disables partitioning
-	// even for rules that request it.
-	Groups []partition.Group
 	// GroupIndex is the dense constraint → tuple → group-id (-1 = none)
-	// view of Groups, built once per run with BuildGroupIndex and shared
-	// read-only by every shard grounder. Nil makes each grounder build
-	// its own lazily (hand-wired databases, tests).
+	// view of the Algorithm 3 tuple groups, built once per run with
+	// BuildGroupIndex and shared read-only by every shard grounder. Nil
+	// disables partitioning even for rules that request it.
 	GroupIndex [][]int32
-	// Shared, when non-nil, supplies dataset-wide indexes shared across
-	// the per-shard grounders of the sharded pipeline. Nil keeps the
-	// original per-grounder lazy indexes (the monolithic path).
+	// Shared supplies the dataset-wide indexes grounding joins through,
+	// shared across the per-shard grounders of the sharded pipeline. With
+	// nil, Ground builds a private one over DS and Domains.
 	Shared *SharedIndex
 	// Interner, when non-nil, is the canonical tying-key store shared by
 	// every graph grounded from this database (all shards of a run, and a
@@ -136,13 +133,6 @@ type CellVars struct {
 	ids   []int32
 	mark  []int32
 	epoch int32
-}
-
-// NewCellVars returns an all-empty map sized tuples×attrs.
-func NewCellVars(tuples, attrs int) *CellVars {
-	cv := &CellVars{}
-	cv.reset(tuples, attrs)
-	return cv
 }
 
 // reset resizes to tuples×attrs and invalidates every slot by bumping
@@ -264,8 +254,8 @@ type grounder struct {
 	out     *Grounded
 	ar      *Arena
 	sym     []int8                    // constraint → -1 unknown / 0 no / 1 symmetric under tuple swap
-	grp     [][]int32                 // lazy local group index (nil until first sameGroup without db.GroupIndex)
-	initIdx []map[dataset.Value][]int // attribute → initial value → tuples; nil = unbuilt
+	shared  *SharedIndex              // db.Shared, or a private index when the database carries none
+	initIdx []map[dataset.Value][]int // attribute → shared.Init(attr), cached past the shared lock; nil = not fetched
 }
 
 // Ground evaluates every rule of the program against the database and
@@ -284,7 +274,11 @@ func Ground(db *Database, prog *Program, cfg Config) (*Grounded, error) {
 		g:       factor.NewGraph(),
 		ar:      ar,
 		sym:     make([]int8, len(db.Bounds)),
+		shared:  db.Shared,
 		initIdx: make([]map[dataset.Value][]int, db.DS.NumAttrs()),
+	}
+	if gr.shared == nil {
+		gr.shared = NewSharedIndex(db.DS, db.Domains)
 	}
 	for i := range gr.sym {
 		gr.sym[i] = -1
@@ -548,24 +542,10 @@ func BuildGroupIndex(numConstraints, numTuples int, groups []partition.Group) []
 	return idx
 }
 
-// groupsFor returns the constraint's dense tuple → group index, from the
-// shared per-run table when the database carries one, else built lazily
-// per grounder (one BuildGroupIndex call populates every constraint's
-// row, so the fallback stays linear in constraints).
-func (gr *grounder) groupsFor(ci int) []int32 {
-	if gr.db.GroupIndex != nil {
-		return gr.db.GroupIndex[ci]
-	}
-	if gr.grp == nil {
-		gr.grp = BuildGroupIndex(len(gr.db.Bounds), gr.db.DS.NumTuples(), gr.db.Groups)
-	}
-	return gr.grp[ci]
-}
-
 // sameGroup reports whether t1 and t2 share an Algorithm 3 group for
 // constraint ci.
 func (gr *grounder) sameGroup(ci, t1, t2 int) bool {
-	m := gr.groupsFor(ci)
+	m := gr.db.GroupIndex[ci]
 	return m[t1] >= 0 && m[t1] == m[t2]
 }
 

@@ -208,7 +208,7 @@ func (gr *grounder) groundDC(rule *Rule) error {
 			}
 			w = dampWid
 		}
-		if rule.Partition && gr.db.Groups != nil && !gr.sameGroup(ci, t1, t2) {
+		if rule.Partition && gr.db.GroupIndex != nil && !gr.sameGroup(ci, t1, t2) {
 			return
 		}
 		nb := gr.foldFactor(b, t1, t2)
@@ -252,7 +252,7 @@ func (gr *grounder) groundDC(rule *Rule) error {
 	// Index every tuple under every label its t2-role join cell can take
 	// (candidates for noisy cells, initial value otherwise), so pairs that
 	// only violate under a hypothetical repair are still found.
-	bucketR := gr.candBuckets(ra)
+	bucketR := gr.shared.Candidates(ra)
 	for _, t1 := range gr.tuplesWithQueryRef(b, pickRole(symmetric, 0)) {
 		for _, l := range gr.candidateLabels(dataset.Cell{Tuple: t1, Attr: la}) {
 			for _, t2 := range bucketR[l] {
@@ -261,7 +261,7 @@ func (gr *grounder) groundDC(rule *Rule) error {
 		}
 	}
 	if !symmetric {
-		bucketL := gr.candBuckets(la)
+		bucketL := gr.shared.Candidates(la)
 		for _, t2 := range gr.tuplesWithQueryRef(b, 1) {
 			for _, l := range gr.candidateLabels(dataset.Cell{Tuple: t2, Attr: ra}) {
 				for _, t1 := range bucketL[l] {
@@ -271,23 +271,6 @@ func (gr *grounder) groundDC(rule *Rule) error {
 		}
 	}
 	return nil
-}
-
-// candBuckets returns label → tuples whose cell on attr can take that
-// label. With a SharedIndex the dataset-wide build happens once across
-// shards; otherwise it is built from the local graph, which on a
-// monolithic grounding yields identical buckets.
-func (gr *grounder) candBuckets(attr int) map[int32][]int {
-	if gr.db.Shared != nil {
-		return gr.db.Shared.Candidates(attr)
-	}
-	m := make(map[int32][]int)
-	for t := 0; t < gr.db.DS.NumTuples(); t++ {
-		for _, l := range gr.candidateLabels(dataset.Cell{Tuple: t, Attr: attr}) {
-			m[l] = append(m[l], t)
-		}
-	}
-	return m
 }
 
 // pickRole selects which tuple role the outer loop enumerates: for

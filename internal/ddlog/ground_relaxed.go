@@ -267,28 +267,15 @@ func (gr *grounder) headEqJoin(b *dc.Bound, hr CellRef, headPreds []int) (pi, ot
 	return -1, 0
 }
 
-// initIndex returns the initial-value index of attr (value → tuples).
-// When the database carries a SharedIndex the per-attribute build is
-// delegated to it (and so happens once across all shards); the grounder's
-// dense attribute-indexed cache still skips the shared lock on repeat
-// lookups.
+// initIndex returns the initial-value index of attr (value → tuples) from
+// the shared index; the grounder's dense attribute-indexed cache skips the
+// shared lock on repeat lookups.
 func (gr *grounder) initIndex(attr int) map[dataset.Value][]int {
-	if idx := gr.initIdx[attr]; idx != nil {
-		return idx
-	}
-	if gr.db.Shared != nil {
-		idx := gr.db.Shared.Init(attr)
+	idx := gr.initIdx[attr]
+	if idx == nil {
+		idx = gr.shared.Init(attr)
 		gr.initIdx[attr] = idx
-		return idx
 	}
-	idx := make(map[dataset.Value][]int)
-	for t := 0; t < gr.db.DS.NumTuples(); t++ {
-		v := gr.db.DS.Get(t, attr)
-		if v != dataset.Null {
-			idx[v] = append(idx[v], t)
-		}
-	}
-	gr.initIdx[attr] = idx
 	return idx
 }
 

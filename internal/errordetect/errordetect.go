@@ -37,9 +37,6 @@ func (r *Result) IsNoisy(c dataset.Cell) bool {
 	return ok
 }
 
-// FlaggedBy returns the names of the detectors that flagged c.
-func (r *Result) FlaggedBy(c dataset.Cell) []string { return r.noisySet[c] }
-
 // NumNoisy returns |D_n|.
 func (r *Result) NumNoisy() int { return len(r.Noisy) }
 

@@ -203,17 +203,6 @@ func (w *Weights) add(key string, init float64, fixed bool) int32 {
 // Len returns the number of distinct weights.
 func (w *Weights) Len() int { return len(w.W) }
 
-// NumLearnable counts the non-fixed weights.
-func (w *Weights) NumLearnable() int {
-	n := 0
-	for _, f := range w.Fixed {
-		if !f {
-			n++
-		}
-	}
-	return n
-}
-
 // adjacency is a CSR (compressed sparse row) index: the incident factor
 // ids of variable v are idx[off[v]:off[v+1]]. One backing slice replaces
 // the per-variable []int32 allocations of the naive representation.
@@ -334,17 +323,6 @@ func (g *Graph) AddSoft(v, weight int32, h []float64) {
 // optimizations of Section 5.1 shrink.
 func (g *Graph) NumFactors() int { return len(g.Unaries) + len(g.Softs) + len(g.Naries) }
 
-// NumQuery counts query (non-evidence) variables.
-func (g *Graph) NumQuery() int {
-	n := 0
-	for i := range g.Vars {
-		if !g.Vars[i].Evidence {
-			n++
-		}
-	}
-	return n
-}
-
 // Freeze builds the CSR adjacency indexes; the graph structure becomes
 // immutable (weights and assignments stay mutable). Each adjacency is two
 // flat arrays (row offsets plus one backing index slice) instead of a
@@ -374,9 +352,6 @@ func (g *Graph) Freeze() {
 	})
 	g.frozen = true
 }
-
-// Frozen reports whether Freeze has run.
-func (g *Graph) Frozen() bool { return g.frozen }
 
 // IncidentUnaries returns the unary factor indices touching variable v.
 // The graph must be frozen.

@@ -34,8 +34,8 @@ func TestWeightsTying(t *testing.T) {
 	if c == a {
 		t.Errorf("distinct keys should differ")
 	}
-	if w.Len() != 2 || w.NumLearnable() != 1 {
-		t.Errorf("counting wrong: len=%d learnable=%d", w.Len(), w.NumLearnable())
+	if w.Len() != 2 {
+		t.Errorf("counting wrong: len=%d", w.Len())
 	}
 }
 

@@ -2,7 +2,6 @@ package gibbs
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -12,11 +11,11 @@ import (
 // uniform draw instead of producing NaN weights and always returning the
 // last index.
 func TestSampleSoftmaxAllNegInf(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	state := uint64(1)
 	scores := []float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
 	seen := make(map[int]bool)
 	for i := 0; i < 200; i++ {
-		d := sampleSoftmax(rng, scores)
+		d := sampleSoftmaxState(&state, scores)
 		if d < 0 || d >= len(scores) {
 			t.Fatalf("draw %d out of range", d)
 		}
@@ -50,9 +49,9 @@ func TestSoftmaxMixedInf(t *testing.T) {
 	if math.Abs(scores[1]-1) > 1e-12 || scores[0] != 0 || scores[2] != 0 {
 		t.Errorf("mixed -Inf softmax = %v, want [0 1 0]", scores)
 	}
-	rng := rand.New(rand.NewSource(1))
+	state := uint64(1)
 	for i := 0; i < 50; i++ {
-		if d := sampleSoftmax(rng, []float64{math.Inf(-1), 2.0, math.Inf(-1)}); d != 1 {
+		if d := sampleSoftmaxState(&state, []float64{math.Inf(-1), 2.0, math.Inf(-1)}); d != 1 {
 			t.Fatalf("sample picked infeasible index %d", d)
 		}
 	}

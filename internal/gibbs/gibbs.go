@@ -4,12 +4,11 @@
 // 5.2 leave every query variable independent, so its posterior is the
 // softmax of its local scores and Run returns that closed form; only
 // graphs with query-side correlations are sampled — single-site Gibbs with
-// burn-in, sequentially or on the chromatic schedule of Config.Colors.
+// burn-in, on the chromatic schedule of Config.Colors.
 package gibbs
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 
 	"holoclean/internal/factor"
@@ -25,40 +24,36 @@ type Config struct {
 	// Samples is the number of sweeps whose states are accumulated into
 	// the marginal estimates.
 	Samples int
-	// Seed makes runs reproducible.
+	// Seed makes runs reproducible: without VarSeed, variable v's stream
+	// is seeded Seed + v·1000003.
 	Seed int64
 	// Parallel has no effect.
 	//
 	// Deprecated: independent query variables, the only regime it applied
 	// to, are no longer sampled.
 	Parallel bool
-	// VarSeed, when non-nil, supplies the per-variable stream seed of the
-	// chromatic schedule (len == number of variables). The sharded
+	// VarSeed, when non-nil, supplies the per-variable stream seed (len ==
+	// number of variables) in place of the Seed-derived one. The sharded
 	// pipeline uses it to seed each variable's stream by its global
-	// identity rather than its index in the shard-local graph. Nil falls
-	// back to Seed + v·1e6+3 per variable. Sequential sweeps ignore it.
+	// identity rather than its index in the shard-local graph.
 	VarSeed []int64
-	// Colors, when non-nil, selects the chromatic sweep schedule for
-	// graphs with query-side correlations: each entry is one color class —
-	// query variables that share no n-ary factor — and every sweep samples
-	// the classes in order, each class across IntraWorkers goroutines.
-	// Within a class the conditionals are mutually independent given the
-	// other classes, so the parallel class sweep is a valid single-site
-	// Gibbs schedule. Every variable draws from its own counter-based
-	// stream seeded by Seed/VarSeed, so the result is bit-identical for
-	// every IntraWorkers value, including 1. The
-	// chromatic schedule visits variables in class order rather than the
-	// sequential sampler's shuffled order, so its draws differ from Run's
-	// sequential mode — equivalence holds across worker counts, not across
-	// schedules. Colors must cover exactly the query variables of the
-	// graph.
+	// Colors is the chromatic sweep schedule: each entry is one color class
+	// — query variables that share no n-ary factor — and every sweep
+	// samples the classes in order, each class across IntraWorkers
+	// goroutines. Within a class the conditionals are mutually independent
+	// given the other classes, so the parallel class sweep is a valid
+	// single-site Gibbs schedule. Every variable draws from its own
+	// counter-based stream seeded by Seed/VarSeed, so the result is
+	// bit-identical for every IntraWorkers value, including 1. Colors must
+	// cover exactly the query variables of the graph; nil means one class
+	// per query variable, in index order — the trivially valid coloring.
 	Colors [][]int32
-	// IntraWorkers bounds the goroutines sampling one color class
-	// (chromatic schedule only). Values <= 1 sweep sequentially — the
-	// reference schedule parallel runs must reproduce bit for bit.
+	// IntraWorkers bounds the goroutines sampling one color class. Values
+	// <= 1 sweep sequentially — the reference schedule parallel runs must
+	// reproduce bit for bit.
 	IntraWorkers int
 	// Scratch, when non-nil, supplies every working buffer of the run —
-	// marginal arenas, score buffers, sweep order, RNG state — so a warmed
+	// marginal arenas, score buffers, stream state — so a warmed
 	// scratch makes steady-state runs allocation-free. The
 	// returned Marginals borrow the scratch's arenas and stay valid only
 	// until the scratch's next Run; callers must extract what they need
@@ -69,7 +64,7 @@ type Config struct {
 
 // Scratch is the reusable working memory of one run: a flat marginal
 // arena with per-variable views, score buffers (one per chromatic
-// worker), sweep ordering, and re-seedable RNG state. The sharded pipeline
+// worker), and per-variable stream state. The sharded pipeline
 // pools scratches across its worker pool and across Session recleans via
 // AcquireScratch/ReleaseScratch, so steady-state serving recleans approach
 // zero inference allocations.
@@ -78,26 +73,9 @@ type Scratch struct {
 	p      [][]float64 // per-variable views into counts
 	buf    []float64
 	wbuf   [][]float64 // per-worker score buffers (parallel chromatic classes)
-	order  []int32
 	query  []int32
-	pstate []uint64 // per-variable splitmix64 states (chromatic schedule)
+	pstate []uint64 // per-variable splitmix64 states
 	m      factor.Marginals
-	src    rand.Source
-	rng    *rand.Rand
-}
-
-// seeded returns the scratch's sequential-sweep RNG re-seeded to seed,
-// creating source and RNG on first use. Re-seeding an existing source
-// produces exactly the stream rand.New(rand.NewSource(seed)) would,
-// without the two per-call allocations.
-func (s *Scratch) seeded(seed int64) *rand.Rand {
-	if s.rng == nil {
-		s.src = rand.NewSource(seed)
-		s.rng = rand.New(s.src)
-	} else {
-		s.src.Seed(seed)
-	}
-	return s.rng
 }
 
 // marginals resizes the arena for g (one float64 per variable per domain
@@ -135,14 +113,6 @@ func growF(b []float64, n int) []float64 {
 	return make([]float64, n)
 }
 
-// growI is growF for int32 slices.
-func growI(b []int32, n int) []int32 {
-	if cap(b) >= n {
-		return b[:n]
-	}
-	return make([]int32, n)
-}
-
 // growU64 is growF for uint64 slices.
 func growU64(b []uint64, n int) []uint64 {
 	if cap(b) >= n {
@@ -164,16 +134,11 @@ func AcquireScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 // with any Marginals borrowed from it.
 func ReleaseScratch(s *Scratch) { scratchPool.Put(s) }
 
-// DefaultConfig mirrors the modest sampling budgets DeepDive-style systems
-// use once mixing is fast (Section 5.2).
-func DefaultConfig() Config { return Config{BurnIn: 10, Samples: 50, Seed: 1} }
-
 // Run returns the marginals of g's query variables by the rule its shape
 // calls for: the closed form when no n-ary factor touches a query variable
-// (bit-identical to Exact, whatever the sampling budget and seed), Gibbs
-// sampling otherwise — the chromatic schedule when cfg.Colors is set,
-// shuffled sequential sweeps when not. Evidence variables stay clamped at
-// their observed values and have point-mass marginals.
+// (bit-identical to Exact, whatever the sampling budget and seed), chromatic
+// Gibbs sampling otherwise. Evidence variables stay clamped at their
+// observed values and have point-mass marginals.
 func Run(g *factor.Graph, cfg Config) *factor.Marginals {
 	g.Freeze()
 	sc := cfg.Scratch
@@ -183,68 +148,7 @@ func Run(g *factor.Graph, cfg Config) *factor.Marginals {
 	if !g.HasNaryOnQuery() {
 		return closedForm(g, sc)
 	}
-	if len(cfg.Colors) > 0 {
-		return runChromatic(g, cfg, sc)
-	}
-	rng := sc.seeded(cfg.Seed)
-	query := sc.query[:0]
-	maxDom := 1
-	for i := range g.Vars {
-		v := &g.Vars[i]
-		if v.Evidence {
-			v.Assign = v.Obs
-			continue
-		}
-		query = append(query, int32(i))
-		if len(v.Domain) > maxDom {
-			maxDom = len(v.Domain)
-		}
-		// Start at the initial observed value when it survived pruning,
-		// otherwise at a random candidate.
-		if v.Obs >= 0 {
-			v.Assign = v.Obs
-		} else {
-			v.Assign = int32(rng.Intn(len(v.Domain)))
-		}
-	}
-	sc.query = query
-	counts := sc.marginals(g)
-	buf := growF(sc.buf, maxDom)
-	sc.buf = buf
-	order := growI(sc.order, len(query))
-	sc.order = order
-	copy(order, query)
-
-	sweeps := cfg.BurnIn + cfg.Samples
-	for sweep := 0; sweep < sweeps; sweep++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, v := range order {
-			dom := len(g.Vars[v].Domain)
-			scores := buf[:dom]
-			g.LocalScores(v, scores)
-			g.Vars[v].Assign = int32(sampleSoftmax(rng, scores))
-		}
-		if sweep >= cfg.BurnIn {
-			for _, v := range query {
-				counts[v][g.Vars[v].Assign]++
-			}
-		}
-	}
-
-	m := &sc.m
-	m.P = counts
-	n := float64(cfg.Samples)
-	for _, v := range query {
-		for d := range m.P[v] {
-			m.P[v][d] /= n
-		}
-	}
-	for i := range g.Vars {
-		if g.Vars[i].Evidence {
-			m.P[i][g.Vars[i].Obs] = 1
-		}
-	}
-	return m
+	return runChromatic(g, cfg, sc)
 }
 
 // splitmix64 advances a per-variable PRNG state and returns the next
@@ -275,7 +179,10 @@ func splitIntn(state *uint64, n int) int {
 	return int(splitmix64(state) % uint64(n))
 }
 
-// sampleSoftmaxState is sampleSoftmax over a splitmix64 stream.
+// sampleSoftmaxState draws an index proportionally to exp(scores) from a
+// splitmix64 stream. When every score is -Inf the softmax is degenerate
+// (-Inf - -Inf is NaN); the draw falls back to uniform instead of
+// propagating NaN weights.
 func sampleSoftmaxState(state *uint64, scores []float64) int {
 	maxS := math.Inf(-1)
 	for _, s := range scores {
@@ -304,9 +211,11 @@ func sampleSoftmaxState(state *uint64, scores []float64) int {
 // runChromatic executes the color-scheduled sweeps of Config.Colors: every
 // sweep visits the classes in order and samples each class's variables —
 // sequentially when IntraWorkers <= 1, otherwise in contiguous chunks
-// across an IntraWorkers-goroutine pool. Correctness of the parallel class
-// sweep: variables in one class share no n-ary factor, so each LocalScores
-// call reads only assignments frozen since the previous class boundary.
+// across an IntraWorkers-goroutine pool. Without colors every query
+// variable is its own class, visited in index order. Correctness of the
+// parallel class sweep: variables in one class share no n-ary factor, so
+// each LocalScores call reads only assignments frozen since the previous
+// class boundary.
 //
 // Determinism: each variable draws from a private splitmix64 stream
 // advanced exactly once per sweep, so the draw sequence depends only on
@@ -368,6 +277,12 @@ func runChromatic(g *factor.Graph, cfg Config, sc *Scratch) *factor.Marginals {
 	sweeps := cfg.BurnIn + cfg.Samples
 	for sweep := 0; sweep < sweeps; sweep++ {
 		collect := sweep >= cfg.BurnIn
+		if len(cfg.Colors) == 0 {
+			for _, v := range query {
+				chromaticSampleVar(g, sc.pstate, counts, v, sc.buf, collect)
+			}
+			continue
+		}
 		for _, class := range cfg.Colors {
 			if workers <= 1 || len(class) < 2*workers {
 				for _, v := range class {
@@ -467,34 +382,6 @@ func closedForm(g *factor.Graph, sc *Scratch) *factor.Marginals {
 		v.Assign = int32(best)
 	}
 	return m
-}
-
-// sampleSoftmax draws an index proportionally to exp(scores). When every
-// score is -Inf the softmax is degenerate (-Inf - -Inf is NaN); the draw
-// falls back to uniform instead of propagating NaN weights.
-func sampleSoftmax(rng *rand.Rand, scores []float64) int {
-	maxS := math.Inf(-1)
-	for _, s := range scores {
-		if s > maxS {
-			maxS = s
-		}
-	}
-	if math.IsInf(maxS, -1) {
-		return rng.Intn(len(scores))
-	}
-	var z float64
-	for _, s := range scores {
-		z += math.Exp(s - maxS)
-	}
-	u := rng.Float64() * z
-	var acc float64
-	for i, s := range scores {
-		acc += math.Exp(s - maxS)
-		if u < acc {
-			return i
-		}
-	}
-	return len(scores) - 1
 }
 
 // softmaxInPlace turns scores into probabilities. An all--Inf input (no

@@ -9,7 +9,7 @@ import (
 )
 
 // chainGraph builds a correlated chain (n-ary factors between successive
-// variables) so Run takes the sequential-sweep path.
+// variables) so Run samples it — uncolored, one class per variable.
 func chainGraph(n int) *factor.Graph {
 	g := factor.NewGraph()
 	var prev int32 = -1
@@ -46,11 +46,11 @@ func TestScratchMatchesFreshBuffers(t *testing.T) {
 	}
 }
 
-// TestSequentialSweepsZeroAllocs pins the tentpole property: once a
-// scratch is warm, a full sequential Gibbs run — sweeps, score buffers,
-// marginal accumulation, and the returned Marginals — performs zero heap
-// allocations. Any regression (a rebuilt buffer, an escaping closure, a
-// fresh RNG) shows up as a nonzero figure here.
+// TestSequentialSweepsZeroAllocs pins that once a scratch is warm, a full
+// uncolored Gibbs run — sweeps, score buffers, stream state, marginal
+// accumulation, and the returned Marginals — performs zero heap
+// allocations. Any regression (a rebuilt buffer, an escaping closure)
+// shows up as a nonzero figure here.
 func TestSequentialSweepsZeroAllocs(t *testing.T) {
 	g := chainGraph(30)
 	sc := new(Scratch)
@@ -63,7 +63,7 @@ func TestSequentialSweepsZeroAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state sequential Run allocated %v objects per run, want 0", allocs)
+		t.Fatalf("steady-state uncolored Run allocated %v objects per run, want 0", allocs)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"holoclean"
 	"holoclean/internal/compile"
 	"holoclean/internal/datagen"
 )
@@ -35,13 +36,12 @@ func AblationGroundingSize(g *datagen.Generated) ([]GroundingSizeRow, error) {
 		{true, false},
 		{true, true},
 	} {
-		opts := compile.DefaultOptions()
-		opts.Variant = compile.Variant{DCFactors: true, Partition: c.partitioning}
-		opts.Tau = PaperTau(g.Name)
+		opts := HoloCleanOptions(g.Name)
+		opts.Variant = holocleanVariant(true, false, c.partitioning)
 		opts.FullDomain = !c.pruning
-		opts.MaxEvidence = 500
+		opts.EvidenceSample = 500
 		start := time.Now()
-		comp, err := compile.Compile(g.Dirty, g.Constraints, opts)
+		ex, err := holoclean.New(opts).Explain(g.Dirty, g.Constraints)
 		if err != nil {
 			return nil, err
 		}
@@ -49,9 +49,9 @@ func AblationGroundingSize(g *datagen.Generated) ([]GroundingSizeRow, error) {
 			Dataset:      g.Name,
 			Pruning:      c.pruning,
 			Partitioning: c.partitioning,
-			Variables:    comp.Grounded.Stats.Variables,
-			Factors:      comp.Grounded.Graph.NumFactors(),
-			PaperFactors: comp.Grounded.Stats.PaperFactors,
+			Variables:    ex.Variables,
+			Factors:      ex.Factors,
+			PaperFactors: ex.PaperFactors,
 			GroundTime:   time.Since(start),
 		})
 	}

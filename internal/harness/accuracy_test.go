@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"holoclean"
 	"holoclean/internal/datagen"
 )
 
@@ -135,6 +136,43 @@ func TestAblationFeaturizers(t *testing.T) {
 	if len(distinct) < 2 {
 		t.Errorf("featurizer toggles had no effect: %+v", cells)
 	}
+}
+
+// TestFeaturizerAblationTakesEffect: the no-minimality row zeroes the
+// minimality weight, and zero must reach the model — a different program
+// (the rule's fixed weight) and different marginals than the full signal
+// set, not the default weight silently restored.
+func TestFeaturizerAblationTakesEffect(t *testing.T) {
+	g := datagen.Hospital(datagen.Config{Tuples: 200, Seed: 1})
+	all, _ := featurizerOptions(g, "all")
+	noMin, _ := featurizerOptions(g, "no-minimality")
+	const rule = "Value?(t, a, d) :- InitValue(t, a, d)  weight = "
+	results := make([]*holoclean.Result, 2)
+	for i, c := range []struct {
+		opts   holoclean.Options
+		weight string
+	}{{all, "0.5"}, {noMin, "0"}} {
+		ex, err := holoclean.New(c.opts).Explain(g.Dirty, g.Constraints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(ex.Program, rule+c.weight+"\n") {
+			t.Errorf("MinimalityWeight %v: program lacks %q:\n%s", c.opts.MinimalityWeight, rule+c.weight, ex.Program)
+		}
+		if results[i], err = holoclean.New(c.opts).Clean(g.Dirty, g.Constraints); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(results[0].Marginals) == 0 {
+		t.Fatal("fixture inferred no cells")
+	}
+	for c, dist := range results[0].Marginals {
+		other := results[1].Marginals[c]
+		if len(other) != len(dist) || other[0] != dist[0] {
+			return
+		}
+	}
+	t.Error("no-minimality and all inferred identical marginals: the ablation is inert")
 }
 
 func TestAccuracyReportShape(t *testing.T) {

@@ -166,13 +166,3 @@ func Fingerprint(cells []dataset.Cell) string {
 	}
 	return string(buf)
 }
-
-// TotalPairs sums PairCount over groups: the Σ_g |g|² bound of the paper
-// (up to the constant), compared against |Σ|·|D|² without partitioning.
-func TotalPairs(groups []Group) int {
-	n := 0
-	for _, g := range groups {
-		n += g.PairCount()
-	}
-	return n
-}

@@ -74,9 +74,6 @@ func TestPairCount(t *testing.T) {
 	if g.PairCount() != 6 {
 		t.Errorf("PairCount(4) = %d, want 6", g.PairCount())
 	}
-	if TotalPairs([]Group{g, {Tuples: []int{7, 8}}}) != 7 {
-		t.Errorf("TotalPairs wrong")
-	}
 }
 
 // TestGroupsArePartition: within one constraint, groups are disjoint and

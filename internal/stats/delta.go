@@ -59,8 +59,8 @@ type Delta struct {
 	// CondShape holds the contexts whose histogram flipped between empty
 	// and non-empty (read by the feature materializer's emptiness guard).
 	CondShape map[CondKey]struct{}
-	// Tuples reports whether the tuple count changed (it feeds RelFreq
-	// and the quasi-key heuristic of the compiler's frequency prior).
+	// Tuples reports whether the tuple count changed (it feeds the
+	// quasi-key heuristic of the compiler's frequency prior).
 	Tuples bool
 }
 
@@ -105,7 +105,7 @@ func NewDelta() *Delta {
 // contribution) plus one added view (its new contribution). Counters that
 // reach zero are deleted, so the result is structurally identical to a
 // fresh Collect/CollectFiltered of the mutated dataset — DistinctValues,
-// GivenHistogram emptiness, and MostFrequent see no phantom entries.
+// and GivenHistogram emptiness see no phantom entries.
 //
 // The returned Delta lists the counters with a nonzero net change; views
 // that cancel out (identical old and new contribution) touch nothing.

@@ -106,14 +106,6 @@ func (s *Stats) NumTuples() int { return s.total }
 // Freq returns the number of tuples whose attribute a equals v.
 func (s *Stats) Freq(a int, v dataset.Value) int { return s.freq[a][v] }
 
-// RelFreq returns the empirical probability of value v in attribute a.
-func (s *Stats) RelFreq(a int, v dataset.Value) float64 {
-	if s.total == 0 {
-		return 0
-	}
-	return float64(s.freq[a][v]) / float64(s.total)
-}
-
 // DistinctValues returns the number of distinct non-null values of a.
 func (s *Stats) DistinctValues(a int) int { return len(s.freq[a]) }
 
@@ -164,16 +156,4 @@ func (s *Stats) ValuesAbove(a, g int, vg dataset.Value, tau float64) []dataset.V
 		}
 	}
 	return out
-}
-
-// MostFrequent returns the modal value of attribute a and its count, or
-// (Null, 0) when the attribute is entirely null.
-func (s *Stats) MostFrequent(a int) (dataset.Value, int) {
-	best, bestCnt := dataset.Null, 0
-	for v, c := range s.freq[a] {
-		if c > bestCnt || (c == bestCnt && v < best) {
-			best, bestCnt = v, c
-		}
-	}
-	return best, bestCnt
 }

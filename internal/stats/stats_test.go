@@ -31,9 +31,6 @@ func TestFreq(t *testing.T) {
 	if st.DistinctValues(zip) != 2 {
 		t.Errorf("DistinctValues(zip) = %d, want 2 (null excluded)", st.DistinctValues(zip))
 	}
-	if st.RelFreq(zip, v608) != 3.0/5 {
-		t.Errorf("RelFreq = %v", st.RelFreq(zip, v608))
-	}
 }
 
 func TestCondProb(t *testing.T) {
@@ -75,16 +72,6 @@ func TestValuesAbove(t *testing.T) {
 	}
 	if vs = st.ValuesAbove(city, zip, dataset.Value(9999), 0.3); vs != nil {
 		t.Errorf("unknown conditioning should give nil")
-	}
-}
-
-func TestMostFrequent(t *testing.T) {
-	ds := sample()
-	st := Collect(ds)
-	city := ds.AttrIndex("City")
-	v, cnt := st.MostFrequent(city)
-	if ds.Dict().String(v) != "Chicago" || cnt != 4 {
-		t.Errorf("MostFrequent = %q/%d", ds.Dict().String(v), cnt)
 	}
 }
 

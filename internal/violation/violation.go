@@ -27,9 +27,6 @@ type Violation struct {
 	T1, T2     int
 }
 
-// Pairwise reports whether the violation involves two tuples.
-func (v Violation) Pairwise() bool { return v.T2 >= 0 }
-
 // Detector runs violation detection for a fixed dataset and constraint set.
 type Detector struct {
 	ds     *dataset.Dataset

@@ -52,7 +52,7 @@ func TestDetectCanonicalPairs(t *testing.T) {
 	ds, cs := figure1Data()
 	det, _ := NewDetector(ds, cs)
 	for _, v := range det.Detect() {
-		if !v.Pairwise() {
+		if v.T2 < 0 {
 			continue
 		}
 		if v.T1 >= v.T2 {

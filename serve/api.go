@@ -140,7 +140,9 @@ type CreateRequest struct {
 	// SourceColumn, when set, names a provenance column of the CSV.
 	SourceColumn string `json:"source_column,omitempty"`
 	// Seed, Tau, RelearnEvery override the server's base options for
-	// this session; zero values keep the defaults.
+	// this session; a zero Seed or RelearnEvery and an absent Tau keep the
+	// defaults. An explicit "tau": 0 is taken literally: no co-occurrence
+	// pruning.
 	Seed         int64    `json:"seed,omitempty"`
 	Tau          *float64 `json:"tau,omitempty"`
 	RelearnEvery int      `json:"relearn_every,omitempty"`
@@ -282,17 +284,6 @@ type HealthResponse struct {
 	// Draining reports a graceful shutdown in progress: heavy jobs are
 	// being refused with 503 while in-flight work completes.
 	Draining bool `json:"draining,omitempty"`
-	// MaxComponentFrac is the largest LargestComponentFrac across all
-	// live sessions' last runs — the server-wide skew gauge: a value
-	// near 1 means some tenant's inference is dominated by one giant
-	// conflict component (see RunStatsInfo.LargestComponentFrac).
-	MaxComponentFrac float64 `json:"max_component_frac,omitempty"`
-	// RecleanP50MS and RecleanP99MS summarize end-to-end reclean
-	// latency (deltas + feedback, all tenants) from the telemetry
-	// histograms; absent when telemetry is off or nothing has been
-	// recleaned yet. The full distribution is on /metrics.
-	RecleanP50MS float64 `json:"reclean_p50_ms,omitempty"`
-	RecleanP99MS float64 `json:"reclean_p99_ms,omitempty"`
 	// Store aggregates the durable store's gauges; absent without one.
 	Store *StoreHealth `json:"store,omitempty"`
 	// Cluster reports this node's replication state; absent outside

@@ -451,16 +451,7 @@ func (sv *Server) tenantOr404(w http.ResponseWriter, r *http.Request) *tenant {
 func (sv *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	tenants := sv.tenants()
 	resp := HealthResponse{OK: true, Sessions: len(tenants), Queued: int(sv.queued.Load()), Draining: sv.draining.Load()}
-	resp.RecleanP50MS = sv.tel.recleanQuantileMS(0.50)
-	resp.RecleanP99MS = sv.tel.recleanQuantileMS(0.99)
 	resp.Cluster = sv.clusterHealth(tenants)
-	for _, t := range tenants {
-		t.resMu.RLock()
-		if t.last != nil && t.last.Stats.LargestComponentFrac > resp.MaxComponentFrac {
-			resp.MaxComponentFrac = t.last.Stats.LargestComponentFrac
-		}
-		t.resMu.RUnlock()
-	}
 	if sv.store != nil {
 		agg := &StoreHealth{Enabled: true, Dir: sv.store.Dir()}
 		for _, t := range tenants {

@@ -178,15 +178,6 @@ func (m *serverMetrics) storeMetrics() store.Metrics {
 	}
 }
 
-// recleanQuantileMS returns the q-th reclean latency quantile in
-// milliseconds, or 0 when telemetry is off or nothing was recorded.
-func (m *serverMetrics) recleanQuantileMS(q float64) float64 {
-	if m == nil || m.reclean.Count() == 0 {
-		return 0
-	}
-	return m.reclean.Quantile(q) * 1e3
-}
-
 // handleMetrics serves the Prometheus text exposition. Only routed
 // when telemetry is enabled; a disabled server 404s the path.
 func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -36,7 +36,7 @@ type shard struct {
 	// split marks sub-shards cut out of an oversized conflict component
 	// by Options.MaxComponentCells. Split shards are not exact components:
 	// their cut severs real correlations, which boundary-factor damping
-	// (Scope.Boundary) partially restores. They fingerprint under their own
+	// (boundaryDamp) partially restores. They fingerprint under their own
 	// kind so a re-split plan is never confused with a whole-shard plan.
 	split bool
 }
@@ -55,6 +55,15 @@ func (sh shard) fingerprint(cells []dataset.Cell) string {
 	}
 	return kind + partition.Fingerprint(sc)
 }
+
+// boundaryDamp is the weight coefficient of boundary factors on split
+// sub-shards: a denial-constraint pair severed by a MaxComponentCells cut
+// is grounded on each side with the other side folded to its observed
+// value and the factor's weight scaled by it — a cavity-style damped pull
+// toward the neighbor's observation instead of Algorithm 3's hard cut
+// (ddlog.Scope.Boundary). Both sub-shards ground their half, so 0.5
+// restores about one factor's worth of energy per cut pair.
+const boundaryDamp = 0.5
 
 // cellBatch bounds shards formed by batching independent cells: the
 // load-balanced shards of the independent regime and the shards of noisy
@@ -79,8 +88,7 @@ const cellBatch = 256
 // for independent cells, so it too depends only on the plan inputs;
 // severed cross-sub-shard correlations are partially restored at
 // inference time by boundary-factor damping (see Scope.Boundary).
-func planShards(prep *compile.Prepared, comps [][]int, coupled bool, maxComponentCells int) []shard {
-	dom := prep.Domains
+func planShards(dom *pruning.Domains, comps [][]int, coupled bool, maxComponentCells int) []shard {
 	n := len(dom.Cells)
 	if n == 0 {
 		return nil
@@ -89,9 +97,9 @@ func planShards(prep *compile.Prepared, comps [][]int, coupled bool, maxComponen
 	for i := range all {
 		all[i] = i
 	}
-	if coupled && prep.Hypergraph == nil {
-		// Correlation factors with no observed violations to partition
-		// by: keep one shard so the grounded model matches the monolithic
+	if coupled && comps == nil {
+		// Correlation factors with no conflict hypergraph to partition by:
+		// keep one shard so the grounded model matches the whole-relation
 		// one instead of dropping hypothetical cross-batch pairs.
 		return []shard{{cells: all}}
 	}
@@ -384,12 +392,12 @@ func (r *shardRunner) runOne(sh shard) error {
 	db.Evidence, db.EvidenceDomains = nil, nil
 	db.Matches = matches
 	db.Scope = &ddlog.Scope{InShard: inShard, QueryAttrs: r.queryAttrs}
-	if sh.split && o.BoundaryDamp > 0 {
+	if sh.split {
 		// Only split sub-shards damp their boundary: ordinary component
 		// shards have no severed correlations (their cut is exact up to
 		// Algorithm 3's hypothetical-pair approximation), and batch shards
 		// hold independent variables.
-		db.Scope.Boundary = o.BoundaryDamp
+		db.Scope.Boundary = boundaryDamp
 	}
 
 	// Grounding scratch comes from the process-wide arena pool, so the
@@ -416,29 +424,23 @@ func (r *shardRunner) runOne(sh shard) error {
 	groundDur := time.Since(tg)
 
 	// Inference, by graph shape (gibbs.Run): a shard with no query-side
-	// correlation is solved in closed form; a correlated one runs
-	// sequential Gibbs seeded by the shard's first cell, stable across
-	// pools and deltas, or — from chromaticMinVars query variables — the
-	// chromatic schedule: color classes swept with IntraWorkers
-	// goroutines, bit-identical for any worker count. The threshold depends
-	// only on the grounded graph, never on worker counts, so the inference
-	// path of every variable is a pure function of the plan inputs. Buffers
-	// come from the scratch pool; the marginals borrow them, so the scratch
-	// is released only after extraction below.
+	// correlation is solved in closed form; a correlated one is colored and
+	// runs the chromatic Gibbs schedule — color classes swept with
+	// IntraWorkers goroutines, each variable drawing from a stream seeded by
+	// the cell it repairs, so the result is bit-identical for any worker
+	// count and stable across pools and deltas. Buffers come from the
+	// scratch pool; the marginals borrow them, so the scratch is released
+	// only after extraction below.
 	ti := time.Now()
-	numAttrs := prep.DS.NumAttrs()
 	hasNary := g.Graph.HasNaryOnQuery()
 	burn, samp := resolveGibbs(o)
 	scratch := gibbs.AcquireScratch()
 	defer gibbs.ReleaseScratch(scratch)
-	cfg := gibbs.Config{BurnIn: burn, Samples: samp, Seed: o.Seed, Scratch: scratch}
-	if len(cells) > 0 {
-		cfg.Seed = o.Seed + (int64(cells[0].Tuple)*int64(numAttrs)+int64(cells[0].Attr)+1)*7919
-	}
-	if hasNary && g.Stats.QueryVars >= chromaticMinVars {
+	cfg := gibbs.Config{BurnIn: burn, Samples: samp, Scratch: scratch}
+	if hasNary {
 		cfg.Colors = partition.ColorGraph(g.Graph)
 		cfg.IntraWorkers = defaultIntraWorkers(o.IntraWorkers)
-		cfg.VarSeed = parallelVarSeeds(g, o.Seed, numAttrs)
+		cfg.VarSeed = parallelVarSeeds(g, o.Seed, prep.DS.NumAttrs())
 	}
 	m := gibbs.Run(g.Graph, cfg)
 	inferDur := time.Since(ti)
@@ -506,12 +508,6 @@ func defaultWorkers(w int) int {
 	}
 	return w
 }
-
-// chromaticMinVars is the query-variable count at which a correlated
-// shard switches from the sequential Gibbs schedule to the chromatic one. It is a fixed constant — never derived from worker
-// counts or load — so which schedule a shard runs, and therefore its
-// exact draw sequence, depends only on the grounded graph.
-const chromaticMinVars = 512
 
 // defaultIntraWorkers resolves Options.IntraWorkers.
 func defaultIntraWorkers(w int) int {
