@@ -22,9 +22,12 @@
 //	                 for -workers accounts for it
 //	-idle-timeout D  evict sessions idle for D to a checkpoint (0
 //	                 disables)
-//	-store-dir P     durable session store under P: per-session
-//	                 write-ahead logs, fsync'd before any mutating
-//	                 request is acknowledged, recovered in full on boot
+//	-store-dir P     session store under P: per-session write-ahead
+//	                 logs, fsync'd before any mutating request is
+//	                 acknowledged, recovered in full on boot. Empty (the
+//	                 default) runs the same store in a fresh temporary
+//	                 directory, named in the startup log and removed on
+//	                 exit: sessions live as long as the process
 //	-checkpoint-every N  ops between checkpoint records (default 16)
 //	-pprof ADDR      serve net/http/pprof on a separate listener, e.g.
 //	                 -pprof 127.0.0.1:6060 (off by default; never exposed
@@ -38,7 +41,7 @@
 //	                 replication lag. -metrics=false disables the
 //	                 subsystem entirely and /metrics answers 404.
 //
-// Clustering (requires -store-dir):
+// Clustering (requires an explicit -store-dir):
 //
 //	-self URL        this node's advertised base URL, e.g.
 //	                 http://10.0.0.1:8080
@@ -101,7 +104,7 @@ func main() {
 		maxJobs     = flag.Int("max-jobs", 2, "max heavy pipeline jobs running concurrently")
 		queueDepth  = flag.Int("queue-depth", 8, "max jobs waiting beyond the running ones before 429")
 		idleTimeout = flag.Duration("idle-timeout", 15*time.Minute, "evict sessions idle this long (0 = never)")
-		storeDir    = flag.String("store-dir", "", "durable session store: per-session write-ahead logs with crash recovery (empty = no durability)")
+		storeDir    = flag.String("store-dir", "", "session store directory: per-session write-ahead logs with crash recovery (empty = ephemeral store in a temporary directory, removed on exit)")
 		ckptEvery   = flag.Int("checkpoint-every", 16, "ops between checkpoint records in the store")
 		maxUpload   = flag.Int64("max-upload", 32<<20, "max request body bytes")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on SIGTERM/SIGINT")

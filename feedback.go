@@ -100,10 +100,11 @@ func (cl *Cleaner) CleanWithFeedback(ds *Dataset, constraints []*Constraint, fee
 // half of the Section 2.2 loop over LowConfidenceRepairs. Each confirmed
 // cell is set to its confirmed value, permanently leaves the noisy set,
 // and is force-included as labeled evidence whenever weights are
-// (re)learned. The confirmations take effect immediately through a full
-// pipeline pass (the CleanWithFeedback path); the round counts toward the
-// Options.RelearnEvery schedule, so weights are retrained when it is due
-// and reused by tying key otherwise.
+// (re)learned. The confirmations are staged like any other mutation and
+// take effect immediately through a Reclean: the round counts toward the
+// Options.RelearnEvery schedule, and unless a relearn is due only the
+// shards the confirmations invalidated re-execute — the output is the one
+// CleanWithFeedback would produce under the same weights.
 //
 // The batch is validated up front (in-range cells, non-empty values, no
 // duplicate against the batch or earlier confirmations) and rejected
@@ -129,8 +130,7 @@ func (s *Session) Feedback(fb []Feedback) (*Result, error) {
 		s.touched[f.Cell.Tuple] = true
 		s.confirmed = append(s.confirmed, f)
 	}
-	s.recleans++
-	return s.run(nil, s.relearnDue())
+	return s.Reclean()
 }
 
 // Confirmed returns the session's accumulated feedback in confirmation

@@ -2,7 +2,10 @@ package holoclean
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+
+	"holoclean/internal/datagen"
 )
 
 func TestFeedbackLoop(t *testing.T) {
@@ -304,6 +307,73 @@ func TestSessionFeedbackSurvivesDeltas(t *testing.T) {
 	}
 	if got := s.Confirmed(); len(got) != 0 {
 		t.Fatalf("confirmation survived an upsert that changed its value: %+v", got)
+	}
+}
+
+// TestSessionFeedbackIsScopedReclean: a feedback round that does not
+// relearn is an incremental pass — shards the confirmations never reached
+// carry forward.
+func TestSessionFeedbackIsScopedReclean(t *testing.T) {
+	ds, cs := sessionFixture(12)
+	s, err := NewSession(ds, cs, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Clean(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Feedback([]Feedback{{Cell: Cell{Tuple: 4, Attr: 1}, Value: "v000"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.ShardsReused == 0 {
+		t.Errorf("ShardsReused = 0 after a non-relearning feedback round, want > 0")
+	}
+	if res.Stats.LearnTime != 0 {
+		t.Errorf("feedback round relearned (LearnTime = %v) with RelearnEvery = 0", res.Stats.LearnTime)
+	}
+}
+
+// TestSessionFeedbackInvalidatesSiblings: confirming a cell's current
+// value changes no row and no noisy mask, yet the cell stops being a
+// query variable, which moves the weak-evidence discount of every
+// dictionary match and relaxed constraint conditioned on it. The scoped
+// feedback round must re-execute those siblings: rounds on Food (which
+// has dictionary matches) stay byte-identical to CleanWithFeedback.
+func TestSessionFeedbackInvalidatesSiblings(t *testing.T) {
+	g := datagen.Food(datagen.Config{Tuples: 500, Seed: 1})
+	opts := DefaultOptions()
+	opts.Dictionaries, opts.MatchDependencies = g.Dictionaries, g.MatchDeps
+	s, err := NewSession(g.Dirty, g.Constraints, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Clean()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		confirmed := s.confirmedSet()
+		var fb []Feedback
+		for i, r := range res.Repairs {
+			if i%7 == round && !confirmed[r.Cell] && r.Old != "" && len(fb) < 3 {
+				fb = append(fb, Feedback{Cell: r.Cell, Value: r.Old})
+			}
+		}
+		before, all := s.Dataset(), append(s.Confirmed(), fb...)
+		if res, err = s.Feedback(fb); err != nil {
+			t.Fatal(err)
+		}
+		ref := opts
+		ref.InitialWeights = s.Weights()
+		want, err := New(ref).CleanWithFeedback(before, g.Constraints, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdenticalResults(t, fmt.Sprintf("round %d", round), res, want)
+		if res.Stats.ShardsReused == 0 {
+			t.Errorf("round %d: ShardsReused = 0, want > 0", round)
+		}
 	}
 }
 

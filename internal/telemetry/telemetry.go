@@ -151,7 +151,7 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	}
 	f := r.register(name, help, "counter")
 	if f.counterVec == nil {
-		f.counterVec = &CounterVec{labels: labels, children: make(map[string]*Counter)}
+		f.counterVec = &CounterVec{newLabelled[Counter](labels)}
 	}
 	return f.counterVec
 }
@@ -163,7 +163,7 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	}
 	f := r.register(name, help, "gauge")
 	if f.gaugeVec == nil {
-		f.gaugeVec = &GaugeVec{labels: labels, children: make(map[string]*Gauge)}
+		f.gaugeVec = &GaugeVec{newLabelled[Gauge](labels)}
 	}
 	return f.gaugeVec
 }
@@ -176,7 +176,7 @@ func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...s
 	}
 	f := r.register(name, help, "histogram")
 	if f.histVec == nil {
-		f.histVec = &HistogramVec{labels: labels, bounds: bounds, children: make(map[string]*Histogram)}
+		f.histVec = &HistogramVec{newLabelled[Histogram](labels), bounds}
 	}
 	return f.histVec
 }
@@ -243,27 +243,71 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// vecKey joins label values with a separator that cannot appear in
-// well-formed label values.
-func vecKey(values []string) string {
-	return strings.Join(values, "\x1f")
+// labelled is the child table behind every *Vec type: label values →
+// child metric, capped at maxVecChildren.
+type labelled[M any] struct {
+	labels   []string
+	overflow string // key of the child whose label values are all "other"
+	mu       sync.RWMutex
+	children map[string]*M
 }
 
-// overflowValues returns len(labels) copies of overflowLabel.
-func overflowValues(n int) []string {
-	vs := make([]string, n)
-	for i := range vs {
-		vs[i] = overflowLabel
+// vecSep joins label values into a child key; it cannot appear in
+// well-formed label values.
+const vecSep = "\x1f"
+
+func newLabelled[M any](labels []string) labelled[M] {
+	other := make([]string, len(labels))
+	for i := range other {
+		other[i] = overflowLabel
 	}
-	return vs
+	return labelled[M]{labels: labels, overflow: strings.Join(other, vecSep), children: make(map[string]*M)}
+}
+
+// with returns the child for the given label values, creating it with
+// mk if the family is under its cardinality cap and collapsing to the
+// "other" child otherwise.
+func (v *labelled[M]) with(values []string, mk func() *M) *M {
+	key := strings.Join(values, vecSep)
+	v.mu.RLock()
+	m := v.children[key]
+	v.mu.RUnlock()
+	if m != nil {
+		return m
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if m = v.children[key]; m != nil {
+		return m
+	}
+	if len(v.children) >= maxVecChildren {
+		key = v.overflow
+		if m = v.children[key]; m != nil {
+			return m
+		}
+	}
+	m = mk()
+	v.children[key] = m
+	return m
+}
+
+// each calls fn for every child in label-value order with its rendered
+// label pairs.
+func (v *labelled[M]) each(fn func(labels string, m *M)) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	keys := make([]string, 0, len(v.children))
+	for k := range v.children {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		fn(labelString(v.labels, strings.Split(key, vecSep)), v.children[key])
+	}
 }
 
 // CounterVec is a counter family keyed by label values.
-type CounterVec struct {
-	labels   []string
-	mu       sync.RWMutex
-	children map[string]*Counter
-}
+type CounterVec struct{ labelled[Counter] }
 
 // With returns the child counter for the given label values, creating
 // it if the vec is under its cardinality cap and collapsing to the
@@ -272,62 +316,18 @@ func (v *CounterVec) With(values ...string) *Counter {
 	if v == nil {
 		return nil
 	}
-	key := vecKey(values)
-	v.mu.RLock()
-	c := v.children[key]
-	v.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c = v.children[key]; c != nil {
-		return c
-	}
-	if len(v.children) >= maxVecChildren {
-		key = vecKey(overflowValues(len(v.labels)))
-		if c = v.children[key]; c != nil {
-			return c
-		}
-	}
-	c = &Counter{}
-	v.children[key] = c
-	return c
+	return v.with(values, func() *Counter { return &Counter{} })
 }
 
 // GaugeVec is a gauge family keyed by label values.
-type GaugeVec struct {
-	labels   []string
-	mu       sync.RWMutex
-	children map[string]*Gauge
-}
+type GaugeVec struct{ labelled[Gauge] }
 
 // With returns the child gauge for the given label values. Nil-safe.
 func (v *GaugeVec) With(values ...string) *Gauge {
 	if v == nil {
 		return nil
 	}
-	key := vecKey(values)
-	v.mu.RLock()
-	g := v.children[key]
-	v.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g = v.children[key]; g != nil {
-		return g
-	}
-	if len(v.children) >= maxVecChildren {
-		key = vecKey(overflowValues(len(v.labels)))
-		if g = v.children[key]; g != nil {
-			return g
-		}
-	}
-	g = &Gauge{}
-	v.children[key] = g
-	return g
+	return v.with(values, func() *Gauge { return &Gauge{} })
 }
 
 // Reset drops every child, so the next scrape reflects only label sets
@@ -345,10 +345,8 @@ func (v *GaugeVec) Reset() {
 // HistogramVec is a histogram family keyed by label values; every
 // child shares the vec's bucket bounds.
 type HistogramVec struct {
-	labels   []string
-	bounds   []float64
-	mu       sync.RWMutex
-	children map[string]*Histogram
+	labelled[Histogram]
+	bounds []float64
 }
 
 // With returns the child histogram for the given label values.
@@ -357,27 +355,7 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	if v == nil {
 		return nil
 	}
-	key := vecKey(values)
-	v.mu.RLock()
-	h := v.children[key]
-	v.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h = v.children[key]; h != nil {
-		return h
-	}
-	if len(v.children) >= maxVecChildren {
-		key = vecKey(overflowValues(len(v.labels)))
-		if h = v.children[key]; h != nil {
-			return h
-		}
-	}
-	h = newHistogram(v.bounds)
-	v.children[key] = h
-	return h
+	return v.with(values, func() *Histogram { return newHistogram(v.bounds) })
 }
 
 // WritePrometheus runs scrape hooks, then renders every family in the
@@ -429,36 +407,18 @@ func (f *family) write(b *strings.Builder) {
 	case f.hist != nil:
 		writeHistogram(b, f.name, "", f.hist)
 	case f.counterVec != nil:
-		v := f.counterVec
-		v.mu.RLock()
-		for _, key := range sortedKeys(v.children) {
-			writeSample(b, f.name, labelString(v.labels, strings.Split(key, "\x1f")), strconv.FormatUint(v.children[key].Value(), 10))
-		}
-		v.mu.RUnlock()
+		f.counterVec.each(func(labels string, c *Counter) {
+			writeSample(b, f.name, labels, strconv.FormatUint(c.Value(), 10))
+		})
 	case f.gaugeVec != nil:
-		v := f.gaugeVec
-		v.mu.RLock()
-		for _, key := range sortedKeys(v.children) {
-			writeSample(b, f.name, labelString(v.labels, strings.Split(key, "\x1f")), formatFloat(v.children[key].Value()))
-		}
-		v.mu.RUnlock()
+		f.gaugeVec.each(func(labels string, g *Gauge) {
+			writeSample(b, f.name, labels, formatFloat(g.Value()))
+		})
 	case f.histVec != nil:
-		v := f.histVec
-		v.mu.RLock()
-		for _, key := range sortedKeys(v.children) {
-			writeHistogram(b, f.name, labelString(v.labels, strings.Split(key, "\x1f")), v.children[key])
-		}
-		v.mu.RUnlock()
+		f.histVec.each(func(labels string, h *Histogram) {
+			writeHistogram(b, f.name, labels, h)
+		})
 	}
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // writeSample emits `name{labels} value` (labels may be empty).

@@ -138,7 +138,8 @@ csv_rows=$(curl -fsS "$base/sessions/$id/dataset" | wc -l)
 
 echo "== pprof opens when -pprof is set"
 second_addr="127.0.0.1:${SMOKE_PORT2:-8099}"
-"$workdir/holocleand" -addr "$second_addr" -pprof "$pprof_addr" -metrics=false -max-jobs 1 -queue-depth 2 &
+"$workdir/holocleand" -addr "$second_addr" -pprof "$pprof_addr" -metrics=false -max-jobs 1 -queue-depth 2 \
+  2>"$workdir/second.log" &
 pprof_server_pid=$!
 pprof_up=""
 for _ in $(seq 1 50); do
@@ -162,5 +163,17 @@ code=$(curl -s -o /dev/null -w '%{http_code}' "http://$second_addr/debug/pprof/"
 echo "== /metrics answers 404 when telemetry is disabled (-metrics=false)"
 code=$(curl -s -o /dev/null -w '%{http_code}' "http://$second_addr/metrics" || true)
 [ "$code" = "404" ] || { echo "FAIL: /metrics with -metrics=false returned $code, want 404"; exit 1; }
+
+echo "== without -store-dir the daemon runs an ephemeral store and removes it on exit"
+eph_dir=$(sed -n 's/.*ephemeral store \([^ ]*\) (removed on exit).*/\1/p' "$workdir/second.log")
+[ -n "$eph_dir" ] && [ -d "$eph_dir" ] \
+  || { echo "FAIL: no startup line naming an existing ephemeral store: $(cat "$workdir/second.log")"; exit 1; }
+health2=$(curl -fsS "http://$second_addr/healthz")
+printf '%s' "$health2" | grep -q '"store":{"enabled":true' \
+  || { echo "FAIL: /healthz of the storeless daemon has no store section: $health2"; exit 1; }
+kill -TERM "$pprof_server_pid"
+wait "$pprof_server_pid" || { echo "FAIL: storeless daemon exited non-zero on SIGTERM"; exit 1; }
+pprof_server_pid=""
+[ ! -e "$eph_dir" ] || { echo "FAIL: ephemeral store $eph_dir survived SIGTERM"; exit 1; }
 
 echo "PASS: serve smoke ($repairs repairs initially, $frepairs after delta+feedback)"

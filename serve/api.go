@@ -28,8 +28,7 @@ type SessionInfo struct {
 	// Stats describes the session's most recent pipeline run. Absent on
 	// evicted sessions (the result cache is released with the session).
 	Stats *RunStatsInfo `json:"stats,omitempty"`
-	// Store reports the session's write-ahead-log gauges; absent when
-	// the server runs without a durable store.
+	// Store reports the session's write-ahead-log gauges.
 	Store *SessionStoreInfo `json:"store,omitempty"`
 	// Replication reports the session's role on this node; absent
 	// outside cluster mode.
@@ -284,7 +283,8 @@ type HealthResponse struct {
 	// Draining reports a graceful shutdown in progress: heavy jobs are
 	// being refused with 503 while in-flight work completes.
 	Draining bool `json:"draining,omitempty"`
-	// Store aggregates the durable store's gauges; absent without one.
+	// Store aggregates the session store's gauges; Dir names the
+	// ephemeral directory when no store directory was configured.
 	Store *StoreHealth `json:"store,omitempty"`
 	// Cluster reports this node's replication state; absent outside
 	// cluster mode.

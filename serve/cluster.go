@@ -10,7 +10,10 @@ package serve
 // can never mint the same id. Writes that land on a non-leader answer
 // 307 to the leader (or 409 with a Leader header when the redirect
 // already bounced once); reads are served by any node holding the
-// tenant, which is what makes the standby a read replica.
+// tenant, which is what makes the standby a read replica. A tenant's
+// role on this node is not stored: it is isLeader(id), a function of the
+// route overrides and the ring alone, so role and redirects cannot
+// disagree.
 //
 // Streaming. Leaders expose their logs verbatim (GET /replicate/logs,
 // GET /replicate/wal/{id} with long-polling); each node runs one
@@ -184,7 +187,7 @@ func (sv *Server) replicaApply(id string, frames []store.Frame, reset bool) erro
 	if err != nil {
 		return err
 	}
-	if !t.replica.Load() {
+	if sv.isLeader(id) {
 		return nil // promoted out from under the shipment; the filter stops it next round
 	}
 	t.mu.Lock()
@@ -239,7 +242,6 @@ func (sv *Server) mirrorOf(id string) (*tenant, error) {
 		return nil, err
 	}
 	t := &tenant{id: id, created: time.Now(), log: l}
-	t.replica.Store(true)
 	t.touch(time.Now())
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
@@ -255,12 +257,12 @@ func (sv *Server) mirrorOf(id string) (*tenant, error) {
 // a mirror; a promoted leader is not the old leader's to delete.
 func (sv *Server) removeReplica(id string) error {
 	t := sv.lookup(id)
-	if t == nil || !t.replica.Load() {
+	if t == nil || sv.isLeader(id) {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if sv.lookup(id) != t || !t.replica.Load() {
+	if sv.lookup(id) != t || sv.isLeader(id) {
 		return nil
 	}
 	if err := sv.store.Remove(id); err != nil {
@@ -319,13 +321,9 @@ func (sv *Server) redirectRead(w http.ResponseWriter, r *http.Request, id string
 // gated on draining: a demoting leader keeps cataloging so its standby
 // drains the tail.
 func (sv *Server) handleReplicateLogs(w http.ResponseWriter, r *http.Request) {
-	if sv.store == nil {
-		writeError(w, http.StatusNotFound, "replication requires a durable store")
-		return
-	}
 	infos := []cluster.LogInfo{}
 	for _, t := range sv.tenants() {
-		if t.log == nil || t.replica.Load() || !sv.isLeader(t.id) {
+		if !sv.isLeader(t.id) {
 			continue
 		}
 		st := t.log.Stats()
@@ -342,13 +340,9 @@ func (sv *Server) handleReplicateLogs(w http.ResponseWriter, r *http.Request) {
 // a non-contiguous shipment the follower must adopt wholesale. No job
 // slot is claimed: streaming keeps working while draining.
 func (sv *Server) handleReplicateWAL(w http.ResponseWriter, r *http.Request) {
-	if sv.store == nil {
-		writeError(w, http.StatusNotFound, "replication requires a durable store")
-		return
-	}
 	id := r.PathValue("id")
 	t := sv.lookup(id)
-	if t == nil || t.log == nil {
+	if t == nil {
 		writeError(w, http.StatusNotFound, "no session %q", id)
 		return
 	}
@@ -430,10 +424,6 @@ func (sv *Server) handleReplicateWAL(w http.ResponseWriter, r *http.Request) {
 // frames; it is verified, adopted atomically, and the session restored
 // through the recovery path — after which this node leads the tenant.
 func (sv *Server) handleReplicateAccept(w http.ResponseWriter, r *http.Request) {
-	if sv.store == nil {
-		writeError(w, http.StatusNotFound, "replication requires a durable store")
-		return
-	}
 	id := r.PathValue("id")
 	var frames []store.Frame
 	sc := store.NewFrameScanner(r.Body)
@@ -469,7 +459,6 @@ func (sv *Server) handleReplicateAccept(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	sv.setRoute(id, sv.cfg.Self)
-	t.replica.Store(false)
 	t.dropLive() // state derived from the replaced bytes is void
 	if err := sv.revive(t); err != nil {
 		writeError(w, http.StatusInternalServerError, "restoring migrated session: %v", err)
@@ -495,7 +484,7 @@ func (sv *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.PathValue("id")
 	t := sv.lookup(id)
-	if t == nil || t.log == nil {
+	if t == nil {
 		writeError(w, http.StatusNotFound, "no replicated copy of %q on this node", id)
 		return
 	}
@@ -507,7 +496,6 @@ func (sv *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sv.setRoute(id, sv.cfg.Self)
-	t.replica.Store(false)
 	if t.session == nil || t.walSeq != t.log.Stats().Seq {
 		// Cold, or the warm session trails the durable log (a warm-apply
 		// round failed): rebuild from the log rather than promote stale
@@ -539,9 +527,6 @@ func (sv *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	leader := r.URL.Query().Get("leader")
 	sv.setRoute(id, leader)
-	if t := sv.lookup(id); t != nil && leader != "" && leader != sv.cfg.Self {
-		t.replica.Store(true)
-	}
 	writeJSON(w, http.StatusOK, map[string]string{"id": id, "leader": sv.leaderOf(id)})
 }
 
@@ -566,7 +551,7 @@ func (sv *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t := sv.lookup(id)
-	if t == nil || t.log == nil {
+	if t == nil {
 		writeError(w, http.StatusNotFound, "no session %q", id)
 		return
 	}
@@ -616,7 +601,6 @@ func (sv *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	// mirror. The live session is dropped — reads here now serve from
 	// the replicated log like any other standby.
 	sv.setRoute(id, to)
-	t.replica.Store(true)
 	t.session = nil
 	t.walSeq = t.log.Stats().Seq
 	sv.logf("serve: migrated session %s to %s", id, to)
@@ -644,12 +628,9 @@ func (sv *Server) replicationInfo(t *tenant) *ReplicationInfo {
 	if !sv.clusterEnabled() {
 		return nil
 	}
-	info := &ReplicationInfo{Role: "leader", Leader: sv.leaderOf(t.id)}
-	if t.replica.Load() {
+	info := &ReplicationInfo{Role: "leader", Leader: sv.leaderOf(t.id), AppliedSeq: t.log.Stats().Seq}
+	if info.Leader != sv.cfg.Self {
 		info.Role = "replica"
-	}
-	if t.log != nil {
-		info.AppliedSeq = t.log.Stats().Seq
 	}
 	return info
 }
@@ -672,10 +653,10 @@ func (sv *Server) clusterHealth(tenants []*tenant) *ClusterHealth {
 		Peers:   sv.ring.Peers(),
 	}
 	for _, t := range tenants {
-		if t.replica.Load() {
-			ch.Mirroring++
-		} else if sv.isLeader(t.id) {
+		if sv.isLeader(t.id) {
 			ch.Leading++
+		} else {
+			ch.Mirroring++
 		}
 	}
 	// Follower side: how far this node's mirrors trail their leaders.
@@ -697,7 +678,7 @@ func (sv *Server) clusterHealth(tenants []*tenant) *ClusterHealth {
 	sv.followMu.Lock()
 	for id, views := range sv.followers {
 		t := sv.lookup(id)
-		if t == nil || t.log == nil {
+		if t == nil {
 			continue
 		}
 		st := t.log.Stats()

@@ -70,32 +70,23 @@ type tenant struct {
 	ov      overrides
 	created time.Time
 
-	// log is the tenant's write-ahead operation log (nil when the server
-	// runs without a store). Set before the tenant is registered and
-	// immutable afterwards, so stats reads need no lock.
+	// log is the tenant's write-ahead operation log — its one durable
+	// form, and what an evicted session revives from. Set before the
+	// tenant is registered and immutable afterwards, so stats reads need
+	// no lock.
 	log *store.Log
 
 	mu      sync.Mutex
 	session *holoclean.Session
-	// checkpoint holds an evicted session's walCheckpoint payload when
-	// the server runs without a store; with one, the same bytes are the
-	// latest checkpoint record of log.
-	checkpoint []byte
 	// applied is the duplicate-detection window of op ids (guarded by
 	// mu; appliedOrder retires them FIFO at maxAppliedOps).
 	applied      map[string]bool
 	appliedOrder []string
 
-	// replica marks a tenant this node mirrors rather than leads
-	// (cluster mode): reads serve locally, writes redirect to the
-	// leader, and the mirrored log is never checkpointed or compacted
-	// here — its layout belongs to the leader. Atomic because handlers
-	// and the shipper hooks read it without any lock; flipped by
-	// promotion/migration.
-	replica atomic.Bool
 	// walSeq is the sequence number of the last record applied to the
-	// warm replica session (guarded by mu); promotion rebuilds from the
-	// log when it trails the durable position.
+	// warm session of a tenant this node mirrors (guarded by mu);
+	// promotion rebuilds from the log when it trails the durable
+	// position.
 	walSeq uint64
 
 	resMu sync.RWMutex
@@ -285,16 +276,13 @@ func (sv *Server) remove(id string) (found bool, err error) {
 	if sv.lookup(id) != t {
 		return false, nil // lost a race against another DELETE
 	}
-	if t.log != nil {
-		if err := sv.store.Remove(id); err != nil {
-			return true, err
-		}
+	if err := sv.store.Remove(id); err != nil {
+		return true, err
 	}
 	sv.mu.Lock()
 	delete(sv.sessions, id)
 	sv.mu.Unlock()
 	t.session = nil
-	t.checkpoint = nil
 	return true, nil
 }
 
@@ -368,7 +356,7 @@ func (sv *Server) evictLocked(t *tenant) error {
 	// A mirror's durable truth is the shipped log; checkpointing or
 	// compacting it here would diverge from the leader's layout. It just
 	// releases the warm state — reads restore from the log.
-	if !t.replica.Load() {
+	if sv.isLeader(t.id) {
 		if err := sv.converge(t); err != nil {
 			return err
 		}

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -80,17 +81,18 @@ type Config struct {
 	// (cmd/holocleand defaults its flag to 8).
 	QueueDepth int
 	// IdleTimeout evicts sessions untouched for this long to a
-	// checkpoint — a record in the session's log, or held in memory
-	// without a store (0 disables eviction).
+	// checkpoint record in the session's log (0 disables eviction).
 	IdleTimeout time.Duration
 	// SweepEvery is the janitor period (default IdleTimeout/2).
 	SweepEvery time.Duration
-	// StoreDir enables the durable session store: one append-only
-	// write-ahead log per session under this directory, fsync'd (group
-	// commit) before any mutating request is acknowledged, with
-	// periodic checkpoint records and background compaction. On startup
-	// every log is recovered — load the latest checkpoint, replay the
-	// tail — so a hard crash loses nothing that was acknowledged.
+	// StoreDir is the session store's directory: one append-only
+	// write-ahead log per session, fsync'd (group commit) before any
+	// mutating request is acknowledged, with periodic checkpoint records
+	// and background compaction. On startup every log is recovered —
+	// load the latest checkpoint, replay the tail — so a hard crash loses
+	// nothing that was acknowledged. Empty means an ephemeral store: the
+	// same logs in a fresh temporary directory that Close removes, so
+	// sessions live exactly as long as the server.
 	StoreDir string
 	// CheckpointEvery is the ops budget between checkpoint records
 	// (default 16): the maximum tail length recovery has to replay.
@@ -142,6 +144,7 @@ type Server struct {
 	jobEWMA  atomic.Int64
 	idSeq    atomic.Int64
 	store    *store.Store
+	tmpDir   string // the ephemeral store's directory, removed by Close; "" with Config.StoreDir
 	draining atomic.Bool
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -159,8 +162,9 @@ type Server struct {
 	followers map[string]map[string]followerView
 }
 
-// New builds a Server from cfg, recovers the durable store (when
-// StoreDir is set), and starts the eviction janitor and log compactor.
+// New builds a Server from cfg, opens the session store — recovering
+// every log under StoreDir, or creating an ephemeral directory when it
+// is empty — and starts the eviction janitor and log compactor.
 // Call Close to stop the background goroutines, or Shutdown for a
 // graceful drain.
 func New(cfg Config) (*Server, error) {
@@ -208,18 +212,26 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	if cfg.StoreDir != "" {
-		st, err := store.Open(cfg.StoreDir)
+	dir := cfg.StoreDir
+	if dir == "" {
+		tmp, err := os.MkdirTemp("", "holocleand-store-")
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("serve: creating ephemeral store: %w", err)
 		}
-		sv.store = st
-		if sv.tel != nil {
-			st.SetMetrics(sv.tel.storeMetrics())
-		}
-		sv.loadStore()
-		sv.background(func() { sv.compactor(sv.stop) })
+		dir, sv.tmpDir = tmp, tmp
+		sv.logf("serve: no store directory configured, sessions live in ephemeral store %s (removed on exit)", dir)
 	}
+	st, err := store.Open(dir)
+	if err != nil {
+		sv.removeTmpDir()
+		return nil, err
+	}
+	sv.store = st
+	if sv.tel != nil {
+		st.SetMetrics(sv.tel.storeMetrics())
+	}
+	sv.loadStore()
+	sv.background(func() { sv.compactor(sv.stop) })
 	if sv.ring != nil {
 		sv.startShippers()
 	}
@@ -242,15 +254,25 @@ func (sv *Server) background(fn func()) {
 // Close stops the background goroutines (janitor, compactor, shippers
 // with their followers), waits for them to exit — a follower can be
 // inside the store appending shipped frames — and only then releases the
-// store's file handles. In-flight requests finish normally; nothing
-// acknowledged needs flushing — appends are durable before their ack.
-// For a graceful drain that also checkpoints every live session, use
-// Shutdown.
+// store's file handles and removes an ephemeral store's directory.
+// In-flight requests finish normally; nothing acknowledged needs
+// flushing — appends are durable before their ack. For a graceful drain
+// that also checkpoints every live session, use Shutdown.
 func (sv *Server) Close() {
 	sv.stopOnce.Do(func() { close(sv.stop) })
 	sv.bg.Wait()
-	if sv.store != nil {
-		sv.store.Close()
+	sv.store.Close()
+	sv.removeTmpDir()
+}
+
+// removeTmpDir deletes the ephemeral store's directory, if this server
+// created one.
+func (sv *Server) removeTmpDir() {
+	if sv.tmpDir == "" {
+		return
+	}
+	if err := os.RemoveAll(sv.tmpDir); err != nil {
+		sv.logf("serve: removing ephemeral store %s: %v", sv.tmpDir, err)
 	}
 }
 
@@ -279,15 +301,12 @@ func (sv *Server) Shutdown(ctx context.Context) error {
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	if sv.store == nil {
-		return nil
-	}
 	for _, t := range sv.tenants() {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		t.mu.Lock()
-		if t.session != nil && t.log != nil && !t.replica.Load() {
+		if t.session != nil && sv.isLeader(t.id) {
 			if err := sv.converge(t); err != nil {
 				sv.logf("serve: shutdown checkpoint of %s: %v", t.id, err)
 			}
@@ -452,17 +471,11 @@ func (sv *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	tenants := sv.tenants()
 	resp := HealthResponse{OK: true, Sessions: len(tenants), Queued: int(sv.queued.Load()), Draining: sv.draining.Load()}
 	resp.Cluster = sv.clusterHealth(tenants)
-	if sv.store != nil {
-		agg := &StoreHealth{Enabled: true, Dir: sv.store.Dir()}
-		for _, t := range tenants {
-			if t.log == nil {
-				continue
-			}
-			st := t.log.Stats()
-			agg.WALBytes += st.WALBytes
-			agg.OpsSinceCheckpoint += st.OpsSinceCheckpoint
-		}
-		resp.Store = agg
+	resp.Store = &StoreHealth{Enabled: true, Dir: sv.store.Dir()}
+	for _, t := range tenants {
+		st := t.log.Stats()
+		resp.Store.WALBytes += st.WALBytes
+		resp.Store.OpsSinceCheckpoint += st.OpsSinceCheckpoint
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -582,26 +595,22 @@ func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	if sv.store != nil {
-		// Durability before the ack: the create request (replayable from
-		// genesis) plus a checkpoint of the cleaned state, so recovery
-		// normally skips the expensive initial clean. The tenant is not
-		// registered yet, so no lock is needed.
-		l, err := sv.store.Log(t.id)
-		if err == nil {
-			t.log = l
-			err = l.Append(store.OpCreate, cr)
-		}
-		if err != nil {
-			sv.store.Remove(t.id) // no orphan genesis logs
-			writeError(w, http.StatusInternalServerError, "logging create: %v", err)
-			return
-		}
-		if err := sv.checkpointLocked(t); err != nil {
-			// The create record alone recovers the session (genesis
-			// replay); a missing first checkpoint only costs boot time.
-			sv.logf("serve: initial checkpoint of %s: %v", t.id, err)
-		}
+	// Durability before the ack: the create request (replayable from
+	// genesis) plus a checkpoint of the cleaned state, so recovery
+	// normally skips the expensive initial clean. The tenant is not
+	// registered yet, so no lock is needed.
+	if t.log, err = sv.store.Log(t.id); err == nil {
+		err = t.log.Append(store.OpCreate, cr)
+	}
+	if err != nil {
+		sv.store.Remove(t.id) // no orphan genesis logs
+		writeError(w, http.StatusInternalServerError, "logging create: %v", err)
+		return
+	}
+	if err := sv.checkpointLocked(t); err != nil {
+		// The create record alone recovers the session (genesis
+		// replay); a missing first checkpoint only costs boot time.
+		sv.logf("serve: initial checkpoint of %s: %v", t.id, err)
 	}
 	sv.register(t)
 	sv.logf("serve: created session %s (%d tuples, %d repairs)", t.id, session.NumTuples(), len(res.Repairs))
@@ -874,7 +883,6 @@ func (sv *Server) mutate(w http.ResponseWriter, r *http.Request, op store.Op, de
 		writeJSON(w, http.StatusOK, p.ack(t.sum, nil))
 		return
 	}
-	relearned := sv.relearnDue(t)
 	tRun := time.Now()
 	res, err := sv.applyOp(t, p)
 	if err != nil {
@@ -888,11 +896,13 @@ func (sv *Server) mutate(w http.ResponseWriter, r *http.Request, op store.Op, de
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	if err := sv.appendOp(t, op, p, relearned); err != nil {
+	// The ack waits for the group commit.
+	if err := t.log.Append(op, p); err != nil {
 		sv.walFail(t, op, err)
 		writeError(w, http.StatusInternalServerError, "logging %s batch: %v", op, err)
 		return
 	}
+	sv.maybeCheckpoint(t)
 	t.touch(time.Now())
 	writeJSON(w, http.StatusOK, p.ack(t.sum, res))
 }

@@ -431,19 +431,10 @@ func TestServeShutdownDuringReclean(t *testing.T) {
 // TestServeIdempotentRetry pins the duplicate-detection contract on the
 // live path (no crash involved): the same op_id acks without
 // re-applying, for deltas and feedback alike — also when the session
-// was evicted between the send and the retry, with and without a store:
-// the dedup window rides in the checkpoint payload either way.
+// was evicted between the send and the retry: the dedup window rides in
+// the checkpoint record.
 func TestServeIdempotentRetry(t *testing.T) {
-	for name, cfg := range map[string]Config{
-		"store":  storeConfig(t.TempDir(), 1),
-		"memory": {Workers: 1},
-	} {
-		t.Run(name, func(t *testing.T) { testIdempotentRetry(t, cfg) })
-	}
-}
-
-func testIdempotentRetry(t *testing.T, cfg Config) {
-	sv, tc := newTestServer(t, cfg)
+	sv, tc := newTestServer(t, storeConfig(t.TempDir(), 1))
 	info := tc.create("idem", fixtureCSV("id", 8), 3, 0)
 
 	req := DeltaRequest{Ops: []DeltaOp{
@@ -482,6 +473,47 @@ func testIdempotentRetry(t *testing.T, cfg Config) {
 	tc.mustJSON("POST", "/sessions/"+info.ID+"/feedback", freq, &f2)
 	if !f2.Duplicate || f2.Confirmed != 1 {
 		t.Fatalf("feedback retry: %+v", f2)
+	}
+}
+
+// TestServeEphemeralStore: a server configured without StoreDir runs the
+// same WAL-backed lifecycle in a temporary directory of its own — the
+// session's log is on disk there, eviction and revive go through it
+// (dedup window included), and Close removes the directory.
+func TestServeEphemeralStore(t *testing.T) {
+	sv, tc := newTestServer(t, Config{Workers: 1})
+	var health HealthResponse
+	tc.mustJSON("GET", "/healthz", nil, &health)
+	if health.Store == nil || !health.Store.Enabled || health.Store.Dir == "" {
+		t.Fatalf("healthz without StoreDir reports no store: %+v", health.Store)
+	}
+	dir := health.Store.Dir
+	info := tc.create("eph", fixtureCSV("eph", 8), 3, 0)
+	if info.Store == nil || info.Store.WALBytes == 0 {
+		t.Fatalf("listing has no store section: %+v", info.Store)
+	}
+	if _, err := os.Stat(filepath.Join(dir, info.ID+".wal")); err != nil {
+		t.Fatalf("session log missing from the ephemeral store: %v", err)
+	}
+
+	req := DeltaRequest{Ops: []DeltaOp{{Op: "delete", Row: 5}}, OpID: "batch-1"}
+	var first, retry DeltaResponse
+	tc.mustJSON("POST", "/sessions/"+info.ID+"/deltas", req, &first)
+	want := tc.allRepairs(info.ID)
+	if n := sv.evictIdle(time.Now().Add(time.Minute)); n != 1 {
+		t.Fatalf("evicted %d, want 1", n)
+	}
+	if got := tc.allRepairs(info.ID); !slices.Equal(got, want) {
+		t.Fatal("repairs differ after revive through the ephemeral log")
+	}
+	tc.mustJSON("POST", "/sessions/"+info.ID+"/deltas", req, &retry)
+	if !retry.Duplicate || retry.Tuples != first.Tuples {
+		t.Fatalf("retry after revive: %+v, want a duplicate ack at %d tuples", retry, first.Tuples)
+	}
+
+	sv.Close()
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("ephemeral store %s survived Close (stat err: %v)", dir, err)
 	}
 }
 

@@ -91,9 +91,6 @@ func newServerMetrics(reg *telemetry.Registry, sv *Server) *serverMetrics {
 		var walBytes int64
 		var walOps int
 		for _, t := range tenants {
-			if t.log == nil {
-				continue
-			}
 			st := t.log.Stats()
 			walBytes += st.WALBytes
 			walOps += st.OpsSinceCheckpoint

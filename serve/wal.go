@@ -99,12 +99,6 @@ func (p *walFeedback) ack(sum tenantSummary, res *holoclean.Result) any {
 // content — bytes a client or peer chose — rather than by the pipeline.
 type invalidOp struct{ error }
 
-// walRelearn is the OpRelearn marker payload — informational only,
-// replay re-derives relearning from the reclean counter.
-type walRelearn struct {
-	Round int `json:"round"`
-}
-
 // walCheckpoint is the OpCheckpoint payload and the one form an evicted
 // session takes: the session envelope, the applied-op-id window (so
 // duplicate detection survives compaction and eviction) and the
@@ -146,12 +140,8 @@ func (t *tenant) isApplied(opID string) bool {
 	return opID != "" && t.applied[opID]
 }
 
-// storeStats renders the operator gauges for listings; nil without a
-// store.
+// storeStats renders the operator gauges for listings.
 func (t *tenant) storeStats() *SessionStoreInfo {
-	if t.log == nil {
-		return nil
-	}
 	st := t.log.Stats()
 	out := &SessionStoreInfo{
 		WALBytes:           st.WALBytes,
@@ -194,9 +184,8 @@ func (sv *Server) buildEnvelope(t *tenant) (*serverSnapshot, error) {
 	}, nil
 }
 
-// checkpointLocked cuts a checkpoint of t's live session: a record
-// appended to its log or, without a store, the same payload bytes held
-// on the tenant. Call with t.mu held and the session quiescent.
+// checkpointLocked cuts a checkpoint of t's live session as a record
+// appended to its log. Call with t.mu held and the session quiescent.
 func (sv *Server) checkpointLocked(t *tenant) error {
 	sp := sv.tel.span("checkpoint")
 	defer sp.End()
@@ -204,16 +193,11 @@ func (sv *Server) checkpointLocked(t *tenant) error {
 	if err != nil {
 		return err
 	}
-	ck := &walCheckpoint{
+	return t.log.Append(store.OpCheckpoint, &walCheckpoint{
 		At:         time.Now().UTC(),
 		AppliedOps: append([]string(nil), t.appliedOrder...),
 		Envelope:   env,
-	}
-	if t.log != nil {
-		return t.log.Append(store.OpCheckpoint, ck)
-	}
-	t.checkpoint, err = json.Marshal(ck)
-	return err
+	})
 }
 
 // converge reduces t's durable form to one checkpoint and an empty
@@ -225,10 +209,8 @@ func (sv *Server) converge(t *tenant) error {
 	if err := sv.checkpointLocked(t); err != nil {
 		return err
 	}
-	if t.log != nil {
-		if _, err := t.log.Compact(); err != nil {
-			sv.logf("serve: compacting %s: %v", t.id, err)
-		}
+	if _, err := t.log.Compact(); err != nil {
+		sv.logf("serve: compacting %s: %v", t.id, err)
 	}
 	return nil
 }
@@ -240,7 +222,7 @@ func (sv *Server) converge(t *tenant) error {
 // work. Failure is logged, not fatal: the ops are already durable
 // individually, a checkpoint only shortens recovery.
 func (sv *Server) maybeCheckpoint(t *tenant) {
-	if t.log == nil || t.session == nil || t.replica.Load() || t.session.PendingMutations() > 0 {
+	if t.session == nil || !sv.isLeader(t.id) || t.session.PendingMutations() > 0 {
 		return
 	}
 	if t.log.Stats().OpsSinceCheckpoint < sv.cfg.CheckpointEvery {
@@ -249,33 +231,6 @@ func (sv *Server) maybeCheckpoint(t *tenant) {
 	if err := sv.checkpointLocked(t); err != nil {
 		sv.logf("serve: checkpointing %s: %v", t.id, err)
 	}
-}
-
-// relearnDue reports whether the next reclean round of t will retrain
-// weights — appended as an OpRelearn marker so operators reading a log
-// can see the relearn cadence without simulating the counter.
-func (sv *Server) relearnDue(t *tenant) bool {
-	every := sv.optionsFor(t.ov).RelearnEvery
-	return every > 0 && t.session != nil && (t.session.Recleans()+1)%every == 0
-}
-
-// appendOp logs one applied operation and waits for the group commit;
-// the caller acks only on nil. An optional relearn marker follows the
-// op record when that round retrained.
-func (sv *Server) appendOp(t *tenant, op store.Op, payload any, relearned bool) error {
-	if t.log == nil {
-		return nil
-	}
-	if err := t.log.Append(op, payload); err != nil {
-		return err
-	}
-	if relearned {
-		if err := t.log.Append(store.OpRelearn, &walRelearn{Round: t.session.Recleans()}); err != nil {
-			sv.logf("serve: relearn marker of %s: %v", t.id, err) // informational record; never fail the op
-		}
-	}
-	sv.maybeCheckpoint(t)
-	return nil
 }
 
 // --- recovery ---
@@ -344,12 +299,6 @@ func (sv *Server) recoverTenant(id string) (*tenant, error) {
 		return nil, nil
 	}
 	t := &tenant{id: id, created: time.Now(), log: l}
-	// In cluster mode a recovered log this node does not lead is a
-	// mirror: register it for reads and standby duty, but leave its
-	// layout to the leader (no checkpoint, no compaction). Route
-	// overrides are in-memory only, so boot placement is the ring's.
-	replica := sv.ring != nil && sv.ring.Owner(id) != sv.cfg.Self
-	t.replica.Store(replica)
 	if len(rec.Tail) == 0 {
 		// Clean checkpoint at the end: stay evicted, like a snapshot —
 		// the envelope header keeps the listing truthful without paying
@@ -366,11 +315,12 @@ func (sv *Server) recoverTenant(id string) (*tenant, error) {
 		return nil, err
 	}
 	t.walSeq = t.log.Stats().Seq
-	if !replica {
+	if sv.isLeader(id) {
 		// The replayed tail becomes a fresh checkpoint and the pre-crash
 		// garbage is compacted away, so repeated crash loops cannot grow
-		// recovery time. Mirrors skip this — their log layout is the
-		// leader's to manage.
+		// recovery time. A recovered log this node does not lead (route
+		// overrides are in-memory only, so at boot that is the ring's
+		// placement) is a mirror: its layout is the leader's to manage.
 		if err := sv.converge(t); err != nil {
 			sv.logf("serve: post-recovery checkpoint of %s: %v", id, err)
 		}
@@ -525,26 +475,18 @@ func (sv *Server) replayTenant(t *tenant, rec *store.Recovery) error {
 	return t.setResult(res)
 }
 
-// revive rebuilds t's live session from its durable form — the log, or
-// without a store the checkpoint payload eviction left on the tenant.
-// Call with a job slot acquired and t.mu held, in that order (a revive
-// replays the pipeline).
+// revive rebuilds t's live session from its log. Call with a job slot
+// acquired and t.mu held, in that order (a revive replays the pipeline).
 func (sv *Server) revive(t *tenant) error {
-	rec := &store.Recovery{Checkpoint: t.checkpoint}
-	if t.log != nil {
-		var err error
-		if rec, err = t.log.Recover(); err != nil {
-			return fmt.Errorf("serve: recovering %s: %w", t.id, err)
-		}
+	rec, err := t.log.Recover()
+	if err != nil {
+		return fmt.Errorf("serve: recovering %s: %w", t.id, err)
 	}
 	t.applied, t.appliedOrder = nil, nil
 	if err := sv.replayTenant(t, rec); err != nil {
 		return fmt.Errorf("serve: restoring %s: %w", t.id, err)
 	}
-	t.checkpoint = nil
-	if t.log != nil {
-		t.walSeq = t.log.Stats().Seq
-	}
+	t.walSeq = t.log.Stats().Seq
 	sv.logf("serve: restored session %s (%d tuples)", t.id, t.session.NumTuples())
 	return nil
 }
@@ -644,7 +586,7 @@ func (sv *Server) compactor(stop <-chan struct{}) {
 // compactSweep runs one pass of the compactor policy over all tenants.
 func (sv *Server) compactSweep() {
 	for _, t := range sv.tenants() {
-		if t.log == nil || t.replica.Load() {
+		if !sv.isLeader(t.id) {
 			// A mirror's log layout belongs to its leader; local
 			// checkpoints or compaction would fork the byte-identical
 			// prefix the shipper maintains.

@@ -361,8 +361,14 @@ func (p *pass) invalidateTuples() error {
 		if p.domains.Index(c) < 0 {
 			// The cell left the noisy set: its candidate-set contribution
 			// to the attribute's label buckets collapses to its initial
-			// value.
+			// value. When it left by being confirmed the noisy mask did not
+			// move, yet it stopped being a query variable — which shifts its
+			// siblings' weak-evidence discounts and its counterparts' DC
+			// factors — so its tuple is a candidate change like any other.
 			p.changedAttrs[c.Attr] = true
+			if c.Tuple < ds.NumTuples() && !p.changed[c.Tuple] && !p.maskChanged[c.Tuple] {
+				candChanged[c.Tuple] = true
+			}
 		}
 	}
 
