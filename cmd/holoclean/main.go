@@ -184,6 +184,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 // printComponentStats renders the -stats view: the log2 histogram of
 // conflict-component sizes, the skew gauge, and how the plan handled it.
 func printComponentStats(stderr io.Writer, st holoclean.RunStats) {
+	fmt.Fprintf(stderr, "holoclean: stats: %d of %d noisy cells are inert (one candidate after pruning, no per-cell factors grounded)\n",
+		st.InertCells, st.NoisyCells)
 	if len(st.ComponentSizeHist) == 0 {
 		fmt.Fprintln(stderr, "holoclean: stats: no conflict components (independent-variable model or no violations)")
 		return

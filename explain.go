@@ -16,6 +16,9 @@ type Explanation struct {
 	Program string
 	// NoisyCells is |D_n| after error detection.
 	NoisyCells int
+	// InertCells counts the query variables Algorithm 2 left a single
+	// candidate: they carry no factors (RunStats.InertCells).
+	InertCells int
 	// Variables, QueryVariables, EvidenceVariables, Factors and Weights
 	// size the grounded factor graph.
 	Variables         int
@@ -55,6 +58,7 @@ func (cl *Cleaner) Explain(ds *Dataset, constraints []*Constraint) (*Explanation
 	return &Explanation{
 		Program:           prep.Program.Render(prep.Bounds),
 		NoisyCells:        p.res.Stats.NoisyCells,
+		InertCells:        p.res.Stats.InertCells,
 		Variables:         g.Stats.Variables,
 		QueryVariables:    g.Stats.QueryVars,
 		EvidenceVariables: g.Stats.EvidenceVars,
@@ -72,7 +76,7 @@ func (cl *Cleaner) Explain(ds *Dataset, constraints []*Constraint) (*Explanation
 func (e *Explanation) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "noisy cells: %d\n", e.NoisyCells)
-	fmt.Fprintf(&b, "variables:   %d (%d query, %d evidence)\n", e.Variables, e.QueryVariables, e.EvidenceVariables)
+	fmt.Fprintf(&b, "variables:   %d (%d query, %d of them inert; %d evidence)\n", e.Variables, e.QueryVariables, e.InertCells, e.EvidenceVariables)
 	fmt.Fprintf(&b, "factors:     %d compact (%d paper-style groundings), %d weights\n", e.Factors, e.PaperFactors, e.Weights)
 	fmt.Fprintf(&b, "domains:     %d candidates total, max %d per cell\n", e.TotalCandidates, e.MaxDomain)
 	if e.Matches > 0 {

@@ -309,7 +309,13 @@ type Repair struct {
 // InferTime sum per-shard grounding and inference durations, so with
 // Workers > 1 they are CPU-style totals that can exceed TotalTime.
 type RunStats struct {
-	NoisyCells   int
+	NoisyCells int
+	// InertCells counts the noisy cells whose pruned domain holds a single
+	// candidate — detected, but with nothing to choose between at this τ
+	// (the candidate is the observed value, or the one fill of an empty
+	// cell). Their posterior is 1 by construction, so they ground no factors;
+	// the share is both what a pass saves and the recall ceiling τ imposes.
+	InertCells   int
 	Variables    int
 	QueryVars    int
 	EvidenceVars int
@@ -506,7 +512,7 @@ type pass struct {
 	// The artifacts a Session's next pass diffs against or carries forward
 	// — all that Session.adopt retains of a finished pass.
 	viol       []violation.Violation   // detect: carried forward by scoped detection
-	noisyAttrs map[int]map[int]bool    // detect: tuple → attributes flagged noisy
+	detection  *errordetect.Result     // detect: the noisy cells and their dense mask
 	st, masked *stats.Stats            // stats: raw and clean-cell (nil when cooc features are off); delta-maintained in place
 	domains    *pruning.Domains        // prepare: pruned candidate sets
 	matches    map[int][]extdict.Match // prepare: dictionary matches by tuple
@@ -527,7 +533,6 @@ type working struct {
 	res      *Result
 
 	changed, changedAttrs map[int]bool          // diff: tuples / attributes whose content differs from prevRows
-	detection             *errordetect.Result   // detect
 	hyper                 *violation.Hypergraph // detect
 	maskChanged           map[int]bool          // stats: unchanged tuples whose noisy mask moved
 	prevQuasi             []bool                // stats: quasi-key classification before the delta
@@ -685,17 +690,6 @@ func (p *pass) detectErrors() error {
 		p.hyper = viol.LastHypergraph
 		p.viol = p.hyper.Violations
 	}
-	// The noisy mask mirrors raw detection, not the trusted-filtered
-	// domain cells: masked statistics discount by detection flags alone,
-	// so the next pass's delta maintenance must diff against the same
-	// mask even when confirmed cells are excluded from the query domains.
-	p.noisyAttrs = make(map[int]map[int]bool)
-	for _, c := range p.detection.Noisy {
-		if p.noisyAttrs[c.Tuple] == nil {
-			p.noisyAttrs[c.Tuple] = make(map[int]bool)
-		}
-		p.noisyAttrs[c.Tuple][c.Attr] = true
-	}
 	return nil
 }
 
@@ -745,6 +739,11 @@ func (p *pass) prepareModel() error {
 		p.matches[m.Cell.Tuple] = append(p.matches[m.Cell.Tuple], m)
 	}
 	p.res.Stats.NoisyCells = p.detection.NumNoisy()
+	for _, cands := range p.domains.Candidates {
+		if len(cands) == 1 {
+			p.res.Stats.InertCells++
+		}
+	}
 	return nil
 }
 

@@ -181,8 +181,9 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 
 	// User-confirmed cells are clean by fiat.
 	noisy := detection.Noisy
+	var trusted map[dataset.Cell]bool
 	if len(opts.Trusted) > 0 {
-		trusted := make(map[dataset.Cell]bool, len(opts.Trusted))
+		trusted = make(map[dataset.Cell]bool, len(opts.Trusted))
 		for _, c := range opts.Trusted {
 			trusted[c] = true
 		}
@@ -223,7 +224,7 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 	var evidence []dataset.Cell
 	var evidenceDomains [][]dataset.Value
 	if !opts.SkipEvidence {
-		evidence, evidenceDomains = sampleEvidence(ds, st, noisy, opts)
+		evidence, evidenceDomains = sampleEvidence(ds, st, noisy, trusted, opts)
 	}
 
 	db := &ddlog.Database{
@@ -513,23 +514,22 @@ func fusionFeatureFunc(votes *fusion.Votes, numAttrs int) func(dataset.Cell, []i
 	}
 }
 
-// sampleEvidence draws up to MaxEvidence clean cells, restricted to
+// sampleEvidence draws up to MaxEvidence clean cells — neither flagged by
+// detection (unless trusted, i.e. user-confirmed) nor Null — restricted to
 // attributes that contain at least one noisy cell (other attributes share
 // no tied weights with any query variable), and computes their candidate
 // domains with the same Algorithm 2 configuration. Cells whose pruned
 // domain is a singleton carry no training signal and are skipped.
-func sampleEvidence(ds *dataset.Dataset, st *stats.Stats, noisy []dataset.Cell, opts Options) ([]dataset.Cell, [][]dataset.Value) {
-	stillNoisy := make(map[dataset.Cell]bool, len(noisy))
-	noisyAttrs := make(map[int]bool)
+func sampleEvidence(ds *dataset.Dataset, st *stats.Stats, noisy []dataset.Cell, trusted map[dataset.Cell]bool, opts Options) ([]dataset.Cell, [][]dataset.Value) {
+	noisyAttrs := make([]bool, ds.NumAttrs())
 	for _, c := range noisy {
-		stillNoisy[c] = true
 		noisyAttrs[c.Attr] = true
 	}
 	var pool []dataset.Cell
 	for t := 0; t < ds.NumTuples(); t++ {
 		for a := 0; a < ds.NumAttrs(); a++ {
 			c := dataset.Cell{Tuple: t, Attr: a}
-			if !noisyAttrs[a] || stillNoisy[c] || ds.Get(t, a) == dataset.Null {
+			if !noisyAttrs[a] || ds.Get(t, a) == dataset.Null || (opts.Detection.IsNoisy(c) && !trusted[c]) {
 				continue
 			}
 			pool = append(pool, c)

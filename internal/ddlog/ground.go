@@ -94,6 +94,19 @@ func (cfg *Config) wantFactors(c dataset.Cell) bool {
 	return cfg.FactorCells == nil || cfg.FactorCells(c)
 }
 
+// inert reports whether v is a query variable inference cannot move: with a
+// single candidate its posterior is 1 whatever its factors say (a softmax
+// over one score; a Gibbs draw from one label), so the per-cell factor rules
+// ground nothing for it, and the discounts that ask whether a sibling could
+// be the repair instead treat it as unrepairable. The variable itself stays
+// — ids, Cells, VarOf, DC-factor scopes and the emitted marginal are those
+// of a grounding that scored it. Evidence variables are never inert: their
+// factors are what learning fits.
+func (gr *grounder) inert(v int32) bool {
+	vr := &gr.g.Vars[v]
+	return !vr.Evidence && len(vr.Domain) < 2
+}
+
 // Stats describes the grounded model. PaperFactors counts groundings the
 // way Example 5 does — one factor per value combination of the involved
 // random variables — while the compact in-memory representation stores
@@ -390,10 +403,10 @@ func (gr *grounder) groundFeatures() {
 		return
 	}
 	for vi, c := range gr.out.Cells {
-		if !gr.cfg.wantFactors(c) {
+		v := int32(vi)
+		if !gr.cfg.wantFactors(c) || gr.inert(v) {
 			continue
 		}
-		v := int32(vi)
 		dom := gr.g.Vars[v].Domain
 		if gr.db.Features != nil {
 			for _, f := range gr.db.Features(c) {
@@ -434,7 +447,7 @@ func (gr *grounder) groundFeatures() {
 func (gr *grounder) groundMatches() {
 	for _, m := range gr.db.Matches {
 		v, ok := gr.out.VarOf.Get(m.Cell)
-		if !ok || !gr.cfg.wantFactors(m.Cell) {
+		if !ok || !gr.cfg.wantFactors(m.Cell) || gr.inert(v) {
 			continue
 		}
 		label, ok := gr.db.DS.Dict().Lookup(m.Value)
@@ -446,7 +459,7 @@ func (gr *grounder) groundMatches() {
 		key = append(key, m.Dict...)
 		prior := gr.db.DictPrior
 		for _, cc := range m.CondCells {
-			if jv := gr.queryVarOf(cc); jv >= 0 && len(gr.g.Vars[jv].Domain) >= 2 {
+			if jv := gr.queryVarOf(cc); jv >= 0 && !gr.inert(jv) {
 				key = append(key, "|weak"...)
 				prior /= 2
 				break
@@ -470,12 +483,9 @@ func (gr *grounder) groundMatches() {
 func (gr *grounder) groundMinimality(weight float64) {
 	wid := gr.g.Weights.ID("prior|minimality", weight, true)
 	for vi, c := range gr.out.Cells {
-		if !gr.cfg.wantFactors(c) {
-			continue
-		}
 		v := int32(vi)
 		vr := &gr.g.Vars[v]
-		if vr.Evidence || vr.Obs < 0 {
+		if !gr.cfg.wantFactors(c) || vr.Evidence || vr.Obs < 0 || gr.inert(v) {
 			continue
 		}
 		gr.g.AddUnary(v, vr.Obs, wid, false, 1)

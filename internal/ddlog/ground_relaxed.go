@@ -36,10 +36,10 @@ func (gr *grounder) groundRelaxedDC(rule *Rule) error {
 	}
 
 	for vi, c := range gr.out.Cells {
-		if c.Attr != hr.Attr || !gr.cfg.wantFactors(c) {
+		v := int32(vi)
+		if c.Attr != hr.Attr || !gr.cfg.wantFactors(c) || gr.inert(v) {
 			continue
 		}
-		v := int32(vi)
 		dom := gr.g.Vars[v].Domain
 		// Per-candidate violation counters, indexed by domain position,
 		// staged in the arena (the old map-keyed counters churned map
@@ -149,9 +149,9 @@ func (gr *grounder) relaxPair(rc *relaxCtx) (int32, float64) {
 		}
 		scale := 1.0
 		// The discount applies only when the join cell has an actual
-		// alternative: a flagged cell with a singleton domain cannot be
-		// the repair that resolves the violation.
-		if jv := gr.queryVarOf(dataset.Cell{Tuple: rc.c.Tuple, Attr: headAttr}); jv >= 0 && len(gr.g.Vars[jv].Domain) >= 2 {
+		// alternative: an inert cell cannot be the repair that resolves
+		// the violation.
+		if jv := gr.queryVarOf(dataset.Cell{Tuple: rc.c.Tuple, Attr: headAttr}); jv >= 0 && !gr.inert(jv) {
 			scale = 0.5
 		}
 		for _, t2 := range gr.initIndex(otherAttr)[probe] {

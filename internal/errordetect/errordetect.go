@@ -7,7 +7,7 @@
 package errordetect
 
 import (
-	"sort"
+	"fmt"
 
 	"holoclean/internal/dataset"
 	"holoclean/internal/dc"
@@ -25,44 +25,55 @@ type Detector interface {
 	Detect(ds *dataset.Dataset) ([]dataset.Cell, error)
 }
 
-// Result is the D_n / D_c split plus which detectors fired per cell.
+// Result is the D_n / D_c split: the noisy cells in (tuple, attribute)
+// order, plus the same set as a dense tuple × attribute mask so membership
+// is an array read — the masked-statistics scan asks once per cell per
+// attribute pair.
 type Result struct {
-	Noisy    []dataset.Cell
-	noisySet map[dataset.Cell][]string
+	Noisy []dataset.Cell
+	mask  []bool // row-major, tuples × attrs
+	attrs int
 }
 
-// IsNoisy reports whether cell c was flagged.
+// IsNoisy reports whether cell c was flagged. A cell outside the relation
+// the detectors ran over — a row appended since — was not.
 func (r *Result) IsNoisy(c dataset.Cell) bool {
-	_, ok := r.noisySet[c]
-	return ok
+	if c.Tuple < 0 || c.Attr < 0 || c.Attr >= r.attrs {
+		return false
+	}
+	i := c.Tuple*r.attrs + c.Attr
+	return i < len(r.mask) && r.mask[i]
 }
 
 // NumNoisy returns |D_n|.
 func (r *Result) NumNoisy() int { return len(r.Noisy) }
 
 // Run executes all detectors and unions their outputs into a Result with
-// deterministic cell order.
+// deterministic cell order. A detector that flags a cell outside ds is a
+// bug in that detector and fails the run.
 func Run(ds *dataset.Dataset, detectors ...Detector) (*Result, error) {
-	res := &Result{noisySet: make(map[dataset.Cell][]string)}
+	tuples, attrs := ds.NumTuples(), ds.NumAttrs()
+	res := &Result{mask: make([]bool, tuples*attrs), attrs: attrs}
 	for _, d := range detectors {
 		cells, err := d.Detect(ds)
 		if err != nil {
 			return nil, err
 		}
 		for _, c := range cells {
-			res.noisySet[c] = append(res.noisySet[c], d.Name())
+			if c.Tuple < 0 || c.Tuple >= tuples || c.Attr < 0 || c.Attr >= attrs {
+				return nil, fmt.Errorf("errordetect: detector %q flagged cell (%d,%d) outside the %d×%d relation",
+					d.Name(), c.Tuple, c.Attr, tuples, attrs)
+			}
+			res.mask[c.Tuple*attrs+c.Attr] = true
 		}
 	}
-	res.Noisy = make([]dataset.Cell, 0, len(res.noisySet))
-	for c := range res.noisySet {
-		res.Noisy = append(res.Noisy, c)
-	}
-	sort.Slice(res.Noisy, func(i, j int) bool {
-		if res.Noisy[i].Tuple != res.Noisy[j].Tuple {
-			return res.Noisy[i].Tuple < res.Noisy[j].Tuple
+	for t := 0; t < tuples; t++ {
+		for a, noisy := range res.mask[t*attrs : (t+1)*attrs] {
+			if noisy {
+				res.Noisy = append(res.Noisy, dataset.Cell{Tuple: t, Attr: a})
+			}
 		}
-		return res.Noisy[i].Attr < res.Noisy[j].Attr
-	})
+	}
 	return res, nil
 }
 

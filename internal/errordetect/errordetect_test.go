@@ -1,6 +1,9 @@
 package errordetect
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"holoclean/internal/dataset"
@@ -155,5 +158,105 @@ func TestRunEmptyDetectors(t *testing.T) {
 	}
 	if res.NumNoisy() != 0 {
 		t.Errorf("no detectors should flag nothing")
+	}
+}
+
+// cellList is a plug-in detector that flags a fixed list of cells.
+type cellList struct {
+	name  string
+	cells []dataset.Cell
+}
+
+func (d cellList) Name() string { return d.name }
+
+func (d cellList) Detect(*dataset.Dataset) ([]dataset.Cell, error) { return d.cells, nil }
+
+// TestRunUnionsOverlappingDetectors compares Run against the union it
+// computed before the dense mask: collect into a set, sort by (tuple,
+// attribute). Detectors overlap, repeat cells and report out of order.
+func TestRunUnionsOverlappingDetectors(t *testing.T) {
+	ds, cs := figure1()
+	a := cellList{"a", []dataset.Cell{{Tuple: 3, Attr: 2}, {Tuple: 0, Attr: 1}, {Tuple: 3, Attr: 2}, {Tuple: 2, Attr: 0}}}
+	b := cellList{"b", []dataset.Cell{{Tuple: 2, Attr: 0}, {Tuple: 3, Attr: 0}, {Tuple: 0, Attr: 1}}}
+	viol := &Violations{Constraints: cs}
+	res, err := Run(ds, a, viol, b, Nulls{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := make(map[dataset.Cell]bool)
+	violCells, err := viol.Detect(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cells := range [][]dataset.Cell{a.cells, violCells, b.cells} {
+		for _, c := range cells {
+			set[c] = true
+		}
+	}
+	want := make([]dataset.Cell, 0, len(set))
+	for c := range set {
+		want = append(want, c)
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].Tuple != want[j].Tuple {
+			return want[i].Tuple < want[j].Tuple
+		}
+		return want[i].Attr < want[j].Attr
+	})
+	if !slices.Equal(res.Noisy, want) {
+		t.Errorf("Noisy = %v, want %v", res.Noisy, want)
+	}
+	for tu := 0; tu < ds.NumTuples(); tu++ {
+		for at := 0; at < ds.NumAttrs(); at++ {
+			if c := (dataset.Cell{Tuple: tu, Attr: at}); res.IsNoisy(c) != set[c] {
+				t.Errorf("IsNoisy(%v) = %v, want %v", c, res.IsNoisy(c), set[c])
+			}
+		}
+	}
+}
+
+// TestRunRejectsCellOutsideRelation: Detector is the package's extension
+// point, so a plug-in that reports a cell the relation does not have must
+// fail the run instead of reaching pruning as an out-of-range index.
+func TestRunRejectsCellOutsideRelation(t *testing.T) {
+	ds, _ := figure1()
+	for _, c := range []dataset.Cell{
+		{Tuple: ds.NumTuples(), Attr: 0},
+		{Tuple: 0, Attr: ds.NumAttrs()},
+		{Tuple: -1, Attr: 0},
+		{Tuple: 0, Attr: -1},
+	} {
+		_, err := Run(ds, Nulls{}, cellList{"plug-in", []dataset.Cell{{Tuple: 1, Attr: 1}, c}})
+		want := fmt.Sprintf("errordetect: detector %q flagged cell (%d,%d) outside the %d×%d relation",
+			"plug-in", c.Tuple, c.Attr, ds.NumTuples(), ds.NumAttrs())
+		if err == nil || err.Error() != want {
+			t.Errorf("cell %v: err = %v, want %q", c, err, want)
+		}
+	}
+}
+
+// TestIsNoisyOutsideRelation: a session asks the previous pass's result
+// about rows appended since; the answer is "not flagged", never a panic or
+// a neighbouring row's flag.
+func TestIsNoisyOutsideRelation(t *testing.T) {
+	ds, _ := figure1()
+	last := ds.NumTuples() - 1
+	res, err := Run(ds, cellList{"all of the last row", []dataset.Cell{{Tuple: last, Attr: 0}, {Tuple: last, Attr: 1}, {Tuple: last, Attr: 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []dataset.Cell{
+		{Tuple: last + 1, Attr: 0},
+		{Tuple: 1 << 20, Attr: 2},
+		{Tuple: -1, Attr: 0},
+		{Tuple: last - 1, Attr: ds.NumAttrs()}, // would alias (last, 0) in a flat index
+		{Tuple: last + 1, Attr: -1},            // would alias (last, 2)
+	} {
+		if res.IsNoisy(c) {
+			t.Errorf("IsNoisy(%v) = true for a cell outside the relation", c)
+		}
+	}
+	if (&Result{}).IsNoisy(dataset.Cell{}) {
+		t.Error("zero Result flags a cell")
 	}
 }

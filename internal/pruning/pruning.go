@@ -11,7 +11,8 @@
 package pruning
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"holoclean/internal/dataset"
 	"holoclean/internal/stats"
@@ -60,26 +61,45 @@ func Compute(ds *dataset.Dataset, st *stats.Stats, noisy []dataset.Cell, cfg Con
 		Candidates: make([][]dataset.Value, len(noisy)),
 		index:      make(map[dataset.Cell]int, len(noisy)),
 	}
-	activeDomains := make(map[int][]dataset.Value)
-	domainOf := func(a int) []dataset.Value {
-		if dom, ok := activeDomains[a]; ok {
-			return dom
+	n := ds.NumAttrs()
+	// The values a sibling admits, {v : Pr[v | v_c'] ≥ τ}, depend only on the
+	// context (attribute, sibling attribute, sibling value), which many cells
+	// share: each is evaluated once per call and kept ascending, so a cell's
+	// domain is a merge of sorted slices. The memo lives and dies with this
+	// call — statistics move between calls, and nothing has to be invalidated.
+	contexts := make([]map[dataset.Value][]dataset.Value, n*n)
+	admitted := func(a, g int, vg dataset.Value) []dataset.Value {
+		m := contexts[a*n+g]
+		if m == nil {
+			m = make(map[dataset.Value][]dataset.Value)
+			contexts[a*n+g] = m
 		}
-		dom := ds.ActiveDomain(a)
-		activeDomains[a] = dom
-		return dom
+		vals, ok := m[vg]
+		if !ok {
+			vals = st.ValuesAbove(a, g, vg, cfg.Tau)
+			slices.Sort(vals)
+			m[vg] = vals
+		}
+		return vals
+	}
+	activeDomains := make([][]dataset.Value, n)
+	var set, spare []dataset.Value // the cell's domain so far, ascending, and the merge target
+	union := func(vals []dataset.Value) {
+		spare = mergeSorted(spare[:0], set, vals)
+		set, spare = spare, set
 	}
 	for i, c := range noisy {
 		d.index[c] = i
-		set := make(map[dataset.Value]struct{})
+		set = set[:0]
 		if cfg.FullDomain {
-			for _, v := range domainOf(c.Attr) {
-				set[v] = struct{}{}
+			if activeDomains[c.Attr] == nil {
+				activeDomains[c.Attr] = ds.ActiveDomain(c.Attr)
 			}
+			union(activeDomains[c.Attr])
 		} else {
 			// For each sibling cell c' of c, admit values of c's attribute
 			// whose conditional probability given v_c' clears τ.
-			for g := 0; g < ds.NumAttrs(); g++ {
+			for g := 0; g < n; g++ {
 				if g == c.Attr {
 					continue
 				}
@@ -87,46 +107,45 @@ func Compute(ds *dataset.Dataset, st *stats.Stats, noisy []dataset.Cell, cfg Con
 				if vg == dataset.Null {
 					continue
 				}
-				for _, v := range st.ValuesAbove(c.Attr, g, vg, cfg.Tau) {
-					set[v] = struct{}{}
-				}
+				union(admitted(c.Attr, g, vg))
 			}
 		}
-		if init := ds.Get(c.Tuple, c.Attr); init != dataset.Null {
-			set[init] = struct{}{}
+		init := ds.Get(c.Tuple, c.Attr)
+		if init != dataset.Null {
+			union([]dataset.Value{init})
 		}
-		cands := make([]dataset.Value, 0, len(set))
-		for v := range set {
-			cands = append(cands, v)
-		}
-		if cfg.MaxCandidates > 0 && len(cands) > cfg.MaxCandidates {
-			sort.Slice(cands, func(x, y int) bool {
-				fx, fy := st.Freq(c.Attr, cands[x]), st.Freq(c.Attr, cands[y])
-				if fx != fy {
-					return fx > fy
+		if cfg.MaxCandidates > 0 && len(set) > cfg.MaxCandidates {
+			slices.SortFunc(set, func(x, y dataset.Value) int {
+				if fx, fy := st.Freq(c.Attr, x), st.Freq(c.Attr, y); fx != fy {
+					return fy - fx
 				}
-				return cands[x] < cands[y]
+				return cmp.Compare(x, y)
 			})
-			init := ds.Get(c.Tuple, c.Attr)
-			kept := cands[:cfg.MaxCandidates]
-			if init != dataset.Null && !contains(kept, init) {
-				kept[len(kept)-1] = init
+			set = set[:cfg.MaxCandidates]
+			if init != dataset.Null && !slices.Contains(set, init) {
+				set[len(set)-1] = init
 			}
-			cands = kept
+			slices.Sort(set)
 		}
-		sort.Slice(cands, func(x, y int) bool { return cands[x] < cands[y] })
-		d.Candidates[i] = cands
+		d.Candidates[i] = append(make([]dataset.Value, 0, len(set)), set...)
 	}
 	return d
 }
 
-func contains(vs []dataset.Value, v dataset.Value) bool {
-	for _, x := range vs {
-		if x == v {
-			return true
+// mergeSorted appends the union of two ascending duplicate-free slices to
+// dst, ascending and duplicate-free.
+func mergeSorted(dst, a, b []dataset.Value) []dataset.Value {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			dst, a = append(dst, a[0]), a[1:]
+		case a[0] > b[0]:
+			dst, b = append(dst, b[0]), b[1:]
+		default:
+			dst, a, b = append(dst, a[0]), a[1:], b[1:]
 		}
 	}
-	return false
+	return append(append(dst, a...), b...)
 }
 
 // Inject adds extra candidate values (e.g. suggestions from external
@@ -137,11 +156,11 @@ func (d *Domains) Inject(c dataset.Cell, v dataset.Value) {
 	if !ok {
 		return
 	}
-	if contains(d.Candidates[i], v) {
+	if slices.Contains(d.Candidates[i], v) {
 		return
 	}
 	d.Candidates[i] = append(d.Candidates[i], v)
-	sort.Slice(d.Candidates[i], func(x, y int) bool { return d.Candidates[i][x] < d.Candidates[i][y] })
+	slices.Sort(d.Candidates[i])
 }
 
 // Of returns the candidate set of cell c, or nil when c is not a noisy cell.

@@ -61,6 +61,9 @@ type SessionStoreInfo struct {
 // milliseconds, the shape clients chart latency from.
 type RunStatsInfo struct {
 	NoisyCells int `json:"noisy_cells"`
+	// InertCells counts the noisy cells pruning left with one candidate:
+	// flagged, but not repairable at this τ.
+	InertCells int `json:"inert_cells"`
 	Variables  int `json:"variables"`
 	// QueryVars and EvidenceVars split Variables into the unknowns
 	// inference solves for and the clean cells pinned as evidence.
@@ -103,6 +106,7 @@ func runStatsInfo(s holoclean.RunStats) *RunStatsInfo {
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	return &RunStatsInfo{
 		NoisyCells:           s.NoisyCells,
+		InertCells:           s.InertCells,
 		Variables:            s.Variables,
 		QueryVars:            s.QueryVars,
 		EvidenceVars:         s.EvidenceVars,

@@ -8,6 +8,7 @@ import (
 
 	"holoclean/internal/dataset"
 	"holoclean/internal/dc"
+	"holoclean/internal/errordetect"
 	"holoclean/internal/stats"
 )
 
@@ -276,16 +277,19 @@ func (p *pass) collectStats() error {
 
 	// Noisy-mask diff: tuples whose flagged attribute set changed re-enter
 	// the masked statistics and are dirty (their cells gained or lost
-	// variables, and sibling-domain discounts may shift).
+	// variables, and sibling-domain discounts may shift). The mask is raw
+	// detection, not the trusted-filtered domain cells: masked statistics
+	// discount by detection flags alone, so confirmed cells stay masked.
 	p.maskChanged = make(map[int]bool)
-	for t, attrs := range p.noisyAttrs {
-		if !p.changed[t] && !maps.Equal(attrs, prev.noisyAttrs[t]) {
-			p.maskChanged[t] = true
+	for t := 0; t < min(n, prevN); t++ {
+		if p.changed[t] {
+			continue
 		}
-	}
-	for t, attrs := range prev.noisyAttrs {
-		if t < n && !p.changed[t] && !maps.Equal(attrs, p.noisyAttrs[t]) {
-			p.maskChanged[t] = true
+		for a := 0; a < ds.NumAttrs(); a++ {
+			if c := (Cell{Tuple: t, Attr: a}); p.detection.IsNoisy(c) != prev.detection.IsNoisy(c) {
+				p.maskChanged[t] = true
+				break
+			}
 		}
 	}
 
@@ -297,14 +301,11 @@ func (p *pass) collectStats() error {
 	}
 
 	var remSt, addSt, remM, addM []stats.TupleView
-	oldMaskView := func(t int) stats.TupleView {
-		attrs := prev.noisyAttrs[t]
-		return stats.View(p.prevRows[t], func(a int) bool { return !attrs[a] })
+	maskView := func(row []dataset.Value, det *errordetect.Result, t int) stats.TupleView {
+		return stats.View(row, func(a int) bool { return !det.IsNoisy(Cell{Tuple: t, Attr: a}) })
 	}
-	newMaskView := func(t int) stats.TupleView {
-		attrs := p.noisyAttrs[t]
-		return stats.View(ds.Row(t), func(a int) bool { return !attrs[a] })
-	}
+	oldMaskView := func(t int) stats.TupleView { return maskView(p.prevRows[t], prev.detection, t) }
+	newMaskView := func(t int) stats.TupleView { return maskView(ds.Row(t), p.detection, t) }
 	for t := range p.changed {
 		if t < prevN {
 			remSt = append(remSt, stats.View(p.prevRows[t], nil))

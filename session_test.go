@@ -446,3 +446,57 @@ func TestStageTelemetryAgreesAcrossPasses(t *testing.T) {
 		t.Errorf("total span sum %v s, RunStats.TotalTime sum %v s", sum, want)
 	}
 }
+
+// TestInertCellsAgreeAcrossPasses: RunStats.InertCells counts the noisy
+// cells pruning left a single candidate — their marginal is that candidate
+// at probability exactly 1 — and is taken from the full domains, so Explain,
+// a full Clean and an incremental Reclean (which under DC Feats re-executes
+// only a few shards) report the same number for the same relation, under
+// both inference rules.
+func TestInertCellsAgreeAcrossPasses(t *testing.T) {
+	g := datagen.Hospital(datagen.Config{Tuples: 400, Seed: 5})
+	for _, variant := range []Variant{VariantDCFeats, VariantDCFactors} {
+		opts := DefaultOptions()
+		opts.Variant = variant
+		s, err := NewSession(g.Dirty, g.Constraints, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Clean(); err != nil {
+			t.Fatal(err)
+		}
+		mutateSession(t, s, rand.New(rand.NewSource(1)), 0.01, []int{0, 1, 9, 14, 15})
+		incr, err := s.Reclean()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if incr.Stats.ShardsReused == 0 && variant == VariantDCFeats {
+			t.Fatalf("%s: fixture reused no shard", variant.Name())
+		}
+		refOpts := opts
+		refOpts.InitialWeights = s.Weights()
+		full, err := New(refOpts).Clean(s.Dataset(), g.Constraints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := New(refOpts).Explain(s.Dataset(), g.Constraints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single := 0
+		for c, dist := range full.Marginals {
+			if len(dist) == 1 {
+				single++
+				if dist[0].P != 1 {
+					t.Errorf("%s: single-candidate cell %v has probability %v, want exactly 1", variant.Name(), c, dist[0].P)
+				}
+			}
+		}
+		if n := full.Stats.InertCells; n != single || n == 0 || n >= full.Stats.NoisyCells {
+			t.Errorf("%s: InertCells = %d of %d noisy, %d marginals have one candidate", variant.Name(), n, full.Stats.NoisyCells, single)
+		}
+		if incr.Stats.InertCells != full.Stats.InertCells || ex.InertCells != full.Stats.InertCells {
+			t.Errorf("%s: InertCells: reclean %d, explain %d, full clean %d", variant.Name(), incr.Stats.InertCells, ex.InertCells, full.Stats.InertCells)
+		}
+	}
+}
