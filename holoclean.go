@@ -35,7 +35,6 @@ import (
 	"io"
 	"maps"
 	"runtime/metrics"
-	"slices"
 	"sort"
 	"time"
 
@@ -488,7 +487,7 @@ func (cl *Cleaner) Clean(ds *Dataset, constraints []*Constraint) (*Result, error
 
 // A pass is one run of the pipeline of Figure 2, as the stages
 //
-//	diff → detect → stats → prepare → invalidate → plan → learn → infer
+//	diff → stats → detect → prepare → invalidate → plan → learn → infer
 //
 // each of which fills in its artifact below and is clocked once (see
 // stage). Full clean or incremental reclean is a property of a pass's
@@ -511,9 +510,9 @@ type pass struct {
 
 	// The artifacts a Session's next pass diffs against or carries forward
 	// — all that Session.adopt retains of a finished pass.
+	st, masked *stats.Stats            // stats: raw; prepare: clean-cell (nil when cooc features are off); delta-maintained in place
 	viol       []violation.Violation   // detect: carried forward by scoped detection
 	detection  *errordetect.Result     // detect: the noisy cells and their dense mask
-	st, masked *stats.Stats            // stats: raw and clean-cell (nil when cooc features are off); delta-maintained in place
 	domains    *pruning.Domains        // prepare: pruned candidate sets
 	matches    map[int][]extdict.Match // prepare: dictionary matches by tuple
 	shared     *ddlog.SharedIndex      // plan (invalidate rebinds a previous pass's)
@@ -533,10 +532,11 @@ type working struct {
 	res      *Result
 
 	changed, changedAttrs map[int]bool          // diff: tuples / attributes whose content differs from prevRows
-	hyper                 *violation.Hypergraph // detect
-	maskChanged           map[int]bool          // stats: unchanged tuples whose noisy mask moved
 	prevQuasi             []bool                // stats: quasi-key classification before the delta
-	stDelta, maskedDelta  *stats.Delta          // stats: counters the delta touched
+	stDelta               *stats.Delta          // stats: raw counters the delta touched
+	hyper                 *violation.Hypergraph // detect
+	maskChanged           map[int]bool          // prepare: unchanged tuples whose noisy mask moved
+	maskedDelta           *stats.Delta          // prepare: clean-cell counters the delta touched (nil without masked)
 	prep                  *compile.Prepared     // prepare
 	dirty                 map[int]bool          // invalidate: tuples that must re-execute; nil executes every shard
 	exec                  []shard               // plan: the shards that run
@@ -589,7 +589,8 @@ func (p *pass) stage(name string, into *time.Duration, fn func() error) error {
 // compile runs the stages diff … plan: everything a pass does before
 // weights enter — the model Clean infers with and Explain reports.
 //
-// RunStats.DetectTime is diff + detect; CompileTime is stats + prepare +
+// RunStats.DetectTime is diff + detect (the stats stage between them is
+// booked with compilation); CompileTime is stats + prepare +
 // invalidate + plan + every grounding (learning graph and shards), so with
 // one worker the four phase times never exceed TotalTime.
 func (p *pass) compile() error {
@@ -603,8 +604,8 @@ func (p *pass) compile() error {
 		fn   func() error
 	}{
 		{"diff", &st.DetectTime, p.diffRows},
-		{"detect", &st.DetectTime, p.detectErrors},
 		{"stats", &st.CompileTime, p.collectStats},
+		{"detect", &st.DetectTime, p.detectErrors},
 		{"prepare", &st.CompileTime, p.prepareModel},
 		{"invalidate", &st.CompileTime, p.invalidateTuples},
 		{"plan", &st.CompileTime, p.planExecution},
@@ -658,9 +659,11 @@ func (p *pass) run(adopt func(*pass)) (*Result, error) {
 	return res, nil
 }
 
-// detectErrors is Figure 2's module 1. Constraint violations are scoped
-// to the changed tuples when there is a previous pass (violations among
-// untouched tuples carry forward) and detected in full otherwise.
+// detectErrors is Figure 2's module 1, a function of the rows, the diff
+// and the raw statistics. Constraint violations are scoped to the changed
+// tuples when there is a previous pass (violations among untouched tuples
+// carry forward) and detected in full otherwise; the statistics-based
+// detectors read the stats stage's counters and scan nothing themselves.
 func (p *pass) detectErrors() error {
 	o := p.opts
 	var detectors []errordetect.Detector
@@ -673,7 +676,7 @@ func (p *pass) detectErrors() error {
 		detectors = append(detectors, viol)
 	}
 	if o.OutlierDetection {
-		detectors = append(detectors, &errordetect.Outliers{}, &errordetect.CondOutliers{})
+		detectors = append(detectors, &errordetect.Outliers{Stats: p.st}, &errordetect.CondOutliers{Stats: p.st})
 	}
 	if len(o.MatchDependencies) > 0 {
 		matcher, err := extdict.NewMatcher(p.ds, o.Dictionaries, o.MatchDependencies)
@@ -724,11 +727,13 @@ func (p *pass) compileOptions() compile.Options {
 	}
 }
 
-// prepareModel is Figure 2's module 2 short of grounding: full domain
-// pruning over the noisy set, dictionary matching, evidence sampling when
-// weights will be learned, and the rule program — a pure function of the
-// detection result and statistics the earlier stages produced.
+// prepareModel is Figure 2's module 2 short of grounding: the clean-cell
+// statistics, full domain pruning over the noisy set, dictionary matching,
+// evidence sampling when weights will be learned, and the rule program — a
+// pure function of the detection result and statistics the earlier stages
+// produced.
 func (p *pass) prepareModel() error {
+	p.maskStats()
 	prep, err := compile.Prepare(p.ds, p.constraints, p.compileOptions())
 	if err != nil {
 		return err
@@ -840,11 +845,11 @@ func (p *pass) inferRepairs() error {
 	// statistics contexts, same counterpart joins, same weights, same
 	// chain seed), so their marginals and MAP repair are too. Cells whose
 	// candidate set is empty had no variable in either pass and need no
-	// cache entry.
+	// cache entry. The Result takes over the marginal slices of the pass
+	// being replaced; Session.adopt gives the retained outcomes their own.
 	for _, i := range p.reused {
 		c := p.domains.Cells[i]
 		if out, ok := p.prev.outcomes[c]; ok {
-			out.dist = slices.Clone(out.dist)
 			p.emit(c, out)
 		}
 	}

@@ -116,10 +116,7 @@ type Stats struct {
 	Variables    int
 	QueryVars    int
 	EvidenceVars int
-	UnaryFactors int
-	NaryFactors  int
 	PaperFactors int64
-	PairsChecked int64
 }
 
 // SoftFeature is one real-valued feature of a cell: h values per
@@ -193,16 +190,6 @@ type Grounded struct {
 	// VarOf maps cell → variable id (dense; see CellVars).
 	VarOf *CellVars
 	Stats Stats
-}
-
-// Domain returns the candidate labels of variable v as dataset values.
-func (g *Grounded) Domain(v int32) []dataset.Value {
-	labels := g.Graph.Vars[v].Domain
-	out := make([]dataset.Value, len(labels))
-	for i, l := range labels {
-		out[i] = dataset.Value(l)
-	}
-	return out
 }
 
 // Arena is the reusable per-grounding scratch memory: the dense cell→var
@@ -339,8 +326,6 @@ func Ground(db *Database, prog *Program, cfg Config) (*Grounded, error) {
 		}
 	}
 	gr.out.Stats.Variables = len(gr.g.Vars)
-	gr.out.Stats.UnaryFactors = len(gr.g.Unaries)
-	gr.out.Stats.NaryFactors = len(gr.g.Naries)
 	return gr.out, nil
 }
 

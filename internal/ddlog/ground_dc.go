@@ -200,7 +200,6 @@ func (gr *grounder) groundDC(rule *Rule) error {
 	}
 
 	emit := func(t1, t2 int) {
-		gr.out.Stats.PairsChecked++
 		w := wid
 		if !gr.db.Scope.admits(t1, roleAttrs[0]) || !gr.db.Scope.admits(t2, roleAttrs[1]) {
 			if damp <= 0 {

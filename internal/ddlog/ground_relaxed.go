@@ -210,7 +210,6 @@ func (gr *grounder) checkCounterpart(rc *relaxCtx, t2 int) bool {
 		return false
 	}
 	tups := rc.tups(t2)
-	gr.out.Stats.PairsChecked++
 	for _, i := range rc.bodyPreds {
 		if !rc.b.HoldsPred(i, tups[0], tups[1]) {
 			return false

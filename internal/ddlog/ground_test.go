@@ -67,11 +67,6 @@ func TestGroundVariables(t *testing.T) {
 			t.Errorf("cell %v: Obs points at the wrong label", c)
 		}
 	}
-	// Domain translation round-trips.
-	dom := g.Domain(0)
-	if len(dom) != len(g.Graph.Vars[0].Domain) {
-		t.Errorf("Domain helper length mismatch")
-	}
 }
 
 func TestGroundMinimality(t *testing.T) {
@@ -184,7 +179,7 @@ func TestGroundDCFactors(t *testing.T) {
 			}
 		}
 	}
-	if g.Stats.PaperFactors <= 0 || g.Stats.PairsChecked <= 0 {
+	if g.Stats.PaperFactors <= 0 {
 		t.Errorf("grounding stats not populated: %+v", g.Stats)
 	}
 }

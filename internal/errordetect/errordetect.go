@@ -3,7 +3,9 @@
 // into noisy cells D_n (candidates for repair, whose random variables are
 // query variables) and clean cells D_c (treated as evidence during
 // learning). HoloClean treats detection as a black box: any Detector can
-// be plugged in, and a Composite unions several.
+// be plugged in, and Run unions several. A detector computes nothing the
+// pipeline already owns: the statistics-based ones are handed the pass's
+// raw statistics.
 package errordetect
 
 import (
@@ -84,14 +86,14 @@ func Run(ds *dataset.Dataset, detectors ...Detector) (*Result, error) {
 type Violations struct {
 	Constraints []*dc.Constraint
 
-	// Changed, when non-nil, switches Detect into delta mode:
-	// instead of evaluating every tuple pair, detection keeps Prev's
-	// violations among tuples outside Changed and re-detects only the
-	// pairs that join a changed tuple with its index-reachable
-	// counterparts (violation.Detector.DetectDelta). Incremental cleaning
+	// Changed, when non-nil, scopes detection to a delta: Prev's
+	// violations among tuples outside Changed are kept and only the pairs
+	// that join a changed tuple with its index-reachable counterparts are
+	// evaluated (violation.Detector.DetectDelta). Incremental cleaning
 	// sessions use this to re-run detection in time proportional to the
 	// delta plus one hash pass over each constraint's join columns; the
-	// output is identical to a full detection of the mutated dataset.
+	// output is identical to that of a nil Changed — every tuple changed,
+	// full detection — over the mutated dataset.
 	Prev    []violation.Violation
 	Changed map[int]bool
 
@@ -99,7 +101,6 @@ type Violations struct {
 	// hypergraph of the detected violations, reusable by partitioning and
 	// by the Holistic baseline without re-running detection.
 	LastHypergraph *violation.Hypergraph
-	LastDetector   *violation.Detector
 }
 
 // Name implements Detector.
@@ -111,16 +112,8 @@ func (v *Violations) Detect(ds *dataset.Dataset) ([]dataset.Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	var viols []violation.Violation
-	if v.Changed != nil {
-		viols = det.DetectDelta(v.Prev, v.Changed)
-	} else {
-		viols = det.Detect()
-	}
-	h := violation.BuildHypergraph(det, viols)
-	v.LastHypergraph = h
-	v.LastDetector = det
-	return h.Cells(), nil
+	v.LastHypergraph = violation.BuildHypergraph(det, det.DetectDelta(v.Prev, v.Changed))
+	return v.LastHypergraph.Cells(), nil
 }
 
 // Outliers flags cells whose value is a rare, near-duplicate variant of a
@@ -130,8 +123,9 @@ func (v *Violations) Detect(ds *dataset.Dataset) ([]dataset.Cell, error) {
 // freq(v') ≥ DominanceRatio·freq(v) with v ≈ v' (edit similarity), the
 // signature of a misspelling such as "Cicago" vs "Chicago".
 type Outliers struct {
-	MaxCount       int     // rare threshold; default 3
-	DominanceRatio float64 // dominance multiplier; default 10
+	Stats          *stats.Stats // required: the raw statistics of the dataset Detect is given
+	MaxCount       int          // rare threshold; default 3
+	DominanceRatio float64      // dominance multiplier; default 10
 }
 
 // Name implements Detector.
@@ -139,6 +133,10 @@ func (o *Outliers) Name() string { return "outliers" }
 
 // Detect implements Detector.
 func (o *Outliers) Detect(ds *dataset.Dataset) ([]dataset.Cell, error) {
+	st := o.Stats
+	if st == nil {
+		return nil, fmt.Errorf("errordetect: %s: Stats is required", o.Name())
+	}
 	maxCount := o.MaxCount
 	if maxCount == 0 {
 		maxCount = 3
@@ -147,7 +145,6 @@ func (o *Outliers) Detect(ds *dataset.Dataset) ([]dataset.Cell, error) {
 	if ratio == 0 {
 		ratio = 10
 	}
-	st := stats.Collect(ds)
 	outlier := make([]map[dataset.Value]bool, ds.NumAttrs())
 	for a := 0; a < ds.NumAttrs(); a++ {
 		outlier[a] = make(map[dataset.Value]bool)
@@ -191,8 +188,9 @@ func (o *Outliers) Detect(ds *dataset.Dataset) ([]dataset.Cell, error) {
 // integrity constraint — e.g. the "Johnnyo's" DBAName of tuple t4 in
 // Figure 1, which only the quantitative-statistics signal can see.
 type CondOutliers struct {
-	MaxProb  float64 // default 0.35
-	MinRatio float64 // default 3
+	Stats    *stats.Stats // required: the raw statistics of the dataset Detect is given
+	MaxProb  float64      // default 0.35
+	MinRatio float64      // default 2
 }
 
 // Name implements Detector.
@@ -200,6 +198,10 @@ func (o *CondOutliers) Name() string { return "cond-outliers" }
 
 // Detect implements Detector.
 func (o *CondOutliers) Detect(ds *dataset.Dataset) ([]dataset.Cell, error) {
+	st := o.Stats
+	if st == nil {
+		return nil, fmt.Errorf("errordetect: %s: Stats is required", o.Name())
+	}
 	maxProb := o.MaxProb
 	if maxProb == 0 {
 		maxProb = 0.35
@@ -208,7 +210,6 @@ func (o *CondOutliers) Detect(ds *dataset.Dataset) ([]dataset.Cell, error) {
 	if minRatio == 0 {
 		minRatio = 2
 	}
-	st := stats.Collect(ds)
 	var out []dataset.Cell
 	for t := 0; t < ds.NumTuples(); t++ {
 		for a := 0; a < ds.NumAttrs(); a++ {

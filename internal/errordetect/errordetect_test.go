@@ -9,6 +9,7 @@ import (
 	"holoclean/internal/dataset"
 	"holoclean/internal/dc"
 	"holoclean/internal/extdict"
+	"holoclean/internal/stats"
 )
 
 func figure1() (*dataset.Dataset, []*dc.Constraint) {
@@ -33,7 +34,7 @@ func TestViolationsDetector(t *testing.T) {
 	if len(cells) == 0 {
 		t.Fatal("expected violations")
 	}
-	if v.LastHypergraph == nil || v.LastDetector == nil {
+	if v.LastHypergraph == nil {
 		t.Errorf("detector should retain hypergraph for reuse")
 	}
 	// t4.DBAName participates in no violation (unique DBAName).
@@ -73,7 +74,7 @@ func TestOutliersDetector(t *testing.T) {
 	}
 	ds.Append([]string{"Cicago"})   // rare near-duplicate → outlier
 	ds.Append([]string{"New York"}) // rare but dissimilar → not an outlier
-	o := &Outliers{}
+	o := &Outliers{Stats: stats.Collect(ds)}
 	cells, err := o.Detect(ds)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +95,7 @@ func TestCondOutliersDetector(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ds.Append([]string{"C", "Y"}) // background mass
 	}
-	o := &CondOutliers{}
+	o := &CondOutliers{Stats: stats.Collect(ds)}
 	cells, err := o.Detect(ds)
 	if err != nil {
 		t.Fatal(err)
@@ -110,6 +111,22 @@ func TestCondOutliersDetector(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("conditional outlier not flagged; cells=%v", cells)
+	}
+}
+
+// TestStatisticsDetectorsRequireStats: the statistics-based detectors read
+// the pass's statistics and never collect their own; without them they
+// fail the run with an error naming the detector.
+func TestStatisticsDetectorsRequireStats(t *testing.T) {
+	ds, _ := figure1()
+	for _, d := range []Detector{&Outliers{}, &CondOutliers{}} {
+		want := "errordetect: " + d.Name() + ": Stats is required"
+		if _, err := d.Detect(ds); err == nil || err.Error() != want {
+			t.Errorf("%s.Detect without Stats: err = %v, want %q", d.Name(), err, want)
+		}
+		if _, err := Run(ds, Nulls{}, d); err == nil || err.Error() != want {
+			t.Errorf("Run with %s without Stats: err = %v, want %q", d.Name(), err, want)
+		}
 	}
 }
 

@@ -217,19 +217,6 @@ func (m *Matcher) conditionsHold(ds *dataset.Dataset, t int, dict *Dictionary, m
 	return true
 }
 
-// Coverage returns the fraction of tuples with at least one match, the
-// quantity that bounds how much external data can help (Section 6.3.2).
-func Coverage(ds *dataset.Dataset, matches []Match) float64 {
-	if ds.NumTuples() == 0 {
-		return 0
-	}
-	tuples := make(map[int]struct{})
-	for _, m := range matches {
-		tuples[m.Cell.Tuple] = struct{}{}
-	}
-	return float64(len(tuples)) / float64(ds.NumTuples())
-}
-
 // DetectErrors returns cells whose observed value contradicts an exact
 // dictionary suggestion — the dictionary-based error detection mode of
 // Section 2.2. A cell with at least one agreeing suggestion is not

@@ -109,20 +109,6 @@ func TestMatcherValidation(t *testing.T) {
 	}
 }
 
-func TestCoverage(t *testing.T) {
-	ds, d, mds := chicagoSetup()
-	m, _ := NewMatcher(ds, []*Dictionary{d}, mds)
-	matches := m.Apply(ds)
-	cov := Coverage(ds, matches)
-	// Tuples 0,1,2 have matches; tuple 3 does not: 3/4.
-	if cov != 0.75 {
-		t.Errorf("coverage = %v, want 0.75", cov)
-	}
-	if Coverage(dataset.New([]string{"A"}), nil) != 0 {
-		t.Errorf("empty dataset coverage should be 0")
-	}
-}
-
 func TestDetectErrors(t *testing.T) {
 	ds, d, mds := chicagoSetup()
 	m, _ := NewMatcher(ds, []*Dictionary{d}, mds)

@@ -1,8 +1,7 @@
 // Package harness runs the evaluation of Section 6: every (dataset ×
 // method × τ × variant) cell of Tables 2–4 and Figures 3–6, plus the
-// micro-benchmarks of Section 6.3. It is shared by the root bench suite
-// (bench_test.go) and cmd/experiments. Dataset sizes default to
-// laptop-scale; see DESIGN.md substitution 5.
+// micro-benchmarks of Section 6.3. cmd/experiments prints them. Dataset
+// sizes default to laptop-scale; see DESIGN.md substitution 5.
 package harness
 
 import (
@@ -93,20 +92,8 @@ func HoloCleanOptions(name string) holoclean.Options {
 
 // RunHoloClean executes the full pipeline and evaluates against truth.
 func RunHoloClean(g *datagen.Generated, opts holoclean.Options) MethodResult {
-	start := time.Now()
-	res, err := holoclean.New(opts).Clean(g.Dirty, g.Constraints)
-	if err != nil {
-		return MethodResult{Method: "HoloClean", Err: err}
-	}
-	eval, err := metrics.Evaluate(g.Dirty, res.Repaired, g.Truth)
-	if err != nil {
-		return MethodResult{Method: "HoloClean", Err: err}
-	}
-	return MethodResult{
-		Method:  "HoloClean",
-		Eval:    eval,
-		Runtime: time.Since(start),
-	}
+	_, r := RunHoloCleanResult(g, opts)
+	return r
 }
 
 // RunHoloCleanResult is RunHoloClean but also returns the raw result for

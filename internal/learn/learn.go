@@ -28,11 +28,6 @@ type Config struct {
 	AdaGrad bool
 }
 
-// DefaultConfig mirrors the defaults of DeepDive-style learners.
-func DefaultConfig() Config {
-	return Config{Epochs: 10, LearningRate: 0.1, L2: 1e-4, Seed: 1}
-}
-
 // Learn trains the non-fixed weights of g in place and returns the final
 // average per-example negative log-likelihood (for convergence tests).
 //

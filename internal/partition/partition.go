@@ -20,13 +20,6 @@ type Group struct {
 	Tuples     []int // ascending
 }
 
-// PairCount returns |g|·(|g|−1)/2, the number of unordered tuple pairs the
-// grounder will consider for this group.
-func (g Group) PairCount() int {
-	n := len(g.Tuples)
-	return n * (n - 1) / 2
-}
-
 // unionFind is a disjoint-set structure over arbitrary int keys.
 type unionFind struct {
 	parent map[int]int

@@ -69,13 +69,6 @@ func TestGroupsPerConstraint(t *testing.T) {
 	}
 }
 
-func TestPairCount(t *testing.T) {
-	g := Group{Tuples: []int{1, 2, 3, 4}}
-	if g.PairCount() != 6 {
-		t.Errorf("PairCount(4) = %d, want 6", g.PairCount())
-	}
-}
-
 // TestGroupsArePartition: within one constraint, groups are disjoint and
 // cover exactly the tuples appearing in that constraint's violations.
 func TestGroupsArePartition(t *testing.T) {

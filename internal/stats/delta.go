@@ -56,12 +56,6 @@ type Delta struct {
 	// Cond maps each touched conditional-histogram context to the set of
 	// target values whose buckets changed.
 	Cond map[CondKey]map[dataset.Value]struct{}
-	// CondShape holds the contexts whose histogram flipped between empty
-	// and non-empty (read by the feature materializer's emptiness guard).
-	CondShape map[CondKey]struct{}
-	// Tuples reports whether the tuple count changed (it feeds the
-	// quasi-key heuristic of the compiler's frequency prior).
-	Tuples bool
 }
 
 // TouchedFreq reports whether the frequency of (a, v) changed.
@@ -79,22 +73,6 @@ func (d *Delta) TouchedCond(a int, v dataset.Value, g int, vg dataset.Value) boo
 	}
 	_, ok = vals[v]
 	return ok
-}
-
-// CondShapeChanged reports whether the histogram of a given (g, vg)
-// flipped between empty and non-empty.
-func (d *Delta) CondShapeChanged(a, g int, vg dataset.Value) bool {
-	_, ok := d.CondShape[CondKey{Attr: a, Given: g, Val: vg}]
-	return ok
-}
-
-// NewDelta returns an empty delta.
-func NewDelta() *Delta {
-	return &Delta{
-		Freq:      make(map[FreqKey]struct{}),
-		Cond:      make(map[CondKey]map[dataset.Value]struct{}),
-		CondShape: make(map[CondKey]struct{}),
-	}
 }
 
 // Apply updates the statistics in place for a batch of tuple changes:
@@ -143,7 +121,10 @@ func (s *Stats) Apply(removed, added []TupleView) *Delta {
 		accumulate(v, +1)
 	}
 
-	delta := NewDelta()
+	delta := &Delta{
+		Freq: make(map[FreqKey]struct{}),
+		Cond: make(map[CondKey]map[dataset.Value]struct{}),
+	}
 	for k, d := range freqNet {
 		if d == 0 {
 			continue
@@ -174,7 +155,6 @@ func (s *Stats) Apply(removed, added []TupleView) *Delta {
 		if inner == nil {
 			inner = make(map[dataset.Value]int)
 			m[k.vg] = inner
-			delta.CondShape[ck] = struct{}{} // empty → non-empty
 		}
 		if c := inner[k.va] + d; c != 0 {
 			inner[k.va] = c
@@ -182,7 +162,6 @@ func (s *Stats) Apply(removed, added []TupleView) *Delta {
 			delete(inner, k.va)
 			if len(inner) == 0 {
 				delete(m, k.vg)
-				delta.CondShape[ck] = struct{}{} // non-empty → empty
 			}
 		}
 		vals := delta.Cond[ck]
@@ -192,10 +171,7 @@ func (s *Stats) Apply(removed, added []TupleView) *Delta {
 		}
 		vals[k.va] = struct{}{}
 	}
-	if len(added) != len(removed) {
-		s.total += len(added) - len(removed)
-		delta.Tuples = true
-	}
+	s.total += len(added) - len(removed)
 	return delta
 }
 

@@ -109,3 +109,40 @@ func TestDetectDeltaNoChanges(t *testing.T) {
 		t.Fatalf("empty delta changed the violation list")
 	}
 }
+
+// TestDetectDeltaStripedMatchesNaive covers the one regime the small
+// fixtures above never reach: a change set long enough to be striped across
+// goroutines while some tuples stay unchanged, so the workers share the
+// reverse-direction index and the changed set. The oracle is the naive
+// scan of the mutated dataset.
+func TestDetectDeltaStripedMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ds, cs := buildConflicted(rng, 200)
+	det, err := NewDetector(ds, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := det.Detect()
+	changed := make(map[int]bool)
+	for len(changed) < stripeMin+50 {
+		tup := rng.Intn(ds.NumTuples())
+		ds.SetString(tup, rng.Intn(2), fmt.Sprintf("v%02d", rng.Intn(200)))
+		changed[tup] = true
+	}
+	if len(changed) >= ds.NumTuples() {
+		t.Fatalf("fixture too small: every one of %d tuples changed", ds.NumTuples())
+	}
+	det2, err := NewDetector(ds, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := det2.DetectDelta(prev, changed)
+	// NaiveDetect emits per constraint in (T1, T2) order, as detection does.
+	want, err := NaiveDetect(ds, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !violationsEqual(got, want) {
+		t.Fatalf("striped delta detection diverges from the naive scan: got %d violations, want %d", len(got), len(want))
+	}
+}

@@ -7,14 +7,11 @@
 // equality predicate across its two tuple variables: tuples are hash
 // partitioned on the join attribute and only within-bucket pairs are
 // evaluated. Constraints without an equality join fall back to an exact
-// parallel pair scan.
+// pair scan. Both are one routine (delta.go) over the tuples that changed;
+// full detection is the delta in which every tuple did.
 package violation
 
 import (
-	"runtime"
-	"sort"
-	"sync"
-
 	"holoclean/internal/dataset"
 	"holoclean/internal/dc"
 )
@@ -45,121 +42,15 @@ func NewDetector(ds *dataset.Dataset, constraints []*dc.Constraint) (*Detector, 
 // Bounds exposes the bound constraints, indexed as in Violation.Constraint.
 func (d *Detector) Bounds() []*dc.Bound { return d.bounds }
 
-// Detect finds all violations of all constraints.
-func (d *Detector) Detect() []Violation {
-	var out []Violation
-	for ci, b := range d.bounds {
-		out = append(out, d.detectOne(ci, b)...)
-	}
-	return out
-}
-
-func (d *Detector) detectOne(ci int, b *dc.Bound) []Violation {
-	if b.TupleVars == 1 {
-		var out []Violation
-		for t := 0; t < d.ds.NumTuples(); t++ {
-			if b.Violates(t, -1) {
-				out = append(out, Violation{Constraint: ci, T1: t, T2: -1})
-			}
-		}
-		return out
-	}
-	if joins := b.EqualityJoinAttrs(); len(joins) > 0 {
-		return d.detectHashed(ci, b, joins[0])
-	}
-	return d.detectPairScan(ci, b)
-}
-
-// detectHashed partitions tuples by the join attribute value and evaluates
-// candidate pairs within buckets only.
-func (d *Detector) detectHashed(ci int, b *dc.Bound, join [2]int) []Violation {
-	leftAttr, rightAttr := join[0], join[1]
-	buckets := make(map[dataset.Value][]int)
-	for t := 0; t < d.ds.NumTuples(); t++ {
-		v := d.ds.Get(t, rightAttr)
-		if v == dataset.Null {
-			continue
-		}
-		buckets[v] = append(buckets[v], t)
-	}
-	n := d.ds.NumTuples()
-	workers := runtime.GOMAXPROCS(0)
-	results := make([][]Violation, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var local []Violation
-			for t1 := w; t1 < n; t1 += workers {
-				v := d.ds.Get(t1, leftAttr)
-				if v == dataset.Null {
-					continue
-				}
-				for _, t2 := range buckets[v] {
-					if t1 == t2 || !b.Violates(t1, t2) {
-						continue
-					}
-					if t1 > t2 && b.Violates(t2, t1) {
-						continue // canonical orientation already reported
-					}
-					local = append(local, Violation{Constraint: ci, T1: t1, T2: t2})
-				}
-			}
-			results[w] = local
-		}(w)
-	}
-	wg.Wait()
-	return mergeSorted(results)
-}
-
-// detectPairScan is the exact O(n²) fallback for constraints with no
-// equality join predicate, parallelized over the outer tuple.
-func (d *Detector) detectPairScan(ci int, b *dc.Bound) []Violation {
-	n := d.ds.NumTuples()
-	workers := runtime.GOMAXPROCS(0)
-	results := make([][]Violation, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var local []Violation
-			for t1 := w; t1 < n; t1 += workers {
-				for t2 := 0; t2 < n; t2++ {
-					if t1 == t2 || !b.Violates(t1, t2) {
-						continue
-					}
-					if t1 > t2 && b.Violates(t2, t1) {
-						continue
-					}
-					local = append(local, Violation{Constraint: ci, T1: t1, T2: t2})
-				}
-			}
-			results[w] = local
-		}(w)
-	}
-	wg.Wait()
-	return mergeSorted(results)
-}
-
-func mergeSorted(parts [][]Violation) []Violation {
-	var out []Violation
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].T1 != out[j].T1 {
-			return out[i].T1 < out[j].T1
-		}
-		return out[i].T2 < out[j].T2
-	})
-	return out
-}
+// Detect finds all violations of all constraints: the delta in which every
+// tuple changed.
+func (d *Detector) Detect() []Violation { return d.DetectDelta(nil, nil) }
 
 // NaiveDetect enumerates every ordered tuple pair for every constraint.
 // It exists as the correctness oracle for property tests; Detect must
-// produce the same violation set.
+// produce the same violation set. It shares the per-pair rule (appendPair)
+// with detection and none of its indexing, striping or delta bookkeeping:
+// what it checks is which pairs detection reaches.
 func NaiveDetect(ds *dataset.Dataset, constraints []*dc.Constraint) ([]Violation, error) {
 	bounds, err := dc.BindAll(constraints, ds)
 	if err != nil {
@@ -177,13 +68,7 @@ func NaiveDetect(ds *dataset.Dataset, constraints []*dc.Constraint) ([]Violation
 		}
 		for t1 := 0; t1 < ds.NumTuples(); t1++ {
 			for t2 := 0; t2 < ds.NumTuples(); t2++ {
-				if t1 == t2 || !b.Violates(t1, t2) {
-					continue
-				}
-				if t1 > t2 && b.Violates(t2, t1) {
-					continue
-				}
-				out = append(out, Violation{Constraint: ci, T1: t1, T2: t2})
+				out = appendPair(out, ci, b, t1, t2)
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -685,5 +686,32 @@ func TestServeStoreCompactorSweep(t *testing.T) {
 	// The log must have been compacted down to (checkpoint, nothing).
 	if n := countRecords(t, filepath.Join(dir, info.ID+".wal")); n != 1 {
 		t.Fatalf("compacted log has %d records, want 1 (the checkpoint)", n)
+	}
+}
+
+// TestServeCheckpointRefusesStagedTailDelete: deleting the last row touches
+// no surviving slot, yet it is a staged mutation — a checkpoint cut before
+// the reclean folds it in would pair the shrunk rows with the previous
+// pass's summary. The envelope guard must see it.
+func TestServeCheckpointRefusesStagedTailDelete(t *testing.T) {
+	sv, tc := newTestServer(t, Config{Workers: 1})
+	info := tc.create("tail", fixtureCSV("tail", 6), 1, 0)
+	ten := sv.lookup(info.ID)
+	ten.mu.Lock()
+	defer ten.mu.Unlock()
+	if err := sv.checkpointLocked(ten); err != nil {
+		t.Fatalf("checkpoint of a settled session: %v", err)
+	}
+	if err := ten.session.Delete(ten.session.NumTuples() - 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.checkpointLocked(ten); err == nil || !strings.Contains(err.Error(), "staged mutations") {
+		t.Fatalf("checkpoint with the last row's deletion staged: err = %v, want a staged-mutations refusal", err)
+	}
+	if _, err := ten.session.Reclean(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.checkpointLocked(ten); err != nil {
+		t.Fatalf("checkpoint after the reclean: %v", err)
 	}
 }

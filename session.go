@@ -82,10 +82,14 @@ func (s *Session) Attrs() []string { return s.ds.Attrs() }
 func (s *Session) Recleans() int { return s.recleans }
 
 // PendingMutations reports how many tuples have staged changes not yet
-// folded in by a successful Reclean. Snapshot callers use it to honor
+// folded in by a successful Reclean: the touched slots, plus the slots the
+// last pass cleaned that deletions have since vacated (deleting the last
+// row touches no surviving slot). Snapshot callers use it to honor
 // Snapshot's precondition: a session with pending mutations is not in a
 // serializable steady state.
-func (s *Session) PendingMutations() int { return len(s.touched) }
+func (s *Session) PendingMutations() int {
+	return len(s.touched) + max(0, len(s.prevRows)-s.ds.NumTuples())
+}
 
 // Weights returns a copy of the session's learned weight map (tying key →
 // value), usable as Options.InitialWeights.
@@ -163,12 +167,17 @@ func (s *Session) relearnDue() bool {
 	return s.opts.RelearnEvery > 0 && s.recleans%s.opts.RelearnEvery == 0
 }
 
-// run executes one pass over the session's current dataset — against
+// run executes one pass over the session's current dataset and keeps it.
+// Clean, Reclean, Feedback and RestoreSession all funnel through here.
+func (s *Session) run(prev *pass, relearn bool) (*Result, error) {
+	return s.nextPass(prev, relearn).run(s.adopt)
+}
+
+// nextPass sets up a pass over the session's current dataset — against
 // prev when non-nil, with everything invalid otherwise; learning weights
 // when relearn is true (or none are cached yet), reusing them by tying
-// key otherwise — and keeps it. Clean, Reclean, Feedback and
-// RestoreSession all funnel through here.
-func (s *Session) run(prev *pass, relearn bool) (*Result, error) {
+// key otherwise.
+func (s *Session) nextPass(prev *pass, relearn bool) *pass {
 	trusted := make([]dataset.Cell, len(s.confirmed))
 	for i, f := range s.confirmed {
 		trusted[i] = f.Cell
@@ -183,7 +192,7 @@ func (s *Session) run(prev *pass, relearn bool) (*Result, error) {
 		p.prev, p.prevRows, p.touched = prev, s.prevRows, s.touched
 		p.shared, p.interner = prev.shared, prev.interner
 	}
-	return p.run(s.adopt)
+	return p
 }
 
 // adopt keeps a finished pass as the base of the next Reclean: snapshot
@@ -256,24 +265,62 @@ func (p *pass) diffRows() error {
 	return nil
 }
 
-// collectStats produces the raw and clean-cell statistics: collected in
-// full, or — taking over the previous pass's — reapplied over exactly the
-// tuple views whose contribution changed: changed tuples, deleted tail
-// slots, and tuples whose noisy mask moved.
+// collectStats produces the raw statistics, which depend on the rows alone
+// and which detection reads: collected in full, or — taking over the
+// previous pass's — reapplied over exactly the rows the delta removed and
+// added.
 func (p *pass) collectStats() error {
-	ds, n, prev, prevN := p.ds, p.ds.NumTuples(), p.prev, len(p.prevRows)
+	if p.prev == nil {
+		p.st = stats.Collect(p.ds)
+		return nil
+	}
+	p.st = p.prev.st
+	// prevQuasi is taken before the apply so quasi-key flips are observable.
+	p.prevQuasi = make([]bool, p.ds.NumAttrs())
+	for a := range p.prevQuasi {
+		p.prevQuasi[a] = p.st.DistinctValues(a)*4 > len(p.prevRows)
+	}
+	p.stDelta = p.st.Apply(p.deltaViews(
+		func(t int) stats.TupleView { return stats.View(p.prevRows[t], nil) },
+		func(t int) stats.TupleView { return stats.View(p.ds.Row(t), nil) }))
+	return nil
+}
+
+// deltaViews builds the views a delta removes from and adds to a set of
+// statistics: the old view of every changed or deleted slot the previous
+// pass had, the current view of every changed slot there is now.
+func (p *pass) deltaViews(old, cur func(t int) stats.TupleView) (removed, added []stats.TupleView) {
+	n, prevN := p.ds.NumTuples(), len(p.prevRows)
+	for t := range p.changed {
+		if t < prevN {
+			removed = append(removed, old(t))
+		}
+		if t < n {
+			added = append(added, cur(t))
+		}
+	}
+	for t := n; t < prevN; t++ { // deleted tail slots
+		removed = append(removed, old(t))
+	}
+	return removed, added
+}
+
+// maskStats produces the clean-cell statistics — co-occurrences where
+// either cell was flagged noisy are discounted — at the head of prepare,
+// once detection has said which cells those are: collected in full, or the
+// previous pass's reapplied over the delta's rows and the tuples whose
+// noisy mask moved.
+func (p *pass) maskStats() {
+	ds, prev := p.ds, p.prev
 	if prev == nil {
-		p.st = stats.Collect(ds)
 		if !p.opts.DisableCooccurFeatures {
-			// Co-occurrences where either cell was flagged noisy are
-			// discounted.
 			p.masked = stats.CollectFiltered(ds, func(t, a int) bool {
 				return p.detection.IsNoisy(dataset.Cell{Tuple: t, Attr: a})
 			})
 		}
-		return nil
+		return
 	}
-	p.st, p.masked = prev.st, prev.masked
+	p.masked = prev.masked
 
 	// Noisy-mask diff: tuples whose flagged attribute set changed re-enter
 	// the masked statistics and are dirty (their cells gained or lost
@@ -281,7 +328,7 @@ func (p *pass) collectStats() error {
 	// detection, not the trusted-filtered domain cells: masked statistics
 	// discount by detection flags alone, so confirmed cells stay masked.
 	p.maskChanged = make(map[int]bool)
-	for t := 0; t < min(n, prevN); t++ {
+	for t := 0; t < min(ds.NumTuples(), len(p.prevRows)); t++ {
 		if p.changed[t] {
 			continue
 		}
@@ -292,45 +339,20 @@ func (p *pass) collectStats() error {
 			}
 		}
 	}
-
-	// prevQuasi is taken before the unmasked apply so quasi-key flips are
-	// observable.
-	p.prevQuasi = make([]bool, ds.NumAttrs())
-	for a := range p.prevQuasi {
-		p.prevQuasi[a] = p.st.DistinctValues(a)*4 > prevN
+	if p.masked == nil {
+		return // co-occurrence features are off: no statistics-backed dirt to mark
 	}
-
-	var remSt, addSt, remM, addM []stats.TupleView
 	maskView := func(row []dataset.Value, det *errordetect.Result, t int) stats.TupleView {
 		return stats.View(row, func(a int) bool { return !det.IsNoisy(Cell{Tuple: t, Attr: a}) })
 	}
-	oldMaskView := func(t int) stats.TupleView { return maskView(p.prevRows[t], prev.detection, t) }
-	newMaskView := func(t int) stats.TupleView { return maskView(ds.Row(t), p.detection, t) }
-	for t := range p.changed {
-		if t < prevN {
-			remSt = append(remSt, stats.View(p.prevRows[t], nil))
-			remM = append(remM, oldMaskView(t))
-		}
-		if t < n {
-			addSt = append(addSt, stats.View(ds.Row(t), nil))
-			addM = append(addM, newMaskView(t))
-		}
-	}
-	for t := n; t < prevN; t++ { // deleted tail slots
-		remSt = append(remSt, stats.View(p.prevRows[t], nil))
-		remM = append(remM, oldMaskView(t))
-	}
+	oldView := func(t int) stats.TupleView { return maskView(p.prevRows[t], prev.detection, t) }
+	curView := func(t int) stats.TupleView { return maskView(ds.Row(t), p.detection, t) }
+	removed, added := p.deltaViews(oldView, curView)
 	for t := range p.maskChanged { // content unchanged, flags moved
-		remM = append(remM, oldMaskView(t))
-		addM = append(addM, newMaskView(t))
+		removed = append(removed, oldView(t))
+		added = append(added, curView(t))
 	}
-	p.stDelta = p.st.Apply(remSt, addSt)
-	if p.masked != nil {
-		p.maskedDelta = p.masked.Apply(remM, addM)
-	} else {
-		p.maskedDelta = stats.NewDelta()
-	}
-	return nil
+	p.maskedDelta = p.masked.Apply(removed, added)
 }
 
 // invalidateTuples computes the dirty set of a pass with a previous one:
@@ -598,8 +620,7 @@ func (p *pass) markStatDirty() {
 			if vg == dataset.Null {
 				continue
 			}
-			if stDelta.TouchedFreq(g, vg) || maskedDelta.TouchedFreq(g, vg) ||
-				stDelta.CondShapeChanged(c.Attr, g, vg) || maskedDelta.CondShapeChanged(c.Attr, g, vg) {
+			if stDelta.TouchedFreq(g, vg) || maskedDelta.TouchedFreq(g, vg) {
 				dirty[c.Tuple] = true
 				break
 			}
