@@ -58,8 +58,8 @@ func TestBoundaryDampingGrounds(t *testing.T) {
 		f := &g.Graph.Naries[i]
 		// Only tuple 0 owns a variable in this sub-shard; the counterpart
 		// side must have folded to a constant.
-		if len(f.Vars) != 1 || g.Cells[f.Vars[0]].Tuple != 0 {
-			t.Fatalf("boundary factor should touch only the in-shard variable, got vars %v", f.Vars)
+		if vars := g.Graph.NaryVars(f); len(vars) != 1 || g.Cells[vars[0]].Tuple != 0 {
+			t.Fatalf("boundary factor should touch only the in-shard variable, got vars %v", vars)
 		}
 		key := g.Graph.Weights.Keys[f.Weight]
 		if key != "dc~|fd" {
@@ -73,7 +73,7 @@ func TestBoundaryDampingGrounds(t *testing.T) {
 		}
 		// The folded side must pin the counterpart's observed value: every
 		// predicate's right side is a constant.
-		for _, p := range f.Preds {
+		for _, p := range g.Graph.NaryPreds(f) {
 			if p.RightSlot >= 0 {
 				t.Fatalf("boundary factor kept a variable counterpart: %+v", p)
 			}

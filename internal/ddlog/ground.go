@@ -256,6 +256,7 @@ type grounder struct {
 	sym     []int8                    // constraint → -1 unknown / 0 no / 1 symmetric under tuple swap
 	shared  *SharedIndex              // db.Shared, or a private index when the database carries none
 	initIdx []map[dataset.Value][]int // attribute → shared.Init(attr), cached past the shared lock; nil = not fetched
+	nb      naryBuild                 // foldFactor's reusable output
 }
 
 // Ground evaluates every rule of the program against the database and

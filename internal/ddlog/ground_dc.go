@@ -1,6 +1,8 @@
 package ddlog
 
 import (
+	"slices"
+
 	"holoclean/internal/dataset"
 	"holoclean/internal/dc"
 	"holoclean/internal/factor"
@@ -8,53 +10,50 @@ import (
 
 // naryBuild accumulates one folded denial-constraint factor: predicates
 // over query-variable slots, with clean and evidence cells folded to
-// constants and trivially-satisfied predicates removed.
+// constants and trivially-satisfied predicates removed. The grounder owns
+// one and refolds into it for every pair (Graph.AddNary copies what it
+// keeps); a factor has a handful of variables, so slots are found by
+// scanning them.
 type naryBuild struct {
 	vars   []int32
-	slotOf map[int32]int32
 	preds  []factor.Pred
 	states int64 // product of slot domain sizes (paper-style grounding count)
 }
 
 func (nb *naryBuild) slot(v int32, g *factor.Graph) int32 {
-	if s, ok := nb.slotOf[v]; ok {
-		return s
+	if s := slices.Index(nb.vars, v); s >= 0 {
+		return int32(s)
 	}
-	s := int32(len(nb.vars))
 	nb.vars = append(nb.vars, v)
-	nb.slotOf[v] = s
 	// Saturate instead of overflowing: unpruned domains make the
 	// paper-style grounding count astronomically large (Example 5).
 	const maxStates = int64(1) << 50
 	if nb.states < maxStates {
 		nb.states *= int64(len(g.Vars[v].Domain))
 	}
-	return s
+	return int32(len(nb.vars) - 1)
 }
 
 var flipOp = map[dc.Op]dc.Op{dc.Eq: dc.Eq, dc.Neq: dc.Neq, dc.Sim: dc.Sim, dc.Lt: dc.Gt, dc.Gt: dc.Lt, dc.Leq: dc.Geq, dc.Geq: dc.Leq}
 
 // foldFactor builds the compact factor for constraint b over the tuple
-// pair (t1, t2). It returns nil when the factor is constant (no query
-// variable remains, a predicate is unsatisfiable, or the conjunction is
-// already refuted by initial values) and therefore must not be grounded.
+// pair (t1, t2) into gr.nb. It returns nil when the factor is constant (no
+// query variable remains, a predicate is unsatisfiable, or the conjunction
+// is already refuted by initial values) and therefore must not be
+// grounded.
 func (gr *grounder) foldFactor(b *dc.Bound, t1, t2 int) *naryBuild {
-	nb := &naryBuild{slotOf: make(map[int32]int32, 4), states: 1}
+	nb := &gr.nb
+	nb.vars, nb.preds, nb.states = nb.vars[:0], nb.preds[:0], 1
 	ds := gr.db.DS
-	tupOf := func(tv int) int {
-		if tv == 1 {
-			return t2
-		}
-		return t1
-	}
+	tup := [2]int{t1, t2}
 	for i := range b.Preds {
 		p := &b.Preds[i]
-		leftCell := dataset.Cell{Tuple: tupOf(p.LeftTuple), Attr: p.LeftAttr}
+		leftCell := dataset.Cell{Tuple: tup[p.LeftTuple], Attr: p.LeftAttr}
 		leftVar := gr.queryVarOf(leftCell)
 		rightVar := int32(-1)
 		var rightCell dataset.Cell
 		if !p.RightIsConst {
-			rightCell = dataset.Cell{Tuple: tupOf(p.RightTuple), Attr: p.RightAttr}
+			rightCell = dataset.Cell{Tuple: tup[p.RightTuple], Attr: p.RightAttr}
 			rightVar = gr.queryVarOf(rightCell)
 		}
 		if leftVar < 0 && rightVar < 0 {
@@ -226,20 +225,20 @@ func (gr *grounder) groundDC(rule *Rule) error {
 	}
 
 	symmetric := gr.isSymmetric(ci)
-	seen := make(map[[2]int]bool)
+	seen := make(map[uint64]struct{}) // ordered pairs, t1 in the high half
 	emitPair := func(t1, t2 int) {
 		if t1 == t2 {
 			return
 		}
-		key := [2]int{t1, t2}
 		if symmetric && t1 > t2 {
-			key = [2]int{t2, t1}
+			t1, t2 = t2, t1
 		}
-		if seen[key] {
+		key := uint64(t1)<<32 | uint64(t2)
+		if _, ok := seen[key]; ok {
 			return
 		}
-		seen[key] = true
-		emit(key[0], key[1])
+		seen[key] = struct{}{}
+		emit(t1, t2)
 	}
 
 	joins := b.EqualityJoinAttrs()

@@ -1,6 +1,7 @@
 package ddlog
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -161,19 +162,20 @@ func TestGroundDCFactors(t *testing.T) {
 	}
 	// Factors must only touch query variables; evidence and clean cells
 	// are folded into constants.
-	for _, f := range g.Graph.Naries {
-		if len(f.Vars) == 0 || len(f.Preds) == 0 {
+	for i := range g.Graph.Naries {
+		f := &g.Graph.Naries[i]
+		if len(g.Graph.NaryVars(f)) == 0 || len(g.Graph.NaryPreds(f)) == 0 {
 			t.Errorf("degenerate factor: %+v", f)
 		}
-		for _, v := range f.Vars {
+		for _, v := range g.Graph.NaryVars(f) {
 			if g.Graph.Vars[v].Evidence {
 				t.Errorf("DC factor touches evidence variable")
 			}
 		}
 	}
 	// Tuple 3 (name "b") conflicts with nobody; no factor may involve it.
-	for _, f := range g.Graph.Naries {
-		for _, v := range f.Vars {
+	for i := range g.Graph.Naries {
+		for _, v := range g.Graph.NaryVars(&g.Graph.Naries[i]) {
 			if g.Cells[v].Tuple == 3 {
 				t.Errorf("tuple 3 should not be grounded")
 			}
@@ -205,12 +207,18 @@ func TestGroundDCFactorSemantics(t *testing.T) {
 		return false
 	}
 	checked := false
+	// h of v0's incident factor ni under the current assignment.
+	hNow := func(v0, ni int32) float64 {
+		h := make([]float64, len(gr.Vars[v0].Domain))
+		gr.NaryH(v0, slices.Index(gr.IncidentNaries(v0), ni), nil, h)
+		return h[gr.Vars[v0].Assign]
+	}
 	for i := range gr.Naries {
-		f := &gr.Naries[i]
-		if len(f.Vars) != 2 {
+		vars := gr.NaryVars(&gr.Naries[i])
+		if len(vars) != 2 {
 			continue
 		}
-		v0, v1 := f.Vars[0], f.Vars[1]
+		v0, v1 := vars[0], vars[1]
 		var common, other0, other1 int32 = -1, -1, -1
 		for _, l0 := range gr.Vars[v0].Domain {
 			for _, l1 := range gr.Vars[v1].Domain {
@@ -224,13 +232,13 @@ func TestGroundDCFactorSemantics(t *testing.T) {
 		if common >= 0 {
 			setTo(v0, common)
 			setTo(v1, common)
-			if h := gr.NaryH(f, -1, 0); h != 1 {
+			if h := hNow(v0, int32(i)); h != 1 {
 				t.Errorf("equal zips satisfy the FD, h=%v", h)
 			}
 			checked = true
 		}
 		if other0 >= 0 && setTo(v0, other0) && setTo(v1, other1) {
-			if h := gr.NaryH(f, -1, 0); h != -1 {
+			if h := hNow(v0, int32(i)); h != -1 {
 				t.Errorf("differing zips violate the FD, h=%v", h)
 			}
 			checked = true

@@ -28,6 +28,7 @@ package factor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -85,7 +86,7 @@ type Soft struct {
 }
 
 // Pred is one predicate of an n-ary factor, over factor slots. Slots index
-// into the factor's Vars. A negative RightSlot means the right side is the
+// into the factor's variables (Graph.NaryVars). A negative RightSlot means the right side is the
 // constant label RightConst (already folded by the grounder).
 type Pred struct {
 	LeftSlot   int32
@@ -96,11 +97,14 @@ type Pred struct {
 
 // Nary is a grounded denial-constraint factor: h = −1 when every predicate
 // holds under the current assignment (the constraint is violated), +1
-// otherwise.
+// otherwise. Its variables and predicates live in the graph's flat arenas;
+// Graph.NaryVars and Graph.NaryPreds return them.
 type Nary struct {
-	Vars   []int32
-	Preds  []Pred
-	Weight int32
+	Weight  int32
+	varOff  int32
+	nVars   int32
+	predOff int32
+	nPreds  int32
 }
 
 // KeyInterner is a canonical store for tying-key strings, shared across
@@ -251,11 +255,14 @@ type Graph struct {
 	// be nil when all predicates are OpEq/OpNeq.
 	Cmp func(op uint8, a, b int32) bool
 
-	frozen   bool
-	domArena []int32   // backing storage for Variable.Domain slices
-	varUnary adjacency // variable → incident unary factor indices
-	varSoft  adjacency // variable → incident soft factor indices
-	varNary  adjacency // variable → incident n-ary factor indices
+	frozen    bool
+	domArena  []int32   // backing storage for Variable.Domain slices
+	naryVars  []int32   // backing storage for every n-ary factor's variables
+	naryPreds []Pred    // backing storage for every n-ary factor's predicates
+	varUnary  adjacency // variable → incident unary factor indices
+	varSoft   adjacency // variable → incident soft factor indices
+	varNary   adjacency // variable → incident n-ary factor indices
+	narySlot  []int32   // parallel to varNary.idx: the row variable's slot in that factor
 }
 
 // NewGraph returns an empty graph with a fresh weight store.
@@ -299,13 +306,42 @@ func (g *Graph) AddUnary(v, target, weight int32, neg bool, count int32) {
 	g.Unaries = append(g.Unaries, Unary{Var: v, Target: target, Weight: weight, Neg: neg, Count: count})
 }
 
-// AddNary appends a grounded denial-constraint factor.
+// AddNary appends a grounded denial-constraint factor. vars and preds are
+// copied into the graph's flat arenas, so callers may reuse their slices.
 func (g *Graph) AddNary(vars []int32, preds []Pred, weight int32) {
 	if g.frozen {
 		panic("factor: AddNary on frozen graph")
 	}
-	g.Naries = append(g.Naries, Nary{Vars: vars, Preds: preds, Weight: weight})
+	if len(vars) == 0 {
+		panic("factor: n-ary factor without variables")
+	}
+	g.Naries = append(grow(g.Naries, 1), Nary{
+		Weight: weight,
+		varOff: int32(len(g.naryVars)), nVars: int32(len(vars)),
+		predOff: int32(len(g.naryPreds)), nPreds: int32(len(preds)),
+	})
+	g.naryVars = append(grow(g.naryVars, len(vars)), vars...)
+	g.naryPreds = append(grow(g.naryPreds, len(preds)), preds...)
 }
+
+// grow returns s with room for n more elements, at least doubling its
+// capacity when it must reallocate. append regrows a large slice by a
+// quarter, which over one grounding copies — and discards — the n-ary
+// arenas about five times their final size; doubling makes that twice.
+func grow[S ~[]E, E any](s S, n int) S {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, cap(s)))
+}
+
+// NaryVars returns the variables of f, indexed by slot. The slice aliases
+// the graph's arena and must not be modified.
+func (g *Graph) NaryVars(f *Nary) []int32 { return g.naryVars[f.varOff : f.varOff+f.nVars] }
+
+// NaryPreds returns the predicates of f. The slice aliases the graph's
+// arena and must not be modified.
+func (g *Graph) NaryPreds(f *Nary) []Pred { return g.naryPreds[f.predOff : f.predOff+f.nPreds] }
 
 // AddSoft appends a real-valued unary factor. h must have one entry per
 // domain value of v.
@@ -327,7 +363,9 @@ func (g *Graph) NumFactors() int { return len(g.Unaries) + len(g.Softs) + len(g.
 // immutable (weights and assignments stay mutable). Each adjacency is two
 // flat arrays (row offsets plus one backing index slice) instead of a
 // per-variable slice-of-slices, so freezing a graph costs O(1)
-// allocations regardless of variable count.
+// allocations regardless of variable count. Structure being immutable from
+// here on, the slot each variable occupies in each of its n-ary factors is
+// resolved once, into narySlot.
 func (g *Graph) Freeze() {
 	if g.frozen {
 		return
@@ -345,11 +383,17 @@ func (g *Graph) Freeze() {
 	})
 	g.varNary.build(n, func(emit func(v, f int32)) {
 		for i := range g.Naries {
-			for _, v := range g.Naries[i].Vars {
+			for _, v := range g.NaryVars(&g.Naries[i]) {
 				emit(v, int32(i))
 			}
 		}
 	})
+	g.narySlot = make([]int32, len(g.varNary.idx))
+	for v := int32(0); int(v) < n; v++ {
+		for k := g.varNary.off[v]; k < g.varNary.off[v+1]; k++ {
+			g.narySlot[k] = int32(slices.Index(g.NaryVars(&g.Naries[g.varNary.idx[k]]), v))
+		}
+	}
 	g.frozen = true
 }
 
@@ -378,7 +422,7 @@ func (g *Graph) IsEvidence(v int32) bool { return g.Vars[v].Evidence }
 // must be frozen.
 func (g *Graph) VisitQueryNeighbors(v int32, visit func(u int32)) {
 	for _, ni := range g.varNary.of(v) {
-		for _, u := range g.Naries[ni].Vars {
+		for _, u := range g.NaryVars(&g.Naries[ni]) {
 			if u != v && !g.Vars[u].Evidence {
 				visit(u)
 			}
@@ -386,90 +430,116 @@ func (g *Graph) VisitQueryNeighbors(v int32, visit func(u int32)) {
 	}
 }
 
-// NarySlot returns the slot index of variable v within factor f, or -1
-// when v is not a member. Both the sampler's conditional evaluation and
-// the pseudo-likelihood gradient need it.
-func (g *Graph) NarySlot(f *Nary, v int32) int32 {
-	for s, fv := range f.Vars {
-		if fv == v {
-			return int32(s)
-		}
+// label returns the label variable u currently takes: cur[u] when the
+// caller maintains a dense label array (the sampler does, see
+// AddNaryScores), Domain[Assign] otherwise.
+func (g *Graph) label(cur []int32, u int32) int32 {
+	if cur != nil {
+		return cur[u]
 	}
-	return -1
-}
-
-// NaryH exposes the factor function h of an n-ary factor, with slot
-// hypSlot hypothetically assigned hypLabel (hypSlot < 0 evaluates the
-// current assignment). Learning uses it for gradient expectations.
-func (g *Graph) NaryH(f *Nary, hypSlot, hypLabel int32) float64 {
-	return g.naryH(f, hypSlot, hypLabel)
-}
-
-// label returns the label currently assigned to variable v.
-func (g *Graph) label(v int32) int32 {
-	vr := &g.Vars[v]
+	vr := &g.Vars[u]
 	return vr.Domain[vr.Assign]
 }
 
-// predHolds evaluates one predicate of factor f under the current
-// assignment, with slot s of the factor hypothetically assigned hypLabel
-// when s == hypSlot (hypSlot < 0 disables the hypothesis).
-func (g *Graph) predHolds(f *Nary, p *Pred, hypSlot int32, hypLabel int32) bool {
-	var left int32
-	if p.LeftSlot == hypSlot {
-		left = hypLabel
-	} else {
-		left = g.label(f.Vars[p.LeftSlot])
-	}
-	var right int32
-	switch {
-	case p.RightSlot < 0:
-		right = p.RightConst
-	case p.RightSlot == hypSlot:
-		right = hypLabel
-	default:
-		right = g.label(f.Vars[p.RightSlot])
-	}
-	switch p.Op {
+// holds evaluates one predicate operator over two labels.
+func (g *Graph) holds(op uint8, left, right int32) bool {
+	switch op {
 	case OpEq:
 		return left == right
 	case OpNeq:
 		return left != right
-	default:
-		if g.Cmp == nil {
-			panic("factor: non-equality predicate without a Cmp comparator")
+	}
+	if g.Cmp == nil {
+		panic("factor: non-equality predicate without a Cmp comparator")
+	}
+	return g.Cmp(op, left, right)
+}
+
+// addNary is the one evaluation routine of n-ary factors: it adds w·h_f to
+// buf[d] for every d, h_f being f's value (+1 satisfied / −1 violated)
+// with slot taking dom[d] and every other slot its current label (see
+// label for cur). A predicate that does not mention slot holds or fails
+// for all candidates alike, so those are evaluated once: when one fails f
+// is satisfied whatever the candidate, and only otherwise are the
+// predicates on slot evaluated per candidate. Either way buf[d] receives
+// exactly one addition of ±w, the floating-point operation a
+// candidate-by-candidate evaluation of every predicate performs.
+func (g *Graph) addNary(f *Nary, slot int32, dom, cur []int32, w float64, buf []float64) {
+	vars, preds := g.NaryVars(f), g.NaryPreds(f)
+	onSlot := false
+	for i := range preds {
+		p := &preds[i]
+		if p.LeftSlot == slot || p.RightSlot == slot {
+			onSlot = true
+			continue
 		}
-		return g.Cmp(p.Op, left, right)
+		right := p.RightConst
+		if p.RightSlot >= 0 {
+			right = g.label(cur, vars[p.RightSlot])
+		}
+		if !g.holds(p.Op, g.label(cur, vars[p.LeftSlot]), right) {
+			for d := range buf {
+				buf[d] += w
+			}
+			return
+		}
+	}
+	if !onSlot {
+		for d := range buf {
+			buf[d] -= w
+		}
+		return
+	}
+	for d := range buf {
+		h := -1.0
+		for i := range preds {
+			p := &preds[i]
+			onLeft, onRight := p.LeftSlot == slot, p.RightSlot == slot
+			if !onLeft && !onRight {
+				continue
+			}
+			left, right := dom[d], dom[d]
+			if !onLeft {
+				left = g.label(cur, vars[p.LeftSlot])
+			}
+			if !onRight {
+				right = p.RightConst
+				if p.RightSlot >= 0 {
+					right = g.label(cur, vars[p.RightSlot])
+				}
+			}
+			if !g.holds(p.Op, left, right) {
+				h = 1
+				break
+			}
+		}
+		buf[d] += w * h
 	}
 }
 
-// naryH returns h of factor f (+1 satisfied / −1 violated) with the
-// optional hypothetical slot assignment.
-func (g *Graph) naryH(f *Nary, hypSlot, hypLabel int32) float64 {
-	for i := range f.Preds {
-		if !g.predHolds(f, &f.Preds[i], hypSlot, hypLabel) {
-			return 1
-		}
-	}
-	return -1
+// NaryH fills h[d] with the factor function of v's k-th incident n-ary
+// factor — IncidentNaries(v)[k] — when v takes Domain[d] and every other
+// member its current label (cur as in AddNaryScores). Learning uses it for
+// gradient expectations. h must have length len(Domain).
+func (g *Graph) NaryH(v int32, k int, cur []int32, h []float64) {
+	clear(h)
+	i := g.varNary.off[v] + int32(k)
+	g.addNary(&g.Naries[g.varNary.idx[i]], g.narySlot[i], g.Vars[v].Domain, cur, 1, h)
 }
 
-// LocalScores fills buf with the unnormalized log-probability of variable
-// v taking each of its domain values, holding all other variables at their
-// current assignment:
+// StaticScores fills buf with the part of variable v's local scores that
+// depends on weights alone — its unary and soft factors:
 //
-//	score(d) = Σ_{φ ∋ v} θ_φ · h_φ(… T_v = d …)
+//	static(d) = Σ_{unary, soft φ ∋ v} θ_φ · h_φ(T_v = d)
 //
-// buf must have length len(Domain). Both the Gibbs sampler's conditional
-// distribution and the pseudo-likelihood gradient are softmaxes of these
-// scores.
-func (g *Graph) LocalScores(v int32, buf []float64) {
+// buf must have length len(Domain). No assignment is read, so a sampler
+// computes it once per run rather than once per visit.
+func (g *Graph) StaticScores(v int32, buf []float64) {
 	if !g.frozen {
-		panic("factor: LocalScores before Freeze")
+		panic("factor: StaticScores before Freeze")
 	}
-	vr := &g.Vars[v]
-	if len(buf) != len(vr.Domain) {
-		panic("factor: LocalScores buffer size mismatch")
+	if len(buf) != len(g.Vars[v].Domain) {
+		panic("factor: StaticScores buffer size mismatch")
 	}
 	for i := range buf {
 		buf[i] = 0
@@ -497,14 +567,35 @@ func (g *Graph) LocalScores(v int32, buf []float64) {
 			buf[d] += w * s.H[d]
 		}
 	}
-	for _, ni := range g.varNary.of(v) {
-		f := &g.Naries[ni]
-		w := g.Weights.W[f.Weight]
-		slot := g.NarySlot(f, v)
-		for d := range buf {
-			buf[d] += w * g.naryH(f, slot, vr.Domain[d])
-		}
+}
+
+// AddNaryScores adds the assignment-dependent part of variable v's local
+// scores to buf — Σ θ_φ·h_φ(… T_v = d …) over v's n-ary factors, the other
+// members held at their current labels. cur, when non-nil, is a dense
+// array of those labels (cur[u] == Domain[Assign] of u for every variable)
+// the caller keeps in step with Assign; nil reads them through Vars. buf
+// must have length len(Domain).
+func (g *Graph) AddNaryScores(v int32, cur []int32, buf []float64) {
+	dom := g.Vars[v].Domain
+	for k := g.varNary.off[v]; k < g.varNary.off[v+1]; k++ {
+		f := &g.Naries[g.varNary.idx[k]]
+		g.addNary(f, g.narySlot[k], dom, cur, g.Weights.W[f.Weight], buf)
 	}
+}
+
+// LocalScores fills buf with the unnormalized log-probability of variable
+// v taking each of its domain values, holding all other variables at their
+// current assignment:
+//
+//	score(d) = Σ_{φ ∋ v} θ_φ · h_φ(… T_v = d …)
+//
+// buf must have length len(Domain). Both the Gibbs sampler's conditional
+// distribution and the pseudo-likelihood gradient are softmaxes of these
+// scores; LocalScores is their definition — the static part, then the
+// n-ary part on top of it.
+func (g *Graph) LocalScores(v int32, buf []float64) {
+	g.StaticScores(v, buf)
+	g.AddNaryScores(v, nil, buf)
 }
 
 // Energy returns Σ θ·h under the current full assignment — useful for
@@ -526,8 +617,16 @@ func (g *Graph) Energy() float64 {
 		s := &g.Softs[i]
 		e += g.Weights.W[s.Weight] * s.H[g.Vars[s.Var].Assign]
 	}
+	// A factor's value under the current assignment is its value with its
+	// first slot hypothetically taking the label it already has.
+	var lab [1]int32
+	var wh [1]float64
 	for i := range g.Naries {
-		e += g.Weights.W[g.Naries[i].Weight] * g.naryH(&g.Naries[i], -1, 0)
+		f := &g.Naries[i]
+		lab[0] = g.label(nil, g.NaryVars(f)[0])
+		wh[0] = 0
+		g.addNary(f, 0, lab[:], nil, g.Weights.W[f.Weight], wh[:])
+		e += wh[0]
 	}
 	return e
 }
@@ -537,14 +636,49 @@ func (g *Graph) Energy() float64 {
 // evidence, the regime of Section 5.2 where Gibbs mixes in O(n log n)
 // and exact marginals are closed-form softmaxes.
 func (g *Graph) HasNaryOnQuery() bool {
-	for i := range g.Naries {
-		for _, v := range g.Naries[i].Vars {
-			if !g.Vars[v].Evidence {
-				return true
-			}
+	for _, v := range g.naryVars {
+		if !g.Vars[v].Evidence {
+			return true
 		}
 	}
 	return false
+}
+
+// ExpScores writes exp(scores[i] − max scores) into out, which may alias
+// scores, and returns the sum. When every score is −Inf (no candidate is
+// feasible; −Inf − −Inf is NaN) it reports ok == false and leaves out
+// untouched, so every softmax built on it decides the degenerate case
+// instead of propagating NaN.
+func ExpScores(scores, out []float64) (z float64, ok bool) {
+	maxS := math.Inf(-1)
+	for _, s := range scores {
+		if s > maxS {
+			maxS = s
+		}
+	}
+	if math.IsInf(maxS, -1) {
+		return 0, false
+	}
+	for i, s := range scores {
+		out[i] = math.Exp(s - maxS)
+		z += out[i]
+	}
+	return z, true
+}
+
+// Softmax turns scores into probabilities in out, which may alias scores.
+// The degenerate all-−Inf input yields the uniform distribution.
+func Softmax(scores, out []float64) {
+	z, ok := ExpScores(scores, out)
+	if !ok {
+		z = float64(len(out))
+		for i := range out {
+			out[i] = 1
+		}
+	}
+	for i := range out {
+		out[i] /= z
+	}
 }
 
 // Marginals holds per-variable posterior distributions over domain indices.

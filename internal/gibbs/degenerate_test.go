@@ -3,6 +3,8 @@ package gibbs
 import (
 	"math"
 	"testing"
+
+	"holoclean/internal/factor"
 )
 
 // TestSampleSoftmaxAllNegInf is the regression test for the degenerate
@@ -30,7 +32,7 @@ func TestSampleSoftmaxAllNegInf(t *testing.T) {
 // degenerate posterior is uniform, not NaN.
 func TestSoftmaxInPlaceAllNegInf(t *testing.T) {
 	scores := []float64{math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1)}
-	softmaxInPlace(scores)
+	factor.Softmax(scores, scores)
 	for i, p := range scores {
 		if math.IsNaN(p) {
 			t.Fatalf("scores[%d] is NaN", i)
@@ -45,7 +47,7 @@ func TestSoftmaxInPlaceAllNegInf(t *testing.T) {
 // all the mass when the others are -Inf.
 func TestSoftmaxMixedInf(t *testing.T) {
 	scores := []float64{math.Inf(-1), 2.0, math.Inf(-1)}
-	softmaxInPlace(scores)
+	factor.Softmax(scores, scores)
 	if math.Abs(scores[1]-1) > 1e-12 || scores[0] != 0 || scores[2] != 0 {
 		t.Errorf("mixed -Inf softmax = %v, want [0 1 0]", scores)
 	}

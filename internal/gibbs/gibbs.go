@@ -8,7 +8,6 @@
 package gibbs
 
 import (
-	"math"
 	"sync"
 
 	"holoclean/internal/factor"
@@ -22,7 +21,8 @@ type Config struct {
 	// marginal statistics.
 	BurnIn int
 	// Samples is the number of sweeps whose states are accumulated into
-	// the marginal estimates.
+	// the marginal estimates. A graph that is sampled needs at least one:
+	// Run panics on Samples <= 0 rather than divide the empty counts.
 	Samples int
 	// Seed makes runs reproducible: without VarSeed, variable v's stream
 	// is seeded Seed + v·1000003.
@@ -63,62 +63,59 @@ type Config struct {
 }
 
 // Scratch is the reusable working memory of one run: a flat marginal
-// arena with per-variable views, score buffers (one per chromatic
-// worker), and per-variable stream state. The sharded pipeline
+// arena with per-variable views, the same again for the sweep-invariant
+// static scores, the dense current-label array, score buffers (one per
+// chromatic worker), and per-variable stream state. The sharded pipeline
 // pools scratches across its worker pool and across Session recleans via
 // AcquireScratch/ReleaseScratch, so steady-state serving recleans approach
-// zero inference allocations.
+// zero inference allocations. Nothing in a scratch outlives a Run as
+// state: every member is rebuilt from the graph and its weights at the
+// next one.
 type Scratch struct {
-	counts []float64   // flat arena backing all marginals
-	p      [][]float64 // per-variable views into counts
-	buf    []float64
-	wbuf   [][]float64 // per-worker score buffers (parallel chromatic classes)
-	query  []int32
-	pstate []uint64 // per-variable splitmix64 states
-	m      factor.Marginals
+	counts  []float64   // flat arena backing all marginals
+	p       [][]float64 // per-variable views into counts
+	statics []float64   // flat arena of static scores, laid out like counts
+	static  [][]float64 // per-variable views into statics
+	cur     []int32     // cur[v] == Domain[Assign] of v, kept in step with Assign
+	buf     []float64
+	wbuf    [][]float64 // per-worker score buffers (parallel chromatic classes)
+	query   []int32
+	pstate  []uint64 // per-variable splitmix64 states
+	m       factor.Marginals
 }
 
-// marginals resizes the arena for g (one float64 per variable per domain
-// value), zeroes it, and rebuilds the per-variable views.
-func (s *Scratch) marginals(g *factor.Graph) [][]float64 {
+// views resizes arena for g (one float64 per variable per domain value),
+// zeroes it, and rebuilds the per-variable views over it.
+func views(g *factor.Graph, arena []float64, v [][]float64) ([]float64, [][]float64) {
 	total := 0
 	for i := range g.Vars {
 		total += len(g.Vars[i].Domain)
 	}
-	if cap(s.counts) >= total {
-		s.counts = s.counts[:total]
-	} else {
-		s.counts = make([]float64, total)
-	}
-	clear(s.counts)
-	if cap(s.p) >= len(g.Vars) {
-		s.p = s.p[:len(g.Vars)]
-	} else {
-		s.p = make([][]float64, len(g.Vars))
-	}
+	arena = grow(arena, total)
+	clear(arena)
+	v = grow(v, len(g.Vars))
 	off := 0
 	for i := range g.Vars {
 		d := len(g.Vars[i].Domain)
-		s.p[i] = s.counts[off : off+d : off+d]
+		v[i] = arena[off : off+d : off+d]
 		off += d
 	}
+	return arena, v
+}
+
+// marginals readies the zeroed marginal arena for g.
+func (s *Scratch) marginals(g *factor.Graph) [][]float64 {
+	s.counts, s.p = views(g, s.counts, s.p)
 	return s.p
 }
 
-// growF returns b resized to n, reusing capacity when possible.
-func growF(b []float64, n int) []float64 {
+// grow returns b resized to n, reusing capacity when possible. The
+// contents are unspecified: callers overwrite or clear them.
+func grow[T any](b []T, n int) []T {
 	if cap(b) >= n {
 		return b[:n]
 	}
-	return make([]float64, n)
-}
-
-// growU64 is growF for uint64 slices.
-func growU64(b []uint64, n int) []uint64 {
-	if cap(b) >= n {
-		return b[:n]
-	}
-	return make([]uint64, n)
+	return make([]T, n)
 }
 
 // scratchPool backs AcquireScratch/ReleaseScratch. A process-wide pool
@@ -137,8 +134,8 @@ func ReleaseScratch(s *Scratch) { scratchPool.Put(s) }
 // Run returns the marginals of g's query variables by the rule its shape
 // calls for: the closed form when no n-ary factor touches a query variable
 // (bit-identical to Exact, whatever the sampling budget and seed), chromatic
-// Gibbs sampling otherwise. Evidence variables stay clamped at their
-// observed values and have point-mass marginals.
+// Gibbs sampling otherwise, which needs cfg.Samples > 0. Evidence variables
+// stay clamped at their observed values and have point-mass marginals.
 func Run(g *factor.Graph, cfg Config) *factor.Marginals {
 	g.Freeze()
 	sc := cfg.Scratch
@@ -147,6 +144,9 @@ func Run(g *factor.Graph, cfg Config) *factor.Marginals {
 	}
 	if !g.HasNaryOnQuery() {
 		return closedForm(g, sc)
+	}
+	if cfg.Samples <= 0 {
+		panic("gibbs: Run on a graph with query-side correlations needs Samples > 0")
 	}
 	return runChromatic(g, cfg, sc)
 }
@@ -180,27 +180,18 @@ func splitIntn(state *uint64, n int) int {
 }
 
 // sampleSoftmaxState draws an index proportionally to exp(scores) from a
-// splitmix64 stream. When every score is -Inf the softmax is degenerate
-// (-Inf - -Inf is NaN); the draw falls back to uniform instead of
-// propagating NaN weights.
+// splitmix64 stream, overwriting scores with the exponentials it sums and
+// then walks. When every score is -Inf the softmax is degenerate; the draw
+// falls back to uniform instead of propagating NaN weights.
 func sampleSoftmaxState(state *uint64, scores []float64) int {
-	maxS := math.Inf(-1)
-	for _, s := range scores {
-		if s > maxS {
-			maxS = s
-		}
-	}
-	if math.IsInf(maxS, -1) {
+	z, ok := factor.ExpScores(scores, scores)
+	if !ok {
 		return splitIntn(state, len(scores))
-	}
-	var z float64
-	for _, s := range scores {
-		z += math.Exp(s - maxS)
 	}
 	u := splitFloat(state) * z
 	var acc float64
-	for i, s := range scores {
-		acc += math.Exp(s - maxS)
+	for i, e := range scores {
+		acc += e
 		if u < acc {
 			return i
 		}
@@ -214,46 +205,63 @@ func sampleSoftmaxState(state *uint64, scores []float64) int {
 // across an IntraWorkers-goroutine pool. Without colors every query
 // variable is its own class, visited in index order. Correctness of the
 // parallel class sweep: variables in one class share no n-ary factor, so
-// each LocalScores call reads only assignments frozen since the previous
-// class boundary.
+// each visit reads only labels frozen since the previous class boundary.
+//
+// What a visit does not recompute: a variable's unary and soft scores
+// depend on weights alone, so they are filled once per run into the
+// scratch's static arena (per run, not per Freeze — weights stay mutable on
+// a frozen graph) and each visit starts from a copy; labels are read from
+// the dense cur array, written wherever Assign is; and a single-candidate
+// variable is not visited at all — its draw is index 0 whatever its scores
+// and comes from its private stream, so nothing observes the skipped draw,
+// and its marginal is Samples/Samples. It keeps its place in the coloring
+// and in its neighbors' factors, which read its one label from cur.
 //
 // Determinism: each variable draws from a private splitmix64 stream
 // advanced exactly once per sweep, so the draw sequence depends only on
 // the variable's seed — results are bit-identical for any IntraWorkers
 // value.
 func runChromatic(g *factor.Graph, cfg Config, sc *Scratch) *factor.Marginals {
+	n := float64(cfg.Samples)
+	counts := sc.marginals(g)
+	sc.statics, sc.static = views(g, sc.statics, sc.static)
+	sc.cur = grow(sc.cur, len(g.Vars))
+	sc.pstate = grow(sc.pstate, len(g.Vars))
 	query := sc.query[:0]
 	maxDom := 1
-	for i := range g.Vars {
-		v := &g.Vars[i]
-		if v.Evidence {
-			v.Assign = v.Obs
-			continue
-		}
-		query = append(query, int32(i))
-		if len(v.Domain) > maxDom {
-			maxDom = len(v.Domain)
-		}
-	}
-	sc.query = query
-	counts := sc.marginals(g)
 	// Seed every variable's stream by its identity, then draw initial
 	// assignments from the streams so initialization is as
 	// schedule-independent as the sweeps.
-	sc.pstate = growU64(sc.pstate, len(g.Vars))
-	for _, v := range query {
+	for i := range g.Vars {
+		v := int32(i)
+		vr := &g.Vars[i]
+		if vr.Evidence {
+			vr.Assign = vr.Obs
+			sc.cur[i] = vr.Domain[vr.Obs]
+			continue
+		}
+		query = append(query, v)
 		seed := cfg.Seed + int64(v)*1_000_003
 		if cfg.VarSeed != nil {
 			seed = cfg.VarSeed[v]
 		}
 		sc.pstate[v] = uint64(seed)
-		vr := &g.Vars[v]
 		if vr.Obs >= 0 {
 			vr.Assign = vr.Obs
 		} else {
 			vr.Assign = int32(splitIntn(&sc.pstate[v], len(vr.Domain)))
 		}
+		sc.cur[i] = vr.Domain[vr.Assign]
+		if len(vr.Domain) < 2 {
+			counts[v][0] = n
+			continue
+		}
+		g.StaticScores(v, sc.static[v])
+		if len(vr.Domain) > maxDom {
+			maxDom = len(vr.Domain)
+		}
 	}
+	sc.query = query
 
 	workers := cfg.IntraWorkers
 	if workers > len(query) {
@@ -262,15 +270,11 @@ func runChromatic(g *factor.Graph, cfg Config, sc *Scratch) *factor.Marginals {
 	if workers < 1 {
 		workers = 1
 	}
-	sc.buf = growF(sc.buf, maxDom)
+	sc.buf = grow(sc.buf, maxDom)
 	if workers > 1 {
-		if cap(sc.wbuf) >= workers {
-			sc.wbuf = sc.wbuf[:workers]
-		} else {
-			sc.wbuf = make([][]float64, workers)
-		}
+		sc.wbuf = grow(sc.wbuf, workers)
 		for w := range sc.wbuf {
-			sc.wbuf[w] = growF(sc.wbuf[w], maxDom)
+			sc.wbuf[w] = grow(sc.wbuf[w], maxDom)
 		}
 	}
 
@@ -279,24 +283,23 @@ func runChromatic(g *factor.Graph, cfg Config, sc *Scratch) *factor.Marginals {
 		collect := sweep >= cfg.BurnIn
 		if len(cfg.Colors) == 0 {
 			for _, v := range query {
-				chromaticSampleVar(g, sc.pstate, counts, v, sc.buf, collect)
+				chromaticSampleVar(g, sc, v, sc.buf, collect)
 			}
 			continue
 		}
 		for _, class := range cfg.Colors {
 			if workers <= 1 || len(class) < 2*workers {
 				for _, v := range class {
-					chromaticSampleVar(g, sc.pstate, counts, v, sc.buf, collect)
+					chromaticSampleVar(g, sc, v, sc.buf, collect)
 				}
 				continue
 			}
-			chromaticClassParallel(g, sc, counts, class, workers, collect)
+			chromaticClassParallel(g, sc, class, workers, collect)
 		}
 	}
 
 	m := &sc.m
 	m.P = counts
-	n := float64(cfg.Samples)
 	for _, v := range query {
 		for d := range m.P[v] {
 			m.P[v][d] /= n
@@ -315,7 +318,7 @@ func runChromatic(g *factor.Graph, cfg Config, sc *Scratch) *factor.Marginals {
 // WaitGroup and goroutine closures never force heap allocations onto the
 // sequential (IntraWorkers <= 1) path, which the zero-alloc warmed-sweep
 // guarantee covers.
-func chromaticClassParallel(g *factor.Graph, sc *Scratch, counts [][]float64, class []int32, workers int, collect bool) {
+func chromaticClassParallel(g *factor.Graph, sc *Scratch, class []int32, workers int, collect bool) {
 	var wg sync.WaitGroup
 	chunk := (len(class) + workers - 1) / workers
 	for w := 0; w < workers; w++ {
@@ -328,7 +331,7 @@ func chromaticClassParallel(g *factor.Graph, sc *Scratch, counts [][]float64, cl
 		go func(buf []float64, part []int32) {
 			defer wg.Done()
 			for _, v := range part {
-				chromaticSampleVar(g, sc.pstate, counts, v, buf, collect)
+				chromaticSampleVar(g, sc, v, buf, collect)
 			}
 		}(sc.wbuf[w], class[lo:hi])
 	}
@@ -337,18 +340,25 @@ func chromaticClassParallel(g *factor.Graph, sc *Scratch, counts [][]float64, cl
 
 // chromaticSampleVar draws variable v's next state from its private
 // splitmix64 stream into the caller-owned score buffer; collect
-// accumulates the draw into the marginal counts. Count rows of distinct
-// variables never alias, so concurrent collection within a color class is
-// race-free. Top-level (not a closure) so the warmed sequential path stays
-// allocation-free.
-func chromaticSampleVar(g *factor.Graph, pstate []uint64, counts [][]float64, v int32, buf []float64, collect bool) {
+// accumulates the draw into the marginal counts. Rows of distinct
+// variables never alias — in the counts, in cur, in the stream states — and
+// a class only reads the labels of other classes, so concurrent visits
+// within a color class are race-free. Top-level (not a closure) so the
+// warmed sequential path stays allocation-free.
+func chromaticSampleVar(g *factor.Graph, sc *Scratch, v int32, buf []float64, collect bool) {
+	static := sc.static[v]
+	if len(static) < 2 {
+		return
+	}
+	scores := buf[:len(static)]
+	copy(scores, static)
+	g.AddNaryScores(v, sc.cur, scores)
+	d := sampleSoftmaxState(&sc.pstate[v], scores)
 	vr := &g.Vars[v]
-	scores := buf[:len(vr.Domain)]
-	g.LocalScores(v, scores)
-	d := sampleSoftmaxState(&pstate[v], scores)
 	vr.Assign = int32(d)
+	sc.cur[v] = vr.Domain[d]
 	if collect {
-		counts[v][d]++
+		sc.p[v][d]++
 	}
 }
 
@@ -377,34 +387,9 @@ func closedForm(g *factor.Graph, sc *Scratch) *factor.Marginals {
 			continue
 		}
 		g.LocalScores(int32(i), m.P[i])
-		softmaxInPlace(m.P[i])
+		factor.Softmax(m.P[i], m.P[i])
 		best, _ := m.MAP(int32(i))
 		v.Assign = int32(best)
 	}
 	return m
-}
-
-// softmaxInPlace turns scores into probabilities. An all--Inf input (no
-// candidate is feasible) yields the uniform distribution rather than NaN.
-func softmaxInPlace(scores []float64) {
-	maxS := math.Inf(-1)
-	for _, s := range scores {
-		if s > maxS {
-			maxS = s
-		}
-	}
-	if math.IsInf(maxS, -1) {
-		for i := range scores {
-			scores[i] = 1 / float64(len(scores))
-		}
-		return
-	}
-	var z float64
-	for i, s := range scores {
-		scores[i] = math.Exp(s - maxS)
-		z += scores[i]
-	}
-	for i := range scores {
-		scores[i] /= z
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"holoclean/internal/factor"
+	"holoclean/internal/partition"
 )
 
 // chainGraph builds a correlated chain (n-ary factors between successive
@@ -64,6 +65,73 @@ func TestSequentialSweepsZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state uncolored Run allocated %v objects per run, want 0", allocs)
+	}
+}
+
+// TestColoredSweepsZeroAllocs extends the guarantee to everything the
+// compiled sweep keeps in the scratch — static-score arena and views, the
+// dense label array — on the colored schedule the pipeline runs, over a
+// graph with single-candidate variables, unaries, softs and four-slot
+// factors.
+func TestColoredSweepsZeroAllocs(t *testing.T) {
+	g := fdWindowsGraph(60)
+	cfg := Config{BurnIn: 2, Samples: 6, Seed: 3, Colors: partition.ColorGraph(g), Scratch: new(Scratch)}
+	Run(g, cfg) // warm the arenas
+	allocs := testing.AllocsPerRun(20, func() {
+		if m := Run(g, cfg); math.IsNaN(m.P[0][0]) {
+			t.Fatal("NaN marginal")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state colored Run allocated %v objects per run, want 0", allocs)
+	}
+}
+
+// TestScratchCarriesNothingAcrossRuns: whatever a scratch ran before —
+// a graph of another shape, or the same frozen graph under other weights,
+// which is what learning between Ground and Run and the benchmark's
+// repeated Runs do — a Run on it returns the fresh-scratch result. A
+// static-score arena cached across runs fails the second half.
+func TestScratchCarriesNothingAcrossRuns(t *testing.T) {
+	run := func(g *factor.Graph, sc *Scratch) [][]float64 {
+		m := Run(g, Config{BurnIn: 3, Samples: 25, Seed: 9, Colors: partition.ColorGraph(g), Scratch: sc})
+		out := make([][]float64, len(m.P))
+		for v, p := range m.P {
+			out[v] = append([]float64(nil), p...)
+		}
+		return out
+	}
+	same := func(what string, got, want [][]float64) {
+		t.Helper()
+		for v := range want {
+			for d := range want[v] {
+				if got[v][d] != want[v][d] {
+					t.Fatalf("%s: P[%d][%d] = %v, fresh scratch %v", what, v, d, got[v][d], want[v][d])
+				}
+			}
+		}
+	}
+	sc := new(Scratch)
+	run(fdWindowsGraph(90), sc)
+	run(chainGraph(400), sc) // more variables, fewer labels
+	same("after two other shapes", run(fdWindowsGraph(40), sc), run(fdWindowsGraph(40), nil))
+
+	g, fresh := fdWindowsGraph(40), fdWindowsGraph(40)
+	before := run(g, sc)
+	for _, graph := range []*factor.Graph{g, fresh} {
+		graph.Weights.W[graph.Weights.ID("u", 0, false)] = -2.5
+		graph.Weights.W[graph.Weights.ID("s", 0, false)] = 4
+	}
+	after := run(g, sc)
+	same("after a weight change on the same frozen graph", after, run(fresh, nil))
+	moved := false
+	for v := range before {
+		for d := range before[v] {
+			moved = moved || before[v][d] != after[v][d]
+		}
+	}
+	if !moved {
+		t.Fatal("the weight change moved no marginal; the test would not notice a stale static arena")
 	}
 }
 

@@ -64,6 +64,7 @@ func Learn(g *factor.Graph, cfg Config) float64 {
 	}
 	scores := make([]float64, maxDom)
 	probs := make([]float64, maxDom)
+	hbuf := make([]float64, maxDom)
 	order := make([]int32, len(evidence))
 	copy(order, evidence)
 	var adagrad []float64
@@ -82,10 +83,10 @@ func Learn(g *factor.Graph, cfg Config) float64 {
 			sc := scores[:dom]
 			pr := probs[:dom]
 			g.LocalScores(v, sc)
-			softmax(sc, pr)
+			factor.Softmax(sc, pr)
 			o := int(vr.Obs)
 			nll -= math.Log(math.Max(pr[o], 1e-300))
-			applyGradient(g, v, o, pr, lr, cfg.L2, adagrad)
+			applyGradient(g, v, o, pr, hbuf[:dom], lr, cfg.L2, adagrad)
 		}
 		finalNLL = nll / float64(len(order))
 	}
@@ -93,11 +94,11 @@ func Learn(g *factor.Graph, cfg Config) float64 {
 }
 
 // applyGradient performs one SGD step for evidence variable v observed at
-// domain index o, given the conditional distribution pr. When adagrad is
-// non-nil it holds the per-weight squared-gradient accumulators.
-func applyGradient(g *factor.Graph, v int32, o int, pr []float64, lr, l2 float64, adagrad []float64) {
+// domain index o, given the conditional distribution pr; h is scratch of the
+// same length. When adagrad is non-nil it holds the per-weight
+// squared-gradient accumulators.
+func applyGradient(g *factor.Graph, v int32, o int, pr, h []float64, lr, l2 float64, adagrad []float64) {
 	w := g.Weights
-	vr := &g.Vars[v]
 	step := func(wid int32, grad float64) {
 		grad -= l2 * w.W[wid]
 		if adagrad != nil {
@@ -137,34 +138,16 @@ func applyGradient(g *factor.Graph, v int32, o int, pr []float64, lr, l2 float64
 		}
 		step(s.Weight, s.H[o]-hExp)
 	}
-	for _, ni := range g.IncidentNaries(v) {
+	for k, ni := range g.IncidentNaries(v) {
 		f := &g.Naries[ni]
 		if w.Fixed[f.Weight] {
 			continue
 		}
-		slot := g.NarySlot(f, v)
-		hObs := g.NaryH(f, slot, vr.Domain[o])
+		g.NaryH(v, k, nil, h)
 		var hExp float64
 		for d := range pr {
-			hExp += pr[d] * g.NaryH(f, slot, vr.Domain[d])
+			hExp += pr[d] * h[d]
 		}
-		step(f.Weight, hObs-hExp)
-	}
-}
-
-func softmax(scores, out []float64) {
-	maxS := math.Inf(-1)
-	for _, s := range scores {
-		if s > maxS {
-			maxS = s
-		}
-	}
-	var z float64
-	for i, s := range scores {
-		out[i] = math.Exp(s - maxS)
-		z += out[i]
-	}
-	for i := range out {
-		out[i] /= z
+		step(f.Weight, h[o]-hExp)
 	}
 }

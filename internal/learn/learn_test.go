@@ -180,3 +180,32 @@ func TestLearnAdaGrad(t *testing.T) {
 		t.Errorf("AdaGrad NLL = %v", nll)
 	}
 }
+
+// TestLearnDegenerateEvidenceKeepsWeightsFinite: an evidence variable whose
+// every candidate scores -Inf — here a hard constraint (fixed weight +Inf)
+// violated whatever it takes — has no softmax; Learn must treat its
+// conditional as uniform, like the sampler and the closed form, instead of
+// writing NaN into every tied weight the variable touches.
+func TestLearnDegenerateEvidenceKeepsWeightsFinite(t *testing.T) {
+	g := factor.NewGraph()
+	feat := g.Weights.ID("feat", 0, false)
+	soft := g.Weights.ID("soft", 0, false)
+	hard := g.Weights.ID("hard", math.Inf(1), true)
+	for i := 0; i < 10; i++ {
+		ev := g.AddVariable([]int32{1, 2}, true, int32(i%2))
+		g.AddUnary(ev, 0, feat, false, 1)
+		g.AddSoft(ev, soft, []float64{0.9, 0.1})
+	}
+	// Variable 0 ≠ 9 always holds: the factor is violated, at weight +Inf,
+	// for both candidates.
+	g.AddNary([]int32{0}, []factor.Pred{{LeftSlot: 0, RightSlot: -1, RightConst: 9, Op: factor.OpNeq}}, hard)
+	nll := Learn(g, Config{Epochs: 4, LearningRate: 0.1, Seed: 1})
+	if math.IsNaN(nll) || math.IsInf(nll, 0) {
+		t.Errorf("NLL = %v, want finite", nll)
+	}
+	for id, w := range g.Weights.W {
+		if !g.Weights.Fixed[id] && (math.IsNaN(w) || math.IsInf(w, 0)) {
+			t.Errorf("weight %q = %v after a degenerate evidence variable, want finite", g.Weights.Keys[id], w)
+		}
+	}
+}
