@@ -8,6 +8,7 @@ package compile
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"strconv"
 
@@ -90,8 +91,9 @@ type Options struct {
 	// Dictionaries and MatchDeps supply the external-data signal.
 	Dictionaries []*extdict.Dictionary
 	MatchDeps    []*extdict.MatchDependency
-	// CooccurFeatures toggles the quantitative-statistics signal
-	// (HasFeature co-occurrence features). Enabled by default.
+	// DisableCooccurFeatures removes the quantitative-statistics signal:
+	// the HasFeature co-occurrence indicators and the real-valued
+	// frequency and co-occurrence features.
 	DisableCooccurFeatures bool
 	// DictionaryPrior is the initial reliability weight of dictionary
 	// match factors (still adjusted by learning).
@@ -99,7 +101,9 @@ type Options struct {
 	// RelaxedDCPrior is the initial weight of relaxed denial-constraint
 	// features (still adjusted by learning).
 	RelaxedDCPrior float64
-	// SourceFeatures adds provenance features when the dataset has them.
+	// DisableSourceFeatures removes the provenance signal — the per-source
+	// indicators and source-reliability fusion — that is otherwise wired
+	// whenever the dataset carries sources.
 	DisableSourceFeatures bool
 	// MaxScanCounterparts caps index-less DC grounding (see ddlog.Config).
 	MaxScanCounterparts int
@@ -149,6 +153,12 @@ type Prepared struct {
 	// DB is the fully wired database for a whole-relation grounding; shard
 	// runners copy it and narrow Domains/Evidence/Matches per shard.
 	DB *ddlog.Database
+	// RelationWide reports that a featurizer reading the whole relation was
+	// wired (source fusion: every tuple's vote moves every source's
+	// accuracy), so no part of a previous pass's model survives a delta.
+	RelationWide bool
+
+	cooccur *cooccur // the statistics featurizer; nil when co-occurrence features are off
 }
 
 // Prepare compiles the model short of grounding it: domain pruning,
@@ -247,13 +257,15 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 	}
 	var softs []func(dataset.Cell, []int32) []ddlog.SoftFeature
 	if !opts.DisableCooccurFeatures {
-		softs = append(softs, softFeatureFunc(ds, st, masked))
+		out.cooccur = newCooccur(ds, st, masked)
+		softs = append(softs, out.cooccur.features)
 	}
 	if !opts.DisableSourceFeatures && ds.HasSources() {
 		// Source-reliability fusion [35]: tuples reporting the same entity
 		// attribute vote with accuracy-weighted shares.
 		votes := fusion.Estimate(ds, bounds, 0)
 		softs = append(softs, fusionFeatureFunc(votes, ds.NumAttrs()))
+		out.RelationWide = true
 	}
 	if len(softs) > 0 {
 		db.SoftFeatures = func(c dataset.Cell, dom []int32) []ddlog.SoftFeature {
@@ -288,7 +300,7 @@ func buildProgram(bounds []*dc.Bound, opts Options) *ddlog.Program {
 			name = "sigma" + strconv.Itoa(ci+1)
 		}
 		if opts.Variant.DCFeatures {
-			for _, ref := range ddlog.CellRefs(b) {
+			for _, ref := range b.Refs {
 				prog.Add(&ddlog.Rule{
 					Kind:       ddlog.RelaxedDCFactors,
 					Name:       fmt.Sprintf("%s@t%d.a%d", name, ref.TupleVar+1, ref.Attr),
@@ -391,10 +403,10 @@ func featureFunc(ds *dataset.Dataset, opts Options) func(dataset.Cell) []string 
 	}
 }
 
-// softFeatureFunc materializes the real-valued co-occurrence features:
-// for a cell, one factor per non-null sibling attribute g whose h[d] is
-// the conditional probability Pr[d | v_g], with the weight tied per
-// (attribute, sibling attribute) pair. Unlike the per-(d,f) indicator
+// cooccur materializes the real-valued statistics features: for a cell,
+// a frequency prior plus one factor per non-null sibling attribute g whose
+// h[d] is the conditional probability Pr[d | v_g], with the weight tied
+// per (attribute, sibling attribute) pair. Unlike the per-(d,f) indicator
 // features, this statistic transfers to values that never appear among
 // the evidence cells, and the per-pair weights learn which sibling
 // attributes are predictive (the original system's statistics featurizer
@@ -407,82 +419,184 @@ func featureFunc(ds *dataset.Dataset, opts Options) func(dataset.Cell) []string 
 // starts at twice the prior: it cannot be fooled by self-consistent
 // systematic errors (a corrupted organization's rows vouching for their
 // own spelling), while the dirty family retains coverage in regions
-// where detection flagged everything. Conditioning values that occur
-// only once are skipped — a unique key "predicting" its own tuple's
-// values is pure self-reference.
-func softFeatureFunc(ds *dataset.Dataset, st, masked *stats.Stats) func(dataset.Cell, []int32) []ddlog.SoftFeature {
-	// Tying keys depend only on the (attribute, sibling) pair, so the
-	// full key tables are built once here instead of per cell via strconv
-	// in the grounding loop.
+// where detection flagged everything.
+//
+// features builds the vectors; moved asks, of the same contexts, whether a
+// delta touched a counter they are built from. Both walk contexts and
+// families, so a new gate or family is written once.
+type cooccur struct {
+	ds         *dataset.Dataset
+	st, masked *stats.Stats
+	quasiKey   []bool   // QuasiKeys of the relation the model is compiled over
+	freqKeys   []string // tying key of the frequency prior, per attribute
+	families   [2]family
+}
+
+// family is one co-occurrence feature family: the statistics it reads, its
+// tying keys per (attribute, sibling) pair and the prior they start at.
+type family struct {
+	src  *stats.Stats
+	keys []string
+	init float64
+}
+
+// newCooccur builds the featurizer. Tying keys depend only on the
+// (attribute, sibling) pair, so the full key tables are built once here
+// instead of per cell via strconv in the grounding loop.
+func newCooccur(ds *dataset.Dataset, st, masked *stats.Stats) *cooccur {
 	n := ds.NumAttrs()
-	coocKeys := make([]string, n*n)
-	cclnKeys := make([]string, n*n)
-	freqKeys := make([]string, n)
+	f := &cooccur{ds: ds, st: st, masked: masked, quasiKey: QuasiKeys(st, n, ds.NumTuples()), freqKeys: make([]string, n)}
+	f.families = [2]family{ // StatsDelta.families lists the deltas in the same order
+		{src: st, keys: make([]string, n*n), init: 0.5},
+		{src: masked, keys: make([]string, n*n), init: 1.0},
+	}
 	for a := 0; a < n; a++ {
-		freqKeys[a] = "freq|" + strconv.Itoa(a)
+		f.freqKeys[a] = "freq|" + strconv.Itoa(a)
 		for g := 0; g < n; g++ {
 			suffix := strconv.Itoa(a) + "|" + strconv.Itoa(g)
-			coocKeys[a*n+g] = "cooc|" + suffix
-			cclnKeys[a*n+g] = "ccln|" + suffix
+			f.families[0].keys[a*n+g] = "cooc|" + suffix
+			f.families[1].keys[a*n+g] = "ccln|" + suffix
 		}
 	}
-	family := func(c dataset.Cell, dom []int32, src *stats.Stats, g int, vg dataset.Value, key string, init float64) (ddlog.SoftFeature, bool) {
-		if len(src.GivenHistogram(c.Attr, g, vg)) == 0 {
-			return ddlog.SoftFeature{}, false
-		}
-		h := make([]float64, len(dom))
-		any := false
-		for d, label := range dom {
-			h[d] = src.CondProb(c.Attr, dataset.Value(label), g, vg)
-			if h[d] != 0 {
-				any = true
-			}
-		}
-		if !any {
-			return ddlog.SoftFeature{}, false
-		}
-		return ddlog.SoftFeature{Key: key, H: h, Init: init}, true
+	return f
+}
+
+// QuasiKeys classifies every attribute of a relation of numTuples rows:
+// quasi-key attributes (dates, identifiers) are exempt from the frequency
+// prior — frequency carries no signal when nearly every value is unique.
+func QuasiKeys(st *stats.Stats, numAttrs, numTuples int) []bool {
+	out := make([]bool, numAttrs)
+	for a := range out {
+		out[a] = st.DistinctValues(a)*4 > numTuples
 	}
-	return func(c dataset.Cell, dom []int32) []ddlog.SoftFeature {
-		var out []ddlog.SoftFeature
-		// Empirical value-frequency prior (the "empirical distribution
-		// characterizing attributes" of Section 1), over clean-cell
-		// counts and normalized by the best candidate: a value that never
-		// occurs outside flagged cells — a replicated misspelling, a typo
-		// — earns no mass no matter how self-consistent its tuples are.
-		// Quasi-key attributes (dates, identifiers) are exempt: frequency
-		// carries no signal when nearly every value is unique.
-		freqH := make([]float64, len(dom))
-		maxF := 0
-		quasiKey := st.DistinctValues(c.Attr)*4 > ds.NumTuples()
-		for _, label := range dom {
-			if f := masked.Freq(c.Attr, dataset.Value(label)); f > maxF {
-				maxF = f
-			}
-		}
-		if maxF > 0 && !quasiKey {
-			for d, label := range dom {
-				freqH[d] = float64(masked.Freq(c.Attr, dataset.Value(label))) / float64(maxF)
-			}
-			out = append(out, ddlog.SoftFeature{Key: freqKeys[c.Attr], H: freqH, Init: 1.0})
-		}
-		for g := 0; g < n; g++ {
+	return out
+}
+
+// contexts yields the sibling contexts (g, v_g) the co-occurrence
+// features of cell c condition on: every non-null sibling value that
+// occurs at least twice — a unique key "predicting" its own tuple's values
+// is pure self-reference. With a delta of the raw statistics, a context
+// whose frequency it touched is yielded too: the gate may have been open
+// before the delta.
+func (f *cooccur) contexts(c dataset.Cell, raw *stats.Delta) iter.Seq2[int, dataset.Value] {
+	return func(yield func(int, dataset.Value) bool) {
+		for g := 0; g < f.ds.NumAttrs(); g++ {
 			if g == c.Attr {
 				continue
 			}
-			vg := ds.Get(c.Tuple, g)
-			if vg == dataset.Null || st.Freq(g, vg) < 2 {
+			vg := f.ds.Get(c.Tuple, g)
+			if vg == dataset.Null || (f.st.Freq(g, vg) < 2 && (raw == nil || !raw.TouchedFreq(g, vg))) {
 				continue
 			}
-			if f, ok := family(c, dom, st, g, vg, coocKeys[c.Attr*n+g], 0.5); ok {
-				out = append(out, f)
-			}
-			if f, ok := family(c, dom, masked, g, vg, cclnKeys[c.Attr*n+g], 1.0); ok {
-				out = append(out, f)
+			if !yield(g, vg) {
+				return
 			}
 		}
-		return out
 	}
+}
+
+// features is the ddlog.Database.SoftFeatures materializer.
+func (f *cooccur) features(c dataset.Cell, dom []int32) []ddlog.SoftFeature {
+	var out []ddlog.SoftFeature
+	// Empirical value-frequency prior (the "empirical distribution
+	// characterizing attributes" of Section 1), over clean-cell counts and
+	// normalized by the best candidate: a value that never occurs outside
+	// flagged cells — a replicated misspelling, a typo — earns no mass no
+	// matter how self-consistent its tuples are.
+	maxF := 0
+	for _, label := range dom {
+		if fr := f.masked.Freq(c.Attr, dataset.Value(label)); fr > maxF {
+			maxF = fr
+		}
+	}
+	if maxF > 0 && !f.quasiKey[c.Attr] {
+		freqH := make([]float64, len(dom))
+		for d, label := range dom {
+			freqH[d] = float64(f.masked.Freq(c.Attr, dataset.Value(label))) / float64(maxF)
+		}
+		out = append(out, ddlog.SoftFeature{Key: f.freqKeys[c.Attr], H: freqH, Init: 1.0})
+	}
+	n := f.ds.NumAttrs()
+	for g, vg := range f.contexts(c, nil) {
+		for i := range f.families {
+			fam := &f.families[i]
+			if len(fam.src.GivenHistogram(c.Attr, g, vg)) == 0 {
+				continue
+			}
+			h := make([]float64, len(dom))
+			any := false
+			for d, label := range dom {
+				h[d] = fam.src.CondProb(c.Attr, dataset.Value(label), g, vg)
+				if h[d] != 0 {
+					any = true
+				}
+			}
+			if any {
+				out = append(out, ddlog.SoftFeature{Key: fam.keys[c.Attr*n+g], H: h, Init: fam.init})
+			}
+		}
+	}
+	return out
+}
+
+// StatsDelta is what a batch of tuple changes did to the statistics a
+// model is compiled over: the counters stats.Apply touched in
+// Options.Stats and Options.MaskedStats, and the QuasiKeys classification
+// before it.
+type StatsDelta struct {
+	Raw, Masked  *stats.Delta
+	PrevQuasiKey []bool
+}
+
+// families lists the deltas as cooccur.families lists their statistics.
+func (d StatsDelta) families() [2]*stats.Delta { return [2]*stats.Delta{d.Raw, d.Masked} }
+
+// MarkStatDirty adds to dirty every tuple owning a noisy cell whose
+// statistics features read a counter the delta moved: the cell must
+// re-ground and re-infer (its whole tuple does, to keep sibling-domain
+// discounts shard-local). It asks the featurizer cell by cell, so it is
+// exact for whatever the features currently read; without co-occurrence
+// features no statistics enter the model and nothing is marked.
+func (p *Prepared) MarkStatDirty(d StatsDelta, dirty map[int]bool) {
+	f := p.cooccur
+	if f == nil {
+		return
+	}
+	for i, c := range p.Domains.Cells {
+		if !dirty[c.Tuple] && (f.quasiKey[c.Attr] != d.PrevQuasiKey[c.Attr] || f.moved(c, p.Domains.Candidates[i], d)) {
+			dirty[c.Tuple] = true
+		}
+	}
+}
+
+// moved reports whether the delta touched a counter features(c, dom)
+// reads, given that the attribute's quasi-key classification held.
+func (f *cooccur) moved(c dataset.Cell, dom []dataset.Value, d StatsDelta) bool {
+	// Frequency prior: clean-cell counts of the candidate labels.
+	if !f.quasiKey[c.Attr] {
+		for _, l := range dom {
+			if d.Masked.TouchedFreq(c.Attr, l) {
+				return true
+			}
+		}
+	}
+	// Co-occurrence families: the conditioning value's frequency — gate
+	// and denominator — and, per candidate, the histogram bucket h[d]
+	// reads. A bucket touched for a value outside the candidate set leaves
+	// the features intact.
+	for g, vg := range f.contexts(c, d.Raw) {
+		for _, fd := range d.families() {
+			if fd.TouchedFreq(g, vg) {
+				return true
+			}
+			for _, l := range dom {
+				if fd.TouchedCond(c.Attr, l, g, vg) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // fusionFeatureFunc materializes the source-fusion signal: H[d] is the

@@ -18,7 +18,9 @@
 package dc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -48,6 +50,12 @@ func (o Op) Code() string { return opCodes[o] }
 
 // String returns the mathematical symbol for the operator.
 func (o Op) String() string { return opSymbols[o] }
+
+// Flip returns the operator that holds of (b, a) exactly when o holds of
+// (a, b).
+func (o Op) Flip() Op { return opFlips[o] }
+
+var opFlips = [...]Op{Eq: Eq, Neq: Neq, Lt: Gt, Gt: Lt, Leq: Geq, Geq: Leq, Sim: Sim}
 
 // Operand is one side of a predicate: either a tuple-attribute reference
 // (Tuple ∈ {0,1} for t1/t2) or a constant.
@@ -142,8 +150,8 @@ func FD(base string, lhs []string, rhs []string) []*Constraint {
 }
 
 // Validate checks structural sanity: predicates reference declared tuple
-// variables, left operands are attribute references, and at least one
-// predicate exists.
+// variables by a non-empty attribute name, left operands are attribute
+// references, and at least one predicate exists.
 func (c *Constraint) Validate() error {
 	if c.TupleVars < 1 || c.TupleVars > 2 {
 		return fmt.Errorf("dc: constraint %q declares %d tuple variables, want 1 or 2", c.Name, c.TupleVars)
@@ -155,11 +163,16 @@ func (c *Constraint) Validate() error {
 		if p.Left.IsConst {
 			return fmt.Errorf("dc: constraint %q predicate %d: left operand must be an attribute reference", c.Name, i)
 		}
-		if p.Left.Tuple >= c.TupleVars {
-			return fmt.Errorf("dc: constraint %q predicate %d references t%d but only %d tuple vars are declared", c.Name, i, p.Left.Tuple+1, c.TupleVars)
-		}
-		if !p.Right.IsConst && p.Right.Tuple >= c.TupleVars {
-			return fmt.Errorf("dc: constraint %q predicate %d references t%d but only %d tuple vars are declared", c.Name, i, p.Right.Tuple+1, c.TupleVars)
+		for _, o := range []Operand{p.Left, p.Right} {
+			if o.IsConst {
+				continue
+			}
+			if o.Tuple >= c.TupleVars {
+				return fmt.Errorf("dc: constraint %q predicate %d references t%d but only %d tuple vars are declared", c.Name, i, o.Tuple+1, c.TupleVars)
+			}
+			if o.Attr == "" {
+				return fmt.Errorf("dc: constraint %q predicate %d references t%d with an empty attribute name", c.Name, i, o.Tuple+1)
+			}
 		}
 		if int(p.Op) >= len(opCodes) || p.Op < 0 {
 			return fmt.Errorf("dc: constraint %q predicate %d: unknown operator", c.Name, i)
@@ -168,13 +181,42 @@ func (c *Constraint) Validate() error {
 	return nil
 }
 
+// CellRef identifies one (tuple variable, attribute) reference inside a
+// denial constraint, e.g. t1.Zip.
+type CellRef struct {
+	TupleVar int // 0 = t1, 1 = t2
+	Attr     int // attribute index
+}
+
 // Bound is a constraint resolved against a dataset schema: attribute names
 // become indices and constants become interned values, making evaluation
-// allocation-free.
+// allocation-free. Bind also analyses the constraint's shape once — what
+// it joins on, which cells each tuple role reads, whether the roles are
+// interchangeable — so detection, grounding and invalidation read the same
+// answer instead of each re-deriving it from Preds. Nothing is filled in
+// lazily: a Bound is immutable after Bind and shared freely across
+// goroutines.
 type Bound struct {
 	Src       *Constraint
 	TupleVars int
 	Preds     []BoundPred
+	// Joins lists, in predicate order, the attribute pairs (t1's, t2's) of
+	// the predicates t1[A] = t2[B] across the two tuple variables: the
+	// hash-join keys that spare violation detection and grounding the
+	// O(|D|²) pair scan (Section 5.1.2's motivation). Empty means the
+	// constraint can only be evaluated by scanning pairs.
+	Joins [][2]int
+	// Refs lists the distinct cell references of the predicates in
+	// first-mention order — the head candidates of the Section 5.2
+	// relaxation, and the cells of a violation once instantiated.
+	Refs []CellRef
+	// RoleAttrs[r] lists the distinct attributes tuple role r references,
+	// in first-mention order.
+	RoleAttrs [2][]int
+	// Symmetric reports whether exchanging t1 and t2 yields the same
+	// constraint, in which case unordered pair enumeration suffices.
+	// Single-tuple constraints are trivially symmetric.
+	Symmetric bool
 	ds        *dataset.Dataset
 }
 
@@ -187,6 +229,12 @@ type BoundPred struct {
 	RightAttr           int
 	ConstVal            dataset.Value // valid when RightIsConst and the constant was already interned
 	ConstStr            string
+}
+
+// Reads reports whether the predicate mentions the cell reference.
+func (p *BoundPred) Reads(ref CellRef) bool {
+	return (p.LeftTuple == ref.TupleVar && p.LeftAttr == ref.Attr) ||
+		(!p.RightIsConst && p.RightTuple == ref.TupleVar && p.RightAttr == ref.Attr)
 }
 
 // Bind resolves the constraint against the dataset schema.
@@ -202,6 +250,7 @@ func (c *Constraint) Bind(ds *dataset.Dataset) (*Bound, error) {
 		if bp.LeftAttr < 0 {
 			return nil, fmt.Errorf("dc: constraint %q: unknown attribute %q", c.Name, p.Left.Attr)
 		}
+		b.addRef(bp.LeftTuple, bp.LeftAttr)
 		if p.Right.IsConst {
 			bp.RightIsConst = true
 			bp.ConstStr = p.Right.Const
@@ -216,10 +265,64 @@ func (c *Constraint) Bind(ds *dataset.Dataset) (*Bound, error) {
 			if bp.RightAttr < 0 {
 				return nil, fmt.Errorf("dc: constraint %q: unknown attribute %q", c.Name, p.Right.Attr)
 			}
+			b.addRef(bp.RightTuple, bp.RightAttr)
+			if bp.Op == Eq && bp.LeftTuple != bp.RightTuple {
+				var j [2]int
+				j[bp.LeftTuple], j[bp.RightTuple] = bp.LeftAttr, bp.RightAttr
+				b.Joins = append(b.Joins, j)
+			}
 		}
 		b.Preds = append(b.Preds, bp)
 	}
+	b.Symmetric = slices.Equal(b.canonical(false), b.canonical(true))
 	return b, nil
+}
+
+func (b *Bound) addRef(tupleVar, attr int) {
+	if !b.References(tupleVar, attr) {
+		b.Refs = append(b.Refs, CellRef{TupleVar: tupleVar, Attr: attr})
+		b.RoleAttrs[tupleVar] = append(b.RoleAttrs[tupleVar], attr)
+	}
+}
+
+// References reports whether a predicate reads attribute attr of tuple
+// role (of either role when role is negative).
+func (b *Bound) References(role, attr int) bool {
+	if role < 0 {
+		return slices.Contains(b.RoleAttrs[0], attr) || slices.Contains(b.RoleAttrs[1], attr)
+	}
+	return slices.Contains(b.RoleAttrs[role], attr)
+}
+
+// canonical returns the predicates in a normal form — sides ordered by
+// (tuple variable, attribute), an asymmetric operator inverted when its
+// sides are exchanged — and sorted, optionally with the tuple variables
+// swapped first. Predicate lists with equal canonical forms denote the
+// same conjunction.
+func (b *Bound) canonical(swapped bool) []BoundPred {
+	out := slices.Clone(b.Preds)
+	for i := range out {
+		p := &out[i]
+		if p.RightIsConst {
+			p.RightTuple, p.ConstVal = -1, 0 // sorts apart from every reference; ConstStr identifies it
+		}
+		if swapped && b.TupleVars == 2 {
+			p.LeftTuple = 1 - p.LeftTuple
+			if !p.RightIsConst {
+				p.RightTuple = 1 - p.RightTuple
+			}
+		}
+		if !p.RightIsConst && (p.LeftTuple > p.RightTuple || (p.LeftTuple == p.RightTuple && p.LeftAttr > p.RightAttr)) {
+			p.LeftTuple, p.LeftAttr, p.RightTuple, p.RightAttr = p.RightTuple, p.RightAttr, p.LeftTuple, p.LeftAttr
+			p.Op = p.Op.Flip()
+		}
+	}
+	slices.SortFunc(out, func(x, y BoundPred) int {
+		return cmp.Or(
+			cmp.Compare(x.LeftTuple, y.LeftTuple), cmp.Compare(x.LeftAttr, y.LeftAttr), cmp.Compare(x.Op, y.Op),
+			cmp.Compare(x.RightTuple, y.RightTuple), cmp.Compare(x.RightAttr, y.RightAttr), cmp.Compare(x.ConstStr, y.ConstStr))
+	})
+	return out
 }
 
 // BindAll binds a set of constraints, failing on the first error.
@@ -237,27 +340,46 @@ func BindAll(cs []*Constraint, ds *dataset.Dataset) ([]*Bound, error) {
 
 // HoldsPred evaluates one bound predicate for tuples (t1,t2). Predicates
 // over Null cells never hold, so missing values do not create violations.
-func (b *Bound) HoldsPred(i, t1, t2 int) bool {
+func (b *Bound) HoldsPred(i, t1, t2 int) bool { return b.HoldsPredWith(i, t1, t2, nil) }
+
+// Subst is a hypothetical repair: the cell Ref — attribute Ref.Attr of the
+// tuple in role Ref.TupleVar — holding Val.
+type Subst struct {
+	Ref CellRef
+	Val dataset.Value
+}
+
+// HoldsPredWith is the one place a bound predicate meets values. It
+// evaluates predicate i for tuples (t1,t2) as HoldsPred would on a dataset
+// in which sub had been applied — how the Section 5.2 relaxation scores a
+// candidate: an operand that is the cell reference sub.Ref reads sub.Val,
+// every other (all of them under a nil sub) reads the dataset.
+func (b *Bound) HoldsPredWith(i, t1, t2 int, sub *Subst) bool {
 	p := &b.Preds[i]
-	lt := t1
-	if p.LeftTuple == 1 {
-		lt = t2
+	var lv dataset.Value
+	if sub != nil && p.LeftTuple == sub.Ref.TupleVar && p.LeftAttr == sub.Ref.Attr {
+		lv = sub.Val
+	} else {
+		lt := t1
+		if p.LeftTuple == 1 {
+			lt = t2
+		}
+		lv = b.ds.Get(lt, p.LeftAttr)
 	}
-	lv := b.ds.Get(lt, p.LeftAttr)
 	if lv == dataset.Null {
 		return false
 	}
-	var rv dataset.Value
-	var rstr string
-	if p.RightIsConst {
-		rv = p.ConstVal
-		rstr = p.ConstStr
-	} else {
-		rt := t1
-		if p.RightTuple == 1 {
-			rt = t2
+	rv, rstr := p.ConstVal, p.ConstStr
+	if !p.RightIsConst {
+		if sub != nil && p.RightTuple == sub.Ref.TupleVar && p.RightAttr == sub.Ref.Attr {
+			rv = sub.Val
+		} else {
+			rt := t1
+			if p.RightTuple == 1 {
+				rt = t2
+			}
+			rv = b.ds.Get(rt, p.RightAttr)
 		}
-		rv = b.ds.Get(rt, p.RightAttr)
 		if rv == dataset.Null {
 			return false
 		}
@@ -270,11 +392,10 @@ func (b *Bound) HoldsPred(i, t1, t2 int) bool {
 		// an un-interned constant (rv == -1) differs from every cell value.
 		return lv != rv
 	}
-	ls := b.ds.Dict().String(lv)
 	if !p.RightIsConst {
 		rstr = b.ds.Dict().String(rv)
 	}
-	return Compare(p.Op, ls, rstr)
+	return Compare(p.Op, b.ds.Dict().String(lv), rstr)
 }
 
 // Violates reports whether the pair (t1,t2) violates the constraint, i.e.
@@ -329,22 +450,4 @@ func Compare(op Op, a, b string) bool {
 		return cmp != 0
 	}
 	return false
-}
-
-// EqualityJoinAttrs returns attribute index pairs (leftAttr, rightAttr)
-// for predicates of the form t1[A] = t2[B] with distinct tuple variables.
-// Violation detection uses these as hash-join keys to avoid scanning all
-// O(|D|²) pairs (Section 5.1.2's motivation).
-func (b *Bound) EqualityJoinAttrs() [][2]int {
-	var out [][2]int
-	for _, p := range b.Preds {
-		if p.Op == Eq && !p.RightIsConst && p.LeftTuple != p.RightTuple {
-			l, r := p.LeftAttr, p.RightAttr
-			if p.LeftTuple == 1 {
-				l, r = r, l
-			}
-			out = append(out, [2]int{l, r})
-		}
-	}
-	return out
 }

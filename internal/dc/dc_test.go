@@ -201,7 +201,7 @@ func TestEqualityJoinAttrs(t *testing.T) {
 	ds := testDataset()
 	c := MustParse("t1&t2&EQ(t1.Zip,t2.Zip)&IQ(t1.City,t2.City)")
 	b, _ := c.Bind(ds)
-	joins := b.EqualityJoinAttrs()
+	joins := b.Joins
 	if len(joins) != 1 {
 		t.Fatalf("joins = %v, want one", joins)
 	}
@@ -212,7 +212,7 @@ func TestEqualityJoinAttrs(t *testing.T) {
 	// No cross-tuple equality → no joins.
 	c2 := MustParse("t1&t2&IQ(t1.City,t2.City)")
 	b2, _ := c2.Bind(ds)
-	if len(b2.EqualityJoinAttrs()) != 0 {
+	if len(b2.Joins) != 0 {
 		t.Errorf("IQ-only constraint should have no equality joins")
 	}
 }
@@ -248,5 +248,8 @@ func TestValidate(t *testing.T) {
 	c2 := &Constraint{TupleVars: 2}
 	if err := c2.Validate(); err == nil {
 		t.Errorf("no predicates should be invalid")
+	}
+	if _, err := Parse("t1&EQ(t1.,x)"); err == nil {
+		t.Errorf("an empty attribute name should be invalid")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -14,10 +15,13 @@ import (
 //
 // Tuple-variable declarations (t1, optionally t2) come first; the
 // remaining '&'-separated terms are predicates OP(operand,operand) where
-// an operand is tN.Attr or a (optionally quoted) constant. Attribute names
-// may contain any character except '.', ',', ')', and '&'.
+// an operand is tN.Attr or a (optionally quoted) constant. A quoted
+// constant is a Go string literal ("C:\\dir", "a\tb"), the form String
+// renders, so Parse(c.String()) reproduces c; quoted text that is not a
+// valid literal ("C:\dir") is taken verbatim. Attribute names are non-empty,
+// hold no ',' or '"', balance their parentheses and hold '&' only inside them.
 func Parse(s string) (*Constraint, error) {
-	parts := splitTopLevel(s)
+	parts := split(s, '&', true)
 	c := &Constraint{}
 	i := 0
 	for i < len(parts) {
@@ -94,33 +98,32 @@ func ParseAll(r io.Reader) ([]*Constraint, error) {
 	return out, nil
 }
 
-// splitTopLevel splits on '&' outside parentheses and quotes.
-func splitTopLevel(s string) []string {
+// split cuts s at every sep outside double quotes and — when nested is
+// set — outside parentheses. Inside quotes a backslash escapes the next
+// byte, so the quoted constants String renders never end early.
+func split(s string, sep byte, nested bool) []string {
 	var parts []string
 	depth := 0
 	inQuote := false
 	start := 0
 	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
+		switch c := s[i]; {
+		case c == '"':
 			inQuote = !inQuote
-		case '(':
-			if !inQuote {
-				depth++
+		case inQuote:
+			if c == '\\' {
+				i++
 			}
-		case ')':
-			if !inQuote {
-				depth--
-			}
-		case '&':
-			if depth == 0 && !inQuote {
-				parts = append(parts, s[start:i])
-				start = i + 1
-			}
+		case c == '(' && nested:
+			depth++
+		case c == ')' && nested:
+			depth--
+		case c == sep && depth == 0:
+			parts = append(parts, s[start:i])
+			start = i + 1
 		}
 	}
-	parts = append(parts, s[start:])
-	return parts
+	return append(parts, s[start:])
 }
 
 func parsePredicate(s string) (Predicate, error) {
@@ -142,7 +145,7 @@ func parsePredicate(s string) (Predicate, error) {
 		return Predicate{}, fmt.Errorf("unknown operator %q in %q", code, s)
 	}
 	body := s[open+1 : len(s)-1]
-	args := splitArgs(body)
+	args := split(body, ',', false)
 	if len(args) != 2 {
 		return Predicate{}, fmt.Errorf("predicate %q needs 2 operands, got %d", s, len(args))
 	}
@@ -160,25 +163,6 @@ func parsePredicate(s string) (Predicate, error) {
 	return Predicate{Left: left, Op: op, Right: right}, nil
 }
 
-func splitArgs(s string) []string {
-	var args []string
-	inQuote := false
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			inQuote = !inQuote
-		case ',':
-			if !inQuote {
-				args = append(args, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	args = append(args, s[start:])
-	return args
-}
-
 func parseOperand(s string) (Operand, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -188,14 +172,40 @@ func parseOperand(s string) (Operand, error) {
 		if !strings.HasSuffix(s, `"`) || len(s) < 2 {
 			return Operand{}, fmt.Errorf("unterminated quoted constant %q", s)
 		}
+		// String renders constants as Go string literals; quoted text that
+		// is not one (a lone backslash, an inner quote) is taken verbatim.
+		if v, err := strconv.Unquote(s); err == nil {
+			return Const(v), nil
+		}
 		return Const(s[1 : len(s)-1]), nil
 	}
-	if strings.HasPrefix(s, "t1.") {
-		return AttrRef(0, s[3:]), nil
-	}
-	if strings.HasPrefix(s, "t2.") {
-		return AttrRef(1, s[3:]), nil
+	for tuple, prefix := range []string{"t1.", "t2."} {
+		if name, ok := strings.CutPrefix(s, prefix); ok {
+			if !selfContained(name) {
+				return Operand{}, fmt.Errorf("attribute name %q holds a quote or unbalanced parentheses", name)
+			}
+			return AttrRef(tuple, name), nil
+		}
 	}
 	// Bare token: a constant (e.g. numeric literal).
 	return Const(s), nil
+}
+
+// selfContained reports whether an attribute name leaves the splitter's
+// quote and nesting state as it found it, so what surrounds the name — a
+// bare constant in the source, a quoted one in String's rendering — cannot
+// change where the text is cut.
+func selfContained(name string) bool {
+	depth := 0
+	for i := 0; i < len(name) && depth >= 0; i++ {
+		switch name[i] {
+		case '"':
+			return false
+		case '(':
+			depth++
+		case ')':
+			depth--
+		}
+	}
+	return depth == 0
 }

@@ -2,7 +2,6 @@ package ddlog
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -253,7 +252,6 @@ type grounder struct {
 	g       *factor.Graph
 	out     *Grounded
 	ar      *Arena
-	sym     []int8                    // constraint → -1 unknown / 0 no / 1 symmetric under tuple swap
 	shared  *SharedIndex              // db.Shared, or a private index when the database carries none
 	initIdx []map[dataset.Value][]int // attribute → shared.Init(attr), cached past the shared lock; nil = not fetched
 	nb      naryBuild                 // foldFactor's reusable output
@@ -274,15 +272,11 @@ func Ground(db *Database, prog *Program, cfg Config) (*Grounded, error) {
 		cfg:     cfg,
 		g:       factor.NewGraph(),
 		ar:      ar,
-		sym:     make([]int8, len(db.Bounds)),
 		shared:  db.Shared,
 		initIdx: make([]map[dataset.Value][]int, db.DS.NumAttrs()),
 	}
 	if gr.shared == nil {
 		gr.shared = NewSharedIndex(db.DS, db.Domains)
-	}
-	for i := range gr.sym {
-		gr.sym[i] = -1
 	}
 	gr.g.Weights.Interner = db.Interner
 	gr.out = &Grounded{Graph: gr.g, VarOf: &ar.cellVars}
@@ -543,72 +537,4 @@ func BuildGroupIndex(numConstraints, numTuples int, groups []partition.Group) []
 func (gr *grounder) sameGroup(ci, t1, t2 int) bool {
 	m := gr.db.GroupIndex[ci]
 	return m[t1] >= 0 && m[t1] == m[t2]
-}
-
-// isSymmetric reports whether swapping t1 and t2 yields the same
-// constraint, in which case unordered pair enumeration suffices.
-func (gr *grounder) isSymmetric(ci int) bool {
-	if s := gr.sym[ci]; s >= 0 {
-		return s == 1
-	}
-	b := gr.db.Bounds[ci]
-	orig := canonicalPreds(b, false)
-	swap := canonicalPreds(b, true)
-	sort.Strings(orig)
-	sort.Strings(swap)
-	s := len(orig) == len(swap)
-	if s {
-		for i := range orig {
-			if orig[i] != swap[i] {
-				s = false
-				break
-			}
-		}
-	}
-	if s {
-		gr.sym[ci] = 1
-	} else {
-		gr.sym[ci] = 0
-	}
-	return s
-}
-
-// canonicalPreds renders each predicate in a normal form, optionally with
-// tuple variables exchanged.
-func canonicalPreds(b *dc.Bound, swapped bool) []string {
-	tv := func(t int) int {
-		if swapped && b.TupleVars == 2 {
-			return 1 - t
-		}
-		return t
-	}
-	out := make([]string, 0, len(b.Preds))
-	for _, p := range b.Preds {
-		if p.RightIsConst {
-			out = append(out, fmt.Sprintf("c|%d|%d|%d|%s", tv(p.LeftTuple), p.LeftAttr, p.Op, p.ConstStr))
-			continue
-		}
-		lt, la := tv(p.LeftTuple), p.LeftAttr
-		rt, ra := tv(p.RightTuple), p.RightAttr
-		op := p.Op
-		// Symmetric operators: order the two sides canonically.
-		// Asymmetric ones: flip to put the lexicographically smaller side
-		// left, inverting the operator.
-		if lt > rt || (lt == rt && la > ra) {
-			switch op {
-			case dc.Eq, dc.Neq, dc.Sim:
-				lt, la, rt, ra = rt, ra, lt, la
-			case dc.Lt:
-				lt, la, rt, ra, op = rt, ra, lt, la, dc.Gt
-			case dc.Gt:
-				lt, la, rt, ra, op = rt, ra, lt, la, dc.Lt
-			case dc.Leq:
-				lt, la, rt, ra, op = rt, ra, lt, la, dc.Geq
-			case dc.Geq:
-				lt, la, rt, ra, op = rt, ra, lt, la, dc.Leq
-			}
-		}
-		out = append(out, fmt.Sprintf("p|%d|%d|%d|%d|%d", lt, la, op, rt, ra))
-	}
-	return out
 }

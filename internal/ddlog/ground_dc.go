@@ -34,8 +34,6 @@ func (nb *naryBuild) slot(v int32, g *factor.Graph) int32 {
 	return int32(len(nb.vars) - 1)
 }
 
-var flipOp = map[dc.Op]dc.Op{dc.Eq: dc.Eq, dc.Neq: dc.Neq, dc.Sim: dc.Sim, dc.Lt: dc.Gt, dc.Gt: dc.Lt, dc.Leq: dc.Geq, dc.Geq: dc.Leq}
-
 // foldFactor builds the compact factor for constraint b over the tuple
 // pair (t1, t2) into gr.nb. It returns nil when the factor is constant (no
 // query variable remains, a predicate is unsatisfiable, or the conjunction
@@ -72,7 +70,7 @@ func (gr *grounder) foldFactor(b *dc.Bound, t1, t2 int) *naryBuild {
 		if lv < 0 {
 			lv, rv = rv, lv
 			lc, rc = rc, lc
-			op = flipOp[op]
+			op = op.Flip()
 			rightIsConst = false
 		}
 		pred := factor.Pred{LeftSlot: nb.slot(lv, gr.g), Op: uint8(op)}
@@ -128,35 +126,10 @@ func containsLabel(dom []int32, l int32) bool {
 // arena's epoch-marked tuple set, so repeated rule groundings allocate no
 // per-call maps.
 func (gr *grounder) tuplesWithQueryRef(b *dc.Bound, role int) []int {
-	var attrs uint64 // attribute ids are small; overflow falls back below
-	var attrsBig map[int]bool
-	for _, r := range CellRefs(b) {
-		if role == -1 || r.TupleVar == role {
-			if r.Attr < 64 && attrsBig == nil {
-				attrs |= 1 << uint(r.Attr)
-			} else {
-				if attrsBig == nil {
-					attrsBig = make(map[int]bool)
-					for a := 0; a < 64; a++ {
-						if attrs&(1<<uint(a)) != 0 {
-							attrsBig[a] = true
-						}
-					}
-				}
-				attrsBig[r.Attr] = true
-			}
-		}
-	}
-	hasAttr := func(a int) bool {
-		if attrsBig != nil {
-			return attrsBig[a]
-		}
-		return a < 64 && attrs&(1<<uint(a)) != 0
-	}
 	gr.ar.nextSeen(gr.db.DS.NumTuples())
 	var out []int
 	for vi, c := range gr.out.Cells {
-		if gr.g.Vars[vi].Evidence || !hasAttr(c.Attr) {
+		if gr.g.Vars[vi].Evidence || !b.References(role, c.Attr) {
 			continue
 		}
 		if !gr.ar.seen(c.Tuple) {
@@ -184,23 +157,12 @@ func (gr *grounder) groundDC(rule *Rule) error {
 		dampWid = gr.g.Weights.ID("dc~|"+rule.Name, rule.FixedWeight*damp, true)
 	}
 
-	// Attributes each tuple role contributes to the factor; a counterpart
-	// whose query variables all sit on other attributes folds to
-	// constants and stays admissible under any shard scope.
-	var roleAttrs [2][]int
-	if gr.db.Scope != nil {
-		seen := [2]map[int]bool{make(map[int]bool), make(map[int]bool)}
-		for _, ref := range CellRefs(b) {
-			if !seen[ref.TupleVar][ref.Attr] {
-				seen[ref.TupleVar][ref.Attr] = true
-				roleAttrs[ref.TupleVar] = append(roleAttrs[ref.TupleVar], ref.Attr)
-			}
-		}
-	}
-
 	emit := func(t1, t2 int) {
 		w := wid
-		if !gr.db.Scope.admits(t1, roleAttrs[0]) || !gr.db.Scope.admits(t2, roleAttrs[1]) {
+		// A counterpart whose query variables all sit on attributes its role
+		// does not reference folds to constants and stays admissible under
+		// any shard scope.
+		if !gr.db.Scope.admits(t1, b.RoleAttrs[0]) || !gr.db.Scope.admits(t2, b.RoleAttrs[1]) {
 			if damp <= 0 {
 				return
 			}
@@ -224,7 +186,7 @@ func (gr *grounder) groundDC(rule *Rule) error {
 		return nil
 	}
 
-	symmetric := gr.isSymmetric(ci)
+	symmetric := b.Symmetric
 	seen := make(map[uint64]struct{}) // ordered pairs, t1 in the high half
 	emitPair := func(t1, t2 int) {
 		if t1 == t2 {
@@ -241,17 +203,20 @@ func (gr *grounder) groundDC(rule *Rule) error {
 		emit(t1, t2)
 	}
 
-	joins := b.EqualityJoinAttrs()
-	if len(joins) == 0 {
+	if len(b.Joins) == 0 {
 		return gr.groundDCScan(b, symmetric, emitPair)
 	}
-	la, ra := joins[0][0], joins[0][1]
+	la, ra := b.Joins[0][0], b.Joins[0][1]
 
 	// Index every tuple under every label its t2-role join cell can take
 	// (candidates for noisy cells, initial value otherwise), so pairs that
 	// only violate under a hypothetical repair are still found.
 	bucketR := gr.shared.Candidates(ra)
-	for _, t1 := range gr.tuplesWithQueryRef(b, pickRole(symmetric, 0)) {
+	outer := 0
+	if symmetric {
+		outer = -1 // either role covers all pairs
+	}
+	for _, t1 := range gr.tuplesWithQueryRef(b, outer) {
 		for _, l := range gr.candidateLabels(dataset.Cell{Tuple: t1, Attr: la}) {
 			for _, t2 := range bucketR[l] {
 				emitPair(t1, t2)
@@ -269,15 +234,6 @@ func (gr *grounder) groundDC(rule *Rule) error {
 		}
 	}
 	return nil
-}
-
-// pickRole selects which tuple role the outer loop enumerates: for
-// symmetric constraints either role covers all pairs.
-func pickRole(symmetric bool, role int) int {
-	if symmetric {
-		return -1
-	}
-	return role
 }
 
 // groundDCScan is the pair-scan fallback for constraints with no equality

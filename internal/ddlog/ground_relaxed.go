@@ -26,12 +26,24 @@ func (gr *grounder) groundRelaxedDC(rule *Rule) error {
 
 	// Split predicates into those referencing the head cell (evaluated
 	// per candidate) and body predicates (evaluated on initial values).
-	var headPreds, bodyPreds []int
+	rc := relaxCtx{b: b, hr: hr, join: -1}
 	for i := range b.Preds {
-		if predReferences(b, i, hr) {
-			headPreds = append(headPreds, i)
+		if b.Preds[i].Reads(hr) {
+			rc.headPreds = append(rc.headPreds, i)
 		} else {
-			bodyPreds = append(bodyPreds, i)
+			rc.bodyPreds = append(rc.bodyPreds, i)
+		}
+	}
+	// Counterparts are found through the first join that sits in the body —
+	// its head-role side is another attribute than the head's — or, failing
+	// that, through the first join on the head itself.
+	for i, j := range b.Joins {
+		if j[hr.TupleVar] != hr.Attr {
+			rc.join = i
+			break
+		}
+		if rc.join < 0 {
+			rc.join = i
 		}
 	}
 
@@ -55,7 +67,7 @@ func (gr *grounder) groundRelaxedDC(rule *Rule) error {
 		}
 		var total int32
 		scale := 1.0
-		rc := relaxCtx{b: b, hr: hr, c: c, dom: dom, headPreds: headPreds, bodyPreds: bodyPreds, counts: counts}
+		rc.c, rc.dom, rc.counts = c, dom, counts
 		if b.TupleVars == 1 {
 			total = gr.relaxSingle(&rc)
 		} else {
@@ -84,10 +96,12 @@ func (gr *grounder) groundRelaxedDC(rule *Rule) error {
 
 // relaxCtx carries one head cell's relaxed-grounding state through the
 // counterpart loops. Passing it explicitly (rather than capturing it in
-// closures) keeps the per-cell loop free of heap-allocated closures.
+// closures) keeps the per-cell loop free of heap-allocated closures. The
+// rule-level fields are set once per rule, the cell-level ones per head cell.
 type relaxCtx struct {
 	b         *dc.Bound
 	hr        CellRef
+	join      int // index into b.Joins of the join counterparts are found through, -1 = scan
 	c         dataset.Cell
 	dom       []int32
 	headPreds []int
@@ -116,8 +130,9 @@ func (gr *grounder) relaxSingle(rc *relaxCtx) int32 {
 	}
 	for d, label := range rc.dom {
 		ok := true
+		hyp := dc.Subst{Ref: rc.hr, Val: dataset.Value(label)}
 		for _, i := range rc.headPreds {
-			if !gr.predHyp(rc.b, i, tups, rc.hr, label) {
+			if !rc.b.HoldsPredWith(i, tups[0], tups[1], &hyp) {
 				ok = false
 				break
 			}
@@ -141,30 +156,32 @@ func (gr *grounder) relaxPair(rc *relaxCtx) (int32, float64) {
 	ds := gr.db.DS
 	var total int32
 
-	// Strategy 1: body equality join on initial values.
-	if pi, headAttr, otherAttr := gr.bodyEqJoin(rc.b, rc.hr, rc.bodyPreds); pi >= 0 {
-		probe := ds.Get(rc.c.Tuple, headAttr)
-		if probe == dataset.Null {
-			return 0, 1
-		}
-		scale := 1.0
-		// The discount applies only when the join cell has an actual
-		// alternative: an inert cell cannot be the repair that resolves
-		// the violation.
-		if jv := gr.queryVarOf(dataset.Cell{Tuple: rc.c.Tuple, Attr: headAttr}); jv >= 0 && !gr.inert(jv) {
-			scale = 0.5
-		}
-		for _, t2 := range gr.initIndex(otherAttr)[probe] {
-			if gr.checkCounterpart(rc, t2) {
-				total++
+	if rc.join >= 0 {
+		j := rc.b.Joins[rc.join]
+		headAttr, otherAttr := j[rc.hr.TupleVar], j[1-rc.hr.TupleVar]
+		if headAttr != rc.hr.Attr {
+			// Strategy 1: body equality join on initial values.
+			probe := ds.Get(rc.c.Tuple, headAttr)
+			if probe == dataset.Null {
+				return 0, 1
 			}
+			scale := 1.0
+			// The discount applies only when the join cell has an actual
+			// alternative: an inert cell cannot be the repair that resolves
+			// the violation.
+			if jv := gr.queryVarOf(dataset.Cell{Tuple: rc.c.Tuple, Attr: headAttr}); jv >= 0 && !gr.inert(jv) {
+				scale = 0.5
+			}
+			for _, t2 := range gr.initIndex(otherAttr)[probe] {
+				if gr.checkCounterpart(rc, t2) {
+					total++
+				}
+			}
+			return total, scale
 		}
-		return total, scale
-	}
-	// Strategy 2: the head predicate itself is an equality — candidates
-	// index directly into the counterpart side. The per-cell dedup set is
-	// the arena's epoch-marked tuple set, not a fresh map.
-	if pi, otherAttr := gr.headEqJoin(rc.b, rc.hr, rc.headPreds); pi >= 0 {
+		// Strategy 2: the head predicate itself is an equality — candidates
+		// index directly into the counterpart side. The per-cell dedup set is
+		// the arena's epoch-marked tuple set, not a fresh map.
 		idx := gr.initIndex(otherAttr)
 		gr.ar.nextSeen(ds.NumTuples())
 		for _, label := range rc.dom {
@@ -217,8 +234,9 @@ func (gr *grounder) checkCounterpart(rc *relaxCtx, t2 int) bool {
 	}
 	for d, label := range rc.dom {
 		ok := true
+		hyp := dc.Subst{Ref: rc.hr, Val: dataset.Value(label)}
 		for _, i := range rc.headPreds {
-			if !gr.predHyp(rc.b, i, tups, rc.hr, label) {
+			if !rc.b.HoldsPredWith(i, tups[0], tups[1], &hyp) {
 				ok = false
 				break
 			}
@@ -228,42 +246,6 @@ func (gr *grounder) checkCounterpart(rc *relaxCtx, t2 int) bool {
 		}
 	}
 	return true
-}
-
-// bodyEqJoin finds a body equality predicate across tuple variables and
-// returns its index plus the head-side and counterpart-side attributes.
-func (gr *grounder) bodyEqJoin(b *dc.Bound, hr CellRef, bodyPreds []int) (pi, headAttr, otherAttr int) {
-	for _, i := range bodyPreds {
-		p := &b.Preds[i]
-		if p.Op != dc.Eq || p.RightIsConst || p.LeftTuple == p.RightTuple {
-			continue
-		}
-		if p.LeftTuple == hr.TupleVar {
-			return i, p.LeftAttr, p.RightAttr
-		}
-		return i, p.RightAttr, p.LeftAttr
-	}
-	return -1, 0, 0
-}
-
-// headEqJoin finds an equality head predicate whose other side is a cell
-// of the counterpart tuple, returning its index and that attribute.
-func (gr *grounder) headEqJoin(b *dc.Bound, hr CellRef, headPreds []int) (pi, otherAttr int) {
-	for _, i := range headPreds {
-		p := &b.Preds[i]
-		if p.Op != dc.Eq || p.RightIsConst || p.LeftTuple == p.RightTuple {
-			continue
-		}
-		left := CellRef{TupleVar: p.LeftTuple, Attr: p.LeftAttr}
-		right := CellRef{TupleVar: p.RightTuple, Attr: p.RightAttr}
-		if left == hr {
-			return i, p.RightAttr
-		}
-		if right == hr {
-			return i, p.LeftAttr
-		}
-	}
-	return -1, 0
 }
 
 // initIndex returns the initial-value index of attr (value → tuples) from
@@ -276,63 +258,4 @@ func (gr *grounder) initIndex(attr int) map[dataset.Value][]int {
 		gr.initIdx[attr] = idx
 	}
 	return idx
-}
-
-// predReferences reports whether predicate i mentions the head cell
-// reference.
-func predReferences(b *dc.Bound, i int, hr CellRef) bool {
-	p := &b.Preds[i]
-	if p.LeftTuple == hr.TupleVar && p.LeftAttr == hr.Attr {
-		return true
-	}
-	if !p.RightIsConst && p.RightTuple == hr.TupleVar && p.RightAttr == hr.Attr {
-		return true
-	}
-	return false
-}
-
-// predHyp evaluates predicate i over the tuple pair with the head cell
-// hypothetically set to label d (initial values everywhere else).
-func (gr *grounder) predHyp(b *dc.Bound, i int, tups [2]int, hr CellRef, d int32) bool {
-	p := &b.Preds[i]
-	ds := gr.db.DS
-	resolve := func(tupleVar, attr int) dataset.Value {
-		if tupleVar == hr.TupleVar && attr == hr.Attr {
-			return dataset.Value(d)
-		}
-		t := tups[tupleVar]
-		if t < 0 {
-			return dataset.Null
-		}
-		return ds.Get(t, attr)
-	}
-	lv := resolve(p.LeftTuple, p.LeftAttr)
-	if lv == dataset.Null {
-		return false
-	}
-	var rv dataset.Value
-	var rstr string
-	rightConst := false
-	if p.RightIsConst {
-		rv = p.ConstVal
-		rstr = p.ConstStr
-		rightConst = true
-	} else {
-		rv = resolve(p.RightTuple, p.RightAttr)
-		if rv == dataset.Null {
-			return false
-		}
-	}
-	switch p.Op {
-	case dc.Eq:
-		return lv == rv
-	case dc.Neq:
-		return lv != rv
-	}
-	dict := ds.Dict()
-	ls := dict.String(lv)
-	if !rightConst {
-		rstr = dict.String(rv)
-	}
-	return dc.Compare(p.Op, ls, rstr)
 }

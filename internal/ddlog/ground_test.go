@@ -318,7 +318,7 @@ func TestProgramRendering(t *testing.T) {
 
 func TestCellRefs(t *testing.T) {
 	fx := newFixture(t)
-	refs := CellRefs(fx.bounds[0])
+	refs := fx.bounds[0].Refs
 	// FD Name→Zip references t1.Name, t2.Name, t1.Zip, t2.Zip.
 	if len(refs) != 4 {
 		t.Errorf("CellRefs = %v, want 4 refs", refs)

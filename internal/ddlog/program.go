@@ -47,11 +47,8 @@ const (
 )
 
 // CellRef identifies one (tuple variable, attribute) reference inside a
-// denial constraint, e.g. t1.Zip.
-type CellRef struct {
-	TupleVar int // 0 = t1, 1 = t2
-	Attr     int // attribute index
-}
+// denial constraint, e.g. t1.Zip; a constraint's are dc.Bound.Refs.
+type CellRef = dc.CellRef
 
 // Rule is one inference rule of the program.
 type Rule struct {
@@ -155,25 +152,4 @@ func renderRelaxedHead(b *dc.Bound, head CellRef) (h, scope string) {
 	}
 	return fmt.Sprintf("!Value?(t%d, a%d, v)", head.TupleVar+1, head.Attr),
 		", [" + strings.Join(conds, ", ") + "]"
-}
-
-// CellRefs returns the distinct (tuple variable, attribute) references of
-// a bound constraint in first-mention order — the head candidates for the
-// Section 5.2 relaxation.
-func CellRefs(b *dc.Bound) []CellRef {
-	var out []CellRef
-	seen := make(map[CellRef]bool)
-	add := func(r CellRef) {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	for _, p := range b.Preds {
-		add(CellRef{TupleVar: p.LeftTuple, Attr: p.LeftAttr})
-		if !p.RightIsConst {
-			add(CellRef{TupleVar: p.RightTuple, Attr: p.RightAttr})
-		}
-	}
-	return out
 }

@@ -88,7 +88,6 @@ func (d *Detector) detectAround(ci int, b *dc.Bound, order []int, changed map[in
 		return nil
 	}
 	someUnchanged := len(order) < n
-	joins := b.EqualityJoinAttrs()
 	switch {
 	case b.TupleVars == 1:
 		return stripe(order, func(out []Violation, t int) []Violation {
@@ -97,13 +96,13 @@ func (d *Detector) detectAround(ci int, b *dc.Bound, order []int, changed map[in
 			}
 			return out
 		})
-	case len(joins) > 0:
+	case len(b.Joins) > 0:
 		// Hash buckets on the first equality join: tuples by their
 		// right-role join value, and — for the reverse direction — by
 		// their left-role join value. One O(|D|) pass over the join
 		// columns per constraint; pair evaluation, the expensive part of
 		// detection, stays proportional to the delta.
-		leftAttr, rightAttr := joins[0][0], joins[0][1]
+		leftAttr, rightAttr := b.Joins[0][0], b.Joins[0][1]
 		byRight := make(map[dataset.Value][]int)
 		var byLeft map[dataset.Value][]int
 		if someUnchanged {

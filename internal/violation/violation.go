@@ -12,6 +12,8 @@
 package violation
 
 import (
+	"slices"
+
 	"holoclean/internal/dataset"
 	"holoclean/internal/dc"
 )
@@ -75,35 +77,19 @@ func NaiveDetect(ds *dataset.Dataset, constraints []*dc.Constraint) ([]Violation
 	return out, nil
 }
 
-// Cells returns the cells participating in the violation: every
-// tuple-attribute reference of the constraint's predicates instantiated
-// with the violating tuples, deduplicated.
+// Cells returns the cells participating in the violation: the
+// constraint's distinct cell references instantiated with the violating
+// tuples, deduplicated.
 func (d *Detector) Cells(v Violation) []dataset.Cell {
-	b := d.bounds[v.Constraint]
-	seen := make(map[dataset.Cell]struct{}, 4)
-	var out []dataset.Cell
-	add := func(c dataset.Cell) {
-		if _, ok := seen[c]; !ok {
-			seen[c] = struct{}{}
+	refs := d.bounds[v.Constraint].Refs
+	out := make([]dataset.Cell, 0, len(refs))
+	for _, r := range refs {
+		t := v.T1
+		if r.TupleVar == 1 {
+			t = v.T2
+		}
+		if c := (dataset.Cell{Tuple: t, Attr: r.Attr}); t >= 0 && !slices.Contains(out, c) {
 			out = append(out, c)
-		}
-	}
-	for _, p := range b.Preds {
-		lt := v.T1
-		if p.LeftTuple == 1 {
-			lt = v.T2
-		}
-		if lt >= 0 {
-			add(dataset.Cell{Tuple: lt, Attr: p.LeftAttr})
-		}
-		if !p.RightIsConst {
-			rt := v.T1
-			if p.RightTuple == 1 {
-				rt = v.T2
-			}
-			if rt >= 0 {
-				add(dataset.Cell{Tuple: rt, Attr: p.RightAttr})
-			}
 		}
 	}
 	return out

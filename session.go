@@ -6,8 +6,8 @@ import (
 	"reflect"
 	"slices"
 
+	"holoclean/internal/compile"
 	"holoclean/internal/dataset"
-	"holoclean/internal/dc"
 	"holoclean/internal/errordetect"
 	"holoclean/internal/stats"
 )
@@ -276,10 +276,7 @@ func (p *pass) collectStats() error {
 	}
 	p.st = p.prev.st
 	// prevQuasi is taken before the apply so quasi-key flips are observable.
-	p.prevQuasi = make([]bool, p.ds.NumAttrs())
-	for a := range p.prevQuasi {
-		p.prevQuasi[a] = p.st.DistinctValues(a)*4 > len(p.prevRows)
-	}
+	p.prevQuasi = compile.QuasiKeys(p.st, p.ds.NumAttrs(), len(p.prevRows))
 	p.stDelta = p.st.Apply(p.deltaViews(
 		func(t int) stats.TupleView { return stats.View(p.prevRows[t], nil) },
 		func(t int) stats.TupleView { return stats.View(p.ds.Row(t), nil) }))
@@ -410,12 +407,12 @@ func (p *pass) invalidateTuples() error {
 	// join hop outward — any tuple whose candidate labels intersect a
 	// source tuple's old or new labels on a constraint equality join may
 	// gain or lose grounded counterparts. Statistics-context dirt is
-	// added per cell.
-	if ds.HasSources() {
-		return nil // source-fusion features are global
+	// added per cell, by the featurizer that reads the statistics.
+	if p.prep.RelationWide {
+		return nil // a featurizer over the whole relation: nothing survives
 	}
 	for _, b := range p.prep.Bounds {
-		if b.TupleVars == 2 && len(crossEqPreds(b)) == 0 {
+		if b.TupleVars == 2 && len(b.Joins) == 0 {
 			return nil // scan-grounded constraint: no index to scope by
 		}
 	}
@@ -426,22 +423,8 @@ func (p *pass) invalidateTuples() error {
 		}
 	}
 	p.propagateJoins(candChanged)
-	p.markStatDirty()
+	p.prep.MarkStatDirty(compile.StatsDelta{Raw: p.stDelta, Masked: p.maskedDelta, PrevQuasiKey: p.prevQuasi}, p.dirty)
 	return nil
-}
-
-// crossEqPreds returns the indexes of equality predicates joining the two
-// tuple roles of a bound constraint — the joins grounding uses to find
-// counterpart tuples.
-func crossEqPreds(b *dc.Bound) []int {
-	var out []int
-	for i := range b.Preds {
-		p := &b.Preds[i]
-		if p.Op == dc.Eq && !p.RightIsConst && p.LeftTuple != p.RightTuple {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // propagateJoins marks as dirty every tuple whose grounded counterpart
@@ -541,12 +524,10 @@ func (p *pass) propagateJoins(candChanged map[int]bool) {
 		if b.TupleVars != 2 {
 			continue
 		}
-		refs := referencedAttrs(b)
-		eqs := crossEqPreds(b)
 		for m, attrs := range sourceAttrs {
 			relevant := attrs == nil
 			for a := range attrs {
-				if refs[a] {
+				if b.References(-1, a) {
 					relevant = true
 					break
 				}
@@ -554,81 +535,9 @@ func (p *pass) propagateJoins(candChanged map[int]bool) {
 			if !relevant {
 				continue
 			}
-			for _, pi := range eqs {
-				pr := &b.Preds[pi]
-				mark(pr.LeftAttr, srcLabels(m, pr.RightAttr))
-				mark(pr.RightAttr, srcLabels(m, pr.LeftAttr))
-			}
-		}
-	}
-}
-
-// referencedAttrs collects every attribute a bound constraint's
-// predicates mention on either tuple role.
-func referencedAttrs(b *dc.Bound) map[int]bool {
-	out := make(map[int]bool)
-	for i := range b.Preds {
-		p := &b.Preds[i]
-		out[p.LeftAttr] = true
-		if !p.RightIsConst {
-			out[p.RightAttr] = true
-		}
-	}
-	return out
-}
-
-// markStatDirty adds statistics-context dirt: a cell whose frequency
-// prior, co-occurrence features, or quasi-key classification read a
-// counter the delta touched must re-ground and re-infer (its whole tuple
-// does, to keep sibling-domain discounts shard-local).
-func (p *pass) markStatDirty() {
-	if p.opts.DisableCooccurFeatures {
-		return // no statistics-backed features in the model
-	}
-	ds, dirty, stDelta, maskedDelta := p.ds, p.dirty, p.stDelta, p.maskedDelta
-	quasiFlip := make([]bool, ds.NumAttrs())
-	for a := range quasiFlip {
-		quasiFlip[a] = p.prevQuasi[a] != (p.st.DistinctValues(a)*4 > ds.NumTuples())
-	}
-	for i, c := range p.domains.Cells {
-		if dirty[c.Tuple] {
-			continue
-		}
-		if quasiFlip[c.Attr] {
-			dirty[c.Tuple] = true
-			continue
-		}
-		// Frequency prior: masked counts of the candidate labels.
-		for _, l := range p.domains.Candidates[i] {
-			if maskedDelta.TouchedFreq(c.Attr, l) {
-				dirty[c.Tuple] = true
-				break
-			}
-		}
-		if dirty[c.Tuple] {
-			continue
-		}
-		// Co-occurrence families: gate frequencies and histogram shape of
-		// the sibling conditioning values, plus — per candidate — the
-		// histogram buckets the feature vector actually reads, over both
-		// statistics sets.
-		for g := 0; g < ds.NumAttrs() && !dirty[c.Tuple]; g++ {
-			if g == c.Attr {
-				continue
-			}
-			vg := ds.Get(c.Tuple, g)
-			if vg == dataset.Null {
-				continue
-			}
-			if stDelta.TouchedFreq(g, vg) || maskedDelta.TouchedFreq(g, vg) {
-				dirty[c.Tuple] = true
-				break
-			}
-			for _, d := range p.domains.Candidates[i] {
-				if stDelta.TouchedCond(c.Attr, d, g, vg) || maskedDelta.TouchedCond(c.Attr, d, g, vg) {
-					dirty[c.Tuple] = true
-					break
-				}
+			for _, j := range b.Joins {
+				mark(j[0], srcLabels(m, j[1]))
+				mark(j[1], srcLabels(m, j[0]))
 			}
 		}
 	}

@@ -500,3 +500,42 @@ func TestInertCellsAgreeAcrossPasses(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionReusesShardsUnderProvenanceColumn: a provenance column alone
+// makes nothing relation-wide. With the source features off, no featurizer
+// reads the sources, so a one-tuple upsert over Flights must reuse shards
+// like any other relation; with the fusion featurizer wired, the same delta
+// does move every source's accuracy and everything re-executes. Either way
+// the Reclean matches a full Clean byte for byte.
+func TestSessionReusesShardsUnderProvenanceColumn(t *testing.T) {
+	g := datagen.Flights(datagen.Config{Tuples: 600, Seed: 3})
+	if !g.Dirty.HasSources() {
+		t.Fatal("Flights lost its provenance column")
+	}
+	for _, sourceFeatures := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.DisableSourceFeatures = !sourceFeatures
+		s, err := NewSession(g.Dirty, g.Constraints, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Clean(); err != nil {
+			t.Fatal(err)
+		}
+		mutateSession(t, s, rand.New(rand.NewSource(1)), 0, []int{2}) // one tuple's scheduled departure
+		incr, err := s.Reclean()
+		if err != nil {
+			t.Fatal(err)
+		}
+		refOpts := opts
+		refOpts.InitialWeights = s.Weights()
+		ref, err := New(refOpts).Clean(s.Dataset(), g.Constraints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdenticalResults(t, fmt.Sprintf("flights, source features %v", sourceFeatures), incr, ref)
+		if reused := incr.Stats.ShardsReused > 0; reused == sourceFeatures {
+			t.Errorf("source features %v: ShardsReused = %d of %d shards", sourceFeatures, incr.Stats.ShardsReused, ref.Stats.Shards)
+		}
+	}
+}

@@ -173,3 +173,46 @@ func TestRestoreSessionRejectsBadSnapshots(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotRestoreKeepsConstraintConstants pins the constraint text of
+// the envelope: a constant holding a byte String's quoting escapes (a
+// backslash, a tab, a quote) must come back from Snapshot → RestoreSession
+// as the same constant, so the restored session detects what the live one
+// did.
+func TestSnapshotRestoreKeepsConstraintConstants(t *testing.T) {
+	for _, constant := range []string{`C:\dir`, "a\tb", `say "hi"`} {
+		// Hand-written: the text between the quotes is the constant.
+		cs, err := ParseConstraints(strings.NewReader(`bad: t1&EQ(t1.Path,"` + constant + `")`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cs[0].Predicates[0].Right.Const; got != constant {
+			t.Fatalf("hand-written %q parsed as %q", constant, got)
+		}
+		ds := NewDataset([]string{"ID", "Path"})
+		ds.Append([]string{"1", constant})
+		ds.Append([]string{"2", constant})
+		live, err := NewSession(ds, cs, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		liveRes, err := live.Clean()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if liveRes.Stats.NoisyCells != 2 {
+			t.Fatalf("%q: live session flags %d cells, want 2", constant, liveRes.Stats.NoisyCells)
+		}
+		var buf bytes.Buffer
+		if err := live.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, restoredRes, err := RestoreSession(&buf, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restoredRes.Stats.NoisyCells != 2 {
+			t.Errorf("%q: restored session flags %d cells, want 2: the constant did not survive the snapshot", constant, restoredRes.Stats.NoisyCells)
+		}
+	}
+}
