@@ -532,6 +532,7 @@ type working struct {
 	res      *Result
 
 	changed, changedAttrs map[int]bool          // diff: tuples / attributes whose content differs from prevRows
+	cols                  *stats.Columns        // stats: the column encoding of a full pass, which prepare's masked collection reuses
 	prevQuasi             []bool                // stats: quasi-key classification before the delta
 	stDelta               *stats.Delta          // stats: raw counters the delta touched
 	hyper                 *violation.Hypergraph // detect

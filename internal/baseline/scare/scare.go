@@ -98,8 +98,10 @@ func Repair(ds *dataset.Dataset, cfg Config) (*Result, error) {
 					continue
 				}
 				siblings++
-				for v, cnt := range st.GivenHistogram(a, g, vg) {
-					support[v] += float64(cnt) / float64(st.Freq(g, vg))
+				row := st.Row(a, g, vg)
+				for i := 0; i < row.Len(); i++ {
+					_, cnt := row.At(i)
+					support[row.Value(i)] += float64(cnt) / float64(row.Given())
 				}
 			}
 			if siblings == 0 {

@@ -516,18 +516,29 @@ func (f *cooccur) features(c dataset.Cell, dom []int32) []ddlog.SoftFeature {
 		}
 		out = append(out, ddlog.SoftFeature{Key: f.freqKeys[c.Attr], H: freqH, Init: 1.0})
 	}
+	// Each family's codes for the candidates, resolved once for the cell;
+	// h[d] = Pr[d | v_g] = #(d, v_g) / #v_g is then read off the context's
+	// row by code.
 	n := f.ds.NumAttrs()
+	var buf [32]int32
+	codes := buf[:0]
+	for i := range f.families {
+		for _, label := range dom {
+			codes = append(codes, f.families[i].src.Code(c.Attr, dataset.Value(label)))
+		}
+	}
 	for g, vg := range f.contexts(c, nil) {
 		for i := range f.families {
 			fam := &f.families[i]
-			if len(fam.src.GivenHistogram(c.Attr, g, vg)) == 0 {
+			row := fam.src.Row(c.Attr, g, vg)
+			if row.Len() == 0 {
 				continue
 			}
 			h := make([]float64, len(dom))
 			any := false
-			for d, label := range dom {
-				h[d] = fam.src.CondProb(c.Attr, dataset.Value(label), g, vg)
-				if h[d] != 0 {
+			for d, k := range codes[i*len(dom) : (i+1)*len(dom)] {
+				if cnt := row.Count(k); cnt != 0 {
+					h[d] = float64(cnt) / float64(row.Given())
 					any = true
 				}
 			}

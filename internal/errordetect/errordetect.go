@@ -210,6 +210,16 @@ func (o *CondOutliers) Detect(ds *dataset.Dataset) ([]dataset.Cell, error) {
 	if minRatio == 0 {
 		minRatio = 2
 	}
+	// support[code] accumulates Σ_sib Pr[v | v_sib] for one cell at a time,
+	// over the codes of the cell's attribute; touched lists the nonzero
+	// entries so the next cell resets only those. Every term is positive,
+	// so a zero entry is an untouched one.
+	codes := 0
+	for a := 0; a < ds.NumAttrs(); a++ {
+		codes = max(codes, st.NumCodes(a))
+	}
+	support := make([]float64, codes)
+	var touched []int32
 	var out []dataset.Cell
 	for t := 0; t < ds.NumTuples(); t++ {
 		for a := 0; a < ds.NumAttrs(); a++ {
@@ -217,34 +227,44 @@ func (o *CondOutliers) Detect(ds *dataset.Dataset) ([]dataset.Cell, error) {
 			if obs == dataset.Null {
 				continue
 			}
-			// support[v] accumulates Σ_sib Pr[v | v_sib]. Siblings whose
-			// value occurs once carry no distributional information (the
-			// conditional is degenerate) and are skipped.
-			support := make(map[dataset.Value]float64)
+			// Siblings whose value occurs once carry no distributional
+			// information (the conditional is degenerate) and are skipped.
+			// Each value's terms are summed in ascending g.
 			siblings := 0
 			for g := 0; g < ds.NumAttrs(); g++ {
 				if g == a {
 					continue
 				}
 				vg := ds.Get(t, g)
-				if vg == dataset.Null || st.Freq(g, vg) < 2 {
+				if vg == dataset.Null {
+					continue
+				}
+				row := st.Row(a, g, vg)
+				if row.Given() < 2 {
 					continue
 				}
 				siblings++
-				for v, cnt := range st.GivenHistogram(a, g, vg) {
-					support[v] += float64(cnt) / float64(st.Freq(g, vg))
+				for i := 0; i < row.Len(); i++ {
+					k, cnt := row.At(i)
+					if support[k] == 0 {
+						touched = append(touched, k)
+					}
+					support[k] += float64(cnt) / float64(row.Given())
 				}
 			}
+			obsSupport, best := 0.0, 0.0
+			if k := st.Code(a, obs); k >= 0 {
+				obsSupport = support[k]
+			}
+			for _, k := range touched {
+				best = max(best, support[k])
+				support[k] = 0
+			}
+			touched = touched[:0]
 			if siblings == 0 {
 				continue
 			}
-			obsSupport := support[obs] / float64(siblings)
-			best := 0.0
-			for _, s := range support {
-				if s > best {
-					best = s
-				}
-			}
+			obsSupport /= float64(siblings)
 			best /= float64(siblings)
 			if obsSupport <= maxProb && best >= minRatio*obsSupport {
 				out = append(out, dataset.Cell{Tuple: t, Attr: a})

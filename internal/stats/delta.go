@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"slices"
+
 	"holoclean/internal/dataset"
 )
 
@@ -34,8 +36,8 @@ type FreqKey struct {
 
 // CondKey identifies one conditional histogram: the distribution of
 // attribute Attr among tuples whose attribute Given holds value Val —
-// the context Pr[· | t[Given]=Val] that CondProb, GivenHistogram, and
-// ValuesAbove read.
+// the context Pr[· | t[Given]=Val] that CondProb, Row, and ValuesAbove
+// read.
 type CondKey struct {
 	Attr, Given int
 	Val         dataset.Value
@@ -80,10 +82,13 @@ func (d *Delta) TouchedCond(a int, v dataset.Value, g int, vg dataset.Value) boo
 // incremented, exactly as if the statistics had been recollected from a
 // dataset without the removed tuples and with the added ones. A tuple
 // whose content (or mask) changed is passed as one removed view (its old
-// contribution) plus one added view (its new contribution). Counters that
-// reach zero are deleted, so the result is structurally identical to a
-// fresh Collect/CollectFiltered of the mutated dataset — DistinctValues,
-// and GivenHistogram emptiness see no phantom entries.
+// contribution) plus one added view (its new contribution).
+//
+// The same arrays are updated: an unseen value takes its attribute's next
+// code (in view order), a new bucket joins its row in code order, and a
+// bucket that reaches zero leaves it, so DistinctValues, Row and Equal see
+// no phantom entries — the result equals a fresh Collect/CollectFiltered
+// of the mutated dataset value for value, though its codes may differ.
 //
 // The returned Delta lists the counters with a nonzero net change; views
 // that cancel out (identical old and new contribution) touch nothing.
@@ -101,6 +106,7 @@ func (s *Stats) Apply(removed, added []TupleView) *Delta {
 			if va == dataset.Null {
 				continue
 			}
+			s.cols[a].intern(va)
 			freqNet[FreqKey{Attr: a, Val: va}] += sign
 			for g := 0; g < n; g++ {
 				if g == a {
@@ -129,41 +135,15 @@ func (s *Stats) Apply(removed, added []TupleView) *Delta {
 		if d == 0 {
 			continue
 		}
-		f := s.freq[k.Attr]
-		if f == nil {
-			f = make(map[dataset.Value]int)
-			s.freq[k.Attr] = f
-		}
-		if c := f[k.Val] + d; c != 0 {
-			f[k.Val] = c
-		} else {
-			delete(f, k.Val)
-		}
+		s.addFreq(k.Attr, s.Code(k.Attr, k.Val), int32(d))
 		delta.Freq[k] = struct{}{}
 	}
 	for k, d := range coocNet {
 		if d == 0 {
 			continue
 		}
-		m := s.cond[k.a*n+k.g]
-		if m == nil {
-			m = make(map[dataset.Value]map[dataset.Value]int)
-			s.cond[k.a*n+k.g] = m
-		}
+		s.hist[k.a*n+k.g].add(s.Code(k.g, k.vg), s.Code(k.a, k.va), int32(d))
 		ck := CondKey{Attr: k.a, Given: k.g, Val: k.vg}
-		inner := m[k.vg]
-		if inner == nil {
-			inner = make(map[dataset.Value]int)
-			m[k.vg] = inner
-		}
-		if c := inner[k.va] + d; c != 0 {
-			inner[k.va] = c
-		} else {
-			delete(inner, k.va)
-			if len(inner) == 0 {
-				delete(m, k.vg)
-			}
-		}
 		vals := delta.Cond[ck]
 		if vals == nil {
 			vals = make(map[dataset.Value]struct{})
@@ -175,39 +155,111 @@ func (s *Stats) Apply(removed, added []TupleView) *Delta {
 	return delta
 }
 
+// addFreq moves the frequency of code k of attribute a by d.
+func (s *Stats) addFreq(a int, k, d int32) {
+	f := s.freq[a]
+	if int(k) >= len(f) {
+		f = append(f, make([]int32, int(k)+1-len(f))...)
+		s.freq[a] = f
+	}
+	old := f[k]
+	f[k] += d
+	switch {
+	case old == 0 && f[k] != 0:
+		s.distinct[a]++
+	case old != 0 && f[k] == 0:
+		s.distinct[a]--
+	}
+}
+
+// add moves the bucket of target code k in row given by d, inserting the
+// bucket in code order or removing it when its count reaches zero.
+func (h *histogram) add(given, k, d int32) {
+	if int(given) >= len(h.rows) {
+		h.rows = append(h.rows, make([]span, int(given)+1-len(h.rows))...)
+	}
+	r := &h.rows[given]
+	row := h.arena[r.off : r.off+r.n]
+	i, found := slices.BinarySearchFunc(row, k, cmpCode)
+	if found {
+		if row[i].count += d; row[i].count == 0 {
+			copy(row[i:], row[i+1:])
+			r.n--
+		}
+		return
+	}
+	if r.n == r.cap {
+		h.grow(r)
+	}
+	row = h.arena[r.off : r.off+r.n+1]
+	copy(row[i+1:], row[i:])
+	row[i] = bucket{code: k, count: d}
+	r.n++
+}
+
+// grow moves a full row to the arena's tail with twice its room. The span
+// it leaves is never reused: since a row's room doubles on every move, the
+// abandoned slots stay below the room the live rows hold.
+func (h *histogram) grow(r *span) {
+	off, c := int32(len(h.arena)), max(2*r.cap, 4)
+	h.arena = append(h.arena, make([]bucket, c)...)
+	copy(h.arena[off:], h.arena[r.off:r.off+r.n])
+	r.off, r.cap = off, c
+}
+
 // Equal reports whether two statistics hold identical counters — the
 // correctness oracle for Apply (a delta-applied Stats must equal a fresh
-// collection of the mutated dataset).
+// collection of the mutated dataset). Counters are compared by value, not
+// by code, so the two sides may number their values differently.
 func (s *Stats) Equal(o *Stats) bool {
-	if s.numAttrs != o.numAttrs || s.total != o.total {
+	n := s.numAttrs
+	if n != o.numAttrs || s.total != o.total {
 		return false
 	}
-	for a := 0; a < s.numAttrs; a++ {
-		if len(s.freq[a]) != len(o.freq[a]) {
+	for a := 0; a < n; a++ {
+		if s.distinct[a] != o.distinct[a] {
 			return false
 		}
-		for v, c := range s.freq[a] {
-			if o.freq[a][v] != c {
+		for k, f := range s.freq[a] {
+			if f != 0 && o.Freq(a, s.cols[a].vals[k]) != int(f) {
 				return false
 			}
 		}
 	}
-	for i := range s.cond {
-		sm, om := s.cond[i], o.cond[i]
-		if len(sm) != len(om) {
+	for i := range s.hist {
+		a, g := i/n, i%n
+		if a == g {
+			continue
+		}
+		sh := &s.hist[i]
+		if sh.rowCount() != o.hist[i].rowCount() {
 			return false
 		}
-		for vg, sh := range sm {
-			oh := om[vg]
-			if len(sh) != len(oh) {
+		for given, r := range sh.rows {
+			if r.n == 0 {
+				continue
+			}
+			or := o.Row(a, g, s.cols[g].vals[given])
+			if or.Len() != int(r.n) {
 				return false
 			}
-			for va, c := range sh {
-				if oh[va] != c {
+			for _, b := range sh.arena[r.off : r.off+r.n] {
+				if or.Count(o.Code(a, s.cols[a].vals[b.code])) != int(b.count) {
 					return false
 				}
 			}
 		}
 	}
 	return true
+}
+
+// rowCount returns the number of non-empty rows.
+func (h *histogram) rowCount() int {
+	c := 0
+	for _, r := range h.rows {
+		if r.n > 0 {
+			c++
+		}
+	}
+	return c
 }

@@ -266,12 +266,13 @@ func (p *pass) diffRows() error {
 }
 
 // collectStats produces the raw statistics, which depend on the rows alone
-// and which detection reads: collected in full, or — taking over the
-// previous pass's — reapplied over exactly the rows the delta removed and
-// added.
+// and which detection reads: collected in full from the relation's column
+// encoding (kept for maskStats), or — taking over the previous pass's —
+// reapplied over exactly the rows the delta removed and added.
 func (p *pass) collectStats() error {
 	if p.prev == nil {
-		p.st = stats.Collect(p.ds)
+		p.cols = stats.Encode(p.ds)
+		p.st = p.cols.Collect()
 		return nil
 	}
 	p.st = p.prev.st
@@ -304,14 +305,14 @@ func (p *pass) deltaViews(old, cur func(t int) stats.TupleView) (removed, added 
 
 // maskStats produces the clean-cell statistics — co-occurrences where
 // either cell was flagged noisy are discounted — at the head of prepare,
-// once detection has said which cells those are: collected in full, or the
-// previous pass's reapplied over the delta's rows and the tuples whose
-// noisy mask moved.
+// once detection has said which cells those are: collected in full over
+// the raw statistics' column encoding, or the previous pass's reapplied
+// over the delta's rows and the tuples whose noisy mask moved.
 func (p *pass) maskStats() {
 	ds, prev := p.ds, p.prev
 	if prev == nil {
 		if !p.opts.DisableCooccurFeatures {
-			p.masked = stats.CollectFiltered(ds, func(t, a int) bool {
+			p.masked = p.cols.CollectMasked(func(t, a int) bool {
 				return p.detection.IsNoisy(dataset.Cell{Tuple: t, Attr: a})
 			})
 		}

@@ -128,8 +128,8 @@ func TestHistogramFlipLeavesCellClean(t *testing.T) {
 		if _, err := s.Clean(); err != nil {
 			t.Fatal(err)
 		}
-		if h := s.prev.masked.GivenHistogram(val, ctx, ctxVal); len(h) != 0 {
-			t.Fatalf("fixture: clean-cell histogram of Val | ctx starts non-empty: %v", h)
+		if h := s.prev.masked.Row(val, ctx, ctxVal); h.Len() != 0 {
+			t.Fatalf("fixture: clean-cell histogram of Val | ctx starts with %d buckets", h.Len())
 		}
 		if _, err := s.Upsert(4, []string{"k2", "w", "gx"}); err != nil {
 			t.Fatal(err)
@@ -141,8 +141,8 @@ func TestHistogramFlipLeavesCellClean(t *testing.T) {
 	if err := p.compile(); err != nil {
 		t.Fatal(err)
 	}
-	if h := p.masked.GivenHistogram(val, ctx, ctxVal); len(h) != 1 || h[w] != 1 {
-		t.Fatalf("fixture: clean-cell histogram of Val | ctx after the delta = %v, want {w: 1}", h)
+	if h := p.masked.Row(val, ctx, ctxVal); h.Len() != 1 || h.Count(p.masked.Code(val, w)) != 1 {
+		t.Fatalf("fixture: clean-cell histogram of Val | ctx after the delta has %d buckets, want {w: 1}", h.Len())
 	}
 	cands := p.domains.Of(cell)
 	if len(cands) < 2 {
