@@ -1,0 +1,180 @@
+package holoclean
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"holoclean/internal/datagen"
+	"holoclean/internal/ddlog"
+	"holoclean/internal/partition"
+)
+
+// TestGroundWithWeightsIsExact: a shard grounded with the broadcast
+// weights (ddlog.Config.Weights) is the shard grounded at the priors and
+// then tied to the broadcast, minus unary and soft factors of weight 0.
+// Every variable's StaticScores must be bit-equal, and the n-ary factors
+// and the colouring identical, on hospital and flights shards under DC
+// Feats and DC Factors.
+func TestGroundWithWeightsIsExact(t *testing.T) {
+	gens := []*datagen.Generated{
+		datagen.Hospital(datagen.Config{Tuples: 600, Seed: 1}),
+		datagen.Flights(datagen.Config{Tuples: 600, Seed: 1}),
+	}
+	dropped := 0
+	for _, g := range gens {
+		for _, v := range []Variant{VariantDCFeats, VariantDCFactors} {
+			opts := DefaultOptions()
+			opts.Variant = v
+			p := newPass(opts, g.Dirty, g.Constraints, nil)
+			if err := p.compile(); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.learnWeights(); err != nil {
+				t.Fatal(err)
+			}
+			r := newShardRunner(p)
+			for si, sh := range p.exec {
+				name := fmt.Sprintf("%s/%s shard %d", g.Name, v.Name(), si)
+				db := r.shardDB(sh)
+				got, err := ddlog.Ground(db, p.prep.Program, r.shardConfig(nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ddlog.Ground(db, p.prep.Program, ddlog.Config{MaxScanCounterparts: opts.MaxScanCounterparts})
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := want.Graph.Weights
+				for i, k := range w.Keys {
+					if lw, ok := p.weights[k]; ok && !w.Fixed[i] {
+						w.W[i] = lw
+					}
+				}
+				dropped += want.Graph.NumFactors() - got.Graph.NumFactors()
+				requireSameInferenceGraph(t, name, got, want)
+			}
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no factor was left out: the weight-aware grounding was not exercised")
+	}
+}
+
+// requireSameInferenceGraph asserts that got infers exactly what want
+// does: the same variables, bit-equal static scores, the same n-ary
+// factors at the same weights, and the same colouring.
+func requireSameInferenceGraph(t *testing.T, name string, got, want *ddlog.Grounded) {
+	t.Helper()
+	gg, wg := got.Graph, want.Graph
+	if !reflect.DeepEqual(got.Cells, want.Cells) || len(gg.Vars) != len(wg.Vars) {
+		t.Fatalf("%s: variables differ", name)
+	}
+	gg.Freeze()
+	wg.Freeze()
+	for v := range wg.Vars {
+		gv, wv := &gg.Vars[v], &wg.Vars[v]
+		if !reflect.DeepEqual(gv.Domain, wv.Domain) || gv.Evidence != wv.Evidence || gv.Obs != wv.Obs {
+			t.Fatalf("%s: variable %d differs", name, v)
+		}
+		gs, ws := make([]float64, len(wv.Domain)), make([]float64, len(wv.Domain))
+		gg.StaticScores(int32(v), gs)
+		wg.StaticScores(int32(v), ws)
+		for d := range ws {
+			if math.Float64bits(gs[d]) != math.Float64bits(ws[d]) {
+				t.Fatalf("%s: static scores of variable %d are %v, want %v", name, v, gs, ws)
+			}
+		}
+	}
+	if len(gg.Naries) != len(wg.Naries) {
+		t.Fatalf("%s: %d n-ary factors, want %d", name, len(gg.Naries), len(wg.Naries))
+	}
+	for i := range wg.Naries {
+		gf, wf := &gg.Naries[i], &wg.Naries[i]
+		if !reflect.DeepEqual(gg.NaryVars(gf), wg.NaryVars(wf)) || !reflect.DeepEqual(gg.NaryPreds(gf), wg.NaryPreds(wf)) ||
+			gg.Weights.Keys[gf.Weight] != wg.Weights.Keys[wf.Weight] || gg.Weights.W[gf.Weight] != wg.Weights.W[wf.Weight] {
+			t.Fatalf("%s: n-ary factor %d differs", name, i)
+		}
+	}
+	if gg.HasNaryOnQuery() != wg.HasNaryOnQuery() || !reflect.DeepEqual(partition.ColorGraph(gg), partition.ColorGraph(wg)) {
+		t.Fatalf("%s: colouring differs", name)
+	}
+}
+
+// TestSessionRecleanRebuildsCounterpartTables: the relaxed-DC counterpart
+// tables outlive a pass in the session's shared index. An in-place update
+// of the joined value of a clean tuple moves it into another group's
+// counterpart table, so Rebind must drop the constraint's tables: the
+// Reclean must equal a full Clean of the mutated relation.
+func TestSessionRecleanRebuildsCounterpartTables(t *testing.T) {
+	ds, cs := sessionFixture(120)
+	opts := DefaultOptions()
+	s, err := NewSession(ds, cs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Clean(); err != nil {
+		t.Fatal(err)
+	}
+	// Tuple 1 is a clean member of group k000; it joins group k001 with
+	// its value v000.
+	if _, err := s.Upsert(1, []string{"k001", "v000"}); err != nil {
+		t.Fatal(err)
+	}
+	incr, err := s.Reclean()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refOpts := opts
+	refOpts.InitialWeights = s.Weights()
+	ref, err := New(refOpts).Clean(s.Dataset(), cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdenticalResults(t, "joined value moved", incr, ref)
+	if incr.Stats.ShardsReused == 0 {
+		t.Error("no shard reused: the reclean did not exercise the surviving index")
+	}
+}
+
+// BenchmarkGroundHospital times the groundings of one Clean of the
+// 2000-row hospital relation under DC Feats at the paper's τ: the learning
+// graph, then every shard with the learned weights, over a fresh shared
+// index per iteration (so counterpart tables are built, not inherited).
+// Detection, pruning and learning run once, outside the timer.
+func BenchmarkGroundHospital(b *testing.B) {
+	g := datagen.Hospital(datagen.Config{Tuples: 2000, Seed: 1})
+	opts := DefaultOptions()
+	opts.Tau = 0.5
+	opts.Variant = VariantDCFeats
+	p := newPass(opts, g.Dirty, g.Constraints, nil)
+	if err := p.compile(); err != nil {
+		b.Fatal(err)
+	}
+	if err := p.learnWeights(); err != nil {
+		b.Fatal(err)
+	}
+	r := newShardRunner(p)
+	dbs := make([]*ddlog.Database, len(p.exec))
+	for i, sh := range p.exec {
+		dbs[i] = r.shardDB(sh)
+	}
+	arena := ddlog.AcquireArena()
+	defer ddlog.ReleaseArena(arena)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		shared := ddlog.NewSharedIndex(p.ds, p.domains)
+		p.prep.DB.Shared = shared
+		if _, err := groundLearning(p.prep, opts.MaxScanCounterparts); err != nil {
+			b.Fatal(err)
+		}
+		for _, db := range dbs {
+			db.Shared = shared
+			if _, err := ddlog.Ground(db, p.prep.Program, r.shardConfig(arena)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -318,9 +318,15 @@ type RunStats struct {
 	Variables    int
 	QueryVars    int
 	EvidenceVars int
+	// Factors counts the factors materialized: the learning graph's plus
+	// every executed shard's. Shards are grounded with the weights they
+	// infer with and leave out unary and soft factors of weight 0, which
+	// add nothing to any score; PaperFactors still counts those groundings.
 	Factors      int
 	PaperFactors int64
-	Weights      int
+	// Weights counts the distinct tying keys the pass's graphs materialized
+	// or its weight broadcast carries.
+	Weights int
 
 	// Shards is the number of independent shards the pipeline executed;
 	// ExactShards of them had no query-side correlation and were inferred

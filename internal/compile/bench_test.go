@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"holoclean/internal/datagen"
+	"holoclean/internal/ddlog"
 )
 
 // BenchmarkCooccurFeatures times the co-occurrence featurizer over every
@@ -18,11 +19,13 @@ func BenchmarkCooccurFeatures(b *testing.B) {
 			doms[i] = append(doms[i], int32(v))
 		}
 	}
+	var buf ddlog.SoftBuf
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, c := range prep.Domains.Cells {
-			prep.cooccur.features(c, doms[j])
+			buf.Reset()
+			prep.cooccur.features(c, doms[j], &buf)
 		}
 	}
 }

@@ -187,6 +187,16 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 	if err != nil {
 		return nil, err
 	}
+	// A constraint's name keys its rules' tying keys (dc|name,
+	// rdc|name@…): two constraints of one name would share learned weights.
+	firstOf := make(map[string]int, len(bounds))
+	for ci, b := range bounds {
+		name := ruleName(ci, b)
+		if first, dup := firstOf[name]; dup {
+			return nil, fmt.Errorf("compile: constraints %d and %d are both named %q", first+1, ci+1, name)
+		}
+		firstOf[name] = ci
+	}
 	out := &Prepared{DS: ds, Bounds: bounds}
 
 	// User-confirmed cells are clean by fiat.
@@ -255,7 +265,7 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 	if !opts.DisableCooccurFeatures || (!opts.DisableSourceFeatures && ds.HasSources()) {
 		db.Features = featureFunc(ds, opts)
 	}
-	var softs []func(dataset.Cell, []int32) []ddlog.SoftFeature
+	var softs []func(dataset.Cell, []int32, *ddlog.SoftBuf)
 	if !opts.DisableCooccurFeatures {
 		out.cooccur = newCooccur(ds, st, masked)
 		softs = append(softs, out.cooccur.features)
@@ -268,12 +278,10 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 		out.RelationWide = true
 	}
 	if len(softs) > 0 {
-		db.SoftFeatures = func(c dataset.Cell, dom []int32) []ddlog.SoftFeature {
-			var out []ddlog.SoftFeature
+		db.SoftFeatures = func(c dataset.Cell, dom []int32, buf *ddlog.SoftBuf) {
 			for _, f := range softs {
-				out = append(out, f(c, dom)...)
+				f(c, dom, buf)
 			}
-			return out
 		}
 	}
 
@@ -295,10 +303,7 @@ func buildProgram(bounds []*dc.Bound, opts Options) *ddlog.Program {
 	}
 	prog.Add(&ddlog.Rule{Kind: ddlog.MinimalityFactors, Name: "minimality", FixedWeight: opts.MinimalityWeight})
 	for ci, b := range bounds {
-		name := b.Src.Name
-		if name == "" {
-			name = "sigma" + strconv.Itoa(ci+1)
-		}
+		name := ruleName(ci, b)
 		if opts.Variant.DCFeatures {
 			for _, ref := range b.Refs {
 				prog.Add(&ddlog.Rule{
@@ -322,19 +327,28 @@ func buildProgram(bounds []*dc.Bound, opts Options) *ddlog.Program {
 	return prog
 }
 
+// ruleName is the name constraint ci's rules are generated under: its
+// own, or sigma<ci+1> when it has none.
+func ruleName(ci int, b *dc.Bound) string {
+	if b.Src.Name == "" {
+		return "sigma" + strconv.Itoa(ci+1)
+	}
+	return b.Src.Name
+}
+
 // featureFunc returns the HasFeature materializer: co-occurrence features
 // from sibling cells ("the values of other cells in the same tuple") and
 // provenance features when lineage is available (Section 4.1).
 //
 // Feature identifiers are precomputed per distinct (attribute, value)
 // pair — and per distinct source — in one dataset scan, so the returned
-// materializer formats no strings: the grounding hot path pays one slice
-// allocation per cell instead of one string per sibling. The tables are
-// read-only after construction and therefore safe for the concurrent
-// per-shard grounders (that lock-freedom is why they are rebuilt per
-// Prepare rather than mutated across recleans); with an interner the
-// rebuild reuses the strings and re-allocates only the maps.
-func featureFunc(ds *dataset.Dataset, opts Options) func(dataset.Cell) []string {
+// materializer formats no strings and, appending into the grounder's
+// buffer, allocates nothing per cell. The tables are read-only after
+// construction and therefore safe for the concurrent per-shard grounders
+// (that lock-freedom is why they are rebuilt per Prepare rather than
+// mutated across recleans); with an interner the rebuild reuses the
+// strings and re-allocates only the maps.
+func featureFunc(ds *dataset.Dataset, opts Options) func(dataset.Cell, []string) []string {
 	n := ds.NumAttrs()
 	var buf []byte
 	mk := func(prefix string, suffix string) string {
@@ -380,8 +394,7 @@ func featureFunc(ds *dataset.Dataset, opts Options) func(dataset.Cell) []string 
 			}
 		}
 	}
-	return func(c dataset.Cell) []string {
-		out := make([]string, 0, n)
+	return func(c dataset.Cell, out []string) []string {
 		if names != nil {
 			for g := 0; g < n; g++ {
 				if g == c.Attr {
@@ -496,8 +509,7 @@ func (f *cooccur) contexts(c dataset.Cell, raw *stats.Delta) iter.Seq2[int, data
 }
 
 // features is the ddlog.Database.SoftFeatures materializer.
-func (f *cooccur) features(c dataset.Cell, dom []int32) []ddlog.SoftFeature {
-	var out []ddlog.SoftFeature
+func (f *cooccur) features(c dataset.Cell, dom []int32, out *ddlog.SoftBuf) {
 	// Empirical value-frequency prior (the "empirical distribution
 	// characterizing attributes" of Section 1), over clean-cell counts and
 	// normalized by the best candidate: a value that never occurs outside
@@ -510,11 +522,11 @@ func (f *cooccur) features(c dataset.Cell, dom []int32) []ddlog.SoftFeature {
 		}
 	}
 	if maxF > 0 && !f.quasiKey[c.Attr] {
-		freqH := make([]float64, len(dom))
+		freqH := out.Vec(len(dom))
 		for d, label := range dom {
 			freqH[d] = float64(f.masked.Freq(c.Attr, dataset.Value(label))) / float64(maxF)
 		}
-		out = append(out, ddlog.SoftFeature{Key: f.freqKeys[c.Attr], H: freqH, Init: 1.0})
+		out.Add(f.freqKeys[c.Attr], freqH, 1.0)
 	}
 	// Each family's codes for the candidates, resolved once for the cell;
 	// h[d] = Pr[d | v_g] = #(d, v_g) / #v_g is then read off the context's
@@ -534,7 +546,7 @@ func (f *cooccur) features(c dataset.Cell, dom []int32) []ddlog.SoftFeature {
 			if row.Len() == 0 {
 				continue
 			}
-			h := make([]float64, len(dom))
+			h := out.Vec(len(dom))
 			any := false
 			for d, k := range codes[i*len(dom) : (i+1)*len(dom)] {
 				if cnt := row.Count(k); cnt != 0 {
@@ -543,11 +555,10 @@ func (f *cooccur) features(c dataset.Cell, dom []int32) []ddlog.SoftFeature {
 				}
 			}
 			if any {
-				out = append(out, ddlog.SoftFeature{Key: fam.keys[c.Attr*n+g], H: h, Init: fam.init})
+				out.Add(fam.keys[c.Attr*n+g], h, fam.init)
 			}
 		}
 	}
-	return out
 }
 
 // StatsDelta is what a batch of tuple changes did to the statistics a
@@ -614,28 +625,27 @@ func (f *cooccur) moved(c dataset.Cell, dom []dataset.Value, d StatsDelta) bool 
 // accuracy-weighted vote share of candidate d among the tuples reporting
 // on the same entity attribute, with one learnable weight per attribute
 // (keys precomputed per attribute).
-func fusionFeatureFunc(votes *fusion.Votes, numAttrs int) func(dataset.Cell, []int32) []ddlog.SoftFeature {
+func fusionFeatureFunc(votes *fusion.Votes, numAttrs int) func(dataset.Cell, []int32, *ddlog.SoftBuf) {
 	keys := make([]string, numAttrs)
 	for a := range keys {
 		keys[a] = "fusion|" + strconv.Itoa(a)
 	}
-	return func(c dataset.Cell, dom []int32) []ddlog.SoftFeature {
-		h := make([]float64, len(dom))
+	return func(c dataset.Cell, dom []int32, out *ddlog.SoftBuf) {
+		h := out.Vec(len(dom))
 		any := false
 		for d, label := range dom {
 			s, ok := votes.Share(c, dataset.Value(label))
 			if !ok {
-				return nil
+				return
 			}
 			h[d] = s
 			if s != 0 {
 				any = true
 			}
 		}
-		if !any {
-			return nil
+		if any {
+			out.Add(keys[c.Attr], h, 3.0)
 		}
-		return []ddlog.SoftFeature{{Key: keys[c.Attr], H: h, Init: 3.0}}
 	}
 }
 

@@ -294,3 +294,27 @@ func TestPrepareTakesOptionsLiterally(t *testing.T) {
 		t.Errorf("MaxEvidence 0 sampled %d evidence cells", len(prep.DB.Evidence))
 	}
 }
+
+// TestPrepareRejectsDuplicateNames: the tying keys of a constraint's rules
+// are built from its name (dc|name, rdc|name@t<r>.a<attr>), so two
+// constraints whose resolved names are equal — given, or given and
+// positional (sigmaN) — would share learned weights. Prepare refuses them.
+func TestPrepareRejectsDuplicateNames(t *testing.T) {
+	ds, cs := small()
+	unnamed := dc.MustParse("t1&t2&EQ(t1.City,t2.City)&IQ(t1.Name,t2.Name)")
+	for _, tc := range []struct {
+		cs   []*dc.Constraint
+		want string
+	}{
+		{[]*dc.Constraint{cs[0], {Name: "fd1", TupleVars: 2, Predicates: cs[1].Predicates}}, `compile: constraints 1 and 2 are both named "fd1"`},
+		{[]*dc.Constraint{{Name: "sigma2", TupleVars: 2, Predicates: cs[0].Predicates}, unnamed}, `compile: constraints 1 and 2 are both named "sigma2"`},
+	} {
+		_, err := Prepare(ds, tc.cs, withInputs(t, ds, tc.cs, defaultOptions()))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Prepare = %v, want %s", err, tc.want)
+		}
+	}
+	if _, err := Prepare(ds, []*dc.Constraint{cs[0], unnamed}, withInputs(t, ds, cs, defaultOptions())); err != nil {
+		t.Errorf("distinct names: %v", err)
+	}
+}

@@ -73,6 +73,22 @@ t1&t2&EQ(t1.A,t2.A)&IQ(t1.B,t2.B)
 	}
 }
 
+// TestParseAllRejectsDuplicateNames: a constraint's name ties its learned
+// weights, so ParseAll refuses a repeated name — given twice, or given to
+// one line and taken by another's position — and names both lines.
+func TestParseAllRejectsDuplicateNames(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"h4: t1&t2&EQ(t1.A,t2.A)&IQ(t1.B,t2.B)\nh4: t1&t2&EQ(t1.C,t2.C)&IQ(t1.B,t2.B)\n", `line 2: constraint name "h4" is already taken by line 1`},
+		{"c2: t1&t2&EQ(t1.A,t2.A)&IQ(t1.B,t2.B)\n# c2 again, by position\nt1&t2&EQ(t1.C,t2.C)&IQ(t1.B,t2.B)\n", `line 3: constraint name "c2" is already taken by line 1`},
+		{"t1&t2&EQ(t1.A,t2.A)&IQ(t1.B,t2.B)\n\nc1: t1&t2&EQ(t1.C,t2.C)&IQ(t1.B,t2.B)\n", `line 3: constraint name "c1" is already taken by line 1`},
+	} {
+		_, err := ParseAll(strings.NewReader(tc.in))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("ParseAll(%q) = %v, want %s", tc.in, err, tc.want)
+		}
+	}
+}
+
 func TestFD(t *testing.T) {
 	cs := FD("c2", []string{"Zip"}, []string{"City", "State"})
 	if len(cs) != 2 {

@@ -69,9 +69,12 @@ func MustParse(s string) *Constraint {
 
 // ParseAll parses one constraint per non-empty, non-comment ('#') line.
 // Each constraint is named c1, c2, … by position unless the line carries a
-// "name:" prefix.
+// "name:" prefix. Names must be distinct — a constraint's name ties its
+// learned weights — so a name that repeats an earlier one, given or
+// positional, is an error naming both lines.
 func ParseAll(r io.Reader) ([]*Constraint, error) {
 	var out []*Constraint
+	lineOf := make(map[string]int)
 	sc := bufio.NewScanner(r)
 	line := 0
 	for sc.Scan() {
@@ -89,6 +92,10 @@ func ParseAll(r io.Reader) ([]*Constraint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", line, err)
 		}
+		if first, dup := lineOf[name]; dup {
+			return nil, fmt.Errorf("line %d: constraint name %q is already taken by line %d", line, name, first)
+		}
+		lineOf[name] = line
 		c.Name = name
 		out = append(out, c)
 	}

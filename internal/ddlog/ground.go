@@ -28,14 +28,17 @@ type Database struct {
 	// (each must contain the observed value).
 	Evidence        []dataset.Cell
 	EvidenceDomains [][]dataset.Value
-	// Features materializes HasFeature(t,a,f) lazily: the feature
-	// identifiers of one cell. May be nil when no feature rule exists.
-	Features func(c dataset.Cell) []string
+	// Features materializes HasFeature(t,a,f) lazily: it appends the
+	// feature identifiers of one cell to dst, a buffer the grounder reuses
+	// from cell to cell, and returns the extended slice. May be nil when no
+	// feature rule exists.
+	Features func(c dataset.Cell, dst []string) []string
 	// SoftFeatures materializes real-valued features: per cell and
-	// candidate-label vector, zero or more (weight key, h vector) pairs.
-	// HoloClean uses one per cell carrying co-occurrence probabilities
-	// with the weight tied per attribute. May be nil.
-	SoftFeatures func(c dataset.Cell, dom []int32) []SoftFeature
+	// candidate-label vector, zero or more (weight key, h vector) pairs,
+	// added to buf (see SoftBuf). HoloClean uses one per cell carrying
+	// co-occurrence probabilities with the weight tied per attribute. May
+	// be nil.
+	SoftFeatures func(c dataset.Cell, dom []int32, buf *SoftBuf)
 	// DictPrior is the initial (learnable) reliability weight w(k) of
 	// dictionary match factors.
 	DictPrior float64
@@ -80,6 +83,15 @@ type Config struct {
 	// query cells become factorless domain stubs, and the evidence cells
 	// carry exactly the factors they carry in a monolithic grounding.
 	FactorCells func(c dataset.Cell) bool
+	// Weights, when non-nil, are the weights the graph is grounded to
+	// infer with — the broadcast of a learning pass, by tying key. A
+	// learnable weight is created at its value here, or at its prior when
+	// the map has no entry for it, and a unary or soft factor whose weight
+	// is exactly 0 is not materialized: it would add ±0 to every score, so
+	// StaticScores are bit-identical without it. N-ary factors are always
+	// materialized (they decide colouring and whether a graph is sampled).
+	// Nil grounds every factor at its prior: the graph learning fits.
+	Weights map[string]float64
 	// Arena, when non-nil, supplies the grounder's scratch memory so
 	// repeated groundings (per-shard, per-reclean) reuse backing arrays.
 	// The returned Grounded borrows the arena's cell→variable map; see
@@ -127,6 +139,38 @@ type SoftFeature struct {
 	Key  string
 	H    []float64
 	Init float64
+}
+
+// SoftBuf collects one cell's soft features in storage the grounder
+// reuses from cell to cell, so a featurizer allocates nothing per vector:
+// it takes each vector from Vec, fills it, and keeps it with Add. A vector
+// stays valid until the grounder resets the buffer for the next cell;
+// Graph.AddSoft copies what the graph keeps.
+type SoftBuf struct {
+	feats []SoftFeature
+	h     []float64
+}
+
+// Vec returns a zeroed vector of n values backed by the buffer.
+func (b *SoftBuf) Vec(n int) []float64 {
+	if cap(b.h)-len(b.h) < n {
+		// A fresh chunk: vectors already handed out keep the old one.
+		b.h = make([]float64, 0, max(2*cap(b.h), n, 64))
+	}
+	v := b.h[len(b.h) : len(b.h)+n]
+	clear(v)
+	b.h = b.h[:len(b.h)+n]
+	return v
+}
+
+// Add keeps h, a vector from Vec, as a feature tied to key with prior init.
+func (b *SoftBuf) Add(key string, h []float64, init float64) {
+	b.feats = append(b.feats, SoftFeature{Key: key, H: h, Init: init})
+}
+
+// Reset empties the buffer, keeping its storage.
+func (b *SoftBuf) Reset() {
+	b.feats, b.h = b.feats[:0], b.h[:0]
 }
 
 // CellVars is a dense cell → variable-id map: one slot per (tuple,
@@ -192,7 +236,8 @@ type Grounded struct {
 }
 
 // Arena is the reusable per-grounding scratch memory: the dense cell→var
-// map, label/key build buffers, the relaxed-DC candidate counters, and an
+// map, label/key build buffers, the featurizers' output buffers, the
+// relaxed-DC candidate counters, vector and grouping scratch, and an
 // epoch-marked tuple set. The sharded pipeline pools arenas across its
 // worker goroutines and across Session recleans (AcquireArena /
 // ReleaseArena), so a steady stream of shard groundings reuses the same
@@ -203,7 +248,12 @@ type Arena struct {
 	cellVars  CellVars
 	labelBuf  []int32
 	keyBuf    []byte
+	feats     []string
+	soft      SoftBuf
 	counts    []int32
+	h         []float64
+	groupKey  []byte
+	groupOf   map[string]int32
 	seenMark  []int32
 	seenEpoch int32
 }
@@ -261,30 +311,7 @@ type grounder struct {
 // returns the factor graph. When cfg.Arena is non-nil the grounder draws
 // its scratch structures from it (see Arena).
 func Ground(db *Database, prog *Program, cfg Config) (*Grounded, error) {
-	ar := cfg.Arena
-	if ar == nil {
-		ar = new(Arena)
-	}
-	ar.cellVars.reset(db.DS.NumTuples(), db.DS.NumAttrs())
-	ar.nextSeen(db.DS.NumTuples())
-	gr := &grounder{
-		db:      db,
-		cfg:     cfg,
-		g:       factor.NewGraph(),
-		ar:      ar,
-		shared:  db.Shared,
-		initIdx: make([]map[dataset.Value][]int, db.DS.NumAttrs()),
-	}
-	if gr.shared == nil {
-		gr.shared = NewSharedIndex(db.DS, db.Domains)
-	}
-	gr.g.Weights.Interner = db.Interner
-	gr.out = &Grounded{Graph: gr.g, VarOf: &ar.cellVars}
-	dict := db.DS.Dict()
-	gr.g.Cmp = func(op uint8, a, b int32) bool {
-		return dc.Compare(dc.Op(op), dict.String(dataset.Value(a)), dict.String(dataset.Value(b)))
-	}
-
+	gr := newGrounder(db, cfg)
 	// The random-variable rule must ground first; factor rules reference
 	// the variables it creates.
 	hasRV := false
@@ -313,15 +340,41 @@ func Ground(db *Database, prog *Program, cfg Config) (*Grounded, error) {
 				return nil, err
 			}
 		case RelaxedDCFactors:
-			if err := gr.groundRelaxedDC(r); err != nil {
-				return nil, err
-			}
+			gr.groundRelaxedDC(r)
 		default:
 			return nil, fmt.Errorf("ddlog: unknown rule kind %d", r.Kind)
 		}
 	}
 	gr.out.Stats.Variables = len(gr.g.Vars)
 	return gr.out, nil
+}
+
+// newGrounder sets up the grounding of one graph over db.
+func newGrounder(db *Database, cfg Config) *grounder {
+	ar := cfg.Arena
+	if ar == nil {
+		ar = new(Arena)
+	}
+	ar.cellVars.reset(db.DS.NumTuples(), db.DS.NumAttrs())
+	ar.nextSeen(db.DS.NumTuples())
+	gr := &grounder{
+		db:      db,
+		cfg:     cfg,
+		g:       factor.NewGraph(),
+		ar:      ar,
+		shared:  db.Shared,
+		initIdx: make([]map[dataset.Value][]int, db.DS.NumAttrs()),
+	}
+	if gr.shared == nil {
+		gr.shared = NewSharedIndex(db.DS, db.Domains)
+	}
+	gr.g.Weights.Interner = db.Interner
+	gr.out = &Grounded{Graph: gr.g, VarOf: &ar.cellVars}
+	dict := db.DS.Dict()
+	gr.g.Cmp = func(op uint8, a, b int32) bool {
+		return dc.Compare(dc.Op(op), dict.String(dataset.Value(a)), dict.String(dataset.Value(b)))
+	}
+	return gr
 }
 
 // groundVariables creates one query variable per noisy cell and one
@@ -389,12 +442,13 @@ func (gr *grounder) groundFeatures() {
 		}
 		dom := gr.g.Vars[v].Domain
 		if gr.db.Features != nil {
-			for _, f := range gr.db.Features(c) {
+			gr.ar.feats = gr.db.Features(c, gr.ar.feats[:0])
+			for _, f := range gr.ar.feats {
 				for d, label := range dom {
-					// The key is staged in the arena buffer and looked up
-					// with IDBytes: the per-factor path allocates no key
-					// string once the key is known to the weight store
-					// (or, with a shared interner, to any prior grounding).
+					// The key is staged in the arena buffer: the per-factor
+					// path allocates no key string once the key is known to
+					// the weight store (or, with a shared interner, to any
+					// prior grounding).
 					key := gr.ar.keyBuf[:0]
 					key = append(key, "ft|"...)
 					key = strconv.AppendInt(key, int64(c.Attr), 10)
@@ -403,17 +457,23 @@ func (gr *grounder) groundFeatures() {
 					key = append(key, '|')
 					key = append(key, f...)
 					gr.ar.keyBuf = key
-					wid := gr.g.Weights.IDBytes(key, 0, false)
-					gr.g.AddUnary(v, int32(d), wid, false, 1)
 					gr.out.Stats.PaperFactors++
+					if wid, ok := gr.weightFor(key, 0, false); ok {
+						gr.g.AddUnary(v, int32(d), wid, false, 1)
+					}
 				}
 			}
 		}
 		if gr.db.SoftFeatures != nil {
-			for _, sf := range gr.db.SoftFeatures(c, dom) {
-				wid := gr.g.Weights.ID(sf.Key, sf.Init, false)
-				gr.g.AddSoft(v, wid, sf.H)
+			sb := &gr.ar.soft
+			sb.Reset()
+			gr.db.SoftFeatures(c, dom, sb)
+			for _, sf := range sb.feats {
+				gr.ar.keyBuf = append(gr.ar.keyBuf[:0], sf.Key...)
 				gr.out.Stats.PaperFactors++
+				if wid, ok := gr.weightFor(gr.ar.keyBuf, sf.Init, false); ok {
+					gr.g.AddSoft(v, wid, sf.H)
+				}
 			}
 		}
 	}
@@ -449,8 +509,9 @@ func (gr *grounder) groundMatches() {
 		dom := gr.g.Vars[v].Domain
 		for d, l := range dom {
 			if l == int32(label) {
-				wid := gr.g.Weights.IDBytes(key, prior, false)
-				gr.g.AddUnary(v, int32(d), wid, false, 1)
+				if wid, ok := gr.weightFor(key, prior, false); ok {
+					gr.g.AddUnary(v, int32(d), wid, false, 1)
+				}
 				gr.out.Stats.PaperFactors++
 				break
 			}
@@ -461,16 +522,41 @@ func (gr *grounder) groundMatches() {
 // groundMinimality emits the positive prior on keeping the initial value
 // for every query variable whose initial value survived pruning.
 func (gr *grounder) groundMinimality(weight float64) {
-	wid := gr.g.Weights.ID("prior|minimality", weight, true)
+	gr.ar.keyBuf = append(gr.ar.keyBuf[:0], "prior|minimality"...)
+	wid, keep := gr.weightFor(gr.ar.keyBuf, weight, true)
 	for vi, c := range gr.out.Cells {
 		v := int32(vi)
 		vr := &gr.g.Vars[v]
 		if !gr.cfg.wantFactors(c) || vr.Evidence || vr.Obs < 0 || gr.inert(v) {
 			continue
 		}
-		gr.g.AddUnary(v, vr.Obs, wid, false, 1)
+		if keep {
+			gr.g.AddUnary(v, vr.Obs, wid, false, 1)
+		}
 		gr.out.Stats.PaperFactors++
 	}
+}
+
+// weightFor returns the id of the weight tying key for one unary or soft
+// factor, creating the weight on first use: a learnable one at its value
+// in Config.Weights when that has one, otherwise at init. ok is false when
+// the factor is not to be materialized — in a graph grounded with
+// Config.Weights, one whose weight is exactly 0 (see Config.Weights). A
+// warm lookup does not allocate.
+func (gr *grounder) weightFor(key []byte, init float64, fixed bool) (id int32, ok bool) {
+	w := gr.g.Weights
+	if id, ok := w.Lookup(key); ok {
+		return id, gr.cfg.Weights == nil || w.W[id] != 0
+	}
+	if gr.cfg.Weights != nil {
+		if v, learned := gr.cfg.Weights[string(key)]; learned && !fixed {
+			init = v
+		}
+		if init == 0 {
+			return -1, false
+		}
+	}
+	return w.IDBytes(key, init, fixed), true
 }
 
 // queryVarOf returns the query variable of a cell, or -1 when the cell is

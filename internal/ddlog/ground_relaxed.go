@@ -1,6 +1,9 @@
 package ddlog
 
 import (
+	"encoding/binary"
+	"slices"
+
 	"holoclean/internal/dataset"
 	"holoclean/internal/dc"
 )
@@ -19,10 +22,15 @@ import (
 // raw count keeps duplicate-heavy conflict groups (hundreds of identical
 // counterparts) from drowning every other signal, while PaperFactors
 // still counts one grounding per counterpart as Example 5 does.
-func (gr *grounder) groundRelaxedDC(rule *Rule) error {
+//
+// Counterparts are not walked per head cell: they are read from a
+// counterpart table (see counterTable) shared by every head whose tuple
+// agrees on the values the rule reads, so a cell's cost is the number of
+// distinct counterpart value groups, not of counterparts.
+func (gr *grounder) groundRelaxedDC(rule *Rule) {
 	b := gr.db.Bounds[rule.Constraint]
 	hr := rule.Head
-	key := "rdc|" + rule.Name
+	key := []byte("rdc|" + rule.Name)
 
 	// Split predicates into those referencing the head cell (evaluated
 	// per candidate) and body predicates (evaluated on initial values).
@@ -34,17 +42,26 @@ func (gr *grounder) groundRelaxedDC(rule *Rule) error {
 			rc.bodyPreds = append(rc.bodyPreds, i)
 		}
 	}
-	// Counterparts are found through the first join that sits in the body —
-	// its head-role side is another attribute than the head's — or, failing
-	// that, through the first join on the head itself.
-	for i, j := range b.Joins {
-		if j[hr.TupleVar] != hr.Attr {
-			rc.join = i
-			break
+	if b.TupleVars == 2 {
+		// Counterparts are found through the first join that sits in the
+		// body — its head-role side is another attribute than the head's —
+		// or, failing that, through the first join on the head itself.
+		for i, j := range b.Joins {
+			if j[hr.TupleVar] != hr.Attr {
+				rc.join = i
+				break
+			}
+			if rc.join < 0 {
+				rc.join = i
+			}
 		}
-		if rc.join < 0 {
-			rc.join = i
+		for _, a := range b.RoleAttrs[hr.TupleVar] {
+			if a != hr.Attr {
+				rc.ctxAttrs = append(rc.ctxAttrs, a)
+			}
 		}
+		rc.cpAttrs = b.RoleAttrs[1-hr.TupleVar]
+		rc.tables = gr.shared.relaxed(b, hr)
 	}
 
 	for vi, c := range gr.out.Cells {
@@ -54,17 +71,10 @@ func (gr *grounder) groundRelaxedDC(rule *Rule) error {
 		}
 		dom := gr.g.Vars[v].Domain
 		// Per-candidate violation counters, indexed by domain position,
-		// staged in the arena (the old map-keyed counters churned map
-		// operations on every counterpart).
-		if cap(gr.ar.counts) >= len(dom) {
-			gr.ar.counts = gr.ar.counts[:len(dom)]
-		} else {
-			gr.ar.counts = make([]int32, len(dom))
-		}
+		// staged in the arena.
+		gr.ar.counts = resize(gr.ar.counts, len(dom))
 		counts := gr.ar.counts
-		for d := range counts {
-			counts[d] = 0
-		}
+		clear(counts)
 		var total int32
 		scale := 1.0
 		rc.c, rc.dom, rc.counts = c, dom, counts
@@ -76,9 +86,11 @@ func (gr *grounder) groundRelaxedDC(rule *Rule) error {
 		if total == 0 {
 			continue
 		}
-		h := make([]float64, len(dom))
+		gr.ar.h = resize(gr.ar.h, len(dom))
+		h := gr.ar.h
 		any := false
 		for d := range dom {
+			h[d] = 0
 			if cnt := counts[d]; cnt > 0 {
 				h[d] = -scale * float64(cnt) / float64(total)
 				any = true
@@ -88,24 +100,40 @@ func (gr *grounder) groundRelaxedDC(rule *Rule) error {
 		if !any {
 			continue
 		}
-		wid := gr.g.Weights.ID(key, gr.db.RelaxedDCPrior, false)
-		gr.g.AddSoft(v, wid, h)
+		if wid, ok := gr.weightFor(key, gr.db.RelaxedDCPrior, false); ok {
+			gr.g.AddSoft(v, wid, h)
+		}
 	}
-	return nil
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough.
+func resize[E any](s []E, n int) []E {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]E, n)
 }
 
 // relaxCtx carries one head cell's relaxed-grounding state through the
-// counterpart loops. Passing it explicitly (rather than capturing it in
+// counting routines. Passing it explicitly (rather than capturing it in
 // closures) keeps the per-cell loop free of heap-allocated closures. The
 // rule-level fields are set once per rule, the cell-level ones per head cell.
 type relaxCtx struct {
-	b         *dc.Bound
-	hr        CellRef
-	join      int // index into b.Joins of the join counterparts are found through, -1 = scan
-	c         dataset.Cell
-	dom       []int32
+	b    *dc.Bound
+	hr   CellRef
+	join int // index into b.Joins of the join counterparts are found through, -1 = scan
+	// ctxAttrs are the head role's attributes other than the head's (the
+	// body-join probe's among them): a head tuple's values on them are
+	// its context. cpAttrs are the counterpart role's attributes, whose
+	// values group counterparts.
+	ctxAttrs  []int
+	cpAttrs   []int
+	tables    *relaxTables
 	headPreds []int
 	bodyPreds []int
+	c         dataset.Cell
+	dom       []int32
 	counts    []int32
 }
 
@@ -117,17 +145,22 @@ func (rc *relaxCtx) tups(t2 int) [2]int {
 	return [2]int{t2, rc.c.Tuple}
 }
 
-// relaxSingle handles single-tuple constraints: candidates completing the
-// violation with the tuple's own initial values get one negative
-// grounding. It returns the number of counterpart groundings (1 when the
-// body holds).
-func (gr *grounder) relaxSingle(rc *relaxCtx) int32 {
-	tups := [2]int{rc.c.Tuple, -1}
+// bodyHolds reports whether every body predicate holds for the head tuple
+// against counterpart t2 (-1 for single-tuple constraints).
+func (rc *relaxCtx) bodyHolds(t2 int) bool {
+	tups := rc.tups(t2)
 	for _, i := range rc.bodyPreds {
 		if !rc.b.HoldsPred(i, tups[0], tups[1]) {
-			return 0
+			return false
 		}
 	}
+	return true
+}
+
+// count adds n to counts[d] for every candidate d whose substitution into
+// the head cell makes every head predicate hold against counterpart t2.
+func (rc *relaxCtx) count(t2 int, n int32) {
+	tups := rc.tups(t2)
 	for d, label := range rc.dom {
 		ok := true
 		hyp := dc.Subst{Ref: rc.hr, Val: dataset.Value(label)}
@@ -138,30 +171,62 @@ func (gr *grounder) relaxSingle(rc *relaxCtx) int32 {
 			}
 		}
 		if ok {
-			rc.counts[d]++
+			rc.counts[d] += n
 		}
 	}
+}
+
+// uncount takes back the pair (head tuple, t2) that a counterpart table
+// counted although the cell must not — its own tuple, or a tuple past a
+// scan cap. It reports whether t2 had passed the body (entering the
+// table's passed count).
+func (rc *relaxCtx) uncount(t2 int) bool {
+	if !rc.bodyHolds(t2) {
+		return false
+	}
+	rc.count(t2, -1)
+	return true
+}
+
+// relaxSingle handles single-tuple constraints: candidates completing the
+// violation with the tuple's own initial values get one negative
+// grounding. It returns the number of counterpart groundings (1 when the
+// body holds).
+func (gr *grounder) relaxSingle(rc *relaxCtx) int32 {
+	if !rc.bodyHolds(-1) {
+		return 0
+	}
+	rc.count(-1, 1)
 	return 1
 }
 
 // relaxPair handles pairwise constraints: counterpart tuples are found via
 // a body equality join when one exists, else via an equality predicate on
 // the head itself, else by a (capped) scan. It returns the number of
-// counterparts whose body predicates held (the grounding denominator) and
-// a trust scale: when the conflict context is anchored on a cell that is
-// itself noisy (the body-join cell of the head tuple), the testimony is
-// halved — the violation may be resolvable by repairing that cell instead,
-// the multi-cell blind spot Section 5.2 acknowledges.
+// relevant counterparts (the grounding denominator) and a trust scale:
+// when the conflict context is anchored on a cell that is itself noisy
+// (the body-join cell of the head tuple), the testimony is halved — the
+// violation may be resolvable by repairing that cell instead, the
+// multi-cell blind spot Section 5.2 acknowledges.
+//
+// For a body-equality join or a scan the relevant counterparts are the
+// body-passers (the conflict context), while for a head-equality join
+// every join-matched counterpart is relevant — otherwise a candidate with
+// a single conflicting counterpart would always score the full −1. Every
+// strategy counts through countTable; the head tuple itself is never its
+// own counterpart.
 func (gr *grounder) relaxPair(rc *relaxCtx) (int32, float64) {
 	ds := gr.db.DS
-	var total int32
+	t := rc.c.Tuple
 
 	if rc.join >= 0 {
 		j := rc.b.Joins[rc.join]
 		headAttr, otherAttr := j[rc.hr.TupleVar], j[1-rc.hr.TupleVar]
 		if headAttr != rc.hr.Attr {
-			// Strategy 1: body equality join on initial values.
-			probe := ds.Get(rc.c.Tuple, headAttr)
+			// Strategy 1: body equality join on initial values. The probe
+			// is the head tuple's value on headAttr, one of its context
+			// attributes.
+			probe := ds.Get(t, headAttr)
 			if probe == dataset.Null {
 				return 0, 1
 			}
@@ -169,83 +234,115 @@ func (gr *grounder) relaxPair(rc *relaxCtx) (int32, float64) {
 			// The discount applies only when the join cell has an actual
 			// alternative: an inert cell cannot be the repair that resolves
 			// the violation.
-			if jv := gr.queryVarOf(dataset.Cell{Tuple: rc.c.Tuple, Attr: headAttr}); jv >= 0 && !gr.inert(jv) {
+			if jv := gr.queryVarOf(dataset.Cell{Tuple: t, Attr: headAttr}); jv >= 0 && !gr.inert(jv) {
 				scale = 0.5
 			}
-			for _, t2 := range gr.initIndex(otherAttr)[probe] {
-				if gr.checkCounterpart(rc, t2) {
-					total++
-				}
+			total := gr.countTable(rc, 0, gr.initIndex(otherAttr)[probe], 0).passed
+			if ds.Get(t, otherAttr) == probe && rc.uncount(t) {
+				total--
 			}
 			return total, scale
 		}
 		// Strategy 2: the head predicate itself is an equality — candidates
-		// index directly into the counterpart side. The per-cell dedup set is
-		// the arena's epoch-marked tuple set, not a fresh map.
+		// index directly into the counterpart side, one table per label.
+		// Domains hold distinct labels, so the lists are disjoint.
 		idx := gr.initIndex(otherAttr)
-		gr.ar.nextSeen(ds.NumTuples())
+		var total int32
 		for _, label := range rc.dom {
-			for _, t2 := range idx[dataset.Value(label)] {
-				if !gr.ar.seen(t2) {
-					if t2 != rc.c.Tuple {
-						total++
-					}
-					gr.checkCounterpart(rc, t2)
-				}
-			}
+			total += gr.countTable(rc, label, idx[dataset.Value(label)], 0).joined
+		}
+		if own := ds.Get(t, otherAttr); own != dataset.Null && slices.Contains(rc.dom, int32(own)) {
+			total--
+			rc.uncount(t)
 		}
 		return total, 1
 	}
-	// Strategy 3: scan.
+	// Strategy 3: scan the first MaxScanCounterparts tuples other than the
+	// head's (all of them at 0). The table covers one tuple more than the
+	// cap, tuples [0, m); the head's tuple, or past it the last of them,
+	// is taken back.
 	n := ds.NumTuples()
-	cap := gr.cfg.MaxScanCounterparts
-	cnt := 0
-	for t2 := 0; t2 < n; t2++ {
-		if t2 == rc.c.Tuple {
-			continue
-		}
-		if gr.checkCounterpart(rc, t2) {
-			total++
-		}
-		cnt++
-		if cap > 0 && cnt >= cap {
-			break
-		}
+	m := n
+	if c := gr.cfg.MaxScanCounterparts; c > 0 && c < n-1 {
+		m = c + 1
+	}
+	total := gr.countTable(rc, int32(m), nil, m).passed
+	excl := t
+	if t >= m {
+		excl = m - 1
+	}
+	if rc.uncount(excl) {
+		total--
 	}
 	return total, 1
 }
 
-// checkCounterpart accumulates violation counts for one counterpart and
-// reports whether its body predicates held. The caller decides what
-// enters the fraction denominator: for a body-equality join the relevant
-// counterparts are the body-passers (the conflict context), while for a
-// head-equality join every join-matched counterpart is relevant —
-// otherwise a candidate with a single conflicting counterpart would
-// always score the full −1.
-func (gr *grounder) checkCounterpart(rc *relaxCtx, t2 int) bool {
-	if t2 == rc.c.Tuple {
-		return false
+// countTable adds to the cell's counters the head counts of every
+// counterpart in its context's table, and returns the table. A context is
+// (tag, the head tuple's values on ctxAttrs): tag tells the counterpart
+// lists of one rule apart — a candidate label under strategy 2, the scan
+// length under strategy 3. Two heads in one context see the same
+// counterparts, pass the body with the same ones and, per candidate,
+// violate with the same ones, so the table is built once — from list, or
+// from tuples [0, upto) when list is nil — and shared through the
+// SharedIndex by every grounding of the run. Each group is counted with
+// one predicate evaluation per candidate.
+func (gr *grounder) countTable(rc *relaxCtx, tag int32, list []int, upto int) *counterTable {
+	ds := gr.db.DS
+	key := binary.LittleEndian.AppendUint32(gr.ar.keyBuf[:0], uint32(tag))
+	for _, a := range rc.ctxAttrs {
+		key = binary.LittleEndian.AppendUint32(key, uint32(ds.Get(rc.c.Tuple, a)))
 	}
-	tups := rc.tups(t2)
-	for _, i := range rc.bodyPreds {
-		if !rc.b.HoldsPred(i, tups[0], tups[1]) {
-			return false
-		}
+	gr.ar.keyBuf = key
+	tb := rc.tables.get(key)
+	if tb == nil {
+		tb = rc.tables.put(key, gr.buildTable(rc, list, upto))
 	}
-	for d, label := range rc.dom {
-		ok := true
-		hyp := dc.Subst{Ref: rc.hr, Val: dataset.Value(label)}
-		for _, i := range rc.headPreds {
-			if !rc.b.HoldsPredWith(i, tups[0], tups[1], &hyp) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			rc.counts[d]++
-		}
+	for _, g := range tb.groups {
+		rc.count(int(g.rep), g.n)
 	}
-	return true
+	return tb
+}
+
+// buildTable evaluates the body of every counterpart in list (or in
+// [0, upto)) against the head tuple and groups the passers by their values
+// on the counterpart role's attributes. The head tuple itself is included
+// like any other: for the heads of other tuples in the context it is a
+// counterpart.
+func (gr *grounder) buildTable(rc *relaxCtx, list []int, upto int) *counterTable {
+	ds := gr.db.DS
+	if gr.ar.groupOf == nil {
+		gr.ar.groupOf = make(map[string]int32)
+	}
+	groupOf := gr.ar.groupOf
+	clear(groupOf)
+	n := upto
+	if list != nil {
+		n = len(list)
+	}
+	tb := &counterTable{joined: int32(n)}
+	for i := 0; i < n; i++ {
+		t2 := i
+		if list != nil {
+			t2 = list[i]
+		}
+		if !rc.bodyHolds(t2) {
+			continue
+		}
+		tb.passed++
+		k := gr.ar.groupKey[:0]
+		for _, a := range rc.cpAttrs {
+			k = binary.LittleEndian.AppendUint32(k, uint32(ds.Get(t2, a)))
+		}
+		gr.ar.groupKey = k
+		if gi, ok := groupOf[string(k)]; ok {
+			tb.groups[gi].n++
+			continue
+		}
+		groupOf[string(k)] = int32(len(tb.groups))
+		tb.groups = append(tb.groups, counterGroup{rep: int32(t2), n: 1})
+	}
+	return tb
 }
 
 // initIndex returns the initial-value index of attr (value → tuples) from

@@ -94,10 +94,9 @@ func TestGroundMinimality(t *testing.T) {
 
 func TestGroundFeatures(t *testing.T) {
 	fx := newFixture(t)
-	fx.db.Features = func(c dataset.Cell) []string { return []string{"f1", "f2"} }
-	fx.db.SoftFeatures = func(c dataset.Cell, dom []int32) []SoftFeature {
-		h := make([]float64, len(dom))
-		return []SoftFeature{{Key: "soft|x", H: h, Init: 0.7}}
+	fx.db.Features = func(c dataset.Cell, dst []string) []string { return append(dst, "f1", "f2") }
+	fx.db.SoftFeatures = func(c dataset.Cell, dom []int32, buf *SoftBuf) {
+		buf.Add("soft|x", buf.Vec(len(dom)), 0.7)
 	}
 	prog := &Program{}
 	prog.Add(&Rule{Kind: RandomVariables})
@@ -270,7 +269,7 @@ func TestGroundRelaxedDC(t *testing.T) {
 	for i := range g.Graph.Softs {
 		s := &g.Graph.Softs[i]
 		if s.Var == v1 {
-			soft = &SoftFeature{H: s.H}
+			soft = &SoftFeature{H: g.Graph.SoftH(s)}
 		}
 	}
 	if soft == nil {

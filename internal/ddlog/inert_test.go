@@ -56,9 +56,9 @@ func TestInertVariablesGroundNoFactors(t *testing.T) {
 		),
 		Evidence:        evidence,
 		EvidenceDomains: [][]dataset.Value{vals("60608", "70000"), vals("Boston")},
-		Features:        func(dataset.Cell) []string { return []string{"f"} },
-		SoftFeatures: func(_ dataset.Cell, dom []int32) []SoftFeature {
-			return []SoftFeature{{Key: "soft", H: make([]float64, len(dom)), Init: 1}}
+		Features:        func(_ dataset.Cell, dst []string) []string { return append(dst, "f") },
+		SoftFeatures: func(_ dataset.Cell, dom []int32, buf *SoftBuf) {
+			buf.Add("soft", buf.Vec(len(dom)), 1)
 		},
 		Matches: []extdict.Match{
 			{Cell: cell(0, zip), Value: "60608", Dict: "k", CondCells: []dataset.Cell{cell(0, name)}}, // keyed on an inert cell
@@ -162,9 +162,9 @@ func TestInertVariablesGroundNoFactors(t *testing.T) {
 	// Both cells see three counterparts on Name = a (one with a Null zip).
 	rdc := func(c dataset.Cell) []float64 {
 		v, _ := g.VarOf.Get(c)
-		for _, s := range g.Graph.Softs {
-			if s.Var == v && w.Keys[s.Weight] == "rdc|fd@zip" {
-				return s.H
+		for i := range g.Graph.Softs {
+			if s := &g.Graph.Softs[i]; s.Var == v && w.Keys[s.Weight] == "rdc|fd@zip" {
+				return g.Graph.SoftH(s)
 			}
 		}
 		t.Fatalf("no relaxed-DC factor on %v", c)

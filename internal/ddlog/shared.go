@@ -1,26 +1,61 @@
 package ddlog
 
 import (
+	"slices"
 	"sync"
 
 	"holoclean/internal/dataset"
+	"holoclean/internal/dc"
 	"holoclean/internal/pruning"
 )
 
 // SharedIndex caches the dataset-wide indexes grounding consults — the
-// per-attribute initial-value index and the per-attribute candidate-label
-// buckets used to join denial constraints. A single SharedIndex is built
-// from the global domains and shared read-mostly across the per-shard
-// grounders of the sharded pipeline, so the O(|D|) index builds happen
-// once per attribute instead of once per shard. All methods are safe for
-// concurrent use.
+// per-attribute initial-value index, the per-attribute candidate-label
+// buckets used to join denial constraints, and the counterpart tables of
+// relaxed denial constraints. A single SharedIndex is built from the
+// global domains and shared read-mostly across the per-shard grounders of
+// the sharded pipeline, so the O(|D|) index builds happen once per
+// attribute, and a counterpart join once per context, instead of once per
+// shard. All methods are safe for concurrent use.
 type SharedIndex struct {
 	ds      *dataset.Dataset
 	domains *pruning.Domains
 
-	mu   sync.RWMutex
-	init map[int]map[dataset.Value][]int
-	cand map[int]map[int32][]int
+	mu    sync.RWMutex
+	init  map[int]map[dataset.Value][]int
+	cand  map[int]map[int32][]int
+	relax map[relaxRule]*relaxTables
+}
+
+// relaxRule identifies one single-head relaxation of a constraint.
+type relaxRule struct {
+	src  *dc.Constraint
+	head dc.CellRef
+}
+
+// relaxTables holds the counterpart tables of one relaxed rule, keyed by
+// context (see grounder.counterTable). reads lists the attributes the
+// constraint references: the tables are a function of the initial values
+// on them alone.
+type relaxTables struct {
+	reads []int
+
+	mu sync.RWMutex
+	m  map[string]*counterTable
+}
+
+// counterTable is the counterpart side of one relaxed-DC context: of the
+// tuples the rule's join (or scan) reaches, how many it reached, how many
+// passed the body predicates, and those grouped by their values on the
+// counterpart role's attributes, one representative and a multiplicity
+// per group. Every member of a group scores every candidate alike.
+type counterTable struct {
+	joined, passed int32
+	groups         []counterGroup
+}
+
+type counterGroup struct {
+	rep, n int32
 }
 
 // NewSharedIndex returns an empty index over the dataset and the global
@@ -32,17 +67,19 @@ func NewSharedIndex(ds *dataset.Dataset, domains *pruning.Domains) *SharedIndex 
 		domains: domains,
 		init:    make(map[int]map[dataset.Value][]int),
 		cand:    make(map[int]map[int32][]int),
+		relax:   make(map[relaxRule]*relaxTables),
 	}
 }
 
 // Rebind points the index at a mutated dataset and refreshed domains,
-// dropping the cached per-attribute indexes named in dirtyAttrs and
-// keeping the rest. An attribute's indexes may be kept only when nothing
-// they were built from changed: no tuple's initial value on the
-// attribute, no noisy cell's candidate set on it, and — because appends
-// and deletions add or remove bucket entries in every attribute — the
-// tuple count. Incremental cleaning sessions call this once per reclean
-// so the O(|D|) index builds of untouched attributes survive the delta.
+// dropping the cached per-attribute indexes named in dirtyAttrs, and the
+// counterpart tables of every constraint that references one, and keeping
+// the rest. An attribute's indexes may be kept only when nothing they were
+// built from changed: no tuple's initial value on the attribute, no noisy
+// cell's candidate set on it, and — because appends and deletions add or
+// remove bucket entries in every attribute — the tuple count. Incremental
+// cleaning sessions call this once per reclean so the O(|D|) index builds
+// of untouched attributes survive the delta.
 func (s *SharedIndex) Rebind(ds *dataset.Dataset, domains *pruning.Domains, dirtyAttrs map[int]bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -52,6 +89,50 @@ func (s *SharedIndex) Rebind(ds *dataset.Dataset, domains *pruning.Domains, dirt
 		delete(s.init, a)
 		delete(s.cand, a)
 	}
+	for r, rt := range s.relax {
+		if slices.ContainsFunc(rt.reads, func(a int) bool { return dirtyAttrs[a] }) {
+			delete(s.relax, r)
+		}
+	}
+}
+
+// relaxed returns the counterpart tables of the relaxation of b with head
+// cell reference head, creating the empty set on first use.
+func (s *SharedIndex) relaxed(b *dc.Bound, head dc.CellRef) *relaxTables {
+	k := relaxRule{src: b.Src, head: head}
+	s.mu.RLock()
+	rt := s.relax[k]
+	s.mu.RUnlock()
+	if rt != nil {
+		return rt
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rt = s.relax[k]; rt == nil {
+		rt = &relaxTables{reads: slices.Concat(b.RoleAttrs[0], b.RoleAttrs[1]), m: make(map[string]*counterTable)}
+		s.relax[k] = rt
+	}
+	return rt
+}
+
+// get returns the table of context key, or nil before it is built.
+func (rt *relaxTables) get(key []byte) *counterTable {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	return rt.m[string(key)]
+}
+
+// put stores tb under key unless another grounder stored the same
+// context's table first, and returns the one kept. Both are built from the
+// same initial values, so either serves.
+func (rt *relaxTables) put(key []byte, tb *counterTable) *counterTable {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if prev := rt.m[string(key)]; prev != nil {
+		return prev
+	}
+	rt.m[string(key)] = tb
+	return tb
 }
 
 // Init returns the initial-value index of attr: value → tuples whose cell

@@ -78,11 +78,12 @@ type Unary struct {
 // carry the co-occurrence probability statistic Pr[d | sibling values],
 // with the weight tied per attribute — the real-valued featurization the
 // original system's statistics featurizer uses, which generalizes across
-// values that never appear among the evidence cells.
+// values that never appear among the evidence cells. Its vector lives in
+// the graph's flat soft arena; Graph.SoftH returns it.
 type Soft struct {
 	Var    int32
 	Weight int32
-	H      []float64 // len == len(Domain)
+	hOff   int32 // start of H in the soft arena; H has len(Domain) entries
 }
 
 // Pred is one predicate of an n-ary factor, over factor slots. Slots index
@@ -177,6 +178,13 @@ func (w *Weights) ID(key string, init float64, fixed bool) int32 {
 	return w.add(key, init, fixed)
 }
 
+// Lookup returns the id of key when the store already holds it. Like
+// IDBytes, it does not allocate.
+func (w *Weights) Lookup(key []byte) (int32, bool) {
+	id, ok := w.ids[string(key)] // no-alloc map lookup
+	return id, ok
+}
+
 // IDBytes is ID for keys built in reusable byte buffers: the hot
 // grounding loops call it once per factor, and a warm lookup (the key is
 // already registered) performs zero allocations. A miss materializes the
@@ -259,6 +267,7 @@ type Graph struct {
 	domArena  []int32   // backing storage for Variable.Domain slices
 	naryVars  []int32   // backing storage for every n-ary factor's variables
 	naryPreds []Pred    // backing storage for every n-ary factor's predicates
+	softH     []float64 // backing storage for every soft factor's H vector
 	varUnary  adjacency // variable → incident unary factor indices
 	varSoft   adjacency // variable → incident soft factor indices
 	varNary   adjacency // variable → incident n-ary factor indices
@@ -344,7 +353,8 @@ func (g *Graph) NaryVars(f *Nary) []int32 { return g.naryVars[f.varOff : f.varOf
 func (g *Graph) NaryPreds(f *Nary) []Pred { return g.naryPreds[f.predOff : f.predOff+f.nPreds] }
 
 // AddSoft appends a real-valued unary factor. h must have one entry per
-// domain value of v.
+// domain value of v; it is copied into the graph's flat soft arena, so
+// callers may reuse their slice.
 func (g *Graph) AddSoft(v, weight int32, h []float64) {
 	if g.frozen {
 		panic("factor: AddSoft on frozen graph")
@@ -352,7 +362,15 @@ func (g *Graph) AddSoft(v, weight int32, h []float64) {
 	if len(h) != len(g.Vars[v].Domain) {
 		panic("factor: AddSoft h length mismatch")
 	}
-	g.Softs = append(g.Softs, Soft{Var: v, Weight: weight, H: h})
+	g.Softs = append(grow(g.Softs, 1), Soft{Var: v, Weight: weight, hOff: int32(len(g.softH))})
+	g.softH = append(grow(g.softH, len(h)), h...)
+}
+
+// SoftH returns the vector of soft factor s: H[d] is added, times the
+// weight, to the score of its variable taking Domain[d]. The slice aliases
+// the graph's arena and must not be modified.
+func (g *Graph) SoftH(s *Soft) []float64 {
+	return g.softH[s.hOff : s.hOff+int32(len(g.Vars[s.Var].Domain))]
 }
 
 // NumFactors returns the total factor count, the quantity the grounding
@@ -563,8 +581,8 @@ func (g *Graph) StaticScores(v int32, buf []float64) {
 	for _, si := range g.varSoft.of(v) {
 		s := &g.Softs[si]
 		w := g.Weights.W[s.Weight]
-		for d := range buf {
-			buf[d] += w * s.H[d]
+		for d, h := range g.SoftH(s) {
+			buf[d] += w * h
 		}
 	}
 }
@@ -615,7 +633,7 @@ func (g *Graph) Energy() float64 {
 	}
 	for i := range g.Softs {
 		s := &g.Softs[i]
-		e += g.Weights.W[s.Weight] * s.H[g.Vars[s.Var].Assign]
+		e += g.Weights.W[s.Weight] * g.SoftH(s)[g.Vars[s.Var].Assign]
 	}
 	// A factor's value under the current assignment is its value with its
 	// first slot hypothetically taking the label it already has.

@@ -42,8 +42,9 @@ func ReferenceLocalScores(g *factor.Graph, v int32, buf []float64) {
 	for _, si := range g.IncidentSofts(v) {
 		s := &g.Softs[si]
 		w := g.Weights.W[s.Weight]
+		h := g.SoftH(s)
 		for d := range buf {
-			buf[d] += w * s.H[d]
+			buf[d] += w * h[d]
 		}
 	}
 	for _, ni := range g.IncidentNaries(v) {

@@ -132,11 +132,12 @@ func applyGradient(g *factor.Graph, v int32, o int, pr, h []float64, lr, l2 floa
 			continue
 		}
 		// grad = H(o) − E_{d∼pr}[H(d)]
+		h := g.SoftH(s)
 		var hExp float64
 		for d := range pr {
-			hExp += pr[d] * s.H[d]
+			hExp += pr[d] * h[d]
 		}
-		step(s.Weight, s.H[o]-hExp)
+		step(s.Weight, h[o]-hExp)
 	}
 	for k, ni := range g.IncidentNaries(v) {
 		f := &g.Naries[ni]

@@ -69,11 +69,15 @@ type RunStatsInfo struct {
 	// inference solves for and the clean cells pinned as evidence.
 	QueryVars    int `json:"query_vars"`
 	EvidenceVars int `json:"evidence_vars"`
-	Factors      int `json:"factors"`
+	// Factors counts the factors materialized: shard graphs leave out
+	// unary and soft factors whose weight is 0.
+	Factors int `json:"factors"`
 	// PaperFactors counts factors before the repeated-feature folding,
-	// the figure comparable to the paper's model sizes.
+	// the figure comparable to the paper's model sizes; it includes the
+	// groundings Factors leaves out.
 	PaperFactors int64 `json:"paper_factors"`
-	// Weights is the number of distinct learned weights in the model.
+	// Weights is the number of distinct tying keys the pass materialized
+	// or broadcast.
 	Weights      int `json:"weights"`
 	Shards       int `json:"shards"`
 	ExactShards  int `json:"exact_shards"`

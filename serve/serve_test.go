@@ -756,6 +756,19 @@ func TestServeEvictionRestore(t *testing.T) {
 	}
 }
 
+// TestServeCreateRejectsDuplicateNames: two constraints of one name would
+// share learned weights; the create request is refused as malformed.
+func TestServeCreateRejectsDuplicateNames(t *testing.T) {
+	_, tc := newTestServer(t, Config{Workers: 1})
+	status, raw := tc.json("POST", "/sessions", CreateRequest{
+		Name: "dup", CSV: fixtureCSV("du", 4), Seed: 1,
+		Constraints: fixtureDCs + "fd: t1&t2&EQ(t1.Val,t2.Val)&IQ(t1.Key,t2.Key)\n",
+	}, nil)
+	if status != http.StatusBadRequest || !strings.Contains(string(raw), `constraint name \"fd\" is already taken by line 1`) {
+		t.Fatalf("duplicate constraint names: status %d: %s", status, raw)
+	}
+}
+
 // TestServeDeltaValidation: a bad batch is rejected whole — 400, no
 // partial application — and bad feedback (unknown attribute, duplicate
 // confirmation, empty value) is rejected without touching the session.

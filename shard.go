@@ -291,8 +291,8 @@ func parallelVarSeeds(g *ddlog.Grounded, base int64, numAttrs int) []int64 {
 	return vs
 }
 
-// shardRunner executes the per-shard ground → tie weights → infer →
-// extract pipeline of one pass over a bounded worker pool and merges the
+// shardRunner executes the per-shard ground (with the broadcast weights) →
+// infer → extract pipeline of one pass over a bounded worker pool and merges the
 // results into the pass's Result and outcomes.
 type shardRunner struct {
 	*pass
@@ -369,11 +369,9 @@ func (r *shardRunner) runAll(plan []shard, workers int) error {
 	}
 }
 
-// runOne grounds, infers, and extracts a single shard.
-func (r *shardRunner) runOne(sh shard) error {
-	prep, o := r.prep, r.opts
-
-	// Narrow the database to the shard's cells.
+// shardDB narrows the prepared database to one shard's cells.
+func (r *shardRunner) shardDB(sh shard) *ddlog.Database {
+	prep := r.prep
 	cells := make([]dataset.Cell, 0, len(sh.cells))
 	cands := make([][]dataset.Value, 0, len(sh.cells))
 	inShard := make(map[int]bool)
@@ -399,6 +397,22 @@ func (r *shardRunner) runOne(sh shard) error {
 		// hold independent variables.
 		db.Scope.Boundary = boundaryDamp
 	}
+	return &db
+}
+
+// shardConfig is the grounding configuration of every shard: the shard
+// graphs are grounded with the broadcast weights they infer with, so a
+// learnable weight starts at its learned value (keys grounded only by
+// query cells receive no gradient in a monolithic run either and keep
+// their prior), and unary and soft factors of weight 0 are left out.
+func (r *shardRunner) shardConfig(arena *ddlog.Arena) ddlog.Config {
+	return ddlog.Config{MaxScanCounterparts: r.opts.MaxScanCounterparts, Weights: r.weights, Arena: arena}
+}
+
+// runOne grounds, infers, and extracts a single shard.
+func (r *shardRunner) runOne(sh shard) error {
+	prep, o := r.prep, r.opts
+	db := r.shardDB(sh)
 
 	// Grounding scratch comes from the process-wide arena pool, so the
 	// worker pool's steady stream of shard groundings — and every
@@ -407,19 +421,9 @@ func (r *shardRunner) runOne(sh shard) error {
 	defer ddlog.ReleaseArena(arena)
 
 	tg := time.Now()
-	g, err := ddlog.Ground(&db, prep.Program, ddlog.Config{MaxScanCounterparts: o.MaxScanCounterparts, Arena: arena})
+	g, err := ddlog.Ground(db, prep.Program, r.shardConfig(arena))
 	if err != nil {
 		return err
-	}
-	// Tie shared signal families across shards: overwrite every learnable
-	// weight with its globally learned value. Keys grounded only by query
-	// cells receive no gradient in a monolithic run either, so keeping
-	// their initial value matches monolithic behavior exactly.
-	w := g.Graph.Weights
-	for i, k := range w.Keys {
-		if v, ok := r.weights[k]; ok && !w.Fixed[i] {
-			w.W[i] = v
-		}
 	}
 	groundDur := time.Since(tg)
 
@@ -456,7 +460,7 @@ func (r *shardRunner) runOne(sh shard) error {
 	if !hasNary {
 		r.res.Stats.ExactShards++
 	}
-	for _, k := range w.Keys {
+	for _, k := range g.Graph.Weights.Keys {
 		r.weightKeys[k] = true
 	}
 	for vi, c := range g.Cells {
