@@ -18,35 +18,32 @@ func skewOptions() Options {
 }
 
 // TestCleanIntraWorkersEquivalent extends the pipeline's determinism
-// contract to intra-shard parallelism: on a dataset whose hot region is
-// one giant conflict component, every
-// (Workers, IntraWorkers) combination produces byte-identical repairs
-// and marginals to the fully sequential run.
+// contract to the work inside one shard: on a dataset whose hot region
+// is one giant conflict component, the shard a single worker sweeps
+// whole while the pool handles the rest, every Workers value produces
+// byte-identical repairs and marginals to the fully sequential run.
 func TestCleanIntraWorkersEquivalent(t *testing.T) {
-	// 70% of 900 tuples in the hot region: color classes large enough
-	// that IntraWorkers actually fans out.
+	// 70% of 900 tuples in the hot region.
 	gen := func() *datagen.Generated {
 		return datagen.Skew(datagen.SkewConfig{Tuples: 900, Seed: 5, HotFrac: 0.7})
 	}
-	run := func(workers, intra int) *Result {
+	run := func(workers int) *Result {
 		g := gen()
 		opts := skewOptions()
 		opts.Workers = workers
-		opts.IntraWorkers = intra
 		res, err := New(opts).Clean(g.Dirty, g.Constraints)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	base := run(1, 1)
+	base := run(1)
 	if base.Stats.LargestComponentFrac < 0.5 {
 		t.Fatalf("LargestComponentFrac = %v, want a dominant component (fixture broken?)",
 			base.Stats.LargestComponentFrac)
 	}
-	for _, grid := range [][2]int{{1, 2}, {1, 4}, {4, 1}, {4, 4}, {2, 3}} {
-		got := run(grid[0], grid[1])
-		requireIdenticalResults(t, fmt.Sprintf("Workers=%d IntraWorkers=%d", grid[0], grid[1]), got, base)
+	for _, w := range []int{2, 3, 4} {
+		requireIdenticalResults(t, fmt.Sprintf("Workers=%d", w), run(w), base)
 	}
 }
 

@@ -62,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		variant   = fs.String("variant", "feats", "model variant: feats, factors, factors+part, feats+factors, feats+factors+part")
 		outliers  = fs.Bool("outliers", false, "add outlier-based error detection")
 		workers   = fs.Int("workers", 0, "shard worker pool size (0 = all CPUs); results are identical for any value")
-		intra     = fs.Int("intra-workers", 0, "goroutines sampling within one large correlated shard (0 = 1); results are identical for any value")
 		maxComp   = fs.Int("max-component-cells", 0, "split conflict components larger than this many cells into damped sub-shards (0 = never split)")
 		showStats = fs.Bool("stats", false, "print the component-size histogram and skew gauge to stderr")
 		deltaPath = fs.String("delta", "", "CSV of tuple changes (op,row,<schema...>) applied after the initial clean; re-repairs incrementally via a Session")
@@ -109,7 +108,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	opts.Seed = *seed
 	opts.OutlierDetection = *outliers
 	opts.Workers = *workers
-	opts.IntraWorkers = *intra
 	opts.MaxComponentCells = *maxComp
 	switch *variant {
 	case "feats":

@@ -14,12 +14,7 @@
 //	-max-jobs N      heavy pipeline jobs running concurrently (default 2)
 //	-queue-depth N   jobs allowed to wait beyond the running ones; more
 //	                 get 429 + Retry-After (default 8)
-//	-workers N       shard workers per job (default
-//	                 GOMAXPROCS/(max-jobs×intra-workers))
-//	-intra-workers N sampler goroutines inside each large correlated
-//	                 shard (default 1); a job's peak parallelism is
-//	                 workers × intra-workers, and the fair-share default
-//	                 for -workers accounts for it
+//	-workers N       shard workers per job (default GOMAXPROCS/max-jobs)
 //	-idle-timeout D  evict sessions idle for D to a checkpoint (0
 //	                 disables)
 //	-store-dir P     session store under P: per-session write-ahead
@@ -100,7 +95,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		workers     = flag.Int("workers", 0, "shard worker-pool size per job (0 = fair share of all CPUs)")
-		intra       = flag.Int("intra-workers", 0, "intra-shard sampler goroutines per job (0 = 1); counted against the fair CPU share")
 		maxJobs     = flag.Int("max-jobs", 2, "max heavy pipeline jobs running concurrently")
 		queueDepth  = flag.Int("queue-depth", 8, "max jobs waiting beyond the running ones before 429")
 		idleTimeout = flag.Duration("idle-timeout", 15*time.Minute, "evict sessions idle this long (0 = never)")
@@ -145,7 +139,6 @@ func main() {
 	}
 	sv, err := serve.New(serve.Config{
 		Workers:           *workers,
-		IntraWorkers:      *intra,
 		MaxConcurrentJobs: *maxJobs,
 		QueueDepth:        *queueDepth,
 		IdleTimeout:       *idleTimeout,

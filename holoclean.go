@@ -231,16 +231,6 @@ type Options struct {
 	// each shard on Workers goroutines. 0 means runtime.GOMAXPROCS(0).
 	// Results are deterministic for a given Seed regardless of Workers.
 	Workers int
-	// IntraWorkers bounds the goroutines sampling WITHIN one correlated
-	// shard. Correlated shards run a chromatic Gibbs schedule: the factor
-	// graph is greedily colored, and each color class — mutually
-	// non-adjacent variables — is swept by IntraWorkers goroutines in
-	// parallel. Per-variable counter-based RNG streams make the draw
-	// sequence a function of variable identity alone, so results are
-	// bit-identical for every IntraWorkers value. 0 means 1 (sequential
-	// within a shard); total goroutines are bounded by
-	// Workers × IntraWorkers.
-	IntraWorkers int
 	// MaxComponentCells, when positive, splits conflict components whose
 	// cell count exceeds it into tuple-aligned sub-shards, bounding the
 	// largest grounding and sampling unit (and therefore per-shard memory
@@ -345,8 +335,8 @@ type RunStats struct {
 	// LargestComponentFrac is the fraction of conflict-hypergraph tuples
 	// claimed by the largest component — the skew measure that predicts
 	// whether one giant component will serialize the shard pool (the
-	// regime MaxComponentCells and IntraWorkers exist for). Zero when
-	// there are no components.
+	// regime MaxComponentCells exists for). Zero when there are no
+	// components.
 	LargestComponentFrac float64
 	// ShardsReused counts the shards of the full plan whose cached
 	// results an incremental Session.Reclean carried forward instead of

@@ -226,25 +226,7 @@ func TestCleanWorkersEquivalent(t *testing.T) {
 	for _, v := range []Variant{VariantDCFeats, VariantDCFactors, VariantDCFeatsFactors} {
 		base := run(1, v)
 		for _, w := range []int{2, 4, 16} {
-			got := run(w, v)
-			if !base.Repaired.Equal(got.Repaired) {
-				t.Errorf("%s: Workers=%d repairs differ from Workers=1", v.Name(), w)
-			}
-			if len(base.Marginals) != len(got.Marginals) {
-				t.Fatalf("%s: Workers=%d marginal count differs", v.Name(), w)
-			}
-			for c, dist := range base.Marginals {
-				other := got.Marginals[c]
-				if len(other) != len(dist) {
-					t.Fatalf("%s: marginal of %v has different support", v.Name(), c)
-				}
-				for i := range dist {
-					if dist[i] != other[i] {
-						t.Errorf("%s: marginal of %v differs at %d: %v vs %v",
-							v.Name(), c, i, dist[i], other[i])
-					}
-				}
-			}
+			requireIdenticalResults(t, fmt.Sprintf("%s: Workers=%d", v.Name(), w), run(w, v), base)
 		}
 	}
 }

@@ -30,10 +30,10 @@ func coupledChain(n int) *factor.Graph {
 	return g
 }
 
-func chromaticMarginals(t *testing.T, n, workers int, sc *Scratch) [][]float64 {
+func chromaticMarginals(t *testing.T, n int, sc *Scratch) [][]float64 {
 	t.Helper()
 	g := coupledChain(n)
-	cfg := Config{BurnIn: 5, Samples: 40, Seed: 42, IntraWorkers: workers, Scratch: sc}
+	cfg := Config{BurnIn: 5, Samples: 40, Seed: 42, Scratch: sc}
 	cfg.Colors = partition.ColorGraph(g)
 	m := Run(g, cfg)
 	out := make([][]float64, len(m.P))
@@ -43,32 +43,13 @@ func chromaticMarginals(t *testing.T, n, workers int, sc *Scratch) [][]float64 {
 	return out
 }
 
-// TestChromaticWorkerEquivalence pins the determinism contract: the
-// chromatic schedule at any IntraWorkers count is bit-identical to the
-// same schedule swept sequentially (IntraWorkers = 1).
-func TestChromaticWorkerEquivalence(t *testing.T) {
-	const n = 301
-	ref := chromaticMarginals(t, n, 1, nil)
-	for _, workers := range []int{2, 3, 4, 16} {
-		got := chromaticMarginals(t, n, workers, nil)
-		for v := range ref {
-			for d := range ref[v] {
-				if got[v][d] != ref[v][d] {
-					t.Fatalf("IntraWorkers=%d: marginal[%d][%d] = %v, want %v (bit-identical)",
-						workers, v, d, got[v][d], ref[v][d])
-				}
-			}
-		}
-	}
-}
-
 // TestChromaticScratchEquivalence: a pooled, warm scratch must not change
 // results.
 func TestChromaticScratchEquivalence(t *testing.T) {
-	ref := chromaticMarginals(t, 64, 4, nil)
+	ref := chromaticMarginals(t, 64, nil)
 	sc := new(Scratch)
-	chromaticMarginals(t, 200, 2, sc) // warm it on a different size
-	got := chromaticMarginals(t, 64, 4, sc)
+	chromaticMarginals(t, 200, sc) // warm it on a different size
+	got := chromaticMarginals(t, 64, sc)
 	for v := range ref {
 		for d := range ref[v] {
 			if got[v][d] != ref[v][d] {
@@ -87,7 +68,7 @@ func TestChromaticMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{BurnIn: 200, Samples: 6000, Seed: 7, IntraWorkers: 2}
+	cfg := Config{BurnIn: 200, Samples: 6000, Seed: 7}
 	cfg.Colors = partition.ColorGraph(g)
 	m := Run(g, cfg)
 	for v := range exact.P {

@@ -32,28 +32,24 @@ type Config struct {
 	// Deprecated: independent query variables, the only regime it applied
 	// to, are no longer sampled.
 	Parallel bool
+	// IntraWorkers has no effect.
+	//
+	// Deprecated: a sampled graph is swept by one goroutine; shards are
+	// the pipeline's only unit of parallel work.
+	IntraWorkers int
 	// VarSeed, when non-nil, supplies the per-variable stream seed (len ==
 	// number of variables) in place of the Seed-derived one. The sharded
 	// pipeline uses it to seed each variable's stream by its global
 	// identity rather than its index in the shard-local graph.
 	VarSeed []int64
-	// Colors is the chromatic sweep schedule: each entry is one color class
-	// — query variables that share no n-ary factor — and every sweep
-	// samples the classes in order, each class across IntraWorkers
-	// goroutines. Within a class the conditionals are mutually independent
-	// given the other classes, so the parallel class sweep is a valid
-	// single-site Gibbs schedule. Every variable draws from its own
-	// counter-based stream seeded by Seed/VarSeed, so the result is
-	// bit-identical for every IntraWorkers value, including 1. Colors must
-	// cover exactly the query variables of the graph; nil means one class
-	// per query variable, in index order — the trivially valid coloring.
+	// Colors is the sweep order: each entry is one color class — query
+	// variables that share no n-ary factor — and every sweep visits the
+	// classes in order, each class's variables in the order listed. Colors
+	// must cover exactly the query variables of the graph; nil means a
+	// single class holding every query variable in index order.
 	Colors [][]int32
-	// IntraWorkers bounds the goroutines sampling one color class. Values
-	// <= 1 sweep sequentially — the reference schedule parallel runs must
-	// reproduce bit for bit.
-	IntraWorkers int
 	// Scratch, when non-nil, supplies every working buffer of the run —
-	// marginal arenas, score buffers, stream state — so a warmed
+	// marginal arenas, the score buffer, stream state — so a warmed
 	// scratch makes steady-state runs allocation-free. The
 	// returned Marginals borrow the scratch's arenas and stay valid only
 	// until the scratch's next Run; callers must extract what they need
@@ -64,8 +60,8 @@ type Config struct {
 
 // Scratch is the reusable working memory of one run: a flat marginal
 // arena with per-variable views, the same again for the sweep-invariant
-// static scores, the dense current-label array, score buffers (one per
-// chromatic worker), and per-variable stream state. The sharded pipeline
+// static scores, the dense current-label array, the score buffer, and
+// per-variable stream state. The sharded pipeline
 // pools scratches across its worker pool and across Session recleans via
 // AcquireScratch/ReleaseScratch, so steady-state serving recleans approach
 // zero inference allocations. Nothing in a scratch outlives a Run as
@@ -78,7 +74,6 @@ type Scratch struct {
 	static  [][]float64 // per-variable views into statics
 	cur     []int32     // cur[v] == Domain[Assign] of v, kept in step with Assign
 	buf     []float64
-	wbuf    [][]float64 // per-worker score buffers (parallel chromatic classes)
 	query   []int32
 	pstate  []uint64 // per-variable splitmix64 states
 	m       factor.Marginals
@@ -133,8 +128,9 @@ func ReleaseScratch(s *Scratch) { scratchPool.Put(s) }
 
 // Run returns the marginals of g's query variables by the rule its shape
 // calls for: the closed form when no n-ary factor touches a query variable
-// (bit-identical to Exact, whatever the sampling budget and seed), chromatic
-// Gibbs sampling otherwise, which needs cfg.Samples > 0. Evidence variables
+// (each posterior is the softmax of the variable's local scores, whatever
+// the sampling budget and seed), chromatic Gibbs sampling otherwise, which
+// needs cfg.Samples > 0. Evidence variables
 // stay clamped at their observed values and have point-mass marginals.
 func Run(g *factor.Graph, cfg Config) *factor.Marginals {
 	g.Freeze()
@@ -155,9 +151,7 @@ func Run(g *factor.Graph, cfg Config) *factor.Marginals {
 // 64-bit output (Steele, Lea & Flood's SplitMix64). Eight bytes of state
 // per variable is what makes per-variable streams affordable at 10⁶
 // variables — a math/rand source is ~5KB — and the stream depends only on
-// the variable's own seed and draw count, never on which goroutine
-// executes the draw, which is the whole determinism argument of the
-// chromatic schedule.
+// the variable's own seed and draw count.
 func splitmix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
 	z := *state
@@ -200,12 +194,8 @@ func sampleSoftmaxState(state *uint64, scores []float64) int {
 }
 
 // runChromatic executes the color-scheduled sweeps of Config.Colors: every
-// sweep visits the classes in order and samples each class's variables —
-// sequentially when IntraWorkers <= 1, otherwise in contiguous chunks
-// across an IntraWorkers-goroutine pool. Without colors every query
-// variable is its own class, visited in index order. Correctness of the
-// parallel class sweep: variables in one class share no n-ary factor, so
-// each visit reads only labels frozen since the previous class boundary.
+// sweep visits the classes in order and samples each class's variables in
+// turn. Without colors the query variables form one class, in index order.
 //
 // What a visit does not recompute: a variable's unary and soft scores
 // depend on weights alone, so they are filled once per run into the
@@ -219,8 +209,7 @@ func sampleSoftmaxState(state *uint64, scores []float64) int {
 //
 // Determinism: each variable draws from a private splitmix64 stream
 // advanced exactly once per sweep, so the draw sequence depends only on
-// the variable's seed — results are bit-identical for any IntraWorkers
-// value.
+// the variable's seed and the sweep order.
 func runChromatic(g *factor.Graph, cfg Config, sc *Scratch) *factor.Marginals {
 	n := float64(cfg.Samples)
 	counts := sc.marginals(g)
@@ -262,39 +251,19 @@ func runChromatic(g *factor.Graph, cfg Config, sc *Scratch) *factor.Marginals {
 		}
 	}
 	sc.query = query
-
-	workers := cfg.IntraWorkers
-	if workers > len(query) {
-		workers = len(query)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	sc.buf = grow(sc.buf, maxDom)
-	if workers > 1 {
-		sc.wbuf = grow(sc.wbuf, workers)
-		for w := range sc.wbuf {
-			sc.wbuf[w] = grow(sc.wbuf[w], maxDom)
-		}
-	}
 
+	classes := cfg.Colors
+	if len(classes) == 0 {
+		classes = [][]int32{query}
+	}
 	sweeps := cfg.BurnIn + cfg.Samples
 	for sweep := 0; sweep < sweeps; sweep++ {
 		collect := sweep >= cfg.BurnIn
-		if len(cfg.Colors) == 0 {
-			for _, v := range query {
-				chromaticSampleVar(g, sc, v, sc.buf, collect)
+		for _, class := range classes {
+			for _, v := range class {
+				sampleVar(g, sc, v, collect)
 			}
-			continue
-		}
-		for _, class := range cfg.Colors {
-			if workers <= 1 || len(class) < 2*workers {
-				for _, v := range class {
-					chromaticSampleVar(g, sc, v, sc.buf, collect)
-				}
-				continue
-			}
-			chromaticClassParallel(g, sc, class, workers, collect)
 		}
 	}
 
@@ -313,44 +282,15 @@ func runChromatic(g *factor.Graph, cfg Config, sc *Scratch) *factor.Marginals {
 	return m
 }
 
-// chromaticClassParallel samples one color class in contiguous chunks
-// across workers goroutines. It lives outside runChromatic so the
-// WaitGroup and goroutine closures never force heap allocations onto the
-// sequential (IntraWorkers <= 1) path, which the zero-alloc warmed-sweep
-// guarantee covers.
-func chromaticClassParallel(g *factor.Graph, sc *Scratch, class []int32, workers int, collect bool) {
-	var wg sync.WaitGroup
-	chunk := (len(class) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(class))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(buf []float64, part []int32) {
-			defer wg.Done()
-			for _, v := range part {
-				chromaticSampleVar(g, sc, v, buf, collect)
-			}
-		}(sc.wbuf[w], class[lo:hi])
-	}
-	wg.Wait()
-}
-
-// chromaticSampleVar draws variable v's next state from its private
-// splitmix64 stream into the caller-owned score buffer; collect
-// accumulates the draw into the marginal counts. Rows of distinct
-// variables never alias — in the counts, in cur, in the stream states — and
-// a class only reads the labels of other classes, so concurrent visits
-// within a color class are race-free. Top-level (not a closure) so the
-// warmed sequential path stays allocation-free.
-func chromaticSampleVar(g *factor.Graph, sc *Scratch, v int32, buf []float64, collect bool) {
+// sampleVar draws variable v's next state from its private splitmix64
+// stream, scoring into the scratch's buffer; collect accumulates the draw
+// into the marginal counts.
+func sampleVar(g *factor.Graph, sc *Scratch, v int32, collect bool) {
 	static := sc.static[v]
 	if len(static) < 2 {
 		return
 	}
-	scores := buf[:len(static)]
+	scores := sc.buf[:len(static)]
 	copy(scores, static)
 	g.AddNaryScores(v, sc.cur, scores)
 	d := sampleSoftmaxState(&sc.pstate[v], scores)
@@ -360,18 +300,6 @@ func chromaticSampleVar(g *factor.Graph, sc *Scratch, v int32, buf []float64, co
 	if collect {
 		sc.p[v][d]++
 	}
-}
-
-// Exact computes marginals in closed form for graphs whose query variables
-// are independent given the evidence (no n-ary factor touches a query
-// variable): each variable's posterior is the softmax of its local scores.
-// It panics if the graph has query-side correlations.
-func Exact(g *factor.Graph) *factor.Marginals {
-	g.Freeze()
-	if g.HasNaryOnQuery() {
-		panic("gibbs: Exact requires an independent-variable graph (Section 5.2 relaxation)")
-	}
-	return closedForm(g, new(Scratch))
 }
 
 // closedForm writes every query variable's softmax posterior into sc's

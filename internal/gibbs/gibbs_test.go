@@ -33,7 +33,7 @@ func correlatedGraph() *factor.Graph {
 
 func TestExactMatchesClosedForm(t *testing.T) {
 	g := independentGraph()
-	m := Exact(g)
+	m := Run(g, Config{})
 	// v0: scores [+1, −1] → softmax.
 	want0 := math.Exp(1.0) / (math.Exp(1.0) + math.Exp(-1.0))
 	if math.Abs(m.Prob(0, 0)-want0) > 1e-12 {
@@ -46,15 +46,6 @@ func TestExactMatchesClosedForm(t *testing.T) {
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("v1 marginal sums to %v", sum)
 	}
-}
-
-func TestExactPanicsOnCorrelated(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("Exact should panic on correlated graphs")
-		}
-	}()
-	Exact(correlatedGraph())
 }
 
 func TestGibbsConvergesToEnumerationCorrelated(t *testing.T) {

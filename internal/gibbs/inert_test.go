@@ -81,42 +81,40 @@ func randomGraph(seed int64, correlated, decorate bool) *factor.Graph {
 // relies on when it leaves inert variables factorless: whatever unary and
 // soft factors a single-label query variable carries, every marginal of
 // the graph — its own included — is bit-identical without them, in the
-// closed form and under chromatic sampling at any worker count.
+// closed form and under chromatic sampling.
 func TestSingleLabelFactorsNeverMoveMarginals(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		for _, correlated := range []bool{false, true} {
-			for _, workers := range []int{1, 3} {
-				run := func(decorate bool) ([][]float64, int) {
-					g := randomGraph(seed, correlated, decorate)
-					if g.HasNaryOnQuery() != correlated {
-						t.Fatalf("seed %d: correlated = %v but HasNaryOnQuery = %v", seed, correlated, !correlated)
-					}
-					cfg := Config{BurnIn: 3, Samples: 20, Seed: seed, IntraWorkers: workers}
-					if correlated {
-						cfg.Colors = partition.ColorGraph(g)
-					}
-					m := Run(g, cfg)
-					out := make([][]float64, len(m.P))
-					for v, p := range m.P {
-						out[v] = append([]float64(nil), p...)
-					}
-					return out, g.NumFactors()
+			run := func(decorate bool) ([][]float64, int) {
+				g := randomGraph(seed, correlated, decorate)
+				if g.HasNaryOnQuery() != correlated {
+					t.Fatalf("seed %d: correlated = %v but HasNaryOnQuery = %v", seed, correlated, !correlated)
 				}
-				plain, plainFactors := run(false)
-				loaded, loadedFactors := run(true)
-				if loadedFactors <= plainFactors {
-					t.Fatalf("seed %d: decoration added no factors", seed)
+				cfg := Config{BurnIn: 3, Samples: 20, Seed: seed}
+				if correlated {
+					cfg.Colors = partition.ColorGraph(g)
 				}
-				for v := range plain {
-					for d := range plain[v] {
-						if plain[v][d] != loaded[v][d] {
-							t.Fatalf("seed %d correlated=%v workers=%d: marginal[%d][%d] = %v with factors on single-label variables, %v without",
-								seed, correlated, workers, v, d, loaded[v][d], plain[v][d])
-						}
+				m := Run(g, cfg)
+				out := make([][]float64, len(m.P))
+				for v, p := range m.P {
+					out[v] = append([]float64(nil), p...)
+				}
+				return out, g.NumFactors()
+			}
+			plain, plainFactors := run(false)
+			loaded, loadedFactors := run(true)
+			if loadedFactors <= plainFactors {
+				t.Fatalf("seed %d: decoration added no factors", seed)
+			}
+			for v := range plain {
+				for d := range plain[v] {
+					if plain[v][d] != loaded[v][d] {
+						t.Fatalf("seed %d correlated=%v: marginal[%d][%d] = %v with factors on single-label variables, %v without",
+							seed, correlated, v, d, loaded[v][d], plain[v][d])
 					}
-					if len(plain[v]) == 1 && plain[v][0] != 1 {
-						t.Fatalf("seed %d: single-label variable %d has marginal %v, want exactly 1", seed, v, plain[v][0])
-					}
+				}
+				if len(plain[v]) == 1 && plain[v][0] != 1 {
+					t.Fatalf("seed %d: single-label variable %d has marginal %v, want exactly 1", seed, v, plain[v][0])
 				}
 			}
 		}

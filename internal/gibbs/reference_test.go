@@ -98,13 +98,12 @@ func referenceRun(g *factor.Graph, cfg Config) [][]float64 {
 // whole: on random correlated graphs — every factor shape, evidence
 // members, single-candidate variables, ±Inf weights on a third of them —
 // Run's marginals and final assignment equal the uncompiled sampler's bit
-// for bit, uncolored and on the chromatic schedule at IntraWorkers 1 and 4
-// (the latter on graphs large enough for classes to be split across
-// goroutines, which is what -race watches), with fresh and reused scratch.
+// for bit, uncolored and on the chromatic schedule, with fresh and reused
+// scratch.
 func TestRunMatchesReferenceSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sc := new(Scratch)
-	sampled, parallel := 0, 0
+	sampled := 0
 	for i := 0; sampled < 150; i++ {
 		n := 2 + rng.Intn(14)
 		if i%5 == 0 {
@@ -122,27 +121,20 @@ func TestRunMatchesReferenceSweep(t *testing.T) {
 		for _, mode := range []struct {
 			name    string
 			colored bool
-			workers int
 			scratch *Scratch
 		}{
-			{"uncolored", false, 1, nil},
-			{"colored/1", true, 1, sc},
-			{"colored/4", true, 4, nil},
-			{"colored/4/scratch", true, 4, sc},
+			{"uncolored", false, nil},
+			{"uncolored/scratch", false, sc},
+			{"colored", true, nil},
+			{"colored/scratch", true, sc},
 		} {
 			ref, got := build(), build()
 			cfg := base
 			if mode.colored {
 				cfg.Colors = partition.ColorGraph(got)
-				for _, class := range cfg.Colors {
-					if mode.workers > 1 && len(class) >= 2*mode.workers {
-						parallel++
-						break
-					}
-				}
 			}
 			want := referenceRun(ref, cfg)
-			cfg.IntraWorkers, cfg.Scratch = mode.workers, mode.scratch
+			cfg.Scratch = mode.scratch
 			m := Run(got, cfg)
 			for v := range want {
 				for d := range want[v] {
@@ -155,9 +147,6 @@ func TestRunMatchesReferenceSweep(t *testing.T) {
 				}
 			}
 		}
-	}
-	if parallel < 20 {
-		t.Fatalf("only %d runs split a class across goroutines", parallel)
 	}
 }
 

@@ -151,18 +151,18 @@ func independentVars(n int) *factor.Graph {
 }
 
 // TestRunNaryFreeIsExact pins the rule for independent query variables:
-// Run returns Exact's closed form bit for bit whatever the sampling
-// budget, seed and scratch history, leaves every variable at its MAP
+// Run returns the zero Config's closed form bit for bit whatever the
+// sampling budget, seed and scratch history, leaves every variable at its MAP
 // label, and with a warmed scratch allocates nothing.
 func TestRunNaryFreeIsExact(t *testing.T) {
 	g := independentVars(60)
-	want := Exact(independentVars(60))
+	want := Run(independentVars(60), Config{})
 	warm := new(Scratch)
 	Run(chainGraph(90), Config{BurnIn: 2, Samples: 5, Seed: 1, Scratch: warm}) // stale counts, another shape
 	for _, cfg := range []Config{
 		{},
 		{BurnIn: 10, Samples: 50, Seed: 1},
-		{BurnIn: 0, Samples: 1, Seed: -7, IntraWorkers: 4},
+		{BurnIn: 0, Samples: 1, Seed: -7},
 		{BurnIn: 3, Samples: 20, Seed: 99, Scratch: warm},
 		{BurnIn: 100, Samples: 4000, Seed: 42, Scratch: warm},
 	} {
@@ -170,7 +170,7 @@ func TestRunNaryFreeIsExact(t *testing.T) {
 		for v := range want.P {
 			for d := range want.P[v] {
 				if got.P[v][d] != want.P[v][d] {
-					t.Fatalf("%+v: P[%d][%d] = %v, Exact %v", cfg, v, d, got.P[v][d], want.P[v][d])
+					t.Fatalf("%+v: P[%d][%d] = %v, closed form %v", cfg, v, d, got.P[v][d], want.P[v][d])
 				}
 			}
 			if best, _ := want.MAP(int32(v)); !g.Vars[v].Evidence && g.Vars[v].Assign != int32(best) {

@@ -30,7 +30,7 @@ func TestLearnSeparableUnary(t *testing.T) {
 	if nll > 0.4 {
 		t.Errorf("final NLL = %v, want small", nll)
 	}
-	m := gibbs.Exact(g)
+	m := gibbs.Run(g, gibbs.Config{})
 	if m.Prob(q, 0) < 0.7 {
 		t.Errorf("query marginal P(target) = %v, want > 0.7", m.Prob(q, 0))
 	}

@@ -1,10 +1,8 @@
 // Greedy factor-graph coloring for chromatic Gibbs scheduling. Two query
-// variables that share a grounded n-ary factor have dependent conditionals
-// and must not be sampled simultaneously; variables of one color class are
-// pairwise non-adjacent, so a sweep can sample a whole class across a
-// worker pool and still be a valid single-site Gibbs schedule (the
-// chromatic sampler of Gonzalez et al., and the intra-component analog of
-// the Algorithm 3 cut this package implements across components).
+// variables that share a grounded n-ary factor have dependent conditionals;
+// variables of one color class are pairwise non-adjacent (the chromatic
+// sampler of Gonzalez et al.). The sampler sweeps a shard's classes in
+// order on one goroutine, so the coloring fixes the order of its draws.
 package partition
 
 import "holoclean/internal/factor"
@@ -15,8 +13,7 @@ import "holoclean/internal/factor"
 // and required for adjacency walks).
 // Variables are visited in id order and each takes the smallest color not
 // used by an already-colored neighbor, so the coloring is deterministic —
-// a given graph always yields the same classes, independent of worker
-// counts or scheduling. Evidence variables are never sampled and are left
+// a given graph always yields the same classes. Evidence variables are never sampled and are left
 // uncolored.
 //
 // The result is the list of color classes: classes[c] holds the variable
@@ -62,8 +59,8 @@ func ColorGraph(g *factor.Graph) [][]int32 {
 
 // SizeHistogram buckets component sizes (tuple counts) into powers of two:
 // hist[k] counts the components whose size n satisfies 2^k <= n < 2^(k+1).
-// RunStats surfaces it so the giant-component bottleneck the chromatic
-// sampler addresses is observable before it bites.
+// RunStats surfaces it so the giant-component bottleneck — one shard the
+// pool cannot split — is observable before it bites.
 func SizeHistogram(comps [][]int) []int {
 	var hist []int
 	for _, c := range comps {

@@ -91,7 +91,7 @@ type RunStatsInfo struct {
 	ComponentSizeHist []int `json:"component_size_hist,omitempty"`
 	// LargestComponentFrac is the fraction of conflicted tuples in the
 	// largest component — the skew gauge operators watch to decide
-	// whether a tenant needs MaxComponentCells / IntraWorkers.
+	// whether a tenant needs MaxComponentCells.
 	LargestComponentFrac float64 `json:"largest_component_frac,omitempty"`
 	// AllocBytes/AllocObjects are the run's cumulative heap allocation
 	// deltas and PeakHeapBytes the sampled live-heap watermark — see

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"runtime"
@@ -61,17 +62,9 @@ type Config struct {
 	Options *holoclean.Options
 	// Workers is each job's shard worker-pool size
 	// (holoclean.Options.Workers). 0 derives a fair share:
-	// GOMAXPROCS / (MaxConcurrentJobs × IntraWorkers), at least 1 — so
-	// the configured concurrency never oversubscribes the machine even
-	// when every shard additionally samples with IntraWorkers
-	// goroutines.
+	// GOMAXPROCS / MaxConcurrentJobs, at least 1 — so the configured
+	// concurrency never oversubscribes the machine.
 	Workers int
-	// IntraWorkers is each job's intra-shard sampler pool
-	// (holoclean.Options.IntraWorkers): goroutines sweeping one large
-	// conflict component's chromatic Gibbs schedule in parallel. It
-	// multiplies into the fair-share computation above, since a job's
-	// peak parallelism is Workers × IntraWorkers. 0 means 1.
-	IntraWorkers int
 	// MaxConcurrentJobs bounds heavy pipeline jobs running at once
 	// (default 2).
 	MaxConcurrentJobs int
@@ -174,14 +167,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth < 0 {
 		cfg.QueueDepth = 0
 	}
-	if cfg.IntraWorkers <= 0 {
-		cfg.IntraWorkers = 1
-	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0) / (cfg.MaxConcurrentJobs * cfg.IntraWorkers)
-		if cfg.Workers < 1 {
-			cfg.Workers = 1
-		}
+		cfg.Workers = max(1, runtime.GOMAXPROCS(0)/cfg.MaxConcurrentJobs)
 	}
 	if cfg.MaxUploadBytes <= 0 {
 		cfg.MaxUploadBytes = 32 << 20
@@ -331,7 +318,6 @@ func (sv *Server) sessionOptions() holoclean.Options {
 		o = holoclean.DefaultOptions()
 	}
 	o.Workers = sv.cfg.Workers
-	o.IntraWorkers = sv.cfg.IntraWorkers
 	o.Tracer = sv.tel.tracer()
 	return o
 }
@@ -544,8 +530,8 @@ func parseCreate(r *http.Request) (*CreateRequest, error) {
 			}
 		}
 		if v := r.FormValue("tau"); v != "" {
-			tau, err := strconv.ParseFloat(v, 64)
-			if err != nil {
+			tau, ok := parseFinite(v)
+			if !ok {
 				return nil, fmt.Errorf("bad tau %q", v)
 			}
 			req.Tau = &tau
@@ -562,6 +548,13 @@ func parseCreate(r *http.Request) (*CreateRequest, error) {
 		return nil, fmt.Errorf("decoding JSON body: %w", err)
 	}
 	return &req, nil
+}
+
+// parseFinite parses a float form or query value, refusing NaN and ±Inf:
+// neither the session log nor a JSON response can carry them.
+func parseFinite(v string) (float64, bool) {
+	f, err := strconv.ParseFloat(v, 64)
+	return f, err == nil && !math.IsNaN(f) && !math.IsInf(f, 0)
 }
 
 func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
@@ -742,7 +735,8 @@ func (sv *Server) handleReview(w http.ResponseWriter, r *http.Request) {
 	}
 	threshold := 0.95
 	if v := r.URL.Query().Get("threshold"); v != "" {
-		if threshold, err = strconv.ParseFloat(v, 64); err != nil {
+		var ok bool
+		if threshold, ok = parseFinite(v); !ok {
 			writeError(w, http.StatusBadRequest, "bad threshold %q", v)
 			return
 		}

@@ -8,6 +8,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -766,6 +767,39 @@ func TestServeCreateRejectsDuplicateNames(t *testing.T) {
 	}, nil)
 	if status != http.StatusBadRequest || !strings.Contains(string(raw), `constraint name \"fd\" is already taken by line 1`) {
 		t.Fatalf("duplicate constraint names: status %d: %s", status, raw)
+	}
+}
+
+// TestServeRejectsNonFiniteNumbers: strconv.ParseFloat accepts NaN and
+// ±Inf, which neither the session log nor a JSON response can encode. A
+// multipart create with such a tau is refused before any session exists,
+// and a review with such a threshold is refused instead of answering 200
+// with a body the encoder gave up on.
+func TestServeRejectsNonFiniteNumbers(t *testing.T) {
+	_, tc := newTestServer(t, Config{Workers: 1})
+	info := tc.create("finite", fixtureCSV("fi", 6), 1, 0)
+	for _, v := range []string{"NaN", "Inf", "-Inf", "nan", "+inf"} {
+		var form bytes.Buffer
+		mw := multipart.NewWriter(&form)
+		fw, _ := mw.CreateFormFile("data", "dirty.csv")
+		io.WriteString(fw, fixtureCSV("nf", 6))
+		fw, _ = mw.CreateFormFile("dcs", "constraints.txt")
+		io.WriteString(fw, fixtureDCs)
+		mw.WriteField("tau", v)
+		mw.Close()
+		status, raw := tc.do("POST", "/sessions", mw.FormDataContentType(), form.Bytes())
+		if status != http.StatusBadRequest || !strings.Contains(string(raw), "bad tau") {
+			t.Errorf("create with tau=%s: status %d: %s", v, status, raw)
+		}
+		status, raw = tc.do("GET", "/sessions/"+info.ID+"/review?threshold="+url.QueryEscape(v), "", nil)
+		if status != http.StatusBadRequest || !strings.Contains(string(raw), "bad threshold") {
+			t.Errorf("review with threshold=%s: status %d: %s", v, status, raw)
+		}
+	}
+	var list []SessionInfo
+	tc.mustJSON("GET", "/sessions", nil, &list)
+	if len(list) != 1 {
+		t.Fatalf("%d sessions after the refused creates, want 1", len(list))
 	}
 }
 

@@ -362,7 +362,7 @@ func TestParallelVarSeedsMixedEvidence(t *testing.T) {
 	if g.Stats.EvidenceVars == 0 || g.Stats.QueryVars == 0 {
 		t.Fatalf("fixture did not produce a mixed graph: %+v", g.Stats)
 	}
-	seeds := parallelVarSeeds(g, 1, ds.NumAttrs())
+	seeds := cellVarSeeds(g, 1, ds.NumAttrs())
 	if len(seeds) != len(g.Graph.Vars) {
 		t.Fatalf("seed slice len %d, want one per variable %d", len(seeds), len(g.Graph.Vars))
 	}

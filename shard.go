@@ -275,12 +275,12 @@ func resolveGibbs(o Options) (burnIn, samples int) {
 	return burnIn, samples
 }
 
-// parallelVarSeeds builds the chromatic schedule's per-variable stream
+// cellVarSeeds builds the chromatic schedule's per-variable stream
 // seeds of a grounded graph, indexed by graph variable id. Evidence
 // variables (present on graphs that ground dictionary-match or learning
 // evidence) draw nothing and keep a zero entry; query variables are seeded
 // by the identity of the cell they repair.
-func parallelVarSeeds(g *ddlog.Grounded, base int64, numAttrs int) []int64 {
+func cellVarSeeds(g *ddlog.Grounded, base int64, numAttrs int) []int64 {
 	vs := make([]int64, len(g.Graph.Vars))
 	for vi := range g.Graph.Vars {
 		if g.Graph.Vars[vi].Evidence {
@@ -429,12 +429,10 @@ func (r *shardRunner) runOne(sh shard) error {
 
 	// Inference, by graph shape (gibbs.Run): a shard with no query-side
 	// correlation is solved in closed form; a correlated one is colored and
-	// runs the chromatic Gibbs schedule — color classes swept with
-	// IntraWorkers goroutines, each variable drawing from a stream seeded by
-	// the cell it repairs, so the result is bit-identical for any worker
-	// count and stable across pools and deltas. Buffers come from the
-	// scratch pool; the marginals borrow them, so the scratch is released
-	// only after extraction below.
+	// swept class by class, each variable drawing from a stream seeded by
+	// the cell it repairs, so the result is stable across pools and deltas.
+	// Buffers come from the scratch pool; the marginals borrow them, so the
+	// scratch is released only after extraction below.
 	ti := time.Now()
 	hasNary := g.Graph.HasNaryOnQuery()
 	burn, samp := resolveGibbs(o)
@@ -443,8 +441,7 @@ func (r *shardRunner) runOne(sh shard) error {
 	cfg := gibbs.Config{BurnIn: burn, Samples: samp, Scratch: scratch}
 	if hasNary {
 		cfg.Colors = partition.ColorGraph(g.Graph)
-		cfg.IntraWorkers = defaultIntraWorkers(o.IntraWorkers)
-		cfg.VarSeed = parallelVarSeeds(g, o.Seed, prep.DS.NumAttrs())
+		cfg.VarSeed = cellVarSeeds(g, o.Seed, prep.DS.NumAttrs())
 	}
 	m := gibbs.Run(g.Graph, cfg)
 	inferDur := time.Since(ti)
@@ -509,14 +506,6 @@ func (p *pass) emit(c Cell, out cellOutcome) {
 func defaultWorkers(w int) int {
 	if w <= 0 {
 		return runtime.GOMAXPROCS(0)
-	}
-	return w
-}
-
-// defaultIntraWorkers resolves Options.IntraWorkers.
-func defaultIntraWorkers(w int) int {
-	if w <= 0 {
-		return 1
 	}
 	return w
 }
