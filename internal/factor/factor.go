@@ -26,6 +26,7 @@
 package factor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -87,8 +88,9 @@ type Soft struct {
 }
 
 // Pred is one predicate of an n-ary factor, over factor slots. Slots index
-// into the factor's variables (Graph.NaryVars). A negative RightSlot means the right side is the
-// constant label RightConst (already folded by the grounder).
+// into the factor's variables (Graph.NaryVars). A negative RightSlot means
+// the right side is the constant label RightConst (already folded by the
+// grounder).
 type Pred struct {
 	LeftSlot   int32
 	RightSlot  int32
@@ -98,15 +100,45 @@ type Pred struct {
 
 // Nary is a grounded denial-constraint factor: h = −1 when every predicate
 // holds under the current assignment (the constraint is violated), +1
-// otherwise. Its variables and predicates live in the graph's flat arenas;
-// Graph.NaryVars and Graph.NaryPreds return them.
+// otherwise. Its variables live in the graph's flat member arena; its
+// predicates are one of the graph's interned lists, stored once however
+// many factors share them. Graph.NaryVars and Graph.NaryPreds return them.
 type Nary struct {
-	Weight  int32
-	varOff  int32
-	nVars   int32
-	predOff int32
-	nPreds  int32
+	Weight int32
+	varOff int32
+	nVars  int32
+	list   int32 // index into Graph.lists
 }
+
+// span is a run [off, off+n) of an arena.
+type span struct{ off, n int32 }
+
+// Operands of a compiled predicate (term) that are not member positions.
+const (
+	candidate int32 = -1 // the candidate label of the slot being scored
+	constant  int32 = -2 // the term's folded constant (right side only)
+)
+
+// term is a predicate compiled for one slot: each side is a member
+// position of the factor (an index into its variables), the candidate, or
+// — on the right — the constant c.
+type term struct {
+	left, right, c int32
+	op             uint8
+}
+
+// shape is one interned predicate list compiled for one slot of the
+// factors that carry it: terms[off:mid] are its context terms, which do
+// not mention the slot and hold or fail for every candidate alike, and
+// terms[mid:end] its slot terms, evaluated per candidate. Both groups keep
+// the list's order.
+type shape struct{ off, mid, end int32 }
+
+// incidence is one entry of a variable's compiled n-ary row: the factor's
+// weight id, the offset of its members in the member arena, and the shape
+// of its predicates for the row variable's slot. A sweep reads a row as
+// one sequential run of these.
+type incidence struct{ weight, members, shape int32 }
 
 // KeyInterner is a canonical store for tying-key strings, shared across
 // the weight stores of many graphs (the per-shard graphs of one pipeline
@@ -263,15 +295,20 @@ type Graph struct {
 	// be nil when all predicates are OpEq/OpNeq.
 	Cmp func(op uint8, a, b int32) bool
 
-	frozen    bool
-	domArena  []int32   // backing storage for Variable.Domain slices
-	naryVars  []int32   // backing storage for every n-ary factor's variables
-	naryPreds []Pred    // backing storage for every n-ary factor's predicates
-	softH     []float64 // backing storage for every soft factor's H vector
-	varUnary  adjacency // variable → incident unary factor indices
-	varSoft   adjacency // variable → incident soft factor indices
-	varNary   adjacency // variable → incident n-ary factor indices
-	narySlot  []int32   // parallel to varNary.idx: the row variable's slot in that factor
+	frozen   bool
+	domArena []int32          // backing storage for Variable.Domain slices
+	naryVars []int32          // backing storage for every n-ary factor's variables
+	preds    []Pred           // every distinct predicate list, once
+	lists    []span           // Nary.list → its predicates in preds
+	listIDs  map[string]int32 // list key → index into lists; dropped at Freeze
+	listKey  []byte           // reusable buffer for list keys
+	softH    []float64        // backing storage for every soft factor's H vector
+	varUnary adjacency        // variable → incident unary factor indices
+	varSoft  adjacency        // variable → incident soft factor indices
+	varNary  adjacency        // variable → incident n-ary factor indices
+	stream   []incidence      // parallel to varNary.idx: the compiled rows
+	shapes   []shape          // every interned list compiled per slot
+	terms    []term           // backing storage for the shapes' terms
 }
 
 // NewGraph returns an empty graph with a fresh weight store.
@@ -315,8 +352,10 @@ func (g *Graph) AddUnary(v, target, weight int32, neg bool, count int32) {
 	g.Unaries = append(g.Unaries, Unary{Var: v, Target: target, Weight: weight, Neg: neg, Count: count})
 }
 
-// AddNary appends a grounded denial-constraint factor. vars and preds are
-// copied into the graph's flat arenas, so callers may reuse their slices.
+// AddNary appends a grounded denial-constraint factor. vars is copied
+// into the graph's member arena and preds interned — a list equal to one
+// already added is stored once — so callers may reuse both slices. It
+// panics on an empty variable list and on a predicate slot outside vars.
 func (g *Graph) AddNary(vars []int32, preds []Pred, weight int32) {
 	if g.frozen {
 		panic("factor: AddNary on frozen graph")
@@ -324,13 +363,52 @@ func (g *Graph) AddNary(vars []int32, preds []Pred, weight int32) {
 	if len(vars) == 0 {
 		panic("factor: n-ary factor without variables")
 	}
+	n := int32(len(vars))
+	for _, p := range preds {
+		if p.LeftSlot < 0 || p.LeftSlot >= n || p.RightSlot >= n {
+			panic(fmt.Sprintf("factor: predicate slots %d, %d outside a factor of %d variables", p.LeftSlot, p.RightSlot, n))
+		}
+	}
 	g.Naries = append(grow(g.Naries, 1), Nary{
 		Weight: weight,
-		varOff: int32(len(g.naryVars)), nVars: int32(len(vars)),
-		predOff: int32(len(g.naryPreds)), nPreds: int32(len(preds)),
+		varOff: int32(len(g.naryVars)), nVars: n,
+		list: g.internPreds(preds),
 	})
 	g.naryVars = append(grow(g.naryVars, len(vars)), vars...)
-	g.naryPreds = append(grow(g.naryPreds, len(preds)), preds...)
+}
+
+// internPreds returns the index of preds' list, adding a copy of it on
+// first sighting. Grounding adds the factors of one constraint in a run, so
+// the list added last is tried before the map.
+func (g *Graph) internPreds(preds []Pred) int32 {
+	if last := int32(len(g.lists) - 1); last >= 0 && slices.Equal(g.listPreds(last), preds) {
+		return last
+	}
+	key := g.listKey[:0]
+	for _, p := range preds {
+		key = binary.LittleEndian.AppendUint32(key, uint32(p.LeftSlot))
+		key = binary.LittleEndian.AppendUint32(key, uint32(p.RightSlot))
+		key = binary.LittleEndian.AppendUint32(key, uint32(p.RightConst))
+		key = append(key, p.Op)
+	}
+	g.listKey = key
+	if id, ok := g.listIDs[string(key)]; ok { // no-alloc map lookup
+		return id
+	}
+	if g.listIDs == nil {
+		g.listIDs = make(map[string]int32)
+	}
+	id := int32(len(g.lists))
+	g.listIDs[string(key)] = id
+	g.lists = append(g.lists, span{off: int32(len(g.preds)), n: int32(len(preds))})
+	g.preds = append(g.preds, preds...)
+	return id
+}
+
+// listPreds returns the predicates of interned list l.
+func (g *Graph) listPreds(l int32) []Pred {
+	sp := g.lists[l]
+	return g.preds[sp.off : sp.off+sp.n : sp.off+sp.n]
 }
 
 // grow returns s with room for n more elements, at least doubling its
@@ -349,8 +427,9 @@ func grow[S ~[]E, E any](s S, n int) S {
 func (g *Graph) NaryVars(f *Nary) []int32 { return g.naryVars[f.varOff : f.varOff+f.nVars] }
 
 // NaryPreds returns the predicates of f. The slice aliases the graph's
-// arena and must not be modified.
-func (g *Graph) NaryPreds(f *Nary) []Pred { return g.naryPreds[f.predOff : f.predOff+f.nPreds] }
+// arena, shared by every factor with the same list, and must not be
+// modified.
+func (g *Graph) NaryPreds(f *Nary) []Pred { return g.listPreds(f.list) }
 
 // AddSoft appends a real-valued unary factor. h must have one entry per
 // domain value of v; it is copied into the graph's flat soft arena, so
@@ -382,8 +461,7 @@ func (g *Graph) NumFactors() int { return len(g.Unaries) + len(g.Softs) + len(g.
 // flat arrays (row offsets plus one backing index slice) instead of a
 // per-variable slice-of-slices, so freezing a graph costs O(1)
 // allocations regardless of variable count. Structure being immutable from
-// here on, the slot each variable occupies in each of its n-ary factors is
-// resolved once, into narySlot.
+// here on, the n-ary rows are compiled too (compileNary).
 func (g *Graph) Freeze() {
 	if g.frozen {
 		return
@@ -406,13 +484,69 @@ func (g *Graph) Freeze() {
 			}
 		}
 	})
-	g.narySlot = make([]int32, len(g.varNary.idx))
-	for v := int32(0); int(v) < n; v++ {
-		for k := g.varNary.off[v]; k < g.varNary.off[v+1]; k++ {
-			g.narySlot[k] = int32(slices.Index(g.NaryVars(&g.Naries[g.varNary.idx[k]]), v))
+	g.compileNary()
+	g.listIDs, g.listKey = nil, nil
+	g.frozen = true
+}
+
+// compileNary lays the n-ary CSR rows out as one incidence stream and
+// compiles every interned predicate list once for each slot of the widest
+// factor that carries it: the shapes of list l are base[l] + slot. A
+// variable's slot in a factor is the first one it occupies.
+func (g *Graph) compileNary() {
+	base := make([]int32, len(g.lists)+1)
+	for i := range g.Naries {
+		f := &g.Naries[i]
+		base[f.list+1] = max(base[f.list+1], f.nVars)
+	}
+	for l := range g.lists {
+		base[l+1] += base[l]
+	}
+	g.shapes = make([]shape, base[len(g.lists)])
+	for l := range g.lists {
+		for s := base[l]; s < base[l+1]; s++ {
+			g.shapes[s] = g.compileShape(g.listPreds(int32(l)), s-base[l])
 		}
 	}
-	g.frozen = true
+	g.stream = make([]incidence, len(g.varNary.idx))
+	for v := range g.Vars {
+		for k := g.varNary.off[v]; k < g.varNary.off[v+1]; k++ {
+			f := &g.Naries[g.varNary.idx[k]]
+			slot := int32(slices.Index(g.NaryVars(f), int32(v)))
+			g.stream[k] = incidence{weight: f.Weight, members: f.varOff, shape: base[f.list] + slot}
+		}
+	}
+}
+
+// compileShape appends preds compiled for slot to the term arena: first the
+// predicates that do not mention slot, then those that do, each group in
+// list order.
+func (g *Graph) compileShape(preds []Pred, slot int32) shape {
+	sh := shape{off: int32(len(g.terms))}
+	for _, onSlot := range [2]bool{false, true} {
+		if onSlot {
+			sh.mid = int32(len(g.terms))
+		}
+		for _, p := range preds {
+			onLeft, onRight := p.LeftSlot == slot, p.RightSlot == slot
+			if (onLeft || onRight) != onSlot {
+				continue
+			}
+			t := term{left: p.LeftSlot, right: p.RightSlot, c: p.RightConst, op: p.Op}
+			if p.RightSlot < 0 {
+				t.right = constant
+			}
+			if onLeft {
+				t.left = candidate
+			}
+			if onRight {
+				t.right = candidate
+			}
+			g.terms = append(g.terms, t)
+		}
+	}
+	sh.end = int32(len(g.terms))
+	return sh
 }
 
 // IncidentUnaries returns the unary factor indices touching variable v.
@@ -459,50 +593,52 @@ func (g *Graph) label(cur []int32, u int32) int32 {
 	return vr.Domain[vr.Assign]
 }
 
-// holds evaluates one predicate operator over two labels.
+// holds evaluates one predicate operator over two labels. Equality and
+// inequality are decided inline; the other operators go to Cmp.
 func (g *Graph) holds(op uint8, left, right int32) bool {
-	switch op {
-	case OpEq:
-		return left == right
-	case OpNeq:
-		return left != right
+	if op <= OpNeq {
+		return (left == right) == (op == OpEq)
 	}
+	return g.compare(op, left, right)
+}
+
+// compare evaluates a non-equality operator through Cmp. It stays out of
+// line so that holds inlines into the evaluator.
+//
+//go:noinline
+func (g *Graph) compare(op uint8, left, right int32) bool {
 	if g.Cmp == nil {
 		panic("factor: non-equality predicate without a Cmp comparator")
 	}
 	return g.Cmp(op, left, right)
 }
 
-// addNary is the one evaluation routine of n-ary factors: it adds w·h_f to
-// buf[d] for every d, h_f being f's value (+1 satisfied / −1 violated)
-// with slot taking dom[d] and every other slot its current label (see
-// label for cur). A predicate that does not mention slot holds or fails
-// for all candidates alike, so those are evaluated once: when one fails f
-// is satisfied whatever the candidate, and only otherwise are the
-// predicates on slot evaluated per candidate. Either way buf[d] receives
+// addIncidence is the one evaluation routine of n-ary factors: it adds
+// w·h_f to buf[d] for every d, h_f being the value (+1 satisfied / −1
+// violated) of in's factor with the row variable's slot taking dom[d] and
+// every other member its current label (see label for cur). Context terms
+// hold or fail for all candidates alike, so they are evaluated once: when
+// one fails f is satisfied whatever the candidate, and only otherwise are
+// the slot terms evaluated per candidate. Either way buf[d] receives
 // exactly one addition of ±w, the floating-point operation a
 // candidate-by-candidate evaluation of every predicate performs.
-func (g *Graph) addNary(f *Nary, slot int32, dom, cur []int32, w float64, buf []float64) {
-	vars, preds := g.NaryVars(f), g.NaryPreds(f)
-	onSlot := false
-	for i := range preds {
-		p := &preds[i]
-		if p.LeftSlot == slot || p.RightSlot == slot {
-			onSlot = true
-			continue
+func (g *Graph) addIncidence(in *incidence, dom, cur []int32, w float64, buf []float64) {
+	sh := g.shapes[in.shape]
+	mem := g.naryVars[in.members:]
+	for _, t := range g.terms[sh.off:sh.mid] {
+		right := t.c
+		if t.right >= 0 {
+			right = g.label(cur, mem[t.right])
 		}
-		right := p.RightConst
-		if p.RightSlot >= 0 {
-			right = g.label(cur, vars[p.RightSlot])
-		}
-		if !g.holds(p.Op, g.label(cur, vars[p.LeftSlot]), right) {
+		if !g.holds(t.op, g.label(cur, mem[t.left]), right) {
 			for d := range buf {
 				buf[d] += w
 			}
 			return
 		}
 	}
-	if !onSlot {
+	onSlot := g.terms[sh.mid:sh.end]
+	if len(onSlot) == 0 {
 		for d := range buf {
 			buf[d] -= w
 		}
@@ -510,23 +646,19 @@ func (g *Graph) addNary(f *Nary, slot int32, dom, cur []int32, w float64, buf []
 	}
 	for d := range buf {
 		h := -1.0
-		for i := range preds {
-			p := &preds[i]
-			onLeft, onRight := p.LeftSlot == slot, p.RightSlot == slot
-			if !onLeft && !onRight {
-				continue
-			}
+		for i := range onSlot {
+			t := &onSlot[i]
 			left, right := dom[d], dom[d]
-			if !onLeft {
-				left = g.label(cur, vars[p.LeftSlot])
+			if t.left != candidate {
+				left = g.label(cur, mem[t.left])
 			}
-			if !onRight {
-				right = p.RightConst
-				if p.RightSlot >= 0 {
-					right = g.label(cur, vars[p.RightSlot])
-				}
+			switch {
+			case t.right == constant:
+				right = t.c
+			case t.right != candidate:
+				right = g.label(cur, mem[t.right])
 			}
-			if !g.holds(p.Op, left, right) {
+			if !g.holds(t.op, left, right) {
 				h = 1
 				break
 			}
@@ -541,8 +673,7 @@ func (g *Graph) addNary(f *Nary, slot int32, dom, cur []int32, w float64, buf []
 // gradient expectations. h must have length len(Domain).
 func (g *Graph) NaryH(v int32, k int, cur []int32, h []float64) {
 	clear(h)
-	i := g.varNary.off[v] + int32(k)
-	g.addNary(&g.Naries[g.varNary.idx[i]], g.narySlot[i], g.Vars[v].Domain, cur, 1, h)
+	g.addIncidence(&g.stream[g.varNary.off[v]+int32(k)], g.Vars[v].Domain, cur, 1, h)
 }
 
 // StaticScores fills buf with the part of variable v's local scores that
@@ -594,10 +725,11 @@ func (g *Graph) StaticScores(v int32, buf []float64) {
 // the caller keeps in step with Assign; nil reads them through Vars. buf
 // must have length len(Domain).
 func (g *Graph) AddNaryScores(v int32, cur []int32, buf []float64) {
-	dom := g.Vars[v].Domain
-	for k := g.varNary.off[v]; k < g.varNary.off[v+1]; k++ {
-		f := &g.Naries[g.varNary.idx[k]]
-		g.addNary(f, g.narySlot[k], dom, cur, g.Weights.W[f.Weight], buf)
+	dom, w := g.Vars[v].Domain, g.Weights.W
+	row := g.stream[g.varNary.off[v]:g.varNary.off[v+1]]
+	for i := range row {
+		in := &row[i]
+		g.addIncidence(in, dom, cur, w[in.weight], buf)
 	}
 }
 
@@ -617,8 +749,12 @@ func (g *Graph) LocalScores(v int32, buf []float64) {
 }
 
 // Energy returns Σ θ·h under the current full assignment — useful for
-// tests and for exact enumeration on tiny graphs.
+// tests and for exact enumeration on tiny graphs. The graph must be
+// frozen.
 func (g *Graph) Energy() float64 {
+	if !g.frozen {
+		panic("factor: Energy before Freeze")
+	}
 	e := 0.0
 	for i := range g.Unaries {
 		u := &g.Unaries[i]
@@ -636,14 +772,17 @@ func (g *Graph) Energy() float64 {
 		e += g.Weights.W[s.Weight] * g.SoftH(s)[g.Vars[s.Var].Assign]
 	}
 	// A factor's value under the current assignment is its value with its
-	// first slot hypothetically taking the label it already has.
+	// first member hypothetically taking the label it already has: the
+	// factor's incidence in that member's row, whose slot is 0.
 	var lab [1]int32
 	var wh [1]float64
 	for i := range g.Naries {
 		f := &g.Naries[i]
-		lab[0] = g.label(nil, g.NaryVars(f)[0])
+		v := g.NaryVars(f)[0]
+		k := g.varNary.off[v] + int32(slices.Index(g.varNary.of(v), int32(i)))
+		lab[0] = g.label(nil, v)
 		wh[0] = 0
-		g.addNary(f, 0, lab[:], nil, g.Weights.W[f.Weight], wh[:])
+		g.addIncidence(&g.stream[k], lab[:], nil, g.Weights.W[f.Weight], wh[:])
 		e += wh[0]
 	}
 	return e

@@ -241,3 +241,41 @@ func TestHasNaryOnQuery(t *testing.T) {
 		t.Errorf("nary on query var should be detected")
 	}
 }
+
+// TestAddNaryRejectsBadSlots: a factor whose predicates name a slot it does
+// not have is refused when it is added, not at the first sweep that reads
+// it; a negative RightSlot is a constant and stays legal.
+func TestAddNaryRejectsBadSlots(t *testing.T) {
+	cases := []struct {
+		name  string
+		vars  []int32
+		preds []Pred
+	}{
+		{"no variables", nil, []Pred{{LeftSlot: 0, RightSlot: -1}}},
+		{"negative left slot", []int32{0, 1}, []Pred{{LeftSlot: -1, RightSlot: 1}}},
+		{"left slot past the end", []int32{0, 1}, []Pred{{LeftSlot: 2, RightSlot: 0}}},
+		{"right slot past the end", []int32{0, 1}, []Pred{{LeftSlot: 0, RightSlot: 1}, {LeftSlot: 1, RightSlot: 2}}},
+	}
+	for _, c := range cases {
+		g := NewGraph()
+		g.AddVariable([]int32{1, 2}, false, 0)
+		g.AddVariable([]int32{1, 2}, false, 0)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: AddNary did not panic", c.name)
+				}
+			}()
+			g.AddNary(c.vars, c.preds, g.Weights.ID("dc", 1, true))
+		}()
+		if len(g.Naries) != 0 {
+			t.Errorf("%s: the refused factor was kept", c.name)
+		}
+	}
+	g := NewGraph()
+	v := g.AddVariable([]int32{1, 2}, false, 0)
+	g.AddNary([]int32{v}, []Pred{{LeftSlot: 0, RightSlot: -1, RightConst: 2, Op: OpEq}, {LeftSlot: 0, RightSlot: -7, Op: OpNeq}}, g.Weights.ID("dc", 1, true))
+	if len(g.Naries) != 1 {
+		t.Fatal("a factor with constant right sides was refused")
+	}
+}

@@ -50,15 +50,15 @@ func ReferenceLocalScores(g *factor.Graph, v int32, buf []float64) {
 	for _, ni := range g.IncidentNaries(v) {
 		f := &g.Naries[ni]
 		w := g.Weights.W[f.Weight]
-		slot := narySlot(g, f, v)
+		slot := slotOf(g, f, v)
 		for d := range buf {
 			buf[d] += w * naryH(g, f, slot, vr.Domain[d])
 		}
 	}
 }
 
-// narySlot returns the slot index of variable v within factor f.
-func narySlot(g *factor.Graph, f *factor.Nary, v int32) int32 {
+// slotOf returns the first slot variable v occupies in factor f.
+func slotOf(g *factor.Graph, f *factor.Nary, v int32) int32 {
 	for s, fv := range g.NaryVars(f) {
 		if fv == v {
 			return int32(s)

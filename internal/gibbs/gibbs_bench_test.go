@@ -26,12 +26,14 @@ func BenchmarkGibbsCorrelated(b *testing.B) {
 	}
 }
 
-// fdWindowsGraph builds the shape DC-factor grounding gives a skewed
-// relation: rows of a key cell K and a value cell V under the functional
-// dependency K → V, one four-slot factor ¬(Kᵢ = Kⱼ ∧ Vᵢ ≠ Vⱼ) per pair of
-// rows that share one of the overlapping windows of 8 rows (stride 4). A
-// quarter of the cells have a single candidate; the rest have three, a
-// unary per candidate or two, and one soft factor.
+// fdWindowsGraph builds factors of the form DC-factor grounding gives a
+// functional dependency: rows of a key cell K and a value cell V under
+// K → V, one four-slot factor ¬(Kᵢ = Kⱼ ∧ Vᵢ ≠ Vⱼ) per pair of rows that
+// share one of the overlapping windows of 8 rows (stride 4). A quarter of
+// the cells have a single candidate; the rest have three, a unary per
+// candidate or two, and one soft factor. Each variable sits in ≈ 11
+// factors, against ≈ 30 in the giant component of the batch_skew_factors
+// workload, whose sampler BenchmarkInferSkew (root package) times.
 func fdWindowsGraph(rows int) *factor.Graph {
 	rng := rand.New(rand.NewSource(int64(rows)))
 	g := factor.NewGraph()
@@ -66,9 +68,8 @@ func fdWindowsGraph(rows int) *factor.Graph {
 	return g
 }
 
-// BenchmarkGibbsFDWindows is the sampler on the shape of the
-// batch_skew_factors workload, colored and with a warmed scratch as the
-// pipeline runs it. allocs/op must read 0.
+// BenchmarkGibbsFDWindows is the sampler on fdWindowsGraph, colored and
+// with a warmed scratch as the pipeline runs it. allocs/op must read 0.
 func BenchmarkGibbsFDWindows(b *testing.B) {
 	g := fdWindowsGraph(2000)
 	cfg := Config{BurnIn: 10, Samples: 50, Seed: 1, Colors: partition.ColorGraph(g), Scratch: new(Scratch)}
