@@ -539,7 +539,7 @@ type working struct {
 	exec                  []shard               // plan: the shards that run
 	reused                []int                 // plan: cell indices whose cached outcome carries forward
 	learnGround           time.Duration         // learn: learning-graph grounding, booked with the shards'
-	weightKeys            map[string]bool       // learn, infer: every tying key the pass's graphs named (RunStats.Weights)
+	unlearnedKeys         map[string]bool       // learn, infer: tying keys the pass's graphs named that weights lacks (RunStats.Weights)
 }
 
 // newPass starts a full pass over ds: no previous pass, weights learned
@@ -556,8 +556,8 @@ func newPass(o Options, ds *Dataset, constraints []*Constraint, trusted []datase
 		// so a distinct key's string is allocated once.
 		interner: factor.NewKeyInterner(),
 		working: &working{
-			res:        &Result{Marginals: make(map[Cell][]ValueProb)},
-			weightKeys: make(map[string]bool),
+			res:           &Result{Marginals: make(map[Cell][]ValueProb)},
+			unlearnedKeys: make(map[string]bool),
 		},
 	}
 }
@@ -814,14 +814,25 @@ func (p *pass) learnWeights() error {
 	st.Factors = learnG.Graph.NumFactors()
 	st.PaperFactors = learnG.Stats.PaperFactors
 
-	for _, k := range learnG.Graph.Weights.Keys {
-		p.weightKeys[k] = true
-	}
 	return p.stage("learn", &st.LearnTime, func() error {
 		learn.Learn(learnG.Graph, learn.Config{Epochs: o.LearningEpochs, LearningRate: o.LearningRate, L2: o.L2, Seed: o.Seed})
 		p.weights = learnedWeights(learnG.Graph)
+		p.countKeys(learnG.Graph.Weights.Keys)
 		return nil
 	})
+}
+
+// countKeys records the tying keys of a grounded graph for
+// RunStats.Weights: the broadcast map counts whole, even when reused
+// shards never re-ground its keys, so only the keys it lacks (fixed
+// weights) need a set. The count then agrees between an incremental pass
+// and the equivalent full one.
+func (p *pass) countKeys(keys []string) {
+	for _, k := range keys {
+		if _, ok := p.weights[k]; !ok {
+			p.unlearnedKeys[k] = true
+		}
+	}
 }
 
 // inferRepairs grounds and infers the executing shards on the worker
@@ -831,12 +842,6 @@ func (p *pass) inferRepairs() error {
 	res := p.res
 	res.Repaired = p.ds.Clone()
 	p.outcomes = make(map[Cell]cellOutcome)
-	// The broadcast map is part of the model even when reused shards never
-	// re-ground its keys; count it so Stats.Weights agrees between an
-	// incremental pass and the equivalent full one.
-	for k := range p.weights {
-		p.weightKeys[k] = true
-	}
 	// Carry cached results forward for the cells the delta never touched:
 	// their model is provably identical (same row, same candidates, same
 	// statistics contexts, same counterpart joins, same weights, same
@@ -858,7 +863,7 @@ func (p *pass) inferRepairs() error {
 	// these two are CPU-style totals that can exceed the wall clock.
 	p.observe("ground", &res.Stats.CompileTime, p.learnGround+runner.groundTime)
 	p.observe("infer", &res.Stats.InferTime, runner.inferTime)
-	res.Stats.Weights = len(p.weightKeys)
+	res.Stats.Weights = len(p.weights) + len(p.unlearnedKeys)
 	res.LearnedWeights = maps.Clone(p.weights)
 
 	sort.Slice(res.Repairs, func(i, j int) bool {

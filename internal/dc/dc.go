@@ -217,7 +217,16 @@ type Bound struct {
 	// constraint, in which case unordered pair enumeration suffices.
 	// Single-tuple constraints are trivially symmetric.
 	Symmetric bool
-	ds        *dataset.Dataset
+	// FDAttr, when non-negative, marks the constraint FD-shaped: two tuple
+	// variables, no constants, and every predicate compares an attribute
+	// of t1 with the same attribute of t2 — with = for each of the Joins
+	// (at least one) and with ≠ exactly once, on attribute FDAttr. Two
+	// distinct tuples then violate it exactly when their join values are
+	// equal and their FDAttr values differ, all of them non-null, so
+	// detection can enumerate the violating pairs of a join block instead
+	// of evaluating every pair in it. -1 for every other shape.
+	FDAttr int
+	ds     *dataset.Dataset
 }
 
 // BoundPred is a resolved predicate.
@@ -275,7 +284,30 @@ func (c *Constraint) Bind(ds *dataset.Dataset) (*Bound, error) {
 		b.Preds = append(b.Preds, bp)
 	}
 	b.Symmetric = slices.Equal(b.canonical(false), b.canonical(true))
+	b.FDAttr = b.fdAttr()
 	return b, nil
+}
+
+// fdAttr returns the ≠ attribute of an FD-shaped constraint, -1 when the
+// constraint is not one (see Bound.FDAttr).
+func (b *Bound) fdAttr() int {
+	if b.TupleVars != 2 || len(b.Joins) == 0 {
+		return -1
+	}
+	neq := -1
+	for _, p := range b.Preds {
+		if p.RightIsConst || p.LeftTuple == p.RightTuple || p.LeftAttr != p.RightAttr {
+			return -1
+		}
+		switch {
+		case p.Op == Eq:
+		case p.Op == Neq && neq < 0:
+			neq = p.LeftAttr
+		default:
+			return -1
+		}
+	}
+	return neq
 }
 
 func (b *Bound) addRef(tupleVar, attr int) {

@@ -228,3 +228,96 @@ func TestHoldsPredWithMatchesOverwrittenCopy(t *testing.T) {
 		}
 	}
 }
+
+// refFDAttr reads the FD shape off the unbound constraint: the ≠
+// attribute when every predicate compares one attribute name across the
+// two tuple variables, with = at least once and ≠ exactly once; -1
+// otherwise.
+func refFDAttr(c *Constraint, ds *dataset.Dataset) int {
+	eqs, neq := 0, ""
+	for _, p := range c.Predicates {
+		if c.TupleVars != 2 || p.Right.IsConst || p.Left.Tuple == p.Right.Tuple || p.Left.Attr != p.Right.Attr {
+			return -1
+		}
+		switch p.Op {
+		case Eq:
+			eqs++
+		case Neq:
+			if neq != "" {
+				return -1
+			}
+			neq = p.Left.Attr
+		default:
+			return -1
+		}
+	}
+	if eqs == 0 || neq == "" {
+		return -1
+	}
+	return ds.AttrIndex(neq)
+}
+
+// randomFDLike draws pairwise constraints that are FD-shaped or one step
+// away from it: predicates compare an attribute across the tuples in
+// either orientation, mostly with = and ≠, sometimes with <, across two
+// attributes, within one tuple, or against a constant.
+func randomFDLike(rng *rand.Rand) *Constraint {
+	c := &Constraint{TupleVars: 2}
+	for n := 1 + rng.Intn(4); n > 0; n-- {
+		a := shapeAttrs[rng.Intn(len(shapeAttrs))]
+		l := rng.Intn(2)
+		p := Predicate{Left: AttrRef(l, a), Op: []Op{Eq, Eq, Neq, Neq, Lt}[rng.Intn(5)], Right: AttrRef(1-l, a)}
+		switch rng.Intn(20) {
+		case 0:
+			p.Right.Attr = shapeAttrs[rng.Intn(len(shapeAttrs))]
+		case 1:
+			p.Right.Tuple = l
+		case 2:
+			p.Right = Const(shapeValues[1+rng.Intn(len(shapeValues)-1)])
+		}
+		c.Predicates = append(c.Predicates, p)
+	}
+	return c
+}
+
+// TestBindFDShape: FDAttr equals the reference reading of the predicates,
+// and on an FD-shaped constraint Violates is exactly "join values equal,
+// FDAttr values differ, all non-null" — the rule detection enumerates
+// without evaluating pairs.
+func TestBindFDShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	shaped := 0
+	for i := 0; i < 3000; i++ {
+		c := randomFDLike(rng)
+		if i%3 == 0 {
+			c = randomConstraint(rng)
+		}
+		ds := randomRelation(rng, 6)
+		b, err := c.Bind(ds)
+		if err != nil {
+			t.Fatalf("%s: %v", c, err)
+		}
+		if want := refFDAttr(c, ds); b.FDAttr != want {
+			t.Fatalf("%s: FDAttr = %d, reference %d", c, b.FDAttr, want)
+		}
+		if b.FDAttr < 0 {
+			continue
+		}
+		shaped++
+		for t1 := 0; t1 < ds.NumTuples(); t1++ {
+			for t2 := 0; t2 < ds.NumTuples(); t2++ {
+				v1, v2 := ds.Get(t1, b.FDAttr), ds.Get(t2, b.FDAttr)
+				want := t1 != t2 && v1 != dataset.Null && v2 != dataset.Null && v1 != v2
+				for _, j := range b.Joins {
+					want = want && ds.Get(t1, j[0]) != dataset.Null && ds.Get(t1, j[0]) == ds.Get(t2, j[1])
+				}
+				if got := b.Violates(t1, t2); got != want {
+					t.Fatalf("%s is FD-shaped on %s but Violates(%d,%d) = %v", c, shapeAttrs[b.FDAttr], t1, t2, got)
+				}
+			}
+		}
+	}
+	if shaped < 150 {
+		t.Errorf("only %d of 3000 constraints FD-shaped: the generator misses the fast path", shaped)
+	}
+}

@@ -88,10 +88,10 @@ type Violations struct {
 
 	// Changed, when non-nil, scopes detection to a delta: Prev's
 	// violations among tuples outside Changed are kept and only the pairs
-	// that join a changed tuple with its index-reachable counterparts are
-	// evaluated (violation.Detector.DetectDelta). Incremental cleaning
+	// that join a changed tuple with the tuples of its join blocks are
+	// re-detected (violation.Detector.DetectDelta). Incremental cleaning
 	// sessions use this to re-run detection in time proportional to the
-	// delta plus one hash pass over each constraint's join columns; the
+	// delta plus one block index per join attribute; the
 	// output is identical to that of a nil Changed — every tuple changed,
 	// full detection — over the mutated dataset.
 	Prev    []violation.Violation

@@ -7,7 +7,7 @@
 package partition
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 
 	"holoclean/internal/dataset"
@@ -20,42 +20,47 @@ type Group struct {
 	Tuples     []int // ascending
 }
 
-// unionFind is a disjoint-set structure over arbitrary int keys.
+// unionFind is a disjoint-set forest over the dense keys 0..n-1. A union
+// hangs the larger root under the smaller, so the root of a set is its
+// smallest member.
 type unionFind struct {
-	parent map[int]int
-	rank   map[int]int
+	parent []int32
 }
 
-func newUnionFind() *unionFind {
-	return &unionFind{parent: make(map[int]int), rank: make(map[int]int)}
+func newUnionFind(n int) *unionFind {
+	u := &unionFind{parent: make([]int32, n)}
+	for i := range u.parent {
+		u.parent[i] = int32(i)
+	}
+	return u
 }
 
 func (u *unionFind) find(x int) int {
-	p, ok := u.parent[x]
-	if !ok {
-		u.parent[x] = x
-		return x
+	for int(u.parent[x]) != x {
+		u.parent[x] = u.parent[u.parent[x]] // path halving
+		x = int(u.parent[x])
 	}
-	if p == x {
-		return x
-	}
-	root := u.find(p)
-	u.parent[x] = root
-	return root
+	return x
 }
 
 func (u *unionFind) union(a, b int) {
 	ra, rb := u.find(a), u.find(b)
-	if ra == rb {
-		return
+	u.parent[max(ra, rb)] = int32(min(ra, rb))
+}
+
+// sets returns the sets of the ascending members, each ascending, ordered
+// by smallest member. slot is scratch indexed by key.
+func (u *unionFind) sets(members []int, slot []int32) [][]int {
+	var out [][]int
+	for _, t := range members {
+		if r := u.find(t); r == t {
+			slot[t] = int32(len(out))
+			out = append(out, []int{t})
+		} else {
+			out[slot[r]] = append(out[slot[r]], t)
+		}
 	}
-	if u.rank[ra] < u.rank[rb] {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = ra
-	if u.rank[ra] == u.rank[rb] {
-		u.rank[ra]++
-	}
+	return out
 }
 
 // Groups runs Algorithm 3: for each constraint σ it takes the subgraph of
@@ -64,34 +69,33 @@ func (u *unionFind) union(a, b int) {
 // a violation). The result is deterministic: groups are sorted by
 // constraint, then by smallest member tuple.
 func Groups(h *violation.Hypergraph) []Group {
+	n := h.NumTuples()
+	uf, slot, seen := newUnionFind(n), make([]int32, n), make([]bool, n)
 	var out []Group
+	var members []int
 	for ci := 0; ci < h.NumConstraints(); ci++ {
-		uf := newUnionFind()
-		members := make(map[int]struct{})
+		members = members[:0]
 		for _, ei := range h.EdgesOfConstraint(ci) {
 			v := h.Violations[ei]
-			members[v.T1] = struct{}{}
+			for _, t := range [2]int{v.T1, v.T2} {
+				if t >= 0 && !seen[t] {
+					seen[t] = true
+					members = append(members, t)
+				}
+			}
 			if v.T2 >= 0 {
-				members[v.T2] = struct{}{}
 				uf.union(v.T1, v.T2)
 			}
 		}
-		comps := make(map[int][]int)
-		for t := range members {
-			root := uf.find(t)
-			comps[root] = append(comps[root], t)
-		}
-		for _, tuples := range comps {
-			sort.Ints(tuples)
+		slices.Sort(members)
+		for _, tuples := range uf.sets(members, slot) {
 			out = append(out, Group{Constraint: ci, Tuples: tuples})
 		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Constraint != out[j].Constraint {
-			return out[i].Constraint < out[j].Constraint
+		for _, t := range members { // the next constraint starts from singletons
+			seen[t] = false
+			uf.parent[t] = int32(t)
 		}
-		return out[i].Tuples[0] < out[j].Tuples[0]
-	})
+	}
 	return out
 }
 
@@ -105,27 +109,22 @@ func Groups(h *violation.Hypergraph) []Group {
 // tuples ascend within a component and components are ordered by their
 // smallest member tuple.
 func Components(h *violation.Hypergraph) [][]int {
-	uf := newUnionFind()
-	members := make(map[int]struct{})
+	n := h.NumTuples()
+	uf, seen := newUnionFind(n), make([]bool, n)
 	for _, v := range h.Violations {
-		members[v.T1] = struct{}{}
+		seen[v.T1] = true
 		if v.T2 >= 0 {
-			members[v.T2] = struct{}{}
+			seen[v.T2] = true
 			uf.union(v.T1, v.T2)
 		}
 	}
-	comps := make(map[int][]int)
-	for t := range members {
-		root := uf.find(t)
-		comps[root] = append(comps[root], t)
+	var members []int
+	for t, ok := range seen {
+		if ok {
+			members = append(members, t)
+		}
 	}
-	out := make([][]int, 0, len(comps))
-	for _, tuples := range comps {
-		sort.Ints(tuples)
-		out = append(out, tuples)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
+	return uf.sets(members, make([]int32, n))
 }
 
 // Touched reports, for each tuple group, whether it intersects the dirty

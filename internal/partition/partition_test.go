@@ -127,7 +127,7 @@ func TestGroupsArePartition(t *testing.T) {
 }
 
 func TestUnionFind(t *testing.T) {
-	u := newUnionFind()
+	u := newUnionFind(100)
 	u.union(1, 2)
 	u.union(3, 4)
 	if u.find(1) != u.find(2) || u.find(3) != u.find(4) {

@@ -4,11 +4,15 @@
 // Algorithm 3), and the Holistic baseline [12] all consume.
 //
 // Detection avoids the O(|D|²) pair scan whenever a constraint contains an
-// equality predicate across its two tuple variables: tuples are hash
-// partitioned on the join attribute and only within-bucket pairs are
-// evaluated. Constraints without an equality join fall back to an exact
-// pair scan. Both are one routine (delta.go) over the tuples that changed;
-// full detection is the delta in which every tuple did.
+// equality predicate across its two tuple variables: each join attribute
+// gets one block index (its tuples grouped by value, in tuple order) and
+// only pairs inside a block are considered. An FD-shaped constraint
+// (dc.Bound.FDAttr) evaluates no pair at all: a block sorted by its ≠
+// values yields exactly its violating pairs, so the cost follows the
+// block (and its sort) plus the violations found, not the block's pairs. Every other shape evaluates the pairs
+// of its blocks, and a constraint without an equality join falls back to
+// an exact pair scan. All of it is one routine (delta.go) over the tuples
+// that changed; full detection is the delta in which every tuple did.
 package violation
 
 import (
@@ -81,14 +85,19 @@ func NaiveDetect(ds *dataset.Dataset, constraints []*dc.Constraint) ([]Violation
 // constraint's distinct cell references instantiated with the violating
 // tuples, deduplicated.
 func (d *Detector) Cells(v Violation) []dataset.Cell {
-	refs := d.bounds[v.Constraint].Refs
-	out := make([]dataset.Cell, 0, len(refs))
-	for _, r := range refs {
+	return d.appendCells(make([]dataset.Cell, 0, len(d.bounds[v.Constraint].Refs)), v)
+}
+
+// appendCells appends the cells of v to out, deduplicated among
+// themselves.
+func (d *Detector) appendCells(out []dataset.Cell, v Violation) []dataset.Cell {
+	lo := len(out)
+	for _, r := range d.bounds[v.Constraint].Refs {
 		t := v.T1
 		if r.TupleVar == 1 {
 			t = v.T2
 		}
-		if c := (dataset.Cell{Tuple: t, Attr: r.Attr}); t >= 0 && !slices.Contains(out, c) {
+		if c := (dataset.Cell{Tuple: t, Attr: r.Attr}); t >= 0 && !slices.Contains(out[lo:], c) {
 			out = append(out, c)
 		}
 	}

@@ -539,3 +539,59 @@ func TestSessionReusesShardsUnderProvenanceColumn(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsWeightsAcrossPasses pins RunStats.Weights — the distinct tying
+// keys a pass's graphs name, the broadcast weight map included — for a
+// Clean and two Recleans (an in-place 1% mutation, then an append plus a
+// swap-delete) of one hospital relation, under both inference rules. The
+// figures were recorded when the count was taken from a per-pass set of
+// every key; counting the broadcast map plus the keys it lacks must give
+// the same numbers.
+func TestStatsWeightsAcrossPasses(t *testing.T) {
+	g := datagen.Hospital(datagen.Config{Tuples: 600, Seed: 7})
+	for _, tc := range []struct {
+		name    string
+		variant Variant
+		want    [3]int
+	}{
+		{"DC Feats", VariantDCFeats, [3]int{16979, 17009, 17009}},
+		{"DC Factors", VariantDCFactors, [3]int{16954, 16982, 16982}},
+	} {
+		opts := DefaultOptions()
+		opts.Variant = tc.variant
+		s, err := NewSession(g.Dirty, g.Constraints, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [3]int
+		res, err := s.Clean()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[0] = res.Stats.Weights
+		mutateSession(t, s, rand.New(rand.NewSource(3)), 0.01, []int{0, 1, 9, 14, 15})
+		if res, err = s.Reclean(); err != nil {
+			t.Fatal(err)
+		}
+		got[1] = res.Stats.Weights
+		ds := s.Dataset()
+		row := make([]string, ds.NumAttrs())
+		for a := range row {
+			row[a] = ds.GetString(17, a)
+		}
+		row[14] = ds.GetString(18, 14)
+		if _, err := s.Upsert(-1, row); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete(42); err != nil {
+			t.Fatal(err)
+		}
+		if res, err = s.Reclean(); err != nil {
+			t.Fatal(err)
+		}
+		got[2] = res.Stats.Weights
+		if got != tc.want {
+			t.Errorf("%s: Stats.Weights of Clean, Reclean, Reclean = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -457,9 +457,7 @@ func (r *shardRunner) runOne(sh shard) error {
 	if !hasNary {
 		r.res.Stats.ExactShards++
 	}
-	for _, k := range g.Graph.Weights.Keys {
-		r.weightKeys[k] = true
-	}
+	r.countKeys(g.Graph.Weights.Keys)
 	for vi, c := range g.Cells {
 		v := int32(vi)
 		dom := g.Graph.Vars[v].Domain
