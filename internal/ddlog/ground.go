@@ -297,14 +297,13 @@ func (a *Arena) nextSeen(n int) {
 }
 
 type grounder struct {
-	db      *Database
-	cfg     Config
-	g       *factor.Graph
-	out     *Grounded
-	ar      *Arena
-	shared  *SharedIndex              // db.Shared, or a private index when the database carries none
-	initIdx []map[dataset.Value][]int // attribute → shared.Init(attr), cached past the shared lock; nil = not fetched
-	nb      naryBuild                 // foldFactor's reusable output
+	db     *Database
+	cfg    Config
+	g      *factor.Graph
+	out    *Grounded
+	ar     *Arena
+	shared *SharedIndex // db.Shared, or a private index when the database carries none
+	nb     naryBuild    // foldFactor's reusable output
 }
 
 // Ground evaluates every rule of the program against the database and
@@ -358,12 +357,11 @@ func newGrounder(db *Database, cfg Config) *grounder {
 	ar.cellVars.reset(db.DS.NumTuples(), db.DS.NumAttrs())
 	ar.nextSeen(db.DS.NumTuples())
 	gr := &grounder{
-		db:      db,
-		cfg:     cfg,
-		g:       factor.NewGraph(),
-		ar:      ar,
-		shared:  db.Shared,
-		initIdx: make([]map[dataset.Value][]int, db.DS.NumAttrs()),
+		db:     db,
+		cfg:    cfg,
+		g:      factor.NewGraph(),
+		ar:     ar,
+		shared: db.Shared,
 	}
 	if gr.shared == nil {
 		gr.shared = NewSharedIndex(db.DS, db.Domains)

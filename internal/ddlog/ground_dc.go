@@ -218,8 +218,8 @@ func (gr *grounder) groundDC(rule *Rule) error {
 	}
 	for _, t1 := range gr.tuplesWithQueryRef(b, outer) {
 		for _, l := range gr.candidateLabels(dataset.Cell{Tuple: t1, Attr: la}) {
-			for _, t2 := range bucketR[l] {
-				emitPair(t1, t2)
+			for _, t2 := range bucketR.Of(dataset.Value(l)) {
+				emitPair(t1, int(t2))
 			}
 		}
 	}
@@ -227,8 +227,8 @@ func (gr *grounder) groundDC(rule *Rule) error {
 		bucketL := gr.shared.Candidates(la)
 		for _, t2 := range gr.tuplesWithQueryRef(b, 1) {
 			for _, l := range gr.candidateLabels(dataset.Cell{Tuple: t2, Attr: ra}) {
-				for _, t1 := range bucketL[l] {
-					emitPair(t1, t2)
+				for _, t1 := range bucketL.Of(dataset.Value(l)) {
+					emitPair(int(t1), t2)
 				}
 			}
 		}

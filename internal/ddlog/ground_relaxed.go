@@ -237,7 +237,7 @@ func (gr *grounder) relaxPair(rc *relaxCtx) (int32, float64) {
 			if jv := gr.queryVarOf(dataset.Cell{Tuple: t, Attr: headAttr}); jv >= 0 && !gr.inert(jv) {
 				scale = 0.5
 			}
-			total := gr.countTable(rc, 0, gr.initIndex(otherAttr)[probe], 0).passed
+			total := gr.countTable(rc, 0, gr.shared.Init(otherAttr).Of(probe), 0).passed
 			if ds.Get(t, otherAttr) == probe && rc.uncount(t) {
 				total--
 			}
@@ -246,10 +246,10 @@ func (gr *grounder) relaxPair(rc *relaxCtx) (int32, float64) {
 		// Strategy 2: the head predicate itself is an equality — candidates
 		// index directly into the counterpart side, one table per label.
 		// Domains hold distinct labels, so the lists are disjoint.
-		idx := gr.initIndex(otherAttr)
+		idx := gr.shared.Init(otherAttr)
 		var total int32
 		for _, label := range rc.dom {
-			total += gr.countTable(rc, label, idx[dataset.Value(label)], 0).joined
+			total += gr.countTable(rc, label, idx.Of(dataset.Value(label)), 0).joined
 		}
 		if own := ds.Get(t, otherAttr); own != dataset.Null && slices.Contains(rc.dom, int32(own)) {
 			total--
@@ -287,7 +287,7 @@ func (gr *grounder) relaxPair(rc *relaxCtx) (int32, float64) {
 // from tuples [0, upto) when list is nil — and shared through the
 // SharedIndex by every grounding of the run. Each group is counted with
 // one predicate evaluation per candidate.
-func (gr *grounder) countTable(rc *relaxCtx, tag int32, list []int, upto int) *counterTable {
+func (gr *grounder) countTable(rc *relaxCtx, tag int32, list []int32, upto int) *counterTable {
 	ds := gr.db.DS
 	key := binary.LittleEndian.AppendUint32(gr.ar.keyBuf[:0], uint32(tag))
 	for _, a := range rc.ctxAttrs {
@@ -309,7 +309,7 @@ func (gr *grounder) countTable(rc *relaxCtx, tag int32, list []int, upto int) *c
 // on the counterpart role's attributes. The head tuple itself is included
 // like any other: for the heads of other tuples in the context it is a
 // counterpart.
-func (gr *grounder) buildTable(rc *relaxCtx, list []int, upto int) *counterTable {
+func (gr *grounder) buildTable(rc *relaxCtx, list []int32, upto int) *counterTable {
 	ds := gr.db.DS
 	if gr.ar.groupOf == nil {
 		gr.ar.groupOf = make(map[string]int32)
@@ -324,7 +324,7 @@ func (gr *grounder) buildTable(rc *relaxCtx, list []int, upto int) *counterTable
 	for i := 0; i < n; i++ {
 		t2 := i
 		if list != nil {
-			t2 = list[i]
+			t2 = int(list[i])
 		}
 		if !rc.bodyHolds(t2) {
 			continue
@@ -343,16 +343,4 @@ func (gr *grounder) buildTable(rc *relaxCtx, list []int, upto int) *counterTable
 		tb.groups = append(tb.groups, counterGroup{rep: int32(t2), n: 1})
 	}
 	return tb
-}
-
-// initIndex returns the initial-value index of attr (value → tuples) from
-// the shared index; the grounder's dense attribute-indexed cache skips the
-// shared lock on repeat lookups.
-func (gr *grounder) initIndex(attr int) map[dataset.Value][]int {
-	idx := gr.initIdx[attr]
-	if idx == nil {
-		idx = gr.shared.Init(attr)
-		gr.initIdx[attr] = idx
-	}
-	return idx
 }

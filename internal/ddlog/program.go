@@ -10,6 +10,11 @@
 // Datalog body, which is faithful to how HoloClean's compiler emits a
 // fixed repertoire of rule shapes (one per repair signal) while keeping
 // grounding efficient.
+//
+// Denial-constraint rules join tuples through per-attribute
+// dataset.Blocks — candidate labels for Algorithm 1's factors, initial
+// values for relaxed counterparts — held in a SharedIndex that a pass's
+// groundings share; only relaxed counterpart tables outlive the pass.
 package ddlog
 
 import (

@@ -88,8 +88,8 @@ func (gr *grounder) refRelaxPair(rc *relaxCtx) (int32, float64) {
 			if jv := gr.queryVarOf(dataset.Cell{Tuple: rc.c.Tuple, Attr: headAttr}); jv >= 0 && !gr.inert(jv) {
 				scale = 0.5
 			}
-			for _, t2 := range gr.shared.Init(otherAttr)[probe] {
-				if gr.refCheck(rc, t2) {
+			for _, t2 := range gr.shared.Init(otherAttr).Of(probe) {
+				if gr.refCheck(rc, int(t2)) {
 					total++
 				}
 			}
@@ -97,8 +97,8 @@ func (gr *grounder) refRelaxPair(rc *relaxCtx) (int32, float64) {
 		}
 		seen := make(map[int]bool)
 		for _, label := range rc.dom {
-			for _, t2 := range gr.shared.Init(otherAttr)[dataset.Value(label)] {
-				if !seen[t2] {
+			for _, t32 := range gr.shared.Init(otherAttr).Of(dataset.Value(label)) {
+				if t2 := int(t32); !seen[t2] {
 					seen[t2] = true
 					if t2 != rc.c.Tuple {
 						total++

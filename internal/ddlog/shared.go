@@ -3,27 +3,31 @@ package ddlog
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"holoclean/internal/dataset"
 	"holoclean/internal/dc"
 	"holoclean/internal/pruning"
 )
 
-// SharedIndex caches the dataset-wide indexes grounding consults — the
-// per-attribute initial-value index, the per-attribute candidate-label
-// buckets used to join denial constraints, and the counterpart tables of
-// relaxed denial constraints. A single SharedIndex is built from the
-// global domains and shared read-mostly across the per-shard grounders of
-// the sharded pipeline, so the O(|D|) index builds happen once per
-// attribute, and a counterpart join once per context, instead of once per
-// shard. All methods are safe for concurrent use.
+// SharedIndex holds the dataset-wide indexes grounding consults — the
+// per-attribute initial-value and candidate-label buckets denial
+// constraints join through, and the counterpart tables of relaxed denial
+// constraints. A single SharedIndex is built from the global domains and
+// shared read-mostly across the per-shard grounders of the sharded
+// pipeline, so an attribute's buckets are built once per pass, and a
+// counterpart join once per context, instead of once per shard. All
+// methods but Rebind are safe for concurrent use.
 type SharedIndex struct {
 	ds      *dataset.Dataset
 	domains *pruning.Domains
+	n       int // ds's tuple count at the last bind
 
-	mu    sync.RWMutex
-	init  map[int]map[dataset.Value][]int
-	cand  map[int]map[int32][]int
+	// init and cand hold one bucket index per attribute, nil until first
+	// use; concurrent builders race and one CompareAndSwap winner is kept.
+	init, cand []atomic.Pointer[dataset.Blocks]
+
+	mu    sync.Mutex
 	relax map[relaxRule]*relaxTables
 }
 
@@ -62,35 +66,26 @@ type counterGroup struct {
 // (pre-shard) noisy-cell domains. domains may be nil, in which case
 // candidate buckets degrade to initial values only.
 func NewSharedIndex(ds *dataset.Dataset, domains *pruning.Domains) *SharedIndex {
-	return &SharedIndex{
-		ds:      ds,
-		domains: domains,
-		init:    make(map[int]map[dataset.Value][]int),
-		cand:    make(map[int]map[int32][]int),
-		relax:   make(map[relaxRule]*relaxTables),
-	}
+	s := &SharedIndex{relax: make(map[relaxRule]*relaxTables)}
+	s.Rebind(ds, domains, nil)
+	return s
 }
 
-// Rebind points the index at a mutated dataset and refreshed domains,
-// dropping the cached per-attribute indexes named in dirtyAttrs, and the
-// counterpart tables of every constraint that references one, and keeping
-// the rest. An attribute's indexes may be kept only when nothing they were
-// built from changed: no tuple's initial value on the attribute, no noisy
-// cell's candidate set on it, and — because appends and deletions add or
-// remove bucket entries in every attribute — the tuple count. Incremental
-// cleaning sessions call this once per reclean so the O(|D|) index builds
-// of untouched attributes survive the delta.
+// Rebind points the index at a mutated dataset and refreshed domains. It
+// drops every bucket index — they are rebuilt on first use, once per pass
+// — and the counterpart tables of every constraint that references an
+// attribute in dirtyAttrs, keeping the rest: a table is a function of the
+// initial values on the constraint's attributes alone, so it may be kept
+// when no tuple's initial value on them changed. A changed tuple count
+// (appends, deletions) drops every table. Incremental cleaning sessions
+// call this once per reclean, never concurrently with a grounding.
 func (s *SharedIndex) Rebind(ds *dataset.Dataset, domains *pruning.Domains, dirtyAttrs map[int]bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ds = ds
-	s.domains = domains
-	for a := range dirtyAttrs {
-		delete(s.init, a)
-		delete(s.cand, a)
-	}
+	resized := ds.NumTuples() != s.n
+	s.ds, s.domains, s.n = ds, domains, ds.NumTuples()
+	s.init = make([]atomic.Pointer[dataset.Blocks], ds.NumAttrs())
+	s.cand = make([]atomic.Pointer[dataset.Blocks], ds.NumAttrs())
 	for r, rt := range s.relax {
-		if slices.ContainsFunc(rt.reads, func(a int) bool { return dirtyAttrs[a] }) {
+		if resized || slices.ContainsFunc(rt.reads, func(a int) bool { return dirtyAttrs[a] }) {
 			delete(s.relax, r)
 		}
 	}
@@ -100,15 +95,10 @@ func (s *SharedIndex) Rebind(ds *dataset.Dataset, domains *pruning.Domains, dirt
 // cell reference head, creating the empty set on first use.
 func (s *SharedIndex) relaxed(b *dc.Bound, head dc.CellRef) *relaxTables {
 	k := relaxRule{src: b.Src, head: head}
-	s.mu.RLock()
-	rt := s.relax[k]
-	s.mu.RUnlock()
-	if rt != nil {
-		return rt
-	}
-	s.mu.Lock()
+	s.mu.Lock() // once per rule per grounding: no read path worth splitting
 	defer s.mu.Unlock()
-	if rt = s.relax[k]; rt == nil {
+	rt := s.relax[k]
+	if rt == nil {
 		rt = &relaxTables{reads: slices.Concat(b.RoleAttrs[0], b.RoleAttrs[1]), m: make(map[string]*counterTable)}
 		s.relax[k] = rt
 	}
@@ -135,29 +125,15 @@ func (rt *relaxTables) put(key []byte, tb *counterTable) *counterTable {
 	return tb
 }
 
-// Init returns the initial-value index of attr: value → tuples whose cell
-// (t, attr) initially holds that value. Nulls are excluded.
-func (s *SharedIndex) Init(attr int) map[dataset.Value][]int {
-	s.mu.RLock()
-	idx := s.init[attr]
-	s.mu.RUnlock()
-	if idx != nil {
-		return idx
-	}
-	idx = make(map[dataset.Value][]int)
-	for t := 0; t < s.ds.NumTuples(); t++ {
+// Init returns the initial-value buckets of attr: value → tuples whose
+// cell (t, attr) initially holds that value. Nulls are excluded.
+func (s *SharedIndex) Init(attr int) *dataset.Blocks {
+	return s.buckets(&s.init[attr], func(t int, dst []dataset.Value) []dataset.Value {
 		if v := s.ds.Get(t, attr); v != dataset.Null {
-			idx[v] = append(idx[v], t)
+			dst = append(dst, v)
 		}
-	}
-	s.mu.Lock()
-	if prev := s.init[attr]; prev != nil {
-		idx = prev // another shard built it concurrently; keep one copy
-	} else {
-		s.init[attr] = idx
-	}
-	s.mu.Unlock()
-	return idx
+		return dst
+	})
 }
 
 // Candidates returns the candidate-label buckets of attr: label → tuples
@@ -167,38 +143,32 @@ func (s *SharedIndex) Init(attr int) map[dataset.Value][]int {
 // labels grounder.candidateLabels yields on a monolithic graph, so a
 // shard joining through these buckets sees the same counterpart pairs the
 // monolithic grounder would.
-func (s *SharedIndex) Candidates(attr int) map[int32][]int {
-	s.mu.RLock()
-	idx := s.cand[attr]
-	s.mu.RUnlock()
-	if idx != nil {
-		return idx
-	}
-	idx = make(map[int32][]int)
-	for t := 0; t < s.ds.NumTuples(); t++ {
-		c := dataset.Cell{Tuple: t, Attr: attr}
-		var cands []dataset.Value
+func (s *SharedIndex) Candidates(attr int) *dataset.Blocks {
+	return s.buckets(&s.cand[attr], func(t int, dst []dataset.Value) []dataset.Value {
 		if s.domains != nil {
-			cands = s.domains.Of(c)
-		}
-		if len(cands) > 0 {
-			for _, v := range cands {
-				idx[int32(v)] = append(idx[int32(v)], t)
+			if cands := s.domains.Of(dataset.Cell{Tuple: t, Attr: attr}); len(cands) > 0 {
+				return append(dst, cands...)
 			}
-			continue
 		}
 		if v := s.ds.Get(t, attr); v != dataset.Null {
-			idx[int32(v)] = append(idx[int32(v)], t)
+			dst = append(dst, v)
 		}
+		return dst
+	})
+}
+
+// buckets returns the index in slot, building it from labels on first
+// use. Grounders that race on an empty slot each build one; the first
+// stored is kept and returned to all.
+func (s *SharedIndex) buckets(slot *atomic.Pointer[dataset.Blocks], labels func(t int, dst []dataset.Value) []dataset.Value) *dataset.Blocks {
+	if b := slot.Load(); b != nil {
+		return b
 	}
-	s.mu.Lock()
-	if prev := s.cand[attr]; prev != nil {
-		idx = prev
-	} else {
-		s.cand[attr] = idx
+	b := dataset.NewBlocks(s.ds.NumTuples(), labels)
+	if !slot.CompareAndSwap(nil, b) {
+		b = slot.Load()
 	}
-	s.mu.Unlock()
-	return idx
+	return b
 }
 
 // Scope restricts denial-constraint factor grounding to one shard of the

@@ -29,7 +29,7 @@ import (
 // per constraint in (T1, T2) order.
 func (d *Detector) DetectDelta(prev []Violation, changed map[int]bool) []Violation {
 	n := d.ds.NumTuples()
-	s := &scope{ds: d.ds, blocks: make([]*blockIndex, d.ds.NumAttrs())}
+	s := &scope{ds: d.ds, blocks: make([]*dataset.Blocks, d.ds.NumAttrs())}
 	kept := make([][]Violation, len(d.bounds))
 	if changed != nil {
 		s.changed = make([]bool, n)
@@ -81,53 +81,25 @@ type scope struct {
 	ds      *dataset.Dataset
 	changed []bool // nil: every tuple changed
 	order   []int  // the changed tuples, ascending; unused when changed is nil
-	blocks  []*blockIndex
+	blocks  []*dataset.Blocks
 }
 
-// blockIndex groups the tuples of one attribute by value: the tuples
-// holding vals[i] are tuples[start[i]:start[i+1]], ascending. Null cells
-// are left out, since no predicate holds of them.
-type blockIndex struct {
-	vals   []dataset.Value
-	start  []int32
-	tuples []int32
-}
-
-// block returns the block index of attribute a, built on first use: one
-// per distinct join attribute per call, shared by every constraint that
-// joins on it.
-func (s *scope) block(a int) *blockIndex {
+// block returns the block index of attribute a (its tuples by value,
+// null cells left out since no predicate holds of them), built on first
+// use: one per distinct join attribute per call, shared by every
+// constraint that joins on it.
+func (s *scope) block(a int) *dataset.Blocks {
 	if ix := s.blocks[a]; ix != nil {
 		return ix
 	}
-	n := s.ds.NumTuples()
-	keys := make([]uint64, 0, n)
-	for t := 0; t < n; t++ {
+	ix := dataset.NewBlocks(s.ds.NumTuples(), func(t int, dst []dataset.Value) []dataset.Value {
 		if v := s.ds.Get(t, a); v != dataset.Null {
-			keys = append(keys, uint64(v)<<32|uint64(t))
+			dst = append(dst, v)
 		}
-	}
-	slices.Sort(keys)
-	ix := &blockIndex{tuples: make([]int32, len(keys))}
-	for i, k := range keys {
-		if v := dataset.Value(k >> 32); len(ix.vals) == 0 || v != ix.vals[len(ix.vals)-1] {
-			ix.vals = append(ix.vals, v)
-			ix.start = append(ix.start, int32(i))
-		}
-		ix.tuples[i] = int32(k)
-	}
-	ix.start = append(ix.start, int32(len(keys)))
+		return dst
+	})
 	s.blocks[a] = ix
 	return ix
-}
-
-// of returns the tuples holding v, ascending.
-func (ix *blockIndex) of(v dataset.Value) []int32 {
-	i, ok := slices.BinarySearch(ix.vals, v)
-	if !ok {
-		return nil
-	}
-	return ix.tuples[ix.start[i]:ix.start[i+1]]
 }
 
 // fdPairs finds the violations of an FD-shaped constraint (dc.Bound.FDAttr)
@@ -171,7 +143,7 @@ func (s *scope) fdPairs(ci int, b *dc.Bound) []Violation {
 				continue
 			}
 			v1 := s.ds.Get(t1, b.FDAttr)
-			for _, t2 := range ix.of(v0) {
+			for _, t2 := range ix.Of(v0) {
 				// A pair of two changed tuples is met from its smaller side.
 				if int(t2) == t1 || (s.changed[t2] && int(t2) < t1) {
 					continue
@@ -184,9 +156,9 @@ func (s *scope) fdPairs(ci int, b *dc.Bound) []Violation {
 		return out
 	}
 	var blk []int32
-	for i := range ix.vals {
+	for i := range ix.Len() {
 		blk = blk[:0]
-		for _, t := range ix.tuples[ix.start[i]:ix.start[i+1]] {
+		for _, t := range ix.Block(i) {
 			if eligible(t) {
 				blk = append(blk, t)
 			}
@@ -265,18 +237,18 @@ func (s *scope) evaluatePairs(ci int, b *dc.Bound) []Violation {
 		// only read them.
 		leftAttr, rightAttr := b.Joins[0][0], b.Joins[0][1]
 		byRight := s.block(rightAttr)
-		var byLeft *blockIndex
+		var byLeft *dataset.Blocks
 		if s.changed != nil {
 			byLeft = s.block(leftAttr)
 		}
 		return stripe(order, func(out []Violation, t1 int) []Violation {
 			if v := s.ds.Get(t1, leftAttr); v != dataset.Null {
-				for _, t2 := range byRight.of(v) {
+				for _, t2 := range byRight.Of(v) {
 					out = appendPair(out, ci, b, t1, int(t2))
 				}
 			}
 			if v := s.ds.Get(t1, rightAttr); byLeft != nil && v != dataset.Null {
-				for _, t0 := range byLeft.of(v) {
+				for _, t0 := range byLeft.Of(v) {
 					if !s.changed[t0] {
 						out = appendPair(out, ci, b, int(t0), t1)
 					}

@@ -5,14 +5,16 @@
 //
 // Detection avoids the O(|D|²) pair scan whenever a constraint contains an
 // equality predicate across its two tuple variables: each join attribute
-// gets one block index (its tuples grouped by value, in tuple order) and
-// only pairs inside a block are considered. An FD-shaped constraint
-// (dc.Bound.FDAttr) evaluates no pair at all: a block sorted by its ≠
-// values yields exactly its violating pairs, so the cost follows the
-// block (and its sort) plus the violations found, not the block's pairs. Every other shape evaluates the pairs
-// of its blocks, and a constraint without an equality join falls back to
-// an exact pair scan. All of it is one routine (delta.go) over the tuples
-// that changed; full detection is the delta in which every tuple did.
+// gets one block index per call (a dataset.Blocks, its tuples grouped by
+// value in tuple order, counting-sorted — the bucket type grounding joins
+// through too) and only pairs inside a block are considered. An
+// FD-shaped constraint (dc.Bound.FDAttr) evaluates no pair at all: a
+// block sorted by its ≠ values yields exactly its violating pairs, so the
+// cost follows the block (and its sort) plus the violations found, not
+// the block's pairs. Every other shape evaluates the pairs of its blocks,
+// and a constraint without an equality join falls back to an exact pair
+// scan. All of it is one routine (delta.go) over the tuples that changed;
+// full detection is the delta in which every tuple did.
 package violation
 
 import (

@@ -364,45 +364,28 @@ func (p *pass) invalidateTuples() error {
 	ds, prev := p.ds, p.prev
 
 	// Candidate diff: cells whose pruned domain changed invalidate their
-	// tuple (and, through the join buckets, their counterparts). Every
-	// candidate change also shifts the shared candidate-label buckets of
-	// its attribute — including changes on tuples that are already dirty
-	// for other reasons — so the attribute's cached index must be rebuilt
-	// either way.
+	// tuple (and, through the join buckets, their counterparts).
 	candChanged := make(map[int]bool)
 	for i, c := range p.domains.Cells {
-		if !slices.Equal(p.domains.Candidates[i], prev.domains.Of(c)) {
-			p.changedAttrs[c.Attr] = true
-			if !p.changed[c.Tuple] && !p.maskChanged[c.Tuple] {
-				candChanged[c.Tuple] = true
-			}
+		if !slices.Equal(p.domains.Candidates[i], prev.domains.Of(c)) && !p.changed[c.Tuple] && !p.maskChanged[c.Tuple] {
+			candChanged[c.Tuple] = true
 		}
 	}
 	for _, c := range prev.domains.Cells {
-		if p.domains.Index(c) < 0 {
-			// The cell left the noisy set: its candidate-set contribution
-			// to the attribute's label buckets collapses to its initial
-			// value. When it left by being confirmed the noisy mask did not
-			// move, yet it stopped being a query variable — which shifts its
-			// siblings' weak-evidence discounts and its counterparts' DC
-			// factors — so its tuple is a candidate change like any other.
-			p.changedAttrs[c.Attr] = true
-			if c.Tuple < ds.NumTuples() && !p.changed[c.Tuple] && !p.maskChanged[c.Tuple] {
-				candChanged[c.Tuple] = true
-			}
+		// A cell that left the noisy set by being confirmed did not move
+		// the noisy mask, yet it stopped being a query variable — which
+		// shifts its siblings' weak-evidence discounts and its
+		// counterparts' DC factors — so its tuple is a candidate change
+		// like any other.
+		if p.domains.Index(c) < 0 && c.Tuple < ds.NumTuples() && !p.changed[c.Tuple] && !p.maskChanged[c.Tuple] {
+			candChanged[c.Tuple] = true
 		}
 	}
 
-	// Shared-index refresh: keep per-attribute indexes untouched by the
-	// delta, drop the rest, rebind to the mutated dataset.
-	dirtyAttrs := p.changedAttrs
-	if ds.NumTuples() != len(p.prevRows) {
-		dirtyAttrs = make(map[int]bool)
-		for a := 0; a < ds.NumAttrs(); a++ {
-			dirtyAttrs[a] = true
-		}
-	}
-	p.shared.Rebind(ds, p.domains, dirtyAttrs)
+	// Shared-index refresh: rebind to the mutated dataset and domains,
+	// which drops every bucket index and the counterpart tables of the
+	// constraints on attributes whose values changed.
+	p.shared.Rebind(ds, p.domains, p.changedAttrs)
 
 	// Dirty closure: changed tuples, mask/candidate/match diffs, and one
 	// join hop outward — any tuple whose candidate labels intersect a
@@ -516,8 +499,8 @@ func (p *pass) propagateJoins(candChanged map[int]bool) {
 		}
 		buckets := p.shared.Candidates(attr)
 		for _, v := range vals {
-			for _, t := range buckets[int32(v)] {
-				p.dirty[t] = true
+			for _, t := range buckets.Of(v) {
+				p.dirty[int(t)] = true
 			}
 		}
 	}
