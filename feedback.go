@@ -110,9 +110,8 @@ func (cl *Cleaner) CleanWithFeedback(ds *Dataset, constraints []*Constraint, fee
 // duplicate against the batch or earlier confirmations) and rejected
 // whole on any violation (ErrInvalidFeedback): no value is written, no
 // state changes. If the pipeline itself fails after validation, the
-// confirmations stay staged coherently — the written values are marked
-// touched like any other pending mutation, so a later Reclean applies
-// them.
+// confirmations stay staged coherently — the written values are pending
+// like any other mutation, so a later Reclean applies them.
 func (s *Session) Feedback(fb []Feedback) (*Result, error) {
 	if len(fb) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrInvalidFeedback)
@@ -126,8 +125,8 @@ func (s *Session) Feedback(fb []Feedback) (*Result, error) {
 		return nil, err
 	}
 	for _, f := range fb {
+		s.capture(f.Cell.Tuple)
 		s.ds.SetString(f.Cell.Tuple, f.Cell.Attr, f.Value)
-		s.touched[f.Cell.Tuple] = true
 		s.confirmed = append(s.confirmed, f)
 	}
 	return s.Reclean()

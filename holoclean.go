@@ -506,6 +506,7 @@ type pass struct {
 
 	// The artifacts a Session's next pass diffs against or carries forward
 	// — all that Session.adopt retains of a finished pass.
+	n          int                     // the tuple count the pass cleaned
 	st, masked *stats.Stats            // stats: raw; prepare: clean-cell (nil when cooc features are off); delta-maintained in place
 	viol       []violation.Violation   // detect: carried forward by scoped detection
 	detection  *errordetect.Result     // detect: the noisy cells and their dense mask
@@ -522,24 +523,24 @@ type pass struct {
 // working is the state that dies with a pass: the link to the previous
 // one, the delta sets, compilation state, the Result under construction.
 type working struct {
-	prev     *pass             // nil: everything is invalid
-	prevRows [][]dataset.Value // the rows prev cleaned
-	touched  map[int]bool      // tuple slots mutated since prev
-	res      *Result
+	prev   *pass                   // nil: everything is invalid
+	before map[int][]dataset.Value // the rows prev cleaned in the slots written since
+	res    *Result
 
-	changed, changedAttrs map[int]bool          // diff: tuples / attributes whose content differs from prevRows
-	cols                  *stats.Columns        // stats: the column encoding of a full pass, which prepare's masked collection reuses
-	prevQuasi             []bool                // stats: quasi-key classification before the delta
-	stDelta               *stats.Delta          // stats: raw counters the delta touched
-	hyper                 *violation.Hypergraph // detect
-	maskChanged           map[int]bool          // prepare: unchanged tuples whose noisy mask moved
-	maskedDelta           *stats.Delta          // prepare: clean-cell counters the delta touched (nil without masked)
-	prep                  *compile.Prepared     // prepare
-	dirty                 map[int]bool          // invalidate: tuples that must re-execute; nil executes every shard
-	exec                  []shard               // plan: the shards that run
-	reused                []int                 // plan: cell indices whose cached outcome carries forward
-	learnGround           time.Duration         // learn: learning-graph grounding, booked with the shards'
-	unlearnedKeys         map[string]bool       // learn, infer: tying keys the pass's graphs named that weights lacks (RunStats.Weights)
+	changed       map[int][]int         // diff: per slot whose content differs from prev's, the attributes that moved (every one for appended and vacated slots)
+	cols          *stats.Columns        // stats: the column encoding of a full pass, which prepare's masked collection reuses
+	prevQuasi     []bool                // stats: quasi-key classification before the delta
+	stDelta       *stats.Delta          // stats: raw counters the delta touched
+	hyper         *violation.Hypergraph // detect
+	matched       []extdict.Match       // detect: the dictionary matches (MatchDependencies only)
+	maskChanged   map[int]bool          // prepare: unchanged tuples whose noisy mask moved
+	maskedDelta   *stats.Delta          // prepare: clean-cell counters the delta touched (nil without masked)
+	prep          *compile.Prepared     // prepare
+	dirty         map[int]bool          // invalidate: tuples that must re-execute; nil executes every shard
+	exec          []shard               // plan: the shards that run
+	reused        []int                 // plan: cell indices whose cached outcome carries forward
+	learnGround   time.Duration         // learn: learning-graph grounding, booked with the shards'
+	unlearnedKeys map[string]bool       // learn, infer: tying keys the pass's graphs named that weights lacks (RunStats.Weights)
 }
 
 // newPass starts a full pass over ds: no previous pass, weights learned
@@ -551,6 +552,7 @@ func newPass(o Options, ds *Dataset, constraints []*Constraint, trusted []datase
 		constraints: constraints,
 		trusted:     trusted,
 		weights:     o.InitialWeights,
+		n:           ds.NumTuples(),
 		// The learning graph, every shard graph and compilation's
 		// feature-name tables share it (recleans share the previous pass's),
 		// so a distinct key's string is allocated once.
@@ -660,15 +662,20 @@ func (p *pass) run(adopt func(*pass)) (*Result, error) {
 // and the raw statistics. Constraint violations are scoped to the changed
 // tuples when there is a previous pass (violations among untouched tuples
 // carry forward) and detected in full otherwise; the statistics-based
-// detectors read the stats stage's counters and scan nothing themselves.
+// detectors read the stats stage's counters and scan nothing themselves;
+// the dictionary detector reads the matches applied here, once per pass
+// for prepare too.
 func (p *pass) detectErrors() error {
 	o := p.opts
 	var detectors []errordetect.Detector
 	var viol *errordetect.Violations
 	if len(p.constraints) > 0 {
-		viol = &errordetect.Violations{Constraints: p.constraints, Changed: p.changed}
+		viol = &errordetect.Violations{Constraints: p.constraints}
 		if p.prev != nil {
-			viol.Prev = p.prev.viol
+			viol.Prev, viol.Changed = p.prev.viol, make(map[int]bool, len(p.changed))
+			for t := range p.changed {
+				viol.Changed[t] = true
+			}
 		}
 		detectors = append(detectors, viol)
 	}
@@ -680,7 +687,8 @@ func (p *pass) detectErrors() error {
 		if err != nil {
 			return err
 		}
-		detectors = append(detectors, &errordetect.Dictionary{Matcher: matcher})
+		p.matched = matcher.Apply(p.ds)
+		detectors = append(detectors, &errordetect.Dictionary{Matches: p.matched})
 	}
 	var err error
 	if p.detection, err = errordetect.Run(p.ds, detectors...); err != nil {
@@ -716,6 +724,7 @@ func (p *pass) compileOptions() compile.Options {
 		Trusted:                p.trusted,
 		Detection:              p.detection,
 		Hypergraph:             p.hyper,
+		Matches:                p.matched,
 		Stats:                  p.st,
 		MaskedStats:            p.masked,
 		Interner:               p.interner,

@@ -88,7 +88,8 @@ type Options struct {
 	MaxEvidence int
 	// Seed drives evidence sampling.
 	Seed int64
-	// Dictionaries and MatchDeps supply the external-data signal.
+	// MatchDeps wire the external-data signal; Dictionaries, what they
+	// match against, are read by the matcher, not here (see Matches).
 	Dictionaries []*extdict.Dictionary
 	MatchDeps    []*extdict.MatchDependency
 	// DisableCooccurFeatures removes the quantitative-statistics signal:
@@ -120,6 +121,10 @@ type Options struct {
 	// hands the result in.
 	Detection  *errordetect.Result
 	Hypergraph *violation.Hypergraph
+	// Matches are ds's dictionary matches under MatchDeps, required
+	// (though possibly empty) when MatchDeps is set: the pipeline applies
+	// the matcher once, for its dictionary detector and for these domains.
+	Matches []extdict.Match
 	// Stats are the dataset's statistics (required) and MaskedStats the
 	// clean-cell statistics, which discount co-occurrences where either
 	// cell was flagged noisy (required unless DisableCooccurFeatures).
@@ -174,6 +179,8 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 		return nil, fmt.Errorf("compile: Options.Stats is required")
 	case masked == nil && !opts.DisableCooccurFeatures:
 		return nil, fmt.Errorf("compile: Options.MaskedStats is required by co-occurrence features")
+	case opts.Matches == nil && len(opts.MatchDeps) > 0:
+		return nil, fmt.Errorf("compile: Options.Matches is required by match dependencies")
 	}
 	// Intern constraint constants so bound predicates compare labels.
 	for _, c := range constraints {
@@ -223,17 +230,11 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 	})
 	out.Domains = domains
 
-	// External data: apply matching dependencies and admit suggestions
-	// into the domains of noisy cells (Example 3).
-	if len(opts.MatchDeps) > 0 {
-		matcher, err := extdict.NewMatcher(ds, opts.Dictionaries, opts.MatchDeps)
-		if err != nil {
-			return nil, err
-		}
-		out.Matches = matcher.Apply(ds)
-		for _, m := range out.Matches {
-			domains.Inject(m.Cell, ds.Dict().Intern(m.Value))
-		}
+	// External data: admit the matching dependencies' suggestions into
+	// the domains of noisy cells (Example 3).
+	out.Matches = opts.Matches
+	for _, m := range out.Matches {
+		domains.Inject(m.Cell, ds.Dict().Intern(m.Value))
 	}
 
 	// Partitioning (Algorithm 3) follows the conflict hypergraph.

@@ -9,6 +9,7 @@ import (
 	"holoclean/internal/dc"
 	"holoclean/internal/ddlog"
 	"holoclean/internal/errordetect"
+	"holoclean/internal/extdict"
 	"holoclean/internal/stats"
 )
 
@@ -36,8 +37,8 @@ type compiled struct {
 }
 
 // withInputs fills in the inputs compilation requires — violation
-// detection, statistics, clean-cell statistics — the way the cleaning pass
-// produces them.
+// detection, dictionary matches, statistics, clean-cell statistics — the
+// way the cleaning pass produces them.
 func withInputs(t testing.TB, ds *dataset.Dataset, cs []*dc.Constraint, opts Options) Options {
 	t.Helper()
 	viol := &errordetect.Violations{Constraints: cs}
@@ -46,6 +47,13 @@ func withInputs(t testing.TB, ds *dataset.Dataset, cs []*dc.Constraint, opts Opt
 		t.Fatal(err)
 	}
 	opts.Detection, opts.Hypergraph = det, viol.LastHypergraph
+	if len(opts.MatchDeps) > 0 {
+		m, err := extdict.NewMatcher(ds, opts.Dictionaries, opts.MatchDeps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Matches = m.Apply(ds)
+	}
 	opts.Stats = stats.Collect(ds)
 	opts.MaskedStats = stats.CollectFiltered(ds, func(tu, a int) bool {
 		return det.IsNoisy(dataset.Cell{Tuple: tu, Attr: a})

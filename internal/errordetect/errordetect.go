@@ -294,9 +294,11 @@ func (Nulls) Detect(ds *dataset.Dataset) ([]dataset.Cell, error) {
 }
 
 // Dictionary flags cells contradicted by external dictionary matches
-// (Section 2.2's "methods that rely on external and labeled data").
+// (Section 2.2's "methods that rely on external and labeled data"): the
+// matches of the dataset Detect is given, applied once by the caller,
+// which compilation also injects into the domains.
 type Dictionary struct {
-	Matcher *extdict.Matcher
+	Matches []extdict.Match
 }
 
 // Name implements Detector.
@@ -304,5 +306,5 @@ func (d *Dictionary) Name() string { return "dictionary" }
 
 // Detect implements Detector.
 func (d *Dictionary) Detect(ds *dataset.Dataset) ([]dataset.Cell, error) {
-	return extdict.DetectErrors(ds, d.Matcher.Apply(ds)), nil
+	return extdict.DetectErrors(ds, d.Matches), nil
 }

@@ -157,7 +157,7 @@ func TestDictionaryDetector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := &Dictionary{Matcher: m}
+	det := &Dictionary{Matches: m.Apply(ds)}
 	cells, err := det.Detect(ds)
 	if err != nil {
 		t.Fatal(err)

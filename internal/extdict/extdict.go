@@ -131,9 +131,10 @@ func NewMatcher(ds *dataset.Dataset, dicts []*Dictionary, mds []*MatchDependency
 // Apply populates the Matched relation for every tuple of ds: for each
 // dependency, dictionary rows satisfying all conditions contribute their
 // conclusion value as a suggestion for the conclusion cell. Duplicate
-// (cell, value, dict) triples are emitted once.
+// (cell, value, dict) triples are emitted once. The result is never nil:
+// an empty slice is a computed match set in which no row matched.
 func (m *Matcher) Apply(ds *dataset.Dataset) []Match {
-	var out []Match
+	out := []Match{}
 	type key struct {
 		cell  dataset.Cell
 		value string

@@ -21,11 +21,6 @@ type Config struct {
 	LearningRate float64 // initial step size; decays as 1/(1+epoch)
 	L2           float64 // ridge penalty on learned weights
 	Seed         int64
-	// AdaGrad scales each weight's step by the inverse square root of its
-	// accumulated squared gradients — the per-parameter adaptivity
-	// DimmWitted-era learners used for sparse tied weights, where rare
-	// features otherwise barely move.
-	AdaGrad bool
 }
 
 // Learn trains the non-fixed weights of g in place and returns the final
@@ -67,10 +62,6 @@ func Learn(g *factor.Graph, cfg Config) float64 {
 	hbuf := make([]float64, maxDom)
 	order := make([]int32, len(evidence))
 	copy(order, evidence)
-	var adagrad []float64
-	if cfg.AdaGrad {
-		adagrad = make([]float64, g.Weights.Len())
-	}
 
 	var finalNLL float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -86,7 +77,7 @@ func Learn(g *factor.Graph, cfg Config) float64 {
 			factor.Softmax(sc, pr)
 			o := int(vr.Obs)
 			nll -= math.Log(math.Max(pr[o], 1e-300))
-			applyGradient(g, v, o, pr, hbuf[:dom], lr, cfg.L2, adagrad)
+			applyGradient(g, v, o, pr, hbuf[:dom], lr, cfg.L2)
 		}
 		finalNLL = nll / float64(len(order))
 	}
@@ -95,17 +86,11 @@ func Learn(g *factor.Graph, cfg Config) float64 {
 
 // applyGradient performs one SGD step for evidence variable v observed at
 // domain index o, given the conditional distribution pr; h is scratch of the
-// same length. When adagrad is non-nil it holds the per-weight
-// squared-gradient accumulators.
-func applyGradient(g *factor.Graph, v int32, o int, pr, h []float64, lr, l2 float64, adagrad []float64) {
+// same length.
+func applyGradient(g *factor.Graph, v int32, o int, pr, h []float64, lr, l2 float64) {
 	w := g.Weights
 	step := func(wid int32, grad float64) {
 		grad -= l2 * w.W[wid]
-		if adagrad != nil {
-			adagrad[wid] += grad * grad
-			w.W[wid] += lr * grad / (1e-6 + math.Sqrt(adagrad[wid]))
-			return
-		}
 		w.W[wid] += lr * grad
 	}
 	for _, ui := range g.IncidentUnaries(v) {

@@ -158,29 +158,6 @@ func TestLearnNLLDecreases(t *testing.T) {
 	}
 }
 
-// TestLearnAdaGrad: adaptive steps must still recover a separable signal
-// and leave fixed weights untouched.
-func TestLearnAdaGrad(t *testing.T) {
-	g := factor.NewGraph()
-	w := g.Weights.ID("feat", 0, false)
-	wf := g.Weights.ID("prior", 1.0, true)
-	for i := 0; i < 60; i++ {
-		ev := g.AddVariable([]int32{1, 2}, true, 0)
-		g.AddUnary(ev, 0, w, false, 1)
-		g.AddUnary(ev, 0, wf, false, 1)
-	}
-	nll := Learn(g, Config{Epochs: 25, LearningRate: 0.5, Seed: 1, AdaGrad: true})
-	if g.Weights.W[w] <= 0.3 {
-		t.Errorf("AdaGrad weight = %v, want positive", g.Weights.W[w])
-	}
-	if g.Weights.W[wf] != 1.0 {
-		t.Errorf("fixed weight moved under AdaGrad")
-	}
-	if nll > 0.5 {
-		t.Errorf("AdaGrad NLL = %v", nll)
-	}
-}
-
 // TestLearnDegenerateEvidenceKeepsWeightsFinite: an evidence variable whose
 // every candidate scores -Inf — here a hard constraint (fixed weight +Inf)
 // violated whatever it takes — has no softmax; Learn must treat its

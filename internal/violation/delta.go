@@ -2,9 +2,7 @@ package violation
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
-	"sync"
 
 	"holoclean/internal/dataset"
 	"holoclean/internal/dc"
@@ -221,27 +219,26 @@ func (s *scope) evaluatePairs(ci int, b *dc.Bound) []Violation {
 			order[t] = t
 		}
 	}
+	var out []Violation
 	switch {
 	case b.TupleVars == 1:
-		return stripe(order, func(out []Violation, t int) []Violation {
+		for _, t := range order {
 			if b.Violates(t, -1) {
 				out = append(out, Violation{Constraint: ci, T1: t, T2: -1})
 			}
-			return out
-		})
+		}
 	case len(b.Joins) > 0:
 		// Pairs within the blocks of the first equality join: a tuple's
 		// right-role partners hold its left-role join value, and — for
 		// the reverse direction — its left-role partners its right-role
-		// value. Both indexes are built before the stripes start, which
-		// only read them.
+		// value.
 		leftAttr, rightAttr := b.Joins[0][0], b.Joins[0][1]
 		byRight := s.block(rightAttr)
 		var byLeft *dataset.Blocks
 		if s.changed != nil {
 			byLeft = s.block(leftAttr)
 		}
-		return stripe(order, func(out []Violation, t1 int) []Violation {
+		for _, t1 := range order {
 			if v := s.ds.Get(t1, leftAttr); v != dataset.Null {
 				for _, t2 := range byRight.Of(v) {
 					out = appendPair(out, ci, b, t1, int(t2))
@@ -254,53 +251,17 @@ func (s *scope) evaluatePairs(ci int, b *dc.Bound) []Violation {
 					}
 				}
 			}
-			return out
-		})
+		}
 	default:
 		// No equality join: scan the changed tuples against everything.
-		return stripe(order, func(out []Violation, t1 int) []Violation {
+		for _, t1 := range order {
 			for t2 := 0; t2 < n; t2++ {
 				out = appendPair(out, ci, b, t1, t2)
 				if s.changed != nil && !s.changed[t2] {
 					out = appendPair(out, ci, b, t2, t1)
 				}
 			}
-			return out
-		})
-	}
-}
-
-// stripeMin is the length of order from which stripe fans out: full
-// detection and wide deltas are striped, a serving delta of a handful of
-// tuples is walked on the caller's goroutine, where starting workers would
-// cost more than its probes.
-const stripeMin = 256
-
-// stripe runs around over every tuple of order — interleaved across
-// GOMAXPROCS goroutines when order is long — and concatenates what they
-// append. around only reads shared state.
-func stripe(order []int, around func(out []Violation, t int) []Violation) []Violation {
-	workers := runtime.GOMAXPROCS(0)
-	if len(order) < stripeMin || workers == 1 {
-		var out []Violation
-		for _, t := range order {
-			out = around(out, t)
 		}
-		return out
 	}
-	parts := make([][]Violation, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var local []Violation // not parts[w]: neighbouring slice headers share a cache line
-			for i := w; i < len(order); i += workers {
-				local = around(local, order[i])
-			}
-			parts[w] = local
-		}()
-	}
-	wg.Wait()
-	return slices.Concat(parts...)
+	return out
 }

@@ -111,10 +111,10 @@ func TestDetectDeltaNoChanges(t *testing.T) {
 }
 
 // TestDetectDeltaStripedMatchesNaive covers the one regime the small
-// fixtures above never reach: a change set long enough to be striped across
-// goroutines while some tuples stay unchanged, so the workers share the
-// reverse-direction index and the changed set. The oracle is the naive
-// scan of the mutated dataset.
+// fixtures above never reach: a change set of hundreds of tuples while
+// some tuples stay unchanged, so the pair walk probes the reverse-direction
+// index from many changed tuples. The oracle is the naive scan of the
+// mutated dataset.
 func TestDetectDeltaStripedMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ds, cs := buildConflicted(rng, 200)
@@ -124,7 +124,7 @@ func TestDetectDeltaStripedMatchesNaive(t *testing.T) {
 	}
 	prev := det.Detect()
 	changed := make(map[int]bool)
-	for len(changed) < stripeMin+50 {
+	for len(changed) < 306 {
 		tup := rng.Intn(ds.NumTuples())
 		ds.SetString(tup, rng.Intn(2), fmt.Sprintf("v%02d", rng.Intn(200)))
 		changed[tup] = true
@@ -143,6 +143,6 @@ func TestDetectDeltaStripedMatchesNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !violationsEqual(got, want) {
-		t.Fatalf("striped delta detection diverges from the naive scan: got %d violations, want %d", len(got), len(want))
+		t.Fatalf("wide delta detection diverges from the naive scan: got %d violations, want %d", len(got), len(want))
 	}
 }

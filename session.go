@@ -38,18 +38,14 @@ type Session struct {
 	// labeled evidence on every relearn.
 	confirmed []Feedback
 
-	// touched tracks the tuple indexes mutated since the last pass.
-	touched map[int]bool
-
-	// weights are the last learned (or restored) weights by tying key.
-	weights map[string]float64
-
-	// prev is the last finished pass — the statistics, domains, shard plan
-	// and per-cell outcomes the next Reclean diffs against and carries
-	// forward; nil until the first Clean. prevRows are the rows it
-	// cleaned: a copy, because Upsert mutates rows in place.
-	prev     *pass
-	prevRows [][]dataset.Value
+	// prev is the last finished pass — the statistics, domains, shard plan,
+	// weights and per-cell outcomes the next Reclean diffs against and
+	// carries forward; nil until the first Clean. before is the pending
+	// delta against it: for every slot below prev's tuple count that
+	// Upsert, Delete or Feedback has written since, the row prev cleaned
+	// there, captured before the slot's first write.
+	prev   *pass
+	before map[int][]dataset.Value
 }
 
 // NewSession starts a cleaning session over a copy of ds (later mutations
@@ -63,7 +59,6 @@ func NewSession(ds *Dataset, constraints []*Constraint, opts Options) (*Session,
 		opts:        opts,
 		constraints: constraints,
 		ds:          ds.Clone(),
-		touched:     make(map[int]bool),
 	}, nil
 }
 
@@ -82,19 +77,37 @@ func (s *Session) Attrs() []string { return s.ds.Attrs() }
 func (s *Session) Recleans() int { return s.recleans }
 
 // PendingMutations reports how many tuples have staged changes not yet
-// folded in by a successful Reclean: the touched slots, plus the slots the
-// last pass cleaned that deletions have since vacated (deleting the last
-// row touches no surviving slot). Snapshot callers use it to honor
-// Snapshot's precondition: a session with pending mutations is not in a
-// serializable steady state.
+// folded in by a successful Reclean: the slots written since the last pass
+// (vacated ones included, so deleting the last row counts) plus the slots
+// appended beyond it; zero before the first pass, which has nothing to
+// diff against. Snapshot callers use it to honor Snapshot's precondition:
+// a session with pending mutations is not in a serializable steady state.
 func (s *Session) PendingMutations() int {
-	return len(s.touched) + max(0, len(s.prevRows)-s.ds.NumTuples())
+	if s.prev == nil {
+		return 0
+	}
+	return len(s.before) + max(0, s.ds.NumTuples()-s.prev.n)
 }
 
 // Weights returns a copy of the session's learned weight map (tying key →
-// value), usable as Options.InitialWeights.
+// value), usable as Options.InitialWeights; nil before the first pass.
 func (s *Session) Weights() map[string]float64 {
-	return maps.Clone(s.weights)
+	if s.prev == nil {
+		return nil
+	}
+	return maps.Clone(s.prev.weights)
+}
+
+// capture records the row the last pass cleaned in slot t before the
+// slot's first write since that pass. Slots the pass never saw (appended
+// since) have no before-image: the diff counts them as wholly new.
+func (s *Session) capture(t int) {
+	if s.prev == nil || t >= s.prev.n {
+		return
+	}
+	if _, ok := s.before[t]; !ok {
+		s.before[t] = slices.Clone(s.ds.Row(t))
+	}
 }
 
 // Upsert replaces tuple t with the given values, or appends a new tuple
@@ -108,6 +121,7 @@ func (s *Session) Upsert(t int, values []string) (int, error) {
 	if t == -1 || t == n {
 		t = s.ds.Append(values)
 	} else if t >= 0 && t < n {
+		s.capture(t)
 		for a, v := range values {
 			s.ds.SetString(t, a, v)
 		}
@@ -120,7 +134,6 @@ func (s *Session) Upsert(t int, values []string) (int, error) {
 	} else {
 		return -1, fmt.Errorf("holoclean: Upsert index %d out of range [0, %d]", t, n)
 	}
-	s.touched[t] = true
 	return t, nil
 }
 
@@ -132,11 +145,10 @@ func (s *Session) Delete(t int) error {
 	if t < 0 || t >= n {
 		return fmt.Errorf("holoclean: Delete index %d out of range [0, %d)", t, n)
 	}
+	// Both slots change: t takes the last tuple, the last slot is vacated.
+	s.capture(t)
+	s.capture(n - 1)
 	s.ds.DeleteSwap(t)
-	if t < s.ds.NumTuples() {
-		s.touched[t] = true // the swapped-in tuple is renumbered
-	}
-	delete(s.touched, s.ds.NumTuples()) // the vacated last slot no longer exists
 	// Confirmations follow the tuples: the deleted tuple's die with it,
 	// the swapped-in tuple's are renumbered to its new slot.
 	old := s.confirmed
@@ -158,7 +170,7 @@ func (s *Session) Delete(t int) error {
 // keeps the pass for Reclean to build on. The first Reclean of a fresh
 // session calls it implicitly.
 func (s *Session) Clean() (*Result, error) {
-	return s.run(nil, true)
+	return s.run(nil, nil)
 }
 
 // relearnDue reports whether Options.RelearnEvery schedules a relearn for
@@ -169,41 +181,38 @@ func (s *Session) relearnDue() bool {
 
 // run executes one pass over the session's current dataset and keeps it.
 // Clean, Reclean, Feedback and RestoreSession all funnel through here.
-func (s *Session) run(prev *pass, relearn bool) (*Result, error) {
-	return s.nextPass(prev, relearn).run(s.adopt)
+func (s *Session) run(prev *pass, weights map[string]float64) (*Result, error) {
+	return s.nextPass(prev, weights).run(s.adopt)
 }
 
 // nextPass sets up a pass over the session's current dataset — against
-// prev when non-nil, with everything invalid otherwise; learning weights
-// when relearn is true (or none are cached yet), reusing them by tying
-// key otherwise.
-func (s *Session) nextPass(prev *pass, relearn bool) *pass {
+// prev and the pending delta when prev is non-nil, with everything invalid
+// otherwise; broadcasting weights by tying key when they are non-nil,
+// learning them (or taking Options.InitialWeights) otherwise.
+func (s *Session) nextPass(prev *pass, weights map[string]float64) *pass {
 	trusted := make([]dataset.Cell, len(s.confirmed))
 	for i, f := range s.confirmed {
 		trusted[i] = f.Cell
 	}
 	p := newPass(s.opts, s.ds, s.constraints, trusted)
-	if !relearn && s.weights != nil {
-		p.weights = s.weights
+	if weights != nil {
+		p.weights = weights
 	} else {
 		p.weights = maps.Clone(p.weights) // adopt keeps them; the caller owns Options.InitialWeights
 	}
 	if prev != nil {
-		p.prev, p.prevRows, p.touched = prev, s.prevRows, s.touched
+		p.prev, p.before = prev, s.before
 		p.shared, p.interner = prev.shared, prev.interner
 	}
 	return p
 }
 
-// adopt keeps a finished pass as the base of the next Reclean: snapshot
-// the rows it cleaned, take its weights, and let go of everything the
-// next pass never reads (the Result with its Repaired clone, compilation
-// state with its evidence domains, the delta sets, the pass before it).
+// adopt keeps a finished pass as the base of the next Reclean — its
+// weights included — clears the pending delta it folded in, and lets go of
+// everything the next pass never reads (the Result with its Repaired
+// clone, compilation state with its evidence domains, the delta sets, the
+// pass before it).
 func (s *Session) adopt(p *pass) {
-	s.prevRows = make([][]dataset.Value, s.ds.NumTuples())
-	for t := range s.prevRows {
-		s.prevRows[t] = slices.Clone(s.ds.Row(t))
-	}
 	// The Result shares its marginal slices with the outcomes; the caller
 	// owns the Result, so the retained outcomes get their own.
 	for c, o := range p.outcomes {
@@ -211,8 +220,7 @@ func (s *Session) adopt(p *pass) {
 		p.outcomes[c] = o
 	}
 	p.working = nil
-	s.prev, s.weights = p, p.weights
-	s.touched = make(map[int]bool)
+	s.prev, s.before = p, make(map[int][]dataset.Value)
 }
 
 // Reclean re-repairs the dataset after the pending Upsert/Delete batch.
@@ -230,39 +238,53 @@ func (s *Session) Reclean() (*Result, error) {
 		// Scheduled relearn: a full pass, exactly like the initial Clean.
 		return s.Clean()
 	}
-	return s.run(s.prev, false)
+	return s.run(s.prev, s.prev.weights)
 }
 
-// diffRows finds the changed tuples: touched slots whose content actually
-// differs from the rows the previous pass cleaned, plus appended slots.
-// With no previous pass there is nothing to diff and changed stays nil,
-// which every later stage reads as "everything".
+// diffRows compares every slot the pending delta captured with its
+// current row, once, and records which attributes moved: the one record
+// of the delta every later stage reads. Slots appended since the previous
+// pass and slots deletions vacated count as every attribute. With no
+// previous pass there is nothing to diff and changed stays nil, which
+// every later stage reads as "everything".
 func (p *pass) diffRows() error {
 	if p.prev == nil {
 		return nil
 	}
-	ds, n, prevN := p.ds, p.ds.NumTuples(), len(p.prevRows)
-	p.changed = make(map[int]bool)
-	p.changedAttrs = make(map[int]bool) // attributes with any value change
-	for t := range p.touched {
+	ds, n := p.ds, p.ds.NumTuples()
+	every := make([]int, ds.NumAttrs())
+	for a := range every {
+		every[a] = a
+	}
+	p.changed = make(map[int][]int)
+	for t, row := range p.before {
 		if t >= n {
+			p.changed[t] = every
 			continue
 		}
-		if t >= prevN {
-			p.changed[t] = true
-			continue
-		}
-		for a := 0; a < ds.NumAttrs(); a++ {
-			if ds.Get(t, a) != p.prevRows[t][a] {
-				p.changedAttrs[a] = true
-				p.changed[t] = true
+		var moved []int
+		for a, v := range row {
+			if ds.Get(t, a) != v {
+				moved = append(moved, a)
 			}
 		}
+		if moved != nil {
+			p.changed[t] = moved
+		}
 	}
-	for t := prevN; t < n; t++ {
-		p.changed[t] = true
+	for t := p.prev.n; t < n; t++ {
+		p.changed[t] = every
 	}
 	return nil
+}
+
+// oldRow is the row the previous pass cleaned in slot t: its before-image
+// when the slot was written since, its current row otherwise.
+func (p *pass) oldRow(t int) []dataset.Value {
+	if row, ok := p.before[t]; ok {
+		return row
+	}
+	return p.ds.Row(t)
 }
 
 // collectStats produces the raw statistics, which depend on the rows alone
@@ -277,18 +299,19 @@ func (p *pass) collectStats() error {
 	}
 	p.st = p.prev.st
 	// prevQuasi is taken before the apply so quasi-key flips are observable.
-	p.prevQuasi = compile.QuasiKeys(p.st, p.ds.NumAttrs(), len(p.prevRows))
+	p.prevQuasi = compile.QuasiKeys(p.st, p.ds.NumAttrs(), p.prev.n)
 	p.stDelta = p.st.Apply(p.deltaViews(
-		func(t int) stats.TupleView { return stats.View(p.prevRows[t], nil) },
+		func(t int) stats.TupleView { return stats.View(p.oldRow(t), nil) },
 		func(t int) stats.TupleView { return stats.View(p.ds.Row(t), nil) }))
 	return nil
 }
 
 // deltaViews builds the views a delta removes from and adds to a set of
-// statistics: the old view of every changed or deleted slot the previous
-// pass had, the current view of every changed slot there is now.
+// statistics: the old view of every changed slot the previous pass had
+// (vacated ones included), the current view of every changed slot there
+// is now.
 func (p *pass) deltaViews(old, cur func(t int) stats.TupleView) (removed, added []stats.TupleView) {
-	n, prevN := p.ds.NumTuples(), len(p.prevRows)
+	n, prevN := p.ds.NumTuples(), p.prev.n
 	for t := range p.changed {
 		if t < prevN {
 			removed = append(removed, old(t))
@@ -296,9 +319,6 @@ func (p *pass) deltaViews(old, cur func(t int) stats.TupleView) (removed, added 
 		if t < n {
 			added = append(added, cur(t))
 		}
-	}
-	for t := n; t < prevN; t++ { // deleted tail slots
-		removed = append(removed, old(t))
 	}
 	return removed, added
 }
@@ -326,8 +346,8 @@ func (p *pass) maskStats() {
 	// detection, not the trusted-filtered domain cells: masked statistics
 	// discount by detection flags alone, so confirmed cells stay masked.
 	p.maskChanged = make(map[int]bool)
-	for t := 0; t < min(ds.NumTuples(), len(p.prevRows)); t++ {
-		if p.changed[t] {
+	for t := 0; t < min(ds.NumTuples(), prev.n); t++ {
+		if p.changed[t] != nil {
 			continue
 		}
 		for a := 0; a < ds.NumAttrs(); a++ {
@@ -343,7 +363,7 @@ func (p *pass) maskStats() {
 	maskView := func(row []dataset.Value, det *errordetect.Result, t int) stats.TupleView {
 		return stats.View(row, func(a int) bool { return !det.IsNoisy(Cell{Tuple: t, Attr: a}) })
 	}
-	oldView := func(t int) stats.TupleView { return maskView(p.prevRows[t], prev.detection, t) }
+	oldView := func(t int) stats.TupleView { return maskView(p.oldRow(t), prev.detection, t) }
 	curView := func(t int) stats.TupleView { return maskView(ds.Row(t), p.detection, t) }
 	removed, added := p.deltaViews(oldView, curView)
 	for t := range p.maskChanged { // content unchanged, flags moved
@@ -367,7 +387,7 @@ func (p *pass) invalidateTuples() error {
 	// tuple (and, through the join buckets, their counterparts).
 	candChanged := make(map[int]bool)
 	for i, c := range p.domains.Cells {
-		if !slices.Equal(p.domains.Candidates[i], prev.domains.Of(c)) && !p.changed[c.Tuple] && !p.maskChanged[c.Tuple] {
+		if !slices.Equal(p.domains.Candidates[i], prev.domains.Of(c)) && p.changed[c.Tuple] == nil && !p.maskChanged[c.Tuple] {
 			candChanged[c.Tuple] = true
 		}
 	}
@@ -377,7 +397,7 @@ func (p *pass) invalidateTuples() error {
 		// shifts its siblings' weak-evidence discounts and its
 		// counterparts' DC factors — so its tuple is a candidate change
 		// like any other.
-		if p.domains.Index(c) < 0 && c.Tuple < ds.NumTuples() && !p.changed[c.Tuple] && !p.maskChanged[c.Tuple] {
+		if p.domains.Index(c) < 0 && c.Tuple < ds.NumTuples() && p.changed[c.Tuple] == nil && !p.maskChanged[c.Tuple] {
 			candChanged[c.Tuple] = true
 		}
 	}
@@ -385,7 +405,13 @@ func (p *pass) invalidateTuples() error {
 	// Shared-index refresh: rebind to the mutated dataset and domains,
 	// which drops every bucket index and the counterpart tables of the
 	// constraints on attributes whose values changed.
-	p.shared.Rebind(ds, p.domains, p.changedAttrs)
+	changedAttrs := make(map[int]bool)
+	for _, attrs := range p.changed {
+		for _, a := range attrs {
+			changedAttrs[a] = true
+		}
+	}
+	p.shared.Rebind(ds, p.domains, changedAttrs)
 
 	// Dirty closure: changed tuples, mask/candidate/match diffs, and one
 	// join hop outward — any tuple whose candidate labels intersect a
@@ -401,7 +427,10 @@ func (p *pass) invalidateTuples() error {
 		}
 	}
 	p.dirty = make(map[int]bool)
-	for _, set := range []map[int]bool{p.changed, p.maskChanged, candChanged, p.matchChanged()} {
+	for t := range p.changed {
+		p.dirty[t] = true
+	}
+	for _, set := range []map[int]bool{p.maskChanged, candChanged, p.matchChanged()} {
 		for t := range set {
 			p.dirty[t] = true
 		}
@@ -425,53 +454,23 @@ func (p *pass) invalidateTuples() error {
 // referenced attributes count too, since DC grounding joins through
 // candidate-label buckets and scopes pairs by the query-attribute map.
 func (p *pass) propagateJoins(candChanged map[int]bool) {
-	ds, n, prevN, prev := p.ds, p.ds.NumTuples(), len(p.prevRows), p.prev
+	ds, n, prevN, prev := p.ds, p.ds.NumTuples(), p.prev.n, p.prev
 
-	// sourceAttrs maps each source tuple to the attribute set its delta
-	// touched (nil means every attribute: appended or deleted tuples).
-	sourceAttrs := make(map[int]map[int]bool)
-	all := func(t int) { sourceAttrs[t] = nil }
-	add := func(t, a int) {
-		if attrs, ok := sourceAttrs[t]; !ok || attrs != nil {
-			if !ok {
-				sourceAttrs[t] = map[int]bool{a: true}
-			} else {
-				attrs[a] = true
-			}
-		}
-	}
-	for t := range p.changed {
-		if t >= prevN || t >= n {
-			all(t)
-			continue
-		}
-		for a := 0; a < ds.NumAttrs(); a++ {
-			if ds.Get(t, a) != p.prevRows[t][a] {
-				add(t, a)
-			}
-		}
-	}
-	for t := n; t < prevN; t++ {
-		all(t) // deleted slots vacate every join bucket
-	}
+	// sourceAttrs maps each source tuple to the attributes its delta
+	// touched: the diff's record, joined under correlation factors by the
+	// tuples whose noisy mask or candidates moved (never a changed tuple)
+	// with the attributes whose candidate set differs.
+	sourceAttrs := p.changed
 	if p.opts.Variant.DCFactors {
-		candMaskAttrs := func(t int) {
-			for a := 0; a < ds.NumAttrs(); a++ {
-				c := Cell{Tuple: t, Attr: a}
-				var cur []dataset.Value
-				if t < n {
-					cur = p.domains.Of(c)
-				}
-				if !slices.Equal(cur, prev.domains.Of(c)) {
-					add(t, a)
+		sourceAttrs = maps.Clone(p.changed)
+		for _, set := range []map[int]bool{p.maskChanged, candChanged} {
+			for t := range set {
+				for a := 0; a < ds.NumAttrs(); a++ {
+					if c := (Cell{Tuple: t, Attr: a}); !slices.Equal(p.domains.Of(c), prev.domains.Of(c)) {
+						sourceAttrs[t] = append(sourceAttrs[t], a)
+					}
 				}
 			}
-		}
-		for t := range p.maskChanged {
-			candMaskAttrs(t)
-		}
-		for t := range candChanged {
-			candMaskAttrs(t)
 		}
 	}
 
@@ -480,7 +479,7 @@ func (p *pass) propagateJoins(candChanged map[int]bool) {
 	srcLabels := func(m, attr int) []dataset.Value {
 		var out []dataset.Value
 		if m < prevN {
-			if v := p.prevRows[m][attr]; v != dataset.Null {
+			if v := p.oldRow(m)[attr]; v != dataset.Null {
 				out = append(out, v)
 			}
 			out = append(out, prev.domains.Of(Cell{Tuple: m, Attr: attr})...)
@@ -509,14 +508,7 @@ func (p *pass) propagateJoins(candChanged map[int]bool) {
 			continue
 		}
 		for m, attrs := range sourceAttrs {
-			relevant := attrs == nil
-			for a := range attrs {
-				if b.References(-1, a) {
-					relevant = true
-					break
-				}
-			}
-			if !relevant {
+			if !slices.ContainsFunc(attrs, func(a int) bool { return b.References(-1, a) }) {
 				continue
 			}
 			for _, j := range b.Joins {

@@ -134,7 +134,7 @@ func TestHistogramFlipLeavesCellClean(t *testing.T) {
 		if _, err := s.Upsert(4, []string{"k2", "w", "gx"}); err != nil {
 			t.Fatal(err)
 		}
-		return s, s.nextPass(s.prev, false)
+		return s, s.nextPass(s.prev, s.prev.weights)
 	}
 
 	_, p := compiled()

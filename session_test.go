@@ -141,8 +141,10 @@ func sessionFixture(groups int) (*Dataset, []*Constraint) {
 }
 
 // TestSessionUpsertDeleteAppendEquivalence drives a session through
-// updates, appends, and deletes over several recleans, checking the
-// equivalence contract after every batch.
+// updates, appends, deletes and feedback over several recleans — including
+// deltas that write one slot several times, so the row a slot's pending
+// delta remembers must be the one captured before its first write —
+// checking the equivalence contract after every batch.
 func TestSessionUpsertDeleteAppendEquivalence(t *testing.T) {
 	ds, cs := sessionFixture(30)
 	opts := DefaultOptions()
@@ -168,6 +170,26 @@ func TestSessionUpsertDeleteAppendEquivalence(t *testing.T) {
 			s.Delete(4) // the bad tuple of group 0
 			s.Upsert(9, []string{"k001", "v001"})
 		},
+		func() { // writes that overlap in one delta: each slot's before-image is its first
+			last := s.NumTuples() - 1
+			s.Upsert(last, []string{"k003", "bad-last"})
+			// Moves the just-written tuple into slot 0 and vacates the last
+			// slot, which the append below fills again.
+			s.Delete(0)
+			s.Upsert(-1, []string{"k004", "v004"})
+			s.Upsert(12, []string{"k002", "tmp"})
+			s.Upsert(12, []string{"k002", "v002"}) // back to the cleaned row
+		},
+		func() { // feedback folding in a staged delete, then a delete staged after it
+			s.Delete(20) // the last tuple moves into slot 20
+			if _, err := s.Feedback([]Feedback{
+				{Cell: Cell{Tuple: 20, Attr: 1}, Value: s.Dataset().GetString(20, 1)},
+				{Cell: Cell{Tuple: 29, Attr: 1}, Value: "v005"}, // the bad tuple of group 5
+			}); err != nil {
+				t.Fatal(err)
+			}
+			s.Delete(34) // the bad tuple of group 6
+		},
 	}
 	for bi, apply := range batches {
 		apply()
@@ -175,9 +197,12 @@ func TestSessionUpsertDeleteAppendEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if n := s.PendingMutations(); n != 0 {
+			t.Errorf("batch %d: PendingMutations = %d after Reclean, want 0", bi, n)
+		}
 		refOpts := opts
 		refOpts.InitialWeights = weights
-		ref, err := New(refOpts).Clean(s.Dataset(), cs)
+		ref, err := New(refOpts).CleanWithFeedback(s.Dataset(), cs, s.Confirmed())
 		if err != nil {
 			t.Fatal(err)
 		}

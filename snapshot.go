@@ -64,7 +64,7 @@ func (s *Session) Snapshot(w io.Writer) error {
 		Rows:     make([][]string, ds.NumTuples()),
 		Recleans: s.recleans,
 		Cleaned:  s.prev != nil,
-		Weights:  s.weights,
+		Weights:  s.Weights(),
 	}
 	for v := 1; v < ds.Dict().Size(); v++ {
 		snap.Dict = append(snap.Dict, ds.Dict().String(dataset.Value(v)))
@@ -136,7 +136,6 @@ func RestoreSession(r io.Reader, opts Options) (*Session, *Result, error) {
 		constraints: constraints,
 		ds:          ds,
 		recleans:    snap.Recleans,
-		touched:     make(map[int]bool),
 	}
 	for _, c := range snap.Confirmed {
 		s.confirmed = append(s.confirmed, Feedback{Cell: Cell{Tuple: c.Tuple, Attr: c.Attr}, Value: c.Value})
@@ -153,11 +152,11 @@ func RestoreSession(r io.Reader, opts Options) (*Session, *Result, error) {
 	// A cleaned session has learned, even when it learned no weight: an
 	// empty map is omitted from the envelope and must not restore as nil,
 	// which a pass reads as "learn".
-	s.weights = snap.Weights
-	if s.weights == nil {
-		s.weights = map[string]float64{}
+	weights := snap.Weights
+	if weights == nil {
+		weights = map[string]float64{}
 	}
-	res, err := s.run(nil, false)
+	res, err := s.run(nil, weights)
 	if err != nil {
 		return nil, nil, fmt.Errorf("holoclean: rebuilding restored session: %w", err)
 	}
