@@ -4,10 +4,14 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"holoclean/internal/datagen"
+	"holoclean/internal/dataset"
 	"holoclean/internal/ddlog"
+	"holoclean/internal/learn"
 	"holoclean/internal/partition"
 )
 
@@ -34,7 +38,7 @@ func TestGroundWithWeightsIsExact(t *testing.T) {
 			if err := p.learnWeights(); err != nil {
 				t.Fatal(err)
 			}
-			r := newShardRunner(p)
+			r := &shardRunner{pass: p}
 			for si, sh := range p.exec {
 				name := fmt.Sprintf("%s/%s shard %d", g.Name, v.Name(), si)
 				db := r.shardDB(sh)
@@ -59,6 +63,75 @@ func TestGroundWithWeightsIsExact(t *testing.T) {
 	}
 	if dropped == 0 {
 		t.Fatal("no factor was left out: the weight-aware grounding was not exercised")
+	}
+}
+
+// TestLearningGraphMatchesMonolithic: the learning graph holds the
+// evidence variables alone, and learning on it is learning on the
+// monolithic graph. For every tying key the learning graph names, the
+// weight SGD fits on it is bit-equal to the one learn.Learn fits on the
+// whole relation's grounding — on hospital, on food with dictionaries
+// (matches keyed on repairable cells take the weak key, a question the
+// learning graph answers from the pass's domains), and on flights with
+// trusted cells (confirmed evidence carrying source features).
+func TestLearningGraphMatchesMonolithic(t *testing.T) {
+	hospital := datagen.Hospital(datagen.Config{Tuples: 600, Seed: 1})
+	food := datagen.Food(datagen.Config{Tuples: 600, Seed: 1})
+	flights := datagen.Flights(datagen.Config{Tuples: 600, Seed: 1})
+	dict := DefaultOptions()
+	dict.Dictionaries, dict.MatchDependencies = food.Dictionaries, food.MatchDeps
+	var trusted []dataset.Cell
+	for i := 0; i < 8; i++ {
+		trusted = append(trusted, dataset.Cell{Tuple: 71 * i, Attr: 1 + i%(flights.Dirty.NumAttrs()-1)})
+	}
+	for _, c := range []struct {
+		name    string
+		g       *datagen.Generated
+		opts    Options
+		trusted []dataset.Cell
+		key     string // a key the case must exercise
+	}{
+		{"hospital", hospital, DefaultOptions(), nil, "ft|"},
+		{"food/dictionary", food, dict, nil, "|weak"},
+		{"flights/trusted", flights, DefaultOptions(), trusted, "fusion|"},
+	} {
+		o := c.opts
+		p := newPass(o, c.g.Dirty, c.g.Constraints, c.trusted)
+		if err := p.compile(); err != nil {
+			t.Fatal(err)
+		}
+		lg, err := groundLearning(p.prep, o.MaxScanCounterparts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mono, err := ddlog.Ground(p.prep.DB, p.prep.Program, ddlog.Config{MaxScanCounterparts: o.MaxScanCounterparts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lg.Stats.QueryVars != 0 || lg.Stats.EvidenceVars != mono.Stats.EvidenceVars {
+			t.Fatalf("%s: learning graph has %d query and %d evidence variables, want 0 and %d",
+				c.name, lg.Stats.QueryVars, lg.Stats.EvidenceVars, mono.Stats.EvidenceVars)
+		}
+		if c.trusted != nil && !slices.ContainsFunc(c.trusted, func(tc dataset.Cell) bool { _, ok := lg.VarOf.Get(tc); return ok }) {
+			t.Fatalf("%s: no trusted cell became evidence", c.name)
+		}
+		cfg := learn.Config{Epochs: o.LearningEpochs, LearningRate: o.LearningRate, L2: o.L2, Seed: o.Seed}
+		learn.Learn(lg.Graph, cfg)
+		learn.Learn(mono.Graph, cfg)
+		exercised := false
+		for i, k := range lg.Graph.Weights.Keys {
+			j, ok := mono.Graph.Weights.Lookup([]byte(k))
+			if !ok {
+				t.Fatalf("%s: key %q is not in the monolithic graph", c.name, k)
+			}
+			if got, want := lg.Graph.Weights.W[i], mono.Graph.Weights.W[j]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: weight %q learned %v on the learning graph, %v on the monolithic one", c.name, k, got, want)
+			}
+			exercised = exercised || strings.Contains(k, c.key)
+		}
+		if !exercised {
+			t.Fatalf("%s: the learning graph names no %q key", c.name, c.key)
+		}
 	}
 }
 
@@ -155,7 +228,7 @@ func BenchmarkGroundHospital(b *testing.B) {
 	if err := p.learnWeights(); err != nil {
 		b.Fatal(err)
 	}
-	r := newShardRunner(p)
+	r := &shardRunner{pass: p}
 	dbs := make([]*ddlog.Database, len(p.exec))
 	for i, sh := range p.exec {
 		dbs[i] = r.shardDB(sh)

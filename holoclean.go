@@ -630,17 +630,8 @@ func (p *pass) run(adopt func(*pass)) (*Result, error) {
 			if err := p.learnWeights(); err != nil {
 				return err
 			}
-		} else {
-			// Weight reuse: no learning graph to size the model by, so the
-			// counts come straight from the domains (one query variable per
-			// noisy cell with a non-empty candidate set, no evidence).
-			for _, cands := range p.domains.Candidates {
-				if len(cands) > 0 {
-					st.QueryVars++
-				}
-			}
-			st.Variables = st.QueryVars
 		}
+		st.Variables = st.QueryVars + st.EvidenceVars
 		mem.sample() // phase boundary: compilation + learning done
 		if err := p.inferRepairs(); err != nil {
 			return err
@@ -750,7 +741,12 @@ func (p *pass) prepareModel() error {
 		p.matches[m.Cell.Tuple] = append(p.matches[m.Cell.Tuple], m)
 	}
 	p.res.Stats.NoisyCells = p.detection.NumNoisy()
+	// One query variable per noisy cell with a candidate; a single
+	// candidate makes it inert.
 	for _, cands := range p.domains.Candidates {
+		if len(cands) > 0 {
+			p.res.Stats.QueryVars++
+		}
 		if len(cands) == 1 {
 			p.res.Stats.InertCells++
 		}
@@ -817,8 +813,6 @@ func (p *pass) learnWeights() error {
 	if err != nil {
 		return err
 	}
-	st.Variables = learnG.Stats.Variables
-	st.QueryVars = learnG.Stats.QueryVars
 	st.EvidenceVars = learnG.Stats.EvidenceVars
 	st.Factors = learnG.Graph.NumFactors()
 	st.PaperFactors = learnG.Stats.PaperFactors
@@ -864,7 +858,7 @@ func (p *pass) inferRepairs() error {
 			p.emit(c, out)
 		}
 	}
-	runner := newShardRunner(p)
+	runner := &shardRunner{pass: p}
 	if err := runner.runAll(p.exec, defaultWorkers(p.opts.Workers)); err != nil {
 		return err
 	}

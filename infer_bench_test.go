@@ -26,7 +26,7 @@ func BenchmarkInferSkew(b *testing.B) {
 	if err := p.learnWeights(); err != nil {
 		b.Fatal(err)
 	}
-	r := newShardRunner(p)
+	r := &shardRunner{pass: p}
 	giant := p.exec[0]
 	for _, sh := range p.exec[1:] {
 		if len(sh.cells) > len(giant.cells) {

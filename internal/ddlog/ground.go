@@ -54,8 +54,11 @@ type Database struct {
 	// disables partitioning even for rules that request it.
 	GroupIndex [][]int32
 	// Shared supplies the dataset-wide indexes grounding joins through,
-	// shared across the per-shard grounders of the sharded pipeline. With
-	// nil, Ground builds a private one over DS and Domains.
+	// shared across the per-shard grounders of the sharded pipeline, and
+	// the pass's domains, which say which cells are query variables of the
+	// whole model (grounder.repairable, grounder.admits) when Domains holds
+	// one shard's cells or none. With nil, Ground builds a private one over
+	// DS and Domains.
 	Shared *SharedIndex
 	// Interner, when non-nil, is the canonical tying-key store shared by
 	// every graph grounded from this database (all shards of a run, and a
@@ -63,10 +66,18 @@ type Database struct {
 	// distinct key string at most once per interner lifetime; the
 	// per-factor key path in the hot loops never allocates at all.
 	Interner *factor.KeyInterner
-	// Scope, when non-nil, restricts DC-factor grounding to one shard:
-	// pairs that reach a noisy tuple outside the shard are skipped (see
-	// Scope). Nil grounds every pair (monolithic behavior).
-	Scope *Scope
+	// Boundary, when positive, grounds the denial-constraint pairs admits
+	// rejects instead of skipping them: the side whose query cells have no
+	// variable in this graph folds to its observed values (the grounder's
+	// clean-cell path) and the factor's weight is scaled by Boundary. This is
+	// the boundary-factor damping of split components — a cavity-style
+	// extension of the Algorithm 3 scope cut: where the cut drops a
+	// cross-shard correlation entirely, damping keeps it as a weakened pull
+	// toward the neighbor's observed value. Both sub-shards of a split ground
+	// their side of each boundary pair, so a coefficient of 0.5 restores
+	// roughly one full factor's worth of energy per cut pair. Zero keeps the
+	// exact cut.
+	Boundary float64
 }
 
 // Config tunes grounding.
@@ -75,14 +86,6 @@ type Config struct {
 	// when a DC rule has no equality predicate to index on (0 =
 	// unlimited). The cap is an approximation documented in DESIGN.md.
 	MaxScanCounterparts int
-	// FactorCells, when non-nil, restricts the per-cell factor rules
-	// (features, minimality, matches, relaxed DCs) to cells it accepts.
-	// Variables are still created for every cell, so domain-aware checks
-	// (e.g. the weak-evidence discounts) see the full model. The sharded
-	// pipeline grounds its learning graph with an evidence-only filter:
-	// query cells become factorless domain stubs, and the evidence cells
-	// carry exactly the factors they carry in a monolithic grounding.
-	FactorCells func(c dataset.Cell) bool
 	// Weights, when non-nil, are the weights the graph is grounded to
 	// infer with — the broadcast of a learning pass, by tying key. A
 	// learnable weight is created at its value here, or at its prior when
@@ -99,30 +102,52 @@ type Config struct {
 	Arena *Arena
 }
 
-// wantFactors reports whether per-cell factor rules should ground factors
-// anchored at cell c.
-func (cfg *Config) wantFactors(c dataset.Cell) bool {
-	return cfg.FactorCells == nil || cfg.FactorCells(c)
-}
-
 // inert reports whether v is a query variable inference cannot move: with a
 // single candidate its posterior is 1 whatever its factors say (a softmax
 // over one score; a Gibbs draw from one label), so the per-cell factor rules
-// ground nothing for it, and the discounts that ask whether a sibling could
-// be the repair instead treat it as unrepairable. The variable itself stays
-// — ids, Cells, VarOf, DC-factor scopes and the emitted marginal are those
-// of a grounding that scored it. Evidence variables are never inert: their
-// factors are what learning fits.
+// ground nothing for it. The variable itself stays — ids, Cells, VarOf,
+// DC-factor scopes and the emitted marginal are those of a grounding that
+// scored it. Evidence variables are never inert: their factors are what
+// learning fits.
 func (gr *grounder) inert(v int32) bool {
 	vr := &gr.g.Vars[v]
 	return !vr.Evidence && len(vr.Domain) < 2
 }
 
+// repairable reports whether the pass's domains give cell c at least two
+// candidates: c is a query variable of the model that inference can move,
+// whichever graph holds it. The weak-evidence discounts ask it of the cells
+// a testimony is conditioned on — such a cell may be the error instead —
+// so the answer is the same in every shard and in the learning graph.
+func (gr *grounder) repairable(c dataset.Cell) bool {
+	return len(gr.shared.domainOf(c)) >= 2
+}
+
+// admits reports whether tuple t may fill a constraint role that references
+// attrs: every referenced cell the pass's domains make a query variable has
+// a variable in this graph. Shards are tuple-aligned, so a shard admits its
+// own tuples and the tuples whose query cells the role never references;
+// those fold to constants, yielding the factor a monolithic grounding
+// emits. A pair reaching another shard's query variable is Algorithm 3's
+// cross-shard cut (or, with Database.Boundary, a damped factor). t == -1
+// (single-tuple constraints) always passes.
+func (gr *grounder) admits(t int, attrs []int) bool {
+	if t < 0 {
+		return true
+	}
+	for _, a := range attrs {
+		c := dataset.Cell{Tuple: t, Attr: a}
+		if gr.queryVarOf(c) < 0 && len(gr.shared.domainOf(c)) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Stats describes the grounded model. PaperFactors counts groundings the
 // way Example 5 does — one factor per value combination of the involved
 // random variables — while the compact in-memory representation stores
-// one predicate factor per tuple pair and aggregates identical unary
-// factors with multiplicities.
+// one predicate factor per tuple pair.
 type Stats struct {
 	Variables    int
 	QueryVars    int
@@ -435,7 +460,7 @@ func (gr *grounder) groundFeatures() {
 	}
 	for vi, c := range gr.out.Cells {
 		v := int32(vi)
-		if !gr.cfg.wantFactors(c) || gr.inert(v) {
+		if gr.inert(v) {
 			continue
 		}
 		dom := gr.g.Vars[v].Domain
@@ -457,7 +482,7 @@ func (gr *grounder) groundFeatures() {
 					gr.ar.keyBuf = key
 					gr.out.Stats.PaperFactors++
 					if wid, ok := gr.weightFor(key, 0, false); ok {
-						gr.g.AddUnary(v, int32(d), wid, false, 1)
+						gr.g.AddUnary(v, int32(d), wid)
 					}
 				}
 			}
@@ -485,7 +510,7 @@ func (gr *grounder) groundFeatures() {
 func (gr *grounder) groundMatches() {
 	for _, m := range gr.db.Matches {
 		v, ok := gr.out.VarOf.Get(m.Cell)
-		if !ok || !gr.cfg.wantFactors(m.Cell) || gr.inert(v) {
+		if !ok || gr.inert(v) {
 			continue
 		}
 		label, ok := gr.db.DS.Dict().Lookup(m.Value)
@@ -497,7 +522,7 @@ func (gr *grounder) groundMatches() {
 		key = append(key, m.Dict...)
 		prior := gr.db.DictPrior
 		for _, cc := range m.CondCells {
-			if jv := gr.queryVarOf(cc); jv >= 0 && !gr.inert(jv) {
+			if gr.repairable(cc) {
 				key = append(key, "|weak"...)
 				prior /= 2
 				break
@@ -508,7 +533,7 @@ func (gr *grounder) groundMatches() {
 		for d, l := range dom {
 			if l == int32(label) {
 				if wid, ok := gr.weightFor(key, prior, false); ok {
-					gr.g.AddUnary(v, int32(d), wid, false, 1)
+					gr.g.AddUnary(v, int32(d), wid)
 				}
 				gr.out.Stats.PaperFactors++
 				break
@@ -522,14 +547,14 @@ func (gr *grounder) groundMatches() {
 func (gr *grounder) groundMinimality(weight float64) {
 	gr.ar.keyBuf = append(gr.ar.keyBuf[:0], "prior|minimality"...)
 	wid, keep := gr.weightFor(gr.ar.keyBuf, weight, true)
-	for vi, c := range gr.out.Cells {
+	for vi := range gr.out.Cells {
 		v := int32(vi)
 		vr := &gr.g.Vars[v]
-		if !gr.cfg.wantFactors(c) || vr.Evidence || vr.Obs < 0 || gr.inert(v) {
+		if vr.Evidence || vr.Obs < 0 || gr.inert(v) {
 			continue
 		}
 		if keep {
-			gr.g.AddUnary(v, vr.Obs, wid, false, 1)
+			gr.g.AddUnary(v, vr.Obs, wid)
 		}
 		gr.out.Stats.PaperFactors++
 	}

@@ -145,24 +145,20 @@ func (gr *grounder) groundDC(rule *Rule) error {
 	b := gr.db.Bounds[ci]
 	wid := gr.g.Weights.ID("dc|"+rule.Name, rule.FixedWeight, true)
 
-	// Boundary damping (split components): pairs the scope would reject
-	// ground anyway, at a damped fixed weight under a distinct tying key.
-	// The out-of-shard side holds no variable in this shard's graph, so
+	// Boundary damping (split components): pairs admits rejects ground
+	// anyway, at a damped fixed weight under a distinct tying key. The
+	// out-of-shard side holds no variable in this shard's graph, so
 	// foldFactor's clean-cell path folds it to its observed value — the
 	// cavity assignment.
-	damp := 0.0
+	damp := gr.db.Boundary
 	var dampWid int32
-	if gr.db.Scope != nil && gr.db.Scope.Boundary > 0 {
-		damp = gr.db.Scope.Boundary
+	if damp > 0 {
 		dampWid = gr.g.Weights.ID("dc~|"+rule.Name, rule.FixedWeight*damp, true)
 	}
 
 	emit := func(t1, t2 int) {
 		w := wid
-		// A counterpart whose query variables all sit on attributes its role
-		// does not reference folds to constants and stays admissible under
-		// any shard scope.
-		if !gr.db.Scope.admits(t1, b.RoleAttrs[0]) || !gr.db.Scope.admits(t2, b.RoleAttrs[1]) {
+		if !gr.admits(t1, b.RoleAttrs[0]) || !gr.admits(t2, b.RoleAttrs[1]) {
 			if damp <= 0 {
 				return
 			}

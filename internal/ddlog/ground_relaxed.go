@@ -66,7 +66,7 @@ func (gr *grounder) groundRelaxedDC(rule *Rule) {
 
 	for vi, c := range gr.out.Cells {
 		v := int32(vi)
-		if c.Attr != hr.Attr || !gr.cfg.wantFactors(c) || gr.inert(v) {
+		if c.Attr != hr.Attr || gr.inert(v) {
 			continue
 		}
 		dom := gr.g.Vars[v].Domain
@@ -232,9 +232,9 @@ func (gr *grounder) relaxPair(rc *relaxCtx) (int32, float64) {
 			}
 			scale := 1.0
 			// The discount applies only when the join cell has an actual
-			// alternative: an inert cell cannot be the repair that resolves
-			// the violation.
-			if jv := gr.queryVarOf(dataset.Cell{Tuple: t, Attr: headAttr}); jv >= 0 && !gr.inert(jv) {
+			// alternative: a cell with one candidate cannot be the repair
+			// that resolves the violation.
+			if gr.repairable(dataset.Cell{Tuple: t, Attr: headAttr}) {
 				scale = 0.5
 			}
 			total := gr.countTable(rc, 0, gr.shared.Init(otherAttr).Of(probe), 0).passed

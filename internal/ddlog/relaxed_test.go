@@ -40,7 +40,7 @@ func (gr *grounder) refGroundRelaxedDC(rule *Rule) {
 	}
 	for vi, c := range gr.out.Cells {
 		v := int32(vi)
-		if c.Attr != hr.Attr || !gr.cfg.wantFactors(c) || gr.inert(v) {
+		if c.Attr != hr.Attr || gr.inert(v) {
 			continue
 		}
 		dom := gr.g.Vars[v].Domain

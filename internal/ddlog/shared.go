@@ -145,16 +145,23 @@ func (s *SharedIndex) Init(attr int) *dataset.Blocks {
 // monolithic grounder would.
 func (s *SharedIndex) Candidates(attr int) *dataset.Blocks {
 	return s.buckets(&s.cand[attr], func(t int, dst []dataset.Value) []dataset.Value {
-		if s.domains != nil {
-			if cands := s.domains.Of(dataset.Cell{Tuple: t, Attr: attr}); len(cands) > 0 {
-				return append(dst, cands...)
-			}
+		if cands := s.domainOf(dataset.Cell{Tuple: t, Attr: attr}); len(cands) > 0 {
+			return append(dst, cands...)
 		}
 		if v := s.ds.Get(t, attr); v != dataset.Null {
 			dst = append(dst, v)
 		}
 		return dst
 	})
+}
+
+// domainOf returns cell c's candidates in the pass's domains: nil when c is
+// not a noisy cell.
+func (s *SharedIndex) domainOf(c dataset.Cell) []dataset.Value {
+	if s.domains == nil {
+		return nil
+	}
+	return s.domains.Of(c)
 }
 
 // buckets returns the index in slot, building it from labels on first
@@ -169,53 +176,4 @@ func (s *SharedIndex) buckets(slot *atomic.Pointer[dataset.Blocks], labels func(
 		b = slot.Load()
 	}
 	return b
-}
-
-// Scope restricts denial-constraint factor grounding to one shard of the
-// sharded pipeline. A pair is grounded only when every tuple that would
-// contribute query variables to the factor lies inside the shard; pairs
-// reaching, on a constraint-referenced attribute, a query variable of
-// another shard are skipped — the cross-shard independence approximation
-// of Algorithm 3, applied to the end-to-end pipeline. Tuples whose
-// referenced cells are all clean (or noisy only on attributes the
-// constraint never mentions) always participate: the grounder folds them
-// to constants, yielding exactly the factor a monolithic grounding
-// emits.
-type Scope struct {
-	// InShard marks the tuples whose noisy cells this shard owns.
-	InShard map[int]bool
-	// QueryAttrs maps each tuple owning query variables in the global
-	// model (across all shards) to the set of attributes those variables
-	// live on.
-	QueryAttrs map[int]map[int]bool
-	// Boundary, when positive, grounds the pairs admits would reject
-	// instead of skipping them: the out-of-shard side's query cells fold
-	// to their observed values (the grounder's clean-cell path) and the
-	// factor's weight is scaled by Boundary. This is the boundary-factor
-	// damping of split components — a cavity-style extension of the
-	// Algorithm 3 scope cut: where the cut drops a cross-shard correlation
-	// entirely, damping keeps it as a weakened pull toward the neighbor's
-	// observed value. Both sub-shards of a split ground their side of each
-	// boundary pair, so a coefficient of 0.5 restores roughly one full
-	// factor's worth of energy per cut pair. Zero (the default) keeps the
-	// exact legacy cut.
-	Boundary float64
-}
-
-// admits reports whether tuple t may fill a constraint role that
-// references attrs. t == -1 (single-tuple constraints) always passes.
-func (sc *Scope) admits(t int, attrs []int) bool {
-	if sc == nil || t < 0 || sc.InShard[t] {
-		return true
-	}
-	qa := sc.QueryAttrs[t]
-	if qa == nil {
-		return true
-	}
-	for _, a := range attrs {
-		if qa[a] {
-			return false
-		}
-	}
-	return true
 }

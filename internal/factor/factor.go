@@ -13,8 +13,7 @@
 //
 //   - Unary indicator factors: h = +1 iff the variable takes a specific
 //     target value (quantitative-statistics features, source features,
-//     external-dictionary matches, minimality priors, and the relaxed
-//     denial-constraint features of Section 5.2, which use negated heads).
+//     external-dictionary matches and minimality priors).
 //
 //   - N-ary denial-constraint factors (Algorithm 1): h = +1 iff the
 //     grounded constraint is satisfied, i.e. NOT all of its predicates
@@ -61,17 +60,11 @@ type Variable struct {
 }
 
 // Unary is an indicator factor on one variable:
-// h = +1 if Assign == Target else −1. Neg flips the indicator
-// (h = −1 if Assign == Target else +1), which grounds the negated heads
-// of relaxed denial constraints (Example 6). Count is the grounding
-// multiplicity: k identical groundings are stored once and contribute
-// k·θ·h, exactly as k separate factors would.
+// h = +1 if Assign == Target else −1.
 type Unary struct {
 	Var    int32
 	Target int32 // domain index
 	Weight int32
-	Count  int32
-	Neg    bool
 }
 
 // Soft is a real-valued unary factor: it contributes θ·H[d] when its
@@ -341,15 +334,12 @@ func (g *Graph) AddVariable(domain []int32, evidence bool, obs int32) int32 {
 	return int32(len(g.Vars) - 1)
 }
 
-// AddUnary appends a unary indicator factor with multiplicity count.
-func (g *Graph) AddUnary(v, target, weight int32, neg bool, count int32) {
+// AddUnary appends a unary indicator factor.
+func (g *Graph) AddUnary(v, target, weight int32) {
 	if g.frozen {
 		panic("factor: AddUnary on frozen graph")
 	}
-	if count < 1 {
-		count = 1
-	}
-	g.Unaries = append(g.Unaries, Unary{Var: v, Target: target, Weight: weight, Neg: neg, Count: count})
+	g.Unaries = append(g.Unaries, Unary{Var: v, Target: target, Weight: weight})
 }
 
 // AddNary appends a grounded denial-constraint factor. vars is copied
@@ -695,16 +685,13 @@ func (g *Graph) StaticScores(v int32, buf []float64) {
 	}
 	for _, ui := range g.varUnary.of(v) {
 		u := &g.Unaries[ui]
-		w := g.Weights.W[u.Weight] * float64(u.Count)
+		w := g.Weights.W[u.Weight]
 		// h = ±1 indicator: score(d) gets +w at the target and −w
-		// elsewhere (signs flipped for negated heads).
+		// elsewhere.
 		for d := range buf {
 			h := -1.0
 			if int32(d) == u.Target {
 				h = 1.0
-			}
-			if u.Neg {
-				h = -h
 			}
 			buf[d] += w * h
 		}
@@ -762,10 +749,7 @@ func (g *Graph) Energy() float64 {
 		if g.Vars[u.Var].Assign == u.Target {
 			h = 1.0
 		}
-		if u.Neg {
-			h = -h
-		}
-		e += g.Weights.W[u.Weight] * h * float64(u.Count)
+		e += g.Weights.W[u.Weight] * h
 	}
 	for i := range g.Softs {
 		s := &g.Softs[i]

@@ -13,7 +13,7 @@ func tinyGraph() *Graph {
 	v0 := g.AddVariable([]int32{10, 20}, false, 0)
 	v1 := g.AddVariable([]int32{10, 30}, false, -1)
 	w1 := g.Weights.ID("u", 1.0, false)
-	g.AddUnary(v0, 0, w1, false, 1)
+	g.AddUnary(v0, 0, w1)
 	wdc := g.Weights.ID("dc", 2.0, true)
 	// ¬(v0 == v1): predicate v0 = v1 over slots.
 	g.AddNary([]int32{v0, v1}, []Pred{{LeftSlot: 0, RightSlot: 1, Op: OpEq}}, wdc)
@@ -71,20 +71,6 @@ func TestLocalScores(t *testing.T) {
 	g.LocalScores(0, buf)
 	if math.Abs(buf[0]-3) > 1e-12 || math.Abs(buf[1]-1) > 1e-12 {
 		t.Errorf("LocalScores = %v, want [3 1]", buf)
-	}
-}
-
-func TestUnaryNegAndCount(t *testing.T) {
-	g := NewGraph()
-	v := g.AddVariable([]int32{1, 2}, false, 0)
-	w := g.Weights.ID("neg", 0.5, false)
-	g.AddUnary(v, 1, w, true, 3) // negated, multiplicity 3
-	g.Freeze()
-	buf := make([]float64, 2)
-	g.LocalScores(v, buf)
-	// Target idx 1 negated: h(1) = −1, h(0) = +1, times w·count = 1.5.
-	if math.Abs(buf[0]-1.5) > 1e-12 || math.Abs(buf[1]-(-1.5)) > 1e-12 {
-		t.Errorf("neg scores = %v", buf)
 	}
 }
 

@@ -27,14 +27,11 @@ func ReferenceLocalScores(g *factor.Graph, v int32, buf []float64) {
 	}
 	for _, ui := range g.IncidentUnaries(v) {
 		u := &g.Unaries[ui]
-		w := g.Weights.W[u.Weight] * float64(u.Count)
+		w := g.Weights.W[u.Weight]
 		for d := range buf {
 			h := -1.0
 			if int32(d) == u.Target {
 				h = 1.0
-			}
-			if u.Neg {
-				h = -h
 			}
 			buf[d] += w * h
 		}
@@ -135,7 +132,7 @@ func Cmp(op uint8, a, b int32) bool {
 // RandomGraph draws a frozen graph of nVars variables that exercises the
 // whole scoring definition: domains of 1 to 5 labels from a pool of 7 (so
 // predicates both hold and fail), evidence variables, query variables with
-// and without an initial value, Neg and Count > 1 unaries, softs, factors
+// and without an initial value, unaries, softs, factors
 // of 1 to 6 slots — now and then with one variable in two slots — whose 1
 // to 4 predicates compare two slots, a slot with itself or a slot with a
 // constant under every operator, and a weight pool that includes 0 and,
@@ -167,7 +164,7 @@ func RandomGraph(rng *rand.Rand, nVars int, infinite bool) *factor.Graph {
 	for v := int32(0); int(v) < nVars; v++ {
 		dom := len(g.Vars[v].Domain)
 		for k := rng.Intn(4); k > 0; k-- {
-			g.AddUnary(v, int32(rng.Intn(dom)), weight(), rng.Intn(3) == 0, int32(1+rng.Intn(3)))
+			g.AddUnary(v, int32(rng.Intn(dom)), weight())
 		}
 		if rng.Intn(2) == 0 {
 			h := make([]float64, dom)

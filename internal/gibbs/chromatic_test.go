@@ -24,7 +24,7 @@ func coupledChain(n int) *factor.Graph {
 			[]factor.Pred{{LeftSlot: 0, RightSlot: 1, Op: factor.OpNeq}}, wp)
 	}
 	for i := 1; i < n; i += 2 {
-		g.AddUnary(int32(i), 1, wu, false, 1)
+		g.AddUnary(int32(i), 1, wu)
 	}
 	g.Freeze()
 	return g

@@ -54,7 +54,7 @@ func fdWindowsGraph(rows int) *factor.Graph {
 			continue
 		}
 		for k := 1 + rng.Intn(2); k > 0; k-- {
-			g.AddUnary(v, int32(rng.Intn(size)), wu, false, 1)
+			g.AddUnary(v, int32(rng.Intn(size)), wu)
 		}
 		g.AddSoft(v, ws, []float64{rng.Float64(), rng.Float64(), rng.Float64()})
 	}

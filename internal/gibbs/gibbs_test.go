@@ -14,7 +14,7 @@ func independentGraph() *factor.Graph {
 	v0 := g.AddVariable([]int32{1, 2}, false, 0)
 	v1 := g.AddVariable([]int32{1, 2, 3}, false, -1)
 	w := g.Weights.ID("w0", 1.0, false)
-	g.AddUnary(v0, 0, w, false, 1)
+	g.AddUnary(v0, 0, w)
 	ws := g.Weights.ID("soft", 2.0, false)
 	g.AddSoft(v1, ws, []float64{0.9, 0.1, 0.0})
 	return g
@@ -25,7 +25,7 @@ func correlatedGraph() *factor.Graph {
 	v0 := g.AddVariable([]int32{1, 2}, false, 0)
 	v1 := g.AddVariable([]int32{1, 2}, false, 0)
 	w := g.Weights.ID("u", 0.8, false)
-	g.AddUnary(v0, 0, w, false, 1)
+	g.AddUnary(v0, 0, w)
 	wdc := g.Weights.ID("dc", 1.5, true)
 	g.AddNary([]int32{v0, v1}, []factor.Pred{{LeftSlot: 0, RightSlot: 1, Op: factor.OpEq}}, wdc)
 	return g
@@ -102,7 +102,7 @@ func TestGibbsMarginalsSumToOne(t *testing.T) {
 		g := factor.NewGraph()
 		v := g.AddVariable([]int32{1, 2, 3, 4}, false, 0)
 		w := g.Weights.ID("w", float64(wRaw%5)-2, false)
-		g.AddUnary(v, int32(seed%4+3)%4, w, seed%2 == 0, 1)
+		g.AddUnary(v, int32(seed%4+3)%4, w)
 		m := Run(g, Config{BurnIn: 5, Samples: 50, Seed: seed})
 		sum := 0.0
 		for d := 0; d < 4; d++ {

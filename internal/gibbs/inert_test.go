@@ -42,7 +42,7 @@ func randomGraph(seed int64, correlated, decorate bool) *factor.Graph {
 			continue
 		}
 		for k := rng.Intn(4); k > 0; k-- {
-			g.AddUnary(v, int32(rng.Intn(size)), weights[rng.Intn(len(weights))], rng.Intn(4) == 0, int32(1+rng.Intn(3)))
+			g.AddUnary(v, int32(rng.Intn(size)), weights[rng.Intn(len(weights))])
 		}
 		h := make([]float64, size)
 		for d := range h {
@@ -68,7 +68,7 @@ func randomGraph(seed int64, correlated, decorate bool) *factor.Graph {
 			}
 			for k := 1 + rng.Intn(3); k > 0; k-- {
 				w := g.Weights.ID("extra", 50*rng.NormFloat64(), false)
-				g.AddUnary(v, 0, w, rng.Intn(2) == 0, int32(1+rng.Intn(5)))
+				g.AddUnary(v, 0, w)
 			}
 			g.AddSoft(v, weights[rng.Intn(len(weights))], []float64{100 * rng.NormFloat64()})
 		}

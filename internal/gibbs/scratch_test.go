@@ -17,7 +17,7 @@ func chainGraph(n int) *factor.Graph {
 	for i := 0; i < n; i++ {
 		v := g.AddVariable([]int32{1, 2, 3}, false, 0)
 		w := g.Weights.ID("u", 0.4, false)
-		g.AddUnary(v, int32(i%3), w, false, 1)
+		g.AddUnary(v, int32(i%3), w)
 		if prev >= 0 {
 			dc := g.Weights.ID("dc", 1.0, true)
 			g.AddNary([]int32{prev, v}, []factor.Pred{{LeftSlot: 0, RightSlot: 1, Op: factor.OpNeq}}, dc)
@@ -144,7 +144,7 @@ func independentVars(n int) *factor.Graph {
 	for i := 0; i < n; i++ {
 		v := g.AddVariable([]int32{1, 2, 3, 4}, false, int32(i%5)-1)
 		w := g.Weights.ID("w", 0.8, false)
-		g.AddUnary(v, int32(rng.Intn(4)), w, false, 1)
+		g.AddUnary(v, int32(rng.Intn(4)), w)
 		g.AddSoft(v, g.Weights.ID("s", 1.2, false), []float64{0.4, 0.3, 0.2, rng.Float64()})
 	}
 	return g

@@ -171,11 +171,9 @@ func PrintFigure6(w io.Writer, buckets map[string][]metrics.Bucket) {
 // MicroExternalResult compares HoloClean with and without external
 // dictionaries (Section 6.3.2).
 type MicroExternalResult struct {
-	Dataset     string
-	F1Without   float64
-	F1With      float64
-	Coverage    float64
-	MatchesUsed int
+	Dataset   string
+	F1Without float64
+	F1With    float64
 }
 
 // MicroExternalDictionaries measures the F1 gain from matching

@@ -98,18 +98,13 @@ func applyGradient(g *factor.Graph, v int32, o int, pr, h []float64, lr, l2 floa
 		if w.Fixed[u.Weight] {
 			continue
 		}
-		// h(d) = ±1 indicator (sign-flipped when Neg):
-		// grad = h(o) − Σ_d pr[d]·h(d) = 2·(1[o==target] − pr[target]),
-		// negated for Neg heads.
+		// h(d) = ±1 indicator:
+		// grad = h(o) − Σ_d pr[d]·h(d) = 2·(1[o==target] − pr[target]).
 		obsHit := 0.0
 		if int32(o) == u.Target {
 			obsHit = 1
 		}
-		grad := 2 * (obsHit - pr[u.Target]) * float64(u.Count)
-		if u.Neg {
-			grad = -grad
-		}
-		step(u.Weight, grad)
+		step(u.Weight, 2*(obsHit-pr[u.Target]))
 	}
 	for _, si := range g.IncidentSofts(v) {
 		s := &g.Softs[si]

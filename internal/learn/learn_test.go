@@ -18,10 +18,10 @@ func TestLearnSeparableUnary(t *testing.T) {
 	w := g.Weights.ID("feat", 0, false)
 	for i := 0; i < 50; i++ {
 		ev := g.AddVariable([]int32{1, 2}, true, 0)
-		g.AddUnary(ev, 0, w, false, 1)
+		g.AddUnary(ev, 0, w)
 	}
 	q := g.AddVariable([]int32{1, 2}, false, -1)
-	g.AddUnary(q, 0, w, false, 1)
+	g.AddUnary(q, 0, w)
 
 	nll := Learn(g, Config{Epochs: 20, LearningRate: 0.2, L2: 0, Seed: 1})
 	if g.Weights.W[w] <= 0.5 {
@@ -43,7 +43,7 @@ func TestLearnAntiCorrelated(t *testing.T) {
 	w := g.Weights.ID("feat", 0, false)
 	for i := 0; i < 50; i++ {
 		ev := g.AddVariable([]int32{1, 2}, true, 1) // observed idx 1
-		g.AddUnary(ev, 0, w, false, 1)              // feature fires on idx 0
+		g.AddUnary(ev, 0, w)                        // feature fires on idx 0
 	}
 	Learn(g, Config{Epochs: 20, LearningRate: 0.2, L2: 0, Seed: 1})
 	if g.Weights.W[w] >= -0.5 {
@@ -77,8 +77,8 @@ func TestLearnFixedWeightsUntouched(t *testing.T) {
 	wl := g.Weights.ID("learn", 0, false)
 	for i := 0; i < 20; i++ {
 		ev := g.AddVariable([]int32{1, 2}, true, 0)
-		g.AddUnary(ev, 0, wf, false, 1)
-		g.AddUnary(ev, 0, wl, false, 1)
+		g.AddUnary(ev, 0, wf)
+		g.AddUnary(ev, 0, wl)
 	}
 	Learn(g, Config{Epochs: 10, LearningRate: 0.2, L2: 0, Seed: 1})
 	if g.Weights.W[wf] != 1.5 {
@@ -107,7 +107,7 @@ func TestLearnNoEvidenceNoop(t *testing.T) {
 	g := factor.NewGraph()
 	w := g.Weights.ID("feat", 0.3, false)
 	q := g.AddVariable([]int32{1, 2}, false, 0)
-	g.AddUnary(q, 0, w, false, 1)
+	g.AddUnary(q, 0, w)
 	nll := Learn(g, Config{Epochs: 5, LearningRate: 0.1, Seed: 1})
 	if nll != 0 {
 		t.Errorf("no-evidence NLL = %v, want 0", nll)
@@ -124,7 +124,7 @@ func TestLearnL2Shrinks(t *testing.T) {
 	w := g.Weights.ID("feat", 0, false)
 	for i := 0; i < 40; i++ {
 		ev := g.AddVariable([]int32{1, 2}, true, int32(i%2))
-		g.AddUnary(ev, 0, w, false, 1)
+		g.AddUnary(ev, 0, w)
 	}
 	Learn(g, Config{Epochs: 20, LearningRate: 0.2, L2: 0.5, Seed: 1})
 	if math.Abs(g.Weights.W[w]) > 0.3 {
@@ -144,9 +144,9 @@ func TestLearnNLLDecreases(t *testing.T) {
 			obs := int32(rng.Intn(2))
 			ev := g.AddVariable([]int32{1, 2}, true, obs)
 			if obs == 0 {
-				g.AddUnary(ev, 0, w1, false, 1)
+				g.AddUnary(ev, 0, w1)
 			} else {
-				g.AddUnary(ev, 1, w2, false, 1)
+				g.AddUnary(ev, 1, w2)
 			}
 		}
 		return g
@@ -170,7 +170,7 @@ func TestLearnDegenerateEvidenceKeepsWeightsFinite(t *testing.T) {
 	hard := g.Weights.ID("hard", math.Inf(1), true)
 	for i := 0; i < 10; i++ {
 		ev := g.AddVariable([]int32{1, 2}, true, int32(i%2))
-		g.AddUnary(ev, 0, feat, false, 1)
+		g.AddUnary(ev, 0, feat)
 		g.AddSoft(ev, soft, []float64{0.9, 0.1})
 	}
 	// Variable 0 ≠ 9 always holds: the factor is violated, at weight +Inf,

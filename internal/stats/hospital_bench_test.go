@@ -1,6 +1,7 @@
 package stats_test
 
 import (
+	"runtime"
 	"testing"
 
 	"holoclean/internal/datagen"
@@ -23,7 +24,7 @@ func BenchmarkCollectHospital(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cols := stats.Encode(g.Dirty)
-		cols.Collect()
-		cols.CollectMasked(skip)
+		cols.Collect(runtime.GOMAXPROCS(0))
+		cols.CollectMasked(skip, runtime.GOMAXPROCS(0))
 	}
 }

@@ -289,7 +289,7 @@ func TestApplyMatchesReference(t *testing.T) {
 		}
 		skip := func(tu, a int) bool { return mask[dataset.Cell{Tuple: tu, Attr: a}] }
 		cols := Encode(ds)
-		raw, masked := cols.Collect(), cols.CollectMasked(skip)
+		raw, masked := cols.Collect(2), cols.CollectMasked(skip, 2)
 		refRaw, refMasked := refCollect(ds, nil), refCollect(ds, skip)
 		prevFresh, prevRef := CollectFiltered(ds, skip), refCollect(ds, skip)
 

@@ -20,7 +20,6 @@ package stats
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -138,18 +137,21 @@ func Encode(ds *dataset.Dataset) *Columns {
 	return c
 }
 
-// Collect returns the statistics of the encoded relation. Null cells are
+// Collect returns the statistics of the encoded relation, filling the
+// pairwise histograms on at most workers goroutines. Null cells are
 // skipped: a missing value neither counts as evidence nor conditions
 // anything.
-func (c *Columns) Collect() *Stats { return c.CollectMasked(nil) }
+func (c *Columns) Collect(workers int) *Stats { return c.CollectMasked(nil, workers) }
 
 // CollectMasked is Collect with the cells excluded by skip (when non-nil)
 // treated as missing; skip is asked once per non-null cell. HoloClean uses
 // this for a second set of statistics over the cells error detection
 // considers clean, so that systematic errors — which are self-consistent in
 // the dirty data — do not manufacture supporting co-occurrence evidence for
-// themselves. The result shares c's dictionaries.
-func (c *Columns) CollectMasked(skip func(t, a int) bool) *Stats {
+// themselves. The result shares c's dictionaries. One target attribute's
+// histograms are one job; at most workers goroutines run them, so a caller
+// sharing the machine decides the fan-out.
+func (c *Columns) CollectMasked(skip func(t, a int) bool, workers int) *Stats {
 	n := len(c.cols)
 	codes := c.codes
 	if skip != nil {
@@ -189,7 +191,7 @@ func (c *Columns) CollectMasked(skip func(t, a int) bool) *Stats {
 	// all of its pairs, and the worker's bucket scratch is reused across them.
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < min(runtime.GOMAXPROCS(0), n); w++ {
+	for w := 0; w < min(max(workers, 1), n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -256,13 +258,14 @@ func fill(order, ca, cg []int32, givens int, scratch []bucket) (histogram, []buc
 	return histogram{rows: rows, arena: arena}, scratch
 }
 
-// Collect scans the dataset and returns its statistics.
-func Collect(ds *dataset.Dataset) *Stats { return Encode(ds).Collect() }
+// Collect scans the dataset and returns its statistics, on the caller's
+// goroutine.
+func Collect(ds *dataset.Dataset) *Stats { return Encode(ds).Collect(1) }
 
 // CollectFiltered is Collect with cells excluded by skip (when non-nil)
 // treated as missing; see Columns.CollectMasked.
 func CollectFiltered(ds *dataset.Dataset, skip func(t, a int) bool) *Stats {
-	return Encode(ds).CollectMasked(skip)
+	return Encode(ds).CollectMasked(skip, 1)
 }
 
 // NumTuples returns the number of tuples the statistics were drawn from.

@@ -294,7 +294,7 @@ func (p *pass) oldRow(t int) []dataset.Value {
 func (p *pass) collectStats() error {
 	if p.prev == nil {
 		p.cols = stats.Encode(p.ds)
-		p.st = p.cols.Collect()
+		p.st = p.cols.Collect(defaultWorkers(p.opts.Workers))
 		return nil
 	}
 	p.st = p.prev.st
@@ -334,7 +334,7 @@ func (p *pass) maskStats() {
 		if !p.opts.DisableCooccurFeatures {
 			p.masked = p.cols.CollectMasked(func(t, a int) bool {
 				return p.detection.IsNoisy(dataset.Cell{Tuple: t, Attr: a})
-			})
+			}, defaultWorkers(p.opts.Workers))
 		}
 		return
 	}

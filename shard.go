@@ -61,7 +61,7 @@ func (sh shard) fingerprint(cells []dataset.Cell) string {
 // is grounded on each side with the other side folded to its observed
 // value and the factor's weight scaled by it — a cavity-style damped pull
 // toward the neighbor's observation instead of Algorithm 3's hard cut
-// (ddlog.Scope.Boundary). Both sub-shards ground their half, so 0.5
+// (ddlog.Database.Boundary). Both sub-shards ground their half, so 0.5
 // restores about one factor's worth of energy per cut pair.
 const boundaryDamp = 0.5
 
@@ -87,7 +87,7 @@ const cellBatch = 256
 // MaxComponentCells). The cut is the same tuple-boundary batching used
 // for independent cells, so it too depends only on the plan inputs;
 // severed cross-sub-shard correlations are partially restored at
-// inference time by boundary-factor damping (see Scope.Boundary).
+// inference time by boundary-factor damping (see ddlog.Database.Boundary).
 func planShards(dom *pruning.Domains, comps [][]int, coupled bool, maxComponentCells int) []shard {
 	n := len(dom.Cells)
 	if n == 0 {
@@ -200,19 +200,16 @@ func batchByTuple(cells []dataset.Cell, idx []int, target int) []shard {
 	return out
 }
 
-// groundLearning grounds the learning graph: one variable per noisy cell
-// (a factorless domain stub) plus every evidence variable with exactly
-// the factors it would carry in a monolithic grounding. Learning over
-// this graph is therefore learning on the union of all shards' training
-// cells — the weight-tying choice of the sharded pipeline (see
-// ARCHITECTURE.md): one SGD pass over the global evidence set produces a
-// single weight vector that every shard shares, instead of averaging
-// independently learned per-shard weights.
+// groundLearning grounds the learning graph: every evidence variable with
+// exactly the factors it would carry in a monolithic grounding, and no
+// query variable. Learning over this graph is therefore learning on the
+// union of all shards' training cells — the weight-tying choice of the
+// sharded pipeline (see ARCHITECTURE.md): one SGD pass over the global
+// evidence set produces a single weight vector that every shard shares,
+// instead of averaging independently learned per-shard weights. The
+// discounts that ask whether a cell is repairable read the pass's domains
+// through the shared index the plan stage wired into prep.DB.
 func groundLearning(prep *compile.Prepared, maxScan int) (*ddlog.Grounded, error) {
-	evid := make(map[dataset.Cell]bool, len(prep.DB.Evidence))
-	for _, c := range prep.DB.Evidence {
-		evid[c] = true
-	}
 	prog := &ddlog.Program{}
 	for _, r := range prep.Program.Rules {
 		// Correlation factors never touch evidence variables (clean and
@@ -223,10 +220,9 @@ func groundLearning(prep *compile.Prepared, maxScan int) (*ddlog.Grounded, error
 		}
 		prog.Add(r)
 	}
-	return ddlog.Ground(prep.DB, prog, ddlog.Config{
-		MaxScanCounterparts: maxScan,
-		FactorCells:         func(c dataset.Cell) bool { return evid[c] },
-	})
+	db := *prep.DB
+	db.Domains = &pruning.Domains{}
+	return ddlog.Ground(&db, prog, ddlog.Config{MaxScanCounterparts: maxScan})
 }
 
 // learnedWeights snapshots the learnable weights of the learning graph by
@@ -296,29 +292,10 @@ func cellVarSeeds(g *ddlog.Grounded, base int64, numAttrs int) []int64 {
 // results into the pass's Result and outcomes.
 type shardRunner struct {
 	*pass
-	queryAttrs map[int]map[int]bool
 
 	mu         sync.Mutex
 	groundTime time.Duration
 	inferTime  time.Duration
-}
-
-func newShardRunner(p *pass) *shardRunner {
-	r := &shardRunner{
-		pass:       p,
-		queryAttrs: make(map[int]map[int]bool),
-	}
-	for i, cands := range p.domains.Candidates {
-		if len(cands) == 0 {
-			continue
-		}
-		c := p.domains.Cells[i]
-		if r.queryAttrs[c.Tuple] == nil {
-			r.queryAttrs[c.Tuple] = make(map[int]bool)
-		}
-		r.queryAttrs[c.Tuple][c.Attr] = true
-	}
-	return r
 }
 
 // runAll executes every shard on a pool of at most workers goroutines and
@@ -369,33 +346,33 @@ func (r *shardRunner) runAll(plan []shard, workers int) error {
 	}
 }
 
-// shardDB narrows the prepared database to one shard's cells.
+// shardDB narrows the prepared database to one shard's cells. The pass's
+// domains stay reachable through the shared index, so the grounder tells a
+// query variable of another shard from a clean cell.
 func (r *shardRunner) shardDB(sh shard) *ddlog.Database {
 	prep := r.prep
 	cells := make([]dataset.Cell, 0, len(sh.cells))
 	cands := make([][]dataset.Value, 0, len(sh.cells))
-	inShard := make(map[int]bool)
 	var matches []extdict.Match
-	for _, i := range sh.cells {
+	for k, i := range sh.cells {
 		c := prep.Domains.Cells[i]
-		cells = append(cells, c)
-		cands = append(cands, prep.Domains.Candidates[i])
-		if !inShard[c.Tuple] {
-			inShard[c.Tuple] = true
+		// The cells ascend by tuple: a tuple's matches join at its first.
+		if k == 0 || c.Tuple != cells[k-1].Tuple {
 			matches = append(matches, r.matches[c.Tuple]...)
 		}
+		cells = append(cells, c)
+		cands = append(cands, prep.Domains.Candidates[i])
 	}
 	db := *prep.DB
 	db.Domains = &pruning.Domains{Cells: cells, Candidates: cands}
 	db.Evidence, db.EvidenceDomains = nil, nil
 	db.Matches = matches
-	db.Scope = &ddlog.Scope{InShard: inShard, QueryAttrs: r.queryAttrs}
 	if sh.split {
 		// Only split sub-shards damp their boundary: ordinary component
 		// shards have no severed correlations (their cut is exact up to
 		// Algorithm 3's hypothetical-pair approximation), and batch shards
 		// hold independent variables.
-		db.Scope.Boundary = boundaryDamp
+		db.Boundary = boundaryDamp
 	}
 	return &db
 }
