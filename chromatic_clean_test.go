@@ -103,7 +103,7 @@ func TestCleanSplitDampingCloseMarginals(t *testing.T) {
 
 // TestSessionRecleanWithSplitting: the incremental session contract
 // survives component splitting — a delta away from the giant component
-// reuses its sub-shards (by their distinct fingerprints) and the reclean
+// re-executes the whole plan, split sub-shards included, and the reclean
 // stays byte-identical to a from-scratch clean of the mutated dataset.
 func TestSessionRecleanWithSplitting(t *testing.T) {
 	g := datagen.Skew(datagen.SkewConfig{Tuples: 500, Seed: 11, HotFrac: 0.6})
@@ -146,7 +146,7 @@ func TestSessionRecleanWithSplitting(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdenticalResults(t, "reclean with split components", incr, ref)
-	if incr.Stats.ShardsReused == 0 {
-		t.Error("ShardsReused = 0, want the untouched split sub-shards carried forward")
+	if incr.Stats.ShardsReused != 0 || incr.Stats.Shards != ref.Stats.Shards {
+		t.Errorf("executed %d shards and reused %d, want the full plan's %d and none", incr.Stats.Shards, incr.Stats.ShardsReused, ref.Stats.Shards)
 	}
 }

@@ -340,7 +340,8 @@ type RunStats struct {
 	LargestComponentFrac float64
 	// ShardsReused counts the shards of the full plan whose cached
 	// results an incremental Session.Reclean carried forward instead of
-	// re-executing. Always zero for a plain Clean.
+	// re-executing. Always zero for a plain Clean and for a DC Factors
+	// session, whose Reclean re-executes its whole plan.
 	ShardsReused int
 
 	// AllocBytes and AllocObjects are the cumulative heap bytes and
@@ -514,7 +515,6 @@ type pass struct {
 	matches    map[int][]extdict.Match // prepare: dictionary matches by tuple
 	shared     *ddlog.SharedIndex      // plan (invalidate rebinds a previous pass's)
 	interner   *factor.KeyInterner     // canonical tying-key store of every grounding
-	plan       []shard                 // plan: the full shard plan, reused shards included
 	outcomes   map[Cell]cellOutcome    // infer: per-cell marginal, MAP label and probability
 
 	*working
@@ -537,6 +537,7 @@ type working struct {
 	maskedDelta   *stats.Delta          // prepare: clean-cell counters the delta touched (nil without masked)
 	prep          *compile.Prepared     // prepare
 	dirty         map[int]bool          // invalidate: tuples that must re-execute; nil executes every shard
+	plan          []shard               // plan: the full shard plan, reused shards included
 	exec          []shard               // plan: the shards that run
 	reused        []int                 // plan: cell indices whose cached outcome carries forward
 	learnGround   time.Duration         // learn: learning-graph grounding, booked with the shards'
@@ -755,9 +756,8 @@ func (p *pass) prepareModel() error {
 }
 
 // planExecution assigns every noisy cell to a shard and, when the
-// invalidate stage produced a dirty set, keeps only the shards it
-// invalidated: in the independent-variable regime the dirty cells are
-// re-batched so clean cells in mixed batches are reused too.
+// invalidate stage produced a dirty set (the independent-variable regime
+// only), re-batches the dirty cells and carries every other cell forward.
 func (p *pass) planExecution() error {
 	o, st := p.opts, &p.res.Stats
 	var comps [][]int
@@ -769,15 +769,7 @@ func (p *pass) planExecution() error {
 	p.plan = planShards(p.domains, comps, o.Variant.DCFactors, o.MaxComponentCells)
 	p.exec = p.plan
 	if p.dirty != nil {
-		rebatch := !o.Variant.DCFactors
-		var prevSigs map[string]bool
-		if !rebatch {
-			prevSigs = make(map[string]bool, len(p.prev.plan))
-			for _, sh := range p.prev.plan {
-				prevSigs[sh.fingerprint(p.prev.domains.Cells)] = true
-			}
-		}
-		p.exec, p.reused = splitPlan(p.plan, p.domains.Cells, p.dirty, rebatch, prevSigs)
+		p.exec, p.reused = splitPlan(p.plan, p.domains.Cells, p.dirty)
 	}
 	st.Shards = len(p.exec)
 	if r := len(p.plan) - len(p.exec); r > 0 {

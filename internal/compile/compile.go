@@ -651,11 +651,12 @@ func fusionFeatureFunc(votes *fusion.Votes, numAttrs int) func(dataset.Cell, []i
 }
 
 // sampleEvidence draws up to MaxEvidence clean cells — neither flagged by
-// detection (unless trusted, i.e. user-confirmed) nor Null — restricted to
-// attributes that contain at least one noisy cell (other attributes share
-// no tied weights with any query variable), and computes their candidate
-// domains with the same Algorithm 2 configuration. Cells whose pruned
-// domain is a singleton carry no training signal and are skipped.
+// detection, nor trusted, nor Null — restricted to attributes that contain
+// at least one noisy cell (other attributes share no tied weights with any
+// query variable), puts every non-null trusted (user-confirmed) cell ahead
+// of them once, and computes their candidate domains with the same
+// Algorithm 2 configuration. Cells whose pruned domain is a singleton
+// carry no training signal and are skipped.
 func sampleEvidence(ds *dataset.Dataset, st *stats.Stats, noisy []dataset.Cell, trusted map[dataset.Cell]bool, opts Options) ([]dataset.Cell, [][]dataset.Value) {
 	noisyAttrs := make([]bool, ds.NumAttrs())
 	for _, c := range noisy {
@@ -665,7 +666,7 @@ func sampleEvidence(ds *dataset.Dataset, st *stats.Stats, noisy []dataset.Cell, 
 	for t := 0; t < ds.NumTuples(); t++ {
 		for a := 0; a < ds.NumAttrs(); a++ {
 			c := dataset.Cell{Tuple: t, Attr: a}
-			if !noisyAttrs[a] || ds.Get(t, a) == dataset.Null || (opts.Detection.IsNoisy(c) && !trusted[c]) {
+			if !noisyAttrs[a] || ds.Get(t, a) == dataset.Null || opts.Detection.IsNoisy(c) || trusted[c] {
 				continue
 			}
 			pool = append(pool, c)
@@ -677,12 +678,14 @@ func sampleEvidence(ds *dataset.Dataset, st *stats.Stats, noisy []dataset.Cell, 
 		pool = pool[:opts.MaxEvidence]
 	}
 	// User-confirmed cells are always evidence, ahead of the sample.
+	sample := make([]dataset.Cell, 0, len(opts.Trusted)+len(pool))
 	for _, c := range opts.Trusted {
 		if ds.Get(c.Tuple, c.Attr) != dataset.Null {
-			pool = append([]dataset.Cell{c}, pool...)
+			sample = append(sample, c)
 		}
 	}
-	evDomains := pruning.Compute(ds, st, pool, pruning.Config{
+	sample = append(sample, pool...)
+	evDomains := pruning.Compute(ds, st, sample, pruning.Config{
 		Tau:           opts.Tau,
 		MaxCandidates: opts.MaxCandidates,
 		FullDomain:    opts.FullDomain,

@@ -326,3 +326,53 @@ func TestPrepareRejectsDuplicateNames(t *testing.T) {
 		t.Errorf("distinct names: %v", err)
 	}
 }
+
+// TestEvidenceTrustedCellsOnce: trusted cells lead the evidence list once
+// each and never take one of the MaxEvidence sample slots, which go to
+// distinct non-trusted cells. Full domains keep every sampled cell (no
+// singleton domain is dropped), so the list is exactly the trusted prefix
+// followed by MaxEvidence sampled cells.
+func TestEvidenceTrustedCellsOnce(t *testing.T) {
+	g := datagen.Hospital(datagen.Config{Tuples: 300, Seed: 3})
+	ds, cs := g.Dirty, g.Constraints
+	opts := withInputs(t, ds, cs, defaultOptions())
+	opts.FullDomain = true
+	opts.MaxEvidence = 40
+	noisyAttrs := make(map[int]bool)
+	for _, c := range opts.Detection.Noisy {
+		noisyAttrs[c.Attr] = true
+	}
+	// Every non-null cell of the first 30 tuples on a noisy attribute,
+	// flagged by detection or not.
+	trusted := make(map[dataset.Cell]bool)
+	for tu := 0; tu < 30; tu++ {
+		for a := 0; a < ds.NumAttrs(); a++ {
+			if c := (dataset.Cell{Tuple: tu, Attr: a}); noisyAttrs[a] && ds.Get(tu, a) != dataset.Null {
+				opts.Trusted = append(opts.Trusted, c)
+				trusted[c] = true
+			}
+		}
+	}
+	prep, err := Prepare(ds, cs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := prep.DB.Evidence
+	if want := len(opts.Trusted) + opts.MaxEvidence; len(ev) != want {
+		t.Fatalf("%d evidence cells, want %d trusted + %d sampled", len(ev), len(opts.Trusted), opts.MaxEvidence)
+	}
+	seen := make(map[dataset.Cell]bool, len(ev))
+	for i, c := range ev {
+		if seen[c] {
+			t.Errorf("evidence cell %v appears twice", c)
+		}
+		seen[c] = true
+		if i < len(opts.Trusted) {
+			if c != opts.Trusted[i] {
+				t.Errorf("evidence %d = %v, want trusted cell %v", i, c, opts.Trusted[i])
+			}
+		} else if trusted[c] {
+			t.Errorf("sample slot %d holds trusted cell %v", i-len(opts.Trusted), c)
+		}
+	}
+}

@@ -59,37 +59,6 @@ func (vt *Votes) Share(c dataset.Cell, v dataset.Value) (float64, bool) {
 	return m[v], true
 }
 
-// FDShape extracts (keyAttrs, valueAttr) from a bound constraint when it
-// has the classic FD shape — every predicate an equality across the two
-// tuple variables on the same attribute, except exactly one inequality on
-// the same attribute of both tuples. It reports ok=false otherwise.
-func FDShape(b *dc.Bound) (key []int, value int, ok bool) {
-	if b.TupleVars != 2 {
-		return nil, 0, false
-	}
-	value = -1
-	for _, p := range b.Preds {
-		if p.RightIsConst || p.LeftTuple == p.RightTuple || p.LeftAttr != p.RightAttr {
-			return nil, 0, false
-		}
-		switch p.Op {
-		case dc.Eq:
-			key = append(key, p.LeftAttr)
-		case dc.Neq:
-			if value >= 0 {
-				return nil, 0, false
-			}
-			value = p.LeftAttr
-		default:
-			return nil, 0, false
-		}
-	}
-	if value < 0 || len(key) == 0 {
-		return nil, 0, false
-	}
-	return key, value, true
-}
-
 // groupsFor buckets tuples by their key-attribute values. Groups come back
 // ordered by first tuple: Estimate accumulates floats across them, and a
 // map-ordered sum would differ in the last ulp from run to run.
@@ -123,7 +92,8 @@ func groupsFor(ds *dataset.Dataset, key []int, value int) []Group {
 }
 
 // Estimate runs the accuracy/vote fixpoint over the voting groups induced
-// by the FD-shaped constraints. iterations defaults to 5 when <= 0.
+// by the FD-shaped constraints (dc.Bound.FDAttr). iterations defaults to
+// 5 when <= 0.
 func Estimate(ds *dataset.Dataset, bounds []*dc.Bound, iterations int) *Votes {
 	if iterations <= 0 {
 		iterations = 5
@@ -131,11 +101,16 @@ func Estimate(ds *dataset.Dataset, bounds []*dc.Bound, iterations int) *Votes {
 	var groups []Group
 	seen := make(map[int]bool) // avoid duplicate (key,value) group sets per value attr
 	for _, b := range bounds {
-		key, value, ok := FDShape(b)
-		if !ok || seen[value] {
+		value := b.FDAttr
+		if value < 0 || seen[value] {
 			continue
 		}
 		seen[value] = true
+		// An FD-shaped constraint joins every key attribute to itself.
+		key := make([]int, len(b.Joins))
+		for i, j := range b.Joins {
+			key[i] = j[0]
+		}
 		groups = append(groups, groupsFor(ds, key, value)...)
 	}
 	vt := &Votes{

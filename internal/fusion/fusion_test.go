@@ -10,30 +10,6 @@ import (
 	"holoclean/internal/dc"
 )
 
-func TestFDShape(t *testing.T) {
-	fd := dc.FD("f", []string{"Flight"}, []string{"Dep"})[0]
-	ds := dataset.New([]string{"Flight", "Dep"})
-	b, err := fd.Bind(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, value, ok := FDShape(b)
-	if !ok || len(key) != 1 || key[0] != 0 || value != 1 {
-		t.Errorf("FDShape = %v/%v/%v", key, value, ok)
-	}
-	// Non-FD shapes are rejected.
-	notFD := dc.MustParse("t1&t2&EQ(t1.Flight,t2.Flight)&LT(t1.Dep,t2.Dep)")
-	b2, _ := notFD.Bind(ds)
-	if _, _, ok := FDShape(b2); ok {
-		t.Errorf("LT constraint should not be FD-shaped")
-	}
-	constC := dc.MustParse(`t1&t2&EQ(t1.Flight,t2.Flight)&IQ(t1.Dep,"x")`)
-	b3, _ := constC.Bind(ds)
-	if _, _, ok := FDShape(b3); ok {
-		t.Errorf("constant predicate should not be FD-shaped")
-	}
-}
-
 // buildReports creates a flights-style dataset: numFlights entities, each
 // reported by sources with the given accuracies. Returns the dataset and
 // the true value per flight.

@@ -8,9 +8,7 @@ package partition
 
 import (
 	"slices"
-	"strconv"
 
-	"holoclean/internal/dataset"
 	"holoclean/internal/violation"
 )
 
@@ -125,36 +123,4 @@ func Components(h *violation.Hypergraph) [][]int {
 		}
 	}
 	return uf.sets(members, make([]int32, n))
-}
-
-// Touched reports, for each tuple group, whether it intersects the dirty
-// tuple set — the invalidation primitive of incremental re-cleaning: a
-// conflict component none of whose tuples changed grounds to the same
-// factors and can reuse its cached inference results.
-func Touched(comps [][]int, dirty map[int]bool) []bool {
-	out := make([]bool, len(comps))
-	for i, tuples := range comps {
-		for _, t := range tuples {
-			if dirty[t] {
-				out[i] = true
-				break
-			}
-		}
-	}
-	return out
-}
-
-// Fingerprint renders a cell group compactly for composition matching
-// across runs: two shards with equal fingerprints own exactly the same
-// cells in the same order. Incremental sessions use it to verify that a
-// cached shard's composition survived a delta before reusing its results.
-func Fingerprint(cells []dataset.Cell) string {
-	buf := make([]byte, 0, len(cells)*8)
-	for _, c := range cells {
-		buf = strconv.AppendInt(buf, int64(c.Tuple), 36)
-		buf = append(buf, '.')
-		buf = strconv.AppendInt(buf, int64(c.Attr), 36)
-		buf = append(buf, ';')
-	}
-	return string(buf)
 }

@@ -35,11 +35,6 @@ type Config struct {
 	// binds, the highest-frequency candidates are kept. This bounds worst
 	// cases where τ is tiny and an attribute has a huge active domain.
 	MaxCandidates int
-	// KeepInitial is read by nothing: Compute always keeps a non-null
-	// observed value in the candidate set, which the minimality prior
-	// requires. It stays only because the reference test names its cases by
-	// printing the whole Config, and those names are pinned.
-	KeepInitial bool
 	// FullDomain disables pruning: every cell may take any value from its
 	// attribute's active domain (the strategy of [7, 12], used as the
 	// no-pruning ablation).

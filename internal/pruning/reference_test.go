@@ -95,7 +95,8 @@ func TestComputeMatchesPerCellReference(t *testing.T) {
 		}
 		cfgs = append(cfgs, Config{FullDomain: true}, Config{FullDomain: true, MaxCandidates: 2})
 		for _, cfg := range cfgs {
-			t.Run(fmt.Sprintf("%s/%+v", g.Name, cfg), func(t *testing.T) {
+			name := fmt.Sprintf("%s/tau=%v/max=%d/full=%v", g.Name, cfg.Tau, cfg.MaxCandidates, cfg.FullDomain)
+			t.Run(name, func(t *testing.T) {
 				got := Compute(ds, st, noisy, cfg)
 				want := computePerCell(ds, st, noisy, cfg)
 				if !reflect.DeepEqual(got.Cells, noisy) {

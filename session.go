@@ -16,8 +16,9 @@ import (
 // full Clean, tuples can be upserted or deleted and Reclean re-repairs
 // only the affected scope — scoped violation detection over the changed
 // tuples and their index-reachable counterparts, delta-maintained
-// statistics, shard-plan invalidation that re-executes only shards whose
-// inputs changed, and weight reuse by tying key. For deltas that touch a
+// statistics, weight reuse by tying key and, in the independent-variable
+// regime, re-inference of only the cells whose inputs changed (a
+// correlated model re-runs its whole shard plan). For deltas that touch a
 // small fraction of the data, Reclean produces exactly the repairs and
 // marginals a from-scratch Clean of the mutated dataset would (given the
 // same weights) at a fraction of the cost.
@@ -38,7 +39,7 @@ type Session struct {
 	// labeled evidence on every relearn.
 	confirmed []Feedback
 
-	// prev is the last finished pass — the statistics, domains, shard plan,
+	// prev is the last finished pass — the statistics, domains,
 	// weights and per-cell outcomes the next Reclean diffs against and
 	// carries forward; nil until the first Clean. before is the pending
 	// delta against it: for every slot below prev's tuple count that
@@ -227,8 +228,10 @@ func (s *Session) adopt(p *pass) {
 // Weights learned by the initial Clean are reused via their tying keys
 // unless Options.RelearnEvery schedules a relearn for this round; given
 // reused weights, the output is identical to Clean on the mutated
-// dataset, but only shards whose inputs the delta invalidated execute
-// (Result.Stats.ShardsReused counts the carried-forward remainder).
+// dataset. Under the independent-variable variants only the cells whose
+// inputs the delta invalidated are re-inferred (Result.Stats.ShardsReused
+// counts the shards of the full plan carried forward); a DC Factors
+// session re-executes its whole shard plan.
 func (s *Session) Reclean() (*Result, error) {
 	if s.prev == nil {
 		return s.Clean()
@@ -376,31 +379,14 @@ func (p *pass) maskStats() {
 // invalidateTuples computes the dirty set of a pass with a previous one:
 // the tuples whose shards must re-execute. It leaves dirty nil — every
 // shard executes — when there is no previous pass or the delta cannot be
-// scoped.
+// scoped. Correlated shards (DC Factors variants) are never scoped: only
+// an independent variable's outcome is a closed form of its own factors,
+// so only the independent regime carries outcomes forward.
 func (p *pass) invalidateTuples() error {
 	if p.prev == nil {
 		return nil
 	}
 	ds, prev := p.ds, p.prev
-
-	// Candidate diff: cells whose pruned domain changed invalidate their
-	// tuple (and, through the join buckets, their counterparts).
-	candChanged := make(map[int]bool)
-	for i, c := range p.domains.Cells {
-		if !slices.Equal(p.domains.Candidates[i], prev.domains.Of(c)) && p.changed[c.Tuple] == nil && !p.maskChanged[c.Tuple] {
-			candChanged[c.Tuple] = true
-		}
-	}
-	for _, c := range prev.domains.Cells {
-		// A cell that left the noisy set by being confirmed did not move
-		// the noisy mask, yet it stopped being a query variable — which
-		// shifts its siblings' weak-evidence discounts and its
-		// counterparts' DC factors — so its tuple is a candidate change
-		// like any other.
-		if p.domains.Index(c) < 0 && c.Tuple < ds.NumTuples() && p.changed[c.Tuple] == nil && !p.maskChanged[c.Tuple] {
-			candChanged[c.Tuple] = true
-		}
-	}
 
 	// Shared-index refresh: rebind to the mutated dataset and domains,
 	// which drops every bucket index and the counterpart tables of the
@@ -413,29 +399,44 @@ func (p *pass) invalidateTuples() error {
 	}
 	p.shared.Rebind(ds, p.domains, changedAttrs)
 
-	// Dirty closure: changed tuples, mask/candidate/match diffs, and one
-	// join hop outward — any tuple whose candidate labels intersect a
-	// source tuple's old or new labels on a constraint equality join may
-	// gain or lose grounded counterparts. Statistics-context dirt is
-	// added per cell, by the featurizer that reads the statistics.
-	if p.prep.RelationWide {
-		return nil // a featurizer over the whole relation: nothing survives
+	if p.opts.Variant.DCFactors || p.prep.RelationWide {
+		return nil // correlated shards, or a featurizer over the whole relation: nothing survives
 	}
 	for _, b := range p.prep.Bounds {
 		if b.TupleVars == 2 && len(b.Joins) == 0 {
 			return nil // scan-grounded constraint: no index to scope by
 		}
 	}
+
+	// Dirty closure: changed tuples, mask/candidate/match diffs, and one
+	// join hop outward (propagateJoins). Statistics-context dirt is added
+	// per cell, by the featurizer that reads the statistics.
 	p.dirty = make(map[int]bool)
 	for t := range p.changed {
 		p.dirty[t] = true
 	}
-	for _, set := range []map[int]bool{p.maskChanged, candChanged, p.matchChanged()} {
+	for _, set := range []map[int]bool{p.maskChanged, p.matchChanged()} {
 		for t := range set {
 			p.dirty[t] = true
 		}
 	}
-	p.propagateJoins(candChanged)
+	// Candidate diff: cells whose pruned domain changed invalidate their
+	// tuple.
+	for i, c := range p.domains.Cells {
+		if !slices.Equal(p.domains.Candidates[i], prev.domains.Of(c)) {
+			p.dirty[c.Tuple] = true
+		}
+	}
+	for _, c := range prev.domains.Cells {
+		// A cell that left the noisy set by being confirmed did not move
+		// the noisy mask, yet it stopped being a query variable — which
+		// shifts its siblings' weak-evidence discounts — so its tuple is
+		// dirty like any other candidate change.
+		if p.domains.Index(c) < 0 && c.Tuple < ds.NumTuples() {
+			p.dirty[c.Tuple] = true
+		}
+	}
+	p.propagateJoins()
 	p.prep.MarkStatDirty(compile.StatsDelta{Raw: p.stDelta, Masked: p.maskedDelta, PrevQuasiKey: p.prevQuasi}, p.dirty)
 	return nil
 }
@@ -443,52 +444,29 @@ func (p *pass) invalidateTuples() error {
 // propagateJoins marks as dirty every tuple whose grounded counterpart
 // set may have changed: for each constraint σ and each source tuple m
 // whose delta touches an attribute σ references, the tuples whose
-// candidate labels intersect m's old or new labels on σ's equality-join
-// attributes are one join hop from the delta and re-execute. Constraints
-// that reference none of a source's changed attributes see exactly the
-// same counterpart contributions as before and propagate nothing.
-//
-// A source's relevant changes are its initial-value changes (counterpart
-// rows fold into relaxed features and DC factors by value); under
-// correlation-factor variants, candidate-set and noisy-mask changes on
-// referenced attributes count too, since DC grounding joins through
-// candidate-label buckets and scopes pairs by the query-attribute map.
-func (p *pass) propagateJoins(candChanged map[int]bool) {
-	ds, n, prevN, prev := p.ds, p.ds.NumTuples(), p.prev.n, p.prev
+// candidate labels intersect m's old or new initial values on σ's
+// equality-join attributes are one join hop from the delta and
+// re-execute. Relaxed features read counterparts at their initial values,
+// so a source's candidate set and noisy mask never reach another tuple's
+// features. Constraints that reference none of a source's changed
+// attributes see exactly the same counterpart contributions as before and
+// propagate nothing.
+func (p *pass) propagateJoins() {
+	ds, n, prevN := p.ds, p.ds.NumTuples(), p.prev.n
 
-	// sourceAttrs maps each source tuple to the attributes its delta
-	// touched: the diff's record, joined under correlation factors by the
-	// tuples whose noisy mask or candidates moved (never a changed tuple)
-	// with the attributes whose candidate set differs.
-	sourceAttrs := p.changed
-	if p.opts.Variant.DCFactors {
-		sourceAttrs = maps.Clone(p.changed)
-		for _, set := range []map[int]bool{p.maskChanged, candChanged} {
-			for t := range set {
-				for a := 0; a < ds.NumAttrs(); a++ {
-					if c := (Cell{Tuple: t, Attr: a}); !slices.Equal(p.domains.Of(c), prev.domains.Of(c)) {
-						sourceAttrs[t] = append(sourceAttrs[t], a)
-					}
-				}
-			}
-		}
-	}
-
-	// srcLabels gathers the old and new labels tuple m exposes on attr:
-	// initial values plus noisy-cell candidate sets, before and after.
-	srcLabels := func(m, attr int) []dataset.Value {
+	// srcValues gathers the old and new initial values tuple m exposes on
+	// attr.
+	srcValues := func(m, attr int) []dataset.Value {
 		var out []dataset.Value
 		if m < prevN {
 			if v := p.oldRow(m)[attr]; v != dataset.Null {
 				out = append(out, v)
 			}
-			out = append(out, prev.domains.Of(Cell{Tuple: m, Attr: attr})...)
 		}
 		if m < n {
 			if v := ds.Get(m, attr); v != dataset.Null {
 				out = append(out, v)
 			}
-			out = append(out, p.domains.Of(Cell{Tuple: m, Attr: attr})...)
 		}
 		return out
 	}
@@ -507,13 +485,13 @@ func (p *pass) propagateJoins(candChanged map[int]bool) {
 		if b.TupleVars != 2 {
 			continue
 		}
-		for m, attrs := range sourceAttrs {
+		for m, attrs := range p.changed {
 			if !slices.ContainsFunc(attrs, func(a int) bool { return b.References(-1, a) }) {
 				continue
 			}
 			for _, j := range b.Joins {
-				mark(j[0], srcLabels(m, j[1]))
-				mark(j[1], srcLabels(m, j[0]))
+				mark(j[0], srcValues(m, j[1]))
+				mark(j[1], srcValues(m, j[0]))
 			}
 		}
 	}

@@ -215,8 +215,9 @@ func TestSessionUpsertDeleteAppendEquivalence(t *testing.T) {
 }
 
 // TestSessionCoupledVariantEquivalence repeats the contract for a model
-// with correlation factors, where shards are conflict components and
-// reuse is per component (composition-matched) instead of per cell.
+// with correlation factors, where shards are conflict components: a
+// coupled Reclean carries no outcome forward and re-executes the whole
+// plan a full Clean runs.
 func TestSessionCoupledVariantEquivalence(t *testing.T) {
 	ds, cs := sessionFixture(12)
 	opts := DefaultOptions()
@@ -240,8 +241,8 @@ func TestSessionCoupledVariantEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdenticalResults(t, "coupled", incr, ref)
-	if incr.Stats.ShardsReused == 0 {
-		t.Errorf("coupled: no component shards reused")
+	if incr.Stats.ShardsReused != 0 || incr.Stats.Shards != ref.Stats.Shards {
+		t.Errorf("coupled: executed %d shards and reused %d, want the full plan's %d and none", incr.Stats.Shards, incr.Stats.ShardsReused, ref.Stats.Shards)
 	}
 }
 

@@ -36,24 +36,8 @@ type shard struct {
 	// split marks sub-shards cut out of an oversized conflict component
 	// by Options.MaxComponentCells. Split shards are not exact components:
 	// their cut severs real correlations, which boundary-factor damping
-	// (boundaryDamp) partially restores. They fingerprint under their own
-	// kind so a re-split plan is never confused with a whole-shard plan.
+	// (boundaryDamp) partially restores.
 	split bool
-}
-
-// fingerprint identifies the shard's composition (cells plus cut kind)
-// for cross-run reuse checks. Whole components and batches share a kind:
-// both ground exactly their cells, so equal cells mean an equal model.
-func (sh shard) fingerprint(cells []dataset.Cell) string {
-	sc := make([]dataset.Cell, len(sh.cells))
-	for k, i := range sh.cells {
-		sc[k] = cells[i]
-	}
-	kind := "w|"
-	if sh.split {
-		kind = "s|"
-	}
-	return kind + partition.Fingerprint(sc)
 }
 
 // boundaryDamp is the weight coefficient of boundary factors on split
@@ -138,47 +122,25 @@ func planShards(dom *pruning.Domains, comps [][]int, coupled bool, maxComponentC
 	return out
 }
 
-// splitPlan is the shard planner's dirty-set mode: given the full plan a
-// from-scratch run would execute and the set of tuples invalidated by a
-// delta, it returns the shards that must actually run plus the cell
-// indices whose cached results can be carried forward.
-//
-// When rebatch is true (the independent-variable regime, where a cell's
-// closed-form marginal is a function of its own factors and the weights,
-// never of which batch it lands in), the dirty cells are re-packed into
-// fresh tuple-aligned batches and every clean cell is reused — the
-// sharpest possible invalidation. Otherwise shards are reused wholesale,
-// and only when their composition matches a fingerprint of the previous
-// plan (prevSigs): Gibbs sweeps and component grounding depend on the
-// shard's full membership, so a component that merged, split, or
-// re-batched must re-run even if its own tuples never changed.
-func splitPlan(plan []shard, cells []dataset.Cell, dirty map[int]bool, rebatch bool, prevSigs map[string]bool) (exec []shard, reused []int) {
-	if rebatch {
-		var dirtyIdx []int
-		for _, sh := range plan {
-			for _, i := range sh.cells {
-				if dirty[cells[i].Tuple] {
-					dirtyIdx = append(dirtyIdx, i)
-				} else {
-					reused = append(reused, i)
-				}
+// splitPlan is the shard planner's dirty-set mode, for the
+// independent-variable regime, where a cell's closed-form marginal is a
+// function of its own factors and the weights, never of which batch it
+// lands in: given the full plan a from-scratch run would execute and the
+// set of tuples invalidated by a delta, it re-packs the dirty cells into
+// fresh tuple-aligned batches and returns every other cell index as
+// reused, its cached outcome carried forward.
+func splitPlan(plan []shard, cells []dataset.Cell, dirty map[int]bool) (exec []shard, reused []int) {
+	var dirtyIdx []int
+	for _, sh := range plan {
+		for _, i := range sh.cells {
+			if dirty[cells[i].Tuple] {
+				dirtyIdx = append(dirtyIdx, i)
+			} else {
+				reused = append(reused, i)
 			}
 		}
-		return batchByTuple(cells, dirtyIdx, cellBatch), reused
 	}
-	for _, sh := range plan {
-		tuples := make([]int, len(sh.cells))
-		for k, i := range sh.cells {
-			tuples[k] = cells[i].Tuple
-		}
-		touched := partition.Touched([][]int{tuples}, dirty)[0]
-		if touched || !prevSigs[sh.fingerprint(cells)] {
-			exec = append(exec, sh)
-			continue
-		}
-		reused = append(reused, sh.cells...)
-	}
-	return exec, reused
+	return batchByTuple(cells, dirtyIdx, cellBatch), reused
 }
 
 // batchByTuple packs cell indices into shards of roughly target cells,

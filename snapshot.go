@@ -50,7 +50,7 @@ type snapshotCell struct {
 // session: the current (dirty) dataset, the constraints in their textual
 // form, the learned weights, the accumulated feedback, and the reclean
 // counter. It does not serialize the incremental caches (statistics,
-// marginals, shard fingerprints) — RestoreSession rebuilds those with one
+// domains, marginals) — RestoreSession rebuilds those with one
 // full pipeline pass, which by the session equivalence contract
 // reproduces them exactly. Snapshot must not be called with mutations
 // staged but not yet recleaned if the restored session is expected to
