@@ -100,53 +100,3 @@ func TestCleanSplitDampingCloseMarginals(t *testing.T) {
 		t.Errorf("mean |Δp| of top marginals = %.3f, want <= 0.15", avg)
 	}
 }
-
-// TestSessionRecleanWithSplitting: the incremental session contract
-// survives component splitting — a delta away from the giant component
-// re-executes the whole plan, split sub-shards included, and the reclean
-// stays byte-identical to a from-scratch clean of the mutated dataset.
-func TestSessionRecleanWithSplitting(t *testing.T) {
-	g := datagen.Skew(datagen.SkewConfig{Tuples: 500, Seed: 11, HotFrac: 0.6})
-	opts := skewOptions()
-	opts.Workers = 2
-	opts.MaxComponentCells = 200
-	s, err := NewSession(g.Dirty, g.Constraints, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := s.Clean()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Stats.SplitShards < 2 {
-		t.Fatalf("SplitShards = %d, want the giant component split", first.Stats.SplitShards)
-	}
-
-	// Mutate one isolated filler pair (its keys join nothing in the hot
-	// region), so the giant component's sub-shards stay clean.
-	ds := s.Dataset()
-	tup := ds.NumTuples() - 1
-	row := make([]string, ds.NumAttrs())
-	for a := range row {
-		row[a] = ds.GetString(tup, a)
-	}
-	row[2] = row[2] + "zz"
-	if _, err := s.Upsert(tup, row); err != nil {
-		t.Fatal(err)
-	}
-
-	incr, err := s.Reclean()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refOpts := opts
-	refOpts.InitialWeights = s.Weights()
-	ref, err := New(refOpts).Clean(s.Dataset(), g.Constraints)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalResults(t, "reclean with split components", incr, ref)
-	if incr.Stats.ShardsReused != 0 || incr.Stats.Shards != ref.Stats.Shards {
-		t.Errorf("executed %d shards and reused %d, want the full plan's %d and none", incr.Stats.Shards, incr.Stats.ShardsReused, ref.Stats.Shards)
-	}
-}

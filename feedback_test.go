@@ -1,12 +1,6 @@
 package holoclean
 
-import (
-	"bytes"
-	"fmt"
-	"testing"
-
-	"holoclean/internal/datagen"
-)
+import "testing"
 
 func TestFeedbackLoop(t *testing.T) {
 	// An ambiguous 1-1 conflict the model may resolve either way; user
@@ -138,178 +132,6 @@ func TestFeedbackRejectsDuplicates(t *testing.T) {
 	}
 }
 
-// TestSessionFeedbackMatchesCleanWithFeedback: applying feedback through
-// a session (with weight reuse) must be byte-identical to the one-shot
-// CleanWithFeedback path on the same pre-feedback dataset with the same
-// injected weights — the session serving layer and the library path are
-// the same model.
-func TestSessionFeedbackMatchesCleanWithFeedback(t *testing.T) {
-	ds, cs := sessionFixture(12)
-	opts := DefaultOptions()
-	s, err := NewSession(ds, cs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Clean(); err != nil {
-		t.Fatal(err)
-	}
-	before := s.Dataset()
-	fb := []Feedback{
-		{Cell: Cell{Tuple: 4, Attr: 1}, Value: "v000"}, // the bad tuple of group 0
-		{Cell: Cell{Tuple: 9, Attr: 1}, Value: "v001"},
-	}
-	got, err := s.Feedback(fb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refOpts := opts
-	refOpts.InitialWeights = s.Weights()
-	want, err := New(refOpts).CleanWithFeedback(before, cs, fb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalResults(t, "session feedback", got, want)
-	// Confirmed cells hold their values and are no longer query variables.
-	for _, f := range fb {
-		if got.Repaired.GetString(f.Cell.Tuple, f.Cell.Attr) != f.Value {
-			t.Errorf("confirmed cell %v not pinned to %q", f.Cell, f.Value)
-		}
-		if got.MarginalOf(f.Cell) != nil {
-			t.Errorf("confirmed cell %v still inferred", f.Cell)
-		}
-	}
-	// A follow-up delta reclean must keep honoring the confirmations.
-	if _, err := s.Upsert(7, []string{"k001", "bad-later"}); err != nil {
-		t.Fatal(err)
-	}
-	after, err := s.Reclean()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refOpts2 := opts
-	refOpts2.InitialWeights = s.Weights()
-	want2, err := New(refOpts2).CleanWithFeedback(func() *Dataset {
-		d := before.Clone()
-		d.SetString(7, 0, "k001")
-		d.SetString(7, 1, "bad-later")
-		return d
-	}(), cs, fb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalResults(t, "post-feedback reclean", after, want2)
-}
-
-// TestSessionFeedbackRelearnSchedule: feedback rounds count toward the
-// RelearnEvery schedule — with RelearnEvery=1 every feedback batch
-// retrains (confirmed cells as labeled evidence), with the default 0 the
-// learned weights are reused and no SGD runs.
-func TestSessionFeedbackRelearnSchedule(t *testing.T) {
-	ds, cs := sessionFixture(8)
-	opts := DefaultOptions()
-	opts.RelearnEvery = 1
-	s, err := NewSession(ds, cs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Clean(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Feedback([]Feedback{{Cell: Cell{Tuple: 4, Attr: 1}, Value: "v000"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.LearnTime == 0 {
-		t.Errorf("RelearnEvery=1 feedback round skipped retraining")
-	}
-
-	ds2, cs2 := sessionFixture(8)
-	s2, err := NewSession(ds2, cs2, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.Clean(); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := s2.Feedback([]Feedback{{Cell: Cell{Tuple: 4, Attr: 1}, Value: "v000"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Stats.LearnTime != 0 {
-		t.Errorf("RelearnEvery=0 feedback round ran SGD; want weight reuse")
-	}
-}
-
-// TestSessionFeedbackSurvivesDeltas pins how confirmations interact
-// with later deltas: a swap-delete renumbers confirmations on the moved
-// tuple (and drops the deleted tuple's), and an upsert that overwrites
-// a confirmed value supersedes the confirmation. Either way the session
-// keeps satisfying the equivalence contract and stays snapshotable.
-func TestSessionFeedbackSurvivesDeltas(t *testing.T) {
-	ds, cs := sessionFixture(10)
-	opts := DefaultOptions()
-	s, err := NewSession(ds, cs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Clean(); err != nil {
-		t.Fatal(err)
-	}
-	n := s.NumTuples()
-	// Confirm a cell on the LAST tuple, then delete an earlier tuple:
-	// DeleteSwap moves the confirmed tuple into the vacated slot.
-	last := n - 1
-	if _, err := s.Feedback([]Feedback{{Cell: Cell{Tuple: last, Attr: 1}, Value: "v009"}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete(4); err != nil {
-		t.Fatal(err)
-	}
-	conf := s.Confirmed()
-	if len(conf) != 1 || conf[0].Cell.Tuple != 4 {
-		t.Fatalf("confirmation not renumbered with the swapped tuple: %+v", conf)
-	}
-	incr, err := s.Reclean()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refOpts := opts
-	refOpts.InitialWeights = s.Weights()
-	want, err := New(refOpts).CleanWithFeedback(s.Dataset(), cs, conf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalResults(t, "post-swap reclean", incr, want)
-
-	// The session must still snapshot and restore (the stale index
-	// would have failed restore validation).
-	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := RestoreSession(&buf, opts); err != nil {
-		t.Fatal(err)
-	}
-
-	// Deleting the confirmed tuple itself drops the confirmation; an
-	// upsert overwriting the confirmed value supersedes it too.
-	if err := s.Delete(4); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Confirmed(); len(got) != 0 {
-		t.Fatalf("confirmation survived deletion of its tuple: %+v", got)
-	}
-	if _, err := s.Feedback([]Feedback{{Cell: Cell{Tuple: 2, Attr: 1}, Value: "v000"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Upsert(2, []string{"k000", "overwritten"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Confirmed(); len(got) != 0 {
-		t.Fatalf("confirmation survived an upsert that changed its value: %+v", got)
-	}
-}
-
 // TestSessionFeedbackIsScopedReclean: a feedback round that does not
 // relearn is an incremental pass — shards the confirmations never reached
 // carry forward.
@@ -331,49 +153,6 @@ func TestSessionFeedbackIsScopedReclean(t *testing.T) {
 	}
 	if res.Stats.LearnTime != 0 {
 		t.Errorf("feedback round relearned (LearnTime = %v) with RelearnEvery = 0", res.Stats.LearnTime)
-	}
-}
-
-// TestSessionFeedbackInvalidatesSiblings: confirming a cell's current
-// value changes no row and no noisy mask, yet the cell stops being a
-// query variable, which moves the weak-evidence discount of every
-// dictionary match and relaxed constraint conditioned on it. The scoped
-// feedback round must re-execute those siblings: rounds on Food (which
-// has dictionary matches) stay byte-identical to CleanWithFeedback.
-func TestSessionFeedbackInvalidatesSiblings(t *testing.T) {
-	g := datagen.Food(datagen.Config{Tuples: 500, Seed: 1})
-	opts := DefaultOptions()
-	opts.Dictionaries, opts.MatchDependencies = g.Dictionaries, g.MatchDeps
-	s, err := NewSession(g.Dirty, g.Constraints, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Clean()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 3; round++ {
-		confirmed := s.confirmedSet()
-		var fb []Feedback
-		for i, r := range res.Repairs {
-			if i%7 == round && !confirmed[r.Cell] && r.Old != "" && len(fb) < 3 {
-				fb = append(fb, Feedback{Cell: r.Cell, Value: r.Old})
-			}
-		}
-		before, all := s.Dataset(), append(s.Confirmed(), fb...)
-		if res, err = s.Feedback(fb); err != nil {
-			t.Fatal(err)
-		}
-		ref := opts
-		ref.InitialWeights = s.Weights()
-		want, err := New(ref).CleanWithFeedback(before, g.Constraints, all)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdenticalResults(t, fmt.Sprintf("round %d", round), res, want)
-		if res.Stats.ShardsReused == 0 {
-			t.Errorf("round %d: ShardsReused = 0, want > 0", round)
-		}
 	}
 }
 

@@ -515,7 +515,7 @@ type pass struct {
 	matches    map[int][]extdict.Match // prepare: dictionary matches by tuple
 	shared     *ddlog.SharedIndex      // plan (invalidate rebinds a previous pass's)
 	interner   *factor.KeyInterner     // canonical tying-key store of every grounding
-	outcomes   map[Cell]cellOutcome    // infer: per-cell marginal, MAP label and probability
+	outcomes   map[Cell]cellOutcome    // infer: per-cell marginal, MAP label and unlearned keys; nil unless adopted and carriesOutcomes
 
 	*working
 }
@@ -537,11 +537,10 @@ type working struct {
 	maskedDelta   *stats.Delta          // prepare: clean-cell counters the delta touched (nil without masked)
 	prep          *compile.Prepared     // prepare
 	dirty         map[int]bool          // invalidate: tuples that must re-execute; nil executes every shard
-	plan          []shard               // plan: the full shard plan, reused shards included
 	exec          []shard               // plan: the shards that run
 	reused        []int                 // plan: cell indices whose cached outcome carries forward
 	learnGround   time.Duration         // learn: learning-graph grounding, booked with the shards'
-	unlearnedKeys map[string]bool       // learn, infer: tying keys the pass's graphs named that weights lacks (RunStats.Weights)
+	unlearnedKeys map[string]bool       // learn, infer: tying keys the pass's graphs (and reused cells) named that weights lacks (RunStats.Weights)
 }
 
 // newPass starts a full pass over ds: no previous pass, weights learned
@@ -634,6 +633,9 @@ func (p *pass) run(adopt func(*pass)) (*Result, error) {
 		}
 		st.Variables = st.QueryVars + st.EvidenceVars
 		mem.sample() // phase boundary: compilation + learning done
+		if adopt != nil && p.carriesOutcomes() {
+			p.outcomes = make(map[Cell]cellOutcome) // for the next pass to carry forward
+		}
 		if err := p.inferRepairs(); err != nil {
 			return err
 		}
@@ -766,15 +768,12 @@ func (p *pass) planExecution() error {
 		st.ComponentSizeHist = partition.SizeHistogram(comps)
 		st.LargestComponentFrac = partition.LargestFrac(comps)
 	}
-	p.plan = planShards(p.domains, comps, o.Variant.DCFactors, o.MaxComponentCells)
-	p.exec = p.plan
+	plan := planShards(p.domains, comps, o.Variant.DCFactors, o.MaxComponentCells)
+	p.exec = plan
 	if p.dirty != nil {
-		p.exec, p.reused = splitPlan(p.plan, p.domains.Cells, p.dirty)
+		p.exec, p.reused = splitPlan(p.domains.Cells, p.dirty)
 	}
-	st.Shards = len(p.exec)
-	if r := len(p.plan) - len(p.exec); r > 0 {
-		st.ShardsReused = r
-	}
+	st.Shards, st.ShardsReused = len(p.exec), max(0, len(plan)-len(p.exec))
 	for _, sh := range p.exec {
 		if sh.split {
 			st.SplitShards++
@@ -818,16 +817,20 @@ func (p *pass) learnWeights() error {
 }
 
 // countKeys records the tying keys of a grounded graph for
-// RunStats.Weights: the broadcast map counts whole, even when reused
-// shards never re-ground its keys, so only the keys it lacks (fixed
-// weights) need a set. The count then agrees between an incremental pass
-// and the equivalent full one.
-func (p *pass) countKeys(keys []string) {
-	for _, k := range keys {
+// RunStats.Weights and reports, by weight id, which of them the broadcast
+// map lacks: the map counts whole, even when reused shards never re-ground
+// its keys, so only the keys it lacks (fixed weights, and priors only
+// query cells name) need a set, to which each reused cell adds its own
+// (cellOutcome.unlearned). The count then agrees between an incremental
+// pass and the equivalent full one.
+func (p *pass) countKeys(keys []string) (lacks []bool) {
+	lacks = make([]bool, len(keys))
+	for i, k := range keys {
 		if _, ok := p.weights[k]; !ok {
-			p.unlearnedKeys[k] = true
+			p.unlearnedKeys[k], lacks[i] = true, true
 		}
 	}
+	return lacks
 }
 
 // inferRepairs grounds and infers the executing shards on the worker
@@ -836,18 +839,20 @@ func (p *pass) countKeys(keys []string) {
 func (p *pass) inferRepairs() error {
 	res := p.res
 	res.Repaired = p.ds.Clone()
-	p.outcomes = make(map[Cell]cellOutcome)
 	// Carry cached results forward for the cells the delta never touched:
 	// their model is provably identical (same row, same candidates, same
 	// statistics contexts, same counterpart joins, same weights, same
 	// chain seed), so their marginals and MAP repair are too. Cells whose
 	// candidate set is empty had no variable in either pass and need no
 	// cache entry. The Result takes over the marginal slices of the pass
-	// being replaced; Session.adopt gives the retained outcomes their own.
+	// being replaced; emit gives the retained outcomes their own.
 	for _, i := range p.reused {
 		c := p.domains.Cells[i]
 		if out, ok := p.prev.outcomes[c]; ok {
 			p.emit(c, out)
+			for _, k := range out.unlearned { // RunStats.Weights, as the full pass counts it
+				p.unlearnedKeys[k] = true
+			}
 		}
 	}
 	runner := &shardRunner{pass: p}

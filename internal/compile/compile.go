@@ -321,7 +321,6 @@ func buildProgram(bounds []*dc.Bound, opts Options) *ddlog.Program {
 				Name:        name,
 				Constraint:  ci,
 				FixedWeight: opts.DCWeight,
-				Partition:   opts.Variant.Partition,
 			})
 		}
 	}

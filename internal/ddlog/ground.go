@@ -50,8 +50,8 @@ type Database struct {
 	Matches []extdict.Match
 	// GroupIndex is the dense constraint → tuple → group-id (-1 = none)
 	// view of the Algorithm 3 tuple groups, built once per run with
-	// BuildGroupIndex and shared read-only by every shard grounder. Nil
-	// disables partitioning even for rules that request it.
+	// BuildGroupIndex and shared read-only by every shard grounder. It
+	// alone switches Algorithm 3 on: nil grounds every DC-factor pair.
 	GroupIndex [][]int32
 	// Shared supplies the dataset-wide indexes grounding joins through,
 	// shared across the per-shard grounders of the sharded pipeline, and

@@ -164,7 +164,7 @@ func (gr *grounder) groundDC(rule *Rule) error {
 			}
 			w = dampWid
 		}
-		if rule.Partition && gr.db.GroupIndex != nil && !gr.sameGroup(ci, t1, t2) {
+		if gr.db.GroupIndex != nil && !gr.sameGroup(ci, t1, t2) {
 			return
 		}
 		nb := gr.foldFactor(b, t1, t2)

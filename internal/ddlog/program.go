@@ -67,8 +67,6 @@ type Rule struct {
 	// FixedWeight holds the constant weight for MinimalityFactors and
 	// DCFactors (learnable-weight kinds ignore it).
 	FixedWeight float64
-	// Partition restricts DC grounding to Algorithm 3 tuple groups.
-	Partition bool
 }
 
 // Program is an ordered list of rules — the probabilistic program

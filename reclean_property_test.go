@@ -1,99 +1,644 @@
 package holoclean
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"holoclean/internal/datagen"
+	"holoclean/internal/dc"
 )
 
-// randomScript stages one random delta on s: typo upserts (a value gets
-// one character appended and one overwritten), cross-copy upserts (a value
-// is copied from another tuple, the error mechanism of the generators),
-// appends of rows assembled from other tuples' values, and deletes.
-func randomScript(t *testing.T, s *Session, rng *rand.Rand, ops int) {
-	t.Helper()
-	ds, width := s.ds, len(s.Attrs())
-	row := func(tup int) []string {
-		out := make([]string, width)
-		for a := range out {
-			out[a] = ds.GetString(tup, a)
+// sessionModel is the plain-data model of a Session: the relation as
+// strings (with its provenance column, when it has one), the confirmed
+// cells in confirmation order, the weights every pass infers with and the
+// reclean counter. Its methods state what each Session operation does to
+// that data; the reference a session must equal after every pass is a
+// from-scratch CleanWithFeedback of the model.
+type sessionModel struct {
+	rows      [][]string
+	sources   []string // nil without a provenance column
+	confirmed []Feedback
+	weights   map[string]float64
+	recleans  int
+}
+
+func newSessionModel(ds *Dataset) *sessionModel {
+	m := &sessionModel{rows: make([][]string, ds.NumTuples())}
+	for t := range m.rows {
+		m.rows[t] = make([]string, ds.NumAttrs())
+		for a := range m.rows[t] {
+			m.rows[t][a] = ds.GetString(t, a)
 		}
-		return out
+		if ds.HasSources() {
+			m.sources = append(m.sources, ds.Source(t))
+		}
 	}
-	for k := 0; k < ops; k++ {
-		n := ds.NumTuples()
-		var err error
-		switch op := rng.Intn(6); {
-		case op < 2: // typo
-			tup, a := rng.Intn(n), rng.Intn(width)
-			r := row(tup)
-			b := []byte(r[a] + "x")
-			b[rng.Intn(len(b))] = byte('a' + rng.Intn(26))
-			r[a] = string(b)
-			_, err = s.Upsert(tup, r)
-		case op < 4: // cross-copy
-			tup, a := rng.Intn(n), rng.Intn(width)
-			r := row(tup)
-			r[a] = ds.GetString(rng.Intn(n), a)
-			_, err = s.Upsert(tup, r)
-		case op < 5: // append
-			r := make([]string, width)
-			for a := range r {
-				r[a] = ds.GetString(rng.Intn(n), a)
-			}
-			_, err = s.Upsert(-1, r)
-		default:
-			err = s.Delete(rng.Intn(n))
+	return m
+}
+
+// upsert overwrites tuple t; a confirmation the new row contradicts is
+// superseded.
+func (m *sessionModel) upsert(t int, row []string) {
+	m.rows[t] = row
+	m.confirmed = slices.DeleteFunc(m.confirmed, func(f Feedback) bool {
+		return f.Cell.Tuple == t && row[f.Cell.Attr] != f.Value
+	})
+}
+
+// append adds a tuple of unknown provenance.
+func (m *sessionModel) append(row []string) {
+	m.rows = append(m.rows, row)
+	if m.sources != nil {
+		m.sources = append(m.sources, "")
+	}
+}
+
+// delete moves the last tuple into slot t; the deleted tuple's
+// confirmations die with it and the moved tuple's follow it.
+func (m *sessionModel) delete(t int) {
+	last := len(m.rows) - 1
+	m.rows[t], m.rows = m.rows[last], m.rows[:last]
+	if m.sources != nil {
+		m.sources[t], m.sources = m.sources[last], m.sources[:last]
+	}
+	kept := m.confirmed[:0]
+	for _, f := range m.confirmed {
+		switch f.Cell.Tuple {
+		case t:
+			continue
+		case last:
+			f.Cell.Tuple = t
 		}
-		if err != nil {
-			t.Fatal(err)
+		kept = append(kept, f)
+	}
+	m.confirmed = kept
+}
+
+// confirm writes the confirmed values and appends them to the confirmed
+// list.
+func (m *sessionModel) confirm(fb []Feedback) {
+	for _, f := range fb {
+		m.rows[f.Cell.Tuple][f.Cell.Attr] = f.Value
+	}
+	m.confirmed = append(m.confirmed, fb...)
+}
+
+// dataset builds the model relation over like's value dictionary: a
+// pass orders candidates by value id, so the reference must intern every
+// string to the id the session's relation holds.
+func (m *sessionModel) dataset(like *Dataset) *Dataset {
+	ds := like.Clone()
+	for ds.NumTuples() > 0 {
+		ds.DeleteSwap(ds.NumTuples() - 1)
+	}
+	for t, row := range m.rows {
+		ds.Append(row)
+		if m.sources != nil {
+			ds.SetSource(t, m.sources[t])
+		}
+	}
+	return ds
+}
+
+// modelOp is one step of a model script. Kind is "set" (Upsert of tuple
+// Tuple with attribute Attr set to Value), "append" (Upsert of Row at -1),
+// "delete", "feedback" (Feedback of FB, which recleans), "reclean", or
+// "snapshot" (Snapshot → RestoreSession; the restored copy follows the
+// live session through the next step, then takes its place).
+type modelOp struct {
+	Kind  string
+	Tuple int
+	Attr  int
+	Value string
+	Row   []string
+	FB    []Feedback
+}
+
+// modelScript is one run of TestSessionMatchesModel: a configuration, its
+// worker count and relearn period, and the steps after the initial Clean.
+type modelScript struct {
+	Config       string
+	Workers      int
+	RelearnEvery int
+	Seed         int64
+	Steps        [][]modelOp
+}
+
+// String renders the script as a Go statement that replays it.
+func (sc *modelScript) String() string {
+	return strings.NewReplacer("holoclean.", "", "dataset.Cell{", "Cell{").Replace(fmt.Sprintf("modelReplay = &%#v", *sc))
+}
+
+// modelReplay, set by hand to the statement a failing run of
+// TestSessionMatchesModel logs, makes the test run that one script.
+var modelReplay *modelScript
+
+// modelConfig is one session configuration of TestSessionMatchesModel:
+// setup generates its relation and sets its options. reuses marks DC Feats
+// without fusion, the regime that carries outcomes forward; every other
+// configuration re-executes its whole plan.
+type modelConfig struct {
+	name   string
+	setup  func(o *Options) *datagen.Generated
+	reuses bool
+}
+
+var modelConfigs = []modelConfig{
+	{"hospital", func(*Options) *datagen.Generated { return modelHospital(200) }, true},
+	{"hospital+outliers", func(o *Options) *datagen.Generated {
+		o.OutlierDetection = true
+		return modelHospital(200)
+	}, true},
+	{"hospital/factors", func(o *Options) *datagen.Generated { return modelFactors(o, 0) }, false},
+	{"hospital/factors+split", func(o *Options) *datagen.Generated { return modelFactors(o, 12) }, false},
+	{"food", func(o *Options) *datagen.Generated {
+		g := datagen.Food(datagen.Config{Tuples: 300, Seed: 5})
+		o.Dictionaries, o.MatchDependencies = g.Dictionaries, g.MatchDeps
+		return g
+	}, true},
+	{"flights", func(*Options) *datagen.Generated { return datagen.Flights(datagen.Config{Tuples: 300, Seed: 5}) }, false},
+}
+
+func modelHospital(n int) *datagen.Generated {
+	return datagen.Hospital(datagen.Config{Tuples: n, Seed: 5})
+}
+
+// modelFactors sets DC Factors with a small sampling budget (the contract
+// holds for any budget) and the given component cap, over 100 hospital
+// rows.
+func modelFactors(o *Options, maxComponentCells int) *datagen.Generated {
+	o.Variant, o.MaxComponentCells = VariantDCFactors, maxComponentCells
+	o.GibbsBurnIn, o.GibbsSamples = 2, 10
+	return modelHospital(100)
+}
+
+// TestSessionMatchesModel is the session contract as one model-based
+// property: on six configurations — DC Feats with and without outlier
+// detection, DC Factors with and without component splitting, food with
+// its dictionaries and match dependencies, flights with source fusion —
+// at one and three workers, a seeded script of typo and cross-copy
+// upserts, appends, deletes, feedback mixed with deletes, no-op recleans
+// and snapshot/restore round trips drives a Session, and after every pass
+// the session equals a from-scratch CleanWithFeedback of the model under
+// the model's weights (see modelRun.check for the rest of what a pass
+// must satisfy). RelearnEvery rotates over 0, 2 and 3 with the seed and
+// the configuration, so every value runs under -short too, which runs one
+// seed per configuration; the full mode runs six.
+func TestSessionMatchesModel(t *testing.T) {
+	if sc := modelReplay; sc != nil {
+		for _, cfg := range modelConfigs {
+			if cfg.name == sc.Config {
+				runModelScript(t, cfg, &modelScript{Config: sc.Config, Workers: sc.Workers, RelearnEvery: sc.RelearnEvery, Seed: sc.Seed}, sc.Steps)
+				return
+			}
+		}
+		t.Fatalf("no configuration %q", sc.Config)
+	}
+	seeds := 6
+	if testing.Short() {
+		seeds = 1
+	}
+	for ci, cfg := range modelConfigs {
+		for _, workers := range []int{1, 3} {
+			for seed := int64(1); seed <= int64(seeds); seed++ {
+				sc := &modelScript{Config: cfg.name, Workers: workers, RelearnEvery: []int{0, 2, 3}[(int(seed)+ci)%3], Seed: seed}
+				t.Run(fmt.Sprintf("%s/workers=%d/seed=%d", cfg.name, workers, seed), func(t *testing.T) {
+					t.Parallel()
+					runModelScript(t, cfg, sc, nil)
+				})
+			}
 		}
 	}
 }
 
-// TestRecleanMatchesCleanUnderRandomScripts is the session contract as a
-// property: on three generators under DC Feats, with and without the
-// outlier detectors, every Reclean after a random script of typo and
-// cross-copy upserts, appends and deletes is byte-identical to a full
-// Clean of the mutated relation with the session's weights. Without the
-// join hop of invalidation (propagateJoins) it fails on every generator.
-func TestRecleanMatchesCleanUnderRandomScripts(t *testing.T) {
-	cfg := datagen.Config{Tuples: 300, Seed: 5}
-	for _, g := range []*datagen.Generated{datagen.Hospital(cfg), datagen.Food(cfg), datagen.Physicians(cfg)} {
-		for _, outliers := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/outliers=%v", g.Name, outliers), func(t *testing.T) {
-				opts := DefaultOptions()
-				opts.OutlierDetection = outliers
-				s, err := NewSession(g.Dirty, g.Constraints, opts)
-				if err != nil {
-					t.Fatal(err)
+// modelRun drives one script through a live session and the model.
+type modelRun struct {
+	t      *testing.T
+	cfg    modelConfig
+	opts   Options
+	cs     []*Constraint
+	rng    *rand.Rand
+	m      *sessionModel
+	s      *Session
+	shadow *Session // a restored copy following s through one step
+	last   *Result  // the live session's last result
+	script *modelScript
+	// constrained lists the attributes a constraint references.
+	constrained []int
+	reused      int // shards carried forward over the script
+	split       int // sub-shards executed over the script
+}
+
+// runModelScript runs steps, or a generated script of ten steps when
+// steps is nil, logging the script so far as a replay statement if the
+// run fails.
+func runModelScript(t *testing.T, cfg modelConfig, sc *modelScript, steps [][]modelOp) {
+	opts := DefaultOptions()
+	g := cfg.setup(&opts)
+	opts.Workers, opts.RelearnEvery = sc.Workers, sc.RelearnEvery
+	s, err := NewSession(g.Dirty, g.Constraints, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &modelRun{t: t, cfg: cfg, opts: opts, cs: g.Constraints, rng: rand.New(rand.NewSource(sc.Seed)),
+		m: newSessionModel(g.Dirty), s: s, script: sc}
+	for _, c := range g.Constraints {
+		for _, pr := range c.Predicates {
+			for _, o := range []dc.Operand{pr.Left, pr.Right} {
+				if a := g.Dirty.AttrIndex(o.Attr); !o.IsConst && !slices.Contains(r.constrained, a) {
+					r.constrained = append(r.constrained, a)
 				}
-				if _, err := s.Clean(); err != nil {
-					t.Fatal(err)
-				}
-				refOpts := opts
-				refOpts.InitialWeights = s.Weights()
-				rng := rand.New(rand.NewSource(4))
-				reused := 0
-				for step := 0; step < 8; step++ {
-					randomScript(t, s, rng, 3+rng.Intn(6))
-					incr, err := s.Reclean()
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref, err := New(refOpts).Clean(s.Dataset(), g.Constraints)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireIdenticalResults(t, fmt.Sprintf("step %d", step), incr, ref)
-					reused += incr.Stats.ShardsReused
-				}
-				if reused == 0 {
-					t.Error("no Reclean carried a shard forward: the scripts never exercised invalidation")
-				}
-			})
+			}
 		}
 	}
+	defer func() {
+		if t.Failed() {
+			t.Logf("replay with:\n%s", sc)
+		}
+	}()
+	res, err := s.Clean()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.check("clean", res, true)
+	if steps == nil {
+		for _, kind := range r.stepKinds() {
+			r.generate(kind)
+			r.endStep()
+		}
+	} else {
+		for _, step := range steps {
+			sc.Steps = append(sc.Steps, nil)
+			for _, o := range step {
+				r.do(o)
+			}
+			r.endStep()
+		}
+	}
+	if cfg.reuses && r.reused == 0 {
+		t.Error("no pass carried a shard forward: the script never exercised invalidation")
+	}
+	if opts.MaxComponentCells > 0 && r.split == 0 {
+		t.Error("no pass split a component")
+	}
+}
+
+// stepKinds draws the order of a script's ten steps: five random deltas
+// of 6–14 ops, one capture-order delta, two feedback steps, a no-op reclean
+// and a snapshot, which is never last (its restored copy needs a next
+// step to follow).
+func (r *modelRun) stepKinds() []string {
+	kinds := []string{"delta", "delta", "delta", "delta", "delta", "overlap", "feedback", "feedback", "noop", "snapshot"}
+	r.rng.Shuffle(len(kinds), func(i, j int) { kinds[i], kinds[j] = kinds[j], kinds[i] })
+	if last := len(kinds) - 1; kinds[last] == "snapshot" {
+		kinds[0], kinds[last] = kinds[last], kinds[0]
+	}
+	return kinds
+}
+
+// endStep retires the restored copy once it has followed one step: from
+// then on it is the live session.
+func (r *modelRun) endStep() {
+	steps := r.script.Steps
+	if r.shadow != nil && !slices.ContainsFunc(steps[len(steps)-1], func(o modelOp) bool { return o.Kind == "snapshot" }) {
+		r.s, r.shadow = r.shadow, nil
+	}
+}
+
+// generate draws one step of the given kind from the model's current
+// state and runs it op by op.
+func (r *modelRun) generate(kind string) {
+	r.script.Steps = append(r.script.Steps, nil)
+	rng, m := r.rng, r.m
+	width := len(m.rows[0])
+	n := func() int { return len(m.rows) }
+	switch kind {
+	case "delta":
+		for k := 6 + rng.Intn(9); k > 0; k-- {
+			switch op := rng.Intn(6); {
+			case op < 2:
+				t, a := rng.Intn(n()), r.attr()
+				r.do(modelOp{Kind: "set", Tuple: t, Attr: a, Value: typo(rng, m.rows[t][a])})
+			case op < 4:
+				t, a := rng.Intn(n()), r.attr()
+				r.do(modelOp{Kind: "set", Tuple: t, Attr: a, Value: m.rows[rng.Intn(n())][a]})
+			case op < 5:
+				r.do(modelOp{Kind: "append", Row: r.mixedRow()})
+			default:
+				r.do(modelOp{Kind: "delete", Tuple: rng.Intn(n())})
+			}
+		}
+		r.do(modelOp{Kind: "reclean"})
+	case "overlap":
+		// The last slot is written, then a delete moves that tuple and an
+		// append fills the vacated slot; another slot is written twice,
+		// back to the row the last pass cleaned there.
+		last, a := n()-1, rng.Intn(width)
+		r.do(modelOp{Kind: "set", Tuple: last, Attr: a, Value: typo(rng, m.rows[last][a])})
+		r.do(modelOp{Kind: "delete", Tuple: rng.Intn(last)})
+		r.do(modelOp{Kind: "append", Row: r.mixedRow()})
+		t, a := rng.Intn(n()), rng.Intn(width)
+		orig := m.rows[t][a]
+		r.do(modelOp{Kind: "set", Tuple: t, Attr: a, Value: typo(rng, orig)})
+		r.do(modelOp{Kind: "set", Tuple: t, Attr: a, Value: orig})
+		r.do(modelOp{Kind: "reclean"})
+	case "feedback":
+		// Half the time a staged delete the feedback round folds in; then,
+		// for the step's reclean, a delete that moves the last tuple, which
+		// holds a confirmation, and an upsert that contradicts a
+		// confirmation.
+		k, last := -1, n()-1
+		if rng.Intn(2) == 0 {
+			k = rng.Intn(n())
+			r.do(modelOp{Kind: "delete", Tuple: k})
+		}
+		r.do(modelOp{Kind: "feedback", FB: r.drawFeedback(k, last)})
+		r.do(modelOp{Kind: "delete", Tuple: rng.Intn(n() - 1)})
+		if len(m.confirmed) > 0 {
+			f := m.confirmed[rng.Intn(len(m.confirmed))]
+			r.do(modelOp{Kind: "set", Tuple: f.Cell.Tuple, Attr: f.Cell.Attr, Value: typo(rng, f.Value)})
+		}
+		r.do(modelOp{Kind: "reclean"})
+	case "noop":
+		// A relearn re-executes everything: a second no-op then carries
+		// everything forward.
+		r.do(modelOp{Kind: "reclean"})
+		if every := r.opts.RelearnEvery; every > 0 && m.recleans%every == 0 {
+			r.do(modelOp{Kind: "reclean"})
+		}
+	case "snapshot":
+		r.do(modelOp{Kind: "snapshot"})
+	}
+}
+
+// attr draws the attribute an upsert writes: three times in four one a
+// constraint references, where writes move violations and joins.
+func (r *modelRun) attr() int {
+	if r.rng.Intn(4) == 0 {
+		return r.rng.Intn(len(r.m.rows[0]))
+	}
+	return r.constrained[r.rng.Intn(len(r.constrained))]
+}
+
+// typo appends a character to v and overwrites a random one.
+func typo(rng *rand.Rand, v string) string {
+	b := []byte(v + "x")
+	b[rng.Intn(len(b))] = byte('a' + rng.Intn(26))
+	return string(b)
+}
+
+// mixedRow assembles a row from random tuples' values.
+func (r *modelRun) mixedRow() []string {
+	row := make([]string, len(r.m.rows[0]))
+	for a := range row {
+		row[a] = r.m.rows[r.rng.Intn(len(r.m.rows))][a]
+	}
+	return row
+}
+
+// drawFeedback confirms up to three cells the last result inferred, taken
+// through the delete of slot k (when k >= 0) that moved tuple last into it
+// — a repair accepted (its row moves) or rejected, or any noisy cell's
+// observed value (the cell leaves the noisy set, no row moves) — and the
+// observed value of a cell of the relation's last tuple.
+func (r *modelRun) drawFeedback(k, last int) []Feedback {
+	cells := slices.SortedFunc(maps.Keys(r.last.Marginals), func(a, b Cell) int {
+		if a.Tuple != b.Tuple {
+			return a.Tuple - b.Tuple
+		}
+		return a.Attr - b.Attr
+	})
+	confirmed := make(map[Cell]bool)
+	for _, f := range r.m.confirmed {
+		confirmed[f.Cell] = true
+	}
+	var fb []Feedback
+	for tries := 0; tries < 20 && len(fb) < 3 && len(cells) > 0; tries++ {
+		c, value := cells[r.rng.Intn(len(cells))], ""
+		if reps := r.last.Repairs; r.rng.Intn(2) == 0 && len(reps) > 0 {
+			rep := reps[r.rng.Intn(len(reps))]
+			c, value = rep.Cell, rep.New
+			if r.rng.Intn(2) == 0 {
+				value = "" // the repair is rejected: its observed value is confirmed
+			}
+		}
+		switch {
+		case k < 0:
+		case c.Tuple == k:
+			continue
+		case c.Tuple == last:
+			c.Tuple = k
+		}
+		if value == "" {
+			value = r.m.rows[c.Tuple][c.Attr]
+		}
+		if value == "" || confirmed[c] {
+			continue
+		}
+		confirmed[c] = true
+		fb = append(fb, Feedback{Cell: c, Value: value})
+	}
+	t, width := len(r.m.rows)-1, len(r.m.rows[0])
+	for i, start := 0, r.rng.Intn(width); i < width; i++ {
+		c := Cell{Tuple: t, Attr: (start + i) % width}
+		if v := r.m.rows[t][c.Attr]; v != "" && !confirmed[c] {
+			return append(fb, Feedback{Cell: c, Value: v})
+		}
+	}
+	return fb
+}
+
+// do runs one op on the live session, on the restored copy following it
+// and on the model, and checks every pass it runs.
+func (r *modelRun) do(o modelOp) {
+	t, m := r.t, r.m
+	t.Helper()
+	steps := r.script.Steps
+	steps[len(steps)-1] = append(steps[len(steps)-1], o)
+	sessions := []*Session{r.s}
+	if r.shadow != nil {
+		sessions = append(sessions, r.shadow)
+	}
+	var row []string // the row a "set" upserts
+	if o.Kind == "set" {
+		row = slices.Clone(m.rows[o.Tuple])
+		row[o.Attr] = o.Value
+	}
+	var results []*Result
+	for _, s := range sessions {
+		var res *Result
+		var err error
+		switch o.Kind {
+		case "set":
+			_, err = s.Upsert(o.Tuple, row)
+		case "append":
+			_, err = s.Upsert(-1, o.Row)
+		case "delete":
+			err = s.Delete(o.Tuple)
+		case "feedback":
+			res, err = s.Feedback(o.FB)
+		case "reclean":
+			res, err = s.Reclean()
+		case "snapshot":
+			r.restore()
+			return
+		default:
+			t.Fatalf("unknown op %q", o.Kind)
+		}
+		if err != nil {
+			t.Fatalf("%+v: %v", o, err)
+		}
+		results = append(results, res)
+	}
+	switch o.Kind {
+	case "set":
+		m.upsert(o.Tuple, row)
+	case "append":
+		m.append(slices.Clone(o.Row))
+	case "delete":
+		m.delete(o.Tuple)
+	case "feedback", "reclean":
+		if o.Kind == "feedback" {
+			m.confirm(o.FB)
+		}
+		m.recleans++
+		every := r.opts.RelearnEvery
+		r.check(o.Kind, results[0], every > 0 && m.recleans%every == 0)
+		if r.shadow != nil {
+			requireIdenticalResults(t, "restored copy, next step", results[1], results[0])
+			r.requireState("restored copy, next step", r.shadow)
+		}
+	}
+}
+
+// restore snapshots the live session and restores a copy, which must
+// reproduce the last result, the counter, the weights and the snapshot
+// bytes; the copy then follows the live session through the next step.
+func (r *modelRun) restore() {
+	t := r.t
+	var buf bytes.Buffer
+	if err := r.s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, res, err := RestoreSession(bytes.NewReader(buf.Bytes()), r.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdenticalResults(t, "restore", res, r.last)
+	var again bytes.Buffer
+	if err := restored.Snapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("snapshot → restore → snapshot is not byte-identical")
+	}
+	r.requireState("restored copy", restored)
+	r.shadow = restored
+}
+
+// requireState checks a session's reclean counter and weights against the
+// model's.
+func (r *modelRun) requireState(label string, s *Session) {
+	if s.Recleans() != r.m.recleans || !maps.Equal(s.Weights(), r.m.weights) {
+		r.t.Fatalf("%s: Recleans() = %d, model %d; weights equal the model's: %v",
+			label, s.Recleans(), r.m.recleans, maps.Equal(s.Weights(), r.m.weights))
+	}
+}
+
+// check holds one pass of the live session to the model: its relation
+// and confirmations are the model's; its result equals a from-scratch
+// CleanWithFeedback of the model relation under the model's weights, or,
+// on a relearn, under freshly learned ones, which become the model's
+// weights and must be the session's; the model sizes of RunStats agree
+// (all of them on a full pass); the reclean counter is the model's; the
+// invariants of a posterior hold; and the reuse rule holds.
+func (r *modelRun) check(label string, res *Result, relearn bool) {
+	t, m, s := r.t, r.m, r.s
+	t.Helper()
+	steps := r.script.Steps
+	noop := len(steps) > 0 && !slices.ContainsFunc(steps[len(steps)-1], func(o modelOp) bool { return o.Kind != "reclean" })
+	label = fmt.Sprintf("step %d %s", len(steps), label)
+	cur := s.Dataset()
+	ds := m.dataset(cur)
+	if !ds.Equal(cur) || !slices.Equal(s.Confirmed(), m.confirmed) {
+		t.Fatalf("%s: the session's relation or confirmations left the model's", label)
+	}
+	for tup, src := range m.sources {
+		if cur.Source(tup) != src {
+			t.Fatalf("%s: tuple %d has source %q, model %q", label, tup, cur.Source(tup), src)
+		}
+	}
+	refOpts := r.opts
+	refOpts.InitialWeights = m.weights
+	if relearn {
+		refOpts.InitialWeights = nil
+	}
+	ref, err := New(refOpts).CleanWithFeedback(ds, r.cs, m.confirmed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if relearn {
+		m.weights = ref.LearnedWeights
+	}
+	requireIdenticalResults(t, label, res, ref)
+	r.requireState(label, s)
+	sizes := func(st RunStats) RunStats { // everything but clocks and allocator counters
+		st.AllocBytes, st.AllocObjects, st.PeakHeapBytes = 0, 0, 0
+		st.DetectTime, st.CompileTime, st.LearnTime, st.InferTime, st.TotalTime = 0, 0, 0, 0, 0
+		return st
+	}
+	got, want := res.Stats, ref.Stats
+	switch {
+	case relearn && !reflect.DeepEqual(sizes(got), sizes(want)):
+		t.Fatalf("%s: full-pass model sizes differ:\ngot  %+v\nwant %+v", label, sizes(got), sizes(want))
+	case got.NoisyCells != want.NoisyCells || got.InertCells != want.InertCells || got.QueryVars != want.QueryVars ||
+		got.EvidenceVars != want.EvidenceVars || got.Weights != want.Weights:
+		t.Fatalf("%s: RunStats differ:\ngot  %+v\nwant %+v", label, got, want)
+	}
+
+	// Invariants of the posterior.
+	confirmed := make(map[Cell]bool)
+	for _, f := range m.confirmed {
+		confirmed[f.Cell] = true
+		if _, ok := res.Marginals[f.Cell]; ok || res.Repaired.GetString(f.Cell.Tuple, f.Cell.Attr) != f.Value {
+			t.Fatalf("%s: confirmed cell %v is inferred or lost its value", label, f.Cell)
+		}
+	}
+	for c, dist := range res.Marginals {
+		sum := 0.0
+		for _, vp := range dist {
+			sum += vp.P
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Fatalf("%s: marginal of %v sums to %v", label, c, sum)
+		}
+	}
+	for _, rep := range res.Repairs {
+		if confirmed[rep.Cell] {
+			t.Fatalf("%s: confirmed cell %v repaired", label, rep.Cell)
+		}
+		if dist := res.Marginals[rep.Cell]; len(dist) == 0 || rep.Probability != dist[0].P {
+			t.Fatalf("%s: repair %+v is not its cell's top marginal %v", label, rep, dist)
+		}
+	}
+
+	// The reuse rule: only DC Feats without fusion carries outcomes
+	// forward — everything, on a no-op — and any other configuration
+	// executes the full plan.
+	switch {
+	case !r.cfg.reuses && (got.ShardsReused != 0 || got.Shards != want.Shards):
+		t.Fatalf("%s: executed %d shards and reused %d, want the full plan's %d and none", label, got.Shards, got.ShardsReused, want.Shards)
+	case r.cfg.reuses && noop && !relearn && (got.Shards != 0 || got.ShardsReused != want.Shards):
+		t.Fatalf("%s: a no-op reclean executed %d shards and reused %d of %d", label, got.Shards, got.ShardsReused, want.Shards)
+	}
+	r.reused += got.ShardsReused
+	r.split += got.SplitShards
+	r.last = res
 }

@@ -214,12 +214,6 @@ func (s *Session) nextPass(prev *pass, weights map[string]float64) *pass {
 // clone, compilation state with its evidence domains, the delta sets, the
 // pass before it).
 func (s *Session) adopt(p *pass) {
-	// The Result shares its marginal slices with the outcomes; the caller
-	// owns the Result, so the retained outcomes get their own.
-	for c, o := range p.outcomes {
-		o.dist = slices.Clone(o.dist)
-		p.outcomes[c] = o
-	}
 	p.working = nil
 	s.prev, s.before = p, make(map[int][]dataset.Value)
 }
@@ -376,12 +370,28 @@ func (p *pass) maskStats() {
 	p.maskedDelta = p.masked.Apply(removed, added)
 }
 
+// carriesOutcomes reports whether a session's passes scope a delta to a
+// dirty set and carry every other cell's outcome forward, and so whether a
+// pass keeps outcomes at all. Only an independent variable's outcome is a
+// closed form of its own factors (not under DC Factors), and neither a
+// featurizer over the whole relation (fusion) nor a scan-grounded
+// constraint has an index to scope by.
+func (p *pass) carriesOutcomes() bool {
+	if p.opts.Variant.DCFactors || p.prep.RelationWide {
+		return false
+	}
+	for _, b := range p.prep.Bounds {
+		if b.TupleVars == 2 && len(b.Joins) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // invalidateTuples computes the dirty set of a pass with a previous one:
 // the tuples whose shards must re-execute. It leaves dirty nil — every
 // shard executes — when there is no previous pass or the delta cannot be
-// scoped. Correlated shards (DC Factors variants) are never scoped: only
-// an independent variable's outcome is a closed form of its own factors,
-// so only the independent regime carries outcomes forward.
+// scoped (carriesOutcomes).
 func (p *pass) invalidateTuples() error {
 	if p.prev == nil {
 		return nil
@@ -399,13 +409,8 @@ func (p *pass) invalidateTuples() error {
 	}
 	p.shared.Rebind(ds, p.domains, changedAttrs)
 
-	if p.opts.Variant.DCFactors || p.prep.RelationWide {
-		return nil // correlated shards, or a featurizer over the whole relation: nothing survives
-	}
-	for _, b := range p.prep.Bounds {
-		if b.TupleVars == 2 && len(b.Joins) == 0 {
-			return nil // scan-grounded constraint: no index to scope by
-		}
+	if !p.carriesOutcomes() {
+		return nil
 	}
 
 	// Dirty closure: changed tuples, mask/candidate/match diffs, and one

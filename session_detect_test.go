@@ -2,83 +2,8 @@ package holoclean
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
-
-	"holoclean/internal/datagen"
 )
-
-// TestSessionRecleanMatchesFullCleanWithDetectors is the oracle for the
-// stage order diff → stats → detect → prepare under full-relation
-// detectors: with OutlierDetection (hospital) and with a dictionary and
-// match dependencies on top (food), three mutate → Reclean rounds each are
-// byte-identical to a fresh Clean of the mutated dataset under the
-// session's weights. The outlier detectors flag cells far from the delta,
-// so these rounds run the noisy-mask diff (maskChanged) that a
-// violations-only session hardly reaches.
-func TestSessionRecleanMatchesFullCleanWithDetectors(t *testing.T) {
-	hospital := datagen.Hospital(datagen.Config{Tuples: 400, Seed: 3})
-	food := datagen.Food(datagen.Config{Tuples: 400, Seed: 3})
-	for _, tc := range []struct {
-		g     *datagen.Generated
-		dict  bool
-		attrs []int
-	}{
-		{hospital, false, []int{0, 1, 9, 14, 15}},
-		{food, true, nil},
-	} {
-		t.Run(tc.g.Name, func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Workers = 2
-			opts.OutlierDetection = true
-			if tc.dict {
-				opts.Dictionaries, opts.MatchDependencies = tc.g.Dictionaries, tc.g.MatchDeps
-			}
-			attrs := tc.attrs
-			if attrs == nil {
-				for a := 0; a < tc.g.Dirty.NumAttrs(); a++ {
-					attrs = append(attrs, a)
-				}
-			}
-			s, err := NewSession(tc.g.Dirty, tc.g.Constraints, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Clean(); err != nil {
-				t.Fatal(err)
-			}
-			refOpts := opts
-			refOpts.InitialWeights = s.Weights()
-			rng := rand.New(rand.NewSource(11))
-			for round := 0; round < 3; round++ {
-				mutateSession(t, s, rng, 0.01, attrs)
-				switch round {
-				case 1: // the relation grows …
-					row := make([]string, s.ds.NumAttrs())
-					for a := range row {
-						row[a] = s.ds.GetString(rng.Intn(s.NumTuples()), a)
-					}
-					if _, err := s.Upsert(-1, row); err != nil {
-						t.Fatal(err)
-					}
-				case 2: // … and shrinks
-					if err := s.Delete(rng.Intn(s.NumTuples())); err != nil {
-						t.Fatal(err)
-					}
-				}
-				incr, err := s.Reclean()
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref, err := New(refOpts).Clean(s.Dataset(), tc.g.Constraints)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireIdenticalResults(t, fmt.Sprintf("round %d", round), incr, ref)
-			}
-		})
-	}
-}
 
 // flipFixture builds the relation of TestHistogramFlipLeavesCellClean
 // under the FD Key → Val. Tuple 0 is the cell under test: its Val is in

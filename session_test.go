@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -75,53 +74,6 @@ func mutateSession(t *testing.T, s *Session, rng *rand.Rand, frac float64, attrs
 	return count
 }
 
-// TestSessionRecleanMatchesFullCleanHospital is the acceptance property
-// test: on the hospital workload, a 1% tuple mutation followed by
-// Reclean produces byte-identical repairs and marginals to a full Clean
-// of the mutated dataset (sharing the session's learned weights), while
-// executing strictly fewer shards — across worker-pool sizes.
-func TestSessionRecleanMatchesFullCleanHospital(t *testing.T) {
-	g := datagen.Hospital(datagen.Config{Tuples: 600, Seed: 7})
-	for _, workers := range []int{1, 4} {
-		opts := DefaultOptions()
-		opts.Workers = workers
-		s, err := NewSession(g.Dirty, g.Constraints, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Clean(); err != nil {
-			t.Fatal(err)
-		}
-
-		rng := rand.New(rand.NewSource(int64(workers)))
-		// Mutate FD-covered identity attributes (provider, name, phone,
-		// measure), the error mechanism the generator itself uses.
-		mutateSession(t, s, rng, 0.01, []int{0, 1, 9, 14, 15})
-
-		incr, err := s.Reclean()
-		if err != nil {
-			t.Fatal(err)
-		}
-		refOpts := opts
-		refOpts.InitialWeights = s.Weights()
-		ref, err := New(refOpts).Clean(s.Dataset(), g.Constraints)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdenticalResults(t, fmt.Sprintf("workers=%d", workers), incr, ref)
-		if incr.Stats.Shards >= ref.Stats.Shards {
-			t.Errorf("workers=%d: executed %d shards, want strictly fewer than the full plan's %d",
-				workers, incr.Stats.Shards, ref.Stats.Shards)
-		}
-		if incr.Stats.ShardsReused == 0 {
-			t.Errorf("workers=%d: ShardsReused = 0, want > 0", workers)
-		}
-		if ref.Stats.ShardsReused != 0 {
-			t.Errorf("workers=%d: full Clean reported ShardsReused = %d", workers, ref.Stats.ShardsReused)
-		}
-	}
-}
-
 // sessionFixture builds a multi-group conflicted dataset whose violations
 // split into many components. It deliberately has no constant column:
 // appending or deleting a tuple would change Pr[· | constant] for every
@@ -138,181 +90,6 @@ func sessionFixture(groups int) (*Dataset, []*Constraint) {
 		ds.Append([]string{k, fmt.Sprintf("bad%03d", g)})
 	}
 	return ds, FD("fd", []string{"Key"}, []string{"Val"})
-}
-
-// TestSessionUpsertDeleteAppendEquivalence drives a session through
-// updates, appends, deletes and feedback over several recleans — including
-// deltas that write one slot several times, so the row a slot's pending
-// delta remembers must be the one captured before its first write —
-// checking the equivalence contract after every batch.
-func TestSessionUpsertDeleteAppendEquivalence(t *testing.T) {
-	ds, cs := sessionFixture(30)
-	opts := DefaultOptions()
-	opts.Workers = 2
-	s, err := NewSession(ds, cs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Clean(); err != nil {
-		t.Fatal(err)
-	}
-	weights := s.Weights()
-
-	batches := []func(){
-		func() { // in-place update introducing a fresh conflict
-			s.Upsert(7, []string{"k001", "bad-new"})
-		},
-		func() { // append two tuples, one clean, one conflicted
-			s.Upsert(-1, []string{"k900", "v900"})
-			s.Upsert(-1, []string{"k002", "bad902"})
-		},
-		func() { // delete a conflicted tuple and repair another by hand
-			s.Delete(4) // the bad tuple of group 0
-			s.Upsert(9, []string{"k001", "v001"})
-		},
-		func() { // writes that overlap in one delta: each slot's before-image is its first
-			last := s.NumTuples() - 1
-			s.Upsert(last, []string{"k003", "bad-last"})
-			// Moves the just-written tuple into slot 0 and vacates the last
-			// slot, which the append below fills again.
-			s.Delete(0)
-			s.Upsert(-1, []string{"k004", "v004"})
-			s.Upsert(12, []string{"k002", "tmp"})
-			s.Upsert(12, []string{"k002", "v002"}) // back to the cleaned row
-		},
-		func() { // feedback folding in a staged delete, then a delete staged after it
-			s.Delete(20) // the last tuple moves into slot 20
-			if _, err := s.Feedback([]Feedback{
-				{Cell: Cell{Tuple: 20, Attr: 1}, Value: s.Dataset().GetString(20, 1)},
-				{Cell: Cell{Tuple: 29, Attr: 1}, Value: "v005"}, // the bad tuple of group 5
-			}); err != nil {
-				t.Fatal(err)
-			}
-			s.Delete(34) // the bad tuple of group 6
-		},
-	}
-	for bi, apply := range batches {
-		apply()
-		incr, err := s.Reclean()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := s.PendingMutations(); n != 0 {
-			t.Errorf("batch %d: PendingMutations = %d after Reclean, want 0", bi, n)
-		}
-		refOpts := opts
-		refOpts.InitialWeights = weights
-		ref, err := New(refOpts).CleanWithFeedback(s.Dataset(), cs, s.Confirmed())
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdenticalResults(t, fmt.Sprintf("batch %d", bi), incr, ref)
-		if incr.Stats.Shards >= ref.Stats.Shards {
-			t.Errorf("batch %d: executed %d of %d planned shards, want fewer",
-				bi, incr.Stats.Shards, ref.Stats.Shards)
-		}
-	}
-}
-
-// TestSessionCoupledVariantEquivalence repeats the contract for a model
-// with correlation factors, where shards are conflict components: a
-// coupled Reclean carries no outcome forward and re-executes the whole
-// plan a full Clean runs.
-func TestSessionCoupledVariantEquivalence(t *testing.T) {
-	ds, cs := sessionFixture(12)
-	opts := DefaultOptions()
-	opts.Variant = VariantDCFeatsFactors
-	s, err := NewSession(ds, cs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Clean(); err != nil {
-		t.Fatal(err)
-	}
-	s.Upsert(2, []string{"k000", "bad-x"}) // dirty exactly one conflict group
-	incr, err := s.Reclean()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refOpts := opts
-	refOpts.InitialWeights = s.Weights()
-	ref, err := New(refOpts).Clean(s.Dataset(), cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalResults(t, "coupled", incr, ref)
-	if incr.Stats.ShardsReused != 0 || incr.Stats.Shards != ref.Stats.Shards {
-		t.Errorf("coupled: executed %d shards and reused %d, want the full plan's %d and none", incr.Stats.Shards, incr.Stats.ShardsReused, ref.Stats.Shards)
-	}
-}
-
-// TestSessionNoopReclean pins the degenerate delta: recleaning with no
-// pending mutations executes zero shards and reproduces the previous
-// result.
-func TestSessionNoopReclean(t *testing.T) {
-	ds, cs := sessionFixture(10)
-	s, err := NewSession(ds, cs, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := s.Clean()
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := s.Reclean()
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalResults(t, "noop", again, first)
-	// Cleaner.Clean and a fresh Session.Clean are the same full pass.
-	batch, err := New(DefaultOptions()).Clean(ds, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalResults(t, "Cleaner.Clean vs Session.Clean", first, batch)
-	sizes := func(s RunStats) RunStats { // everything but clocks and allocator counters
-		s.AllocBytes, s.AllocObjects, s.PeakHeapBytes = 0, 0, 0
-		s.DetectTime, s.CompileTime, s.LearnTime, s.InferTime, s.TotalTime = 0, 0, 0, 0, 0
-		return s
-	}
-	if !reflect.DeepEqual(sizes(first.Stats), sizes(batch.Stats)) {
-		t.Errorf("model sizes differ: session %+v, cleaner %+v", first.Stats, batch.Stats)
-	}
-	if again.Stats.Shards != 0 {
-		t.Errorf("noop reclean executed %d shards, want 0", again.Stats.Shards)
-	}
-	if again.Stats.ShardsReused != first.Stats.Shards {
-		t.Errorf("noop reclean reused %d shards, want %d", again.Stats.ShardsReused, first.Stats.Shards)
-	}
-}
-
-// TestSessionRelearnEvery checks the relearn knob: with RelearnEvery = 1
-// every Reclean relearns from scratch, making it byte-identical to a
-// plain Clean of the mutated dataset including fresh weight learning.
-func TestSessionRelearnEvery(t *testing.T) {
-	ds, cs := sessionFixture(10)
-	opts := DefaultOptions()
-	opts.RelearnEvery = 1
-	s, err := NewSession(ds, cs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Clean(); err != nil {
-		t.Fatal(err)
-	}
-	s.Upsert(3, []string{"k001", "bad-y"})
-	incr, err := s.Reclean()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := New(DefaultOptions()).Clean(s.Dataset(), cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalResults(t, "relearn", incr, ref)
-	if incr.Stats.LearnTime == 0 {
-		t.Errorf("relearn round skipped learning")
-	}
 }
 
 // TestSessionDeleteOutOfRange exercises mutator validation.
@@ -618,6 +395,54 @@ func TestStatsWeightsAcrossPasses(t *testing.T) {
 		got[2] = res.Stats.Weights
 		if got != tc.want {
 			t.Errorf("%s: Stats.Weights of Clean, Reclean, Reclean = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestOutcomesKeptOnlyWhereRecleanReadsThem: a pass keeps per-cell
+// outcomes only when a session adopts it and its next Reclean can carry
+// them forward (pass.carriesOutcomes). Cleaner.Clean keeps none, nor does a
+// session under DC Factors or with source fusion, whose Reclean re-executes
+// the whole plan; a DC Feats session keeps them and reuses shards.
+func TestOutcomesKeptOnlyWhereRecleanReadsThem(t *testing.T) {
+	hospital := datagen.Hospital(datagen.Config{Tuples: 200, Seed: 5})
+	flights := datagen.Flights(datagen.Config{Tuples: 200, Seed: 5})
+	for _, tc := range []struct {
+		name    string
+		g       *datagen.Generated
+		variant Variant
+		keeps   bool
+	}{
+		{"hospital/feats", hospital, VariantDCFeats, true},
+		{"hospital/factors", hospital, VariantDCFactors, false},
+		{"flights/fusion", flights, VariantDCFeats, false},
+	} {
+		opts := DefaultOptions()
+		opts.Variant = tc.variant
+		p := newPass(opts, tc.g.Dirty, tc.g.Constraints, nil)
+		if _, err := p.run(nil); err != nil {
+			t.Fatal(err)
+		}
+		if p.outcomes != nil {
+			t.Errorf("%s: a Cleaner pass kept %d outcomes", tc.name, len(p.outcomes))
+		}
+		s, err := NewSession(tc.g.Dirty, tc.g.Constraints, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Clean(); err != nil {
+			t.Fatal(err)
+		}
+		mutateSession(t, s, rand.New(rand.NewSource(1)), 0, []int{1})
+		res, err := s.Reclean()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kept := s.prev.outcomes != nil; kept != tc.keeps {
+			t.Errorf("%s: session keeps outcomes = %v, want %v", tc.name, kept, tc.keeps)
+		}
+		if reused := res.Stats.ShardsReused > 0; reused != tc.keeps {
+			t.Errorf("%s: ShardsReused = %d", tc.name, res.Stats.ShardsReused)
 		}
 	}
 }

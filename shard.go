@@ -125,19 +125,17 @@ func planShards(dom *pruning.Domains, comps [][]int, coupled bool, maxComponentC
 // splitPlan is the shard planner's dirty-set mode, for the
 // independent-variable regime, where a cell's closed-form marginal is a
 // function of its own factors and the weights, never of which batch it
-// lands in: given the full plan a from-scratch run would execute and the
-// set of tuples invalidated by a delta, it re-packs the dirty cells into
-// fresh tuple-aligned batches and returns every other cell index as
-// reused, its cached outcome carried forward.
-func splitPlan(plan []shard, cells []dataset.Cell, dirty map[int]bool) (exec []shard, reused []int) {
+// lands in: given the set of tuples invalidated by a delta, it packs the
+// dirty cells into tuple-aligned batches, as the full plan packs every
+// cell, and returns every other cell index as reused, its cached outcome
+// carried forward.
+func splitPlan(cells []dataset.Cell, dirty map[int]bool) (exec []shard, reused []int) {
 	var dirtyIdx []int
-	for _, sh := range plan {
-		for _, i := range sh.cells {
-			if dirty[cells[i].Tuple] {
-				dirtyIdx = append(dirtyIdx, i)
-			} else {
-				reused = append(reused, i)
-			}
+	for i, c := range cells {
+		if dirty[c.Tuple] {
+			dirtyIdx = append(dirtyIdx, i)
+		} else {
+			reused = append(reused, i)
 		}
 	}
 	return batchByTuple(cells, dirtyIdx, cellBatch), reused
@@ -200,12 +198,34 @@ func learnedWeights(g *factor.Graph) map[string]float64 {
 }
 
 // cellOutcome is the cached inference result of one noisy cell: its
-// marginal distribution, MAP label, and MAP probability. Incremental
-// sessions carry outcomes of clean cells forward across recleans.
+// marginal distribution (sorted, so its MAP probability is dist[0].P), its
+// MAP label and the unlearned tying keys of its factors (unlearnedOf).
+// Incremental sessions carry outcomes of clean cells forward across
+// recleans.
 type cellOutcome struct {
-	dist   []ValueProb
-	mapVal dataset.Value
-	prob   float64
+	dist      []ValueProb
+	mapVal    dataset.Value
+	unlearned []string
+}
+
+// unlearnedOf lists the tying keys of variable v's unary and soft factors
+// whose weights the broadcast lacks (lacks, by weight id, from countKeys):
+// what its cell adds to RunStats.Weights when a later pass carries the
+// outcome forward. g must be frozen.
+func unlearnedOf(g *factor.Graph, v int32, lacks []bool) []string {
+	var keys []string
+	note := func(w int32) {
+		if k := g.Weights.Keys[w]; lacks[w] && !slices.Contains(keys, k) {
+			keys = append(keys, k)
+		}
+	}
+	for _, i := range g.IncidentUnaries(v) {
+		note(g.Unaries[i].Weight)
+	}
+	for _, i := range g.IncidentSofts(v) {
+		note(g.Softs[i].Weight)
+	}
+	return keys
 }
 
 // chainSeed derives a cell's chromatic stream seed from its identity
@@ -396,7 +416,7 @@ func (r *shardRunner) runOne(sh shard) error {
 	if !hasNary {
 		r.res.Stats.ExactShards++
 	}
-	r.countKeys(g.Graph.Weights.Keys)
+	lacks := r.countKeys(g.Graph.Weights.Keys)
 	for vi, c := range g.Cells {
 		v := int32(vi)
 		dom := g.Graph.Vars[v].Domain
@@ -413,8 +433,12 @@ func (r *shardRunner) runOne(sh shard) error {
 			}
 			return 0
 		})
-		mapIdx, p := m.MAP(v)
-		r.emit(c, cellOutcome{dist: dist, mapVal: dataset.Value(dom[mapIdx]), prob: p})
+		mapIdx, _ := m.MAP(v)
+		out := cellOutcome{dist: dist, mapVal: dataset.Value(dom[mapIdx])}
+		if r.outcomes != nil {
+			out.unlearned = unlearnedOf(g.Graph, v, lacks)
+		}
+		r.emit(c, out)
 	}
 	return nil
 }
@@ -425,7 +449,10 @@ func (r *shardRunner) runOne(sh shard) error {
 func (p *pass) emit(c Cell, out cellOutcome) {
 	ds, res := p.ds, p.res
 	res.Marginals[c] = out.dist
-	p.outcomes[c] = out
+	if p.outcomes != nil {
+		out.dist = slices.Clone(out.dist) // the caller owns the Result's
+		p.outcomes[c] = out
+	}
 	if out.mapVal != ds.Get(c.Tuple, c.Attr) {
 		res.Repaired.Set(c.Tuple, c.Attr, out.mapVal)
 		res.Repairs = append(res.Repairs, Repair{
@@ -434,7 +461,7 @@ func (p *pass) emit(c Cell, out cellOutcome) {
 			Tuple:       c.Tuple,
 			Old:         ds.GetString(c.Tuple, c.Attr),
 			New:         ds.Dict().String(out.mapVal),
-			Probability: out.prob,
+			Probability: out.dist[0].P,
 		})
 	}
 }

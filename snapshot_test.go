@@ -8,85 +8,6 @@ import (
 	"holoclean/internal/telemetry"
 )
 
-// TestSessionSnapshotRestore pins the eviction contract of the serving
-// layer: a session snapshotted after arbitrary history (clean, deltas,
-// feedback) and restored must (a) re-encode to byte-identical snapshot
-// bytes, and (b) continue producing byte-identical results to the live
-// session it was taken from, operation for operation.
-func TestSessionSnapshotRestore(t *testing.T) {
-	ds, cs := sessionFixture(15)
-	opts := DefaultOptions()
-	live, err := NewSession(ds, cs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := live.Clean(); err != nil {
-		t.Fatal(err)
-	}
-	// History: a delta batch (update + append + delete) and a feedback
-	// round, so the snapshot carries a renumbered relation, a dictionary
-	// with stale entries, weights, and confirmations.
-	live.Upsert(3, []string{"k001", "bad-zzz"})
-	live.Upsert(-1, []string{"k500", "v500"})
-	live.Delete(24)
-	if _, err := live.Reclean(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := live.Feedback([]Feedback{{Cell: Cell{Tuple: 3, Attr: 1}, Value: "v001"}}); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := live.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	snapBytes := append([]byte(nil), buf.Bytes()...)
-
-	restored, restoredRes, err := RestoreSession(bytes.NewReader(snapBytes), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restoredRes == nil {
-		t.Fatal("restore of a cleaned session returned no result")
-	}
-	if !restored.Dataset().Equal(live.Dataset()) {
-		t.Fatal("restored dataset differs from live")
-	}
-	if got, want := len(restored.Confirmed()), len(live.Confirmed()); got != want {
-		t.Fatalf("restored %d confirmations, want %d", got, want)
-	}
-
-	// (a) Determinism of the envelope: snapshotting the restored session
-	// reproduces the original bytes exactly.
-	var buf2 bytes.Buffer
-	if err := restored.Snapshot(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snapBytes, buf2.Bytes()) {
-		t.Fatal("snapshot → restore → snapshot is not byte-identical")
-	}
-
-	// (b) Behavioral equivalence: the same subsequent delta produces
-	// byte-identical results on both sides.
-	apply := func(s *Session) *Result {
-		t.Helper()
-		if _, err := s.Upsert(8, []string{"k002", "bad-after"}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Upsert(-1, []string{"k003", "bad-appended"}); err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Reclean()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	liveRes := apply(live)
-	restRes := apply(restored)
-	requireIdenticalResults(t, "post-restore reclean", restRes, liveRes)
-}
-
 // TestSessionSnapshotBeforeClean: a snapshot taken before the first Clean
 // restores to an uncleaned session (no result) that still cleans to the
 // same repairs as the live one.
