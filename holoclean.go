@@ -507,15 +507,14 @@ type pass struct {
 
 	// The artifacts a Session's next pass diffs against or carries forward
 	// — all that Session.adopt retains of a finished pass.
-	n          int                     // the tuple count the pass cleaned
-	st, masked *stats.Stats            // stats: raw; prepare: clean-cell (nil when cooc features are off); delta-maintained in place
-	viol       []violation.Violation   // detect: carried forward by scoped detection
-	detection  *errordetect.Result     // detect: the noisy cells and their dense mask
-	domains    *pruning.Domains        // prepare: pruned candidate sets
-	matches    map[int][]extdict.Match // prepare: dictionary matches by tuple
-	shared     *ddlog.SharedIndex      // plan (invalidate rebinds a previous pass's)
-	interner   *factor.KeyInterner     // canonical tying-key store of every grounding
-	outcomes   map[Cell]cellOutcome    // infer: per-cell marginal, MAP label and unlearned keys; nil unless adopted and carriesOutcomes
+	n          int                   // the tuple count the pass cleaned
+	st, masked *stats.Stats          // stats: raw; prepare: clean-cell (nil when cooc features are off); delta-maintained in place
+	viol       []violation.Violation // detect: carried forward by scoped detection
+	detection  *errordetect.Result   // detect: the noisy cells and their dense mask
+	domains    *pruning.Domains      // prepare: pruned candidate sets
+	shared     *ddlog.SharedIndex    // plan (invalidate rebinds a previous pass's)
+	interner   *factor.KeyInterner   // canonical tying-key store of every grounding
+	outcomes   map[Cell]cellOutcome  // infer: per-cell marginal, MAP label and unlearned keys; nil unless adopted and carriesOutcomes
 
 	*working
 }
@@ -527,20 +526,20 @@ type working struct {
 	before map[int][]dataset.Value // the rows prev cleaned in the slots written since
 	res    *Result
 
-	changed       map[int][]int         // diff: per slot whose content differs from prev's, the attributes that moved (every one for appended and vacated slots)
-	cols          *stats.Columns        // stats: the column encoding of a full pass, which prepare's masked collection reuses
-	prevQuasi     []bool                // stats: quasi-key classification before the delta
-	stDelta       *stats.Delta          // stats: raw counters the delta touched
-	hyper         *violation.Hypergraph // detect
-	matched       []extdict.Match       // detect: the dictionary matches (MatchDependencies only)
-	maskChanged   map[int]bool          // prepare: unchanged tuples whose noisy mask moved
-	maskedDelta   *stats.Delta          // prepare: clean-cell counters the delta touched (nil without masked)
-	prep          *compile.Prepared     // prepare
-	dirty         map[int]bool          // invalidate: tuples that must re-execute; nil executes every shard
-	exec          []shard               // plan: the shards that run
-	reused        []int                 // plan: cell indices whose cached outcome carries forward
-	learnGround   time.Duration         // learn: learning-graph grounding, booked with the shards'
-	unlearnedKeys map[string]bool       // learn, infer: tying keys the pass's graphs (and reused cells) named that weights lacks (RunStats.Weights)
+	changed       map[int][]int           // diff: per slot whose content differs from prev's, the attributes that moved (every one for appended and vacated slots)
+	cols          *stats.Columns          // stats: the column encoding of a full pass, which prepare's masked collection reuses
+	prevQuasi     []bool                  // stats: quasi-key classification before the delta
+	stDelta       *stats.Delta            // stats: raw counters the delta touched
+	hyper         *violation.Hypergraph   // detect
+	matched       []extdict.Match         // detect: the dictionary matches (MatchDependencies only)
+	matches       map[int][]extdict.Match // prepare: the same matches by tuple, which the shard databases take
+	maskedDelta   *stats.Delta            // prepare: clean-cell counters the delta touched (nil without masked)
+	prep          *compile.Prepared       // prepare
+	dirty         map[int]bool            // invalidate: tuples that must re-execute; nil executes every shard
+	exec          []shard                 // plan: the shards that run
+	reused        []int                   // plan: cell indices whose cached outcome carries forward
+	learnGround   time.Duration           // learn: learning-graph grounding, booked with the shards'
+	unlearnedKeys map[string]bool         // learn, infer: tying keys the pass's graphs (and reused cells) named that weights lacks (RunStats.Weights)
 }
 
 // newPass starts a full pass over ds: no previous pass, weights learned

@@ -164,6 +164,10 @@ var modelConfigs = []modelConfig{
 		return g
 	}, true},
 	{"flights", func(*Options) *datagen.Generated { return datagen.Flights(datagen.Config{Tuples: 300, Seed: 5}) }, false},
+	{"hospital/no-cooccur", func(o *Options) *datagen.Generated {
+		o.DisableCooccurFeatures = true
+		return modelHospital(200)
+	}, true},
 }
 
 func modelHospital(n int) *datagen.Generated {
@@ -180,16 +184,19 @@ func modelFactors(o *Options, maxComponentCells int) *datagen.Generated {
 }
 
 // TestSessionMatchesModel is the session contract as one model-based
-// property: on six configurations — DC Feats with and without outlier
+// property: on seven configurations — DC Feats with and without outlier
 // detection, DC Factors with and without component splitting, food with
-// its dictionaries and match dependencies, flights with source fusion —
-// at one and three workers, a seeded script of typo and cross-copy
-// upserts, appends, deletes, feedback mixed with deletes, no-op recleans
-// and snapshot/restore round trips drives a Session, and after every pass
-// the session equals a from-scratch CleanWithFeedback of the model under
-// the model's weights (see modelRun.check for the rest of what a pass
-// must satisfy). RelearnEvery rotates over 0, 2 and 3 with the seed and
-// the configuration, so every value runs under -short too, which runs one
+// its dictionaries and match dependencies, flights with source fusion, DC
+// Feats without co-occurrence features (where no statistic marks a tuple
+// dirty, yet pruning still reads the raw statistics, so a delta elsewhere
+// moves an untouched cell's candidates) — at one and three workers, a
+// seeded script of typo and cross-copy upserts, appends, deletes, feedback
+// mixed with deletes, no-op recleans and snapshot/restore round trips
+// drives a Session, and after every pass the session equals a
+// from-scratch CleanWithFeedback of the model under the model's weights
+// (see modelRun.check for the rest of what a pass must satisfy).
+// RelearnEvery rotates over 0, 2 and 3 with the seed and the
+// configuration, so every value runs under -short too, which runs one
 // seed per configuration; the full mode runs six.
 func TestSessionMatchesModel(t *testing.T) {
 	if sc := modelReplay; sc != nil {

@@ -3,7 +3,7 @@ package holoclean
 import (
 	"fmt"
 	"maps"
-	"reflect"
+	"math"
 	"slices"
 
 	"holoclean/internal/compile"
@@ -324,7 +324,10 @@ func (p *pass) deltaViews(old, cur func(t int) stats.TupleView) (removed, added 
 // either cell was flagged noisy are discounted — at the head of prepare,
 // once detection has said which cells those are: collected in full over
 // the raw statistics' column encoding, or the previous pass's reapplied
-// over the delta's rows and the tuples whose noisy mask moved.
+// over the delta's rows and the unchanged tuples whose noisy mask moved.
+// The mask is raw detection, not the trusted-filtered domain cells: masked
+// statistics discount by detection flags alone, so confirmed cells stay
+// masked.
 func (p *pass) maskStats() {
 	ds, prev := p.ds, p.prev
 	if prev == nil {
@@ -336,26 +339,8 @@ func (p *pass) maskStats() {
 		return
 	}
 	p.masked = prev.masked
-
-	// Noisy-mask diff: tuples whose flagged attribute set changed re-enter
-	// the masked statistics and are dirty (their cells gained or lost
-	// variables, and sibling-domain discounts may shift). The mask is raw
-	// detection, not the trusted-filtered domain cells: masked statistics
-	// discount by detection flags alone, so confirmed cells stay masked.
-	p.maskChanged = make(map[int]bool)
-	for t := 0; t < min(ds.NumTuples(), prev.n); t++ {
-		if p.changed[t] != nil {
-			continue
-		}
-		for a := 0; a < ds.NumAttrs(); a++ {
-			if c := (Cell{Tuple: t, Attr: a}); p.detection.IsNoisy(c) != prev.detection.IsNoisy(c) {
-				p.maskChanged[t] = true
-				break
-			}
-		}
-	}
 	if p.masked == nil {
-		return // co-occurrence features are off: no statistics-backed dirt to mark
+		return // co-occurrence features are off
 	}
 	maskView := func(row []dataset.Value, det *errordetect.Result, t int) stats.TupleView {
 		return stats.View(row, func(a int) bool { return !det.IsNoisy(Cell{Tuple: t, Attr: a}) })
@@ -363,9 +348,16 @@ func (p *pass) maskStats() {
 	oldView := func(t int) stats.TupleView { return maskView(p.oldRow(t), prev.detection, t) }
 	curView := func(t int) stats.TupleView { return maskView(ds.Row(t), p.detection, t) }
 	removed, added := p.deltaViews(oldView, curView)
-	for t := range p.maskChanged { // content unchanged, flags moved
-		removed = append(removed, oldView(t))
-		added = append(added, curView(t))
+	for t := 0; t < min(ds.NumTuples(), prev.n); t++ {
+		if p.changed[t] != nil {
+			continue
+		}
+		for a := 0; a < ds.NumAttrs(); a++ {
+			if c := (Cell{Tuple: t, Attr: a}); p.detection.IsNoisy(c) != prev.detection.IsNoisy(c) {
+				removed, added = append(removed, oldView(t)), append(added, curView(t))
+				break
+			}
+		}
 	}
 	p.maskedDelta = p.masked.Apply(removed, added)
 }
@@ -396,8 +388,6 @@ func (p *pass) invalidateTuples() error {
 	if p.prev == nil {
 		return nil
 	}
-	ds, prev := p.ds, p.prev
-
 	// Shared-index refresh: rebind to the mutated dataset and domains,
 	// which drops every bucket index and the counterpart tables of the
 	// constraints on attributes whose values changed.
@@ -407,43 +397,57 @@ func (p *pass) invalidateTuples() error {
 			changedAttrs[a] = true
 		}
 	}
-	p.shared.Rebind(ds, p.domains, changedAttrs)
+	p.shared.Rebind(p.ds, p.domains, changedAttrs)
 
 	if !p.carriesOutcomes() {
 		return nil
 	}
 
-	// Dirty closure: changed tuples, mask/candidate/match diffs, and one
-	// join hop outward (propagateJoins). Statistics-context dirt is added
-	// per cell, by the featurizer that reads the statistics.
+	// Dirty closure: a query variable is independent of every other (DC
+	// Feats), so a tuple re-executes for one of four reasons only, marked in
+	// this order: its row changed; one of its cells entered the query
+	// domains, left them or changed candidates (markDomainMoves); it is one
+	// join hop from a changed tuple (propagateJoins); a counter one of its
+	// cells' features reads moved (MarkStatDirty).
 	p.dirty = make(map[int]bool)
 	for t := range p.changed {
 		p.dirty[t] = true
 	}
-	for _, set := range []map[int]bool{p.maskChanged, p.matchChanged()} {
-		for t := range set {
-			p.dirty[t] = true
-		}
-	}
-	// Candidate diff: cells whose pruned domain changed invalidate their
-	// tuple.
-	for i, c := range p.domains.Cells {
-		if !slices.Equal(p.domains.Candidates[i], prev.domains.Of(c)) {
-			p.dirty[c.Tuple] = true
-		}
-	}
-	for _, c := range prev.domains.Cells {
-		// A cell that left the noisy set by being confirmed did not move
-		// the noisy mask, yet it stopped being a query variable — which
-		// shifts its siblings' weak-evidence discounts — so its tuple is
-		// dirty like any other candidate change.
-		if p.domains.Index(c) < 0 && c.Tuple < ds.NumTuples() {
-			p.dirty[c.Tuple] = true
-		}
-	}
+	p.markDomainMoves()
 	p.propagateJoins()
 	p.prep.MarkStatDirty(compile.StatsDelta{Raw: p.stDelta, Masked: p.maskedDelta, PrevQuasiKey: p.prevQuasi}, p.dirty)
 	return nil
+}
+
+// markDomainMoves marks the tuples of the cells that entered the query
+// domains, left them or changed candidates: one merge walk over the two
+// passes' cells, which both ascend by tuple, then attribute. A cell that
+// left with its vacated slot marks nothing.
+func (p *pass) markDomainMoves() {
+	old, cur, n, w := p.prev.domains, p.domains, p.ds.NumTuples(), p.ds.NumAttrs()
+	rank := func(cells []dataset.Cell, i int) int { // past the end ranks after every cell
+		if i == len(cells) {
+			return math.MaxInt
+		}
+		return cells[i].Tuple*w + cells[i].Attr
+	}
+	for i, j := 0, 0; i < len(old.Cells) || j < len(cur.Cells); {
+		ro, rc := rank(old.Cells, i), rank(cur.Cells, j)
+		switch {
+		case ro < rc && old.Cells[i].Tuple < n: // left
+			p.dirty[old.Cells[i].Tuple] = true
+		case rc < ro: // entered
+			p.dirty[cur.Cells[j].Tuple] = true
+		case ro == rc && !slices.Equal(old.Candidates[i], cur.Candidates[j]):
+			p.dirty[cur.Cells[j].Tuple] = true
+		}
+		if ro <= rc {
+			i++
+		}
+		if rc <= ro {
+			j++
+		}
+	}
 }
 
 // propagateJoins marks as dirty every tuple whose grounded counterpart
@@ -500,22 +504,4 @@ func (p *pass) propagateJoins() {
 			}
 		}
 	}
-}
-
-// matchChanged returns the tuples whose dictionary matches (recomputed in
-// full by the prepare stage) differ from the previous pass's. Without
-// matching dependencies both sides are empty.
-func (p *pass) matchChanged() map[int]bool {
-	out := make(map[int]bool)
-	for t, ms := range p.matches {
-		if !reflect.DeepEqual(ms, p.prev.matches[t]) {
-			out[t] = true
-		}
-	}
-	for t := range p.prev.matches {
-		if t < p.ds.NumTuples() && p.matches[t] == nil {
-			out[t] = true
-		}
-	}
-	return out
 }

@@ -2,8 +2,10 @@ package holoclean
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -444,5 +446,110 @@ func TestOutcomesKeptOnlyWhereRecleanReadsThem(t *testing.T) {
 		if reused := res.Stats.ShardsReused > 0; reused != tc.keeps {
 			t.Errorf("%s: ShardsReused = %d", tc.name, res.Stats.ShardsReused)
 		}
+	}
+}
+
+// TestOneReasonMarksTuple pins the dirty marks the session property never
+// needs alone. Both fixtures have single-tuple constraints (no join hop),
+// no co-occurrence features (no statistics mark) and the full domain of
+// B as every flagged cell's candidates, so the marks left are the row and
+// the domain reasons:
+//   - row: an in-place upsert moves tuple 0's flagged B from one candidate
+//     to another, which moves its minimality prior and no domain;
+//   - entered: an upsert takes the fourth "Chicagoo" away, so the other
+//     three become rare and the outlier detector flags them: their cells
+//     enter the query domains while their rows stay as they were, and
+//     there is no outcome of theirs to carry forward. A is a key, so the
+//     conditional outlier detector, which skips siblings seen once, flags
+//     nothing.
+//
+// The pass must mark exactly the upserted tuple and those whose cells
+// entered, and the Reclean must equal a fresh Clean.
+func TestOneReasonMarksTuple(t *testing.T) {
+	rows := func(n int, key string, vals ...string) [][]string {
+		out := make([][]string, n)
+		for i := range out {
+			out[i] = []string{fmt.Sprint(key, i), vals[i%len(vals)]}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name     string
+		rows     [][]string
+		dcs      string
+		outliers bool
+		upsert   int
+		row      []string
+		entered  []Cell
+	}{
+		{"row", rows(20, "t", "bad1", "bad2", "ok"), "c1: t1&EQ(t1.B,\"bad1\")\nc2: t1&EQ(t1.B,\"bad2\")",
+			false, 0, []string{"t0", "bad2"}, nil},
+		{"entered", append(rows(30, "c", "Chicago"), rows(4, "r", "Chicagoo")...), `c1: t1&EQ(t1.A,"none")`,
+			true, 33, []string{"r3", "Chicago"}, []Cell{{Tuple: 30, Attr: 1}, {Tuple: 31, Attr: 1}, {Tuple: 32, Attr: 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := NewDataset([]string{"A", "B"})
+			for _, row := range tc.rows {
+				ds.Append(row)
+			}
+			cs, err := ParseConstraints(strings.NewReader(tc.dcs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := DefaultOptions()
+			opts.DisableCooccurFeatures, opts.FullDomain, opts.OutlierDetection = true, true, tc.outliers
+			// staged returns a fresh session after Clean with the upsert pending.
+			staged := func() *Session {
+				s, err := NewSession(ds, cs, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Clean(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Upsert(tc.upsert, tc.row); err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+
+			s := staged()
+			p := s.nextPass(s.prev, s.prev.weights)
+			if err := p.compile(); err != nil {
+				t.Fatal(err)
+			}
+			var entered []Cell
+			for i, c := range p.domains.Cells {
+				if j := s.prev.domains.Index(c); j < 0 {
+					entered = append(entered, c)
+				} else if !slices.Equal(p.domains.Candidates[i], s.prev.domains.Candidates[j]) {
+					t.Fatalf("fixture: the candidates of %v moved", c)
+				}
+			}
+			if !slices.Equal(entered, tc.entered) || len(p.domains.Cells) != len(s.prev.domains.Cells)+len(entered) {
+				t.Fatalf("fixture: cells %v entered the query domains (want %v), and %d left", entered, tc.entered,
+					len(s.prev.domains.Cells)+len(entered)-len(p.domains.Cells))
+			}
+			want := map[int]bool{tc.upsert: true}
+			for _, c := range tc.entered {
+				want[c.Tuple] = true
+			}
+			if !maps.Equal(p.dirty, want) {
+				t.Errorf("dirty = %v, want %v", p.dirty, want)
+			}
+
+			s = staged()
+			res, err := s.Reclean()
+			if err != nil {
+				t.Fatal(err)
+			}
+			refOpts := opts
+			refOpts.InitialWeights = s.Weights()
+			ref, err := New(refOpts).Clean(s.Dataset(), cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdenticalResults(t, "reclean", res, ref)
+		})
 	}
 }
