@@ -38,11 +38,10 @@ func TestGroundWithWeightsIsExact(t *testing.T) {
 			if err := p.learnWeights(); err != nil {
 				t.Fatal(err)
 			}
-			r := &shardRunner{pass: p}
 			for si, sh := range p.exec {
 				name := fmt.Sprintf("%s/%s shard %d", g.Name, v.Name(), si)
-				db := r.shardDB(sh)
-				got, err := ddlog.Ground(db, p.prep.Program, r.shardConfig(nil))
+				db := p.shardDB(sh)
+				got, err := ddlog.Ground(db, p.prep.Program, p.shardConfig(nil))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -228,10 +227,9 @@ func BenchmarkGroundHospital(b *testing.B) {
 	if err := p.learnWeights(); err != nil {
 		b.Fatal(err)
 	}
-	r := &shardRunner{pass: p}
 	dbs := make([]*ddlog.Database, len(p.exec))
 	for i, sh := range p.exec {
-		dbs[i] = r.shardDB(sh)
+		dbs[i] = p.shardDB(sh)
 	}
 	arena := ddlog.AcquireArena()
 	defer ddlog.ReleaseArena(arena)
@@ -245,7 +243,7 @@ func BenchmarkGroundHospital(b *testing.B) {
 		}
 		for _, db := range dbs {
 			db.Shared = shared
-			if _, err := ddlog.Ground(db, p.prep.Program, r.shardConfig(arena)); err != nil {
+			if _, err := ddlog.Ground(db, p.prep.Program, p.shardConfig(arena)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -35,7 +35,7 @@ import (
 	"io"
 	"maps"
 	"runtime/metrics"
-	"sort"
+	"slices"
 	"time"
 
 	"holoclean/internal/compile"
@@ -514,7 +514,7 @@ type pass struct {
 	domains    *pruning.Domains      // prepare: pruned candidate sets
 	shared     *ddlog.SharedIndex    // plan (invalidate rebinds a previous pass's)
 	interner   *factor.KeyInterner   // canonical tying-key store of every grounding
-	outcomes   map[Cell]cellOutcome  // infer: per-cell marginal, MAP label and unlearned keys; nil unless adopted and carriesOutcomes
+	outcomes   []cellOutcome         // infer: per-cell marginal, MAP label and unlearned keys, aligned with domains.Cells; nil unless keep
 
 	*working
 }
@@ -538,6 +538,7 @@ type working struct {
 	dirty         map[int]bool            // invalidate: tuples that must re-execute; nil executes every shard
 	exec          []shard                 // plan: the shards that run
 	reused        []int                   // plan: cell indices whose cached outcome carries forward
+	keep          bool                    // infer: the pass is adopted and carriesOutcomes, so outcomes outlive it and the Result takes copies
 	learnGround   time.Duration           // learn: learning-graph grounding, booked with the shards'
 	unlearnedKeys map[string]bool         // learn, infer: tying keys the pass's graphs (and reused cells) named that weights lacks (RunStats.Weights)
 }
@@ -557,7 +558,7 @@ func newPass(o Options, ds *Dataset, constraints []*Constraint, trusted []datase
 		// so a distinct key's string is allocated once.
 		interner: factor.NewKeyInterner(),
 		working: &working{
-			res:           &Result{Marginals: make(map[Cell][]ValueProb)},
+			res:           &Result{},
 			unlearnedKeys: make(map[string]bool),
 		},
 	}
@@ -632,9 +633,7 @@ func (p *pass) run(adopt func(*pass)) (*Result, error) {
 		}
 		st.Variables = st.QueryVars + st.EvidenceVars
 		mem.sample() // phase boundary: compilation + learning done
-		if adopt != nil && p.carriesOutcomes() {
-			p.outcomes = make(map[Cell]cellOutcome) // for the next pass to carry forward
-		}
+		p.keep = adopt != nil && p.carriesOutcomes()
 		if err := p.inferRepairs(); err != nil {
 			return err
 		}
@@ -832,26 +831,24 @@ func (p *pass) countKeys(keys []string) (lacks []bool) {
 	return lacks
 }
 
-// inferRepairs grounds and infers the executing shards on the worker
-// pool, carries the cached outcomes of reused cells forward, and
-// assembles the Result.
+// inferRepairs fills the pass's outcome table — the cached outcomes of
+// reused cells carried forward, every executing shard grounded and
+// inferred on the worker pool into its own cells' slots — and assembles
+// the Result from it in cell order (tuple, then attribute).
 func (p *pass) inferRepairs() error {
-	res := p.res
-	res.Repaired = p.ds.Clone()
+	ds, res := p.ds, p.res
 	// Carry cached results forward for the cells the delta never touched:
 	// their model is provably identical (same row, same candidates, same
 	// statistics contexts, same counterpart joins, same weights, same
-	// chain seed), so their marginals and MAP repair are too. Cells whose
-	// candidate set is empty had no variable in either pass and need no
-	// cache entry. The Result takes over the marginal slices of the pass
-	// being replaced; emit gives the retained outcomes their own.
+	// chain seed), so their marginals and MAP repair are too. A reused
+	// cell was in the previous pass's domains with the same candidates
+	// (markDomainMoves), so it has a slot there.
+	p.outcomes = make([]cellOutcome, len(p.domains.Cells))
 	for _, i := range p.reused {
-		c := p.domains.Cells[i]
-		if out, ok := p.prev.outcomes[c]; ok {
-			p.emit(c, out)
-			for _, k := range out.unlearned { // RunStats.Weights, as the full pass counts it
-				p.unlearnedKeys[k] = true
-			}
+		out := p.prev.outcomes[p.prev.domains.Index(p.domains.Cells[i])]
+		p.outcomes[i] = out
+		for _, k := range out.unlearned { // RunStats.Weights, as the full pass counts it
+			p.unlearnedKeys[k] = true
 		}
 	}
 	runner := &shardRunner{pass: p}
@@ -865,11 +862,32 @@ func (p *pass) inferRepairs() error {
 	res.Stats.Weights = len(p.weights) + len(p.unlearnedKeys)
 	res.LearnedWeights = maps.Clone(p.weights)
 
-	sort.Slice(res.Repairs, func(i, j int) bool {
-		if res.Repairs[i].Tuple != res.Repairs[j].Tuple {
-			return res.Repairs[i].Tuple < res.Repairs[j].Tuple
+	// A cell with no candidate had no variable and keeps its value. The
+	// caller owns the Result's marginal slices; a kept table keeps its own.
+	res.Repaired, res.Marginals = ds.Clone(), make(map[Cell][]ValueProb, res.Stats.QueryVars)
+	for i, out := range p.outcomes {
+		if out.dist == nil {
+			continue
 		}
-		return res.Repairs[i].Cell.Attr < res.Repairs[j].Cell.Attr
-	})
+		c, dist := p.domains.Cells[i], out.dist
+		if p.keep {
+			dist = slices.Clone(dist)
+		}
+		res.Marginals[c] = dist
+		if out.mapVal != ds.Get(c.Tuple, c.Attr) {
+			res.Repaired.Set(c.Tuple, c.Attr, out.mapVal)
+			res.Repairs = append(res.Repairs, Repair{
+				Cell:        c,
+				Attr:        ds.AttrName(c.Attr),
+				Tuple:       c.Tuple,
+				Old:         ds.GetString(c.Tuple, c.Attr),
+				New:         ds.Dict().String(out.mapVal),
+				Probability: out.dist[0].P,
+			})
+		}
+	}
+	if !p.keep {
+		p.outcomes = nil
+	}
 	return nil
 }

@@ -26,7 +26,6 @@ func BenchmarkInferSkew(b *testing.B) {
 	if err := p.learnWeights(); err != nil {
 		b.Fatal(err)
 	}
-	r := &shardRunner{pass: p}
 	giant := p.exec[0]
 	for _, sh := range p.exec[1:] {
 		if len(sh.cells) > len(giant.cells) {
@@ -35,7 +34,7 @@ func BenchmarkInferSkew(b *testing.B) {
 	}
 	arena := ddlog.AcquireArena()
 	defer ddlog.ReleaseArena(arena)
-	gr, err := ddlog.Ground(r.shardDB(giant), p.prep.Program, r.shardConfig(arena))
+	gr, err := ddlog.Ground(p.shardDB(giant), p.prep.Program, p.shardConfig(arena))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -627,7 +627,12 @@ func (r *modelRun) check(label string, res *Result, relearn bool) {
 			t.Fatalf("%s: marginal of %v sums to %v", label, c, sum)
 		}
 	}
-	for _, rep := range res.Repairs {
+	for i, rep := range res.Repairs {
+		if i > 0 {
+			if prev := res.Repairs[i-1]; prev.Tuple > rep.Tuple || prev.Tuple == rep.Tuple && prev.Cell.Attr >= rep.Cell.Attr {
+				t.Fatalf("%s: repair %+v follows %+v: Repairs must ascend by tuple, then attribute", label, rep, prev)
+			}
+		}
 		if confirmed[rep.Cell] {
 			t.Fatalf("%s: confirmed cell %v repaired", label, rep.Cell)
 		}

@@ -405,7 +405,9 @@ func TestStatsWeightsAcrossPasses(t *testing.T) {
 // outcomes only when a session adopts it and its next Reclean can carry
 // them forward (pass.carriesOutcomes). Cleaner.Clean keeps none, nor does a
 // session under DC Factors or with source fusion, whose Reclean re-executes
-// the whole plan; a DC Feats session keeps them and reuses shards.
+// the whole plan; a DC Feats session keeps them and reuses shards. A kept
+// table has one slot per domain cell, filled exactly where the cell has a
+// candidate (a query variable).
 func TestOutcomesKeptOnlyWhereRecleanReadsThem(t *testing.T) {
 	hospital := datagen.Hospital(datagen.Config{Tuples: 200, Seed: 5})
 	flights := datagen.Flights(datagen.Config{Tuples: 200, Seed: 5})
@@ -442,6 +444,15 @@ func TestOutcomesKeptOnlyWhereRecleanReadsThem(t *testing.T) {
 		}
 		if kept := s.prev.outcomes != nil; kept != tc.keeps {
 			t.Errorf("%s: session keeps outcomes = %v, want %v", tc.name, kept, tc.keeps)
+		}
+		dom := s.prev.domains
+		if tc.keeps && len(s.prev.outcomes) != len(dom.Cells) {
+			t.Fatalf("%s: kept %d outcome slots for %d domain cells", tc.name, len(s.prev.outcomes), len(dom.Cells))
+		}
+		for i, out := range s.prev.outcomes {
+			if filled, cands := out.dist != nil, len(dom.Candidates[i]); filled != (cands > 0) {
+				t.Errorf("%s: slot of %v filled = %v, but its cell has %d candidates", tc.name, dom.Cells[i], filled, cands)
+			}
 		}
 		if reused := res.Stats.ShardsReused > 0; reused != tc.keeps {
 			t.Errorf("%s: ShardsReused = %d", tc.name, res.Stats.ShardsReused)

@@ -200,8 +200,9 @@ func learnedWeights(g *factor.Graph) map[string]float64 {
 // cellOutcome is the cached inference result of one noisy cell: its
 // marginal distribution (sorted, so its MAP probability is dist[0].P), its
 // MAP label and the unlearned tying keys of its factors (unlearnedOf).
-// Incremental sessions carry outcomes of clean cells forward across
-// recleans.
+// A pass holds one per domain cell (pass.outcomes); a cell with no
+// candidate keeps the zero value. Incremental sessions carry outcomes of
+// clean cells forward across recleans.
 type cellOutcome struct {
 	dist      []ValueProb
 	mapVal    dataset.Value
@@ -236,11 +237,9 @@ func chainSeed(base int64, c dataset.Cell, numAttrs int) int64 {
 }
 
 // resolveGibbs resolves the sampling budget of correlated shards.
-// GibbsSamples <= 0 falls back
-// to the default 50 (zero samples would make marginals undefined), while
-// GibbsBurnIn is taken literally: zero means zero sweeps discarded, and
-// only negative values clamp to zero. Earlier versions silently coerced
-// a zero burn-in to 10, making an explicit zero unrequestable.
+// GibbsSamples <= 0 falls back to the default 50 (zero samples would make
+// marginals undefined), while GibbsBurnIn is taken literally: zero means
+// zero sweeps discarded, and only negative values clamp to zero.
 func resolveGibbs(o Options) (burnIn, samples int) {
 	burnIn = o.GibbsBurnIn
 	if burnIn < 0 {
@@ -270,8 +269,9 @@ func cellVarSeeds(g *ddlog.Grounded, base int64, numAttrs int) []int64 {
 }
 
 // shardRunner executes the per-shard ground (with the broadcast weights) →
-// infer → extract pipeline of one pass over a bounded worker pool and merges the
-// results into the pass's Result and outcomes.
+// infer → extract pipeline of one pass over a bounded worker pool. Each
+// shard writes its cells' outcomes into their own slots of the pass's
+// table; the mutex guards only the per-shard counters and countKeys.
 type shardRunner struct {
 	*pass
 
@@ -281,9 +281,9 @@ type shardRunner struct {
 }
 
 // runAll executes every shard on a pool of at most workers goroutines and
-// returns the first error. Results are merged under a mutex; because each
-// shard's output is computed independently and the final Result is sorted
-// afterwards, scheduling order never changes the outcome.
+// returns the first error. The plan partitions the cell indices, so no two
+// shards share a slot of the outcome table and scheduling order never
+// changes the outcome.
 func (r *shardRunner) runAll(plan []shard, workers int) error {
 	if len(plan) == 0 {
 		return nil
@@ -331,8 +331,8 @@ func (r *shardRunner) runAll(plan []shard, workers int) error {
 // shardDB narrows the prepared database to one shard's cells. The pass's
 // domains stay reachable through the shared index, so the grounder tells a
 // query variable of another shard from a clean cell.
-func (r *shardRunner) shardDB(sh shard) *ddlog.Database {
-	prep := r.prep
+func (p *pass) shardDB(sh shard) *ddlog.Database {
+	prep := p.prep
 	cells := make([]dataset.Cell, 0, len(sh.cells))
 	cands := make([][]dataset.Value, 0, len(sh.cells))
 	var matches []extdict.Match
@@ -340,7 +340,7 @@ func (r *shardRunner) shardDB(sh shard) *ddlog.Database {
 		c := prep.Domains.Cells[i]
 		// The cells ascend by tuple: a tuple's matches join at its first.
 		if k == 0 || c.Tuple != cells[k-1].Tuple {
-			matches = append(matches, r.matches[c.Tuple]...)
+			matches = append(matches, p.matches[c.Tuple]...)
 		}
 		cells = append(cells, c)
 		cands = append(cands, prep.Domains.Candidates[i])
@@ -364,8 +364,8 @@ func (r *shardRunner) shardDB(sh shard) *ddlog.Database {
 // learnable weight starts at its learned value (keys grounded only by
 // query cells receive no gradient in a monolithic run either and keep
 // their prior), and unary and soft factors of weight 0 are left out.
-func (r *shardRunner) shardConfig(arena *ddlog.Arena) ddlog.Config {
-	return ddlog.Config{MaxScanCounterparts: r.opts.MaxScanCounterparts, Weights: r.weights, Arena: arena}
+func (p *pass) shardConfig(arena *ddlog.Arena) ddlog.Config {
+	return ddlog.Config{MaxScanCounterparts: p.opts.MaxScanCounterparts, Weights: p.weights, Arena: arena}
 }
 
 // runOne grounds, infers, and extracts a single shard.
@@ -405,10 +405,7 @@ func (r *shardRunner) runOne(sh shard) error {
 	m := gibbs.Run(g.Graph, cfg)
 	inferDur := time.Since(ti)
 
-	// Extract marginals and MAP repairs per query variable and merge.
-	dict := r.ds.Dict()
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.groundTime += groundDur
 	r.inferTime += inferDur
 	r.res.Stats.Factors += g.Graph.NumFactors()
@@ -417,6 +414,11 @@ func (r *shardRunner) runOne(sh shard) error {
 		r.res.Stats.ExactShards++
 	}
 	lacks := r.countKeys(g.Graph.Weights.Keys)
+	r.mu.Unlock()
+
+	// Extract each query variable's sorted marginal and MAP label into its
+	// cell's slot.
+	dict := r.ds.Dict()
 	for vi, c := range g.Cells {
 		v := int32(vi)
 		dom := g.Graph.Vars[v].Domain
@@ -435,35 +437,12 @@ func (r *shardRunner) runOne(sh shard) error {
 		})
 		mapIdx, _ := m.MAP(v)
 		out := cellOutcome{dist: dist, mapVal: dataset.Value(dom[mapIdx])}
-		if r.outcomes != nil {
+		if r.keep {
 			out.unlearned = unlearnedOf(g.Graph, v, lacks)
 		}
-		r.emit(c, out)
+		r.outcomes[r.domains.Index(c)] = out
 	}
 	return nil
-}
-
-// emit publishes one noisy cell's inference outcome: its marginal, and a
-// repair when the MAP label differs from the observed value. Shard
-// workers call it under the runner's mutex.
-func (p *pass) emit(c Cell, out cellOutcome) {
-	ds, res := p.ds, p.res
-	res.Marginals[c] = out.dist
-	if p.outcomes != nil {
-		out.dist = slices.Clone(out.dist) // the caller owns the Result's
-		p.outcomes[c] = out
-	}
-	if out.mapVal != ds.Get(c.Tuple, c.Attr) {
-		res.Repaired.Set(c.Tuple, c.Attr, out.mapVal)
-		res.Repairs = append(res.Repairs, Repair{
-			Cell:        c,
-			Attr:        ds.AttrName(c.Attr),
-			Tuple:       c.Tuple,
-			Old:         ds.GetString(c.Tuple, c.Attr),
-			New:         ds.Dict().String(out.mapVal),
-			Probability: out.dist[0].P,
-		})
-	}
 }
 
 // defaultWorkers resolves Options.Workers.
