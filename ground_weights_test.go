@@ -50,8 +50,8 @@ func TestGroundWithWeightsIsExact(t *testing.T) {
 					t.Fatal(err)
 				}
 				w := want.Graph.Weights
-				for i, k := range w.Keys {
-					if lw, ok := p.weights[k]; ok && !w.Fixed[i] {
+				for i := range w.Ties {
+					if lw, ok := p.weights[w.Key(int32(i))]; ok && !w.Fixed[i] {
 						w.W[i] = lw
 					}
 				}
@@ -118,8 +118,9 @@ func TestLearningGraphMatchesMonolithic(t *testing.T) {
 		learn.Learn(lg.Graph, cfg)
 		learn.Learn(mono.Graph, cfg)
 		exercised := false
-		for i, k := range lg.Graph.Weights.Keys {
-			j, ok := mono.Graph.Weights.Lookup([]byte(k))
+		for i, tie := range lg.Graph.Weights.Ties {
+			k := lg.Graph.Weights.Key(int32(i))
+			j, ok := mono.Graph.Weights.Lookup(tie)
 			if !ok {
 				t.Fatalf("%s: key %q is not in the monolithic graph", c.name, k)
 			}
@@ -165,7 +166,7 @@ func requireSameInferenceGraph(t *testing.T, name string, got, want *ddlog.Groun
 	for i := range wg.Naries {
 		gf, wf := &gg.Naries[i], &wg.Naries[i]
 		if !reflect.DeepEqual(gg.NaryVars(gf), wg.NaryVars(wf)) || !reflect.DeepEqual(gg.NaryPreds(gf), wg.NaryPreds(wf)) ||
-			gg.Weights.Keys[gf.Weight] != wg.Weights.Keys[wf.Weight] || gg.Weights.W[gf.Weight] != wg.Weights.W[wf.Weight] {
+			gg.Weights.Key(gf.Weight) != wg.Weights.Key(wf.Weight) || gg.Weights.W[gf.Weight] != wg.Weights.W[wf.Weight] {
 			t.Fatalf("%s: n-ary factor %d differs", name, i)
 		}
 	}

@@ -500,10 +500,17 @@ type pass struct {
 	// trusted are user-confirmed cells: clean by fiat, labeled evidence
 	// whenever weights are learned.
 	trusted []dataset.Cell
-	// weights are broadcast to every shard by tying key. Nil on entry: the
-	// learn stage fills them in; non-nil: evidence sampling, learning-graph
-	// grounding and SGD are all skipped.
+	// weights are the broadcast by tying key, the boundary form
+	// LearnedWeights and snapshots carry (every injected key included, even
+	// one no factor names). Nil on entry: the learn stage fills them in;
+	// non-nil: evidence sampling, learning-graph grounding and SGD are all
+	// skipped.
 	weights map[string]float64
+	// ties are weights resolved into the pass's ties, for every grounding
+	// of the pass (learn, or resolveWeights); unresolved are the keys no
+	// tie parses from. A Reclean reuses both with the weights.
+	ties       *factor.Weights
+	unresolved []string
 
 	// The artifacts a Session's next pass diffs against or carries forward
 	// — all that Session.adopt retains of a finished pass.
@@ -513,8 +520,8 @@ type pass struct {
 	detection  *errordetect.Result   // detect: the noisy cells and their dense mask
 	domains    *pruning.Domains      // prepare: pruned candidate sets
 	shared     *ddlog.SharedIndex    // plan (invalidate rebinds a previous pass's)
-	interner   *factor.KeyInterner   // canonical tying-key store of every grounding
-	outcomes   []cellOutcome         // infer: per-cell marginal, MAP label and unlearned keys, aligned with domains.Cells; nil unless keep
+	interner   *factor.KeyInterner   // the name table of every grounding's ties
+	outcomes   []cellOutcome         // infer: per-cell marginal, MAP label and unlearned ties, aligned with domains.Cells; nil unless keep
 
 	*working
 }
@@ -526,21 +533,21 @@ type working struct {
 	before map[int][]dataset.Value // the rows prev cleaned in the slots written since
 	res    *Result
 
-	changed       map[int][]int           // diff: per slot whose content differs from prev's, the attributes that moved (every one for appended and vacated slots)
-	cols          *stats.Columns          // stats: the column encoding of a full pass, which prepare's masked collection reuses
-	prevQuasi     []bool                  // stats: quasi-key classification before the delta
-	stDelta       *stats.Delta            // stats: raw counters the delta touched
-	hyper         *violation.Hypergraph   // detect
-	matched       []extdict.Match         // detect: the dictionary matches (MatchDependencies only)
-	matches       map[int][]extdict.Match // prepare: the same matches by tuple, which the shard databases take
-	maskedDelta   *stats.Delta            // prepare: clean-cell counters the delta touched (nil without masked)
-	prep          *compile.Prepared       // prepare
-	dirty         map[int]bool            // invalidate: tuples that must re-execute; nil executes every shard
-	exec          []shard                 // plan: the shards that run
-	reused        []int                   // plan: cell indices whose cached outcome carries forward
-	keep          bool                    // infer: the pass is adopted and carriesOutcomes, so outcomes outlive it and the Result takes copies
-	learnGround   time.Duration           // learn: learning-graph grounding, booked with the shards'
-	unlearnedKeys map[string]bool         // learn, infer: tying keys the pass's graphs (and reused cells) named that weights lacks (RunStats.Weights)
+	changed     map[int][]int           // diff: per slot whose content differs from prev's, the attributes that moved (every one for appended and vacated slots)
+	cols        *stats.Columns          // stats: the column encoding of a full pass, which prepare's masked collection reuses
+	prevQuasi   []bool                  // stats: quasi-key classification before the delta
+	stDelta     *stats.Delta            // stats: raw counters the delta touched
+	hyper       *violation.Hypergraph   // detect
+	matched     []extdict.Match         // detect: the dictionary matches (MatchDependencies only)
+	matches     map[int][]extdict.Match // prepare: the same matches by tuple, which the shard databases take
+	maskedDelta *stats.Delta            // prepare: clean-cell counters the delta touched (nil without masked)
+	prep        *compile.Prepared       // prepare
+	dirty       map[int]bool            // invalidate: tuples that must re-execute; nil executes every shard
+	exec        []shard                 // plan: the shards that run
+	reused      []int                   // plan: cell indices whose cached outcome carries forward
+	keep        bool                    // infer: the pass is adopted and carriesOutcomes, so outcomes outlive it and the Result takes copies
+	learnGround time.Duration           // learn: learning-graph grounding, booked with the shards'
+	unlearned   map[factor.Tie]bool     // learn, infer: ties the pass's graphs (and reused cells) named that ties lacks (RunStats.Weights)
 }
 
 // newPass starts a full pass over ds: no previous pass, weights learned
@@ -553,13 +560,13 @@ func newPass(o Options, ds *Dataset, constraints []*Constraint, trusted []datase
 		trusted:     trusted,
 		weights:     o.InitialWeights,
 		n:           ds.NumTuples(),
-		// The learning graph, every shard graph and compilation's
-		// feature-name tables share it (recleans share the previous pass's),
-		// so a distinct key's string is allocated once.
+		// Compilation, the learning graph and every shard graph name
+		// through it (recleans through the previous pass's), so a name has
+		// one id in every tie of the pass and of the passes after it.
 		interner: factor.NewKeyInterner(),
 		working: &working{
-			res:           &Result{},
-			unlearnedKeys: make(map[string]bool),
+			res:       &Result{},
+			unlearned: make(map[factor.Tie]bool),
 		},
 	}
 }
@@ -630,6 +637,8 @@ func (p *pass) run(adopt func(*pass)) (*Result, error) {
 			if err := p.learnWeights(); err != nil {
 				return err
 			}
+		} else {
+			p.resolveWeights()
 		}
 		st.Variables = st.QueryVars + st.EvidenceVars
 		mem.sample() // phase boundary: compilation + learning done
@@ -808,24 +817,47 @@ func (p *pass) learnWeights() error {
 
 	return p.stage("learn", &st.LearnTime, func() error {
 		learn.Learn(learnG.Graph, learn.Config{Epochs: o.LearningEpochs, LearningRate: o.LearningRate, L2: o.L2, Seed: o.Seed})
-		p.weights = learnedWeights(learnG.Graph)
-		p.countKeys(learnG.Graph.Weights.Keys)
+		p.weights, p.ties = learnedWeights(learnG.Graph)
+		p.countKeys(learnG.Graph.Weights)
 		return nil
 	})
 }
 
-// countKeys records the tying keys of a grounded graph for
+// resolveWeights resolves injected weights into the pass's ties, once for
+// every grounding of the pass. A key that parses to no tie — malformed, or
+// naming a name the model never registered — ties no factor, as its string
+// matched no factor's key. A Reclean starts from its previous pass's
+// broadcast and parses only that pass's unresolved keys again: the pass
+// may have registered a name one of them names (a dictionary's first
+// match).
+func (p *pass) resolveWeights() {
+	todo := p.unresolved
+	if p.ties == nil {
+		p.ties, todo = factor.NewWeights(), slices.Collect(maps.Keys(p.weights))
+	}
+	keys := ddlog.Keys{Names: p.interner}
+	p.unresolved = nil
+	for _, k := range todo {
+		if t, ok := keys.Parse(k); ok {
+			p.ties.Tie(t, p.weights[k], false)
+		} else {
+			p.unresolved = append(p.unresolved, k)
+		}
+	}
+}
+
+// countKeys records the ties of a grounded graph's weights for
 // RunStats.Weights and reports, by weight id, which of them the broadcast
-// map lacks: the map counts whole, even when reused shards never re-ground
-// its keys, so only the keys it lacks (fixed weights, and priors only
-// query cells name) need a set, to which each reused cell adds its own
-// (cellOutcome.unlearned). The count then agrees between an incremental
-// pass and the equivalent full one.
-func (p *pass) countKeys(keys []string) (lacks []bool) {
-	lacks = make([]bool, len(keys))
-	for i, k := range keys {
-		if _, ok := p.weights[k]; !ok {
-			p.unlearnedKeys[k], lacks[i] = true, true
+// lacks: the broadcast counts whole, even when reused shards never
+// re-ground its keys, so only the ties it lacks (fixed weights, and priors
+// only query cells name) need a set, to which each reused cell adds its
+// own (cellOutcome.unlearned). The count then agrees between an
+// incremental pass and the equivalent full one.
+func (p *pass) countKeys(w *factor.Weights) (lacks []bool) {
+	lacks = make([]bool, w.Len())
+	for i, t := range w.Ties {
+		if _, ok := p.ties.Lookup(t); !ok {
+			p.unlearned[t], lacks[i] = true, true
 		}
 	}
 	return lacks
@@ -847,8 +879,8 @@ func (p *pass) inferRepairs() error {
 	for _, i := range p.reused {
 		out := p.prev.outcomes[p.prev.domains.Index(p.domains.Cells[i])]
 		p.outcomes[i] = out
-		for _, k := range out.unlearned { // RunStats.Weights, as the full pass counts it
-			p.unlearnedKeys[k] = true
+		for _, t := range out.unlearned { // RunStats.Weights, as the full pass counts it
+			p.unlearned[t] = true
 		}
 	}
 	runner := &shardRunner{pass: p}
@@ -859,7 +891,7 @@ func (p *pass) inferRepairs() error {
 	// these two are CPU-style totals that can exceed the wall clock.
 	p.observe("ground", &res.Stats.CompileTime, p.learnGround+runner.groundTime)
 	p.observe("infer", &res.Stats.InferTime, runner.inferTime)
-	res.Stats.Weights = len(p.weights) + len(p.unlearnedKeys)
+	res.Stats.Weights = len(p.weights) + len(p.unlearned)
 	res.LearnedWeights = maps.Clone(p.weights)
 
 	// A cell with no candidate had no variable and keeps its value. The

@@ -136,10 +136,10 @@ type Options struct {
 	// learning will run on the resulting model (weights are injected),
 	// since the per-shard graphs never hold evidence variables anyway.
 	SkipEvidence bool
-	// Interner, when non-nil, supplies canonical strings for the
-	// precomputed feature-identifier tables, so a session's successive
-	// Prepare calls (one per reclean) rebuild the table maps but not the
-	// strings themselves.
+	// Interner is the name table of the model's weight ties (rule,
+	// dictionary and source names; see ddlog.Keys), which Prepared.DB
+	// carries to every grounding. A session passes the same one to each
+	// pass, so a name keeps its id across passes; nil uses a fresh one.
 	Interner *factor.KeyInterner
 }
 
@@ -248,6 +248,10 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 		evidence, evidenceDomains = sampleEvidence(ds, st, noisy, trusted, opts)
 	}
 
+	names := opts.Interner
+	if names == nil {
+		names = factor.NewKeyInterner()
+	}
 	db := &ddlog.Database{
 		DS:              ds,
 		Bounds:          bounds,
@@ -257,6 +261,7 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 		Matches:         out.Matches,
 		DictPrior:       opts.DictionaryPrior,
 		RelaxedDCPrior:  opts.RelaxedDCPrior,
+		Interner:        names,
 	}
 	if len(out.Groups) > 0 {
 		// Densify the Algorithm 3 groups once; every shard grounder of
@@ -264,7 +269,7 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 		db.GroupIndex = ddlog.BuildGroupIndex(len(bounds), ds.NumTuples(), out.Groups)
 	}
 	if !opts.DisableCooccurFeatures || (!opts.DisableSourceFeatures && ds.HasSources()) {
-		db.Features = featureFunc(ds, opts)
+		db.Features = featureFunc(ds, opts, names)
 	}
 	var softs []func(dataset.Cell, []int32, *ddlog.SoftBuf)
 	if !opts.DisableCooccurFeatures {
@@ -275,7 +280,7 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 		// Source-reliability fusion [35]: tuples reporting the same entity
 		// attribute vote with accuracy-weighted shares.
 		votes := fusion.Estimate(ds, bounds, 0)
-		softs = append(softs, fusionFeatureFunc(votes, ds.NumAttrs()))
+		softs = append(softs, fusionFeatureFunc(votes))
 		out.RelationWide = true
 	}
 	if len(softs) > 0 {
@@ -288,6 +293,15 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 
 	out.Program = buildProgram(bounds, opts)
 	out.DB = db
+	// Rules and dictionaries are named here, in program and match order, so
+	// the ids of a pass's names do not depend on which grounding sees a
+	// name first.
+	for _, r := range out.Program.Rules {
+		names.ID(r.Name)
+	}
+	for _, m := range out.Matches {
+		names.ID(m.Dict)
+	}
 	return out, nil
 }
 
@@ -338,64 +352,27 @@ func ruleName(ci int, b *dc.Bound) string {
 
 // featureFunc returns the HasFeature materializer: co-occurrence features
 // from sibling cells ("the values of other cells in the same tuple") and
-// provenance features when lineage is available (Section 4.1).
-//
-// Feature identifiers are precomputed per distinct (attribute, value)
-// pair — and per distinct source — in one dataset scan, so the returned
-// materializer formats no strings and, appending into the grounder's
-// buffer, allocates nothing per cell. The tables are read-only after
-// construction and therefore safe for the concurrent per-shard grounders
-// (that lock-freedom is why they are rebuilt per Prepare rather than
-// mutated across recleans); with an interner the rebuild reuses the
-// strings and re-allocates only the maps.
-func featureFunc(ds *dataset.Dataset, opts Options) func(dataset.Cell, []string) []string {
+// provenance features when lineage is available (Section 4.1). A feature
+// is its tie — (sibling attribute, sibling value), or the tuple's source
+// named through names — so the materializer reads the cell's row and
+// allocates nothing per cell. Sources are named here, in tuple order, once
+// per Prepare; the table is read-only after, and therefore safe for the
+// concurrent per-shard grounders.
+func featureFunc(ds *dataset.Dataset, opts Options, names *factor.KeyInterner) func(dataset.Cell, []factor.Tie) []factor.Tie {
 	n := ds.NumAttrs()
-	var buf []byte
-	mk := func(prefix string, suffix string) string {
-		if opts.Interner == nil {
-			return prefix + suffix
-		}
-		buf = append(append(buf[:0], prefix...), suffix...)
-		return opts.Interner.Intern(buf)
-	}
-	mkInt := func(prefix string, v int) string {
-		if opts.Interner == nil {
-			return prefix + strconv.Itoa(v)
-		}
-		buf = strconv.AppendInt(append(buf[:0], prefix...), int64(v), 10)
-		return opts.Interner.Intern(buf)
-	}
-	var names []map[dataset.Value]string
-	if !opts.DisableCooccurFeatures {
-		names = make([]map[dataset.Value]string, n)
-		for g := 0; g < n; g++ {
-			m := make(map[dataset.Value]string)
-			prefix := "c" + strconv.Itoa(g) + "="
-			for t := 0; t < ds.NumTuples(); t++ {
-				v := ds.Get(t, g)
-				if v == dataset.Null {
-					continue
-				}
-				if _, ok := m[v]; !ok {
-					m[v] = mkInt(prefix, int(v))
-				}
-			}
-			names[g] = m
-		}
-	}
-	var srcNames map[string]string
+	siblings := !opts.DisableCooccurFeatures
+	var src []int32 // src[t]: the name id of tuple t's source, -1 without one
 	if !opts.DisableSourceFeatures && ds.HasSources() {
-		srcNames = make(map[string]string)
-		for t := 0; t < ds.NumTuples(); t++ {
-			if src := ds.Source(t); src != "" {
-				if _, ok := srcNames[src]; !ok {
-					srcNames[src] = mk("s=", src)
-				}
+		src = make([]int32, ds.NumTuples())
+		for t := range src {
+			src[t] = -1
+			if s := ds.Source(t); s != "" {
+				src[t] = names.ID(s)
 			}
 		}
 	}
-	return func(c dataset.Cell, out []string) []string {
-		if names != nil {
+	return func(c dataset.Cell, out []factor.Tie) []factor.Tie {
+		if siblings {
 			for g := 0; g < n; g++ {
 				if g == c.Attr {
 					continue
@@ -404,13 +381,11 @@ func featureFunc(ds *dataset.Dataset, opts Options) func(dataset.Cell, []string)
 				if v == dataset.Null {
 					continue
 				}
-				out = append(out, names[g][v])
+				out = append(out, factor.Tie{Family: ddlog.TieFeature, C: int32(g), D: int32(v)})
 			}
 		}
-		if srcNames != nil {
-			if src := ds.Source(c.Tuple); src != "" {
-				out = append(out, srcNames[src])
-			}
+		if src != nil && src[c.Tuple] >= 0 {
+			out = append(out, factor.Tie{Family: ddlog.TieSource, C: src[c.Tuple]})
 		}
 		return out
 	}
@@ -435,41 +410,32 @@ func featureFunc(ds *dataset.Dataset, opts Options) func(dataset.Cell, []string)
 // where detection flagged everything.
 //
 // features builds the vectors; moved asks, of the same contexts, whether a
-// delta touched a counter they are built from. Both walk contexts and
-// families, so a new gate or family is written once.
+// delta touched a counter they are built from. Both walk contexts, gate
+// them with open and walk families, so a new gate or family is written
+// once.
 type cooccur struct {
 	ds         *dataset.Dataset
 	st, masked *stats.Stats
-	quasiKey   []bool   // QuasiKeys of the relation the model is compiled over
-	freqKeys   []string // tying key of the frequency prior, per attribute
+	quasiKey   []bool // QuasiKeys of the relation the model is compiled over
 	families   [2]family
+	sameCodes  bool // masked codes every value as st does (see stats.SharesCodes)
 }
 
-// family is one co-occurrence feature family: the statistics it reads, its
-// tying keys per (attribute, sibling) pair and the prior they start at.
+// family is one co-occurrence feature family: the statistics it reads, the
+// tie family of its weights (one per (attribute, sibling) pair) and the
+// prior they start at.
 type family struct {
 	src  *stats.Stats
-	keys []string
+	tie  int32
 	init float64
 }
 
-// newCooccur builds the featurizer. Tying keys depend only on the
-// (attribute, sibling) pair, so the full key tables are built once here
-// instead of per cell via strconv in the grounding loop.
+// newCooccur builds the featurizer.
 func newCooccur(ds *dataset.Dataset, st, masked *stats.Stats) *cooccur {
-	n := ds.NumAttrs()
-	f := &cooccur{ds: ds, st: st, masked: masked, quasiKey: QuasiKeys(st, n, ds.NumTuples()), freqKeys: make([]string, n)}
+	f := &cooccur{ds: ds, st: st, masked: masked, quasiKey: QuasiKeys(st, ds.NumAttrs(), ds.NumTuples()), sameCodes: masked.SharesCodes(st)}
 	f.families = [2]family{ // StatsDelta.families lists the deltas in the same order
-		{src: st, keys: make([]string, n*n), init: 0.5},
-		{src: masked, keys: make([]string, n*n), init: 1.0},
-	}
-	for a := 0; a < n; a++ {
-		f.freqKeys[a] = "freq|" + strconv.Itoa(a)
-		for g := 0; g < n; g++ {
-			suffix := strconv.Itoa(a) + "|" + strconv.Itoa(g)
-			f.families[0].keys[a*n+g] = "cooc|" + suffix
-			f.families[1].keys[a*n+g] = "ccln|" + suffix
-		}
+		{src: st, tie: ddlog.TieCooc, init: 0.5},
+		{src: masked, tie: ddlog.TieClean, init: 1.0},
 	}
 	return f
 }
@@ -485,77 +451,93 @@ func QuasiKeys(st *stats.Stats, numAttrs, numTuples int) []bool {
 	return out
 }
 
-// contexts yields the sibling contexts (g, v_g) the co-occurrence
-// features of cell c condition on: every non-null sibling value that
-// occurs at least twice — a unique key "predicting" its own tuple's values
-// is pure self-reference. With a delta of the raw statistics, a context
-// whose frequency it touched is yielded too: the gate may have been open
-// before the delta.
-func (f *cooccur) contexts(c dataset.Cell, raw *stats.Delta) iter.Seq2[int, dataset.Value] {
+// contexts yields the sibling contexts (g, v_g) of cell c, one per
+// non-null sibling value; the co-occurrence features condition on those
+// whose gate is open.
+func (f *cooccur) contexts(c dataset.Cell) iter.Seq2[int, dataset.Value] {
 	return func(yield func(int, dataset.Value) bool) {
 		for g := 0; g < f.ds.NumAttrs(); g++ {
 			if g == c.Attr {
 				continue
 			}
-			vg := f.ds.Get(c.Tuple, g)
-			if vg == dataset.Null || (f.st.Freq(g, vg) < 2 && (raw == nil || !raw.TouchedFreq(g, vg))) {
-				continue
-			}
-			if !yield(g, vg) {
+			if vg := f.ds.Get(c.Tuple, g); vg != dataset.Null && !yield(g, vg) {
 				return
 			}
 		}
 	}
 }
 
-// features is the ddlog.Database.SoftFeatures materializer.
+// open is the gate of context (g, v_g), whose value the raw statistics
+// count freq times: it must occur at least twice — a unique key
+// "predicting" its own tuple's values is pure self-reference. With a delta
+// of the raw statistics, a context whose frequency it touched is open too:
+// the gate may have been open before the delta.
+func open(freq int, raw *stats.Delta, g int, vg dataset.Value) bool {
+	return freq >= 2 || raw != nil && raw.TouchedFreq(g, vg)
+}
+
+// features is the ddlog.Database.SoftFeatures materializer. Every
+// statistics read is by code: the candidates' codes are resolved once for
+// the cell, and a context's code once for its gate and both rows — the
+// clean family shares the raw family's codes when both statistics come
+// from one encoding, as the pipeline's do.
 func (f *cooccur) features(c dataset.Cell, dom []int32, out *ddlog.SoftBuf) {
+	a := int32(c.Attr)
+	var buf [64]int32
+	codes := buf[:0] // each family's codes of the candidates, end to end
+	for i, fam := range f.families {
+		if i > 0 && f.sameCodes {
+			codes = append(codes, codes[:len(dom)]...)
+			continue
+		}
+		for _, label := range dom {
+			codes = append(codes, fam.src.Code(c.Attr, dataset.Value(label)))
+		}
+	}
 	// Empirical value-frequency prior (the "empirical distribution
 	// characterizing attributes" of Section 1), over clean-cell counts and
 	// normalized by the best candidate: a value that never occurs outside
 	// flagged cells — a replicated misspelling, a typo — earns no mass no
 	// matter how self-consistent its tuples are.
-	maxF := 0
-	for _, label := range dom {
-		if fr := f.masked.Freq(c.Attr, dataset.Value(label)); fr > maxF {
-			maxF = fr
-		}
-	}
-	if maxF > 0 && !f.quasiKey[c.Attr] {
+	if !f.quasiKey[c.Attr] {
 		freqH := out.Vec(len(dom))
-		for d, label := range dom {
-			freqH[d] = float64(f.masked.Freq(c.Attr, dataset.Value(label))) / float64(maxF)
+		maxF := 0.0
+		for d, k := range codes[len(dom):] { // the clean family reads masked
+			freqH[d] = float64(f.masked.FreqOf(c.Attr, k))
+			maxF = max(maxF, freqH[d])
 		}
-		out.Add(f.freqKeys[c.Attr], freqH, 1.0)
-	}
-	// Each family's codes for the candidates, resolved once for the cell;
-	// h[d] = Pr[d | v_g] = #(d, v_g) / #v_g is then read off the context's
-	// row by code.
-	n := f.ds.NumAttrs()
-	var buf [32]int32
-	codes := buf[:0]
-	for i := range f.families {
-		for _, label := range dom {
-			codes = append(codes, f.families[i].src.Code(c.Attr, dataset.Value(label)))
+		if maxF > 0 {
+			for d := range freqH {
+				freqH[d] /= maxF
+			}
+			out.Add(factor.Tie{Family: ddlog.TieFreq, A: a}, freqH, 1.0)
 		}
 	}
-	for g, vg := range f.contexts(c, nil) {
-		for i := range f.families {
-			fam := &f.families[i]
-			row := fam.src.Row(c.Attr, g, vg)
+	// h[d] = Pr[d | v_g] = #(d, v_g) / #v_g, read off the context's row.
+	for g, vg := range f.contexts(c) {
+		k := f.st.Code(g, vg)
+		if !open(f.st.FreqOf(g, k), nil, g, vg) {
+			continue
+		}
+		for i, fam := range f.families {
+			kg := k
+			if i > 0 && !f.sameCodes {
+				kg = fam.src.Code(g, vg)
+			}
+			row := fam.src.RowOf(c.Attr, g, kg)
 			if row.Len() == 0 {
 				continue
 			}
 			h := out.Vec(len(dom))
 			any := false
-			for d, k := range codes[i*len(dom) : (i+1)*len(dom)] {
-				if cnt := row.Count(k); cnt != 0 {
+			for d, code := range codes[i*len(dom) : (i+1)*len(dom)] {
+				if cnt := row.Count(code); cnt != 0 {
 					h[d] = float64(cnt) / float64(row.Given())
 					any = true
 				}
 			}
 			if any {
-				out.Add(fam.keys[c.Attr*n+g], h, fam.init)
+				out.Add(factor.Tie{Family: fam.tie, A: a, B: int32(g)}, h, fam.init)
 			}
 		}
 	}
@@ -606,7 +588,10 @@ func (f *cooccur) moved(c dataset.Cell, dom []dataset.Value, d StatsDelta) bool 
 	// and denominator — and, per candidate, the histogram bucket h[d]
 	// reads. A bucket touched for a value outside the candidate set leaves
 	// the features intact.
-	for g, vg := range f.contexts(c, d.Raw) {
+	for g, vg := range f.contexts(c) {
+		if !open(f.st.Freq(g, vg), d.Raw, g, vg) {
+			continue
+		}
 		for _, fd := range d.families() {
 			if fd.TouchedFreq(g, vg) {
 				return true
@@ -624,12 +609,8 @@ func (f *cooccur) moved(c dataset.Cell, dom []dataset.Value, d StatsDelta) bool 
 // fusionFeatureFunc materializes the source-fusion signal: H[d] is the
 // accuracy-weighted vote share of candidate d among the tuples reporting
 // on the same entity attribute, with one learnable weight per attribute
-// (keys precomputed per attribute).
-func fusionFeatureFunc(votes *fusion.Votes, numAttrs int) func(dataset.Cell, []int32, *ddlog.SoftBuf) {
-	keys := make([]string, numAttrs)
-	for a := range keys {
-		keys[a] = "fusion|" + strconv.Itoa(a)
-	}
+// (tied per attribute).
+func fusionFeatureFunc(votes *fusion.Votes) func(dataset.Cell, []int32, *ddlog.SoftBuf) {
 	return func(c dataset.Cell, dom []int32, out *ddlog.SoftBuf) {
 		h := out.Vec(len(dom))
 		any := false
@@ -644,7 +625,7 @@ func fusionFeatureFunc(votes *fusion.Votes, numAttrs int) func(dataset.Cell, []i
 			}
 		}
 		if any {
-			out.Add(keys[c.Attr], h, 3.0)
+			out.Add(factor.Tie{Family: ddlog.TieFusion, A: int32(c.Attr)}, h, 3.0)
 		}
 	}
 }

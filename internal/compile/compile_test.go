@@ -234,7 +234,7 @@ func TestCompileDisabledFeatures(t *testing.T) {
 	if len(comp.Grounded.Graph.Softs) > 0 {
 		// Only relaxed-DC softs may remain.
 		for _, s := range comp.Grounded.Graph.Softs {
-			key := comp.Grounded.Graph.Weights.Keys[s.Weight]
+			key := comp.Grounded.Graph.Weights.Key(s.Weight)
 			if strings.HasPrefix(key, "cooc|") || strings.HasPrefix(key, "ccln|") || strings.HasPrefix(key, "freq|") {
 				t.Errorf("statistics feature grounded despite being disabled: %s", key)
 			}

@@ -54,7 +54,7 @@ func TestBoundaryDampingGrounds(t *testing.T) {
 		if vars := g.Graph.NaryVars(f); len(vars) != 1 || g.Cells[vars[0]].Tuple != 0 {
 			t.Fatalf("boundary factor should touch only the in-shard variable, got vars %v", vars)
 		}
-		key := g.Graph.Weights.Keys[f.Weight]
+		key := g.Graph.Weights.Key(f.Weight)
 		if key != "dc~|fd" {
 			t.Fatalf("boundary factor weight key = %q, want dc~|fd", key)
 		}
@@ -92,7 +92,7 @@ func TestBoundaryDampingKeepsInShardPairs(t *testing.T) {
 	}
 	for i := range g.Graph.Naries {
 		f := &g.Graph.Naries[i]
-		if key := g.Graph.Weights.Keys[f.Weight]; key != "dc|fd" {
+		if key := g.Graph.Weights.Key(f.Weight); key != "dc|fd" {
 			t.Fatalf("in-shard factor got key %q, want dc|fd (full weight)", key)
 		}
 	}
@@ -157,7 +157,7 @@ func TestPredicatesReadThePassDomains(t *testing.T) {
 	}
 	relaxedH := func(g *Grounded) []float64 {
 		for i := range g.Graph.Softs {
-			if s := &g.Graph.Softs[i]; g.Graph.Weights.Keys[s.Weight] == "rdc|fd@zip" {
+			if s := &g.Graph.Softs[i]; g.Graph.Weights.Key(s.Weight) == "rdc|fd@zip" {
 				return g.Graph.SoftH(s)
 			}
 		}
@@ -168,12 +168,12 @@ func TestPredicatesReadThePassDomains(t *testing.T) {
 		if len(g.Graph.Unaries) != 1 {
 			t.Fatalf("%d match factors, want 1", len(g.Graph.Unaries))
 		}
-		return g.Graph.Weights.Keys[g.Graph.Unaries[0].Weight]
+		return g.Graph.Weights.Key(g.Graph.Unaries[0].Weight)
 	}
 	naryKeys := func(g *Grounded) []string {
 		var keys []string
 		for i := range g.Graph.Naries {
-			keys = append(keys, g.Graph.Weights.Keys[g.Graph.Naries[i].Weight])
+			keys = append(keys, g.Graph.Weights.Key(g.Graph.Naries[i].Weight))
 		}
 		return keys
 	}

@@ -2,7 +2,6 @@ package ddlog
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 
 	"holoclean/internal/dataset"
@@ -29,12 +28,15 @@ type Database struct {
 	Evidence        []dataset.Cell
 	EvidenceDomains [][]dataset.Value
 	// Features materializes HasFeature(t,a,f) lazily: it appends the
-	// feature identifiers of one cell to dst, a buffer the grounder reuses
-	// from cell to cell, and returns the extended slice. May be nil when no
-	// feature rule exists.
-	Features func(c dataset.Cell, dst []string) []string
+	// features of one cell to dst, a buffer the grounder reuses from cell
+	// to cell, and returns the extended slice. A feature is the tie of its
+	// indicator factors with A and B left zero: grounding ties one weight
+	// per (attribute, candidate label, feature) by setting them to the
+	// cell's attribute and each candidate label. May be nil when no feature
+	// rule exists.
+	Features func(c dataset.Cell, dst []factor.Tie) []factor.Tie
 	// SoftFeatures materializes real-valued features: per cell and
-	// candidate-label vector, zero or more (weight key, h vector) pairs,
+	// candidate-label vector, zero or more (weight tie, h vector) pairs,
 	// added to buf (see SoftBuf). HoloClean uses one per cell carrying
 	// co-occurrence probabilities with the weight tied per attribute. May
 	// be nil.
@@ -60,11 +62,10 @@ type Database struct {
 	// one shard's cells or none. With nil, Ground builds a private one over
 	// DS and Domains.
 	Shared *SharedIndex
-	// Interner, when non-nil, is the canonical tying-key store shared by
-	// every graph grounded from this database (all shards of a run, and a
-	// session's successive recleans). With it, grounding allocates each
-	// distinct key string at most once per interner lifetime; the
-	// per-factor key path in the hot loops never allocates at all.
+	// Interner is the name table of the ties every graph grounded from
+	// this database shares (all shards of a pass, and a session's
+	// successive passes), so their ties agree; the featurizers' ties were
+	// named through it. With nil, Ground names through a private one.
 	Interner *factor.KeyInterner
 	// Boundary, when positive, grounds the denial-constraint pairs admits
 	// rejects instead of skipping them: the side whose query cells have no
@@ -87,14 +88,14 @@ type Config struct {
 	// unlimited). The cap is an approximation documented in DESIGN.md.
 	MaxScanCounterparts int
 	// Weights, when non-nil, are the weights the graph is grounded to
-	// infer with — the broadcast of a learning pass, by tying key. A
-	// learnable weight is created at its value here, or at its prior when
-	// the map has no entry for it, and a unary or soft factor whose weight
-	// is exactly 0 is not materialized: it would add ±0 to every score, so
-	// StaticScores are bit-identical without it. N-ary factors are always
+	// infer with — the broadcast of a learning pass, by tie. A learnable
+	// weight is created at its value here, or at its prior when the
+	// broadcast has no entry for it, and a unary or soft factor whose
+	// weight is exactly 0 is not materialized: it would add ±0 to every
+	// score, so StaticScores are bit-identical without it. N-ary factors are always
 	// materialized (they decide colouring and whether a graph is sampled).
 	// Nil grounds every factor at its prior: the graph learning fits.
-	Weights map[string]float64
+	Weights *factor.Weights
 	// Arena, when non-nil, supplies the grounder's scratch memory so
 	// repeated groundings (per-shard, per-reclean) reuse backing arrays.
 	// The returned Grounded borrows the arena's cell→variable map; see
@@ -156,12 +157,12 @@ type Stats struct {
 }
 
 // SoftFeature is one real-valued feature of a cell: h values per
-// candidate with a tied weight key. Init is the weight's starting value;
+// candidate with a weight tie. Init is the weight's starting value;
 // learning adjusts it when evidence exists, but on workloads where error
 // detection flags entire conflict groups (e.g. Flights) evidence is
 // scarce and the prior carries the signal.
 type SoftFeature struct {
-	Key  string
+	Key  factor.Tie
 	H    []float64
 	Init float64
 }
@@ -188,8 +189,9 @@ func (b *SoftBuf) Vec(n int) []float64 {
 	return v
 }
 
-// Add keeps h, a vector from Vec, as a feature tied to key with prior init.
-func (b *SoftBuf) Add(key string, h []float64, init float64) {
+// Add keeps h, a vector from Vec, as a feature tied by key with prior
+// init.
+func (b *SoftBuf) Add(key factor.Tie, h []float64, init float64) {
 	b.feats = append(b.feats, SoftFeature{Key: key, H: h, Init: init})
 }
 
@@ -261,19 +263,20 @@ type Grounded struct {
 }
 
 // Arena is the reusable per-grounding scratch memory: the dense cell→var
-// map, label/key build buffers, the featurizers' output buffers, the
-// relaxed-DC candidate counters, vector and grouping scratch, and an
-// epoch-marked tuple set. The sharded pipeline pools arenas across its
-// worker goroutines and across Session recleans (AcquireArena /
-// ReleaseArena), so a steady stream of shard groundings reuses the same
-// few backing arrays. A Grounded produced with an arena borrows the
-// arena's CellVars: release the arena only after the grounded graph's
-// VarOf is no longer needed.
+// map, the graph, label and context-key build buffers, the featurizers'
+// output buffers, the relaxed-DC candidate counters, vector and grouping
+// scratch, and an epoch-marked tuple set. The sharded
+// pipeline pools arenas across its worker goroutines and across Session
+// recleans (AcquireArena / ReleaseArena), so a steady stream of shard
+// groundings reuses the same few backing arrays. A Grounded produced with
+// an arena borrows the arena's CellVars and graph: release the arena only
+// after the grounded graph is no longer needed.
 type Arena struct {
 	cellVars  CellVars
+	graph     factor.Graph
 	labelBuf  []int32
-	keyBuf    []byte
-	feats     []string
+	ctxKey    []byte
+	feats     []factor.Tie
 	soft      SoftBuf
 	counts    []int32
 	h         []float64
@@ -289,8 +292,21 @@ var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
 func AcquireArena() *Arena { return arenaPool.Get().(*Arena) }
 
 // ReleaseArena returns an arena to the pool. The caller must be done with
-// every Grounded that borrowed it.
-func ReleaseArena(a *Arena) { arenaPool.Put(a) }
+// every Grounded that borrowed it. The arena keeps its graph's storage
+// only up to pooledVars variables.
+func ReleaseArena(a *Arena) {
+	if a.graph.NumVars() > pooledVars {
+		a.graph = factor.Graph{}
+	}
+	arenaPool.Put(a)
+}
+
+// pooledVars bounds the graphs whose storage a pooled arena keeps: a
+// shard of independent cells (a batch of a few hundred) is rebuilt in its
+// predecessor's arrays, while the graph of a giant conflict component is
+// let go — kept, it would pin its size in every arena the pool holds, and
+// raise the peak heap of every later pass by one giant graph.
+const pooledVars = 1024
 
 // seen reports and records whether tuple t was already seen in the
 // current epoch. Epoch bumping makes clearing O(1); the mark array is
@@ -327,8 +343,9 @@ type grounder struct {
 	g      *factor.Graph
 	out    *Grounded
 	ar     *Arena
-	shared *SharedIndex // db.Shared, or a private index when the database carries none
-	nb     naryBuild    // foldFactor's reusable output
+	shared *SharedIndex        // db.Shared, or a private index when the database carries none
+	names  *factor.KeyInterner // db.Interner, or a private one
+	nb     naryBuild           // foldFactor's reusable output
 }
 
 // Ground evaluates every rule of the program against the database and
@@ -380,18 +397,22 @@ func newGrounder(db *Database, cfg Config) *grounder {
 		ar = new(Arena)
 	}
 	ar.cellVars.reset(db.DS.NumTuples(), db.DS.NumAttrs())
+	ar.graph.Reset()
 	ar.nextSeen(db.DS.NumTuples())
 	gr := &grounder{
 		db:     db,
 		cfg:    cfg,
-		g:      factor.NewGraph(),
+		g:      &ar.graph,
 		ar:     ar,
 		shared: db.Shared,
 	}
 	if gr.shared == nil {
 		gr.shared = NewSharedIndex(db.DS, db.Domains)
 	}
-	gr.g.Weights.Interner = db.Interner
+	if gr.names = db.Interner; gr.names == nil {
+		gr.names = factor.NewKeyInterner()
+	}
+	gr.g.Weights.Decode = Keys{gr.names}.String
 	gr.out = &Grounded{Graph: gr.g, VarOf: &ar.cellVars}
 	dict := db.DS.Dict()
 	gr.g.Cmp = func(op uint8, a, b int32) bool {
@@ -467,21 +488,11 @@ func (gr *grounder) groundFeatures() {
 		if gr.db.Features != nil {
 			gr.ar.feats = gr.db.Features(c, gr.ar.feats[:0])
 			for _, f := range gr.ar.feats {
+				f.A = int32(c.Attr)
 				for d, label := range dom {
-					// The key is staged in the arena buffer: the per-factor
-					// path allocates no key string once the key is known to
-					// the weight store (or, with a shared interner, to any
-					// prior grounding).
-					key := gr.ar.keyBuf[:0]
-					key = append(key, "ft|"...)
-					key = strconv.AppendInt(key, int64(c.Attr), 10)
-					key = append(key, '|')
-					key = strconv.AppendInt(key, int64(label), 10)
-					key = append(key, '|')
-					key = append(key, f...)
-					gr.ar.keyBuf = key
+					f.B = label
 					gr.out.Stats.PaperFactors++
-					if wid, ok := gr.weightFor(key, 0, false); ok {
+					if wid, ok := gr.weightFor(f, 0, false); ok {
 						gr.g.AddUnary(v, int32(d), wid)
 					}
 				}
@@ -492,9 +503,8 @@ func (gr *grounder) groundFeatures() {
 			sb.Reset()
 			gr.db.SoftFeatures(c, dom, sb)
 			for _, sf := range sb.feats {
-				gr.ar.keyBuf = append(gr.ar.keyBuf[:0], sf.Key...)
 				gr.out.Stats.PaperFactors++
-				if wid, ok := gr.weightFor(gr.ar.keyBuf, sf.Init, false); ok {
+				if wid, ok := gr.weightFor(sf.Key, sf.Init, false); ok {
 					gr.g.AddSoft(v, wid, sf.H)
 				}
 			}
@@ -517,18 +527,15 @@ func (gr *grounder) groundMatches() {
 		if !ok {
 			continue
 		}
-		key := gr.ar.keyBuf[:0]
-		key = append(key, "dict|"...)
-		key = append(key, m.Dict...)
+		key := factor.Tie{Family: TieDict, A: gr.names.ID(m.Dict)}
 		prior := gr.db.DictPrior
 		for _, cc := range m.CondCells {
 			if gr.repairable(cc) {
-				key = append(key, "|weak"...)
+				key.B = 1
 				prior /= 2
 				break
 			}
 		}
-		gr.ar.keyBuf = key
 		dom := gr.g.Vars[v].Domain
 		for d, l := range dom {
 			if l == int32(label) {
@@ -545,8 +552,7 @@ func (gr *grounder) groundMatches() {
 // groundMinimality emits the positive prior on keeping the initial value
 // for every query variable whose initial value survived pruning.
 func (gr *grounder) groundMinimality(weight float64) {
-	gr.ar.keyBuf = append(gr.ar.keyBuf[:0], "prior|minimality"...)
-	wid, keep := gr.weightFor(gr.ar.keyBuf, weight, true)
+	wid, keep := gr.weightFor(factor.Tie{Family: TieMinimality}, weight, true)
 	for vi := range gr.out.Cells {
 		v := int32(vi)
 		vr := &gr.g.Vars[v]
@@ -560,26 +566,26 @@ func (gr *grounder) groundMinimality(weight float64) {
 	}
 }
 
-// weightFor returns the id of the weight tying key for one unary or soft
+// weightFor returns the id of the weight tied by key for one unary or soft
 // factor, creating the weight on first use: a learnable one at its value
 // in Config.Weights when that has one, otherwise at init. ok is false when
 // the factor is not to be materialized — in a graph grounded with
 // Config.Weights, one whose weight is exactly 0 (see Config.Weights). A
 // warm lookup does not allocate.
-func (gr *grounder) weightFor(key []byte, init float64, fixed bool) (id int32, ok bool) {
+func (gr *grounder) weightFor(key factor.Tie, init float64, fixed bool) (id int32, ok bool) {
 	w := gr.g.Weights
 	if id, ok := w.Lookup(key); ok {
 		return id, gr.cfg.Weights == nil || w.W[id] != 0
 	}
-	if gr.cfg.Weights != nil {
-		if v, learned := gr.cfg.Weights[string(key)]; learned && !fixed {
-			init = v
+	if b := gr.cfg.Weights; b != nil {
+		if id, learned := b.Lookup(key); learned && !fixed {
+			init = b.W[id]
 		}
 		if init == 0 {
 			return -1, false
 		}
 	}
-	return w.IDBytes(key, init, fixed), true
+	return w.Tie(key, init, fixed), true
 }
 
 // queryVarOf returns the query variable of a cell, or -1 when the cell is

@@ -143,7 +143,8 @@ func (gr *grounder) tuplesWithQueryRef(b *dc.Bound, role int) []int {
 func (gr *grounder) groundDC(rule *Rule) error {
 	ci := rule.Constraint
 	b := gr.db.Bounds[ci]
-	wid := gr.g.Weights.ID("dc|"+rule.Name, rule.FixedWeight, true)
+	name := gr.names.ID(rule.Name)
+	wid := gr.g.Weights.Tie(factor.Tie{Family: TieDC, A: name}, rule.FixedWeight, true)
 
 	// Boundary damping (split components): pairs admits rejects ground
 	// anyway, at a damped fixed weight under a distinct tying key. The
@@ -153,7 +154,7 @@ func (gr *grounder) groundDC(rule *Rule) error {
 	damp := gr.db.Boundary
 	var dampWid int32
 	if damp > 0 {
-		dampWid = gr.g.Weights.ID("dc~|"+rule.Name, rule.FixedWeight*damp, true)
+		dampWid = gr.g.Weights.Tie(factor.Tie{Family: TieDamped, A: name}, rule.FixedWeight*damp, true)
 	}
 
 	emit := func(t1, t2 int) {

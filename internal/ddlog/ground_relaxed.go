@@ -6,6 +6,7 @@ import (
 
 	"holoclean/internal/dataset"
 	"holoclean/internal/dc"
+	"holoclean/internal/factor"
 )
 
 // groundRelaxedDC grounds one single-head relaxation of a denial
@@ -30,7 +31,7 @@ import (
 func (gr *grounder) groundRelaxedDC(rule *Rule) {
 	b := gr.db.Bounds[rule.Constraint]
 	hr := rule.Head
-	key := []byte("rdc|" + rule.Name)
+	key := factor.Tie{Family: TieRelaxed, A: gr.names.ID(rule.Name)}
 
 	// Split predicates into those referencing the head cell (evaluated
 	// per candidate) and body predicates (evaluated on initial values).
@@ -289,11 +290,11 @@ func (gr *grounder) relaxPair(rc *relaxCtx) (int32, float64) {
 // one predicate evaluation per candidate.
 func (gr *grounder) countTable(rc *relaxCtx, tag int32, list []int32, upto int) *counterTable {
 	ds := gr.db.DS
-	key := binary.LittleEndian.AppendUint32(gr.ar.keyBuf[:0], uint32(tag))
+	key := binary.LittleEndian.AppendUint32(gr.ar.ctxKey[:0], uint32(tag))
 	for _, a := range rc.ctxAttrs {
 		key = binary.LittleEndian.AppendUint32(key, uint32(ds.Get(rc.c.Tuple, a)))
 	}
-	gr.ar.keyBuf = key
+	gr.ar.ctxKey = key
 	tb := rc.tables.get(key)
 	if tb == nil {
 		tb = rc.tables.put(key, gr.buildTable(rc, list, upto))

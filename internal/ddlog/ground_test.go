@@ -8,6 +8,7 @@ import (
 	"holoclean/internal/dataset"
 	"holoclean/internal/dc"
 	"holoclean/internal/extdict"
+	"holoclean/internal/factor"
 	"holoclean/internal/pruning"
 	"holoclean/internal/stats"
 )
@@ -94,9 +95,11 @@ func TestGroundMinimality(t *testing.T) {
 
 func TestGroundFeatures(t *testing.T) {
 	fx := newFixture(t)
-	fx.db.Features = func(c dataset.Cell, dst []string) []string { return append(dst, "f1", "f2") }
+	fx.db.Features = func(c dataset.Cell, dst []factor.Tie) []factor.Tie {
+		return append(dst, factor.Tie{Family: TieFeature, C: 1, D: 1}, factor.Tie{Family: TieFeature, C: 2, D: 2})
+	}
 	fx.db.SoftFeatures = func(c dataset.Cell, dom []int32, buf *SoftBuf) {
-		buf.Add("soft|x", buf.Vec(len(dom)), 0.7)
+		buf.Add(factor.Tie{Family: TieFusion}, buf.Vec(len(dom)), 0.7)
 	}
 	prog := &Program{}
 	prog.Add(&Rule{Kind: RandomVariables})
@@ -142,7 +145,7 @@ func TestGroundMatches(t *testing.T) {
 		t.Fatalf("matched factors = %d, want 1 (out-of-domain and non-variable skipped)", len(g.Graph.Unaries))
 	}
 	u := g.Graph.Unaries[0]
-	if g.Graph.Weights.Keys[u.Weight] != "dict|k" || g.Graph.Weights.W[u.Weight] != 1.8 {
+	if g.Graph.Weights.Key(u.Weight) != "dict|k" || g.Graph.Weights.W[u.Weight] != 1.8 {
 		t.Errorf("dictionary weight wrong: %v", g.Graph.Weights.W[u.Weight])
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"holoclean/internal/dataset"
 	"holoclean/internal/dc"
 	"holoclean/internal/extdict"
+	"holoclean/internal/factor"
 	"holoclean/internal/pruning"
 )
 
@@ -56,9 +57,11 @@ func TestInertVariablesGroundNoFactors(t *testing.T) {
 		),
 		Evidence:        evidence,
 		EvidenceDomains: [][]dataset.Value{vals("60608", "70000"), vals("Boston")},
-		Features:        func(_ dataset.Cell, dst []string) []string { return append(dst, "f") },
+		Features: func(_ dataset.Cell, dst []factor.Tie) []factor.Tie {
+			return append(dst, factor.Tie{Family: TieFeature})
+		},
 		SoftFeatures: func(_ dataset.Cell, dom []int32, buf *SoftBuf) {
-			buf.Add("soft", buf.Vec(len(dom)), 1)
+			buf.Add(factor.Tie{Family: TieFusion}, buf.Vec(len(dom)), 1)
 		},
 		Matches: []extdict.Match{
 			{Cell: cell(0, zip), Value: "60608", Dict: "k", CondCells: []dataset.Cell{cell(0, name)}}, // keyed on an inert cell
@@ -110,12 +113,12 @@ func TestInertVariablesGroundNoFactors(t *testing.T) {
 		v, _ := g.VarOf.Get(c)
 		for _, u := range g.Graph.Unaries {
 			if u.Var == v {
-				unaryKeys = append(unaryKeys, g.Graph.Weights.Keys[u.Weight])
+				unaryKeys = append(unaryKeys, g.Graph.Weights.Key(u.Weight))
 			}
 		}
 		for _, s := range g.Graph.Softs {
 			if s.Var == v {
-				softKeys = append(softKeys, g.Graph.Weights.Keys[s.Weight])
+				softKeys = append(softKeys, g.Graph.Weights.Key(s.Weight))
 			}
 		}
 		return unaryKeys, softKeys
@@ -127,7 +130,7 @@ func TestInertVariablesGroundNoFactors(t *testing.T) {
 	}
 	for _, c := range repairable {
 		u, s := factorsOf(c)
-		if !slices.Contains(u, "prior|minimality") || !slices.Contains(s, "soft") || len(u) < 3 {
+		if !slices.Contains(u, "prior|minimality") || !slices.Contains(s, "fusion|0") || len(u) < 3 {
 			t.Errorf("repairable cell %v lost factors: unary %v, soft %v", c, u, s)
 		}
 	}
@@ -136,7 +139,7 @@ func TestInertVariablesGroundNoFactors(t *testing.T) {
 	for _, c := range evidence {
 		v, _ := g.VarOf.Get(c)
 		u, s := factorsOf(c)
-		if len(u) < len(g.Graph.Vars[v].Domain) || !slices.Contains(s, "soft") {
+		if len(u) < len(g.Graph.Vars[v].Domain) || !slices.Contains(s, "fusion|0") {
 			t.Errorf("evidence cell %v lost factors: unary %v, soft %v", c, u, s)
 		}
 	}
@@ -153,7 +156,7 @@ func TestInertVariablesGroundNoFactors(t *testing.T) {
 	if u, _ := factorsOf(cell(1, zip)); !slices.Contains(u, "dict|k|weak") || slices.Contains(u, "dict|k") {
 		t.Errorf("match keyed on a repairable cell: unary keys %v, want dict|k|weak", u)
 	}
-	if id := slices.Index(w.Keys, "dict|k|weak"); id < 0 || w.W[id] != 1 {
+	if id := slices.IndexFunc(w.Ties, func(t factor.Tie) bool { return t.Family == TieDict && t.B == 1 }); id < 0 || w.Key(int32(id)) != "dict|k|weak" || w.W[id] != 1 {
 		t.Errorf("weak dictionary weight %d, want one starting at half the prior of 2", id)
 	}
 
@@ -163,7 +166,7 @@ func TestInertVariablesGroundNoFactors(t *testing.T) {
 	rdc := func(c dataset.Cell) []float64 {
 		v, _ := g.VarOf.Get(c)
 		for i := range g.Graph.Softs {
-			if s := &g.Graph.Softs[i]; s.Var == v && w.Keys[s.Weight] == "rdc|fd@zip" {
+			if s := &g.Graph.Softs[i]; s.Var == v && w.Key(s.Weight) == "rdc|fd@zip" {
 				return g.Graph.SoftH(s)
 			}
 		}

@@ -3,23 +3,26 @@ package ddlog_test
 import (
 	"testing"
 
+	"holoclean/internal/ddlog"
 	"holoclean/internal/factor"
 )
 
-// TestIDBytesWarmZeroAllocs pins the per-factor tying-key mechanism: once
-// a key is registered, looking it up from a byte buffer — the exact call
-// the grounding hot loops make per factor — performs zero allocations.
-func TestIDBytesWarmZeroAllocs(t *testing.T) {
+// TestTieWarmZeroAllocs pins the per-factor tying mechanism: once a tie is
+// registered, looking its weight up — the call the grounding hot loops
+// make per factor — performs zero allocations.
+func TestTieWarmZeroAllocs(t *testing.T) {
 	w := factor.NewWeights()
-	w.Interner = factor.NewKeyInterner()
-	key := []byte("ft|3|42|c7=19")
-	want := w.IDBytes(key, 0, false)
+	tie := factor.Tie{Family: ddlog.TieFeature, A: 3, B: 42, C: 7, D: 19}
+	want := w.Tie(tie, 0, false)
 	allocs := testing.AllocsPerRun(200, func() {
-		if got := w.IDBytes(key, 0, false); got != want {
-			t.Fatalf("IDBytes = %d, want %d", got, want)
+		if got := w.Tie(tie, 0, false); got != want {
+			t.Fatalf("Tie = %d, want %d", got, want)
+		}
+		if got, ok := w.Lookup(tie); !ok || got != want {
+			t.Fatalf("Lookup = %d, %v, want %d", got, ok, want)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm IDBytes allocated %v objects per call, want 0", allocs)
+		t.Fatalf("warm tie lookup allocated %v objects per call, want 0", allocs)
 	}
 }

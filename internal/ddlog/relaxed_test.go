@@ -68,7 +68,7 @@ func (gr *grounder) refGroundRelaxedDC(rule *Rule) {
 			}
 		}
 		if any {
-			gr.g.AddSoft(v, gr.g.Weights.ID("rdc|"+rule.Name, gr.db.RelaxedDCPrior, false), h)
+			gr.g.AddSoft(v, gr.g.Weights.Tie(factor.Tie{Family: TieRelaxed, A: gr.names.ID(rule.Name)}, gr.db.RelaxedDCPrior, false), h)
 		}
 	}
 }
@@ -291,7 +291,7 @@ func compareSofts(t *testing.T, name string, got, want *factor.Graph) {
 	}
 	for i := range got.Softs {
 		g, w := &got.Softs[i], &want.Softs[i]
-		gk, wk := got.Weights.Keys[g.Weight], want.Weights.Keys[w.Weight]
+		gk, wk := got.Weights.Key(g.Weight), want.Weights.Key(w.Weight)
 		gh, wh := got.SoftH(g), want.SoftH(w)
 		if g.Var != w.Var || gk != wk {
 			t.Errorf("%s: soft %d is (%d %s), reference (%d %s)", name, i, g.Var, gk, w.Var, wk)

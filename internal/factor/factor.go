@@ -28,6 +28,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -133,109 +134,164 @@ type shape struct{ off, mid, end int32 }
 // one sequential run of these.
 type incidence struct{ weight, members, shape int32 }
 
-// KeyInterner is a canonical store for tying-key strings, shared across
-// the weight stores of many graphs (the per-shard graphs of one pipeline
-// run, or every reclean of a session). Grounding builds keys into reusable
-// byte buffers; the interner hands back one canonical string per distinct
-// key, so a key's string is allocated once per interner lifetime no matter
-// how many factors or graphs reference it. Safe for concurrent use.
+// KeyInterner is the name table of integer tying keys: it gives each
+// distinct name a tying key carries — a rule, a dictionary, a provenance
+// source — a small id, once per interner lifetime, so a Tie holds the id
+// and no string. One interner is shared by every graph a pass grounds (and
+// by a session's successive passes), so their ties agree. Safe for
+// concurrent use.
 type KeyInterner struct {
-	mu sync.RWMutex
-	m  map[string]string
+	mu    sync.RWMutex
+	ids   map[string]int32
+	names []string
 }
 
 // NewKeyInterner returns an empty interner.
 func NewKeyInterner() *KeyInterner {
-	return &KeyInterner{m: make(map[string]string)}
+	return &KeyInterner{ids: make(map[string]int32)}
 }
 
-// Intern returns the canonical string for key, allocating only on the
-// first sighting of a distinct key.
-func (ki *KeyInterner) Intern(key []byte) string {
-	ki.mu.RLock()
-	s, ok := ki.m[string(key)] // no-alloc map lookup
-	ki.mu.RUnlock()
-	if ok {
-		return s
+// ID returns the id of name, registering it on first sighting.
+func (ki *KeyInterner) ID(name string) int32 {
+	if id, ok := ki.Lookup(name); ok {
+		return id
 	}
 	ki.mu.Lock()
 	defer ki.mu.Unlock()
-	if s, ok := ki.m[string(key)]; ok {
-		return s
-	}
-	s = string(key)
-	ki.m[s] = s
-	return s
-}
-
-// Len reports the number of distinct interned keys.
-func (ki *KeyInterner) Len() int {
-	ki.mu.RLock()
-	defer ki.mu.RUnlock()
-	return len(ki.m)
-}
-
-// Weights is the tied-weight store. Keys identify parameter-tying groups,
-// e.g. "feat|City|Chicago|Zip=60608" or "dict|zipdb". Fixed weights are
-// priors excluded from learning.
-type Weights struct {
-	W     []float64
-	Fixed []bool
-	Keys  []string
-	ids   map[string]int32
-	// Interner, when non-nil, supplies canonical strings for keys first
-	// registered through IDBytes, so distinct graphs sharing one interner
-	// also share one string per key.
-	Interner *KeyInterner
-}
-
-// NewWeights returns an empty weight store.
-func NewWeights() *Weights {
-	return &Weights{ids: make(map[string]int32)}
-}
-
-// ID returns the weight id for key, creating it with the given initial
-// value and fixedness on first use.
-func (w *Weights) ID(key string, init float64, fixed bool) int32 {
-	if id, ok := w.ids[key]; ok {
+	if id, ok := ki.ids[name]; ok {
 		return id
 	}
-	return w.add(key, init, fixed)
+	id := int32(len(ki.names))
+	ki.ids[name] = id
+	ki.names = append(ki.names, name)
+	return id
 }
 
-// Lookup returns the id of key when the store already holds it. Like
-// IDBytes, it does not allocate.
-func (w *Weights) Lookup(key []byte) (int32, bool) {
-	id, ok := w.ids[string(key)] // no-alloc map lookup
+// Lookup returns the id of name when it is registered.
+func (ki *KeyInterner) Lookup(name string) (int32, bool) {
+	ki.mu.RLock()
+	defer ki.mu.RUnlock()
+	id, ok := ki.ids[name]
 	return id, ok
 }
 
-// IDBytes is ID for keys built in reusable byte buffers: the hot
-// grounding loops call it once per factor, and a warm lookup (the key is
-// already registered) performs zero allocations. A miss materializes the
-// key through the interner when one is attached, so even first sightings
-// allocate at most one string per distinct key per interner lifetime.
-func (w *Weights) IDBytes(key []byte, init float64, fixed bool) int32 {
-	if id, ok := w.ids[string(key)]; ok { // no-alloc map lookup
-		return id
-	}
-	var ks string
-	if w.Interner != nil {
-		ks = w.Interner.Intern(key)
-	} else {
-		ks = string(key)
-	}
-	return w.add(ks, init, fixed)
+// Name returns the name registered under id.
+func (ki *KeyInterner) Name(id int32) string {
+	ki.mu.RLock()
+	defer ki.mu.RUnlock()
+	return ki.names[id]
 }
 
-func (w *Weights) add(key string, init float64, fixed bool) int32 {
+// Len reports the number of distinct registered names.
+func (ki *KeyInterner) Len() int {
+	ki.mu.RLock()
+	defer ki.mu.RUnlock()
+	return len(ki.names)
+}
+
+// Tie is an integer tying key: a family and up to four small-int fields
+// whose meaning the family gives (the grounder's families are ddlog's; a
+// name is a KeyInterner id). Factors whose ties are equal share a weight.
+type Tie struct{ Family, A, B, C, D int32 }
+
+// hash mixes every field of t into the high bits, which index a
+// Weights table. It takes t by pointer, and Lookup compares field by
+// field: a copied or ==-compared Tie is stored as 32-bit fields and
+// reloaded as wider words, a store-forwarding stall per call.
+func (t *Tie) hash() uint64 {
+	h := (uint64(uint32(t.A))<<32 | uint64(uint32(t.B))) * 0x9E3779B97F4A7C15
+	h ^= (uint64(uint32(t.C))<<32 | uint64(uint32(t.D))) * 0xC2B2AE3D27D4EB4F
+	h ^= uint64(uint32(t.Family)) * 0x165667B19E3779F9
+	return (h ^ h>>29) * 0xBF58476D1CE4E5B9
+}
+
+// Weights is the tied-weight store. Ties identify parameter-tying groups
+// and each weight id has one; Key renders a weight's tie as its tying-key
+// string, e.g. "ft|3|42|c7=19" or "dict|zipdb". Fixed weights are priors
+// excluded from learning. The zero value is an empty store.
+type Weights struct {
+	W     []float64
+	Fixed []bool
+	Ties  []Tie
+	// Decode renders a tie as its tying-key string (Key); the grounder
+	// sets it.
+	Decode func(Tie) string
+	// slots index Ties by hash: open addressing with linear probing, at
+	// most half full, a slot holding the top half of its tie's hash above
+	// id+1 (0 is empty). Go's map would hash a struct key through its
+	// generic path, a cost grounding pays per factor.
+	slots []uint64
+	shift uint8 // 64 - log2(len(slots))
+}
+
+// NewWeights returns an empty weight store.
+func NewWeights() *Weights { return &Weights{} }
+
+// Reset empties the store, keeping its storage for the next graph's
+// weights.
+func (w *Weights) Reset() {
+	w.W, w.Fixed, w.Ties = w.W[:0], w.Fixed[:0], w.Ties[:0]
+	clear(w.slots)
+}
+
+// Tie returns the weight id of tie t, creating it with the given initial
+// value and fixedness on first use.
+func (w *Weights) Tie(t Tie, init float64, fixed bool) int32 {
+	if id, ok := w.Lookup(t); ok {
+		return id
+	}
 	id := int32(len(w.W))
 	w.W = append(w.W, init)
 	w.Fixed = append(w.Fixed, fixed)
-	w.Keys = append(w.Keys, key)
-	w.ids[key] = id
+	w.Ties = append(w.Ties, t)
+	if 2*len(w.Ties) > len(w.slots) {
+		lg := max(4, bits.Len(uint(2*len(w.Ties)-1))) // a power of two, at least two slots per weight
+		w.slots, w.shift = make([]uint64, 1<<lg), uint8(64-lg)
+		for i := range w.Ties {
+			w.place(int32(i))
+		}
+	} else {
+		w.place(id)
+	}
 	return id
 }
+
+// place puts weight id in the first free slot of its probe sequence.
+func (w *Weights) place(id int32) {
+	h := w.Ties[id].hash()
+	mask := uint64(len(w.slots) - 1)
+	for i := h >> w.shift; ; i = (i + 1) & mask {
+		if w.slots[i] == 0 {
+			w.slots[i] = h&^(1<<32-1) | uint64(id+1)
+			return
+		}
+	}
+}
+
+// Lookup returns the id of tie t when the store already holds it. It does
+// not allocate.
+func (w *Weights) Lookup(t Tie) (int32, bool) {
+	if len(w.slots) == 0 {
+		return -1, false
+	}
+	h := t.hash()
+	mask := uint64(len(w.slots) - 1)
+	for i := h >> w.shift; ; i = (i + 1) & mask {
+		s := w.slots[i]
+		if s == 0 {
+			return -1, false
+		}
+		if s>>32 != h>>32 {
+			continue
+		}
+		if id := int32(uint32(s)) - 1; w.Ties[id].A == t.A && w.Ties[id].B == t.B && w.Ties[id].C == t.C && w.Ties[id].D == t.D && w.Ties[id].Family == t.Family {
+			return id, true
+		}
+	}
+}
+
+// Key returns the tying-key string of weight id.
+func (w *Weights) Key(id int32) string { return w.Decode(w.Ties[id]) }
 
 // Len returns the number of distinct weights.
 func (w *Weights) Len() int { return len(w.W) }
@@ -253,16 +309,17 @@ func (a *adjacency) of(v int32) []int32 { return a.idx[a.off[v]:a.off[v+1]] }
 
 // build fills the CSR from a stream of (variable, factor-id) incidences
 // delivered by visit. visit must deliver the same sequence both times it
-// is called. A graph freezes exactly once, so the arrays are built
-// fresh — two allocations total, regardless of variable count.
+// is called. The arrays are two allocations, regardless of variable
+// count, or none when a reset graph's are large enough.
 func (a *adjacency) build(nVars int, visit func(emit func(v int32, f int32))) {
-	a.off = make([]int32, nVars+1)
+	a.off = resize(a.off, nVars+1)
+	clear(a.off)
 	total := int32(0)
 	visit(func(v, f int32) { a.off[v+1]++; total++ })
 	for v := 0; v < nVars; v++ {
 		a.off[v+1] += a.off[v]
 	}
-	a.idx = make([]int32, total)
+	a.idx = resize(a.idx, int(total))
 	// Second pass: place each incidence at its row cursor. a.off is
 	// restored to row starts afterwards by shifting back.
 	cursor := a.off
@@ -307,6 +364,30 @@ type Graph struct {
 // NewGraph returns an empty graph with a fresh weight store.
 func NewGraph() *Graph {
 	return &Graph{Weights: NewWeights()}
+}
+
+// Reset empties the graph — structure, weight store and comparator —
+// keeping its storage for the next graph built in it (a pooled grounding
+// arena's). Nothing read from the graph before stays valid.
+func (g *Graph) Reset() {
+	g.Vars, g.Unaries, g.Softs, g.Naries = g.Vars[:0], g.Unaries[:0], g.Softs[:0], g.Naries[:0]
+	g.domArena, g.naryVars, g.preds, g.lists = g.domArena[:0], g.naryVars[:0], g.preds[:0], g.lists[:0]
+	g.softH, g.stream, g.shapes, g.terms = g.softH[:0], g.stream[:0], g.shapes[:0], g.terms[:0]
+	g.Cmp, g.frozen = nil, false
+	clear(g.listIDs) // an unfrozen graph's list ids index the lists just emptied
+	if g.Weights == nil {
+		g.Weights = NewWeights()
+	}
+	g.Weights.Reset()
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough.
+func resize[E any](s []E, n int) []E {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]E, n)
 }
 
 // AddVariable appends a variable and returns its id. Evidence variables
@@ -492,13 +573,13 @@ func (g *Graph) compileNary() {
 	for l := range g.lists {
 		base[l+1] += base[l]
 	}
-	g.shapes = make([]shape, base[len(g.lists)])
+	g.shapes = resize(g.shapes, int(base[len(g.lists)]))
 	for l := range g.lists {
 		for s := base[l]; s < base[l+1]; s++ {
 			g.shapes[s] = g.compileShape(g.listPreds(int32(l)), s-base[l])
 		}
 	}
-	g.stream = make([]incidence, len(g.varNary.idx))
+	g.stream = resize(g.stream, len(g.varNary.idx))
 	for v := range g.Vars {
 		for k := g.varNary.off[v]; k < g.varNary.off[v+1]; k++ {
 			f := &g.Naries[g.varNary.idx[k]]

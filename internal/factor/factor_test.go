@@ -12,9 +12,9 @@ func tinyGraph() *Graph {
 	g := NewGraph()
 	v0 := g.AddVariable([]int32{10, 20}, false, 0)
 	v1 := g.AddVariable([]int32{10, 30}, false, -1)
-	w1 := g.Weights.ID("u", 1.0, false)
+	w1 := g.Weights.Tie(Tie{Family: 100}, 1.0, false)
 	g.AddUnary(v0, 0, w1)
-	wdc := g.Weights.ID("dc", 2.0, true)
+	wdc := g.Weights.Tie(Tie{Family: 101}, 2.0, true)
 	// ¬(v0 == v1): predicate v0 = v1 over slots.
 	g.AddNary([]int32{v0, v1}, []Pred{{LeftSlot: 0, RightSlot: 1, Op: OpEq}}, wdc)
 	return g
@@ -22,15 +22,15 @@ func tinyGraph() *Graph {
 
 func TestWeightsTying(t *testing.T) {
 	w := NewWeights()
-	a := w.ID("k1", 0.5, false)
-	b := w.ID("k1", 99, true) // second registration ignored
+	a := w.Tie(Tie{Family: 102}, 0.5, false)
+	b := w.Tie(Tie{Family: 102}, 99, true) // second registration ignored
 	if a != b {
 		t.Errorf("same key should give same id")
 	}
 	if w.W[a] != 0.5 || w.Fixed[a] {
 		t.Errorf("first registration should win")
 	}
-	c := w.ID("k2", 1, true)
+	c := w.Tie(Tie{Family: 103}, 1, true)
 	if c == a {
 		t.Errorf("distinct keys should differ")
 	}
@@ -77,7 +77,7 @@ func TestLocalScores(t *testing.T) {
 func TestSoftFactor(t *testing.T) {
 	g := NewGraph()
 	v := g.AddVariable([]int32{1, 2, 3}, false, 0)
-	w := g.Weights.ID("soft", 2.0, false)
+	w := g.Weights.Tie(Tie{Family: 104}, 2.0, false)
 	g.AddSoft(v, w, []float64{0.1, 0.7, 0.2})
 	g.Freeze()
 	buf := make([]float64, 3)
@@ -97,7 +97,7 @@ func TestSoftFactor(t *testing.T) {
 func TestNaryConstFolding(t *testing.T) {
 	g := NewGraph()
 	v := g.AddVariable([]int32{5, 6}, false, 0)
-	w := g.Weights.ID("dc", 1.0, true)
+	w := g.Weights.Tie(Tie{Family: 101}, 1.0, true)
 	// Predicate v ≠ 5 (constant right side).
 	g.AddNary([]int32{v}, []Pred{{LeftSlot: 0, RightSlot: -1, RightConst: 5, Op: OpNeq}}, w)
 	g.Freeze()
@@ -112,7 +112,7 @@ func TestNaryConstFolding(t *testing.T) {
 func TestCmpDelegation(t *testing.T) {
 	g := NewGraph()
 	v := g.AddVariable([]int32{5, 6}, false, 0)
-	w := g.Weights.ID("dc", 1.0, true)
+	w := g.Weights.Tie(Tie{Family: 101}, 1.0, true)
 	g.AddNary([]int32{v}, []Pred{{LeftSlot: 0, RightSlot: -1, RightConst: 5, Op: OpGt}}, w)
 	called := false
 	g.Cmp = func(op uint8, a, b int32) bool {
@@ -180,7 +180,7 @@ func TestExactMarginalsEvidenceClamped(t *testing.T) {
 	g := NewGraph()
 	ev := g.AddVariable([]int32{7, 8}, true, 1)
 	q := g.AddVariable([]int32{7, 8}, false, -1)
-	w := g.Weights.ID("dc", 3.0, true)
+	w := g.Weights.Tie(Tie{Family: 101}, 3.0, true)
 	g.AddNary([]int32{ev, q}, []Pred{{LeftSlot: 0, RightSlot: 1, Op: OpEq}}, w)
 	m, err := ExactMarginals(g, 100)
 	if err != nil {
@@ -217,7 +217,7 @@ func TestHasNaryOnQuery(t *testing.T) {
 	g := NewGraph()
 	ev := g.AddVariable([]int32{1, 2}, true, 0)
 	q := g.AddVariable([]int32{1, 2}, false, 0)
-	w := g.Weights.ID("dc", 1, true)
+	w := g.Weights.Tie(Tie{Family: 101}, 1, true)
 	g.AddNary([]int32{ev}, []Pred{{LeftSlot: 0, RightSlot: -1, RightConst: 1, Op: OpEq}}, w)
 	if g.HasNaryOnQuery() {
 		t.Errorf("nary touching only evidence should not count")
@@ -252,7 +252,7 @@ func TestAddNaryRejectsBadSlots(t *testing.T) {
 					t.Errorf("%s: AddNary did not panic", c.name)
 				}
 			}()
-			g.AddNary(c.vars, c.preds, g.Weights.ID("dc", 1, true))
+			g.AddNary(c.vars, c.preds, g.Weights.Tie(Tie{Family: 101}, 1, true))
 		}()
 		if len(g.Naries) != 0 {
 			t.Errorf("%s: the refused factor was kept", c.name)
@@ -260,7 +260,7 @@ func TestAddNaryRejectsBadSlots(t *testing.T) {
 	}
 	g := NewGraph()
 	v := g.AddVariable([]int32{1, 2}, false, 0)
-	g.AddNary([]int32{v}, []Pred{{LeftSlot: 0, RightSlot: -1, RightConst: 2, Op: OpEq}, {LeftSlot: 0, RightSlot: -7, Op: OpNeq}}, g.Weights.ID("dc", 1, true))
+	g.AddNary([]int32{v}, []Pred{{LeftSlot: 0, RightSlot: -1, RightConst: 2, Op: OpEq}, {LeftSlot: 0, RightSlot: -7, Op: OpNeq}}, g.Weights.Tie(Tie{Family: 101}, 1, true))
 	if len(g.Naries) != 1 {
 		t.Fatal("a factor with constant right sides was refused")
 	}

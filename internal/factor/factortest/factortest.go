@@ -146,7 +146,7 @@ func RandomGraph(rng *rand.Rand, nVars int, infinite bool) *factor.Graph {
 	}
 	wids := make([]int32, len(pool))
 	for i, w := range pool {
-		wids[i] = g.Weights.ID(string(rune('a'+i)), w, rng.Intn(2) == 0)
+		wids[i] = g.Weights.Tie(factor.Tie{Family: int32(i)}, w, rng.Intn(2) == 0)
 	}
 	weight := func() int32 { return wids[rng.Intn(len(wids))] }
 	for i := 0; i < nVars; i++ {

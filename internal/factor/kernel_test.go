@@ -76,7 +76,7 @@ func sharedShapeGraph(rng *rand.Rand, nVars int) (*factor.Graph, [][]int32, [][]
 		}
 		g.AddVariable(labels, rng.Intn(5) == 0, int32(rng.Intn(len(labels))))
 	}
-	wids := []int32{g.Weights.ID("a", 1.5, true), g.Weights.ID("b", -0.75, true), g.Weights.ID("c", rng.NormFloat64(), false)}
+	wids := []int32{g.Weights.Tie(factor.Tie{Family: 105}, 1.5, true), g.Weights.Tie(factor.Tie{Family: 106}, -0.75, true), g.Weights.Tie(factor.Tie{Family: 107}, rng.NormFloat64(), false)}
 	type template struct {
 		arity int
 		preds []factor.Pred
@@ -217,7 +217,7 @@ func TestNaryHMatchesReference(t *testing.T) {
 					one.AddVariable(g.Vars[u].Domain, false, g.Vars[u].Assign)
 				}
 				f := &g.Naries[ni]
-				one.AddNary(g.NaryVars(f), g.NaryPreds(f), one.Weights.ID("one", 1, true))
+				one.AddNary(g.NaryVars(f), g.NaryPreds(f), one.Weights.Tie(factor.Tie{Family: 108}, 1, true))
 				one.Freeze()
 				want, got := make([]float64, n), make([]float64, n)
 				factortest.ReferenceLocalScores(one, v, want)

@@ -14,8 +14,8 @@ import (
 // fast paths cannot take.
 func coupledChain(n int) *factor.Graph {
 	g := factor.NewGraph()
-	wp := g.Weights.ID("pair", 0.7, true)
-	wu := g.Weights.ID("unary", 0.4, true)
+	wp := g.Weights.Tie(factor.Tie{Family: 109}, 0.7, true)
+	wu := g.Weights.Tie(factor.Tie{Family: 110}, 0.4, true)
 	for i := 0; i < n; i++ {
 		g.AddVariable([]int32{0, 1}, false, 0)
 	}

@@ -15,7 +15,7 @@ func BenchmarkGibbsCorrelated(b *testing.B) {
 	for i := 0; i < 500; i++ {
 		v := g.AddVariable([]int32{1, 2, 3}, false, 0)
 		if prev >= 0 {
-			w := g.Weights.ID("dc", 1.0, true)
+			w := g.Weights.Tie(factor.Tie{Family: 101}, 1.0, true)
 			g.AddNary([]int32{prev, v}, []factor.Pred{{LeftSlot: 0, RightSlot: 1, Op: factor.OpEq}}, w)
 		}
 		prev = v
@@ -37,9 +37,9 @@ func BenchmarkGibbsCorrelated(b *testing.B) {
 func fdWindowsGraph(rows int) *factor.Graph {
 	rng := rand.New(rand.NewSource(int64(rows)))
 	g := factor.NewGraph()
-	wdc := g.Weights.ID("dc", 1.5, true)
-	wu := g.Weights.ID("u", 0.6, false)
-	ws := g.Weights.ID("s", 1.1, false)
+	wdc := g.Weights.Tie(factor.Tie{Family: 101}, 1.5, true)
+	wu := g.Weights.Tie(factor.Tie{Family: 100}, 0.6, false)
+	ws := g.Weights.Tie(factor.Tie{Family: 113}, 1.1, false)
 	for i := 0; i < 2*rows; i++ { // K of row r is variable 2r, V is 2r+1
 		size := 3
 		if i%4 == 3 {

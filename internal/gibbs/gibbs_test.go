@@ -13,9 +13,9 @@ func independentGraph() *factor.Graph {
 	g := factor.NewGraph()
 	v0 := g.AddVariable([]int32{1, 2}, false, 0)
 	v1 := g.AddVariable([]int32{1, 2, 3}, false, -1)
-	w := g.Weights.ID("w0", 1.0, false)
+	w := g.Weights.Tie(factor.Tie{Family: 111}, 1.0, false)
 	g.AddUnary(v0, 0, w)
-	ws := g.Weights.ID("soft", 2.0, false)
+	ws := g.Weights.Tie(factor.Tie{Family: 104}, 2.0, false)
 	g.AddSoft(v1, ws, []float64{0.9, 0.1, 0.0})
 	return g
 }
@@ -24,9 +24,9 @@ func correlatedGraph() *factor.Graph {
 	g := factor.NewGraph()
 	v0 := g.AddVariable([]int32{1, 2}, false, 0)
 	v1 := g.AddVariable([]int32{1, 2}, false, 0)
-	w := g.Weights.ID("u", 0.8, false)
+	w := g.Weights.Tie(factor.Tie{Family: 100}, 0.8, false)
 	g.AddUnary(v0, 0, w)
-	wdc := g.Weights.ID("dc", 1.5, true)
+	wdc := g.Weights.Tie(factor.Tie{Family: 101}, 1.5, true)
 	g.AddNary([]int32{v0, v1}, []factor.Pred{{LeftSlot: 0, RightSlot: 1, Op: factor.OpEq}}, wdc)
 	return g
 }
@@ -84,7 +84,7 @@ func TestGibbsEvidenceClamped(t *testing.T) {
 	g := factor.NewGraph()
 	ev := g.AddVariable([]int32{1, 2}, true, 1)
 	q := g.AddVariable([]int32{1, 2}, false, 0)
-	w := g.Weights.ID("dc", 2.0, true)
+	w := g.Weights.Tie(factor.Tie{Family: 101}, 2.0, true)
 	g.AddNary([]int32{ev, q}, []factor.Pred{{LeftSlot: 0, RightSlot: 1, Op: factor.OpEq}}, w)
 	m := Run(g, Config{BurnIn: 50, Samples: 1000, Seed: 1})
 	if m.Prob(ev, 1) != 1 {
@@ -101,7 +101,7 @@ func TestGibbsMarginalsSumToOne(t *testing.T) {
 	f := func(seed int64, wRaw uint8) bool {
 		g := factor.NewGraph()
 		v := g.AddVariable([]int32{1, 2, 3, 4}, false, 0)
-		w := g.Weights.ID("w", float64(wRaw%5)-2, false)
+		w := g.Weights.Tie(factor.Tie{Family: 112}, float64(wRaw%5)-2, false)
 		g.AddUnary(v, int32(seed%4+3)%4, w)
 		m := Run(g, Config{BurnIn: 5, Samples: 50, Seed: seed})
 		sum := 0.0

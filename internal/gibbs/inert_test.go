@@ -20,7 +20,7 @@ func randomGraph(seed int64, correlated, decorate bool) *factor.Graph {
 	g := factor.NewGraph()
 	weights := make([]int32, 6)
 	for i := range weights {
-		weights[i] = g.Weights.ID("w"+string(rune('a'+i)), rng.NormFloat64(), i%2 == 0)
+		weights[i] = g.Weights.Tie(factor.Tie{Family: int32(i)}, rng.NormFloat64(), i%2 == 0)
 	}
 	n := 20 + rng.Intn(20)
 	for i := 0; i < n; i++ {
@@ -67,7 +67,7 @@ func randomGraph(seed int64, correlated, decorate bool) *factor.Graph {
 				continue
 			}
 			for k := 1 + rng.Intn(3); k > 0; k-- {
-				w := g.Weights.ID("extra", 50*rng.NormFloat64(), false)
+				w := g.Weights.Tie(factor.Tie{Family: 114}, 50*rng.NormFloat64(), false)
 				g.AddUnary(v, 0, w)
 			}
 			g.AddSoft(v, weights[rng.Intn(len(weights))], []float64{100 * rng.NormFloat64()})

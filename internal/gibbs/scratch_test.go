@@ -16,10 +16,10 @@ func chainGraph(n int) *factor.Graph {
 	var prev int32 = -1
 	for i := 0; i < n; i++ {
 		v := g.AddVariable([]int32{1, 2, 3}, false, 0)
-		w := g.Weights.ID("u", 0.4, false)
+		w := g.Weights.Tie(factor.Tie{Family: 100}, 0.4, false)
 		g.AddUnary(v, int32(i%3), w)
 		if prev >= 0 {
-			dc := g.Weights.ID("dc", 1.0, true)
+			dc := g.Weights.Tie(factor.Tie{Family: 101}, 1.0, true)
 			g.AddNary([]int32{prev, v}, []factor.Pred{{LeftSlot: 0, RightSlot: 1, Op: factor.OpNeq}}, dc)
 		}
 		prev = v
@@ -119,8 +119,8 @@ func TestScratchCarriesNothingAcrossRuns(t *testing.T) {
 	g, fresh := fdWindowsGraph(40), fdWindowsGraph(40)
 	before := run(g, sc)
 	for _, graph := range []*factor.Graph{g, fresh} {
-		graph.Weights.W[graph.Weights.ID("u", 0, false)] = -2.5
-		graph.Weights.W[graph.Weights.ID("s", 0, false)] = 4
+		graph.Weights.W[graph.Weights.Tie(factor.Tie{Family: 100}, 0, false)] = -2.5
+		graph.Weights.W[graph.Weights.Tie(factor.Tie{Family: 113}, 0, false)] = 4
 	}
 	after := run(g, sc)
 	same("after a weight change on the same frozen graph", after, run(fresh, nil))
@@ -143,9 +143,9 @@ func independentVars(n int) *factor.Graph {
 	g.AddVariable([]int32{1, 2}, true, 1)
 	for i := 0; i < n; i++ {
 		v := g.AddVariable([]int32{1, 2, 3, 4}, false, int32(i%5)-1)
-		w := g.Weights.ID("w", 0.8, false)
+		w := g.Weights.Tie(factor.Tie{Family: 112}, 0.8, false)
 		g.AddUnary(v, int32(rng.Intn(4)), w)
-		g.AddSoft(v, g.Weights.ID("s", 1.2, false), []float64{0.4, 0.3, 0.2, rng.Float64()})
+		g.AddSoft(v, g.Weights.Tie(factor.Tie{Family: 113}, 1.2, false), []float64{0.4, 0.3, 0.2, rng.Float64()})
 	}
 	return g
 }

@@ -103,3 +103,30 @@ func TestBaselineTimeoutsRespected(t *testing.T) {
 		}
 	}
 }
+
+// TestDetachedKeepsCodes pins the copy a baseline runs on: every cell and
+// source as in the original, every value under its original code (the
+// baselines break ties by code; hospital's dirty dictionary holds its
+// injected errors after the clean values), and a dictionary of its own.
+func TestDetachedKeepsCodes(t *testing.T) {
+	cfg := datagen.Config{Tuples: 100, Seed: 1}
+	for _, g := range []*datagen.Generated{datagen.Hospital(cfg), datagen.Flights(cfg)} {
+		d := detached(g.Dirty)
+		if d.Dict() == g.Dirty.Dict() {
+			t.Fatalf("%s: the copy shares the original's dictionary", g.Name)
+		}
+		if d.Dict().Size() != g.Dirty.Dict().Size() {
+			t.Fatalf("%s: dictionary sizes differ: copy %d, original %d", g.Name, d.Dict().Size(), g.Dirty.Dict().Size())
+		}
+		for tu := 0; tu < g.Dirty.NumTuples(); tu++ {
+			if d.Source(tu) != g.Dirty.Source(tu) {
+				t.Fatalf("%s: tuple %d: source %q, want %q", g.Name, tu, d.Source(tu), g.Dirty.Source(tu))
+			}
+			for a := 0; a < g.Dirty.NumAttrs(); a++ {
+				if d.Get(tu, a) != g.Dirty.Get(tu, a) {
+					t.Fatalf("%s: cell (%d,%d): code %d, want %d", g.Name, tu, a, d.Get(tu, a), g.Dirty.Get(tu, a))
+				}
+			}
+		}
+	}
+}

@@ -115,16 +115,20 @@ func RunHoloCleanResult(g *datagen.Generated, opts holoclean.Options) (*holoclea
 	}
 }
 
-// runWithTimeout runs fn under the baseline budget.
-func runWithTimeout(name string, budget time.Duration, g *datagen.Generated, fn func() (*dataset.Dataset, error)) MethodResult {
+// runWithTimeout runs fn under the baseline budget on a copy of the dirty
+// relation with a dictionary of its own: a run that outlives its budget is
+// abandoned, not stopped, and must intern into nothing a later baseline or
+// the evaluation reads. The copy is made before the clock starts.
+func runWithTimeout(name string, budget time.Duration, g *datagen.Generated, fn func(dirty *dataset.Dataset) (*dataset.Dataset, error)) MethodResult {
 	type outcome struct {
 		repaired *dataset.Dataset
 		err      error
 	}
 	ch := make(chan outcome, 1)
+	dirty := detached(g.Dirty)
 	start := time.Now()
 	go func() {
-		repaired, err := fn()
+		repaired, err := fn(dirty)
 		ch <- outcome{repaired, err}
 	}()
 	select {
@@ -146,10 +150,32 @@ func runWithTimeout(name string, budget time.Duration, g *datagen.Generated, fn 
 	}
 }
 
+// detached copies ds, provenance included, into a relation with a
+// dictionary of its own that gives every value the code it has in ds: the
+// baselines break ties between candidates by code, so a copy with other
+// codes could repair differently.
+func detached(ds *dataset.Dataset) *dataset.Dataset {
+	out := dataset.New(ds.Attrs())
+	for v := 1; v < ds.Dict().Size(); v++ {
+		out.Dict().Intern(ds.Dict().String(dataset.Value(v)))
+	}
+	row := make([]string, ds.NumAttrs())
+	for t := 0; t < ds.NumTuples(); t++ {
+		for a := range row {
+			row[a] = ds.GetString(t, a)
+		}
+		out.Append(row)
+		if src := ds.Source(t); src != "" {
+			out.SetSource(t, src)
+		}
+	}
+	return out
+}
+
 // RunHolistic evaluates the Holistic baseline [12].
 func RunHolistic(g *datagen.Generated, budget time.Duration) MethodResult {
-	return runWithTimeout("Holistic", budget, g, func() (*dataset.Dataset, error) {
-		res, err := holistic.Repair(g.Dirty, g.Constraints, holistic.Config{})
+	return runWithTimeout("Holistic", budget, g, func(dirty *dataset.Dataset) (*dataset.Dataset, error) {
+		res, err := holistic.Repair(dirty, g.Constraints, holistic.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -163,8 +189,8 @@ func RunKATARA(g *datagen.Generated, budget time.Duration) MethodResult {
 	if len(g.Dictionaries) == 0 {
 		return MethodResult{Method: "KATARA", NA: true}
 	}
-	return runWithTimeout("KATARA", budget, g, func() (*dataset.Dataset, error) {
-		res, err := katara.Repair(g.Dirty, g.Dictionaries, katara.Config{})
+	return runWithTimeout("KATARA", budget, g, func(dirty *dataset.Dataset) (*dataset.Dataset, error) {
+		res, err := katara.Repair(dirty, g.Dictionaries, katara.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -174,8 +200,8 @@ func RunKATARA(g *datagen.Generated, budget time.Duration) MethodResult {
 
 // RunSCARE evaluates the SCARE baseline [39].
 func RunSCARE(g *datagen.Generated, budget time.Duration) MethodResult {
-	return runWithTimeout("SCARE", budget, g, func() (*dataset.Dataset, error) {
-		res, err := scare.Repair(g.Dirty, scare.Config{})
+	return runWithTimeout("SCARE", budget, g, func(dirty *dataset.Dataset) (*dataset.Dataset, error) {
+		res, err := scare.Repair(dirty, scare.Config{})
 		if err != nil {
 			return nil, err
 		}

@@ -15,7 +15,7 @@ import (
 // toward the target.
 func TestLearnSeparableUnary(t *testing.T) {
 	g := factor.NewGraph()
-	w := g.Weights.ID("feat", 0, false)
+	w := g.Weights.Tie(factor.Tie{Family: 115}, 0, false)
 	for i := 0; i < 50; i++ {
 		ev := g.AddVariable([]int32{1, 2}, true, 0)
 		g.AddUnary(ev, 0, w)
@@ -40,7 +40,7 @@ func TestLearnSeparableUnary(t *testing.T) {
 // the weight must go negative.
 func TestLearnAntiCorrelated(t *testing.T) {
 	g := factor.NewGraph()
-	w := g.Weights.ID("feat", 0, false)
+	w := g.Weights.Tie(factor.Tie{Family: 115}, 0, false)
 	for i := 0; i < 50; i++ {
 		ev := g.AddVariable([]int32{1, 2}, true, 1) // observed idx 1
 		g.AddUnary(ev, 0, w)                        // feature fires on idx 0
@@ -55,7 +55,7 @@ func TestLearnAntiCorrelated(t *testing.T) {
 // value highest should earn a positive weight.
 func TestLearnSoftRecoversSignal(t *testing.T) {
 	g := factor.NewGraph()
-	w := g.Weights.ID("soft", 0, false)
+	w := g.Weights.Tie(factor.Tie{Family: 104}, 0, false)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 80; i++ {
 		obs := int32(rng.Intn(2))
@@ -73,8 +73,8 @@ func TestLearnSoftRecoversSignal(t *testing.T) {
 // TestLearnFixedWeightsUntouched: prior weights must not move.
 func TestLearnFixedWeightsUntouched(t *testing.T) {
 	g := factor.NewGraph()
-	wf := g.Weights.ID("prior", 1.5, true)
-	wl := g.Weights.ID("learn", 0, false)
+	wf := g.Weights.Tie(factor.Tie{Family: 116}, 1.5, true)
+	wl := g.Weights.Tie(factor.Tie{Family: 117}, 0, false)
 	for i := 0; i < 20; i++ {
 		ev := g.AddVariable([]int32{1, 2}, true, 0)
 		g.AddUnary(ev, 0, wf)
@@ -91,7 +91,7 @@ func TestLearnFixedWeightsUntouched(t *testing.T) {
 // (h=+1 observed when satisfied).
 func TestLearnNaryPseudoLikelihood(t *testing.T) {
 	g := factor.NewGraph()
-	w := g.Weights.ID("dc", 0, false)
+	w := g.Weights.Tie(factor.Tie{Family: 101}, 0, false)
 	for i := 0; i < 40; i++ {
 		a := g.AddVariable([]int32{1, 2}, true, int32(i%2))
 		b := g.AddVariable([]int32{1, 2}, true, int32((i+1)%2))
@@ -105,7 +105,7 @@ func TestLearnNaryPseudoLikelihood(t *testing.T) {
 
 func TestLearnNoEvidenceNoop(t *testing.T) {
 	g := factor.NewGraph()
-	w := g.Weights.ID("feat", 0.3, false)
+	w := g.Weights.Tie(factor.Tie{Family: 115}, 0.3, false)
 	q := g.AddVariable([]int32{1, 2}, false, 0)
 	g.AddUnary(q, 0, w)
 	nll := Learn(g, Config{Epochs: 5, LearningRate: 0.1, Seed: 1})
@@ -121,7 +121,7 @@ func TestLearnL2Shrinks(t *testing.T) {
 	// With aggressive L2 and an uninformative feature (target hit half
 	// the time), the weight should stay near zero.
 	g := factor.NewGraph()
-	w := g.Weights.ID("feat", 0, false)
+	w := g.Weights.Tie(factor.Tie{Family: 115}, 0, false)
 	for i := 0; i < 40; i++ {
 		ev := g.AddVariable([]int32{1, 2}, true, int32(i%2))
 		g.AddUnary(ev, 0, w)
@@ -137,8 +137,8 @@ func TestLearnL2Shrinks(t *testing.T) {
 func TestLearnNLLDecreases(t *testing.T) {
 	build := func() *factor.Graph {
 		g := factor.NewGraph()
-		w1 := g.Weights.ID("f1", 0, false)
-		w2 := g.Weights.ID("f2", 0, false)
+		w1 := g.Weights.Tie(factor.Tie{Family: 118}, 0, false)
+		w2 := g.Weights.Tie(factor.Tie{Family: 119}, 0, false)
 		rng := rand.New(rand.NewSource(9))
 		for i := 0; i < 100; i++ {
 			obs := int32(rng.Intn(2))
@@ -165,9 +165,9 @@ func TestLearnNLLDecreases(t *testing.T) {
 // writing NaN into every tied weight the variable touches.
 func TestLearnDegenerateEvidenceKeepsWeightsFinite(t *testing.T) {
 	g := factor.NewGraph()
-	feat := g.Weights.ID("feat", 0, false)
-	soft := g.Weights.ID("soft", 0, false)
-	hard := g.Weights.ID("hard", math.Inf(1), true)
+	feat := g.Weights.Tie(factor.Tie{Family: 115}, 0, false)
+	soft := g.Weights.Tie(factor.Tie{Family: 104}, 0, false)
+	hard := g.Weights.Tie(factor.Tie{Family: 120}, math.Inf(1), true)
 	for i := 0; i < 10; i++ {
 		ev := g.AddVariable([]int32{1, 2}, true, int32(i%2))
 		g.AddUnary(ev, 0, feat)
@@ -182,7 +182,7 @@ func TestLearnDegenerateEvidenceKeepsWeightsFinite(t *testing.T) {
 	}
 	for id, w := range g.Weights.W {
 		if !g.Weights.Fixed[id] && (math.IsNaN(w) || math.IsInf(w, 0)) {
-			t.Errorf("weight %q = %v after a degenerate evidence variable, want finite", g.Weights.Keys[id], w)
+			t.Errorf("weight %d (%+v) = %v after a degenerate evidence variable, want finite", id, g.Weights.Ties[id], w)
 		}
 	}
 }

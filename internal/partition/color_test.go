@@ -12,7 +12,7 @@ import (
 func chainGraph(t *testing.T, n int) *factor.Graph {
 	t.Helper()
 	g := factor.NewGraph()
-	w := g.Weights.ID("w", 1, true)
+	w := g.Weights.Tie(factor.Tie{Family: 112}, 1, true)
 	for i := 0; i < n; i++ {
 		g.AddVariable([]int32{0, 1}, false, 0)
 	}
@@ -44,7 +44,7 @@ func TestColorGraphValidAndComplete(t *testing.T) {
 	// query variable (no n-ary factor at all), plus evidence that must
 	// stay uncolored.
 	g := factor.NewGraph()
-	w := g.Weights.ID("w", 1, true)
+	w := g.Weights.Tie(factor.Tie{Family: 112}, 1, true)
 	for i := 0; i < 6; i++ {
 		g.AddVariable([]int32{0, 1}, i == 5, 0) // v5 is evidence
 	}

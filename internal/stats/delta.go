@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"slices"
-
 	"holoclean/internal/dataset"
 )
 
@@ -180,7 +178,7 @@ func (h *histogram) add(given, k, d int32) {
 	}
 	r := &h.rows[given]
 	row := h.arena[r.off : r.off+r.n]
-	i, found := slices.BinarySearchFunc(row, k, cmpCode)
+	i, found := search(row, k)
 	if found {
 		if row[i].count += d; row[i].count == 0 {
 			copy(row[i:], row[i+1:])

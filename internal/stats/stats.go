@@ -19,7 +19,6 @@
 package stats
 
 import (
-	"cmp"
 	"slices"
 	"sync"
 
@@ -281,14 +280,22 @@ func (s *Stats) Code(a int, v dataset.Value) int32 {
 	return -1
 }
 
+// SharesCodes reports whether o codes every value as s does — both were
+// collected from one Columns — so a code of one indexes the other.
+func (s *Stats) SharesCodes(o *Stats) bool {
+	return len(s.cols) == len(o.cols) && (len(s.cols) == 0 || s.cols[0] == o.cols[0])
+}
+
 // NumCodes returns the number of codes attribute a's dictionary has
 // handed out, an upper bound for every code a Row of a holds.
 func (s *Stats) NumCodes(a int) int { return len(s.cols[a].vals) }
 
 // Freq returns the number of tuples whose attribute a equals v.
-func (s *Stats) Freq(a int, v dataset.Value) int { return s.freqOf(a, s.Code(a, v)) }
+func (s *Stats) Freq(a int, v dataset.Value) int { return s.FreqOf(a, s.Code(a, v)) }
 
-func (s *Stats) freqOf(a int, k int32) int {
+// FreqOf is Freq by code: the number of tuples whose attribute a holds the
+// value of code k (0 for k == -1).
+func (s *Stats) FreqOf(a int, k int32) int {
 	if k < 0 || int(k) >= len(s.freq[a]) {
 		return 0
 	}
@@ -325,12 +332,15 @@ type Row struct {
 
 // Row returns the histogram of attribute a's values among tuples where
 // attribute g equals vg.
-func (s *Stats) Row(a, g int, vg dataset.Value) Row {
-	k := s.Code(g, vg)
+func (s *Stats) Row(a, g int, vg dataset.Value) Row { return s.RowOf(a, g, s.Code(g, vg)) }
+
+// RowOf is Row by code: k is v_g's code in attribute g's dictionary (-1
+// gives the empty Row).
+func (s *Stats) RowOf(a, g int, k int32) Row {
 	if k < 0 {
 		return Row{}
 	}
-	r := Row{vals: s.cols[a].vals, given: s.freqOf(g, k)}
+	r := Row{vals: s.cols[a].vals, given: s.FreqOf(g, k)}
 	if h := &s.hist[a*s.numAttrs+g]; int(k) < len(h.rows) {
 		sp := h.rows[k]
 		r.buckets = h.arena[sp.off : sp.off+sp.n : sp.off+sp.n]
@@ -353,13 +363,27 @@ func (r Row) Value(i int) dataset.Value { return r.vals[r.buckets[i].code] }
 // Count returns the count of the bucket with the given code, 0 when the
 // row has none (including code -1).
 func (r Row) Count(code int32) int {
-	if i, ok := slices.BinarySearchFunc(r.buckets, code, cmpCode); ok {
+	if i, ok := search(r.buckets, code); ok {
 		return int(r.buckets[i].count)
 	}
 	return 0
 }
 
-func cmpCode(b bucket, code int32) int { return cmp.Compare(b.code, code) }
+// search returns where code's bucket is, or would be inserted, in row and
+// whether it is there. It is slices.BinarySearchFunc written out: the
+// generic call per comparison costs more than the search on the grounding
+// path, which reads a row per candidate.
+func search(row []bucket, code int32) (int, bool) {
+	lo, hi := 0, len(row)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); row[m].code < code {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(row) && row[lo].code == code
+}
 
 // Given returns #v_g, the frequency of the conditioning value — the
 // denominator of every conditional probability the row answers.

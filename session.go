@@ -189,7 +189,9 @@ func (s *Session) run(prev *pass, weights map[string]float64) (*Result, error) {
 // nextPass sets up a pass over the session's current dataset — against
 // prev and the pending delta when prev is non-nil, with everything invalid
 // otherwise; broadcasting weights by tying key when they are non-nil,
-// learning them (or taking Options.InitialWeights) otherwise.
+// learning them (or taking Options.InitialWeights) otherwise. Weights
+// passed with a prev are prev's (a Reclean), so the pass reuses their
+// resolved ties.
 func (s *Session) nextPass(prev *pass, weights map[string]float64) *pass {
 	trusted := make([]dataset.Cell, len(s.confirmed))
 	for i, f := range s.confirmed {
@@ -204,6 +206,9 @@ func (s *Session) nextPass(prev *pass, weights map[string]float64) *pass {
 	if prev != nil {
 		p.prev, p.before = prev, s.before
 		p.shared, p.interner = prev.shared, prev.interner
+		if weights != nil { // prev's own: a Reclean
+			p.ties, p.unresolved = prev.ties, prev.unresolved
+		}
 	}
 	return p
 }

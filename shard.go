@@ -185,39 +185,43 @@ func groundLearning(prep *compile.Prepared, maxScan int) (*ddlog.Grounded, error
 	return ddlog.Ground(&db, prog, ddlog.Config{MaxScanCounterparts: maxScan})
 }
 
-// learnedWeights snapshots the learnable weights of the learning graph by
-// tying key, for broadcast into the shard graphs.
-func learnedWeights(g *factor.Graph) map[string]float64 {
-	out := make(map[string]float64, g.Weights.Len())
-	for i, k := range g.Weights.Keys {
-		if !g.Weights.Fixed[i] {
-			out[k] = g.Weights.W[i]
+// learnedWeights snapshots the learnable weights of the learning graph,
+// by tying key for the boundary (LearnedWeights, the next pass) and by tie
+// for broadcast into the shard graphs.
+func learnedWeights(g *factor.Graph) (map[string]float64, *factor.Weights) {
+	keys := make(map[string]float64, g.Weights.Len())
+	ties := factor.NewWeights()
+	for i, t := range g.Weights.Ties {
+		if w := g.Weights.W[i]; !g.Weights.Fixed[i] {
+			keys[g.Weights.Key(int32(i))] = w
+			ties.Tie(t, w, false)
 		}
 	}
-	return out
+	return keys, ties
 }
 
 // cellOutcome is the cached inference result of one noisy cell: its
 // marginal distribution (sorted, so its MAP probability is dist[0].P), its
-// MAP label and the unlearned tying keys of its factors (unlearnedOf).
-// A pass holds one per domain cell (pass.outcomes); a cell with no
-// candidate keeps the zero value. Incremental sessions carry outcomes of
-// clean cells forward across recleans.
+// MAP label and the unlearned ties of its factors (unlearnedOf). A pass
+// holds one per domain cell (pass.outcomes); a cell with no candidate
+// keeps the zero value. Incremental sessions carry outcomes of clean cells
+// forward across recleans; the session's passes share one name table, so
+// a carried tie means what it meant.
 type cellOutcome struct {
 	dist      []ValueProb
 	mapVal    dataset.Value
-	unlearned []string
+	unlearned []factor.Tie
 }
 
-// unlearnedOf lists the tying keys of variable v's unary and soft factors
-// whose weights the broadcast lacks (lacks, by weight id, from countKeys):
-// what its cell adds to RunStats.Weights when a later pass carries the
-// outcome forward. g must be frozen.
-func unlearnedOf(g *factor.Graph, v int32, lacks []bool) []string {
-	var keys []string
+// unlearnedOf lists the ties of variable v's unary and soft factors whose
+// weights the broadcast lacks (lacks, by weight id, from countKeys): what
+// its cell adds to RunStats.Weights when a later pass carries the outcome
+// forward. g must be frozen.
+func unlearnedOf(g *factor.Graph, v int32, lacks []bool) []factor.Tie {
+	var ties []factor.Tie
 	note := func(w int32) {
-		if k := g.Weights.Keys[w]; lacks[w] && !slices.Contains(keys, k) {
-			keys = append(keys, k)
+		if t := g.Weights.Ties[w]; lacks[w] && !slices.Contains(ties, t) {
+			ties = append(ties, t)
 		}
 	}
 	for _, i := range g.IncidentUnaries(v) {
@@ -226,7 +230,7 @@ func unlearnedOf(g *factor.Graph, v int32, lacks []bool) []string {
 	for _, i := range g.IncidentSofts(v) {
 		note(g.Softs[i].Weight)
 	}
-	return keys
+	return ties
 }
 
 // chainSeed derives a cell's chromatic stream seed from its identity
@@ -365,7 +369,7 @@ func (p *pass) shardDB(sh shard) *ddlog.Database {
 // query cells receive no gradient in a monolithic run either and keep
 // their prior), and unary and soft factors of weight 0 are left out.
 func (p *pass) shardConfig(arena *ddlog.Arena) ddlog.Config {
-	return ddlog.Config{MaxScanCounterparts: p.opts.MaxScanCounterparts, Weights: p.weights, Arena: arena}
+	return ddlog.Config{MaxScanCounterparts: p.opts.MaxScanCounterparts, Weights: p.ties, Arena: arena}
 }
 
 // runOne grounds, infers, and extracts a single shard.
@@ -413,7 +417,7 @@ func (r *shardRunner) runOne(sh shard) error {
 	if !hasNary {
 		r.res.Stats.ExactShards++
 	}
-	lacks := r.countKeys(g.Graph.Weights.Keys)
+	lacks := r.countKeys(g.Graph.Weights)
 	r.mu.Unlock()
 
 	// Extract each query variable's sorted marginal and MAP label into its
