@@ -24,3 +24,47 @@ func BenchmarkCleanHospital(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRecleanHospital times one Reclean of a 1000-row hospital
+// session at Workers 1 under the default options, after a delta of the
+// shape the serve_delta_wide workload sends: the 10 rows the previous op
+// appended are deleted and 10 typo'd copies of truth rows appended. Every
+// appended slot changes every attribute, so no shard is reused and no
+// histogram or counterpart table survives: the op nears a full pass.
+func BenchmarkRecleanHospital(b *testing.B) {
+	g := datagen.Hospital(datagen.Config{Tuples: 1000, Seed: 1})
+	opts := DefaultOptions()
+	opts.Workers = 1
+	s, err := NewSession(g.Dirty.Clone(), g.Constraints, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Clean(); err != nil {
+		b.Fatal(err)
+	}
+	fdAttrs := []int{0, 1, 5, 6, 7, 8, 9, 13, 14, 15}
+	n, truth := g.Truth.NumTuples(), g.Truth
+	row := make([]string, truth.NumAttrs())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for s.NumTuples() > n {
+			if err := s.Delete(s.NumTuples() - 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for k := range 10 {
+			src := (i*10 + k) % n
+			for a := range row {
+				row[a] = truth.GetString(src, a)
+			}
+			row[fdAttrs[k]] += "x"
+			if _, err := s.Upsert(-1, row); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := s.Reclean(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

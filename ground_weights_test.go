@@ -214,7 +214,8 @@ func TestSessionRecleanRebuildsCounterpartTables(t *testing.T) {
 // BenchmarkGroundHospital times the groundings of one Clean of the
 // 2000-row hospital relation under DC Feats at the paper's τ: the learning
 // graph, then every shard with the learned weights, over a fresh shared
-// index per iteration (so counterpart tables are built, not inherited).
+// index per iteration, so the nine block histograms the relaxed rules of
+// hospital's FD-shaped constraints count from are built, not inherited.
 // Detection, pruning and learning run once, outside the timer.
 func BenchmarkGroundHospital(b *testing.B) {
 	g := datagen.Hospital(datagen.Config{Tuples: 2000, Seed: 1})

@@ -282,6 +282,9 @@ type Arena struct {
 	h         []float64
 	groupKey  []byte
 	groupOf   map[string]int32
+	keyAttrs  []int
+	restAttrs []int
+	keyVals   []dataset.Value
 	seenMark  []int32
 	seenEpoch int32
 }

@@ -24,10 +24,12 @@ import (
 // counterparts) from drowning every other signal, while PaperFactors
 // still counts one grounding per counterpart as Example 5 does.
 //
-// Counterparts are not walked per head cell: they are read from a
-// counterpart table (see counterTable) shared by every head whose tuple
-// agrees on the values the rule reads, so a cell's cost is the number of
-// distinct counterpart value groups, not of counterparts.
+// Counterparts are not walked per head cell. An FD-shaped constraint
+// [K = K', V ≠ V'] (dc.Bound.FDAttr) counts them from block histograms of
+// V over K (see relaxFD); any other shape reads them from a counterpart
+// table (see counterTable) shared by every head whose tuple agrees on the
+// values the rule reads, so a cell's cost is the number of distinct
+// counterpart value groups, not of counterparts.
 func (gr *grounder) groundRelaxedDC(rule *Rule) {
 	b := gr.db.Bounds[rule.Constraint]
 	hr := rule.Head
@@ -56,13 +58,18 @@ func (gr *grounder) groundRelaxedDC(rule *Rule) {
 				rc.join = i
 			}
 		}
-		for _, a := range b.RoleAttrs[hr.TupleVar] {
-			if a != hr.Attr {
-				rc.ctxAttrs = append(rc.ctxAttrs, a)
+		switch {
+		case b.FDAttr < 0:
+			for _, a := range b.RoleAttrs[hr.TupleVar] {
+				if a != hr.Attr {
+					rc.ctxAttrs = append(rc.ctxAttrs, a)
+				}
 			}
+			rc.cpAttrs = b.RoleAttrs[1-hr.TupleVar]
+			rc.tables = gr.shared.relaxed(b, hr)
+		case !gr.fdHistograms(&rc):
+			return
 		}
-		rc.cpAttrs = b.RoleAttrs[1-hr.TupleVar]
-		rc.tables = gr.shared.relaxed(b, hr)
 	}
 
 	for vi, c := range gr.out.Cells {
@@ -79,9 +86,12 @@ func (gr *grounder) groundRelaxedDC(rule *Rule) {
 		var total int32
 		scale := 1.0
 		rc.c, rc.dom, rc.counts = c, dom, counts
-		if b.TupleVars == 1 {
+		switch {
+		case b.TupleVars == 1:
 			total = gr.relaxSingle(&rc)
-		} else {
+		case rc.all != nil:
+			total, scale = gr.relaxFD(&rc)
+		default:
 			total, scale = gr.relaxPair(&rc)
 		}
 		if total == 0 {
@@ -128,9 +138,17 @@ type relaxCtx struct {
 	// body-join probe's among them): a head tuple's values on them are
 	// its context. cpAttrs are the counterpart role's attributes, whose
 	// values group counterparts.
-	ctxAttrs  []int
-	cpAttrs   []int
-	tables    *relaxTables
+	ctxAttrs []int
+	cpAttrs  []int
+	tables   *relaxTables
+	// An FD-shaped rule counts from all, the histogram of the FD attribute
+	// over the key attributes keyAttrs (ascending), in which the head sits
+	// at position pos (-1 when the head is the FD attribute). rest is the
+	// histogram over keyAttrs without the head, for a head on one attribute
+	// of a key of two or more.
+	all, rest *dataset.Histogram
+	keyAttrs  []int
+	pos       int
 	headPreds []int
 	bodyPreds []int
 	c         dataset.Cell
@@ -199,6 +217,115 @@ func (gr *grounder) relaxSingle(rc *relaxCtx) int32 {
 	}
 	rc.count(-1, 1)
 	return 1
+}
+
+// fdHistograms resolves an FD-shaped rule's histograms into rc. It
+// reports false when the FD attribute is also a key attribute: no pair
+// then violates the constraint, and the rule grounds nothing.
+func (gr *grounder) fdHistograms(rc *relaxCtx) bool {
+	v := rc.b.FDAttr
+	key := gr.ar.keyAttrs[:0]
+	for _, j := range rc.b.Joins {
+		if !slices.Contains(key, j[0]) {
+			key = append(key, j[0])
+		}
+	}
+	slices.Sort(key)
+	gr.ar.keyAttrs = key
+	if slices.Contains(key, v) {
+		return false
+	}
+	rc.keyAttrs = key
+	rc.all = gr.shared.histogram(key, v)
+	rc.pos, rc.rest = slices.Index(key, rc.hr.Attr), nil
+	if rc.pos >= 0 && len(key) > 1 {
+		rest := append(gr.ar.restAttrs[:0], key[:rc.pos]...)
+		rest = append(rest, key[rc.pos+1:]...)
+		gr.ar.restAttrs = rest
+		rc.rest = gr.shared.histogram(rest, v)
+	}
+	return true
+}
+
+// relaxFD counts an FD-shaped rule's counterparts [K = K', V ≠ V'] from
+// block histograms, to the integers relaxPair's counterpart tables count:
+// nulls satisfy no predicate, so a block holds the tuples whose key is
+// non-null, and H(key, v) below is the number of them holding v on V.
+//
+//   - Head on V, found through the first join (strategy 1): the
+//     counterparts are the head tuple's block but itself, and candidate d
+//     conflicts with those holding a non-null V other than d:
+//     total = rows − 1, counts[d] = nonNull − H(key, d) − [V_t ≠ Null ∧ d ≠ V_t].
+//   - Head on the only key attribute (strategy 2): candidate d joins the
+//     block of key d, which conflicts with the head's own V:
+//     total = Σ_d rows(d) − [K_t ∈ dom], counts[d] = nonNull(d) − H(d, V_t).
+//   - Head on one key attribute of several (strategy 1, found through
+//     another): the body fixes the rest of the key and V ≠ V_t, so total
+//     reads the histogram over the key without the head —
+//     counterparts null on the head's attribute pass the body too — and
+//     counts[d] the full key with d in the head's place:
+//     total = nonNull' − H'(key'_t, V_t), counts[d] = nonNull − H(key_t[head := d], V_t).
+//
+// The head tuple never conflicts with itself: the V term takes it back
+// from the first case and H(·, V_t) from the others.
+func (gr *grounder) relaxFD(rc *relaxCtx) (int32, float64) {
+	ds := gr.db.DS
+	t := rc.c.Tuple
+	vt := ds.Get(t, rc.b.FDAttr)
+	if rc.pos >= 0 && rc.rest == nil {
+		var total int32
+		for d, label := range rc.dom {
+			k := rc.all.Find([]dataset.Value{dataset.Value(label)})
+			total += rc.all.Rows(k)
+			if vt != dataset.Null {
+				rc.counts[d] = rc.all.NonNull(k) - rc.all.Count(k, vt)
+			}
+		}
+		if own := ds.Get(t, rc.hr.Attr); own != dataset.Null && slices.Contains(rc.dom, int32(own)) {
+			total--
+		}
+		return total, 1
+	}
+	var total int32
+	if rc.pos < 0 {
+		k := rc.all.Block(t)
+		if k < 0 {
+			return 0, 1
+		}
+		nonNull := rc.all.NonNull(k)
+		for d, label := range rc.dom {
+			if v := dataset.Value(label); v != dataset.Null {
+				rc.counts[d] = nonNull - rc.all.Count(k, v)
+				if vt != dataset.Null && v != vt {
+					rc.counts[d]--
+				}
+			}
+		}
+		total = rc.all.Rows(k) - 1
+	} else {
+		r := rc.rest.Block(t)
+		if r < 0 || vt == dataset.Null {
+			return 0, 1
+		}
+		key := gr.ar.keyVals[:0]
+		for _, a := range rc.keyAttrs {
+			key = append(key, ds.Get(t, a))
+		}
+		gr.ar.keyVals = key
+		for d, label := range rc.dom {
+			key[rc.pos] = dataset.Value(label)
+			k := rc.all.Find(key)
+			rc.counts[d] = rc.all.NonNull(k) - rc.all.Count(k, vt)
+		}
+		total = rc.rest.NonNull(r) - rc.rest.Count(r, vt)
+	}
+	// Strategy 1's discount, as relaxPair applies it: the join cell the
+	// counterparts were found through may be the error instead.
+	scale := 1.0
+	if total > 0 && gr.repairable(dataset.Cell{Tuple: t, Attr: rc.b.Joins[rc.join][rc.hr.TupleVar]}) {
+		scale = 0.5
+	}
+	return total, scale
 }
 
 // relaxPair handles pairwise constraints: counterpart tuples are found via

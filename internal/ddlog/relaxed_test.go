@@ -168,6 +168,8 @@ var relaxedShapes = []string{
 	"t1&t2&LT(t1.N,t2.N)&IQ(t1.A,t2.A)",                               // no join: the capped scan
 	"t1&EQ(t1.A,\"a0\")&IQ(t1.B,\"b1\")",                              // single-tuple DC
 	"t1&t2&EQ(t1.B,t2.B)&EQ(t2.C,\"y\")&IQ(t1.A,t2.A)&LTE(t1.N,t1.N)", // same-role predicate, constant on the counterpart
+	"t1&t2&EQ(t1.A,t2.A)&EQ(t1.C,t2.C)&EQ(t1.N,t2.N)&IQ(t1.B,t2.B)",   // FD, three-attribute LHS
+	"t1&t2&IQ(t1.C,t2.C)&EQ(t2.B,t1.B)&EQ(t1.A,t2.A)",                 // FD written ≠ first, one join with its roles swapped
 }
 
 // randomRelaxedDB builds a relation of at most 40 tuples with Nulls and

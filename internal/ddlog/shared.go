@@ -1,6 +1,7 @@
 package ddlog
 
 import (
+	"encoding/binary"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -12,12 +13,14 @@ import (
 
 // SharedIndex holds the dataset-wide indexes grounding consults — the
 // per-attribute initial-value and candidate-label buckets denial
-// constraints join through, and the counterpart tables of relaxed denial
-// constraints. A single SharedIndex is built from the global domains and
-// shared read-mostly across the per-shard grounders of the sharded
-// pipeline, so an attribute's buckets are built once per pass, and a
-// counterpart join once per context, instead of once per shard. All
-// methods but Rebind are safe for concurrent use.
+// constraints join through, the block histograms relaxed FD-shaped
+// constraints count from, and the counterpart tables of the other relaxed
+// denial constraints. A single SharedIndex is built from the global
+// domains and shared read-mostly across the per-shard grounders of the
+// sharded pipeline, so an attribute's buckets are built once per pass, a
+// histogram once per (key, attribute) and a counterpart join once per
+// context, instead of once per shard. All methods but Rebind are safe for
+// concurrent use.
 type SharedIndex struct {
 	ds      *dataset.Dataset
 	domains *pruning.Domains
@@ -29,6 +32,15 @@ type SharedIndex struct {
 
 	mu    sync.Mutex
 	relax map[relaxRule]*relaxTables
+	hists map[string]*blockHist // by histKey
+}
+
+// blockHist is one block histogram and the attributes it counts over, its
+// key attributes and the counted one: it is a function of the initial
+// values on them alone.
+type blockHist struct {
+	reads []int
+	h     *dataset.Histogram
 }
 
 // relaxRule identifies one single-head relaxation of a constraint.
@@ -66,29 +78,64 @@ type counterGroup struct {
 // (pre-shard) noisy-cell domains. domains may be nil, in which case
 // candidate buckets degrade to initial values only.
 func NewSharedIndex(ds *dataset.Dataset, domains *pruning.Domains) *SharedIndex {
-	s := &SharedIndex{relax: make(map[relaxRule]*relaxTables)}
+	s := &SharedIndex{relax: make(map[relaxRule]*relaxTables), hists: make(map[string]*blockHist)}
 	s.Rebind(ds, domains, nil)
 	return s
 }
 
 // Rebind points the index at a mutated dataset and refreshed domains. It
 // drops every bucket index — they are rebuilt on first use, once per pass
-// — and the counterpart tables of every constraint that references an
-// attribute in dirtyAttrs, keeping the rest: a table is a function of the
-// initial values on the constraint's attributes alone, so it may be kept
-// when no tuple's initial value on them changed. A changed tuple count
-// (appends, deletions) drops every table. Incremental cleaning sessions
-// call this once per reclean, never concurrently with a grounding.
+// — and the block histograms and counterpart tables that read an
+// attribute in dirtyAttrs, keeping the rest: a histogram is a function of
+// the initial values on its attributes alone, a table of those on its
+// constraint's attributes, so either may be kept when no tuple's initial
+// value on them changed. A changed tuple count (appends, deletions) drops
+// every histogram and table. Incremental cleaning sessions call this once
+// per reclean, never concurrently with a grounding.
 func (s *SharedIndex) Rebind(ds *dataset.Dataset, domains *pruning.Domains, dirtyAttrs map[int]bool) {
 	resized := ds.NumTuples() != s.n
 	s.ds, s.domains, s.n = ds, domains, ds.NumTuples()
 	s.init = make([]atomic.Pointer[dataset.Blocks], ds.NumAttrs())
 	s.cand = make([]atomic.Pointer[dataset.Blocks], ds.NumAttrs())
+	stale := func(reads []int) bool {
+		return resized || slices.ContainsFunc(reads, func(a int) bool { return dirtyAttrs[a] })
+	}
 	for r, rt := range s.relax {
-		if resized || slices.ContainsFunc(rt.reads, func(a int) bool { return dirtyAttrs[a] }) {
+		if stale(rt.reads) {
 			delete(s.relax, r)
 		}
 	}
+	for k, bh := range s.hists {
+		if stale(bh.reads) {
+			delete(s.hists, k)
+		}
+	}
+}
+
+// histogram returns the block histogram of attr over the key attributes
+// key, building it on first use. Every relaxed rule of every constraint
+// with that key and attribute counts from the one histogram.
+func (s *SharedIndex) histogram(key []int, attr int) *dataset.Histogram {
+	var buf [16]byte
+	k := histKey(buf[:0], key, attr)
+	s.mu.Lock() // once per rule per grounding, like relaxed
+	defer s.mu.Unlock()
+	if bh := s.hists[string(k)]; bh != nil {
+		return bh.h
+	}
+	bh := &blockHist{reads: append(slices.Clone(key), attr), h: dataset.NewHistogram(s.ds, key, attr)}
+	s.hists[string(k)] = bh
+	return bh.h
+}
+
+// histKey appends the map key of the histogram of attr over key: the
+// attributes in order, attr last, as uvarints: the code is prefix-free,
+// so the bytes decode to one attribute list.
+func histKey(dst []byte, key []int, attr int) []byte {
+	for _, a := range key {
+		dst = binary.AppendUvarint(dst, uint64(a))
+	}
+	return binary.AppendUvarint(dst, uint64(attr))
 }
 
 // relaxed returns the counterpart tables of the relaxation of b with head

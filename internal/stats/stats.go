@@ -11,9 +11,10 @@
 // the conditioning attribute g, each row a run of (code of a's value,
 // count) buckets in ascending code order, all rows of the pair in one
 // arena. Encode numbers every column once and orders each attribute's
-// tuples by code with a counting sort; collection then fills a pair's rows
-// in one walk of that order, so it costs O(rows + distinct values) per pair
-// with no sort and no allocation per context. Reading a counter costs one
+// tuples by code with a counting sort; collection then fills one direction
+// of a pair in one walk of that order and builds the other by transposing
+// it, so it costs O(rows + distinct values) per unordered pair with no sort
+// and no allocation per context. Reading a counter costs one
 // dictionary probe per value and a binary search inside a row; Row hands a
 // reader a whole context's histogram.
 package stats
@@ -147,9 +148,9 @@ func (c *Columns) Collect(workers int) *Stats { return c.CollectMasked(nil, work
 // this for a second set of statistics over the cells error detection
 // considers clean, so that systematic errors — which are self-consistent in
 // the dirty data — do not manufacture supporting co-occurrence evidence for
-// themselves. The result shares c's dictionaries. One target attribute's
-// histograms are one job; at most workers goroutines run them, so a caller
-// sharing the machine decides the fan-out.
+// themselves. The result shares c's dictionaries. One unordered attribute
+// pair's two histograms are one job; at most workers goroutines run them,
+// so a caller sharing the machine decides the fan-out.
 func (c *Columns) CollectMasked(skip func(t, a int) bool, workers int) *Stats {
 	n := len(c.cols)
 	codes := c.codes
@@ -186,28 +187,31 @@ func (c *Columns) CollectMasked(skip func(t, a int) bool, workers int) *Stats {
 		s.freq[a] = f
 	}
 
-	// One job per target attribute a: its tuple order and codes are read by
-	// all of its pairs, and the worker's bucket scratch is reused across them.
-	jobs := make(chan int)
+	// One job per unordered attribute pair a < g: hist[a*n+g] is filled
+	// from a's tuple order and hist[g*n+a] is its transpose. The jobs are
+	// queued before the workers start, so a worker finishing one never
+	// waits for a sender to be scheduled; its bucket scratch is reused
+	// across its jobs.
+	jobs := make(chan [2]int, n*(n-1)/2)
+	for a := 0; a < n; a++ {
+		for g := a + 1; g < n; g++ {
+			jobs <- [2]int{a, g}
+		}
+	}
+	close(jobs)
 	var wg sync.WaitGroup
-	for w := 0; w < min(max(workers, 1), n); w++ {
+	for w := 0; w < min(max(workers, 1), n*(n-1)/2); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var scratch []bucket
-			for a := range jobs {
-				for g := 0; g < n; g++ {
-					if g != a {
-						s.hist[a*n+g], scratch = fill(c.order[a], codes[a], codes[g], len(c.cols[g].vals), scratch)
-					}
-				}
+			for p := range jobs {
+				a, g := p[0], p[1]
+				s.hist[a*n+g], scratch = fill(c.order[a], codes[a], codes[g], len(c.cols[g].vals), scratch)
+				s.hist[g*n+a] = transpose(s.hist[a*n+g], len(c.cols[a].vals))
 			}
 		}()
 	}
-	for a := 0; a < n; a++ {
-		jobs <- a
-	}
-	close(jobs)
 	wg.Wait()
 	return s
 }
@@ -255,6 +259,33 @@ func fill(order, ca, cg []int32, givens int, scratch []bucket) (histogram, []buc
 		off += r.n
 	}
 	return histogram{rows: rows, arena: arena}, scratch
+}
+
+// transpose returns the histogram of the opposite direction to h, with
+// one row per code h's buckets can hold (targets of them): h's bucket
+// (k, count) in row r becomes bucket (r, count) in row k. h's rows are
+// walked in ascending code, so every row of the result receives its codes
+// in ascending order and comes out packed, cap = n, as fill would lay it
+// out — in O(rows + buckets), without walking a tuple.
+func transpose(h histogram, targets int) histogram {
+	rows := make([]span, targets)
+	for _, b := range h.arena {
+		rows[b.code].cap++
+	}
+	off := int32(0)
+	for i := range rows {
+		rows[i].off = off
+		off += rows[i].cap
+	}
+	arena := make([]bucket, len(h.arena))
+	for r, sp := range h.rows {
+		for _, b := range h.arena[sp.off : sp.off+sp.n] {
+			row := &rows[b.code]
+			arena[row.off+row.n] = bucket{code: int32(r), count: b.count}
+			row.n++
+		}
+	}
+	return histogram{rows: rows, arena: arena}
 }
 
 // Collect scans the dataset and returns its statistics, on the caller's

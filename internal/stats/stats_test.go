@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -149,5 +150,52 @@ func TestCondProbSumsToOne(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTransposeMatchesFill: every pair's second direction, which collection
+// builds by transposing the first, holds the spans and arena a direct fill
+// from its own target's tuple order builds, on random relations with nulls,
+// raw and under a random mask.
+func TestTransposeMatchesFill(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 30; trial++ {
+		ds := randomDataset(rng, 1+rng.Intn(60), 2+rng.Intn(4))
+		cols := Encode(ds)
+		masked := make(map[dataset.Cell]bool)
+		for tu := 0; tu < ds.NumTuples(); tu++ {
+			for a := 0; a < ds.NumAttrs(); a++ {
+				if rng.Intn(4) == 0 {
+					masked[dataset.Cell{Tuple: tu, Attr: a}] = true
+				}
+			}
+		}
+		skip := func(tu, a int) bool { return masked[dataset.Cell{Tuple: tu, Attr: a}] }
+		for _, mask := range []func(t, a int) bool{nil, skip} {
+			st := cols.CollectMasked(mask, 1+rng.Intn(3))
+			n := ds.NumAttrs()
+			for a := 0; a < n; a++ {
+				codes := make([][]int32, n)
+				for g := range codes {
+					codes[g] = slices.Clone(cols.codes[g])
+					for tu, k := range codes[g] {
+						if k >= 0 && mask != nil && mask(tu, g) {
+							codes[g][tu] = -1
+						}
+					}
+				}
+				for g := 0; g < n; g++ {
+					if g == a {
+						continue
+					}
+					want, _ := fill(cols.order[a], codes[a], codes[g], len(cols.cols[g].vals), nil)
+					got := st.hist[a*n+g]
+					if !slices.Equal(got.rows, want.rows) || !slices.Equal(got.arena, want.arena) {
+						t.Fatalf("trial %d, masked %v, pair (%d | %d): rows %v arena %v, direct fill rows %v arena %v",
+							trial, mask != nil, a, g, got.rows, got.arena, want.rows, want.arena)
+					}
+				}
+			}
+		}
 	}
 }
