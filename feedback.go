@@ -104,7 +104,8 @@ func (cl *Cleaner) CleanWithFeedback(ds *Dataset, constraints []*Constraint, fee
 // take effect immediately through a Reclean: the round counts toward the
 // Options.RelearnEvery schedule, and unless a relearn is due only the
 // shards the confirmations invalidated re-execute — the output is the one
-// CleanWithFeedback would produce under the same weights.
+// CleanWithFeedback would produce under the same weights. Feedback is
+// Stage of the batch followed by the pass the round owes.
 //
 // The batch is validated up front (in-range cells, non-empty values, no
 // duplicate against the batch or earlier confirmations) and rejected
@@ -116,20 +117,25 @@ func (s *Session) Feedback(fb []Feedback) (*Result, error) {
 	if len(fb) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrInvalidFeedback)
 	}
-	if s.prev == nil {
-		if _, err := s.Clean(); err != nil {
-			return nil, err
-		}
+	if res, err := s.stage(fb); res != nil || err != nil {
+		return res, err
 	}
+	return s.settle()
+}
+
+// confirm validates a feedback batch against the relation and the
+// confirmations so far and stages it: each cell takes its confirmed value
+// and joins the confirmed list. A rejected batch writes nothing.
+func (s *Session) confirm(fb []Feedback) error {
 	if err := validateFeedback(s.ds, fb, s.confirmedSet()); err != nil {
-		return nil, err
+		return err
 	}
 	for _, f := range fb {
 		s.capture(f.Cell.Tuple)
 		s.ds.SetString(f.Cell.Tuple, f.Cell.Attr, f.Value)
 		s.confirmed = append(s.confirmed, f)
 	}
-	return s.Reclean()
+	return nil
 }
 
 // Confirmed returns the session's accumulated feedback in confirmation

@@ -684,11 +684,10 @@ func (p *pass) detectErrors() error {
 		detectors = append(detectors, &errordetect.Outliers{Stats: p.st}, &errordetect.CondOutliers{Stats: p.st})
 	}
 	if len(o.MatchDependencies) > 0 {
-		matcher, err := extdict.NewMatcher(p.ds, o.Dictionaries, o.MatchDependencies)
-		if err != nil {
+		var err error
+		if p.matched, err = matchDictionaries(o, p.ds); err != nil {
 			return err
 		}
-		p.matched = matcher.Apply(p.ds)
 		detectors = append(detectors, &errordetect.Dictionary{Matches: p.matched})
 	}
 	var err error
@@ -700,6 +699,16 @@ func (p *pass) detectErrors() error {
 		p.viol = p.hyper.Violations
 	}
 	return nil
+}
+
+// matchDictionaries applies the match dependencies of o to ds: every
+// dictionary suggestion for every tuple, in the matcher's order.
+func matchDictionaries(o Options, ds *Dataset) ([]extdict.Match, error) {
+	matcher, err := extdict.NewMatcher(ds, o.Dictionaries, o.MatchDependencies)
+	if err != nil {
+		return nil, err
+	}
+	return matcher.Apply(ds), nil
 }
 
 // compileOptions maps the pass's options and injected state onto the

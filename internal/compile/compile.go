@@ -166,6 +166,26 @@ type Prepared struct {
 	cooccur *cooccur // the statistics featurizer; nil when co-occurrence features are off
 }
 
+// InternLabels interns into ds's dictionary the labels a model adds to
+// the relation's own values, in the order Prepare interns them, and
+// returns the suggestions' ids: the constraint constants, so bound
+// predicates compare labels, then every match suggestion, which joins its
+// cell's domain (Example 3). Nothing else a pass runs interns a string.
+func InternLabels(ds *dataset.Dataset, constraints []*dc.Constraint, matches []extdict.Match) []dataset.Value {
+	for _, c := range constraints {
+		for _, p := range c.Predicates {
+			if p.Right.IsConst {
+				ds.Dict().Intern(p.Right.Const)
+			}
+		}
+	}
+	suggested := make([]dataset.Value, len(matches))
+	for i, m := range matches {
+		suggested[i] = ds.Dict().Intern(m.Value)
+	}
+	return suggested
+}
+
 // Prepare compiles the model short of grounding it: domain pruning,
 // dictionary matching, partitioning, evidence sampling and rule generation
 // — a pure function of the dataset, the constraints, and the detection
@@ -182,14 +202,7 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 	case opts.Matches == nil && len(opts.MatchDeps) > 0:
 		return nil, fmt.Errorf("compile: Options.Matches is required by match dependencies")
 	}
-	// Intern constraint constants so bound predicates compare labels.
-	for _, c := range constraints {
-		for _, p := range c.Predicates {
-			if p.Right.IsConst {
-				ds.Dict().Intern(p.Right.Const)
-			}
-		}
-	}
+	suggested := InternLabels(ds, constraints, opts.Matches)
 	bounds, err := dc.BindAll(constraints, ds)
 	if err != nil {
 		return nil, err
@@ -233,8 +246,8 @@ func Prepare(ds *dataset.Dataset, constraints []*dc.Constraint, opts Options) (*
 	// External data: admit the matching dependencies' suggestions into
 	// the domains of noisy cells (Example 3).
 	out.Matches = opts.Matches
-	for _, m := range out.Matches {
-		domains.Inject(m.Cell, ds.Dict().Intern(m.Value))
+	for i, m := range out.Matches {
+		domains.Inject(m.Cell, suggested[i])
 	}
 
 	// Partitioning (Algorithm 3) follows the conflict hypergraph.

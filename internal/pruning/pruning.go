@@ -12,7 +12,9 @@ package pruning
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
+	"sync"
 
 	"holoclean/internal/dataset"
 	"holoclean/internal/stats"
@@ -20,10 +22,17 @@ import (
 
 // Domains maps each noisy cell to its pruned candidate set.
 type Domains struct {
-	Cells      []dataset.Cell    // noisy cells in deterministic order
+	Cells      []dataset.Cell    // noisy cells, ascending by tuple, then attribute
 	Candidates [][]dataset.Value // Candidates[i] for Cells[i], sorted, includes the initial value
 
-	index map[dataset.Cell]int
+	// first is the cell index, a CSR offset per tuple: tuple t's cells are
+	// Cells[first[t]:first[t+1]], at most one per attribute, so a lookup is
+	// one offset read and a scan of at most NumAttrs cells. It covers the
+	// tuples up to the last cell's and is built on the first lookup (once,
+	// however many goroutines look up): evidence domains, whose cells come
+	// shuffled, are never looked up and never indexed.
+	first   []int32
+	indexed sync.Once
 }
 
 // Config controls Algorithm 2.
@@ -41,22 +50,39 @@ type Config struct {
 	FullDomain bool
 }
 
-// NewDomains builds a Domains from parallel cell and candidate slices,
-// wiring the cell index Compute would have built.
+// NewDomains builds a Domains from parallel cell and candidate slices, as
+// Compute would have; looking a cell up requires the cells to ascend by
+// tuple, then attribute.
 func NewDomains(cells []dataset.Cell, candidates [][]dataset.Value) *Domains {
-	d := &Domains{Cells: cells, Candidates: candidates, index: make(map[dataset.Cell]int, len(cells))}
-	for i, c := range cells {
-		d.index[c] = i
-	}
-	return d
+	return &Domains{Cells: cells, Candidates: candidates}
 }
 
-// Compute runs Algorithm 2 for the given noisy cells.
+// indexCells builds the per-tuple offsets of Cells. It panics when the
+// cells do not ascend: a lookup would miss them.
+func (d *Domains) indexCells() {
+	if len(d.Cells) == 0 {
+		return
+	}
+	d.first = make([]int32, d.Cells[len(d.Cells)-1].Tuple+2)
+	for i, c := range d.Cells {
+		if i > 0 {
+			if p := d.Cells[i-1]; p.Tuple > c.Tuple || p.Tuple == c.Tuple && p.Attr >= c.Attr {
+				panic(fmt.Sprintf("pruning: domain cells %v, %v do not ascend by (tuple, attribute)", p, c))
+			}
+		}
+		d.first[c.Tuple+1]++
+	}
+	for t := 1; t < len(d.first); t++ {
+		d.first[t] += d.first[t-1]
+	}
+}
+
+// Compute runs Algorithm 2 for the given noisy cells. Looking a cell up
+// requires them to ascend by tuple, then attribute (detection's order).
 func Compute(ds *dataset.Dataset, st *stats.Stats, noisy []dataset.Cell, cfg Config) *Domains {
 	d := &Domains{
 		Cells:      noisy,
 		Candidates: make([][]dataset.Value, len(noisy)),
-		index:      make(map[dataset.Cell]int, len(noisy)),
 	}
 	n := ds.NumAttrs()
 	// The values a sibling admits, {v : Pr[v | v_c'] ≥ τ}, depend only on the
@@ -86,7 +112,6 @@ func Compute(ds *dataset.Dataset, st *stats.Stats, noisy []dataset.Cell, cfg Con
 		set, spare = spare, set
 	}
 	for i, c := range noisy {
-		d.index[c] = i
 		set = set[:0]
 		if cfg.FullDomain {
 			if activeDomains[c.Attr] == nil {
@@ -149,8 +174,8 @@ func mergeSorted(dst, a, b []dataset.Value) []dataset.Value {
 // dictionaries, which Example 3 admits into Domain) to a cell's domain.
 // Unknown cells are ignored.
 func (d *Domains) Inject(c dataset.Cell, v dataset.Value) {
-	i, ok := d.index[c]
-	if !ok {
+	i := d.Index(c)
+	if i < 0 {
 		return
 	}
 	if slices.Contains(d.Candidates[i], v) {
@@ -162,7 +187,7 @@ func (d *Domains) Inject(c dataset.Cell, v dataset.Value) {
 
 // Of returns the candidate set of cell c, or nil when c is not a noisy cell.
 func (d *Domains) Of(c dataset.Cell) []dataset.Value {
-	if i, ok := d.index[c]; ok {
+	if i := d.Index(c); i >= 0 {
 		return d.Candidates[i]
 	}
 	return nil
@@ -170,8 +195,14 @@ func (d *Domains) Of(c dataset.Cell) []dataset.Value {
 
 // Index returns the position of cell c in Cells, or -1.
 func (d *Domains) Index(c dataset.Cell) int {
-	if i, ok := d.index[c]; ok {
-		return i
+	d.indexed.Do(d.indexCells)
+	if c.Tuple < 0 || c.Tuple+1 >= len(d.first) {
+		return -1
+	}
+	for i := d.first[c.Tuple]; i < d.first[c.Tuple+1]; i++ {
+		if d.Cells[i].Attr == c.Attr {
+			return int(i)
+		}
 	}
 	return -1
 }

@@ -146,3 +146,67 @@ func TestComputeConcurrentCalls(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexMatchesMapReference holds the per-tuple cell index to the
+// map[Cell]int it replaced: for every cell of a grid reaching past the
+// last noisy tuple (and below the first), present or absent, Index and Of
+// answer what the map does — on a fresh Domains, after Inject has grown
+// some domains (indexing none of its cells twice), and from goroutines
+// racing to build the index under -race.
+func TestIndexMatchesMapReference(t *testing.T) {
+	ds, _ := sample()
+	var cells []dataset.Cell // every other cell, and none of tuple 0
+	for tu := 1; tu < ds.NumTuples(); tu++ {
+		for a := 0; a < ds.NumAttrs(); a++ {
+			if (tu+a)%2 == 0 {
+				cells = append(cells, dataset.Cell{Tuple: tu, Attr: a})
+			}
+		}
+	}
+	d := Compute(ds, stats.Collect(ds), cells, Config{Tau: 0.3})
+	ref := make(map[dataset.Cell]int, len(cells))
+	for i, c := range cells {
+		ref[c] = i
+	}
+	check := func(label string) {
+		t.Helper()
+		last := cells[len(cells)-1].Tuple
+		for tu := -1; tu <= last+2; tu++ {
+			for a := -1; a <= ds.NumAttrs(); a++ {
+				c := dataset.Cell{Tuple: tu, Attr: a}
+				i, ok := ref[c]
+				if !ok {
+					i = -1
+				}
+				var want []dataset.Value
+				if ok {
+					want = d.Candidates[i]
+				}
+				if got := d.Index(c); got != i {
+					t.Fatalf("%s: Index(%v) = %d, map reference %d", label, c, got, i)
+				}
+				if got := d.Of(c); !slices.Equal(got, want) || (got == nil) != (want == nil) {
+					t.Fatalf("%s: Of(%v) = %v, map reference %v", label, c, got, want)
+				}
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d.Index(cells[len(cells)/2])
+		}()
+	}
+	wg.Wait()
+	check("fresh")
+	extra := dataset.Value(ds.Dict().Size() + 7)
+	for _, c := range []dataset.Cell{cells[0], cells[len(cells)-1], {Tuple: cells[len(cells)-1].Tuple + 1, Attr: 0}} {
+		d.Inject(c, extra)
+	}
+	if !slices.Contains(d.Of(cells[0]), extra) || !slices.Contains(d.Of(cells[len(cells)-1]), extra) {
+		t.Fatal("Inject did not reach an indexed cell")
+	}
+	check("after Inject")
+}

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"holoclean/internal/datagen"
@@ -109,9 +110,12 @@ func (m *sessionModel) dataset(like *Dataset) *Dataset {
 
 // modelOp is one step of a model script. Kind is "set" (Upsert of tuple
 // Tuple with attribute Attr set to Value), "append" (Upsert of Row at -1),
-// "delete", "feedback" (Feedback of FB, which recleans), "reclean", or
+// "delete", "feedback" (Feedback of FB, which recleans), "reclean",
 // "snapshot" (Snapshot → RestoreSession; the restored copy follows the
-// live session through the next step, then takes its place).
+// live session through the next step, then takes its place) or "fold"
+// (Snapshot → StageSession; the staged copy stages the next Steps steps'
+// rounds with Stage, runs the one pass they owe, and takes the live
+// session's place).
 type modelOp struct {
 	Kind  string
 	Tuple int
@@ -119,6 +123,7 @@ type modelOp struct {
 	Value string
 	Row   []string
 	FB    []Feedback
+	Steps int
 }
 
 // modelScript is one run of TestSessionMatchesModel: a configuration, its
@@ -183,6 +188,10 @@ func modelFactors(o *Options, maxComponentCells int) *datagen.Generated {
 	return modelHospital(100)
 }
 
+// foldRelearns counts, over every script TestSessionMatchesModel runs,
+// the relearns a staged copy ran inside a fold.
+var foldRelearns atomic.Int64
+
 // TestSessionMatchesModel is the session contract as one model-based
 // property: on seven configurations — DC Feats with and without outlier
 // detection, DC Factors with and without component splitting, food with
@@ -191,13 +200,15 @@ func modelFactors(o *Options, maxComponentCells int) *datagen.Generated {
 // dirty, yet pruning still reads the raw statistics, so a delta elsewhere
 // moves an untouched cell's candidates) — at one and three workers, a
 // seeded script of typo and cross-copy upserts, appends, deletes, feedback
-// mixed with deletes, no-op recleans and snapshot/restore round trips
-// drives a Session, and after every pass the session equals a
+// mixed with deletes, no-op recleans, snapshot/restore round trips and a
+// fold (the next one to four steps staged onto a decoded snapshot, then
+// one pass) drives a Session, and after every pass the session equals a
 // from-scratch CleanWithFeedback of the model under the model's weights
 // (see modelRun.check for the rest of what a pass must satisfy).
 // RelearnEvery rotates over 0, 2 and 3 with the seed and the
 // configuration, so every value runs under -short too, which runs one
-// seed per configuration; the full mode runs six.
+// seed per configuration; the full mode runs six, and requires some fold
+// to cross a relearn.
 func TestSessionMatchesModel(t *testing.T) {
 	if sc := modelReplay; sc != nil {
 		for _, cfg := range modelConfigs {
@@ -211,6 +222,13 @@ func TestSessionMatchesModel(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
 		seeds = 1
+	} else {
+		foldRelearns.Store(0)
+		t.Cleanup(func() { // after the parallel subtests
+			if !t.Failed() && foldRelearns.Load() == 0 {
+				t.Error("no fold staged a round that relearned")
+			}
+		})
 	}
 	for ci, cfg := range modelConfigs {
 		for _, workers := range []int{1, 3} {
@@ -236,7 +254,14 @@ type modelRun struct {
 	s      *Session
 	shadow *Session // a restored copy following s through one step
 	last   *Result  // the live session's last result
-	script *modelScript
+	// staged is a decoded copy staging the rounds of fold more steps
+	// without their passes; owes says whether it owes one, and relearned
+	// is its last relearn's result when it does not.
+	staged    *Session
+	fold      int
+	owes      bool
+	relearned *Result
+	script    *modelScript
 	// constrained lists the attributes a constraint references.
 	constrained []int
 	reused      int // shards carried forward over the script
@@ -276,8 +301,9 @@ func runModelScript(t *testing.T, cfg modelConfig, sc *modelScript, steps [][]mo
 	}
 	r.check("clean", res, true)
 	if steps == nil {
-		for _, kind := range r.stepKinds() {
-			r.generate(kind)
+		kinds := r.stepKinds()
+		for i, kind := range kinds {
+			r.generate(kind, len(kinds)-1-i)
 			r.endStep()
 		}
 	} else {
@@ -297,31 +323,41 @@ func runModelScript(t *testing.T, cfg modelConfig, sc *modelScript, steps [][]mo
 	}
 }
 
-// stepKinds draws the order of a script's ten steps: five random deltas
-// of 6–14 ops, one capture-order delta, two feedback steps, a no-op reclean
-// and a snapshot, which is never last (its restored copy needs a next
-// step to follow).
+// stepKinds draws the order of a script's eleven steps: five random deltas
+// of 6–14 ops, one capture-order delta, two feedback steps, a no-op
+// reclean, a snapshot and a fold, neither of which is last (their copies
+// need a next step to follow).
 func (r *modelRun) stepKinds() []string {
-	kinds := []string{"delta", "delta", "delta", "delta", "delta", "overlap", "feedback", "feedback", "noop", "snapshot"}
+	kinds := []string{"delta", "delta", "delta", "delta", "delta", "overlap", "feedback", "feedback", "noop", "snapshot", "fold"}
 	r.rng.Shuffle(len(kinds), func(i, j int) { kinds[i], kinds[j] = kinds[j], kinds[i] })
-	if last := len(kinds) - 1; kinds[last] == "snapshot" {
-		kinds[0], kinds[last] = kinds[last], kinds[0]
+	for last := len(kinds) - 1; kinds[last] == "snapshot" || kinds[last] == "fold"; {
+		i := r.rng.Intn(last)
+		kinds[i], kinds[last] = kinds[last], kinds[i]
 	}
 	return kinds
 }
 
-// endStep retires the restored copy once it has followed one step: from
-// then on it is the live session.
+// endStep retires the restored copy once it has followed one step, and
+// settles the staged copy once it has staged its steps: from then on each
+// is the live session.
 func (r *modelRun) endStep() {
-	steps := r.script.Steps
-	if r.shadow != nil && !slices.ContainsFunc(steps[len(steps)-1], func(o modelOp) bool { return o.Kind == "snapshot" }) {
+	step := r.script.Steps[len(r.script.Steps)-1]
+	has := func(kind string) bool {
+		return slices.ContainsFunc(step, func(o modelOp) bool { return o.Kind == kind })
+	}
+	if r.shadow != nil && !has("snapshot") {
 		r.s, r.shadow = r.shadow, nil
+	}
+	if r.staged != nil && !has("fold") {
+		if r.fold--; r.fold == 0 {
+			r.settleFold()
+		}
 	}
 }
 
 // generate draws one step of the given kind from the model's current
-// state and runs it op by op.
-func (r *modelRun) generate(kind string) {
+// state, with left steps after it, and runs it op by op.
+func (r *modelRun) generate(kind string, left int) {
 	r.script.Steps = append(r.script.Steps, nil)
 	rng, m := r.rng, r.m
 	width := len(m.rows[0])
@@ -382,6 +418,8 @@ func (r *modelRun) generate(kind string) {
 		}
 	case "snapshot":
 		r.do(modelOp{Kind: "snapshot"})
+	case "fold":
+		r.do(modelOp{Kind: "fold", Steps: min(1+rng.Intn(4), left)})
 	}
 }
 
@@ -496,6 +534,9 @@ func (r *modelRun) do(o modelOp) {
 		case "snapshot":
 			r.restore()
 			return
+		case "fold":
+			r.stageFold(o.Steps)
+			return
 		default:
 			t.Fatalf("unknown op %q", o.Kind)
 		}
@@ -503,6 +544,9 @@ func (r *modelRun) do(o modelOp) {
 			t.Fatalf("%+v: %v", o, err)
 		}
 		results = append(results, res)
+	}
+	if r.staged != nil {
+		r.stageOp(o, row, results[0])
 	}
 	switch o.Kind {
 	case "set":
@@ -530,24 +574,88 @@ func (r *modelRun) do(o modelOp) {
 // bytes; the copy then follows the live session through the next step.
 func (r *modelRun) restore() {
 	t := r.t
-	var buf bytes.Buffer
-	if err := r.s.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, res, err := RestoreSession(bytes.NewReader(buf.Bytes()), r.opts)
+	snap := r.snapshot(r.s)
+	restored, res, err := RestoreSession(bytes.NewReader(snap), r.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireIdenticalResults(t, "restore", res, r.last)
-	var again bytes.Buffer
-	if err := restored.Snapshot(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+	if !bytes.Equal(snap, r.snapshot(restored)) {
 		t.Fatal("snapshot → restore → snapshot is not byte-identical")
 	}
 	r.requireState("restored copy", restored)
 	r.shadow = restored
+}
+
+// stageFold snapshots the live session and decodes a staged copy, which
+// stages the rounds of the next steps steps and owes their pass.
+func (r *modelRun) stageFold(steps int) {
+	staged, err := StageSession(bytes.NewReader(r.snapshot(r.s)), r.opts)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.staged, r.fold, r.owes, r.relearned = staged, steps, true, nil
+}
+
+// stageOp runs one op on the staged copy: mutations as the live session
+// does, a round (reclean, feedback) with Stage. A round that relearns runs
+// its pass, whose result must be the live round's.
+func (r *modelRun) stageOp(o modelOp, row []string, live *Result) {
+	t, s := r.t, r.staged
+	t.Helper()
+	var res *Result
+	var err error
+	switch o.Kind {
+	case "set":
+		_, err = s.Upsert(o.Tuple, row)
+	case "append":
+		_, err = s.Upsert(-1, o.Row)
+	case "delete":
+		err = s.Delete(o.Tuple)
+	case "feedback":
+		res, err = s.Stage(o.FB)
+	case "reclean":
+		res, err = s.Stage(nil)
+	}
+	if err != nil {
+		t.Fatalf("staged %+v: %v", o, err)
+	}
+	switch {
+	case res != nil:
+		requireIdenticalResults(t, "staged relearn", res, live)
+		r.owes, r.relearned = false, res
+		foldRelearns.Add(1)
+	case o.Kind == "feedback" || o.Kind == "reclean":
+		r.owes = true
+	}
+}
+
+// settleFold runs the one pass the staged copy owes, unless its last round
+// relearned, and requires the copy to equal the live session: the last
+// result, the counter, the weights and the snapshot bytes.
+func (r *modelRun) settleFold() {
+	t, s, res := r.t, r.staged, r.relearned
+	if r.owes {
+		var err error
+		if res, err = s.Reclean(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireIdenticalResults(t, "folded copy", res, r.last)
+	r.requireState("folded copy", s)
+	if !bytes.Equal(r.snapshot(s), r.snapshot(r.s)) {
+		t.Fatal("the folded copy's snapshot differs from the live session's")
+	}
+	r.s, r.staged = s, nil
+}
+
+// snapshot returns the bytes of a snapshot of s.
+func (r *modelRun) snapshot(s *Session) []byte {
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		r.t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // requireState checks a session's reclean counter and weights against the

@@ -10,10 +10,11 @@ package serve
 //
 // One state machine. A tenant is a deterministic function of its log,
 // and every transition exists once: openSession runs a create record,
-// applyOp a deltas or feedback record, replayTenant loads a checkpoint
-// record. The live handlers decode client bytes into those payloads and
-// call the same functions crash replay and the replica warm-apply path
-// reach through applyRecord.
+// stageOp stages a deltas or feedback record as a round, replayTenant
+// loads a checkpoint record. The live handlers decode client bytes into
+// those payloads and call applyOp — stageOp, then the round's pass — as
+// the replica warm-apply path does through applyRecord; crash replay
+// stages a whole tail through stageOp and runs one pass after it.
 //
 // Ordering. Operations are validated, applied, appended, then acked:
 //
@@ -390,23 +391,21 @@ func (sv *Server) openSession(cr *walCreate) (*holoclean.Session, *holoclean.Res
 	return s, res, nil
 }
 
-// applyOp applies one mutation to t's live session and records its op
-// id in the duplicate window: a delta batch is validated whole, staged
-// and recleaned; a feedback batch is confirmed and recleaned. It is the
-// only place a session is mutated — live requests, crash replay and the
-// replica warm-apply path all land here, so their states agree by the
-// pipeline's determinism. A batch that fails validation stages nothing.
+// stageOp validates one mutation and stages it on t's live session as a
+// round without its pass (holoclean.Session.Stage): a delta batch is
+// validated whole and staged op by op; a feedback batch is confirmed. A
+// batch that fails validation stages nothing. The round's pass is owed,
+// unless the relearn schedule ran it now — then its Result is returned.
 // Call with t.mu held and t.session live.
-func (sv *Server) applyOp(t *tenant, p walOp) (*holoclean.Result, error) {
+func (sv *Server) stageOp(t *tenant, p walOp) (*holoclean.Result, error) {
 	s := t.session
-	var res *holoclean.Result
-	var err error
 	switch p := p.(type) {
 	case *walDeltas:
-		if err = validateDeltaOps(p.Ops, s.NumTuples(), len(s.Attrs())); err != nil {
+		if err := validateDeltaOps(p.Ops, s.NumTuples(), len(s.Attrs())); err != nil {
 			return nil, invalidOp{err}
 		}
 		for _, op := range p.Ops {
+			var err error
 			if op.Op == "upsert" {
 				_, err = s.Upsert(op.Row, op.Values)
 			} else {
@@ -417,34 +416,53 @@ func (sv *Server) applyOp(t *tenant, p walOp) (*holoclean.Result, error) {
 				return nil, fmt.Errorf("applying op: %w", err)
 			}
 		}
-		if res, err = s.Reclean(); err != nil {
-			return nil, fmt.Errorf("reclean: %w", err)
-		}
+		return s.Stage(nil)
 	case *walFeedback:
-		var fb []holoclean.Feedback
-		if fb, err = t.feedbackBatch(p.Items); err != nil {
+		fb, err := t.feedbackBatch(p.Items)
+		if err != nil {
 			return nil, err
 		}
 		// Validation failures (out of range, empty value, duplicate
 		// confirmation) reject the batch without touching the session.
-		if res, err = s.Feedback(fb); err != nil {
-			return nil, err
+		return s.Stage(fb)
+	}
+	return nil, fmt.Errorf("unknown operation %T", p)
+}
+
+// applyOp applies one mutation to t's live session and records its op
+// id in the duplicate window: stageOp, then the pass the round owes. The
+// live handlers and the replica warm-apply path land here; crash replay
+// stages its records through the same stageOp and runs one pass after the
+// last. Call with t.mu held and t.session live.
+func (sv *Server) applyOp(t *tenant, p walOp) (*holoclean.Result, error) {
+	res, err := sv.stageOp(t, p)
+	if err == nil && res == nil {
+		if res, err = t.session.Reclean(); err != nil {
+			err = fmt.Errorf("reclean: %w", err)
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	t.markApplied(p.id())
 	return res, nil
 }
 
-// replayTenant rebuilds t's live session from a recovery: load the
-// checkpoint (or run the genesis create record), then re-apply the tail
-// through applyRecord. It is the one restore path — eviction, boot
-// recovery, replica cold start, promotion and migration all come back
-// through here; determinism makes the result bit-identical to the state
-// that was checkpointed and logged. On success t holds a live session
-// with its last result published.
+// replayTenant rebuilds t's live session from a recovery: decode the
+// checkpoint (or run the genesis create record), stage every tail record
+// in log order through stageOp — validation, interning and the op_id
+// window follow the record order — and run the one pass the staged rounds
+// owe. A tail with no relearn inside it costs exactly one pass, over the
+// relation as the last record left it; a round the relearn schedule
+// retrains on runs its own pass, as it did live. It is the one restore
+// path — eviction, boot recovery, replica cold start, promotion and
+// migration all come back through here; determinism makes the result
+// bit-identical to the state that was checkpointed and logged. On success
+// t holds a live session with its last result published.
 func (sv *Server) replayTenant(t *tenant, rec *store.Recovery) error {
 	tail := rec.Tail
 	var res *holoclean.Result
+	owed := false // whether t.session owes the pass that yields its result
 	switch {
 	case rec.Checkpoint != nil:
 		ck, err := decodeCheckpoint(t.id, rec.Checkpoint)
@@ -452,11 +470,11 @@ func (sv *Server) replayTenant(t *tenant, rec *store.Recovery) error {
 			return err
 		}
 		sv.primeFromEnvelope(t, ck)
-		s, r, err := holoclean.RestoreSession(bytes.NewReader(ck.Envelope.Session), sv.optionsFor(t.ov))
+		s, err := holoclean.StageSession(bytes.NewReader(ck.Envelope.Session), sv.optionsFor(t.ov))
 		if err != nil {
 			return fmt.Errorf("restoring checkpoint of %s: %w", t.id, err)
 		}
-		t.session, res = s, r
+		t.session, owed = s, true
 	case len(tail) > 0 && tail[0].Op == store.OpCreate:
 		var cr walCreate
 		if err := json.Unmarshal(tail[0].Payload, &cr); err != nil {
@@ -476,13 +494,29 @@ func (sv *Server) replayTenant(t *tenant, rec *store.Recovery) error {
 		return fmt.Errorf("session %s has neither a checkpoint nor a create record to restore from", t.id)
 	}
 	for _, r := range tail {
-		rr, err := sv.applyRecord(t, r)
+		p, err := sv.decodeRecord(t, r)
 		if err != nil {
 			return err
 		}
-		if rr != nil {
-			res = rr
+		if p == nil {
+			continue
 		}
+		rr, err := sv.stageOp(t, p)
+		if err != nil {
+			return fmt.Errorf("replaying %s record %d of %s: %w", r.Op, r.Seq, t.id, err)
+		}
+		t.markApplied(p.id())
+		if rr != nil {
+			res = rr // the round relearned: its pass ran
+		}
+		owed = rr == nil
+	}
+	if owed {
+		r, err := t.session.Reclean()
+		if err != nil {
+			return fmt.Errorf("replaying the tail of %s: %w", t.id, err)
+		}
+		res = r
 	}
 	if res == nil {
 		return fmt.Errorf("recovered session %s has no result", t.id)
@@ -506,11 +540,12 @@ func (sv *Server) revive(t *tenant) error {
 	return nil
 }
 
-// applyRecord applies one logged record to t's live session: decode,
-// then the same applyOp the live handlers call. Returns the run result
-// for records that reclean (deltas, feedback), nil for the rest. Call
-// with t.mu held and t.session live.
-func (sv *Server) applyRecord(t *tenant, r store.Record) (*holoclean.Result, error) {
+// decodeRecord decodes one logged record of t into the mutation it
+// replays, nil for records that carry none: a checkpoint streaming past a
+// live session tops up the duplicate window and is otherwise skipped, as
+// are informational markers; a mid-log create is an error. Call with t.mu
+// held.
+func (sv *Server) decodeRecord(t *tenant, r store.Record) (walOp, error) {
 	var p walOp
 	switch r.Op {
 	case store.OpDeltas:
@@ -534,6 +569,18 @@ func (sv *Server) applyRecord(t *tenant, r store.Record) (*holoclean.Result, err
 	}
 	if err := json.Unmarshal(r.Payload, p); err != nil {
 		return nil, fmt.Errorf("decoding %s record %d of %s: %w", r.Op, r.Seq, t.id, err)
+	}
+	return p, nil
+}
+
+// applyRecord applies one logged record to t's live session: decode,
+// then the same applyOp the live handlers call. Returns the run result
+// for records that reclean (deltas, feedback), nil for the rest. Call
+// with t.mu held and t.session live.
+func (sv *Server) applyRecord(t *tenant, r store.Record) (*holoclean.Result, error) {
+	p, err := sv.decodeRecord(t, r)
+	if err != nil || p == nil {
+		return nil, err
 	}
 	res, err := sv.applyOp(t, p)
 	if err != nil {

@@ -47,6 +47,13 @@ type Session struct {
 	// there, captured before the slot's first write.
 	prev   *pass
 	before map[int][]dataset.Value
+
+	// owed is non-nil while the session owes a pass: rounds were counted
+	// (by Stage, or by a Reclean whose pass failed) or a snapshot decoded
+	// (StageSession) whose mutations no pass has folded in yet. It holds
+	// the weights that pass broadcasts — prev's, or the snapshot's on a
+	// session with no pass yet — and settle runs it.
+	owed map[string]float64
 }
 
 // NewSession starts a cleaning session over a copy of ds (later mutations
@@ -91,13 +98,18 @@ func (s *Session) PendingMutations() int {
 }
 
 // Weights returns a copy of the session's learned weight map (tying key →
-// value), usable as Options.InitialWeights; nil before the first pass.
+// value), usable as Options.InitialWeights: the last pass's, or a decoded
+// snapshot's until its pass runs; nil before the first pass.
 func (s *Session) Weights() map[string]float64 {
 	if s.prev == nil {
-		return nil
+		return maps.Clone(s.owed)
 	}
 	return maps.Clone(s.prev.weights)
 }
+
+// cleaned reports whether the session has a pass behind it or owes one
+// with weights to broadcast — whether a round has a clock to advance.
+func (s *Session) cleaned() bool { return s.prev != nil || s.owed != nil }
 
 // capture records the row the last pass cleaned in slot t before the
 // slot's first write since that pass. Slots the pass never saw (appended
@@ -214,13 +226,13 @@ func (s *Session) nextPass(prev *pass, weights map[string]float64) *pass {
 }
 
 // adopt keeps a finished pass as the base of the next Reclean — its
-// weights included — clears the pending delta it folded in, and lets go of
-// everything the next pass never reads (the Result with its Repaired
-// clone, compilation state with its evidence domains, the delta sets, the
-// pass before it).
+// weights included — clears the pending delta it folded in and the debt it
+// paid, and lets go of everything the next pass never reads (the Result
+// with its Repaired clone, compilation state with its evidence domains, the
+// delta sets, the pass before it).
 func (s *Session) adopt(p *pass) {
 	p.working = nil
-	s.prev, s.before = p, make(map[int][]dataset.Value)
+	s.prev, s.before, s.owed = p, make(map[int][]dataset.Value), nil
 }
 
 // Reclean re-repairs the dataset after the pending Upsert/Delete batch.
@@ -231,16 +243,93 @@ func (s *Session) adopt(p *pass) {
 // inputs the delta invalidated are re-inferred (Result.Stats.ShardsReused
 // counts the shards of the full plan carried forward); a DC Factors
 // session re-executes its whole shard plan.
+//
+// On a session that owes a pass — rounds Stage closed without one, or a
+// snapshot StageSession decoded — Reclean runs that one pass over the
+// relation as it stands and counts no round of its own.
 func (s *Session) Reclean() (*Result, error) {
-	if s.prev == nil {
-		return s.Clean()
+	if s.owed == nil {
+		if res, err := s.stage(nil); res != nil || err != nil {
+			return res, err
+		}
+	}
+	return s.settle()
+}
+
+// Stage closes one round of the session — a Reclean when fb is nil (of the
+// Upsert/Delete mutations staged since the last round), a Feedback of fb
+// otherwise — with that round's validation, relearn schedule and reclean
+// counter, but without its pass: the round's pass is owed, and rounds
+// staged one after another owe one pass between them, which the next
+// Reclean runs. A round Options.RelearnEvery schedules a relearn for runs
+// its full pass now, over the relation staged so far, exactly as the live
+// round would, and returns that pass's Result, as does a round of a
+// session with no pass behind it, which starts with the initial Clean as
+// Reclean and Feedback do; every other round returns nil. The relation, confirmations, counter, weights and value dictionary
+// after a run of staged rounds and the owed pass are the ones the same
+// rounds run live leave, so a recovered session can replay a log tail in
+// one pass (see StageSession).
+func (s *Session) Stage(fb []Feedback) (*Result, error) {
+	res, err := s.stage(fb)
+	if res == nil && err == nil {
+		err = s.internLabels()
+	}
+	return res, err
+}
+
+// stage closes one round without its owed pass (see Stage): on a session
+// with nothing to build on it first runs the initial Clean, which is all a
+// Reclean of such a session does, and a Feedback's start; a feedback batch
+// is confirmed; the round is counted and, when a relearn is due, runs its
+// full pass and returns its Result.
+func (s *Session) stage(fb []Feedback) (*Result, error) {
+	if fb != nil && len(fb) == 0 {
+		return nil, fmt.Errorf("%w: empty batch", ErrInvalidFeedback)
+	}
+	if !s.cleaned() {
+		if res, err := s.Clean(); err != nil || fb == nil {
+			return res, err
+		}
+	}
+	if fb != nil {
+		if err := s.confirm(fb); err != nil {
+			return nil, err
+		}
 	}
 	s.recleans++
 	if s.relearnDue() {
 		// Scheduled relearn: a full pass, exactly like the initial Clean.
 		return s.Clean()
 	}
-	return s.run(s.prev, s.prev.weights)
+	if s.owed == nil {
+		s.owed = s.prev.weights
+	}
+	return nil, nil
+}
+
+// settle runs the pass the session owes: over the relation as it stands,
+// against prev and the pending delta when there is a prev, broadcasting the
+// owed weights.
+func (s *Session) settle() (*Result, error) {
+	return s.run(s.prev, s.owed)
+}
+
+// internLabels interns into the relation's dictionary, in order, the
+// labels the pass a round owes would have interned (compile.InternLabels):
+// a live round's pass interns the dictionary suggestions of the relation as
+// the round left it before the next round's values, and value ids order
+// candidate sets, so a staged round must too. Constraint constants are
+// interned by the first pass already; only match dependencies add labels.
+func (s *Session) internLabels() error {
+	if len(s.opts.MatchDependencies) == 0 {
+		return nil
+	}
+	matched, err := matchDictionaries(s.opts, s.ds)
+	if err != nil {
+		return err
+	}
+	compile.InternLabels(s.ds, s.constraints, matched)
+	return nil
 }
 
 // diffRows compares every slot the pending delta captured with its

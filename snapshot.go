@@ -52,10 +52,13 @@ type snapshotCell struct {
 // counter. It does not serialize the incremental caches (statistics,
 // domains, marginals) — RestoreSession rebuilds those with one
 // full pipeline pass, which by the session equivalence contract
-// reproduces them exactly. Snapshot must not be called with mutations
-// staged but not yet recleaned if the restored session is expected to
-// match the live one operation for operation (the staged delta would be
-// folded into the restore pass instead of the next Reclean).
+// reproduces them exactly. Snapshot must not be called with Upsert or
+// Delete mutations staged but not yet closed by a round (Reclean,
+// Feedback or Stage) if the restored session is expected to match the
+// live one operation for operation: the snapshot carries the mutation but
+// not its round, so the restore pass folds it in and the next round counts
+// one round fewer. Rounds Stage closed are whole: a session that owes
+// their pass snapshots to the same bytes as one that ran them live.
 func (s *Session) Snapshot(w io.Writer) error {
 	ds := s.ds
 	snap := sessionSnapshot{
@@ -63,7 +66,7 @@ func (s *Session) Snapshot(w io.Writer) error {
 		Attrs:    append([]string(nil), ds.Attrs()...),
 		Rows:     make([][]string, ds.NumTuples()),
 		Recleans: s.recleans,
-		Cleaned:  s.prev != nil,
+		Cleaned:  s.cleaned(),
 		Weights:  s.Weights(),
 	}
 	for v := 1; v < ds.Dict().Size(); v++ {
@@ -95,24 +98,46 @@ func (s *Session) Snapshot(w io.Writer) error {
 	return json.NewEncoder(w).Encode(&snap)
 }
 
-// RestoreSession reconstructs a session from a Snapshot. opts must be the
-// same Options the snapshotted session ran with — they are not part of
-// the envelope (servers own them, and weights only transfer between runs
-// of the same configuration). A session that had been cleaned is brought
-// back to full working order by one pipeline pass over the snapshotted
-// dataset reusing the snapshotted weights; the pass's Result (identical,
-// by the equivalence contract, to the last result the live session
-// produced) is returned alongside, or nil when the snapshot predates the
-// first Clean. The reclean counter carries over, so the RelearnEvery
-// schedule is unaffected by eviction.
+// RestoreSession reconstructs a session from a Snapshot: StageSession,
+// then the pass the decoded session owes. opts must be the same Options
+// the snapshotted session ran with — they are not part of the envelope
+// (servers own them, and weights only transfer between runs of the same
+// configuration). A session that had been cleaned is brought back to full
+// working order by one pipeline pass over the snapshotted dataset reusing
+// the snapshotted weights; the pass's Result (identical, by the
+// equivalence contract, to the last result the live session produced) is
+// returned alongside, or nil when the snapshot predates the first Clean.
+// The reclean counter carries over, so the RelearnEvery schedule is
+// unaffected by eviction.
 func RestoreSession(r io.Reader, opts Options) (*Session, *Result, error) {
+	s, err := StageSession(r, opts)
+	if err != nil || !s.cleaned() {
+		return s, nil, err
+	}
+	res, err := s.settle()
+	if err != nil {
+		return nil, nil, fmt.Errorf("holoclean: rebuilding restored session: %w", err)
+	}
+	return s, res, nil
+}
+
+// StageSession decodes a Snapshot into a session that owes its restore
+// pass: the snapshotted relation, value dictionary, constraints,
+// confirmations and reclean counter, with the snapshotted weights pending
+// as the broadcast of its first pass. No pipeline work runs. Rounds staged
+// onto it with Stage — a recovered log tail — fold into that one pass,
+// which the next Reclean runs; a round Options.RelearnEvery schedules a
+// relearn for runs its own pass, as it would live. opts are as for
+// RestoreSession. A snapshot that predates the first Clean decodes into a
+// session with nothing owed, as NewSession would start it.
+func StageSession(r io.Reader, opts Options) (*Session, error) {
 	var snap sessionSnapshot
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&snap); err != nil {
-		return nil, nil, fmt.Errorf("holoclean: decoding session snapshot: %w", err)
+		return nil, fmt.Errorf("holoclean: decoding session snapshot: %w", err)
 	}
 	if snap.Version != snapshotVersion {
-		return nil, nil, fmt.Errorf("holoclean: session snapshot version %d, want %d", snap.Version, snapshotVersion)
+		return nil, fmt.Errorf("holoclean: session snapshot version %d, want %d", snap.Version, snapshotVersion)
 	}
 	ds := NewDataset(snap.Attrs)
 	for _, v := range snap.Dict {
@@ -120,7 +145,7 @@ func RestoreSession(r io.Reader, opts Options) (*Session, *Result, error) {
 	}
 	for t, row := range snap.Rows {
 		if len(row) != len(snap.Attrs) {
-			return nil, nil, fmt.Errorf("holoclean: snapshot row %d has %d values, want %d", t, len(row), len(snap.Attrs))
+			return nil, fmt.Errorf("holoclean: snapshot row %d has %d values, want %d", t, len(row), len(snap.Attrs))
 		}
 		ds.Append(row)
 		if snap.Sources != nil {
@@ -129,7 +154,7 @@ func RestoreSession(r io.Reader, opts Options) (*Session, *Result, error) {
 	}
 	constraints, err := ParseConstraints(strings.NewReader(strings.Join(snap.Constraints, "\n")))
 	if err != nil {
-		return nil, nil, fmt.Errorf("holoclean: parsing snapshot constraints: %w", err)
+		return nil, fmt.Errorf("holoclean: parsing snapshot constraints: %w", err)
 	}
 	s := &Session{
 		opts:        opts,
@@ -141,24 +166,19 @@ func RestoreSession(r io.Reader, opts Options) (*Session, *Result, error) {
 		s.confirmed = append(s.confirmed, Feedback{Cell: Cell{Tuple: c.Tuple, Attr: c.Attr}, Value: c.Value})
 	}
 	if err := validateFeedback(ds, s.confirmed, nil); err != nil {
-		return nil, nil, fmt.Errorf("holoclean: snapshot confirmed cells invalid: %w", err)
+		return nil, fmt.Errorf("holoclean: snapshot confirmed cells invalid: %w", err)
 	}
 	if err := requireSignals(constraints, opts); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if !snap.Cleaned {
-		return s, nil, nil
+	if snap.Cleaned {
+		// A cleaned session has learned, even when it learned no weight: an
+		// empty map is omitted from the envelope and must not restore as
+		// nil, which a pass reads as "learn".
+		s.owed = snap.Weights
+		if s.owed == nil {
+			s.owed = map[string]float64{}
+		}
 	}
-	// A cleaned session has learned, even when it learned no weight: an
-	// empty map is omitted from the envelope and must not restore as nil,
-	// which a pass reads as "learn".
-	weights := snap.Weights
-	if weights == nil {
-		weights = map[string]float64{}
-	}
-	res, err := s.run(nil, weights)
-	if err != nil {
-		return nil, nil, fmt.Errorf("holoclean: rebuilding restored session: %w", err)
-	}
-	return s, res, nil
+	return s, nil
 }

@@ -137,3 +137,71 @@ func TestSnapshotRestoreKeepsConstraintConstants(t *testing.T) {
 		}
 	}
 }
+
+// TestStageInternsDictionarySuggestions: a live round's pass interns the
+// dictionary suggestions of the relation the round left before the next
+// round interns its own values, and value ids order candidate sets. Here
+// the first round appends a row whose zip matches a dictionary city the
+// relation never held, and the second a row with a fresh city; staged onto
+// a decoded snapshot and folded into one pass, the two rounds must leave
+// the dictionary — and every other byte of the snapshot — as they did live.
+func TestStageInternsDictionarySuggestions(t *testing.T) {
+	ds := NewDataset([]string{"City", "Zip"})
+	for _, row := range [][]string{{"Chicago", "60608"}, {"Chicago", "60608"}, {"Cicago", "60608"}, {"Urbana", "61801"}} {
+		ds.Append(row)
+	}
+	dict := NewDictionary("zips", []string{"Ext_City", "Ext_Zip"})
+	dict.Append([]string{"Chicago", "60608"})
+	dict.Append([]string{"Springfield", "62701"})
+	opts := DefaultOptions()
+	opts.Dictionaries = []*Dictionary{dict}
+	opts.MatchDependencies = []*MatchDependency{{
+		Name: "m1", Dict: "zips",
+		Conditions: []MatchTerm{{DataAttr: "Zip", DictAttr: "Ext_Zip"}},
+		Conclusion: MatchTerm{DataAttr: "City", DictAttr: "Ext_City"},
+	}}
+	live, err := NewSession(ds, FD("fd", []string{"Zip"}, []string{"City"}), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.Clean(); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := live.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	staged, err := StageSession(&snap, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want *Result
+	for _, row := range [][]string{{"Shelbyville", "62701"}, {"Naperville", "60540"}} {
+		for _, s := range []*Session{live, staged} {
+			if _, err := s.Upsert(-1, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want, err = live.Reclean(); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := staged.Stage(nil); res != nil || err != nil {
+			t.Fatalf("staged round ran a pass (%v) or failed: %v", res != nil, err)
+		}
+	}
+	got, err := staged.Reclean()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdenticalResults(t, "folded rounds", got, want)
+	var a, b bytes.Buffer
+	if err := live.Snapshot(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := staged.Snapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("folded snapshot differs from the live one:\nlive   %s\nfolded %s", a.Bytes(), b.Bytes())
+	}
+}
